@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from importlib import resources
 
+from . import load_data
 from .ltl import EvalContext, Monitor
 from .memstace import MemStaCe, MemoryState, TransitionLabel
 
@@ -59,7 +59,6 @@ class Verdict:
     property_name: str
     status: str
     trace: Trace | None = None
-    cwes: list[str] = field(default_factory=list)
     vacuity_notes: list[str] = field(default_factory=list)
     vacuous: bool = False
 
@@ -137,22 +136,8 @@ def _frame_deltas(before: MemoryState, after: MemoryState):
 
 # --- CWE mapping ---------------------------------------------------------------
 
-_CWE_CACHE: dict | None = None
-
-
 def load_cwe_map(path: str | None = None) -> dict[str, list[str]]:
-    global _CWE_CACHE
-    if path is None and _CWE_CACHE is not None:
-        return _CWE_CACHE
-    if path is None:
-        raw = resources.files("stackcheck").joinpath("data/cwe_map.json").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
-    table = json.loads(raw)
-    if path is None:
-        _CWE_CACHE = table
-    return table
+    return load_data("cwe_map.json", json.loads, path)
 
 
 def map_cwe(property_name: str, db: dict[str, list[str]] | None = None,

@@ -17,14 +17,15 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import checker, ltl, patcher, validator
 from .effects import EffectsOracle, extract_concrete_input
 from .frontend import (FunctionMap, MalformedLine, DuplicateFunction,
-                       ProgramImage, build_bcfg, extract_user_functions,
-                       parse_disassembly)
+                       ProgramImage, build_bcfg, entry_point,
+                       extract_user_functions, parse_disassembly)
 from .memstace import Config, build_memstace, dump_memstace
 from .patcher import NoSinkFound, NoTemplate, load_templates
 
@@ -280,8 +281,7 @@ def _patch_and_validate(report: Report, image: ProgramImage,
         if sink.kind != "call":
             report.notes.append(f"sink at {addr:#x} is a loop; no template, report-only")
             continue
-        root_entry = funcs.entries.get("main") or min(funcs.entries.values())
-        oracle.set_root(root_entry)
+        oracle.set_root(entry_point(image))
         effect = oracle.call_effect(addr)
         if effect.opaque:
             # fall back to the sink's own function as the emulation root
@@ -339,6 +339,11 @@ def analyze(paths: list[str], cfg: Config | None = None, *, patch: bool = False,
                                    patch_all=patch_all, export_memstace=export_memstace)
         except (MalformedLine, DuplicateFunction, OSError) as exc:
             report = Report(binary=name, status="error", error=str(exc))
+        except Exception as exc:    # a failure ends this binary's analysis, not the batch
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            report = Report(binary=name, status="error",
+                            error=f"internal error in {where.name}: "
+                                  f"{type(exc).__name__}: {exc}")
         if out_dir and report.patched_image is not None:
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
@@ -348,11 +353,28 @@ def analyze(paths: list[str], cfg: Config | None = None, *, patch: bool = False,
     return reports
 
 
-def report_metrics(reports: list[Report], ground_truth: dict[str, bool]) -> dict:
-    """Confusion matrix and the four derived metrics.
+def _truth_table(ground_truth) -> dict[str, bool]:
+    """{binary: vulnerable} from {binary: bool} or {binary: {"vulnerable": bool}};
+    raises ValueError for any other shape."""
+    if not isinstance(ground_truth, dict):
+        raise ValueError("ground truth must be a JSON object keyed by binary name")
+    table = {}
+    for name, entry in ground_truth.items():
+        vulnerable = entry.get("vulnerable") if isinstance(entry, dict) else entry
+        if not isinstance(vulnerable, bool):
+            raise ValueError(f"ground truth for {name!r} is neither a bool nor an "
+                             'object with a boolean "vulnerable"')
+        table[name] = vulnerable
+    return table
+
+
+def report_metrics(reports: list[Report], ground_truth: dict) -> dict:
+    """Confusion matrix and the four derived metrics; `ground_truth` takes
+    either shape `_truth_table` accepts.
 
     Classification: vulnerable iff at least one property is violated.
     """
+    ground_truth = _truth_table(ground_truth)
     tp = fn = fp = tn = 0
     for r in reports:
         truth = ground_truth.get(r.binary)
@@ -382,6 +404,8 @@ def report_metrics(reports: list[Report], ground_truth: dict[str, bool]) -> dict
 
 def _render_text(report: Report) -> str:
     lines = [f"== {report.binary}: {report.status}"]
+    if report.error:
+        lines.append(f"  error: {report.error}")
     for p in report.properties:
         mark = {"holds": "ok ", "violated": "VIOLATED", "inconclusive": "???"}[p.status]
         extra = f" ({', '.join(p.cwes)})" if p.status == "violated" and p.cwes else ""
@@ -433,9 +457,17 @@ def main(argv: list[str] | None = None) -> int:
     pa.add_argument("--out", help="directory for patched listings")
     pa.add_argument("--report", choices=["json", "text"], default="text")
     pa.add_argument("--timeout", type=float, default=None, help="seconds per binary")
-    pa.add_argument("--ground-truth", help="JSON {binary: bool} for batch metrics")
+    pa.add_argument("--ground-truth", help="JSON {binary: bool} or "
+                    '{binary: {"vulnerable": bool}} for batch metrics')
     pa.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    truth = None
+    if args.ground_truth:
+        try:
+            truth = _truth_table(json.loads(Path(args.ground_truth).read_text(encoding="utf-8")))
+        except (OSError, ValueError) as exc:
+            print(f"stackcheck: --ground-truth {args.ground_truth}: {exc}", file=sys.stderr)
+            return 2
 
     cfg = Config(max_states=args.max_states, max_loop_iters=args.max_loop_iters,
                  max_input_len=args.max_input_len, step_budget=args.step_budget,
@@ -449,12 +481,7 @@ def main(argv: list[str] | None = None) -> int:
                       out_dir=args.out, export_memstace=args.export_memstace)
 
     payload = [r.to_json() for r in reports]
-    if args.ground_truth:
-        with open(args.ground_truth, encoding="utf-8") as fh:
-            truth = json.load(fh)
-        metrics = report_metrics(reports, truth)
-    else:
-        metrics = None
+    metrics = report_metrics(reports, truth) if truth is not None else None
 
     if args.report == "json":
         doc = {"reports": payload}

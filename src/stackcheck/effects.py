@@ -3,23 +3,23 @@
 Effects are computed by bounded concrete emulation. For a call site the
 interpreter runs from the analysis root to just before the call, the
 stack is snapshotted, the callee's write-extent rule is applied, and the
-diff gives the touched bytes. Calls that read stdin/argv get an
-input-length search (doubling, then binary refinement over the monotone
-corruption predicate) that records the smallest input reaching the saved
-return address or canary; that input is kept for patch validation.
+diff gives the touched bytes. Calls that read stdin/argv record the
+smallest input reaching a saved return address or canary; that input is
+kept for patch validation. The write covers the input plus its
+terminator, so that length is the distance from the destination to the
+first protected byte at or above it (at least 1), in closed form.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from importlib import resources
 
-from . import interp
+from . import interp, load_data
 from .frontend import BCfg, FunctionMap, ProgramImage, IMM, MEM, REG
 from .interp import (CrashSignal, FinishedSignal, Machine, StepBudgetExceeded,
                      TargetUnreachable, UnsupportedFormat)
-from .memstace import ByteOp, Config
+from .memstace import ByteOp, Config, infer_buffer_size, scan_object_boundaries
 
 ARG_REGS = ["rdi", "rsi", "rdx", "rcx", "r8", "r9"]
 
@@ -43,25 +43,14 @@ class LibcSpec:
         return None
 
 
-_DB_CACHE: dict | None = None
-
-
 def load_libc_db(path: str | None = None) -> dict[str, LibcSpec]:
-    global _DB_CACHE
-    if path is None and _DB_CACHE is not None:
-        return _DB_CACHE
-    if path is None:
-        raw = resources.files("stackcheck").joinpath("data/libc.json").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
-    data = json.loads(raw)
-    db = {name: LibcSpec(name=name, arity=e["arity"], roles=tuple(e["roles"]),
-                         input_source=e["input_source"], extent=e["extent"])
-          for name, e in data.items()}
-    if path is None:
-        _DB_CACHE = db
-    return db
+    return load_data("libc.json", _parse_libc_db, path)
+
+
+def _parse_libc_db(text: str) -> dict[str, LibcSpec]:
+    return {name: LibcSpec(name=name, arity=e["arity"], roles=tuple(e["roles"]),
+                           input_source=e["input_source"], extent=e["extent"])
+            for name, e in json.loads(text).items()}
 
 
 def lookup_libc(name: str, db: dict[str, LibcSpec] | None = None) -> LibcSpec:
@@ -110,23 +99,13 @@ def recover_arguments(bcfg: BCfg, call_site: int, spec: LibcSpec,
     runtime patch mode).
     """
     block = bcfg.block_containing(call_site)
-    preds = _predecessors(bcfg)
     out: dict[str, ArgValue] = {}
     for reg in ARG_REGS[:spec.arity]:
-        out[reg] = _resolve(bcfg, preds, block, call_site, reg, depth_bound)
+        out[reg] = _resolve(bcfg, block, call_site, reg, depth_bound)
     return CallArgs(site=call_site, spec=spec, regs=out)
 
 
-def _predecessors(bcfg: BCfg) -> dict[int, list[int]]:
-    preds: dict[int, list[int]] = {}
-    for blk in bcfg.blocks.values():
-        for kind, tgt in blk.edges:
-            if isinstance(tgt, int) and kind in ("fallthrough", "taken", "call-return"):
-                preds.setdefault(tgt, []).append(blk.start)
-    return preds
-
-
-def _resolve(bcfg, preds, block, before: int, reg: str, depth: int,
+def _resolve(bcfg, block, before: int, reg: str, depth: int,
              chain: tuple[int, ...] = ()) -> ArgValue:
     if block is None or depth < 0:
         return ArgValue(UNKNOWN, chain=chain)
@@ -143,7 +122,7 @@ def _resolve(bcfg, preds, block, before: int, reg: str, depth: int,
             if src.kind == MEM and src.base == "rbp":
                 return ArgValue(FRAME_SLOT, src.disp, chain)
             if src.kind == REG:
-                return _resolve(bcfg, preds, block, ins.address, src.reg, depth, chain)
+                return _resolve(bcfg, block, ins.address, src.reg, depth, chain)
             return ArgValue(UNKNOWN, chain=chain)
         if ins.mnemonic == "lea":
             src = ins.operands[1]
@@ -151,10 +130,10 @@ def _resolve(bcfg, preds, block, before: int, reg: str, depth: int,
                 return ArgValue(FRAME_ADDR, src.disp, chain)
             return ArgValue(UNKNOWN, chain=chain)
         return ArgValue(UNKNOWN, chain=chain)
-    sources = preds.get(block.start, [])
+    sources = bcfg.predecessors.get(block.start, [])
     if len(sources) == 1:
         pred = bcfg.blocks[sources[0]]
-        return _resolve(bcfg, preds, pred, pred.end + 1, reg, depth - 1, chain)
+        return _resolve(bcfg, pred, pred.end + 1, reg, depth - 1, chain)
     return ArgValue(UNKNOWN, chain=chain)
 
 
@@ -176,7 +155,6 @@ class CallEffect:
     input_stream: str | None = None
     corrupting_len: int | None = None
     expected_cause: str | None = None
-    grew_frames: bool = False
     opaque: bool = False
     truncating: bool = False
     clamped: bool = False
@@ -203,14 +181,11 @@ def _opaque(name: str, site: int, note: str, truncating: bool = False) -> CallEf
 
 
 def emulate_call(image: ProgramImage, call_site: int, args: CallArgs, cfg: Config,
-                 entry: int | None = None) -> CallEffect:
+                 entry: int) -> CallEffect:
     """Interpret from `entry` to the call, apply the callee's write rule,
     and report the stack diff as (frame depth, byte index) touches."""
     spec = args.spec
     name = spec.name
-    if entry is None:
-        fn = image.function_of(call_site)
-        entry = image.function_headers[fn]
     machine = Machine(image, cfg, stdin=b"")
     machine.start(entry)
     try:
@@ -224,6 +199,9 @@ def emulate_call(image: ProgramImage, call_site: int, args: CallArgs, cfg: Confi
     except CrashSignal as c:
         return _opaque(name, call_site, f"crash ({c.cause}) before {call_site:#x}",
                        truncating=True)
+    except UnsupportedFormat as exc:
+        return _opaque(name, call_site, f"emulation failed before {call_site:#x}: {exc}",
+                       truncating=True)
 
     if spec.extent == "none":
         return CallEffect(name=name, site=call_site)
@@ -234,18 +212,16 @@ def emulate_call(image: ProgramImage, call_site: int, args: CallArgs, cfg: Confi
         return _opaque(name, call_site,
                        f"{name} at {call_site:#x}: destination unresolved", truncating=True)
 
-    frames = machine.shadow
     dest_size = dest_offset = None
     if dest is not None:
-        frame = _frame_for(frames, dest)
+        frame = machine.frame_containing(dest)
         if frame is not None:
             dest_size = frame.protected_floor() - dest
-            if frame.rbp_value is not None:
-                dest_offset = dest - frame.rbp_value
+            if frame.rbp_loc is not None:
+                dest_offset = dest - frame.rbp_loc
             # a neighbouring object caps the destination below the
             # protected floor; only the active frame's layout is known here
-            if dest_offset is not None and frame is frames[-1]:
-                from .memstace import infer_buffer_size, scan_object_boundaries
+            if dest_offset is not None and frame is machine.shadow[-1]:
                 fn = image.function_of(call_site)
                 bounds = scan_object_boundaries(image.function_body(fn))
                 inferred = infer_buffer_size(dest_offset, bounds,
@@ -273,14 +249,6 @@ def _plausible_pointer(machine: Machine, addr: int) -> bool:
         interp.ARGV_BASE <= addr < interp.ARGV_BASE + 0x10000)
 
 
-def _frame_for(frames, addr: int):
-    best = None
-    for f in frames:
-        if addr <= f.top_addr and (best is None or f.top_addr < best.top_addr):
-            best = f
-    return best
-
-
 def _write_payloads(machine: Machine, spec: LibcSpec, dest, cfg: Config):
     """(payload bytes, write address) for non-input rules, or the search
     bound for input-source rules."""
@@ -306,9 +274,7 @@ def _write_payloads(machine: Machine, spec: LibcSpec, dest, cfg: Config):
         n = machine.rd_reg("rdx")
         n = min(n, cfg.max_input_len)
         return (b"A" * n, dest), None
-    if spec.extent == "line_plus_1":
-        return None, cfg.max_input_len
-    if spec.extent == "token_plus_1":
+    if spec.extent in ("line_plus_1", "token_plus_1"):
         return None, cfg.max_input_len
     if spec.extent == "bounded_line":
         n = machine.rd_reg("rsi")
@@ -372,67 +338,39 @@ def _map_touches(machine: Machine, changed: dict[int, tuple[int, int]]):
     return touched, overflow
 
 
-def _protected_addresses(machine: Machine) -> set[int]:
-    out: set[int] = set()
+def _protected_addresses(machine: Machine) -> dict[int, bool]:
+    """Saved return-address and canary bytes of every shadow frame, each
+    mapped to whether it is a canary byte."""
+    out: dict[int, bool] = {}
     for f in machine.shadow:
-        out.update(range(f.ret_loc, f.ret_loc + 8))
+        for a in range(f.ret_loc, f.ret_loc + 8):
+            out.setdefault(a, False)
         if f.canary_loc is not None:
-            out.update(range(f.canary_loc, f.canary_loc + 8))
-    return out
-
-
-def _canary_addresses(machine: Machine) -> set[int]:
-    out: set[int] = set()
-    for f in machine.shadow:
-        if f.canary_loc is not None:
-            out.update(range(f.canary_loc, f.canary_loc + 8))
+            out.update(dict.fromkeys(range(f.canary_loc, f.canary_loc + 8), True))
     return out
 
 
 def _input_search(machine: Machine, name: str, site: int, dest: int,
                   cfg: Config, max_len: int) -> CallEffect:
-    """Find the smallest input length whose write reaches protected bytes.
+    """The smallest input length whose write reaches protected bytes.
 
-    Lengths double up to the cap; corruption is monotone in the length for
-    the shipped write rules, so a binary refinement pins the exact minimum.
+    An input of length n writes dest..dest+n (payload plus terminator), so
+    the first protected byte at or above dest fixes the minimum.
     """
     protected = _protected_addresses(machine)
-    canary = _canary_addresses(machine)
-
-    def write_span(length: int) -> range:
-        return range(dest, dest + length + 1)   # payload plus terminator
-
-    def corrupts(length: int) -> bool:
-        return any(a in protected for a in write_span(length))
-
-    probe, hit = 1, None
-    while probe <= max_len:
-        if corrupts(probe):
-            hit = probe
-            break
-        probe *= 2
-    if hit is None and max_len > 0 and corrupts(max_len):
-        hit = max_len
-    if hit is None:
+    above = [a for a in protected if a >= dest]
+    minimal = max(min(above) - dest, 1) if above else None
+    if minimal is None or minimal > max_len:
         # bounded input: worst case is the full allowed extent, no crash input
         data = b"A" * max_len + (b"\0" if max_len else b"")
-        effect = _diff_effect(machine, name, site, dest, data)
-        return effect
+        return _diff_effect(machine, name, site, dest, data)
 
-    lo, hi = hit // 2 + 1, hit
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if corrupts(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    minimal = lo
     data = b"A" * minimal + b"\0"
     effect = _diff_effect(machine, name, site, dest, data)
     effect.corrupting_len = minimal
     effect.input_stream = "stdin"
     effect.concrete_input = b"A" * minimal + b"\n"
-    hits_canary = any(a in canary for a in write_span(minimal))
+    hits_canary = any(protected.get(a) for a in range(dest, dest + minimal + 1))
     effect.expected_cause = interp.CAUSE_CANARY if hits_canary else interp.CAUSE_RET
     return effect
 
@@ -443,7 +381,6 @@ def _input_search(machine: Machine, name: str, site: int, dest: int,
 class LoopInfo:
     function: str
     entry: int                      # back-edge target block address
-    back_source: int
     exit: int | None
     body: frozenset[int]
     irreducible: bool = False
@@ -456,10 +393,7 @@ def detect_loops(bcfg: BCfg, funcs: FunctionMap | None = None) -> list[LoopInfo]
     for blk in bcfg.blocks.values():
         intra[blk.start] = [t for kind, t in blk.edges
                             if isinstance(t, int) and kind in ("fallthrough", "taken", "call-return")]
-    preds: dict[int, list[int]] = {}
-    for src, targets in intra.items():
-        for t in targets:
-            preds.setdefault(t, []).append(src)
+    preds = bcfg.predecessors
 
     entries = sorted({e for e in (funcs.entries.values() if funcs else [bcfg.entry])
                       if e in bcfg.blocks})
@@ -477,7 +411,7 @@ def detect_loops(bcfg: BCfg, funcs: FunctionMap | None = None) -> list[LoopInfo]
             irreducible = tgt not in dom.get(src, {src})
             body = _natural_loop_body(src, tgt, preds)
             exit_addr = _loop_exit(body, intra, bcfg)
-            loops.append(LoopInfo(function=fn_name, entry=tgt, back_source=src,
+            loops.append(LoopInfo(function=fn_name, entry=tgt,
                                   exit=exit_addr, body=frozenset(body),
                                   irreducible=irreducible or exit_addr is None))
     return loops
@@ -554,12 +488,9 @@ def _loop_exit(body: set[int], intra, bcfg: BCfg) -> int | None:
 
 
 def emulate_loop(image: ProgramImage, loop: LoopInfo, cfg: Config,
-                 entry: int | None = None) -> CallEffect:
+                 entry: int) -> CallEffect:
     """Diff the stack between the first arrival at the loop entry and the
     exit (or the iteration budget running out)."""
-    if entry is None:
-        fn = image.function_of(loop.entry)
-        entry = image.function_headers[fn]
     machine = Machine(image, cfg, stdin=b"")
     machine.start(entry)
     try:
@@ -567,6 +498,9 @@ def emulate_loop(image: ProgramImage, loop: LoopInfo, cfg: Config,
     except (FinishedSignal, TargetUnreachable, StepBudgetExceeded, CrashSignal):
         return _opaque("loop", loop.entry,
                        f"loop at {loop.entry:#x} not reached from {entry:#x}", truncating=True)
+    except UnsupportedFormat as exc:
+        return _opaque("loop", loop.entry,
+                       f"emulation failed before {loop.entry:#x}: {exc}", truncating=True)
     snap = machine.snapshot()
     iterations = 0
     notes: list[str] = []
@@ -578,6 +512,9 @@ def emulate_loop(image: ProgramImage, loop: LoopInfo, cfg: Config,
             break
         except StepBudgetExceeded:
             notes.append(f"loop at {loop.entry:#x}: step budget exhausted")
+            break
+        except UnsupportedFormat as exc:
+            notes.append(f"loop at {loop.entry:#x}: emulation failed: {exc}")
             break
         if machine.pc == loop.exit:
             break
@@ -605,7 +542,8 @@ class EffectsOracle:
         self.funcs = funcs
         self.cfg = cfg
         self.libc_db = libc_db or load_libc_db(cfg.libc_db_path)
-        self.root: int | None = None
+        # the analysis root emulations start from; callers set it per root
+        self.root = image.order[0] if image.order else None
         self.loops = detect_loops(bcfg, funcs)
         self._loops_by_entry: dict[int, LoopInfo] = {}
         for lp in self.loops:
@@ -635,8 +573,7 @@ class EffectsOracle:
         return self._args_cache[site]
 
     def call_effect(self, site: int) -> CallEffect:
-        root = self.root if self.root is not None else self.image.order[0]
-        key = (root, site)
+        key = (self.root, site)
         if key not in self._call_cache:
             args = self.arguments(site)
             if args is None:
@@ -646,7 +583,7 @@ class EffectsOracle:
                     name, site, f"unknown library function {name!r}; call treated as opaque")
             else:
                 self._call_cache[key] = emulate_call(self.image, site, args,
-                                                     self.cfg, entry=root)
+                                                     self.cfg, entry=self.root)
         return self._call_cache[key]
 
     def loop_at(self, pc: int, fn: str) -> LoopInfo | None:
@@ -656,8 +593,7 @@ class EffectsOracle:
         return loop
 
     def loop_effect(self, loop: LoopInfo) -> CallEffect:
-        root = self.root if self.root is not None else self.image.order[0]
-        key = (root, loop.entry)
+        key = (self.root, loop.entry)
         if key not in self._loop_cache:
-            self._loop_cache[key] = emulate_loop(self.image, loop, self.cfg, entry=root)
+            self._loop_cache[key] = emulate_loop(self.image, loop, self.cfg, entry=self.root)
         return self._loop_cache[key]

@@ -16,7 +16,9 @@ and call/jump targets (``call 0x401030 <strcpy@plt>``).
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class MalformedLine(Exception):
@@ -32,10 +34,6 @@ class DuplicateFunction(Exception):
     pass
 
 
-class DanglingBranch(Warning):
-    pass
-
-
 KNOWN_MNEMONICS = {
     "endbr64", "push", "pop", "mov", "xchg", "lea", "sub", "add",
     "cmp", "test", "call", "ret", "jmp", "nop", "safecall",
@@ -44,24 +42,18 @@ JCC = {"je", "jne", "jl", "jle", "jg", "jge", "jb", "jbe", "ja", "jae", "js", "j
 CMOV = {"cmove", "cmovne", "cmovl", "cmovle", "cmovg", "cmovge", "cmovz", "cmovnz"}
 KNOWN_MNEMONICS |= JCC | CMOV
 
+# the stack canary is read from this offset in the fs segment
+CANARY_FS_OFFSET = 0x28
+
+R64 = ["rax", "rbx", "rcx", "rdx", "rsi", "rdi", "rbp", "rsp"] + [f"r{i}" for i in range(8, 16)]
 # register name -> (canonical 64-bit name, width in bytes)
-_R64 = ["rax", "rbx", "rcx", "rdx", "rsi", "rdi", "rbp", "rsp"] + [f"r{i}" for i in range(8, 16)]
 REGISTERS: dict[str, tuple[str, int]] = {}
-for _r in _R64:
-    REGISTERS[_r] = (_r, 8)
-for _r64, _r32 in [("rax", "eax"), ("rbx", "ebx"), ("rcx", "ecx"), ("rdx", "edx"),
-                   ("rsi", "esi"), ("rdi", "edi"), ("rbp", "ebp"), ("rsp", "esp")]:
-    REGISTERS[_r32] = (_r64, 4)
-for _i in range(8, 16):
-    REGISTERS[f"r{_i}d"] = (f"r{_i}", 4)
-    REGISTERS[f"r{_i}w"] = (f"r{_i}", 2)
-    REGISTERS[f"r{_i}b"] = (f"r{_i}", 1)
-for _r64, _r16 in [("rax", "ax"), ("rbx", "bx"), ("rcx", "cx"), ("rdx", "dx"),
-                   ("rsi", "si"), ("rdi", "di"), ("rbp", "bp"), ("rsp", "sp")]:
-    REGISTERS[_r16] = (_r64, 2)
-for _r64, _r8 in [("rax", "al"), ("rbx", "bl"), ("rcx", "cl"), ("rdx", "dl"),
-                  ("rsi", "sil"), ("rdi", "dil"), ("rbp", "bpl"), ("rsp", "spl")]:
-    REGISTERS[_r8] = (_r64, 1)
+for _r64, _r32, _r16, _r8 in [
+        ("rax", "eax", "ax", "al"), ("rbx", "ebx", "bx", "bl"), ("rcx", "ecx", "cx", "cl"),
+        ("rdx", "edx", "dx", "dl"), ("rsi", "esi", "si", "sil"), ("rdi", "edi", "di", "dil"),
+        ("rbp", "ebp", "bp", "bpl"), ("rsp", "esp", "sp", "spl")] + [
+        (f"r{i}", f"r{i}d", f"r{i}w", f"r{i}b") for i in range(8, 16)]:
+    REGISTERS.update({_r64: (_r64, 8), _r32: (_r64, 4), _r16: (_r64, 2), _r8: (_r64, 1)})
 
 _WIDTH_KEYWORDS = {"byte": 1, "word": 2, "dword": 4, "qword": 8}
 
@@ -121,7 +113,8 @@ class Instruction:
 
 @dataclass
 class ProgramImage:
-    """Parsed instruction stream plus the function headers it came with."""
+    """Parsed instruction stream plus the function headers it came with.
+    Whoever builds or extends one calls `index()` once it is complete."""
 
     instructions: dict[int, Instruction] = field(default_factory=dict)
     order: list[int] = field(default_factory=list)
@@ -129,22 +122,19 @@ class ProgramImage:
     warnings: list[str] = field(default_factory=list)
     patched_sites: set[int] = field(default_factory=set)
 
+    def index(self) -> None:
+        self._next = dict(zip(self.order, self.order[1:] + [None]))
+        self._by_entry = sorted((a, n) for n, a in self.function_headers.items())
+        self._entries = [a for a, _ in self._by_entry]
+
     def next_address(self, addr: int) -> int | None:
-        cache = self.__dict__.get("_next_cache")
-        if cache is None or len(cache) != len(self.order):
-            cache = {a: (self.order[i + 1] if i + 1 < len(self.order) else None)
-                     for i, a in enumerate(self.order)}
-            self.__dict__["_next_cache"] = cache
-        return cache[addr]
+        return self._next[addr]
 
     def function_of(self, addr: int) -> str | None:
-        """Name of the function whose listing contains addr."""
-        best = None
-        best_addr = -1
-        for name, entry in self.function_headers.items():
-            if entry <= addr and entry > best_addr:
-                best, best_addr = name, entry
-        return best
+        """Name of the function whose listing contains addr: the one with
+        the highest entry at or below it."""
+        i = bisect_right(self._entries, addr)
+        return self._by_entry[i - 1][1] if i else None
 
     def function_body(self, name: str) -> list[Instruction]:
         entry = self.function_headers[name]
@@ -162,8 +152,7 @@ class ProgramImage:
     def emit(self) -> str:
         """Serialize back to the input grammar (round-trips raw_text)."""
         lines = []
-        by_entry = sorted(self.function_headers.items(), key=lambda kv: kv[1])
-        headers = {addr: name for name, addr in by_entry}
+        headers = dict(self._by_entry)
         for addr in self.order:
             if addr in headers:
                 lines.append(f"{headers[addr]}:")
@@ -278,6 +267,7 @@ def parse_disassembly(text: str) -> ProgramImage:
         if current_function is not None and image.function_headers[current_function] == -1:
             image.function_headers[current_function] = addr
     image.function_headers = {n: a for n, a in image.function_headers.items() if a != -1}
+    image.index()
     return image
 
 
@@ -330,11 +320,25 @@ class BCfg:
     external_sinks: set[str] = field(default_factory=set)
     warnings: list[str] = field(default_factory=list)
 
+    # the maps below are built on first use, after build_bcfg has wired every edge
+
+    @cached_property
+    def _block_at(self) -> dict[int, BasicBlock]:
+        return {i.address: blk for blk in self.blocks.values() for i in blk.instructions}
+
     def block_containing(self, addr: int) -> BasicBlock | None:
+        return self._block_at.get(addr)
+
+    @cached_property
+    def predecessors(self) -> dict[int, list[int]]:
+        """Block start -> starts of its intra-procedural predecessors
+        (fallthrough, taken and call-return edges)."""
+        preds: dict[int, list[int]] = {}
         for blk in self.blocks.values():
-            if any(i.address == addr for i in blk.instructions):
-                return blk
-        return None
+            for kind, tgt in blk.edges:
+                if isinstance(tgt, int) and kind in (FALLTHROUGH, TAKEN, CALL_RETURN):
+                    preds.setdefault(tgt, []).append(blk.start)
+        return preds
 
     def reachable_addresses(self, start: int | None = None) -> set[int]:
         start = self.entry if start is None else start
@@ -363,7 +367,7 @@ def build_bcfg(image: ProgramImage) -> BCfg:
     """
     if not image.order:
         return BCfg(blocks={}, entry=0)
-    addrs = set(image.order)
+    addrs = image.instructions
     fn_boundaries = set(image.function_headers.values())
 
     leaders = set(fn_boundaries)
@@ -393,7 +397,7 @@ def build_bcfg(image: ProgramImage) -> BCfg:
     if current:
         blocks[current[0].address] = BasicBlock(current[0].address, current)
 
-    cfg = BCfg(blocks=blocks, entry=_pick_entry(image))
+    cfg = BCfg(blocks=blocks, entry=entry_point(image))
     for blk in blocks.values():
         last = blk.instructions[-1]
         nxt = image.next_address(last.address)
@@ -423,7 +427,9 @@ def build_bcfg(image: ProgramImage) -> BCfg:
     return cfg
 
 
-def _pick_entry(image: ProgramImage) -> int:
+def entry_point(image: ProgramImage) -> int:
+    """Where a whole-program run starts: main, else the lowest function,
+    else the first instruction."""
     if "main" in image.function_headers:
         return image.function_headers["main"]
     if image.function_headers:
@@ -450,14 +456,11 @@ def _add_branch_edge(cfg: BCfg, image: ProgramImage, blk: BasicBlock,
 class FunctionMap:
     entries: dict[str, int]            # user function name -> entry address
     reverse: dict[int, str]
+    image: ProgramImage
     library: set[str] = field(default_factory=set)  # @plt-suffixed symbols seen
 
     def function_of(self, addr: int) -> str | None:
-        best, best_addr = None, -1
-        for name, entry in self.entries.items():
-            if entry <= addr and entry > best_addr:
-                best, best_addr = name, entry
-        return best
+        return self.image.function_of(addr)
 
     def is_library(self, name: str) -> bool:
         return name.endswith("@plt") or name in self.library
@@ -465,7 +468,8 @@ class FunctionMap:
 
 def extract_user_functions(bcfg: BCfg, image: ProgramImage) -> FunctionMap:
     entries = dict(image.function_headers)
-    fmap = FunctionMap(entries=entries, reverse={a: n for n, a in entries.items()})
+    fmap = FunctionMap(entries=entries, reverse={a: n for n, a in entries.items()},
+                       image=image)
     for addr in image.order:
         ins = image.instructions[addr]
         if ins.mnemonic == "call":

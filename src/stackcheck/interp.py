@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .frontend import Instruction, ProgramImage, IMM, MEM, REG, JCC, CMOV
+from .frontend import (CANARY_FS_OFFSET, CMOV, IMM, JCC, MEM, R64, REG, Instruction,
+                       ProgramImage)
 
 STACK_BASE = 0x7FFE0000
 STACK_SIZE = 0x40000
@@ -24,9 +25,6 @@ ARGV_BASE = 0x500000
 # in stack diffs and shadow comparisons
 SENTINEL_RET = 0xFEEDFACEFEEDFACE
 CANARY_VALUE = 0x00C0FFEE0BADF00D
-CANARY_FS_OFFSET = 0x28
-
-R64 = ["rax", "rbx", "rcx", "rdx", "rsi", "rdi", "rbp", "rsp"] + [f"r{i}" for i in range(8, 16)]
 
 CAUSE_RET = "return-address-corrupted"
 CAUSE_RBP = "base-register-corrupted"
@@ -58,12 +56,10 @@ class UnsupportedFormat(Exception):
 
 @dataclass
 class ShadowFrame:
-    func: str
     ret_loc: int
     ret_bytes: bytes
-    rbp_loc: int | None = None
+    rbp_loc: int | None = None      # where the prologue saved the base register
     rbp_bytes: bytes | None = None
-    rbp_value: int | None = None
     canary_loc: int | None = None
     canary_bytes: bytes | None = None
 
@@ -78,8 +74,8 @@ class ShadowFrame:
     def protected_floor(self) -> int:
         if self.canary_loc is not None:
             return self.canary_loc
-        if self.rbp_value is not None:
-            return self.rbp_value
+        if self.rbp_loc is not None:
+            return self.rbp_loc
         return self.ret_loc
 
 
@@ -101,13 +97,11 @@ class Machine:
         self.steps = 0
         self.pc: int | None = None
         self.canary_regs: set[str] = set()
-        self.warnings: list[str] = []
         self._wm_lo = STACK_TOP
         self._wm_hi = STACK_BASE
         self._setup_argv(argv)
 
     def _setup_argv(self, argv: tuple[str, ...]) -> None:
-        self.argv = argv
         addr = ARGV_BASE
         ptrs = []
         for a in argv:
@@ -212,10 +206,8 @@ class Machine:
         clone.steps = self.steps
         clone.pc = self.pc
         clone.canary_regs = set(self.canary_regs)
-        clone.warnings = list(self.warnings)
         clone._wm_lo = self._wm_lo
         clone._wm_hi = self._wm_hi
-        clone.argv = self.argv
         return clone
 
     # --- execution --------------------------------------------------------
@@ -223,8 +215,7 @@ class Machine:
     def start(self, entry: int) -> None:
         self.regs["rsp"] = ENTRY_RSP
         self._push_qword(SENTINEL_RET)
-        fn = self.image.function_of(entry) or f"sub_{entry:x}"
-        self.shadow.append(ShadowFrame(func=fn, ret_loc=self.regs["rsp"],
+        self.shadow.append(ShadowFrame(ret_loc=self.regs["rsp"],
                                        ret_bytes=SENTINEL_RET.to_bytes(8, "little")))
         self.pc = entry
 
@@ -252,70 +243,11 @@ class Machine:
         ins = self.image.instructions[self.pc]
         self.steps += 1
         nxt = self.image.next_address(self.pc)
-        self.pc = self._execute(ins, nxt)
+        # nop, endbr64 and unknown mnemonics (parsed as opaque) do nothing
+        handler = _HANDLERS.get(ins.mnemonic)
+        self.pc = handler(self, ins, nxt) if handler else nxt
 
-    # instruction dispatch
-
-    def _execute(self, ins: Instruction, nxt: int | None) -> int | None:
-        m = ins.mnemonic
-        if m in ("nop", "endbr64"):
-            return nxt
-        if m == "push":
-            return self._do_push(ins, nxt)
-        if m == "pop":
-            val = int.from_bytes(self.rd_mem(self.regs["rsp"], 8), "little")
-            self.regs["rsp"] += 8
-            self.wr_reg(ins.operands[0].reg, val)
-            return nxt
-        if m == "mov":
-            self._do_mov(ins)
-            return nxt
-        if m in CMOV:
-            if self._cond(m[4:]):
-                self._do_mov(ins)
-            return nxt
-        if m == "xchg":
-            a, b = ins.operands
-            va, wa = self._read_operand(a)
-            vb, _ = self._read_operand(b)
-            self._write_operand(a, vb, wa)
-            self._write_operand(b, va, wa)
-            return nxt
-        if m == "lea":
-            dst, src = ins.operands
-            self.wr_reg(dst.reg, self._mem_addr(src))
-            return nxt
-        if m in ("add", "sub"):
-            self._do_arith(ins, m)
-            return nxt
-        if m == "cmp":
-            a, b = ins.operands
-            va, w = self._read_operand(a)
-            vb, _ = self._read_operand(b, width=w)
-            self._set_arith_flags(va, vb, (va - vb), w, sub=True)
-            return nxt
-        if m == "test":
-            a, b = ins.operands
-            va, w = self._read_operand(a)
-            vb, _ = self._read_operand(b, width=w)
-            res = va & vb
-            self.flags.update(zf=res == 0, sf=bool(res >> (w * 8 - 1) & 1),
-                              cf=False, of=False)
-            return nxt
-        if m == "jmp":
-            return ins.target()
-        if m in JCC:
-            return ins.target() if self._cond(m[1:]) else nxt
-        if m == "call":
-            return self._do_call(ins, nxt)
-        if m == "ret":
-            return self._do_ret()
-        if m == "safecall":
-            self._do_safecall(ins)
-            return nxt
-        # unknown mnemonics parse as opaque and execute as no-ops
-        self.warnings.append(f"no-op for unknown instruction at {ins.address:#x}")
-        return nxt
+    # instruction semantics: each handler returns the next pc
 
     def _do_push(self, ins: Instruction, nxt: int | None) -> int | None:
         op = ins.operands[0]
@@ -327,29 +259,53 @@ class Machine:
             f = self.shadow[-1]
             f.rbp_loc = self.regs["rsp"]
             f.rbp_bytes = self.rd_mem(f.rbp_loc, 8)
-            f.rbp_value = f.rbp_loc
         return nxt
 
-    def _do_mov(self, ins: Instruction) -> None:
+    def _do_pop(self, ins: Instruction, nxt: int | None) -> int | None:
+        val = int.from_bytes(self.rd_mem(self.regs["rsp"], 8), "little")
+        self.regs["rsp"] += 8
+        self.wr_reg(ins.operands[0].reg, val)
+        return nxt
+
+    def _do_mov(self, ins: Instruction, nxt: int | None) -> int | None:
         dst, src = ins.operands
         if src.kind == MEM and src.base == "fs" and src.disp == CANARY_FS_OFFSET:
             if dst.kind == REG:
                 self.wr_reg(dst.reg, CANARY_VALUE)
                 self.canary_regs.add(dst.reg)
-            return
+            return nxt
         width = self._mov_width(dst, src)
         src_is_canary = src.kind == REG and src.reg in self.canary_regs
         val, _ = self._read_operand(src, width=width)
         if dst.kind == REG and src_is_canary:
             self.wr_reg(dst.reg, val, width)
             self.canary_regs.add(dst.reg)
-            return
+            return nxt
         self._write_operand(dst, val, width)
         if dst.kind == MEM and src_is_canary and self.shadow:
             addr = self._mem_addr(dst)
-            f = self._frame_containing(addr) or self.shadow[-1]
+            f = self.frame_containing(addr) or self.shadow[-1]
             f.canary_loc = addr
             f.canary_bytes = self.rd_mem(addr, 8)
+        return nxt
+
+    def _do_cmov(self, ins: Instruction, nxt: int | None) -> int | None:
+        if _CONDITIONS[ins.mnemonic[4:]](self.flags):
+            self._do_mov(ins, nxt)
+        return nxt
+
+    def _do_xchg(self, ins: Instruction, nxt: int | None) -> int | None:
+        a, b = ins.operands
+        va, wa = self._read_operand(a)
+        vb, _ = self._read_operand(b)
+        self._write_operand(a, vb, wa)
+        self._write_operand(b, va, wa)
+        return nxt
+
+    def _do_lea(self, ins: Instruction, nxt: int | None) -> int | None:
+        dst, src = ins.operands
+        self.wr_reg(dst.reg, self._mem_addr(src))
+        return nxt
 
     def _mov_width(self, dst, src) -> int:
         if dst.kind == MEM and dst.width:
@@ -360,13 +316,37 @@ class Machine:
             return dst.width or 8
         return src.width or 8
 
-    def _do_arith(self, ins: Instruction, m: str) -> None:
+    def _do_arith(self, ins: Instruction, nxt: int | None) -> int | None:
         dst, src = ins.operands
+        sub = ins.mnemonic == "sub"
         va, w = self._read_operand(dst)
         vb, _ = self._read_operand(src, width=w)
-        res = va - vb if m == "sub" else va + vb
-        self._set_arith_flags(va, vb, res, w, sub=(m == "sub"))
+        res = va - vb if sub else va + vb
+        self._set_arith_flags(va, vb, res, w, sub=sub)
         self._write_operand(dst, res & ((1 << (w * 8)) - 1), w)
+        return nxt
+
+    def _do_cmp(self, ins: Instruction, nxt: int | None) -> int | None:
+        a, b = ins.operands
+        va, w = self._read_operand(a)
+        vb, _ = self._read_operand(b, width=w)
+        self._set_arith_flags(va, vb, (va - vb), w, sub=True)
+        return nxt
+
+    def _do_test(self, ins: Instruction, nxt: int | None) -> int | None:
+        a, b = ins.operands
+        va, w = self._read_operand(a)
+        vb, _ = self._read_operand(b, width=w)
+        res = va & vb
+        self.flags.update(zf=res == 0, sf=bool(res >> (w * 8 - 1) & 1),
+                          cf=False, of=False)
+        return nxt
+
+    def _do_jmp(self, ins: Instruction, nxt: int | None) -> int | None:
+        return ins.target()
+
+    def _do_jcc(self, ins: Instruction, nxt: int | None) -> int | None:
+        return ins.target() if _CONDITIONS[ins.mnemonic[1:]](self.flags) else nxt
 
     def _set_arith_flags(self, a: int, b: int, res: int, w: int, *, sub: bool) -> None:
         bits = w * 8
@@ -383,19 +363,6 @@ class Machine:
         else:
             self.flags["cf"] = res > mask
             self.flags["of"] = (sa == sb) and (sr != sa)
-
-    def _cond(self, cc: str) -> bool:
-        f = self.flags
-        table = {
-            "e": f["zf"], "z": f["zf"], "ne": not f["zf"], "nz": not f["zf"],
-            "l": f["sf"] != f["of"], "ge": f["sf"] == f["of"],
-            "le": f["zf"] or f["sf"] != f["of"],
-            "g": not f["zf"] and f["sf"] == f["of"],
-            "b": f["cf"], "ae": not f["cf"],
-            "be": f["cf"] or f["zf"], "a": not f["cf"] and not f["zf"],
-            "s": f["sf"], "ns": not f["sf"],
-        }
-        return table[cc]
 
     def _mem_addr(self, op) -> int:
         return self.rd_reg(op.base) + op.disp
@@ -427,17 +394,15 @@ class Machine:
     def _do_call(self, ins: Instruction, nxt: int | None) -> int | None:
         tgt, sym = ins.target(), ins.target_symbol()
         if tgt in self.image.instructions:
-            ret_to = nxt if nxt is not None else SENTINEL_RET
-            self._push_qword(ret_to if isinstance(ret_to, int) else SENTINEL_RET)
-            fn = self.image.function_of(tgt) or (sym or f"sub_{tgt:x}")
-            self.shadow.append(ShadowFrame(func=fn, ret_loc=self.regs["rsp"],
+            self._push_qword(SENTINEL_RET if nxt is None else nxt)
+            self.shadow.append(ShadowFrame(ret_loc=self.regs["rsp"],
                                            ret_bytes=self.rd_mem(self.regs["rsp"], 8)))
             return tgt
         name = (sym or f"sub_{tgt:x}").removesuffix("@plt")
         self._exec_libc(name)
         return nxt
 
-    def _do_ret(self) -> int | None:
+    def _do_ret(self, ins: Instruction, nxt: int | None) -> int | None:
         val = int.from_bytes(self.rd_mem(self.regs["rsp"], 8), "little")
         self.regs["rsp"] += 8
         if self.shadow:
@@ -455,21 +420,17 @@ class Machine:
         if frame.rbp_loc is not None and self.rd_mem(frame.rbp_loc, 8) != frame.rbp_bytes:
             raise CrashSignal(CAUSE_RBP)
 
-    def _frame_containing(self, addr: int) -> ShadowFrame | None:
-        best = None
-        for f in self.shadow:
-            if addr <= f.top_addr and (best is None or f.top_addr < best.top_addr):
-                best = f
-        return best
+    def frame_containing(self, addr: int) -> ShadowFrame | None:
+        """The innermost shadow frame whose extent reaches up to addr."""
+        return min((f for f in self.shadow if addr <= f.top_addr),
+                   key=lambda f: f.top_addr, default=None)
 
     # --- C library semantics -----------------------------------------------
 
     def _exec_libc(self, name: str) -> None:
         handler = getattr(self, f"_libc_{name}", None)
-        if handler is None:
-            self.warnings.append(f"call to unmodeled function {name!r} skipped")
-            return
-        handler()
+        if handler is not None:     # unmodeled functions are skipped
+            handler()
 
     def _read_line(self) -> bytes | None:
         if self.stdin_pos >= len(self.stdin):
@@ -629,7 +590,7 @@ class Machine:
 
     # --- safecall: bounded replacement semantics ----------------------------
 
-    def _do_safecall(self, ins: Instruction) -> None:
+    def _do_safecall(self, ins: Instruction, nxt: int | None) -> int | None:
         op = ins.operands[0]
         template = op.symbol
         dest = self.regs["rdi"]
@@ -657,7 +618,7 @@ class Machine:
             line = self._read_line()
             if line is None:
                 self.regs["rax"] = 0
-                return
+                return nxt
             self.wr_mem(dest, line[:bound - 1] + b"\0")
             self.regs["rax"] = dest
         elif template == "bounded_scan":
@@ -667,21 +628,14 @@ class Machine:
             token = self._read_token(max(bound - 1, 1))
             if token is None:
                 self.regs["rax"] = 0
-                return
+                return nxt
             self.wr_mem(dest, token + b"\0")
             self.regs["rax"] = 1
-        else:
-            self.warnings.append(f"unknown safecall template {template!r}")
+        return nxt                  # an unknown template is a no-op
 
     def _runtime_bound(self, dest: int) -> int:
-        best = None
-        for f in self.shadow:
-            floor = f.protected_floor()
-            if floor > dest and (best is None or floor < best):
-                best = floor
-        if best is None:
-            return 16
-        return best - dest
+        floors = [f.protected_floor() for f in self.shadow if f.protected_floor() > dest]
+        return min(floors) - dest if floors else 16
 
 
 def _parse_scanf_format(fmt: str) -> list[tuple[str, int | None]]:
@@ -700,3 +654,27 @@ def _parse_scanf_format(fmt: str) -> list[tuple[str, int | None]]:
             convs.append((fmt[i], int(width) if width else None))
             i += 1
     return convs
+
+
+# condition code -> predicate over the flags, for jcc and cmovcc
+_CONDITIONS = {
+    "e": lambda f: f["zf"], "z": lambda f: f["zf"],
+    "ne": lambda f: not f["zf"], "nz": lambda f: not f["zf"],
+    "l": lambda f: f["sf"] != f["of"], "ge": lambda f: f["sf"] == f["of"],
+    "le": lambda f: f["zf"] or f["sf"] != f["of"],
+    "g": lambda f: not f["zf"] and f["sf"] == f["of"],
+    "b": lambda f: f["cf"], "ae": lambda f: not f["cf"],
+    "be": lambda f: f["cf"] or f["zf"], "a": lambda f: not f["cf"] and not f["zf"],
+    "s": lambda f: f["sf"], "ns": lambda f: not f["sf"],
+}
+
+_HANDLERS = {
+    "push": Machine._do_push, "pop": Machine._do_pop,
+    "mov": Machine._do_mov, "xchg": Machine._do_xchg, "lea": Machine._do_lea,
+    "add": Machine._do_arith, "sub": Machine._do_arith,
+    "cmp": Machine._do_cmp, "test": Machine._do_test,
+    "jmp": Machine._do_jmp, "call": Machine._do_call, "ret": Machine._do_ret,
+    "safecall": Machine._do_safecall,
+    **{m: Machine._do_jcc for m in JCC},
+    **{m: Machine._do_cmov for m in CMOV},
+}

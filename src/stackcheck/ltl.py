@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from . import load_data
 from .memstace import (RBP_RANGE, ByteState, MemoryState, StackFrame,
                        buffer_index_span)
 
@@ -560,16 +561,12 @@ def _range_index_absent(body, state: MemoryState, env: dict) -> bool:
 
 
 def _byte_atoms(node):
+    """Byte atoms of the propositional part; quantified bodies are not entered."""
     if isinstance(node, ByteAtom):
         yield node
-    elif isinstance(node, Not):
-        yield from _byte_atoms(node.operand)
-    elif isinstance(node, (And, Or)):
-        for i in node.items:
-            yield from _byte_atoms(i)
-    elif isinstance(node, Implies):
-        yield from _byte_atoms(node.lhs)
-        yield from _byte_atoms(node.rhs)
+    elif isinstance(node, (Not, And, Or, Implies)):
+        for child in _children(node):
+            yield from _byte_atoms(child)
 
 
 # --- monitors -----------------------------------------------------------------
@@ -627,14 +624,10 @@ def _children(node):
         return node.items
     if isinstance(node, Implies):
         return (node.lhs, node.rhs)
-    if isinstance(node, (ForallStack, ExistsStack, ForallBuffer, ExistsBuffer)):
-        return (node.body,)
-    if isinstance(node, AllRange):
+    if isinstance(node, (ForallStack, ExistsStack, ForallBuffer, ExistsBuffer, AllRange)):
         return (node.body,)
     return ()
 
 
 def load_bundled_properties() -> list[PropertyAst]:
-    from importlib import resources
-    text = resources.files("stackcheck").joinpath("data/properties.props").read_text()
-    return parse_property_file(text)
+    return load_data("properties.props", parse_property_file)

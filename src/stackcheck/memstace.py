@@ -19,12 +19,10 @@ import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .frontend import BCfg, FunctionMap, Instruction, ProgramImage, MEM, REG, IMM
+from .frontend import (CANARY_FS_OFFSET, CMOV, IMM, MEM, REG, BCfg, FunctionMap,
+                       Instruction, ProgramImage)
 
-RIP_RANGE = range(0, 8)
 RBP_RANGE = range(8, 16)
-CANARY_RANGE = range(16, 24)
-CANARY_FS_OFFSET = 0x28
 
 
 class ByteState(Enum):
@@ -89,10 +87,6 @@ class StackFrame:
     has_canary: bool = False
     has_rbp_slot: bool = False  # standard prologue (push rbp; mov rbp, rsp) seen
 
-    @property
-    def size(self) -> int:
-        return len(self.bytes)
-
     def index_for_rbp_offset(self, disp: int) -> int:
         # rbp+0 is index 15 once the prologue has pushed the base register
         return 15 - disp
@@ -150,13 +144,12 @@ def fresh_frame(label: str) -> StackFrame:
 
 @dataclass(frozen=True)
 class MemOp:
-    kind: str                      # push|pop|write|fe|fa|shrink|frame-release|indirect|buffer-register|no-effect
+    kind: str                      # push|pop|write|fe|fa|shrink|frame-release|no-effect
     byte_op: ByteOp | None = None
     base: str | None = None        # rbp/rsp for writes and buffer registration
     disp: int = 0
     width: int = 0
     amount: int = 0                # fe/shrink byte count
-    callee: str | None = None      # indirect
     canary: bool = False
 
 
@@ -184,10 +177,6 @@ def Shrink(amount: int) -> MemOp:
     return MemOp("shrink", amount=amount)
 
 
-def Indirect(callee: str) -> MemOp:
-    return MemOp("indirect", callee=callee)
-
-
 def NoEffect() -> MemOp:
     return MemOp("no-effect")
 
@@ -206,7 +195,8 @@ def classify_instruction(ins: Instruction, ctx: FrameContext) -> MemOp:
     Stores to frame-relative addresses are writes (risky only for canary
     stores); push of the base register on a fresh frame is the prologue
     push and therefore risky; sub rsp grows the frame, add rsp shrinks it.
-    Everything else leaves the stack untouched.
+    Everything else leaves the stack untouched; calls never get here,
+    because the state-space builder splices their effects itself.
     """
     m = ins.mnemonic
     if m == "endbr64":
@@ -230,20 +220,13 @@ def classify_instruction(ins: Instruction, ctx: FrameContext) -> MemOp:
         if dst.is_frame_relative():
             return Write(ByteOp.NRWRITE, dst.base, dst.disp, _write_width(ins, dst))
         return NoEffect()
-    if m in ("mov", "xchg") or m in _CMOV_SET:
+    if m in ("mov", "xchg") or m in CMOV:
         dst = ins.operands[0]
         if dst.is_frame_relative():
             risky = ins.address in ctx.canary_store_sites
             return Write(ByteOp.RWRITE if risky else ByteOp.NRWRITE,
                          dst.base, dst.disp, _write_width(ins, dst), canary=risky)
-        return NoEffect()
-    if m == "call":
-        return Indirect(ins.target_symbol() or f"sub_{ins.target():x}")
     return NoEffect()
-
-
-_CMOV_SET = {m for m in ("cmove", "cmovne", "cmovl", "cmovle", "cmovg",
-                         "cmovge", "cmovz", "cmovnz")}
 
 
 def _write_width(ins: Instruction, dst) -> int:
@@ -417,9 +400,6 @@ class MemStaCe:
     root: str
     truncated: bool = False
     notes: list[str] = field(default_factory=list)
-
-    def successors(self, sid: int) -> list[tuple[TransitionLabel, int]]:
-        return [(lbl, dst) for (src, lbl, dst) in self.transitions if src == sid]
 
     def state_count(self) -> int:
         return len(self.states)

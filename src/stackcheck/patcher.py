@@ -11,10 +11,10 @@ replacement, followed by a jump back to the instruction after the sink.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from importlib import resources
+from dataclasses import dataclass
 from pathlib import Path
 
+from . import load_data
 from .checker import Trace
 from .effects import CallArgs, CallEffect, FRAME_ADDR
 from .frontend import (BCfg, FunctionMap, Instruction, Operand, ProgramImage,
@@ -64,30 +64,23 @@ class PatchPlan:
     trampoline_label: str
     return_address: int
     dest_offset: int | None = None
-    notes: list[str] = field(default_factory=list)
-
-
-_TEMPLATES_CACHE: list[PatchTemplate] | None = None
 
 
 def load_templates(path: str | None = None) -> list[PatchTemplate]:
     """Bundled templates, or user templates from a JSON file or a directory
     of JSON files (user entries extend and override by name)."""
-    global _TEMPLATES_CACHE
-    if path is None and _TEMPLATES_CACHE is not None:
-        return _TEMPLATES_CACHE
-    raw = resources.files("stackcheck").joinpath("data/templates.json").read_text()
-    by_name = {e["name"]: e for e in json.loads(raw)}
+    by_name = {t.name: t for t in load_data("templates.json", _parse_templates)}
     if path is not None:
         p = Path(path)
         files = sorted(p.glob("*.json")) if p.is_dir() else [p]
         for f in files:
-            for entry in json.loads(f.read_text(encoding="utf-8")):
-                by_name[entry["name"]] = entry
-    out = [PatchTemplate(**entry) for entry in by_name.values()]
-    if path is None:
-        _TEMPLATES_CACHE = out
-    return out
+            for t in _parse_templates(f.read_text(encoding="utf-8")):
+                by_name[t.name] = t
+    return list(by_name.values())
+
+
+def _parse_templates(text: str) -> list[PatchTemplate]:
+    return [PatchTemplate(**entry) for entry in json.loads(text)]
 
 
 def locate_sink(trace: Trace, bcfg: BCfg, funcs: FunctionMap,
@@ -191,6 +184,7 @@ def apply_trampoline(image: ProgramImage, plan: PatchPlan) -> ProgramImage:
     new.order.extend([base, base + 8])
     new.function_headers[label] = base
     new.patched_sites.add(sink_addr)
+    new.index()
     plan.trampoline_label = label
     plan.return_address = nxt
     return new

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .effects import CrashInput
-from .frontend import ProgramImage
+from .frontend import ProgramImage, entry_point
 from .interp import CrashSignal, FinishedSignal, Machine, StepBudgetExceeded
 from .memstace import Config
 
@@ -47,15 +47,8 @@ class ValidationReport:
 def run(image: ProgramImage, stdin: bytes = b"", cfg: Config | None = None,
         argv: tuple[str, ...] = (), entry: int | None = None) -> RunOutcome:
     cfg = cfg or Config()
-    if entry is None:
-        if "main" in image.function_headers:
-            entry = image.function_headers["main"]
-        elif image.function_headers:
-            entry = min(image.function_headers.values())
-        else:
-            entry = image.order[0]
     machine = Machine(image, cfg, stdin=stdin, argv=argv)
-    machine.start(entry)
+    machine.start(entry_point(image) if entry is None else entry)
     try:
         machine.run()
     except FinishedSignal:

@@ -11,7 +11,7 @@ from stackcheck.cli import (Report, PropertyResult, analyze, analyze_image,
                             main, report_metrics)
 from stackcheck.memstace import Config
 
-from conftest import corpus_path, fixture_path, load_image
+from conftest import CORPUS_DIR, corpus_path, fixture_path, load_image
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "report_schema.json"
 
@@ -63,6 +63,42 @@ def test_cli_json_report_and_metrics(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert {r["binary"] for r in doc["reports"]} == {"gets_rip_vuln", "gets_rip_ok"}
     assert doc["metrics"]["tp"] == 1 and doc["metrics"]["tn"] == 1
+
+
+def test_cli_metrics_on_bundled_ground_truth(corpus_paths, capsys):
+    # ground_truth.json holds {"vulnerable": bool} records, not bare bools
+    code = main(["analyze", *map(str, corpus_paths), "--report", "json",
+                 "--ground-truth", str(CORPUS_DIR / "ground_truth.json")])
+    assert code == 1
+    metrics = json.loads(capsys.readouterr().out)["metrics"]
+    assert (metrics["tp"], metrics["fn"], metrics["fp"], metrics["tn"]) == (12, 0, 0, 12)
+    assert metrics["accuracy"] == 1.0
+
+
+def test_cli_rejects_malformed_ground_truth(tmp_path, capsys):
+    gt = tmp_path / "gt.json"
+    gt.write_text(json.dumps({"gets_rip_vuln": "yes"}))
+    assert main(["analyze", str(corpus_path("gets_rip_vuln")), "--ground-truth", str(gt)]) == 2
+    assert "'gets_rip_vuln'" in capsys.readouterr().err
+
+
+def test_unsupported_format_is_reported_not_raised(tmp_path, capsys):
+    # the sprintf format "%s!" becomes "%f!", a conversion the interpreter
+    # does not model
+    original = corpus_path("sprintf_rip_vuln").read_text()
+    text = original.replace("401114: mov byte [rbp-0xf], 0x73",
+                            "401114: mov byte [rbp-0xf], 0x66")
+    assert text != original
+    mutant = tmp_path / "sprintf_fmt_f.s"
+    mutant.write_text(text)
+    report = analyze([str(mutant)])[0]
+    assert report.status == "inconclusive"
+    assert "emulation failed before 0x401154: %f is not supported" in report.notes
+    # validation runs the whole program and meets the same format
+    report = analyze([str(mutant)], patch_all=True, validate=True)[0]
+    assert report.status == "error" and "UnsupportedFormat" in report.error
+    assert main(["analyze", str(mutant), "--patch-all", "--validate"]) == 2
+    capsys.readouterr()
 
 
 def test_cli_patched_output_and_export(tmp_path, capsys):
