@@ -224,7 +224,7 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
         if result.status != checker.VIOLATED or result.trace is None:
             continue
         try:
-            sink = patcher.locate_sink(result.trace, bcfg, funcs, libc_names)
+            sink = patcher.locate_sink(result.trace, funcs, libc_names)
         except NoSinkFound:
             report.notes.append(
                 f"{result.name}: violation has no call/loop sink; report-only")

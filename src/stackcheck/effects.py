@@ -3,11 +3,14 @@
 Effects are computed by bounded concrete emulation. For a call site the
 interpreter runs from the analysis root to just before the call, the
 stack is snapshotted, the callee's write-extent rule is applied, and the
-diff gives the touched bytes. Calls that read stdin/argv record the
-smallest input reaching a saved return address or canary; that input is
-kept for patch validation. The write covers the input plus its
-terminator, so that length is the distance from the destination to the
-first protected byte at or above it (at least 1), in closed form.
+diff gives the touched bytes, each placed in its owning shadow frame. A
+run that halts first (clean exit, crash, step budget or an unsupported
+construct) makes the effect opaque, with a note saying which. Calls that
+read stdin/argv record the smallest input reaching a saved return
+address or canary; that input is kept for patch validation. The write
+covers the input plus its terminator, so that length is the distance
+from the destination to the first protected byte at or above it (at
+least 1), in closed form.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ from dataclasses import dataclass, field
 
 from . import interp, load_data
 from .frontend import BCfg, FunctionMap, ProgramImage, IMM, MEM, REG
-from .interp import (CrashSignal, FinishedSignal, Machine, StepBudgetExceeded,
-                     TargetUnreachable, UnsupportedFormat)
+from .interp import CLEAN, CRASH, STEP_BUDGET, UNSUPPORTED, Halt, Machine
 from .memstace import ByteOp, Config, infer_buffer_size, scan_object_boundaries
 
 ARG_REGS = ["rdi", "rsi", "rdx", "rcx", "r8", "r9"]
@@ -190,18 +192,12 @@ def emulate_call(image: ProgramImage, call_site: int, args: CallArgs, cfg: Confi
     machine.start(entry)
     try:
         machine.run_to(call_site)
-    except (FinishedSignal, TargetUnreachable):
-        return _opaque(name, call_site, f"{name} at {call_site:#x} not reached from {entry:#x}",
-                       truncating=True)
-    except StepBudgetExceeded:
-        return _opaque(name, call_site, f"emulation diverged before {call_site:#x}",
-                       truncating=True)
-    except CrashSignal as c:
-        return _opaque(name, call_site, f"crash ({c.cause}) before {call_site:#x}",
-                       truncating=True)
-    except UnsupportedFormat as exc:
-        return _opaque(name, call_site, f"emulation failed before {call_site:#x}: {exc}",
-                       truncating=True)
+    except Halt as h:
+        note = {CLEAN: f"{name} at {call_site:#x} not reached from {entry:#x}",
+                STEP_BUDGET: f"emulation diverged before {call_site:#x}",
+                CRASH: f"crash ({h.cause}) before {call_site:#x}",
+                UNSUPPORTED: f"emulation failed before {call_site:#x}: {h.cause}"}
+        return _opaque(name, call_site, note[h.status], truncating=True)
 
     if spec.extent == "none":
         return CallEffect(name=name, site=call_site)
@@ -231,8 +227,8 @@ def emulate_call(image: ProgramImage, call_site: int, args: CallArgs, cfg: Confi
 
     try:
         payloads, search = _write_payloads(machine, spec, dest, cfg)
-    except UnsupportedFormat as exc:
-        return _opaque(name, call_site, f"{name} at {call_site:#x}: {exc}", truncating=True)
+    except Halt as h:
+        return _opaque(name, call_site, f"{name} at {call_site:#x}: {h.cause}", truncating=True)
 
     if search is None:
         data, at = payloads
@@ -296,11 +292,7 @@ def _apply_payload(machine: Machine, addr: int, data: bytes) -> tuple[Machine, b
     for i, b in enumerate(data):
         a = addr + i
         if clone.in_stack(a) or a in clone.aux:
-            try:
-                clone.wr_mem(a, bytes([b]))
-            except CrashSignal:
-                clamped = True
-                break
+            clone.wr_mem(a, bytes([b]))
         else:
             clamped = True
             break
@@ -317,24 +309,22 @@ def _diff_effect(machine: Machine, name: str, site: int, at: int, data: bytes) -
 
 
 def _map_touches(machine: Machine, changed: dict[int, tuple[int, int]]):
-    """Map changed addresses to (depth from the active frame, byte index)."""
-    frames = machine.shadow
-    spans = []
-    for k, f in enumerate(frames):
-        low = frames[k + 1].ret_loc + 8 if k + 1 < len(frames) else machine.regs["rsp"]
-        spans.append((low, f.top_addr, k))
+    """Map changed addresses to (depth from the active frame, byte index).
+    An address below rsp or in no shadow frame is overflow."""
+    depth = {id(f): k for k, f in enumerate(reversed(machine.shadow))}
     touched = []
     overflow = False
+    frame = None
     for addr in sorted(changed):
-        placed = False
-        for low, high, k in spans:
-            if low <= addr <= high:
-                depth = len(frames) - 1 - k
-                touched.append((depth, frames[k].index_of(addr), ByteOp.NRWRITE))
-                placed = True
-                break
-        if not placed:
+        if addr < machine.regs["rsp"]:
             overflow = True
+            continue
+        if frame is None or addr > frame.top_addr:
+            # addresses ascend, so the owner only changes past its top byte
+            frame = machine.frame_containing(addr)
+            if frame is None:
+                return touched, True
+        touched.append((depth[id(frame)], frame.index_of(addr), ByteOp.NRWRITE))
     return touched, overflow
 
 
@@ -495,35 +485,28 @@ def emulate_loop(image: ProgramImage, loop: LoopInfo, cfg: Config,
     machine.start(entry)
     try:
         machine.run_to(loop.entry)
-    except (FinishedSignal, TargetUnreachable, StepBudgetExceeded, CrashSignal):
-        return _opaque("loop", loop.entry,
-                       f"loop at {loop.entry:#x} not reached from {entry:#x}", truncating=True)
-    except UnsupportedFormat as exc:
-        return _opaque("loop", loop.entry,
-                       f"emulation failed before {loop.entry:#x}: {exc}", truncating=True)
+    except Halt as h:
+        note = (f"emulation failed before {loop.entry:#x}: {h.cause}" if h.status == UNSUPPORTED
+                else f"loop at {loop.entry:#x} not reached from {entry:#x}")
+        return _opaque("loop", loop.entry, note, truncating=True)
     snap = machine.snapshot()
     iterations = 0
     notes: list[str] = []
-    while True:
-        try:
+    try:
+        while True:
             machine.step()
-        except (FinishedSignal, CrashSignal):
-            notes.append(f"loop at {loop.entry:#x}: execution left the function")
-            break
-        except StepBudgetExceeded:
-            notes.append(f"loop at {loop.entry:#x}: step budget exhausted")
-            break
-        except UnsupportedFormat as exc:
-            notes.append(f"loop at {loop.entry:#x}: emulation failed: {exc}")
-            break
-        if machine.pc == loop.exit:
-            break
-        if machine.pc == loop.entry:
-            iterations += 1
-            if iterations >= cfg.max_loop_iters:
-                notes.append(f"loop at {loop.entry:#x}: iteration budget "
-                             f"({cfg.max_loop_iters}) exhausted; effect may be partial")
+            if machine.pc == loop.exit:
                 break
+            if machine.pc == loop.entry:
+                iterations += 1
+                if iterations >= cfg.max_loop_iters:
+                    notes.append(f"loop at {loop.entry:#x}: iteration budget "
+                                 f"({cfg.max_loop_iters}) exhausted; effect may be partial")
+                    break
+    except Halt as h:
+        notes.append({STEP_BUDGET: f"loop at {loop.entry:#x}: step budget exhausted",
+                      UNSUPPORTED: f"loop at {loop.entry:#x}: emulation failed: {h.cause}"}
+                     .get(h.status, f"loop at {loop.entry:#x}: execution left the function"))
     changed = machine.diff_stack(snap)
     touched, overflow = _map_touches(machine, changed)
     return CallEffect(name="loop", site=loop.entry, touched=tuple(touched),
@@ -586,7 +569,7 @@ class EffectsOracle:
                                                      self.cfg, entry=self.root)
         return self._call_cache[key]
 
-    def loop_at(self, pc: int, fn: str) -> LoopInfo | None:
+    def loop_at(self, pc: int) -> LoopInfo | None:
         loop = self._loops_by_entry.get(pc)
         if loop is None or loop.irreducible:
             return None

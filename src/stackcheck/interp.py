@@ -3,10 +3,13 @@
 Runs a parsed image on a byte-addressed stack. Each user call records a
 shadow copy of the saved return address, saved base register and canary;
 at ret the live bytes are compared against the shadow and a mismatch
-raises a crash with the matching cause. The same machine serves the
-effects module in capture mode (run to a call site, snapshot, diff) and
-the validator for full before/after runs. The safecall pseudo-instruction
-executes the bounded replacement semantics installed by the patcher.
+crashes with the matching cause. Every way a run stops raises one
+exception, Halt, whose status is a clean exit, a crash, the step budget
+running out, or a construct the interpreter does not model (a printf
+conversion, an operand form). The same machine serves the effects module
+in capture mode (run to a call site, snapshot, diff) and the validator for
+full before/after runs. The safecall pseudo-instruction executes the
+bounded replacement semantics installed by the patcher.
 """
 
 from __future__ import annotations
@@ -31,27 +34,21 @@ CAUSE_RBP = "base-register-corrupted"
 CAUSE_CANARY = "canary-mismatch"
 CAUSE_OOS = "out-of-stack-write"
 
+# how a run stopped: Halt.status is one of these
+CLEAN = "clean-exit"
+CRASH = "crash"
+STEP_BUDGET = "step-budget"
+UNSUPPORTED = "unsupported"
 
-class CrashSignal(Exception):
-    def __init__(self, cause: str):
+
+class Halt(Exception):
+    """The run stopped: `status` says how, `cause` names the crash cause or
+    the construct the interpreter does not model."""
+
+    def __init__(self, status: str, cause: str | None = None):
+        self.status = status
         self.cause = cause
-        super().__init__(cause)
-
-
-class FinishedSignal(Exception):
-    pass
-
-
-class StepBudgetExceeded(Exception):
-    pass
-
-
-class TargetUnreachable(Exception):
-    pass
-
-
-class UnsupportedFormat(Exception):
-    pass
+        super().__init__(f"{status}: {cause}" if cause else status)
 
 
 @dataclass
@@ -141,7 +138,7 @@ class Machine:
             elif a in self.aux or ARGV_BASE <= a < ARGV_BASE + 0x10000:
                 self.aux[a] = b
             else:
-                raise CrashSignal(CAUSE_OOS)
+                raise Halt(CRASH, CAUSE_OOS)
 
     def rd_cstr(self, addr: int, cap: int | None = None) -> bytes:
         cap = cap if cap is not None else self.cfg.max_input_len * 2
@@ -224,22 +221,21 @@ class Machine:
         self.wr_mem(self.regs["rsp"], value.to_bytes(8, "little"))
 
     def run(self) -> None:
-        """Run to completion; raises FinishedSignal, CrashSignal or budget."""
+        """Run to completion; always ends by raising Halt."""
         while True:
             self.step()
 
     def run_to(self, stop: int) -> None:
-        """Run until the next instruction to execute is `stop`."""
+        """Run until the next instruction to execute is `stop`; raises Halt
+        when the run ends first."""
         while self.pc != stop:
-            if self.pc is None:
-                raise TargetUnreachable(f"execution ended before {stop:#x}")
             self.step()
 
     def step(self) -> None:
         if self.steps >= self.cfg.step_budget:
-            raise StepBudgetExceeded(f"step budget {self.cfg.step_budget} exhausted")
+            raise Halt(STEP_BUDGET)
         if self.pc is None or self.pc not in self.image.instructions:
-            raise FinishedSignal()
+            raise Halt(CLEAN)
         ins = self.image.instructions[self.pc]
         self.steps += 1
         nxt = self.image.next_address(self.pc)
@@ -365,6 +361,8 @@ class Machine:
             self.flags["of"] = (sa == sb) and (sr != sa)
 
     def _mem_addr(self, op) -> int:
+        if op.kind != MEM or op.base not in R64:
+            raise Halt(UNSUPPORTED, f"{op.base or op.kind} operand as an address")
         return self.rd_reg(op.base) + op.disp
 
     def _read_operand(self, op, width: int | None = None) -> tuple[int, int]:
@@ -379,15 +377,16 @@ class Machine:
                 return CANARY_VALUE, 8
             w = width or op.width or 8
             return int.from_bytes(self.rd_mem(self._mem_addr(op), w), "little"), w
-        raise ValueError(f"cannot read operand {op}")
+        raise Halt(UNSUPPORTED, f"{op.kind} operand as a source")
 
     def _write_operand(self, op, value: int, width: int) -> None:
         if op.kind == REG:
             self.wr_reg(op.reg, value, op.width or width)
         elif op.kind == MEM:
-            self.wr_mem(self._mem_addr(op), value.to_bytes(width, "little"))
+            mask = (1 << (width * 8)) - 1    # a wider source is stored truncated
+            self.wr_mem(self._mem_addr(op), (value & mask).to_bytes(width, "little"))
         else:
-            raise ValueError(f"cannot write operand {op}")
+            raise Halt(UNSUPPORTED, f"{op.kind} operand as a destination")
 
     # --- calls and returns ------------------------------------------------
 
@@ -409,16 +408,16 @@ class Machine:
             frame = self.shadow.pop()
             self._shadow_check(frame)
         if val == SENTINEL_RET:
-            raise FinishedSignal()
+            raise Halt(CLEAN)
         return val
 
     def _shadow_check(self, frame: ShadowFrame) -> None:
         if frame.canary_loc is not None and self.rd_mem(frame.canary_loc, 8) != frame.canary_bytes:
-            raise CrashSignal(CAUSE_CANARY)
+            raise Halt(CRASH, CAUSE_CANARY)
         if self.rd_mem(frame.ret_loc, 8) != frame.ret_bytes:
-            raise CrashSignal(CAUSE_RET)
+            raise Halt(CRASH, CAUSE_RET)
         if frame.rbp_loc is not None and self.rd_mem(frame.rbp_loc, 8) != frame.rbp_bytes:
-            raise CrashSignal(CAUSE_RBP)
+            raise Halt(CRASH, CAUSE_RBP)
 
     def frame_containing(self, addr: int) -> ShadowFrame | None:
         """The innermost shadow frame whose extent reaches up to addr."""
@@ -572,7 +571,7 @@ class Machine:
                 out.append(ord("%"))
                 continue
             if not args:
-                raise UnsupportedFormat("more conversions than argument registers")
+                raise Halt(UNSUPPORTED, "more conversions than argument registers")
             reg = args.pop(0)
             val = self.regs[reg]
             if conv == "s":
@@ -585,7 +584,7 @@ class Machine:
             elif conv == "c":
                 out.append(val & 0xFF)
             else:
-                raise UnsupportedFormat(f"%{conv} is not supported")
+                raise Halt(UNSUPPORTED, f"%{conv} is not supported")
         return bytes(out)
 
     # --- safecall: bounded replacement semantics ----------------------------

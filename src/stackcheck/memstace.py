@@ -23,6 +23,7 @@ from .frontend import (CANARY_FS_OFFSET, CMOV, IMM, MEM, REG, BCfg, FunctionMap,
                        Instruction, ProgramImage)
 
 RBP_RANGE = range(8, 16)
+CALL_DEPTH = 16             # user calls deeper than this are skipped with a note
 
 
 class ByteState(Enum):
@@ -415,9 +416,7 @@ class Config:
     step_budget: int = 200_000
     atomic_writes: bool = False
     timeout: float | None = None
-    random_trials: int = 3
     seed: int = 0
-    call_depth: int = 16
     properties_path: str | None = None
     templates_path: str | None = None
     libc_db_path: str | None = None
@@ -509,7 +508,7 @@ class _SpaceBuilder:
             self.visited.add(vkey)
 
             fn = self.funcs.function_of(pc) or "?"
-            loop = self.effects.loop_at(pc, fn) if self.effects else None
+            loop = self.effects.loop_at(pc) if self.effects else None
             if loop is not None and not self._came_from_loop(sid, loop):
                 sid2 = self._apply_loop(sid, loop, fn)
                 work.append((loop.exit, sid2, call_stack))
@@ -629,7 +628,7 @@ class _SpaceBuilder:
             # user call: the call itself creates the callee frame (the
             # pushed return address is its first 8 critical bytes)
             callee = self.funcs.reverse.get(callee_addr, sym or f"sub_{callee_addr:x}")
-            if len(call_stack) >= self.cfg.call_depth:
+            if len(call_stack) >= CALL_DEPTH:
                 self.notes.append(f"call depth limit at {ins.address:#x}; call skipped")
                 return (nxt, sid, call_stack)
             label = TransitionLabel("call", ins.address, name=callee, text=ins.text)
@@ -686,7 +685,7 @@ def apply_effect(state: MemoryState, effect) -> tuple[MemoryState, list[str]]:
 
 
 def build_memstace(bcfg: BCfg, funcs: FunctionMap, effects, cfg: Config,
-                   image: ProgramImage | None = None, entry: int | None = None,
+                   image: ProgramImage, entry: int | None = None,
                    buffer_overrides: dict | None = None) -> MemStaCe:
     """DFS the CFG from entry, producing the labeled transition system.
 
@@ -694,9 +693,6 @@ def build_memstace(bcfg: BCfg, funcs: FunctionMap, effects, cfg: Config,
     oracle; user calls descend, giving multi-frame states. Identical
     states (frames plus incoming label) are shared.
     """
-    image = image if image is not None else getattr(effects, "image", None)
-    if image is None:
-        raise ValueError("build_memstace needs the program image")
     builder = _SpaceBuilder(bcfg, funcs, effects, cfg, image, buffer_overrides)
     return builder.run(bcfg.entry if entry is None else entry)
 

@@ -17,8 +17,7 @@ from pathlib import Path
 from . import load_data
 from .checker import Trace
 from .effects import CallArgs, CallEffect, FRAME_ADDR
-from .frontend import (BCfg, FunctionMap, Instruction, Operand, ProgramImage,
-                       TARGET, IMM)
+from .frontend import FunctionMap, Instruction, Operand, ProgramImage, TARGET, IMM
 
 
 class NoSinkFound(Exception):
@@ -83,7 +82,7 @@ def _parse_templates(text: str) -> list[PatchTemplate]:
     return [PatchTemplate(**entry) for entry in json.loads(text)]
 
 
-def locate_sink(trace: Trace, bcfg: BCfg, funcs: FunctionMap,
+def locate_sink(trace: Trace, funcs: FunctionMap,
                 libc_names: set[str] | None = None) -> SinkSite:
     """Walk the trace backwards to the last library call, falling back to
     the loop entry when the violation came from a loop."""

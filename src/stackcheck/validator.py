@@ -1,11 +1,13 @@
 """Execute original and patched images on crash inputs and compare outcomes.
 
-A run is a full interpretation from the entry function. Crashes are the
-shadow-comparison causes raised at ret (canary, return address, saved
+A run is a full interpretation from the entry function, and its outcome
+is the status of the interpreter's Halt. Crashes are the
+shadow-comparison causes found at ret (canary, return address, saved
 base register) plus writes outside the stack region; step-budget
-exhaustion is its own status, never conflated with a crash. A patch
-validates when the crashing input no longer crashes the patched image,
-or when both runs are clean with byte-identical stdout.
+exhaustion and an unmodelled construct are statuses of their own, never
+conflated with a crash. A patch validates when the crashing input no
+longer crashes the patched image, or when both runs are clean with
+byte-identical stdout.
 """
 
 from __future__ import annotations
@@ -15,12 +17,10 @@ from dataclasses import dataclass, field
 
 from .effects import CrashInput
 from .frontend import ProgramImage, entry_point
-from .interp import CrashSignal, FinishedSignal, Machine, StepBudgetExceeded
+from .interp import CLEAN, CRASH, STEP_BUDGET, UNSUPPORTED, Halt, Machine
 from .memstace import Config
 
-CLEAN = "clean-exit"
-CRASH = "crash"
-STEP_BUDGET = "step-budget"
+RANDOM_TRIALS = 3           # random inputs tried when no crash input was derived
 
 
 @dataclass
@@ -51,13 +51,9 @@ def run(image: ProgramImage, stdin: bytes = b"", cfg: Config | None = None,
     machine.start(entry_point(image) if entry is None else entry)
     try:
         machine.run()
-    except FinishedSignal:
-        return RunOutcome(CLEAN, steps=machine.steps, stdout=bytes(machine.stdout))
-    except CrashSignal as c:
-        return RunOutcome(CRASH, cause=c.cause, steps=machine.steps,
+    except Halt as h:
+        return RunOutcome(h.status, cause=h.cause, steps=machine.steps,
                           stdout=bytes(machine.stdout))
-    except StepBudgetExceeded:
-        return RunOutcome(STEP_BUDGET, steps=machine.steps, stdout=bytes(machine.stdout))
 
 
 def validate_patch(original: ProgramImage, patched: ProgramImage,
@@ -70,7 +66,7 @@ def validate_patch(original: ProgramImage, patched: ProgramImage,
 
     rng = random.Random(cfg.seed)
     reports = []
-    for _ in range(max(cfg.random_trials, 1)):
+    for _ in range(RANDOM_TRIALS):
         length = min(1 << rng.randrange(0, max(cfg.max_input_len.bit_length() - 1, 1)),
                      cfg.max_input_len)
         data = bytes(rng.randrange(0x41, 0x5B) for _ in range(length)) + b"\n"
@@ -98,6 +94,9 @@ def _one_trial(original: ProgramImage, patched: ProgramImage, data: bytes,
             notes.append(f"patched run still crashes ({after.cause})")
         if before.status == STEP_BUDGET or after.status == STEP_BUDGET:
             notes.append("step budget exhausted during validation")
+        for cause in dict.fromkeys(o.cause for o in (before, after)
+                                   if o.status == UNSUPPORTED):
+            notes.append(f"validation run stopped at an unsupported construct: {cause}")
     return ValidationReport(input_used=data, input_source=source,
                             original=before, patched=after, success=success,
                             notes=notes)

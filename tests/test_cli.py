@@ -94,11 +94,27 @@ def test_unsupported_format_is_reported_not_raised(tmp_path, capsys):
     report = analyze([str(mutant)])[0]
     assert report.status == "inconclusive"
     assert "emulation failed before 0x401154: %f is not supported" in report.notes
-    # validation runs the whole program and meets the same format
+    # validation runs the whole program and meets the same format; the run
+    # ends as unsupported and the detection verdicts stay
     report = analyze([str(mutant)], patch_all=True, validate=True)[0]
-    assert report.status == "error" and "UnsupportedFormat" in report.error
-    assert main(["analyze", str(mutant), "--patch-all", "--validate"]) == 2
+    assert report.status == "inconclusive" and len(report.properties) == 7
+    assert report.validations[0]["original"]["status"] == "unsupported"
+    assert not report.validations[0]["success"]
+    assert main(["analyze", str(mutant), "--patch-all", "--validate"]) == 0
     capsys.readouterr()
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.validate(report.to_json(), json.loads(SCHEMA_PATH.read_text()))
+
+
+@pytest.mark.parametrize("ins", ["lea rax, 0x10", "lea [rbp-0x8], rax", "mov rax, fs:0x10",
+                                 "mov 0x10, rax", "add 0x10, rax"])
+def test_unmodelled_operand_is_inconclusive_not_error(tmp_path, ins):
+    listing = tmp_path / "operand.s"
+    listing.write_text(f"main:\n401000: push rbp\n401004: mov rbp, rsp\n401008: {ins}\n"
+                       "40100c: call 0x401030 <puts@plt>\n401010: pop rbp\n401014: ret\n")
+    report = analyze([str(listing)])[0]
+    assert report.status == "inconclusive", report.error
+    assert any(n.startswith("emulation failed before 0x40100c: ") for n in report.notes)
 
 
 def test_cli_patched_output_and_export(tmp_path, capsys):

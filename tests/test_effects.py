@@ -246,7 +246,7 @@ def test_loop_effect_off_by_one():
     cfg = Config()
     image, bcfg, funcs, oracle = pipeline(corpus_path("loop_offbyone_vuln"), cfg)
     oracle.set_root(funcs.entries["main"])
-    loop = oracle.loop_at(0x401118, "main")
+    loop = oracle.loop_at(0x401118)
     effect = oracle.loop_effect(loop)
     touched = {i for d, i, _ in effect.touched if d == 0}
     # one byte past the 16-byte buffer: the low saved-base-register byte
@@ -321,7 +321,7 @@ def test_loop_fill_255_bytes_with_sufficient_budget():
     cfg = Config(max_loop_iters=300)
     image, bcfg, funcs, oracle = pipeline(corpus_path("strcpy_rip_vuln"), cfg)
     oracle.set_root(funcs.entries["main"])
-    loop = oracle.loop_at(0x401148, "main")
+    loop = oracle.loop_at(0x401148)
     effect = oracle.loop_effect(loop)
     touched = sorted(i for d, i, _ in effect.touched if d == 0)
     # 255 writes inside the 256-byte buffer (indices 17..271); index 16,

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import pytest
+
 from stackcheck.frontend import parse_disassembly
-from stackcheck.interp import CANARY_VALUE, Machine
+from stackcheck.interp import (CANARY_VALUE, CAUSE_RET, CLEAN, CRASH, STEP_BUDGET,
+                               UNSUPPORTED, Halt, Machine)
 from stackcheck.memstace import Config
 from stackcheck.validator import run
 
 
-def _machine(body: str, stdin: bytes = b"") -> Machine:
+def _machine(body: str, stdin: bytes = b"", cfg: Config | None = None) -> Machine:
     image = parse_disassembly("main:\n" + body)
-    m = Machine(image, Config(), stdin=stdin)
+    m = Machine(image, cfg or Config(), stdin=stdin)
     m.start(min(image.instructions))
     return m
 
@@ -18,6 +21,22 @@ def _machine(body: str, stdin: bytes = b"") -> Machine:
 def _run_lines(body: str, stdin: bytes = b""):
     image = parse_disassembly("main:\n" + body)
     return run(image, stdin=stdin)
+
+
+@pytest.mark.parametrize("body, cfg, status, cause", [
+    ("401000: push rbp\n401004: pop rbp\n401008: ret\n", None, CLEAN, None),
+    ("401000: mov qword [rsp], 0x0\n401004: ret\n", None, CRASH, CAUSE_RET),
+    ("401000: jmp 0x401000\n", Config(step_budget=50), STEP_BUDGET, None),
+    ("401000: mov byte [rsp-0x8], 0x25\n401004: mov byte [rsp-0x7], 0x66\n"
+     "401008: mov byte [rsp-0x6], 0x0\n40100c: lea rdi, [rsp-0x8]\n"
+     "401010: call 0x401080 <printf@plt>\n401014: ret\n", None, UNSUPPORTED,
+     "%f is not supported"),
+])
+def test_every_run_ends_in_one_halt(body, cfg, status, cause):
+    m = _machine(body, cfg=cfg)
+    with pytest.raises(Halt) as end:
+        m.run()
+    assert (end.value.status, end.value.cause) == (status, cause)
 
 
 def test_register_width_semantics():
@@ -29,6 +48,18 @@ def test_register_width_semantics():
     m.wr_reg("rax", 0xEE, 1)             # 8-bit write merges
     assert m.rd_reg("rax") == 0x11223344556677EE
     assert m.rd_reg("rax", 2) == 0x77EE
+
+
+def test_store_from_wider_register_keeps_low_bytes():
+    m = _machine("""\
+401000: push rbp
+401004: mov rbp, rsp
+401008: mov rax, 0x1122
+40100c: mov byte [rbp-0x8], rax
+401010: nop
+""")
+    m.run_to(0x401010)
+    assert m.rd_mem(m.rd_reg("rbp") - 8, 2) == b"\x22\xcc"
 
 
 def test_xchg_swaps_register_and_memory():

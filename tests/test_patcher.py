@@ -27,7 +27,7 @@ def _violation_trace(path, root, prop="RIP Integrity"):
 def test_locate_strcpy_sink():
     trace, oracle = _violation_trace(corpus_path("strcpy_rip_vuln"), "copy")
     image, bcfg, funcs, _ = pipeline(corpus_path("strcpy_rip_vuln"))
-    sink = locate_sink(trace, bcfg, funcs, oracle.libc_names())
+    sink = locate_sink(trace, funcs, oracle.libc_names())
     assert sink.kind == "call"
     assert sink.callee == "strcpy"
     assert sink.address == 0x401118
@@ -38,7 +38,7 @@ def test_locate_loop_sink():
     trace, oracle = _violation_trace(corpus_path("loop_offbyone_vuln"), "main",
                                      "No off-by-one Overflow")
     image, bcfg, funcs, _ = pipeline(corpus_path("loop_offbyone_vuln"))
-    sink = locate_sink(trace, bcfg, funcs, oracle.libc_names())
+    sink = locate_sink(trace, funcs, oracle.libc_names())
     assert sink.kind == "loop"
     assert sink.address == 0x401118
     assert sink.callee is None
@@ -48,7 +48,7 @@ def test_direct_write_has_no_sink():
     trace, oracle = _violation_trace(fixture_path("direct_write"), "main")
     image, bcfg, funcs, _ = pipeline(fixture_path("direct_write"))
     with pytest.raises(NoSinkFound):
-        locate_sink(trace, bcfg, funcs, oracle.libc_names())
+        locate_sink(trace, funcs, oracle.libc_names())
 
 
 # --- template selection -----------------------------------------------------------
@@ -67,7 +67,7 @@ def test_static_plan_for_known_destination():
         corpus_path("strcpy_rip_vuln"), 0x401118, root="copy")
     trace, _ = _violation_trace(corpus_path("strcpy_rip_vuln"), "copy")
     _, bcfg, fmap, _ = pipeline(corpus_path("strcpy_rip_vuln"))
-    sink = locate_sink(trace, bcfg, fmap, oracle.libc_names())
+    sink = locate_sink(trace, fmap, oracle.libc_names())
     plan = select_template(sink, effect, args)
     assert plan.template.mode == "static"
     assert plan.bound == 16
@@ -79,7 +79,7 @@ def test_runtime_plan_for_unknown_destination():
         corpus_path("strcpy_runtime_vuln"), 0x40111c)
     trace, _ = _violation_trace(corpus_path("strcpy_runtime_vuln"), "main")
     _, bcfg, fmap, _ = pipeline(corpus_path("strcpy_runtime_vuln"))
-    sink = locate_sink(trace, bcfg, fmap, oracle.libc_names())
+    sink = locate_sink(trace, fmap, oracle.libc_names())
     plan = select_template(sink, effect, args)
     assert plan.template.mode == "runtime"
     assert plan.bound is None
@@ -89,7 +89,7 @@ def test_loop_sink_has_no_template():
     trace, oracle = _violation_trace(corpus_path("loop_offbyone_vuln"), "main",
                                      "No off-by-one Overflow")
     _, bcfg, fmap, _ = pipeline(corpus_path("loop_offbyone_vuln"))
-    sink = locate_sink(trace, bcfg, fmap, oracle.libc_names())
+    sink = locate_sink(trace, fmap, oracle.libc_names())
     with pytest.raises(NoTemplate):
         select_template(sink, None, None)
 
@@ -99,7 +99,7 @@ def test_scanf_patch_requires_opt_in():
         fixture_path("scanf_vuln"), 0x401124)
     trace, _ = _violation_trace(fixture_path("scanf_vuln"), "main")
     _, bcfg, fmap, _ = pipeline(fixture_path("scanf_vuln"))
-    sink = locate_sink(trace, bcfg, fmap, oracle.libc_names())
+    sink = locate_sink(trace, fmap, oracle.libc_names())
     with pytest.raises(NoTemplate):
         select_template(sink, effect, args)
     plan = select_template(sink, effect, args, enable_scanf=True)
@@ -124,7 +124,7 @@ def _patched_copy():
     effect = oracle.call_effect(0x401118)
     args = oracle.arguments(0x401118)
     trace, _ = _violation_trace(corpus_path("strcpy_rip_vuln"), "copy")
-    sink = locate_sink(trace, bcfg, funcs, oracle.libc_names())
+    sink = locate_sink(trace, funcs, oracle.libc_names())
     plan = select_template(sink, effect, args)
     return image, apply_trampoline(image, plan), plan
 
