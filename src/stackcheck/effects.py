@@ -1,16 +1,19 @@
 """Stack effects of indirect transitions: C library calls and loops.
 
-Effects are computed by bounded concrete emulation. For a call site the
-interpreter runs from the analysis root to just before the call, the
-stack is snapshotted, the callee's write-extent rule is applied, and the
+Effects are computed by bounded concrete emulation. The oracle keeps one
+interpreter run per analysis root and computes the effect of each call
+site and loop entry at the run's first arrival there; the run advances
+only as far as the furthest site asked for. At a call site the callee's
+write-extent rule is applied to a fork of the machine, and the stack
 diff gives the touched bytes, each placed in its owning shadow frame. A
-run that halts first (clean exit, crash, step budget or an unsupported
-construct) makes the effect opaque, with a note saying which. Calls that
-read stdin/argv record the smallest input reaching a saved return
-address or canary; that input is kept for patch validation. The write
-covers the input plus its terminator, so that length is the distance
-from the destination to the first protected byte at or above it (at
-least 1), in closed form.
+loop's effect is the diff between a fork's arrival at the loop entry and
+its exit. When the run halts first (clean exit, crash, step budget or an
+unsupported construct), every site it did not reach gets an opaque
+effect with a note saying which. Calls that read stdin/argv record the
+smallest input reaching a saved return address or canary; that input is
+kept for patch validation. The write covers the input plus its
+terminator, so that length is the distance from the destination to the
+first protected byte at or above it (at least 1), in closed form.
 """
 
 from __future__ import annotations
@@ -182,23 +185,14 @@ def _opaque(name: str, site: int, note: str, truncating: bool = False) -> CallEf
                       notes=[note])
 
 
-def emulate_call(image: ProgramImage, call_site: int, args: CallArgs, cfg: Config,
-                 entry: int) -> CallEffect:
-    """Interpret from `entry` to the call, apply the callee's write rule,
-    and report the stack diff as (frame depth, byte index) touches."""
+def emulate_call(machine: Machine, args: CallArgs) -> CallEffect:
+    """The effect of the call at args.site on a machine standing there:
+    apply the callee's write rule to a fork and report the stack diff as
+    (frame depth, byte index) touches."""
     spec = args.spec
     name = spec.name
-    machine = Machine(image, cfg, stdin=b"")
-    machine.start(entry)
-    try:
-        machine.run_to(call_site)
-    except Halt as h:
-        note = {CLEAN: f"{name} at {call_site:#x} not reached from {entry:#x}",
-                STEP_BUDGET: f"emulation diverged before {call_site:#x}",
-                CRASH: f"crash ({h.cause}) before {call_site:#x}",
-                UNSUPPORTED: f"emulation failed before {call_site:#x}: {h.cause}"}
-        return _opaque(name, call_site, note[h.status], truncating=True)
-
+    call_site = args.site
+    cfg = machine.cfg
     if spec.extent == "none":
         return CallEffect(name=name, site=call_site)
 
@@ -218,8 +212,9 @@ def emulate_call(image: ProgramImage, call_site: int, args: CallArgs, cfg: Confi
             # a neighbouring object caps the destination below the
             # protected floor; only the active frame's layout is known here
             if dest_offset is not None and frame is machine.shadow[-1]:
-                fn = image.function_of(call_site)
-                bounds = scan_object_boundaries(image.function_body(fn))
+                image = machine.image
+                bounds = scan_object_boundaries(
+                    image.function_body(image.function_of(call_site)))
                 inferred = infer_buffer_size(dest_offset, bounds,
                                              frame.canary_loc is not None)
                 if 0 < inferred < dest_size:
@@ -286,45 +281,49 @@ def _source_string(machine: Machine, spec: LibcSpec, cfg: Config) -> bytes:
     return machine.rd_cstr(src)
 
 
-def _apply_payload(machine: Machine, addr: int, data: bytes) -> tuple[Machine, bool]:
-    clone = machine.fork()
-    clamped = False
+def _apply_payload(clone: Machine, addr: int, data: bytes) -> bool:
+    """Write data at addr up to the first byte outside the stack and the
+    aux area; whether the write was clamped there."""
     for i, b in enumerate(data):
         a = addr + i
-        if clone.in_stack(a) or a in clone.aux:
-            clone.wr_mem(a, bytes([b]))
-        else:
-            clamped = True
-            break
-    return clone, clamped
+        if not (clone.in_stack(a) or a in clone.aux):
+            return True
+        clone.wr_mem(a, bytes([b]))
+    return False
 
 
 def _diff_effect(machine: Machine, name: str, site: int, at: int, data: bytes) -> CallEffect:
-    snap = machine.snapshot()
-    clone, clamped = _apply_payload(machine, at, data)
-    changed = clone.diff_stack(snap)
-    touched, overflow = _map_touches(machine, changed)
+    clone = machine.fork()
+    snap = clone.snapshot()
+    clamped = _apply_payload(clone, at, data)
+    touched, overflow = _map_touches(machine, clone.diff_stack(snap))
     return CallEffect(name=name, site=site, touched=tuple(touched),
                       clamped=clamped or overflow)
 
 
 def _map_touches(machine: Machine, changed: dict[int, tuple[int, int]]):
     """Map changed addresses to (depth from the active frame, byte index).
-    An address below rsp or in no shadow frame is overflow."""
-    depth = {id(f): k for k, f in enumerate(reversed(machine.shadow))}
+    An address below rsp or in no shadow frame is overflow.
+
+    An address belongs to the frame with the lowest top at or above it
+    (the earlier shadow frame on a tie, as in Machine.frame_containing);
+    with the frames sorted by top, one index follows the ascending
+    addresses."""
+    shadow = machine.shadow
+    by_top = sorted(range(len(shadow)), key=lambda k: shadow[k].top_addr)
     touched = []
     overflow = False
-    frame = None
+    i = 0
     for addr in sorted(changed):
         if addr < machine.regs["rsp"]:
             overflow = True
             continue
-        if frame is None or addr > frame.top_addr:
-            # addresses ascend, so the owner only changes past its top byte
-            frame = machine.frame_containing(addr)
-            if frame is None:
-                return touched, True
-        touched.append((depth[id(frame)], frame.index_of(addr), ByteOp.NRWRITE))
+        while i < len(by_top) and shadow[by_top[i]].top_addr < addr:
+            i += 1
+        if i == len(by_top):
+            return touched, True
+        k = by_top[i]
+        touched.append((len(shadow) - 1 - k, shadow[k].index_of(addr), ByteOp.NRWRITE))
     return touched, overflow
 
 
@@ -477,18 +476,12 @@ def _loop_exit(body: set[int], intra, bcfg: BCfg) -> int | None:
     return None
 
 
-def emulate_loop(image: ProgramImage, loop: LoopInfo, cfg: Config,
-                 entry: int) -> CallEffect:
-    """Diff the stack between the first arrival at the loop entry and the
-    exit (or the iteration budget running out)."""
-    machine = Machine(image, cfg, stdin=b"")
-    machine.start(entry)
-    try:
-        machine.run_to(loop.entry)
-    except Halt as h:
-        note = (f"emulation failed before {loop.entry:#x}: {h.cause}" if h.status == UNSUPPORTED
-                else f"loop at {loop.entry:#x} not reached from {entry:#x}")
-        return _opaque("loop", loop.entry, note, truncating=True)
+def emulate_loop(machine: Machine, loop: LoopInfo) -> CallEffect:
+    """The effect of a loop on a machine standing at its entry: run a fork
+    to the exit (or until the iteration budget runs out) and diff the
+    stack against the arrival."""
+    cfg = machine.cfg
+    machine = machine.fork()
     snap = machine.snapshot()
     iterations = 0
     notes: list[str] = []
@@ -513,10 +506,34 @@ def emulate_loop(image: ProgramImage, loop: LoopInfo, cfg: Config,
                       clamped=overflow, notes=notes)
 
 
+def _unreached(name: str, site: int, root: int, h: Halt) -> CallEffect:
+    """The opaque effect of a call site (or, named "loop", a loop entry)
+    that the run from `root` halted before reaching."""
+    if name == "loop":
+        note = (f"emulation failed before {site:#x}: {h.cause}" if h.status == UNSUPPORTED
+                else f"loop at {site:#x} not reached from {root:#x}")
+    else:
+        note = {CLEAN: f"{name} at {site:#x} not reached from {root:#x}",
+                STEP_BUDGET: f"emulation diverged before {site:#x}",
+                CRASH: f"crash ({h.cause}) before {site:#x}",
+                UNSUPPORTED: f"emulation failed before {site:#x}: {h.cause}"}[h.status]
+    return _opaque(name, site, note, truncating=True)
+
+
 # --- the oracle used by the state-space builder ------------------------------
 
 class EffectsOracle:
-    """Per-binary cache of call and loop effects, keyed by analysis root."""
+    """Per-binary cache of call and loop effects, keyed by analysis root.
+
+    Each root has one interpreter run. A cache miss advances it to the
+    next pending site (a library call with a libc spec, or the entry of a
+    reducible loop) and computes that site's effect at this first
+    arrival, until the requested site is cached. Only the current root's
+    run stays alive: set_root drops it, and a later miss for that root
+    starts a fresh run that stops only at sites not yet cached. A run
+    that halts is kept as its Halt, which fixes the opaque effect of
+    every site it did not reach.
+    """
 
     def __init__(self, image: ProgramImage, bcfg: BCfg, funcs: FunctionMap,
                  cfg: Config, libc_db: dict[str, LibcSpec] | None = None):
@@ -536,8 +553,14 @@ class EffectsOracle:
         self._call_cache: dict[tuple[int, int], CallEffect] = {}
         self._loop_cache: dict[tuple[int, int], CallEffect] = {}
         self._args_cache: dict[int, CallArgs] = {}
+        self._call_sites: frozenset[int] | None = None
+        self._run: Machine | None = None      # the current root's run, while alive
+        self._stops: set[int] = set()         # pending sites that run has not reached
+        self._halts: dict[int, Halt] = {}     # how each halted root's run ended
 
     def set_root(self, entry: int) -> None:
+        if entry != self.root:
+            self._run = None
         self.root = entry
 
     def libc_names(self) -> set[str]:
@@ -565,8 +588,7 @@ class EffectsOracle:
                 self._call_cache[key] = _opaque(
                     name, site, f"unknown library function {name!r}; call treated as opaque")
             else:
-                self._call_cache[key] = emulate_call(self.image, site, args,
-                                                     self.cfg, entry=self.root)
+                self._advance(self._call_cache, key, args.spec.name)
         return self._call_cache[key]
 
     def loop_at(self, pc: int) -> LoopInfo | None:
@@ -576,7 +598,49 @@ class EffectsOracle:
         return loop
 
     def loop_effect(self, loop: LoopInfo) -> CallEffect:
+        """The effect of `loop`, which is the loop loop_at gives for its entry."""
         key = (self.root, loop.entry)
         if key not in self._loop_cache:
-            self._loop_cache[key] = emulate_loop(self.image, loop, self.cfg, entry=self.root)
+            self._advance(self._loop_cache, key, "loop")
         return self._loop_cache[key]
+
+    def _advance(self, cache: dict, key: tuple[int, int], name: str) -> None:
+        """Run the current root until `key` is in `cache`, or store the
+        opaque effect its halt gives."""
+        root = self.root
+        if root not in self._halts:
+            if self._run is None:
+                self._run = Machine(self.image, self.cfg, stdin=b"")
+                self._run.start(root)
+                self._stops = self._pending(root)
+            try:
+                while key not in cache:
+                    self._run.run_to(*self._stops)
+                    self._arrive(self._run)
+            except Halt as h:
+                self._halts[root] = h
+                self._run = None
+        if key not in cache:
+            cache[key] = _unreached(name, key[1], root, self._halts[root])
+
+    def _pending(self, root: int) -> set[int]:
+        """Call sites with a libc spec and reducible loop entries whose
+        effect from `root` is not cached yet."""
+        if self._call_sites is None:
+            self._call_sites = frozenset(
+                a for a, ins in self.image.instructions.items()
+                if ins.mnemonic == "call" and self.arguments(a) is not None)
+        return ({a for a in self._call_sites if (root, a) not in self._call_cache}
+                | {a for a, lp in self._loops_by_entry.items()
+                   if not lp.irreducible and (root, a) not in self._loop_cache})
+
+    def _arrive(self, machine: Machine) -> None:
+        """Compute the effects at the run's first arrival at machine.pc."""
+        pc = machine.pc
+        self._stops.discard(pc)
+        key = (self.root, pc)
+        if pc in self._call_sites and key not in self._call_cache:
+            self._call_cache[key] = emulate_call(machine, self.arguments(pc))
+        loop = self.loop_at(pc)
+        if loop is not None and key not in self._loop_cache:
+            self._loop_cache[key] = emulate_loop(machine, loop)

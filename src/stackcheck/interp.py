@@ -7,9 +7,16 @@ crashes with the matching cause. Every way a run stops raises one
 exception, Halt, whose status is a clean exit, a crash, the step budget
 running out, or a construct the interpreter does not model (a printf
 conversion, an operand form). The same machine serves the effects module
-in capture mode (run to a call site, snapshot, diff) and the validator for
-full before/after runs. The safecall pseudo-instruction executes the
-bounded replacement semantics installed by the patcher.
+in capture mode (one run per analysis root that stops at each call site
+and loop entry, where forks are written to, snapshotted and diffed) and
+the validator for full before/after runs. The safecall pseudo-instruction
+executes the bounded replacement semantics installed by the patcher.
+
+The stack spans STACK_SIZE bytes below STACK_TOP, but a machine holds
+bytes only from the lowest page written so far up to STACK_TOP: the
+window grows down a page at a time, unwritten bytes read as 0xCC, and
+fork() and snapshot() copy only the window. Many machines can then be
+alive at once without each holding the whole stack.
 """
 
 from __future__ import annotations
@@ -23,6 +30,10 @@ STACK_BASE = 0x7FFE0000
 STACK_SIZE = 0x40000
 STACK_TOP = STACK_BASE + STACK_SIZE
 ENTRY_RSP = STACK_TOP - 0x1000          # headroom absorbs overflow past the root frame
+PAGE = 0x1000                           # the stack window grows by whole pages
+# classic uninitialized-memory fill; a NUL terminator written over it
+# shows up in stack diffs, unlike a NUL over a zeroed stack
+FILL = 0xCC
 ARGV_BASE = 0x500000
 # no zero bytes: a terminator written over any sentinel byte must show up
 # in stack diffs and shadow comparisons
@@ -83,9 +94,9 @@ class Machine:
         self.cfg = cfg
         self.regs = {r: 0 for r in R64}
         self.flags = {"zf": False, "sf": False, "cf": False, "of": False}
-        # classic uninitialized-memory fill; a NUL terminator written over
-        # it shows up in stack diffs, unlike a NUL over a zeroed stack
-        self.stack = bytearray(b"\xcc" * STACK_SIZE)
+        # the written window of the stack: stack[0] is the byte at stack_lo
+        self.stack = bytearray()
+        self.stack_lo = STACK_TOP
         self.aux: dict[int, int] = {}
         self.stdin = stdin
         self.stdin_pos = 0
@@ -120,25 +131,39 @@ class Machine:
         return STACK_BASE <= addr < STACK_TOP
 
     def rd_mem(self, addr: int, n: int) -> bytes:
-        out = bytearray()
-        for a in range(addr, addr + n):
-            if self.in_stack(a):
-                out.append(self.stack[a - STACK_BASE])
-            else:
-                out.append(self.aux.get(a, 0))
-        return bytes(out)
+        lo = self.stack_lo
+        if lo <= addr and addr + n <= STACK_TOP:
+            return bytes(self.stack[addr - lo:addr - lo + n])
+        return bytes(self.stack[a - lo] if lo <= a < STACK_TOP
+                     else FILL if self.in_stack(a) else self.aux.get(a, 0)
+                     for a in range(addr, addr + n))
 
     def wr_mem(self, addr: int, data: bytes) -> None:
+        end = addr + len(data)
+        if STACK_BASE <= addr < end <= STACK_TOP:
+            if addr < self.stack_lo:
+                self._grow(addr)
+            off = addr - self.stack_lo
+            self.stack[off:off + len(data)] = data
+            if addr < self._wm_lo:
+                self._wm_lo = addr
+            if end - 1 > self._wm_hi:
+                self._wm_hi = end - 1
+            return
         for i, b in enumerate(data):
             a = addr + i
             if self.in_stack(a):
-                self.stack[a - STACK_BASE] = b
-                self._wm_lo = min(self._wm_lo, a)
-                self._wm_hi = max(self._wm_hi, a)
+                self.wr_mem(a, bytes([b]))
             elif a in self.aux or ARGV_BASE <= a < ARGV_BASE + 0x10000:
                 self.aux[a] = b
             else:
                 raise Halt(CRASH, CAUSE_OOS)
+
+    def _grow(self, addr: int) -> None:
+        """Extend the window down to the page holding addr."""
+        lo = addr - (addr - STACK_BASE) % PAGE
+        self.stack[0:0] = bytes([FILL]) * (self.stack_lo - lo)
+        self.stack_lo = lo
 
     def rd_cstr(self, addr: int, cap: int | None = None) -> bytes:
         cap = cap if cap is not None else self.cfg.max_input_len * 2
@@ -168,24 +193,22 @@ class Machine:
 
     # --- snapshots (capture mode) ----------------------------------------
 
-    def snapshot(self) -> tuple[bytes, int, int]:
+    def snapshot(self) -> tuple[bytes, int, int, int]:
         lo, hi = self._wm_lo, self._wm_hi
         self._wm_lo, self._wm_hi = STACK_TOP, STACK_BASE
-        return (bytes(self.stack), lo, hi)
+        return (bytes(self.stack), self.stack_lo, lo, hi)
 
-    def diff_stack(self, snap: tuple[bytes, int, int]) -> dict[int, tuple[int, int]]:
+    def diff_stack(self, snap: tuple[bytes, int, int, int]) -> dict[int, tuple[int, int]]:
         """Changed stack addresses since the snapshot: addr -> (old, new)."""
-        old, _, _ = snap
-        lo = min(self._wm_lo, snap[1]) - STACK_BASE
-        hi = max(self._wm_hi, snap[2]) - STACK_BASE
+        old, old_lo, snap_lo, snap_hi = snap
+        lo = max(min(self._wm_lo, snap_lo), self.stack_lo)
+        hi = min(max(self._wm_hi, snap_hi), STACK_TOP - 1)
         out: dict[int, tuple[int, int]] = {}
-        if lo > hi:
-            return out
-        lo = max(lo, 0)
-        hi = min(hi, STACK_SIZE - 1)
-        for off in range(lo, hi + 1):
-            if self.stack[off] != old[off]:
-                out[STACK_BASE + off] = (old[off], self.stack[off])
+        for a in range(lo, hi + 1):
+            was = old[a - old_lo] if a >= old_lo else FILL
+            now = self.stack[a - self.stack_lo]
+            if now != was:
+                out[a] = (was, now)
         return out
 
     def fork(self) -> "Machine":
@@ -195,6 +218,7 @@ class Machine:
         clone.regs = dict(self.regs)
         clone.flags = dict(self.flags)
         clone.stack = bytearray(self.stack)
+        clone.stack_lo = self.stack_lo
         clone.aux = dict(self.aux)
         clone.stdin = self.stdin
         clone.stdin_pos = self.stdin_pos
@@ -225,10 +249,11 @@ class Machine:
         while True:
             self.step()
 
-    def run_to(self, stop: int) -> None:
-        """Run until the next instruction to execute is `stop`; raises Halt
-        when the run ends first."""
-        while self.pc != stop:
+    def run_to(self, *stops: int) -> None:
+        """Run until the next instruction to execute is one of `stops`;
+        raises Halt when the run ends first."""
+        stops = set(stops)
+        while self.pc not in stops:
             self.step()
 
     def step(self) -> None:
@@ -260,7 +285,7 @@ class Machine:
     def _do_pop(self, ins: Instruction, nxt: int | None) -> int | None:
         val = int.from_bytes(self.rd_mem(self.regs["rsp"], 8), "little")
         self.regs["rsp"] += 8
-        self.wr_reg(ins.operands[0].reg, val)
+        self._write_operand(ins.operands[0], val, 8)
         return nxt
 
     def _do_mov(self, ins: Instruction, nxt: int | None) -> int | None:
@@ -300,7 +325,10 @@ class Machine:
 
     def _do_lea(self, ins: Instruction, nxt: int | None) -> int | None:
         dst, src = ins.operands
-        self.wr_reg(dst.reg, self._mem_addr(src))
+        addr = self._mem_addr(src)
+        if dst.kind != REG:
+            raise Halt(UNSUPPORTED, f"{dst.kind} operand as a lea destination")
+        self.wr_reg(dst.reg, addr)
         return nxt
 
     def _mov_width(self, dst, src) -> int:

@@ -6,7 +6,7 @@ import pytest
 
 from stackcheck.effects import (CONSTANT, FRAME_ADDR, FRAME_SLOT, UNKNOWN,
                                 UnknownLibc, detect_loops,
-                                emulate_loop, extract_concrete_input,
+                                extract_concrete_input,
                                 lookup_libc, recover_arguments)
 from stackcheck.frontend import parse_disassembly, build_bcfg
 from stackcheck.memstace import (Config, MemoryState, apply_effect,
@@ -280,7 +280,8 @@ main:
     image, bcfg, funcs, oracle = pipeline(Path(f.name), cfg)
     loops = detect_loops(bcfg, funcs)
     assert loops
-    effect = emulate_loop(image, loops[0], cfg, entry=funcs.entries["main"])
+    oracle.set_root(funcs.entries["main"])
+    effect = oracle.loop_effect(loops[0])
     assert effect.touched == ()
 
 
@@ -288,7 +289,8 @@ def test_loop_iteration_budget_flagged():
     cfg = Config(max_loop_iters=8)
     image, bcfg, funcs, oracle = pipeline(corpus_path("strcpy_rip_vuln"), cfg)
     loops = detect_loops(bcfg, funcs)
-    effect = emulate_loop(image, loops[0], cfg, entry=funcs.entries["main"])
+    oracle.set_root(funcs.entries["main"])
+    effect = oracle.loop_effect(loops[0])
     assert any("iteration budget" in n for n in effect.notes)
     assert len(effect.touched) <= 9
 
@@ -296,17 +298,17 @@ def test_loop_iteration_budget_flagged():
 def test_diff_minimality_against_full_stack_comparison():
     """touched must be exactly the positions whose values differ, checked
     against an independent byte-by-byte comparison of the whole stack."""
-    from stackcheck.interp import Machine, STACK_BASE
+    from stackcheck.interp import Machine, STACK_BASE, STACK_SIZE
     cfg = Config()
     image, bcfg, funcs, oracle = pipeline(corpus_path("strcpy_rip_ok"), cfg)
     entry = funcs.entries["main"]
     machine = Machine(image, cfg)
     machine.start(entry)
     machine.run_to(0x401128)
-    before = bytes(machine.stack)
+    before = machine.rd_mem(STACK_BASE, STACK_SIZE)
     src = machine.rd_cstr(machine.rd_reg("rsi"))
     machine.wr_mem(machine.rd_reg("rdi"), src + b"\0")
-    after = bytes(machine.stack)
+    after = machine.rd_mem(STACK_BASE, STACK_SIZE)
     independent = {STACK_BASE + off for off in range(len(before))
                    if before[off] != after[off]}
 
@@ -329,3 +331,21 @@ def test_loop_fill_255_bytes_with_sufficient_budget():
     assert len(touched) == 255
     assert touched[0] == 17 and touched[-1] == 271
     assert not effect.notes
+
+
+def test_self_call_recursion_finishes_within_timeout(tmp_path):
+    """A call back into its own loop recurses until the step budget, leaving
+    thousands of shadow frames; placing the touched bytes must stay linear
+    in them, so a 2 s timeout does not change the report."""
+    from stackcheck.cli import analyze
+    text = fixture_path("nested_loops").read_text()
+    assert "40112c: jne 0x40111c" in text
+    path = tmp_path / "self_call.s"
+    path.write_text(text.replace("40112c: jne 0x40111c", "40112c: call 0x40111c"))
+
+    def report(cfg):
+        out = analyze([str(path)], cfg)[0].to_json()
+        out.pop("timings")
+        return out
+
+    assert report(Config(timeout=2)) == report(Config())

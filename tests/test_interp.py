@@ -89,6 +89,56 @@ def test_xchg_swaps_register_and_memory():
     assert int.from_bytes(m.rd_mem(m.rd_reg("rbp") - 8, 8), "little") == 7
 
 
+def test_pop_stores_through_a_memory_destination():
+    # x86 computes the destination address after rsp moves up
+    m = _machine("""\
+401000: push rbp
+401004: mov rbp, rsp
+401008: sub rsp, 0x10
+40100c: mov rax, 0x1122334455667788
+401010: push rax
+401014: pop qword [rsp+0x8]
+401018: nop
+""")
+    m.run_to(0x401018)
+    rbp = m.rd_reg("rbp")
+    assert m.rd_reg("rsp") == rbp - 0x10
+    assert m.rd_mem(rbp - 0x8, 8) == (0x1122334455667788).to_bytes(8, "little")
+    assert None not in m.regs
+
+
+@pytest.mark.parametrize("line", ["pop 0x10", "lea [rbp-0x8], [rbp-0x10]"])
+def test_pop_and_lea_to_a_non_register_halt_unsupported(line):
+    m = _machine(f"""\
+401000: push rbp
+401004: mov rbp, rsp
+401008: push rax
+40100c: {line}
+401010: nop
+""")
+    with pytest.raises(Halt) as end:
+        m.run_to(0x401010)
+    assert end.value.status == UNSUPPORTED
+    assert None not in m.regs
+
+
+def test_stack_is_a_window_grown_by_pages():
+    from stackcheck.interp import ENTRY_RSP, PAGE, STACK_BASE, STACK_SIZE, STACK_TOP
+    m = _machine("401000: nop\n")
+    # start() pushed the sentinel return address just below ENTRY_RSP
+    assert m.stack_lo == ENTRY_RSP - PAGE
+    assert len(m.stack) == STACK_TOP - m.stack_lo
+    m.wr_mem(STACK_TOP - 3 * PAGE + 5, b"\x01")
+    assert m.stack_lo == STACK_TOP - 3 * PAGE
+    assert len(m.stack) == 3 * PAGE
+    whole = m.rd_mem(STACK_BASE, STACK_SIZE)
+    assert len(whole) == STACK_SIZE
+    assert whole[:STACK_SIZE - 3 * PAGE] == b"\xcc" * (STACK_SIZE - 3 * PAGE)
+    assert m.rd_mem(STACK_TOP - 3 * PAGE + 4, 3) == b"\xcc\x01\xcc"
+    clone = m.fork()
+    assert clone.stack == m.stack and clone.stack is not m.stack
+
+
 def test_cmov_executes_conditionally():
     m = _machine("""\
 401000: mov rax, 0x1
