@@ -1,10 +1,14 @@
-"""Model checking: run each violation monitor over the state space.
+"""Model checking: run every violation monitor over the state space.
 
-A breadth-first search over the product of the memory state space and
-the two-state monitor finds the first (hence shortest) path to a state
-falsifying the property body. That path becomes a counterexample trace
-of <address: instruction -> memory operation> steps with per-byte state
-deltas.
+Each monitor has two states, run and reject, so its product with the
+memory state space is the state space itself. One breadth-first search
+per space therefore serves all properties: at each dequeued state every
+monitor still running takes one step, and the first state where a
+monitor rejects ends the (hence shortest) path to a state falsifying its
+body. BFS order does not depend on the property, so each verdict, trace
+and vacuity count is the one a search for that property alone gives. A
+path becomes a counterexample trace of <address: instruction -> memory
+operation> steps with per-byte state deltas.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import load_data
-from .ltl import EvalContext, Monitor
+from .ltl import REJECT, RUN, EvalContext, Monitor
 from .memstace import MemStaCe, MemoryState, TransitionLabel
 
 HOLDS = "holds"
@@ -63,11 +67,15 @@ class Verdict:
     vacuous: bool = False
 
 
-def check(space: MemStaCe, monitor: Monitor, libc_names: set[str] | None = None) -> Verdict:
-    """BFS the product; first reject gives a shortest counterexample."""
-    ctx = EvalContext(libc_names=libc_names or set())
+def check(space: MemStaCe, monitors: list[Monitor] | Monitor,
+          libc_names: set[str] | None = None) -> list[Verdict] | Verdict:
+    """One BFS for all monitors; one verdict per monitor (or the verdict of
+    a single monitor passed alone)."""
+    if isinstance(monitors, Monitor):
+        return check(space, [monitors], libc_names)[0]
+    ctxs = [EvalContext(libc_names=libc_names or set()) for _ in monitors]
     if space.initial < 0:
-        return Verdict(monitor.name, HOLDS, vacuity_notes=["empty state space"])
+        return [Verdict(m.name, HOLDS, vacuity_notes=["empty state space"]) for m in monitors]
 
     succ: dict[int, list[tuple[TransitionLabel, int]]] = {}
     for src, lbl, dst in space.transitions:
@@ -75,17 +83,28 @@ def check(space: MemStaCe, monitor: Monitor, libc_names: set[str] | None = None)
 
     parent: dict[int, tuple[int, TransitionLabel] | None] = {space.initial: None}
     queue = deque([space.initial])
-    violating = None
-    while queue:
+    violating: dict[int, int] = {}          # monitor position -> first rejecting state
+    running = list(range(len(monitors)))
+    while queue and running:
         sid = queue.popleft()
-        if monitor.step("run", space.states[sid], ctx) == "reject":
-            violating = sid
-            break
-        for lbl, dst in succ.get(sid, []):
+        state = space.states[sid]
+        still = []
+        for k in running:
+            if monitors[k].step(RUN, state, ctxs[k]) == REJECT:
+                violating[k] = sid
+            else:
+                still.append(k)
+        running = still
+        for lbl, dst in succ.get(sid, ()):
             if dst not in parent:
                 parent[dst] = (sid, lbl)
                 queue.append(dst)
+    return [_verdict(space, m, ctx, violating.get(k), parent)
+            for k, (m, ctx) in enumerate(zip(monitors, ctxs))]
 
+
+def _verdict(space: MemStaCe, monitor: Monitor, ctx: EvalContext,
+             violating: int | None, parent: dict) -> Verdict:
     notes = list(dict.fromkeys(ctx.notes))
     if violating is None:
         status = INCONCLUSIVE if space.truncated else HOLDS
@@ -126,11 +145,12 @@ def _operation_name(lbl: TransitionLabel) -> str:
 
 def _frame_deltas(before: MemoryState, after: MemoryState):
     deltas = []
-    for pos in range(min(len(before.frames), len(after.frames))):
-        fb, fa = before.frames[pos], after.frames[pos]
-        for idx in range(min(len(fb.bytes), len(fa.bytes))):
-            if fb.bytes[idx] is not fa.bytes[idx]:
-                deltas.append((fa.label, idx, fb.bytes[idx].value, fa.bytes[idx].value))
+    for fb, fa in zip(before.frames, after.frames):
+        if fb.bytes == fa.bytes:
+            continue
+        for idx, (b, a) in enumerate(zip(fb.bytes, fa.bytes)):
+            if b != a:
+                deltas.append((fa.label, idx, chr(b), chr(a)))
     return deltas
 
 

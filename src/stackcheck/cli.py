@@ -172,30 +172,31 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
             report.notes.append(f"function {fn_name!r} lacks a standard prologue; "
                                 "base-register checks are vacuous there")
 
+    # one BFS per root for all properties; the deadline is checked between
+    # roots, and a root left unchecked (or unbuilt) makes every property it
+    # could still violate inconclusive
     v0 = time.perf_counter()
-    timed_out = False
-    for monitor in monitors:
-        if deadline and time.perf_counter() > deadline:
-            timed_out = True
-        if timed_out:
-            report.properties.append(PropertyResult(
-                name=monitor.name, status=checker.INCONCLUSIVE,
-                cwes=checker.map_cwe(monitor.name, db=cwe_db,
-                                     warnings=report.warnings)))
-            report.notes.append(f"timeout before checking {monitor.name!r}")
-            continue
+    per_root: dict[str, list[checker.Verdict]] = {}
+    unchecked = None
+    for fn_name, _ in roots:
+        space = spaces.get(fn_name)
+        if space is None or (deadline and time.perf_counter() > deadline):
+            unchecked = fn_name
+            break
+        per_root[fn_name] = checker.check(space, monitors, libc_names)
+
+    for k, monitor in enumerate(monitors):
         best: checker.Verdict | None = None
         best_root = None
-        any_inconclusive = False
+        any_inconclusive = unchecked is not None
         vacuous_all = True
         vnotes: list[str] = []
-        for fn_name, space in spaces.items():
-            verdict = checker.check(space, monitor, libc_names)
+        for fn_name, verdicts in per_root.items():
+            verdict = verdicts[k]
             vnotes.extend(verdict.vacuity_notes)
             if verdict.status == checker.VIOLATED:
                 vacuous_all = False
-                if best is None or best.status != checker.VIOLATED or \
-                        len(verdict.trace.steps) < len(best.trace.steps):
+                if best is None or len(verdict.trace.steps) < len(best.trace.steps):
                     best, best_root = verdict, fn_name
             elif verdict.status == checker.INCONCLUSIVE:
                 any_inconclusive = True
@@ -208,6 +209,9 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
         elif any_inconclusive:
             result = PropertyResult(name=monitor.name, status=checker.INCONCLUSIVE,
                                     cwes=cwes)
+            if unchecked is not None:
+                vnotes.append(f"timeout before checking {monitor.name!r} on root "
+                              f"{unchecked!r}")
         else:
             result = PropertyResult(name=monitor.name, status=checker.HOLDS,
                                     cwes=cwes, vacuous=vacuous_all and bool(spaces))
@@ -215,8 +219,10 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
         report.properties.append(result)
 
     verify_elapsed = time.perf_counter() - v0
+    inconclusive = report.truncated or any(
+        p.status == checker.INCONCLUSIVE for p in report.properties)
     report.status = "vulnerable" if report.vulnerable else (
-        "inconclusive" if report.truncated else "clean")
+        "inconclusive" if inconclusive else "clean")
 
     # sinks for violated properties
     sink_map: dict[int, patcher.SinkSite] = {}
@@ -311,9 +317,10 @@ def _patch_and_validate(report: Report, image: ProgramImage,
         report.patched_image = patched
     if not validate:
         return
+    runs: dict = {}     # whole-program outcomes shared by every sink's validation
     for plan, effect in plans:
         crash_input = extract_concrete_input(effect)
-        vr = validator.validate_patch(image, patched, crash_input, cfg)
+        vr = validator.validate_patch(image, patched, crash_input, cfg, runs)
         report.validations.append({
             "sink": plan.sink.address,
             "input_source": vr.input_source,

@@ -17,12 +17,20 @@ range; indices the frame does not hold are skipped as vacuous (a frame
 before the base-register push has no bytes 8-15, which must not count as
 corruption). A bare byte atom with an out-of-frame index evaluates false
 and records a vacuity note.
+
+`compile_monitor` compiles each body once into a closure over slot-bound
+variables; `Monitor.step` calls it, and `eval_body`/`eval_atom` are thin
+entry points into the same compiled form. An index-range conjunction of a
+single byte atom, such as the one above, becomes a slice compare over the
+frame's letters.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import load_data
 from .memstace import (RBP_RANGE, ByteState, MemoryState, StackFrame,
@@ -434,6 +442,13 @@ def parse_property_file(text: str) -> list[PropertyAst]:
 
 
 # --- evaluation ---------------------------------------------------------------
+#
+# A body compiles once into a closure pred(state, env, ctx) -> bool. Every
+# variable binder owns one slot of the `env` list, resolved at compile time,
+# so evaluation builds no dicts and dispatches on no node types. Evaluation
+# order is the formula's: connectives and quantifiers short-circuit left to
+# right, and `all i in a..b` evaluates every index it does not skip, so the
+# EvalContext counters and notes record every atom and domain evaluated.
 
 @dataclass
 class EvalContext:
@@ -450,114 +465,238 @@ class EvalContext:
         return bool(self.quantifier_domains) and self.quantifier_domains == self.empty_domains
 
 
+Pred = Callable[[MemoryState, list, EvalContext], bool]
+
+
 def eval_atom(atom, state: MemoryState, env: dict | None = None,
               ctx: EvalContext | None = None) -> bool:
-    env = env or {}
-    ctx = ctx if ctx is not None else EvalContext()
-    if isinstance(atom, ByteAtom):
-        frame: StackFrame = env[atom.frame_var]
-        idx = _eval_index(atom.index, frame, env)
-        if idx < 0 or idx >= len(frame.bytes):
-            ctx.notes.append(f"byte index {idx} outside frame {frame.label!r}; atom false")
-            return False
-        hit = frame.bytes[idx] is atom.state
-        return hit if atom.op == "=" else not hit
-    if isinstance(atom, HasCanary):
-        return env[atom.frame_var].has_canary
-    if isinstance(atom, PrevTransition):
-        label = state.incoming_label
-        matched = False
-        if label is not None:
-            for target in atom.targets:
-                if target[0] == "loop" and label.kind == "loop":
-                    matched = True
-                elif target[0] == "libc" and label.kind == "call" and \
-                        label.name in ctx.libc_names:
-                    matched = True
-                elif target[0] == "call" and label.kind == "call" and \
-                        label.name == target[1]:
-                    matched = True
-        return matched if atom.op == "=" else not matched
-    if isinstance(atom, BoolLit):
-        return atom.value
-    raise TypeError(f"not an atom: {atom!r}")
-
-
-def _eval_index(expr: IndexExpr, frame: StackFrame, env: dict) -> int:
-    if expr.base == "const":
-        return expr.value
-    if expr.base == "var":
-        return env[expr.var]
-    buf = env[expr.var]
-    start, end = buffer_index_span(frame, buf[0], buf[1])
-    return (start if expr.base == "start" else end) + expr.value
+    return eval_body(atom, state, env or {}, ctx if ctx is not None else EvalContext())
 
 
 def eval_body(node, state: MemoryState, env: dict, ctx: EvalContext) -> bool:
-    if isinstance(node, (ByteAtom, HasCanary, PrevTransition, BoolLit)):
-        return eval_atom(node, state, env, ctx)
-    if isinstance(node, Not):
-        return not eval_body(node.operand, state, env, ctx)
-    if isinstance(node, And):
-        return all(eval_body(i, state, env, ctx) for i in node.items)
-    if isinstance(node, Or):
-        return any(eval_body(i, state, env, ctx) for i in node.items)
-    if isinstance(node, Implies):
-        ctx.implications += 1
-        if not eval_body(node.lhs, state, env, ctx):
+    """Evaluate `node` with `env` (variable name -> frame, buffer or index)
+    bound, through the node's compiled form."""
+    return compile_body(node, tuple(env))(state, ctx, *env.values())
+
+
+@lru_cache(maxsize=256)
+def compile_body(node, free: tuple[str, ...] = ()) -> Callable[..., bool]:
+    """pred(state, ctx, *values), with `values` bound to the `free` names."""
+    compiler = _Compiler(len(free))
+    inner = compiler.node(node, {name: k for k, name in enumerate(free)})
+    binder_slots = [None] * (compiler.slots - len(free))
+
+    def pred(state: MemoryState, ctx: EvalContext, *values) -> bool:
+        return inner(state, [*values, *binder_slots], ctx)
+    return pred
+
+
+def _unbound(name: str):
+    """A variable that no binder in scope defines raises KeyError when it is
+    evaluated, so a branch that is never reached does not fail."""
+    def unbound_variable(*_):
+        raise KeyError(name)
+    return unbound_variable
+
+
+class _Compiler:
+    """Compiles body nodes to closures; each variable binder gets the next
+    slot of the `env` list, after the slots of the free variables."""
+
+    def __init__(self, slots: int):
+        self.slots = slots
+
+    def bind(self, scope: dict, var: str) -> tuple[int, dict]:
+        self.slots += 1
+        return self.slots - 1, {**scope, var: self.slots - 1}
+
+    def node(self, node, scope: dict) -> Pred:
+        for kinds, method in self.RULES:
+            if isinstance(node, kinds):
+                return method(self, node, scope)
+        raise TypeError(f"cannot evaluate node {node!r}")
+
+    def byte_atom(self, atom: ByteAtom, scope: dict) -> Pred:
+        fs = scope.get(atom.frame_var)
+        if fs is None:
+            return _unbound(atom.frame_var)
+        index = self.index(atom.index, scope)
+        letter, want = ord(atom.state.value), atom.op == "="
+
+        def byte(state, env, ctx):
+            frame = env[fs]
+            idx = index(frame, env)
+            if 0 <= idx < len(frame.bytes):
+                return (frame.bytes[idx] == letter) == want
+            ctx.notes.append(f"byte index {idx} outside frame {frame.label!r}; atom false")
+            return False
+        return byte
+
+    def index(self, expr: IndexExpr, scope: dict) -> Callable[[StackFrame, list], int]:
+        if expr.base == "const":
+            value = expr.value
+            return lambda frame, env: value
+        slot = scope.get(expr.var)
+        if slot is None:
+            return _unbound(expr.var)
+        if expr.base == "var":
+            return lambda frame, env: env[slot]
+        end, off = expr.base == "end", expr.value
+        return lambda frame, env: buffer_index_span(frame, *env[slot])[end] + off
+
+    def has_canary(self, atom: HasCanary, scope: dict) -> Pred:
+        fs = scope.get(atom.frame_var)
+        if fs is None:
+            return _unbound(atom.frame_var)
+        return lambda state, env, ctx: env[fs].has_canary
+
+    def prev_transition(self, atom: PrevTransition, scope: dict) -> Pred:
+        loop, libc = ("loop",) in atom.targets, ("libc",) in atom.targets
+        calls = {t[1] for t in atom.targets if t[0] == "call"}
+        want = atom.op == "="
+
+        def prev(state, env, ctx):
+            label = state.incoming_label
+            if label is None or label.kind not in ("loop", "call"):
+                return not want
+            if label.kind == "loop":
+                return loop == want
+            matched = label.name in calls or (libc and label.name in ctx.libc_names)
+            return matched == want
+        return prev
+
+    def bool_lit(self, lit: BoolLit, scope: dict) -> Pred:
+        value = lit.value
+        return lambda state, env, ctx: value
+
+    def negation(self, node: Not, scope: dict) -> Pred:
+        inner = self.node(node.operand, scope)
+        return lambda state, env, ctx: not inner(state, env, ctx)
+
+    def junction(self, node, scope: dict) -> Pred:
+        items = tuple(self.node(i, scope) for i in node.items)
+        stop = isinstance(node, Or)     # the value that ends the scan
+
+        def junction(state, env, ctx):
+            for item in items:
+                if item(state, env, ctx) == stop:
+                    return stop
+            return not stop
+        return junction
+
+    def implies(self, node: Implies, scope: dict) -> Pred:
+        lhs, rhs = self.node(node.lhs, scope), self.node(node.rhs, scope)
+
+        def implies(state, env, ctx):
+            ctx.implications += 1
+            if not lhs(state, env, ctx):
+                return True
+            ctx.antecedents_true += 1
+            return rhs(state, env, ctx)
+        return implies
+
+    def quantifier(self, node, scope: dict) -> Pred:
+        """forall/exists over the state's frames or a frame's buffers (in
+        sorted order); each quantifier evaluation is one domain."""
+        if isinstance(node, (ForallStack, ExistsStack)):
+            domain = lambda state, env: state.frames
+        elif (fs := scope.get(node.frame_var)) is None:
+            return _unbound(node.frame_var)
+        else:
+            domain = lambda state, env: sorted(env[fs].buffers)
+        slot, inner_scope = self.bind(scope, node.var)
+        body = self.node(node.body, inner_scope)
+        stop = isinstance(node, (ExistsStack, ExistsBuffer))
+
+        def quantifier(state, env, ctx):
+            items = domain(state, env)
+            ctx.quantifier_domains += 1
+            if not items:
+                ctx.empty_domains += 1
+            for item in items:
+                env[slot] = item
+                if body(state, env, ctx) == stop:
+                    return stop
+            return not stop
+        return quantifier
+
+    def all_range(self, node: AllRange, scope: dict) -> Pred:
+        """Conjunction over the range. Indices the frame does not hold are
+        skipped, so that pre-prologue frames do not count as corrupted; an
+        all-skipped range is an empty (vacuous) domain."""
+        slot, inner_scope = self.bind(scope, node.var)
+        body, indices = node.body, range(node.lo, node.hi + 1)
+        if isinstance(body, ByteAtom) and body.index == IndexExpr("var", 0, node.var) \
+                and body.frame_var in scope and body.frame_var != node.var:
+            return _range_slice(scope[body.frame_var], node.lo, node.hi, body)
+        absent = self.absent(body, inner_scope)
+        inner = self.node(body, inner_scope)
+
+        def conjunction(state, env, ctx):
+            held, seen = True, False
+            for i in indices:
+                env[slot] = i
+                if absent is not None and absent(env):
+                    continue
+                seen = True
+                if not inner(state, env, ctx):
+                    held = False
+            if not seen:
+                ctx.quantifier_domains += 1
+                ctx.empty_domains += 1
+            return held
+        return conjunction
+
+    def absent(self, body, scope: dict):
+        """absent(env): every byte atom of the body's propositional part
+        indexes a slot the frame does not hold: past its extent, or in the
+        saved-base-register positions 8..15 of a frame whose prologue never
+        pushed the base register. None when the body has no byte atoms."""
+        atoms = [(scope.get(a.frame_var), self.index(a.index, scope))
+                 for a in _byte_atoms(body)]
+        if not atoms:
+            return None
+
+        def absent(env):
+            for fs, index in atoms:
+                if fs is None:
+                    return False
+                frame = env[fs]
+                idx = index(frame, env)
+                if idx in RBP_RANGE and not frame.has_rbp_slot:
+                    continue
+                if 0 <= idx < len(frame.bytes):
+                    return False
             return True
-        ctx.antecedents_true += 1
-        return eval_body(node.rhs, state, env, ctx)
-    if isinstance(node, (ForallStack, ExistsStack)):
-        ctx.quantifier_domains += 1
-        if not state.frames:
-            ctx.empty_domains += 1
-        results = (eval_body(node.body, state, {**env, node.var: f}, ctx)
-                   for f in state.frames)
-        return all(results) if isinstance(node, ForallStack) else any(results)
-    if isinstance(node, (ForallBuffer, ExistsBuffer)):
-        frame = env[node.frame_var]
-        ctx.quantifier_domains += 1
-        if not frame.buffers:
-            ctx.empty_domains += 1
-        buffers = sorted(frame.buffers)
-        results = (eval_body(node.body, state, {**env, node.var: b}, ctx)
-                   for b in buffers)
-        return all(results) if isinstance(node, ForallBuffer) else any(results)
-    if isinstance(node, AllRange):
-        # conjunction over the range; indices the frame does not hold are
-        # vacuous so that pre-prologue frames do not count as corrupted
-        results = []
-        for i in range(node.lo, node.hi + 1):
-            inner_env = {**env, node.var: i}
-            if _range_index_absent(node.body, state, inner_env):
-                continue
-            results.append(eval_body(node.body, state, inner_env, ctx))
-        if not results:
+        return absent
+
+    RULES = (
+        (ByteAtom, byte_atom), (HasCanary, has_canary),
+        (PrevTransition, prev_transition), (BoolLit, bool_lit),
+        (Not, negation), ((And, Or), junction), (Implies, implies),
+        ((ForallStack, ExistsStack, ForallBuffer, ExistsBuffer), quantifier),
+        (AllRange, all_range),
+    )
+
+
+def _range_slice(fs: int, lo: int, hi: int, atom: ByteAtom) -> Pred:
+    """`all i in lo..hi : byte(i, stack(f)) op S` as one slice compare over
+    the indices the range does not skip; no index it keeps is out of frame,
+    so the atom never notes."""
+    letter, want = ord(atom.state.value), atom.op == "="
+
+    def conjunction(state, env, ctx):
+        frame = env[fs]
+        a, z = max(lo, 0), min(hi + 1, len(frame.bytes))
+        seg = frame.bytes[a:z]
+        if not frame.has_rbp_slot and a < RBP_RANGE.stop and z > RBP_RANGE.start:
+            seg = frame.bytes[a:RBP_RANGE.start] + frame.bytes[RBP_RANGE.stop:z]
+        if not seg:
             ctx.quantifier_domains += 1
             ctx.empty_domains += 1
             return True
-        return all(results)
-    raise TypeError(f"cannot evaluate node {node!r}")
-
-
-def _range_index_absent(body, state: MemoryState, env: dict) -> bool:
-    """True when every byte atom in the body indexes a slot the frame does
-    not hold: past its extent, or in the saved-base-register positions
-    8..15 of a frame whose prologue never pushed the base register."""
-    atoms = list(_byte_atoms(body))
-    if not atoms:
-        return False
-    for atom in atoms:
-        frame = env.get(atom.frame_var)
-        if frame is None:
-            return False
-        idx = _eval_index(atom.index, frame, env)
-        if idx in RBP_RANGE and not frame.has_rbp_slot:
-            continue
-        if 0 <= idx < len(frame.bytes):
-            return False
-    return True
+        return seg.count(letter) == len(seg) if want else letter not in seg
+    return conjunction
 
 
 def _byte_atoms(node):
@@ -590,6 +729,10 @@ class Monitor:
     states: tuple[str, ...] = (RUN, REJECT)
     initial: str = RUN
     accepting: tuple[str, ...] = (REJECT,)
+    predicate: Callable[..., bool] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "predicate", compile_body(self.body))
 
     def positive_form(self) -> dict:
         return {"states": ("run",), "initial": "run",
@@ -599,11 +742,11 @@ class Monitor:
              ctx: EvalContext) -> str:
         if monitor_state == REJECT:
             return REJECT
-        ok = eval_body(self.body, memory_state, {}, ctx)
-        return RUN if ok else REJECT
+        return RUN if self.predicate(memory_state, ctx) else REJECT
 
 
 def compile_monitor(ast: PropertyAst) -> Monitor:
+    """Check the formula is in the G <body> fragment and compile its body."""
     if not isinstance(ast.formula, Always):
         raise UnsupportedFragment("only G <body> properties are supported")
     _reject_temporal(ast.formula.body)

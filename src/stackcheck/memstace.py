@@ -1,12 +1,14 @@
 """Byte-precise stack memory model and the memory state space (MemStaCe).
 
 A memory state is an ordered list of stack frames (caller to callee).
-Each frame is an array of byte states indexed so that index i denotes the
-byte at machine address rbp_anchor + 15 - i: indices 0-7 hold the saved
-return address, 8-15 the saved base register, 16-23 the canary when one
-is present. Higher indices are lower machine addresses, so a write that
-ascends in address space walks *down* in index space and may continue
-into the caller frame (frames are address-contiguous).
+Each frame is a `bytes` object with one letter per byte state (F, C, O
+or M), indexed so that index i denotes the byte at machine address
+rbp_anchor + 15 - i: indices 0-7 hold the saved return address, 8-15 the
+saved base register, 16-23 the canary when one is present. Higher
+indices are lower machine addresses, so a write that ascends in address
+space walks *down* in index space and may continue into the caller frame
+(frames are address-contiguous). A write is one `bytes.translate` per
+run of adjacent bytes, through the table of its byte operator.
 
 The state space itself is a labeled transition system built by DFS over
 the binary CFG; library calls and loops contribute summarized effects
@@ -18,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import groupby
 
 from .frontend import (CANARY_FS_OFFSET, CMOV, IMM, MEM, REG, BCfg, FunctionMap,
                        Instruction, ProgramImage)
@@ -78,12 +81,19 @@ def byte_transition(state: ByteState, op: ByteOp) -> ByteState:
         raise IllegalByteTransition(f"{state.name} + {op.value} has no transition")
 
 
+# the automaton as one `bytes.translate` table per operator over the
+# letters; 0 marks a letter with no transition
+_TRANSLATE = {op: bytearray(256) for op in ByteOp}
+for (_state, _op), _target in _BYTE_AUTOMATON.items():
+    _TRANSLATE[_op][ord(_state.value)] = ord(_target.value)
+
+
 # --- frames and states ---------------------------------------------------
 
 @dataclass(frozen=True)
 class StackFrame:
     label: str
-    bytes: tuple[ByteState, ...]
+    bytes: bytes                # one ByteState letter per byte
     buffers: frozenset[tuple[int, int]] = frozenset()  # (rbp offset, size)
     has_canary: bool = False
     has_rbp_slot: bool = False  # standard prologue (push rbp; mov rbp, rsp) seen
@@ -96,18 +106,7 @@ class StackFrame:
         return (len(self.bytes) - 1) - disp
 
     def rle(self) -> str:
-        out = []
-        run, count = None, 0
-        for b in self.bytes:
-            if b is run:
-                count += 1
-            else:
-                if run is not None:
-                    out.append(f"{count}{run.value}")
-                run, count = b, 1
-        if run is not None:
-            out.append(f"{count}{run.value}")
-        return "".join(out)
+        return "".join(f"{len(list(run))}{chr(letter)}" for letter, run in groupby(self.bytes))
 
 
 @dataclass(frozen=True)
@@ -128,9 +127,6 @@ class MemoryState:
     frames: tuple[StackFrame, ...]
     incoming_label: TransitionLabel | None = None
 
-    def key(self):
-        return (self.frames, self.incoming_label)
-
     @property
     def top(self) -> StackFrame:
         return self.frames[-1]
@@ -138,7 +134,7 @@ class MemoryState:
 
 def fresh_frame(label: str) -> StackFrame:
     """A frame as created by a call: 8 critical bytes of saved return address."""
-    return StackFrame(label=label, bytes=(ByteState.CRITICAL,) * 8)
+    return StackFrame(label=label, bytes=b"C" * 8)
 
 
 # --- memory operators ----------------------------------------------------
@@ -272,12 +268,9 @@ def apply_memory_operator(state: MemoryState, op: MemOp, *,
     if op.kind == "fa":
         frames.append(fresh_frame("?"))
     elif op.kind == "push":
-        top = frames[-1]
-        filler = ByteState.CRITICAL if op.byte_op is ByteOp.RWRITE else ByteState.OCCUPIED
-        new_frame = replace(top, bytes=top.bytes + (filler,) * 8)
-        if op.byte_op is ByteOp.RWRITE and len(top.bytes) == 8:
-            new_frame = replace(new_frame, has_rbp_slot=True)
-        frames[-1] = new_frame
+        top, risky = frames[-1], op.byte_op is ByteOp.RWRITE
+        frames[-1] = replace(top, bytes=top.bytes + (b"C" if risky else b"O") * 8,
+                             has_rbp_slot=top.has_rbp_slot or (risky and len(top.bytes) == 8))
     elif op.kind == "pop":
         top = frames[-1]
         if len(top.bytes) - 8 < 8:
@@ -285,7 +278,7 @@ def apply_memory_operator(state: MemoryState, op: MemOp, *,
         frames[-1] = replace(top, bytes=top.bytes[:-8])
     elif op.kind == "fe":
         top = frames[-1]
-        frames[-1] = replace(top, bytes=top.bytes + (ByteState.FREE,) * op.amount)
+        frames[-1] = replace(top, bytes=top.bytes + b"F" * op.amount)
     elif op.kind == "shrink":
         top = frames[-1]
         if len(top.bytes) - op.amount < 16:
@@ -310,12 +303,9 @@ def apply_memory_operator(state: MemoryState, op: MemOp, *,
         notes.extend(extra)
     else:
         raise ValueError(f"not a direct operator: {op.kind}")
-    new = MemoryState(frames=tuple(frames), incoming_label=state.incoming_label)
     if op.kind == "write" and op.canary:
-        top = new.frames[-1]
-        new = MemoryState(frames=new.frames[:-1] + (replace(top, has_canary=True),),
-                          incoming_label=new.incoming_label)
-    return new, notes
+        frames[-1] = replace(frames[-1], has_canary=True)
+    return MemoryState(frames=tuple(frames), incoming_label=state.incoming_label), notes
 
 
 def _apply_touches(frames: list[StackFrame], touched: list[tuple[int, int]],
@@ -323,10 +313,13 @@ def _apply_touches(frames: list[StackFrame], touched: list[tuple[int, int]],
     """Apply byte transitions at (frame position, index) pairs.
 
     Indices below 0 continue into the caller frame at its highest index;
-    running past the outermost frame raises or clamps.
+    running past the outermost frame raises or clamps. Each run of adjacent
+    touches (descending index in one frame) is one slice translate; runs
+    apply in order, so the result is the byte-by-byte one.
     """
     notes: list[str] = []
-    mutable = [list(f.bytes) for f in frames]
+    rows = [f.bytes for f in frames]
+    runs: list[list[int]] = []      # [pos, lo, hi) in touch order
     for pos, idx in touched:
         while idx < 0:
             if pos == 0:
@@ -336,16 +329,26 @@ def _apply_touches(frames: list[StackFrame], touched: list[tuple[int, int]],
                 idx = None
                 break
             pos -= 1
-            idx = len(mutable[pos]) + idx  # idx is negative
+            idx = len(rows[pos]) + idx  # idx is negative
         if idx is None:
             continue
-        if idx >= len(mutable[pos]):
+        if idx >= len(rows[pos]):
             if not clamp:
                 raise WriteOutsideStack("write below the allocated frame")
             notes.append("write below the allocated frame; clamped")
             continue
-        mutable[pos][idx] = byte_transition(mutable[pos][idx], byte_op)
-    out = [replace(f, bytes=tuple(bs)) for f, bs in zip(frames, mutable)]
+        if runs and runs[-1][0] == pos and runs[-1][1] == idx + 1:
+            runs[-1][1] = idx
+        else:
+            runs.append([pos, idx, idx + 1])
+    table = _TRANSLATE[byte_op]
+    for pos, lo, hi in runs:
+        row = rows[pos]
+        seg = row[lo:hi].translate(table)
+        if 0 in seg:    # the first touched (highest) index without a transition
+            byte_transition(ByteState(chr(row[lo + seg.rindex(0)])), byte_op)
+        rows[pos] = row[:lo] + seg + row[hi:]
+    out = [f if f.bytes is bs else replace(f, bytes=bs) for f, bs in zip(frames, rows)]
     return out, notes
 
 
@@ -427,7 +430,6 @@ class Config:
 class _SpaceBuilder:
     def __init__(self, bcfg: BCfg, funcs: FunctionMap, effects, cfg: Config,
                  image: ProgramImage, buffer_overrides: dict | None):
-        self.bcfg = bcfg
         self.funcs = funcs
         self.effects = effects
         self.cfg = cfg
@@ -444,13 +446,13 @@ class _SpaceBuilder:
         self._fn_canary_sites: dict[str, set[int]] = {}
 
     def intern(self, state: MemoryState) -> int:
-        key = state.key()
-        if key in self.ids:
-            return self.ids[key]
+        sid = self.ids.get(state)     # frames plus incoming label
+        if sid is not None:
+            return sid
         if len(self.states) >= self.cfg.max_states:
             raise StateBudgetExceeded(f"state budget ({self.cfg.max_states}) exhausted")
         sid = len(self.states)
-        self.ids[key] = sid
+        self.ids[state] = sid
         self.states[sid] = state
         return sid
 
@@ -527,14 +529,12 @@ class _SpaceBuilder:
                     work.append((call_stack[-1], dst, call_stack[:-1]))
                 continue
 
+            # a target outside the image is dropped when popped
             if ins.mnemonic == "jmp":
-                tgt = ins.target()
-                work.append((tgt if tgt in self.image.instructions else None, sid, call_stack))
+                work.append((ins.target(), sid, call_stack))
                 continue
             if ins.is_conditional:
-                tgt = ins.target()
-                if tgt in self.image.instructions:
-                    work.append((tgt, sid, call_stack))
+                work.append((ins.target(), sid, call_stack))
                 work.append((nxt, sid, call_stack))
                 continue
 
@@ -552,11 +552,7 @@ class _SpaceBuilder:
 
     def _next_in_function(self, pc: int, fn: str) -> int | None:
         nxt = self.image.next_address(pc)
-        if nxt is None:
-            return None
-        if self.funcs.function_of(nxt) != fn:
-            return None
-        return nxt
+        return nxt if nxt is not None and self.funcs.function_of(nxt) == fn else None
 
     def _came_from_loop(self, sid: int, loop) -> bool:
         lbl = self.states[sid].incoming_label

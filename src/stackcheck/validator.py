@@ -57,12 +57,19 @@ def run(image: ProgramImage, stdin: bytes = b"", cfg: Config | None = None,
 
 
 def validate_patch(original: ProgramImage, patched: ProgramImage,
-                   crash_input: CrashInput | None, cfg: Config | None = None) -> ValidationReport:
+                   crash_input: CrashInput | None, cfg: Config | None = None,
+                   runs: dict | None = None) -> ValidationReport:
     """Before/after protocol: derived input when available, otherwise a
-    deterministic batch of random inputs."""
+    deterministic batch of random inputs.
+
+    `runs` memoizes whole-program outcomes by (image, stdin) across calls
+    that share it; the interpreter is deterministic, so a memoized outcome
+    is the one a new run gives. The images must stay alive while `runs`
+    is in use, because they are keyed by identity."""
     cfg = cfg or Config()
+    runs = {} if runs is None else runs
     if crash_input is not None:
-        return _one_trial(original, patched, crash_input.data, "derived", cfg)
+        return _one_trial(original, patched, crash_input.data, "derived", cfg, runs)
 
     rng = random.Random(cfg.seed)
     reports = []
@@ -70,7 +77,7 @@ def validate_patch(original: ProgramImage, patched: ProgramImage,
         length = min(1 << rng.randrange(0, max(cfg.max_input_len.bit_length() - 1, 1)),
                      cfg.max_input_len)
         data = bytes(rng.randrange(0x41, 0x5B) for _ in range(length)) + b"\n"
-        reports.append(_one_trial(original, patched, data, "random", cfg))
+        reports.append(_one_trial(original, patched, data, "random", cfg, runs))
     failed = [r for r in reports if not r.success]
     if failed:
         return failed[0]
@@ -78,9 +85,8 @@ def validate_patch(original: ProgramImage, patched: ProgramImage,
 
 
 def _one_trial(original: ProgramImage, patched: ProgramImage, data: bytes,
-               source: str, cfg: Config) -> ValidationReport:
-    before = run(original, stdin=data, cfg=cfg)
-    after = run(patched, stdin=data, cfg=cfg)
+               source: str, cfg: Config, runs: dict) -> ValidationReport:
+    before, after = (_memo_run(runs, image, data, cfg) for image in (original, patched))
     notes = []
     if before.crashed() and after.status == CLEAN:
         success = True
@@ -100,3 +106,10 @@ def _one_trial(original: ProgramImage, patched: ProgramImage, data: bytes,
     return ValidationReport(input_used=data, input_source=source,
                             original=before, patched=after, success=success,
                             notes=notes)
+
+
+def _memo_run(runs: dict, image: ProgramImage, data: bytes, cfg: Config) -> RunOutcome:
+    key = (id(image), data)     # every run starts at the image's entry point
+    if key not in runs:
+        runs[key] = run(image, stdin=data, cfg=cfg)
+    return runs[key]

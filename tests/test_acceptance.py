@@ -86,9 +86,9 @@ def test_acceptance_2_five_step_chain_reproduction():
     after_1 = space.states[1].top
     after_2 = space.states[2].top
     after_5 = space.states[5].top
-    snap_ok = (after_1.bytes == (C,) * 16
-               and after_2.bytes == (C,) * 16 + (F,) * 32
-               and all(after_5.bytes[i] is M for i in range(16)))
+    snap_ok = (after_1.bytes == b"C" * 16
+               and after_2.bytes == b"C" * 16 + b"F" * 32
+               and after_5.bytes[:16] == b"M" * 16)
 
     rip = compile_monitor(next(p for p in PROPS if p.name == "RIP Integrity"))
     verdict = check(space, rip, oracle.libc_names())
@@ -107,7 +107,7 @@ def _random_state(rng: random.Random) -> MemoryState:
     frames = []
     for k in range(rng.randrange(1, 3)):
         size = rng.choice([8, 16, 24, 32, 48])
-        content = tuple(rng.choice([F, C, O, M]) for _ in range(size))
+        content = bytes(rng.choice(b"FCOM") for _ in range(size))
         base = fresh_frame(f"fn{k}")
         buffers = frozenset()
         if size >= 32 and rng.random() < 0.5:

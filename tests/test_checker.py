@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import random
 import tempfile
+from collections import Counter
 from pathlib import Path
 
-
 from stackcheck.checker import HOLDS, INCONCLUSIVE, VIOLATED, check, map_cwe
-from stackcheck.ltl import EvalContext, compile_monitor, eval_body, load_bundled_properties
-from stackcheck.memstace import (ByteState, Config, MemStaCe, MemoryState,
-                                 StackFrame, TransitionLabel, fresh_frame)
+from stackcheck.effects import EffectsOracle
+from stackcheck.frontend import (DuplicateFunction, MalformedLine, build_bcfg,
+                                 extract_user_functions, parse_disassembly)
+from stackcheck.ltl import (EvalContext, Monitor, compile_monitor, eval_body,
+                            load_bundled_properties)
+from stackcheck.memstace import (Config, MemStaCe, MemoryState, StackFrame,
+                                 TransitionLabel, build_memstace, fresh_frame)
 
-from conftest import corpus_path, space_for
+from conftest import CORPUS_DIR, FIXTURE_DIR, corpus_path, space_for
+from test_fuzz import MUTANTS, SEED, _mutate
 
-C, M = ByteState.CRITICAL, ByteState.MODIFIED
 PROPS = {p.name: p for p in load_bundled_properties()}
 LIBC = {"strcpy", "strcat", "sprintf", "gets", "scanf", "fgets", "snprintf",
         "memset", "printf", "puts", "strncpy"}
@@ -96,7 +101,7 @@ def test_shortest_of_two_paths_is_emitted():
                        incoming_label=TransitionLabel("push", 0x10))
     mid2 = MemoryState(frames=(fresh_frame("f"),),
                        incoming_label=TransitionLabel("fe", 0x14))
-    bad_frame = StackFrame(label="f", bytes=(M,) * 8)
+    bad_frame = StackFrame(label="f", bytes=b"M" * 8)
     bad = MemoryState(frames=(bad_frame,),
                       incoming_label=TransitionLabel("write", 0x18))
     space = MemStaCe(
@@ -142,8 +147,8 @@ def test_trace_deltas_reproduce_violating_state():
         for pos in range(min(len(prev.frames), len(nxt.frames))):
             fb, fa = prev.frames[pos], nxt.frames[pos]
             for idx in range(min(len(fb.bytes), len(fa.bytes))):
-                if fb.bytes[idx] is not fa.bytes[idx]:
-                    expected.add((fa.label, idx, fb.bytes[idx].value, fa.bytes[idx].value))
+                if fb.bytes[idx] != fa.bytes[idx]:
+                    expected.add((fa.label, idx, chr(fb.bytes[idx]), chr(fa.bytes[idx])))
         assert expected == set(step.deltas)
     assert space.states[path_states[-1]].frames == target.frames
 
@@ -187,6 +192,75 @@ def test_bfs_agrees_with_path_enumeration(corpus_paths):
                 if got != want:
                     disagreements.append((path.stem, root, prop.name, got, want))
     assert disagreements == []
+
+
+# --- one BFS for all properties ---------------------------------------------------
+
+def _spaces(text: str, cfg: Config):
+    """(space, libc names) for every root of a listing."""
+    image = parse_disassembly(text)
+    bcfg = build_bcfg(image)
+    funcs = extract_user_functions(bcfg, image)
+    oracle = EffectsOracle(image, bcfg, funcs, cfg)
+    for entry in funcs.entries.values():
+        oracle.set_root(entry)
+        yield build_memstace(bcfg, funcs, oracle, cfg, image=image, entry=entry), \
+            oracle.libc_names()
+
+
+def _listings():
+    """The corpus, the fixtures and the tests/test_fuzz.py mutants, each with
+    the Config it is analysed under there."""
+    sources = sorted(CORPUS_DIR.glob("*.s")) + sorted(FIXTURE_DIR.glob("*.s"))
+    for path in sources:
+        yield path.read_text(), Config()
+    rng = random.Random(SEED)
+    for _ in range(MUTANTS):
+        src = rng.choice(sources)
+        yield _mutate(rng, src.read_text()), Config(max_states=2000, step_budget=20000)
+
+
+def _verdict_key(v):
+    trace = (v.trace.to_json(), v.trace.violating_state) if v.trace else None
+    return v.property_name, v.status, trace, v.vacuity_notes, v.vacuous
+
+
+def test_one_bfs_for_all_properties_matches_one_bfs_each(monkeypatch):
+    """For every root, the all-monitor search gives each monitor the verdict,
+    trace, notes and vacuity flag of a search for that monitor alone, with
+    the same monitor steps, and dequeues no more states than the longest
+    single search."""
+    monitors = [compile_monitor(p) for p in PROPS.values()]
+    steps: list[tuple[str, int]] = []
+    real_step = Monitor.step
+
+    def step(self, monitor_state, memory_state, ctx):
+        steps.append((self.name, id(memory_state)))
+        return real_step(self, monitor_state, memory_state, ctx)
+
+    monkeypatch.setattr(Monitor, "step", step)
+    roots = violated = 0
+    for text, cfg in _listings():
+        try:
+            spaces = list(_spaces(text, cfg))
+        except (MalformedLine, DuplicateFunction):
+            continue
+        for space, libc in spaces:
+            steps.clear()
+            merged = check(space, monitors, libc)
+            merged_steps = Counter(name for name, _ in steps)
+            dequeued = len({state for _, state in steps})
+            longest = 0
+            for monitor, verdict in zip(monitors, merged):
+                steps.clear()
+                alone, = check(space, [monitor], libc)
+                assert _verdict_key(verdict) == _verdict_key(alone), (space.root, monitor.name)
+                assert merged_steps[monitor.name] == len(steps), (space.root, monitor.name)
+                longest = max(longest, len(steps))
+                violated += verdict.status == VIOLATED
+            assert dequeued <= longest, space.root
+            roots += 1
+    assert roots >= 150 and violated >= 100, (roots, violated)
 
 
 # --- CWE map ----------------------------------------------------------------------

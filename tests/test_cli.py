@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from stackcheck import checker, cli, ltl
 from stackcheck.cli import (Report, PropertyResult, analyze, analyze_image,
                             main, report_metrics)
+from stackcheck.frontend import parse_disassembly
 from stackcheck.memstace import Config
 
-from conftest import CORPUS_DIR, corpus_path, fixture_path, load_image
+from conftest import CORPUS_DIR, FIXTURE_DIR, corpus_path, fixture_path, load_image
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "report_schema.json"
 
@@ -154,6 +156,97 @@ def test_timeout_marks_remaining_inconclusive():
     assert report.truncated
     assert all(p.status == "inconclusive" for p in report.properties)
     assert report.status == "inconclusive"
+
+
+class _Clock:
+    """A stand-in for the `time` module `cli` reads: the time moves only
+    when a wrapped stage says so."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self) -> float:
+        return self.now
+
+
+def _slow(monkeypatch, clock: _Clock, owner, name: str, cost: float):
+    """Make every call of `owner.<name>` take `cost` seconds on `clock`."""
+    real = getattr(owner, name)
+
+    def slow(*args, **kwargs):
+        result = real(*args, **kwargs)
+        clock.now += cost
+        return result
+    monkeypatch.setattr(owner, name, slow)
+
+
+_ONE_ROOT = """\
+main:
+401000: push rbp
+401004: mov rbp, rsp
+401008: sub rsp, 0x10
+40100c: mov [rbp-0x8], rdi
+401010: add rsp, 0x10
+401014: pop rbp
+401018: ret
+"""
+
+
+def test_timeout_before_checking_is_inconclusive_not_clean(monkeypatch):
+    """The deadline expires after the only root is built but before it is
+    checked: no property was checked, so the binary is not clean."""
+    clock = _Clock()
+    monkeypatch.setattr(cli, "time", clock)
+    _slow(monkeypatch, clock, cli, "build_memstace", 5.0)
+    report = analyze_image(parse_disassembly(_ONE_ROOT), "one_root", Config(timeout=1))
+    assert not report.truncated
+    assert [p.status for p in report.properties] == ["inconclusive"] * 7
+    assert report.status == "inconclusive"
+    assert "timeout before checking 'RIP Integrity' on root 'main'" in report.notes
+
+
+def test_timeout_between_roots_keeps_found_violations(monkeypatch):
+    """Checking the first root (copy) outlasts the deadline: the violations
+    found there stand, and every other property is inconclusive with a note
+    naming the unchecked root (main)."""
+    clock = _Clock()
+    monkeypatch.setattr(cli, "time", clock)
+    _slow(monkeypatch, clock, checker, "check", 5.0)
+    image = load_image(corpus_path("strcpy_rip_vuln"))
+    report = analyze_image(image, "strcpy_rip_vuln", Config(timeout=1))
+    assert report.roots == ["copy", "main"]
+    statuses = {p.name: p.status for p in report.properties}
+    assert statuses["RIP Integrity"] == "violated"
+    assert "inconclusive" in statuses.values()
+    for name, status in statuses.items():
+        note = f"timeout before checking {name!r} on root 'main'"
+        assert (note in report.notes) == (status == "inconclusive"), name
+    assert report.status == "vulnerable"
+
+
+def test_report_does_not_depend_on_property_order(tmp_path, monkeypatch):
+    """The seven properties read from a file in reverse order, in place of
+    the bundled set, give the same report apart from the order in which
+    the properties and their notes are listed."""
+    paths = [str(p) for p in sorted(CORPUS_DIR.glob("*.s")) + sorted(FIXTURE_DIR.glob("*.s"))]
+
+    def normal(report) -> dict:
+        doc = report.to_json()
+        doc.pop("timings")
+        doc["properties"] = sorted(doc["properties"], key=lambda p: p["name"])
+        doc["notes"] = sorted(doc["notes"])
+        return doc
+
+    before = [normal(r) for r in analyze(paths, Config(), patch_all=True, validate=True)]
+    reversed_file = tmp_path / "reversed.props"
+    reversed_file.write_text("\n".join(
+        f'property "{p.name}" {{ ltl: {p.source} cwe: [{", ".join(p.cwes)}] }}'
+        for p in reversed(ltl.load_bundled_properties())))
+    monkeypatch.setattr(ltl, "load_bundled_properties", list)
+    after = analyze(paths, Config(properties_path=str(reversed_file)),
+                    patch_all=True, validate=True)
+    assert after[0].properties[0].name == "No gets() Usage"
+    assert [normal(r) for r in after] == before
 
 
 # --- metrics ---------------------------------------------------------------------

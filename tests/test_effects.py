@@ -211,7 +211,7 @@ def test_effect_replay_matches_frame_model():
     state, _ = apply_memory_operator(state, Push(BO.RWRITE))
     state, _ = apply_memory_operator(state, Fe(0x20))
     after, notes = apply_effect(state, effect)
-    occupied = {i for i, b in enumerate(after.top.bytes) if b.name == "OCCUPIED"}
+    occupied = {i for i, b in enumerate(after.top.bytes) if b == ord("O")}
     assert occupied == {28, 29, 30, 31}
 
 

@@ -30,7 +30,7 @@ def _prologue_and_smashed_states():
     smashed_frame = prologue.top
     smashed_frame = smashed_frame.__class__(
         label="copy",
-        bytes=(M,) * 16,
+        bytes=b"M" * 16,
         buffers=smashed_frame.buffers,
         has_canary=False,
         has_rbp_slot=True)
@@ -169,9 +169,7 @@ def test_quantifier_expansion_equivalence():
         state = _random_state(rng)
         ctx = EvalContext()
         got = eval_body(body, state, {}, ctx)
-        explicit = all(
-            all(f.bytes[i] is C for i in range(0, 8))
-            for f in state.frames)
+        explicit = all(f.bytes[0:8] == b"C" * 8 for f in state.frames)
         assert got == explicit
 
 
@@ -182,14 +180,14 @@ def test_exists_is_disjunction():
     for _ in range(50):
         state = _random_state(rng)
         got = eval_body(body, state, {}, EvalContext())
-        assert got == any(f.bytes[0] is M for f in state.frames)
+        assert got == any(f.bytes[:1] == b"M" for f in state.frames)
 
 
 def _random_state(rng: random.Random, allow_labels=False) -> MemoryState:
     frames = []
     for k in range(rng.randrange(1, 3)):
         size = rng.choice([8, 16, 24, 48])
-        content = tuple(rng.choice([F, C, O, M]) for _ in range(size))
+        content = bytes(rng.choice(b"FCOM") for _ in range(size))
         frame = fresh_frame(f"fn{k}")
         frame = frame.__class__(label=f"fn{k}", bytes=content,
                                 buffers=frozenset(), has_canary=rng.random() < 0.3,

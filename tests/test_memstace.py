@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
 from stackcheck.frontend import parse_disassembly
-from stackcheck.memstace import (ByteOp, ByteState, Config, Fe, FrameContext,
+from stackcheck.memstace import (_BYTE_AUTOMATON, _TRANSLATE, ByteOp, ByteState,
+                                 Config, Fe, FrameContext,
                                  IllegalByteTransition, MemoryState,
                                  OverlappingBuffer, PopUnderflow, Pop, Push,
-                                 Write, WriteOutsideStack,
+                                 StackFrame, Write, WriteOutsideStack,
                                  apply_memory_operator, buffer_index_span,
                                  byte_transition,
                                  classify_instruction, fresh_frame,
@@ -50,6 +52,76 @@ def test_byte_automaton_exhaustive():
                 with pytest.raises(IllegalByteTransition):
                     byte_transition(state, op)
     assert legal == 5
+
+
+def test_translate_tables_agree_with_the_automaton():
+    """Each operator's table maps a letter as the automaton maps its state;
+    a write over a letter with no transition raises."""
+    for state in ByteState:
+        for op in ByteOp:
+            target = _BYTE_AUTOMATON.get((state, op))
+            assert _TRANSLATE[op][ord(state.value)] == (ord(target.value) if target else 0)
+            frame = StackFrame("f", b"C" * 16 + state.value.encode() * 4, has_rbp_slot=True)
+            before = MemoryState(frames=(frame,))
+            write = Write(op, "rbp", -4, 4)     # indices 19..16
+            if target is None:
+                with pytest.raises(IllegalByteTransition, match=state.name):
+                    apply_memory_operator(before, write)
+            else:
+                after, _ = apply_memory_operator(before, write)
+                assert after.top.bytes == b"C" * 16 + target.value.encode() * 4
+
+
+def _write_byte_by_byte(frames, start: int, width: int, op: ByteOp) -> list[bytes]:
+    """Reference write: one byte_transition per touched byte, in touch order,
+    continuing into caller frames and clamped past the outermost one."""
+    rows = [[ByteState(chr(b)) for b in f.bytes] for f in frames]
+    for k in range(width):
+        pos, idx = len(rows) - 1, start - k
+        while idx < 0 and pos > 0:
+            pos -= 1
+            idx += len(rows[pos])
+        if idx >= 0:
+            rows[pos][idx] = byte_transition(rows[pos][idx], op)
+    return ["".join(s.value for s in row).encode() for row in rows]
+
+
+def test_slice_translate_writes_match_byte_by_byte():
+    rng = random.Random(5)
+    raised = 0
+    for _ in range(500):
+        frames = tuple(StackFrame(f"fn{k}", bytes(rng.choice(b"FCOM")
+                                                 for _ in range(rng.randrange(8, 40))))
+                       for k in range(rng.randrange(1, 4)))
+        op = rng.choice(list(ByteOp))
+        start = rng.randrange(len(frames[-1].bytes))
+        width = rng.randrange(1, 48)
+        write = Write(op, "rsp", len(frames[-1].bytes) - 1 - start, width)
+        try:
+            want = _write_byte_by_byte(frames, start, width, op)
+        except IllegalByteTransition as exc:
+            raised += 1
+            with pytest.raises(IllegalByteTransition, match=re.escape(str(exc))):
+                apply_memory_operator(MemoryState(frames=frames), write, clamp=True)
+            continue
+        after, _ = apply_memory_operator(MemoryState(frames=frames), write, clamp=True)
+        assert [f.bytes for f in after.frames] == want
+    assert 50 < raised < 450
+
+
+def test_rle_matches_a_reference_encoding():
+    rng = random.Random(11)
+    for _ in range(200):
+        runs = [(rng.choice("FCOM"), rng.randrange(1, 12)) for _ in range(rng.randrange(0, 8))]
+        letters = "".join(letter * n for letter, n in runs)
+        merged: list[list] = []
+        for letter, n in runs:
+            if merged and merged[-1][0] == letter:
+                merged[-1][1] += n
+            else:
+                merged.append([letter, n])
+        want = "".join(f"{n}{letter}" for letter, n in merged)
+        assert StackFrame("f", letters.encode()).rle() == want
 
 
 # --- classification -----------------------------------------------------------
@@ -116,8 +188,8 @@ def _prologue_state() -> MemoryState:
 def test_fa_push_fe_snapshot():
     state = _prologue_state()
     frame = state.top
-    assert frame.bytes[:16] == (C,) * 16
-    assert frame.bytes[16:] == (F,) * 32
+    assert frame.bytes[:16] == b"C" * 16
+    assert frame.bytes[16:] == b"F" * 32
     assert frame.has_rbp_slot
 
 
@@ -140,9 +212,9 @@ def test_seventeen_byte_write_marks_off_by_one():
     state = _prologue_state()
     state, _ = apply_memory_operator(state, Write(NRW, "rbp", -16, 17))
     frame = state.top
-    assert all(frame.bytes[i] is O for i in range(16, 32))
-    assert frame.bytes[15] is M
-    assert frame.bytes[14] is C
+    assert frame.bytes[16:32] == b"O" * 16
+    assert frame.bytes[15:16] == b"M"
+    assert frame.bytes[14:15] == b"C"
 
 
 def test_write_outside_stack_raises():
@@ -160,15 +232,15 @@ def test_cross_frame_write_continuity():
     state, _ = apply_memory_operator(state, Write(NRW, "rbp", 0, 20))
     callee, = [f for f in state.frames if f.label == "g"]
     caller_after = state.frames[0]
-    assert all(callee.bytes[i] is M for i in range(0, 16))
-    assert all(caller_after.bytes[i] is O for i in range(44, 48))
-    assert caller_after.bytes[43] is F
+    assert callee.bytes[0:16] == b"M" * 16
+    assert caller_after.bytes[44:48] == b"O" * 4
+    assert caller_after.bytes[43:44] == b"F"
 
 
 def test_rsp_relative_write():
     state = _prologue_state()
     state, _ = apply_memory_operator(state, Write(NRW, "rsp", 0, 8))
-    assert all(state.top.bytes[i] is O for i in range(40, 48))
+    assert state.top.bytes[40:48] == b"O" * 8
 
 
 def test_frame_size_changes_only_by_stack_ops():
@@ -252,12 +324,12 @@ def test_copy_space_matches_expected_chain():
     kinds = [lbl.kind for _, lbl, _ in space.transitions[:5]]
     assert kinds == ["push", "fe", "write", "buffer-register", "call"]
     snapshots = [space.states[i].top for i in range(6)]
-    assert snapshots[0].bytes == (C,) * 8
-    assert snapshots[1].bytes == (C,) * 16
-    assert snapshots[2].bytes == (C,) * 16 + (F,) * 32
+    assert snapshots[0].bytes == b"C" * 8
+    assert snapshots[1].bytes == b"C" * 16
+    assert snapshots[2].bytes == b"C" * 16 + b"F" * 32
     final = snapshots[5]
-    assert all(final.bytes[i] is M for i in range(16))
-    assert all(final.bytes[i] is O for i in range(16, 32))
+    assert final.bytes[:16] == b"M" * 16
+    assert final.bytes[16:32] == b"O" * 16
 
 
 def test_no_stack_write_function_space():

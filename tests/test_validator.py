@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 
+from stackcheck import validator
+from stackcheck.cli import analyze
 from stackcheck.effects import CrashInput
 from stackcheck.frontend import parse_disassembly
 from stackcheck.memstace import Config
 from stackcheck.validator import CLEAN, CRASH, STEP_BUDGET, run, validate_patch
 
 from conftest import corpus_path, fixture_path, load_image
+from test_oracle import _chain
 
 
 def _patched(name: str):
@@ -148,3 +151,27 @@ def test_scanf_opt_in_patch_validates():
     assert report.original.cause == "return-address-corrupted"
     assert report.patched.status == CLEAN
     assert report.success
+
+
+def test_whole_program_runs_do_not_grow_with_chain_length(tmp_path, monkeypatch):
+    """Every sink of a chain listing is validated against the same patched
+    image, on one of a few distinct inputs: each (image, stdin) pair runs
+    once per analysis, however many sinks share it."""
+    runs = [0]
+    real_run = validator.run
+
+    def counted(*args, **kwargs):
+        runs[0] += 1
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(validator, "run", counted)
+    counts = []
+    for n in (8, 16, 32):
+        path = tmp_path / f"chain_{n}.s"
+        path.write_text(_chain(n))
+        runs[0] = 0
+        report = analyze([str(path)], Config(), patch_all=True, validate=True)[0]
+        assert report.error is None
+        assert len(report.validations) == len(report.patches) >= n
+        counts.append(runs[0])
+    assert counts[0] == counts[1] == counts[2], counts
