@@ -30,6 +30,9 @@ from .memstace import Config, build_memstace, dump_memstace
 from .patcher import NoSinkFound, NoTemplate, load_templates
 
 SCHEMA_VERSION = 1
+# a property file that raises one of these is an input error, not an internal one
+PROPERTY_ERRORS = (ltl.PropertySyntaxError, ltl.UnknownOperator,
+                   ltl.UnsupportedFragment, ltl.UnboundVariable)
 
 
 @dataclass
@@ -141,16 +144,23 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
                                 f"{lp.function!r}; body walked without a summary")
     for blk in bcfg.blocks.values():
         last = blk.instructions[-1]
-        if last.mnemonic == "call" and last.target_symbol() is None \
-                and last.target() not in image.instructions:
+        if last.mnemonic != "call":
+            continue
+        sym, target = last.target_symbol(), last.target()
+        if sym is None and target not in image.instructions:
             report.notes.append(
                 f"indirect/unresolved call at {last.address:#x} treated as external sink")
+        elif sym and sym.endswith("@plt") and target in image.instructions:
+            report.warnings.append(
+                f"call at {last.address:#x} names {sym} but its target {target:#x} is in "
+                f"user function {funcs.function_of(target)!r}; it descends as a user call")
 
     roots = sorted(funcs.entries.items(), key=lambda kv: kv[1])
     roots = [(n, a) for n, a in roots if not n.startswith("__patch_")]
     report.roots = [n for n, _ in roots]
 
     spaces = {}
+    decoded: dict = {}      # instruction records shared by every root's build
     build_elapsed = 0.0
     for fn_name, entry in roots:
         if deadline and time.perf_counter() > deadline:
@@ -159,8 +169,9 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
             break
         oracle.set_root(entry)
         b0 = time.perf_counter()
-        space = build_memstace(bcfg, funcs, oracle, cfg, image=image,
-                               entry=entry, buffer_overrides=overrides)
+        space = build_memstace(bcfg, funcs, oracle, cfg, image=image, entry=entry,
+                               buffer_overrides=overrides, deadline=deadline,
+                               decoded=decoded)
         build_elapsed += time.perf_counter() - b0
         spaces[fn_name] = space
         report.notes.extend(space.notes)
@@ -344,7 +355,7 @@ def analyze(paths: list[str], cfg: Config | None = None, *, patch: bool = False,
             image = parse_disassembly(Path(path).read_text(encoding="utf-8"))
             report = analyze_image(image, name, cfg, patch=patch, validate=validate,
                                    patch_all=patch_all, export_memstace=export_memstace)
-        except (MalformedLine, DuplicateFunction, OSError) as exc:
+        except (MalformedLine, DuplicateFunction, OSError, *PROPERTY_ERRORS) as exc:
             report = Report(binary=name, status="error", error=str(exc))
         except Exception as exc:    # a failure ends this binary's analysis, not the batch
             where = traceback.extract_tb(exc.__traceback__)[-1]
@@ -483,6 +494,14 @@ def main(argv: list[str] | None = None) -> int:
                  templates_path=args.templates, libc_db_path=args.libc_db,
                  buffers_path=args.buffers,
                  enable_scanf_patch=args.enable_scanf_patch)
+    if args.props:
+        # a property file that cannot be compiled fails before any binary is read
+        try:
+            for prop in _load_properties(cfg):
+                ltl.compile_monitor(prop)
+        except (OSError, *PROPERTY_ERRORS) as exc:
+            print(f"stackcheck: --props {args.props}: {exc}", file=sys.stderr)
+            return 2
     reports = analyze(args.paths, cfg, patch=args.patch or bool(args.out),
                       validate=args.validate, patch_all=args.patch_all,
                       out_dir=args.out, export_memstace=args.export_memstace)

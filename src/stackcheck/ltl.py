@@ -52,6 +52,10 @@ class UnsupportedFragment(Exception):
     pass
 
 
+class UnboundVariable(Exception):
+    pass
+
+
 # --- AST ---------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -488,15 +492,8 @@ def compile_body(node, free: tuple[str, ...] = ()) -> Callable[..., bool]:
 
     def pred(state: MemoryState, ctx: EvalContext, *values) -> bool:
         return inner(state, [*values, *binder_slots], ctx)
+    pred.unbound = tuple(compiler.unbound_names)
     return pred
-
-
-def _unbound(name: str):
-    """A variable that no binder in scope defines raises KeyError when it is
-    evaluated, so a branch that is never reached does not fail."""
-    def unbound_variable(*_):
-        raise KeyError(name)
-    return unbound_variable
 
 
 class _Compiler:
@@ -505,6 +502,16 @@ class _Compiler:
 
     def __init__(self, slots: int):
         self.slots = slots
+        self.unbound_names: list[str] = []
+
+    def unbound(self, name: str):
+        """A variable that no binder in scope defines is recorded, and raises
+        KeyError when it is evaluated, so a branch never reached does not fail."""
+        self.unbound_names.append(name)
+
+        def unbound_variable(*_):
+            raise KeyError(name)
+        return unbound_variable
 
     def bind(self, scope: dict, var: str) -> tuple[int, dict]:
         self.slots += 1
@@ -519,7 +526,7 @@ class _Compiler:
     def byte_atom(self, atom: ByteAtom, scope: dict) -> Pred:
         fs = scope.get(atom.frame_var)
         if fs is None:
-            return _unbound(atom.frame_var)
+            return self.unbound(atom.frame_var)
         index = self.index(atom.index, scope)
         letter, want = ord(atom.state.value), atom.op == "="
 
@@ -538,7 +545,7 @@ class _Compiler:
             return lambda frame, env: value
         slot = scope.get(expr.var)
         if slot is None:
-            return _unbound(expr.var)
+            return self.unbound(expr.var)
         if expr.base == "var":
             return lambda frame, env: env[slot]
         end, off = expr.base == "end", expr.value
@@ -547,7 +554,7 @@ class _Compiler:
     def has_canary(self, atom: HasCanary, scope: dict) -> Pred:
         fs = scope.get(atom.frame_var)
         if fs is None:
-            return _unbound(atom.frame_var)
+            return self.unbound(atom.frame_var)
         return lambda state, env, ctx: env[fs].has_canary
 
     def prev_transition(self, atom: PrevTransition, scope: dict) -> Pred:
@@ -601,7 +608,7 @@ class _Compiler:
         if isinstance(node, (ForallStack, ExistsStack)):
             domain = lambda state, env: state.frames
         elif (fs := scope.get(node.frame_var)) is None:
-            return _unbound(node.frame_var)
+            return self.unbound(node.frame_var)
         else:
             domain = lambda state, env: sorted(env[fs].buffers)
         slot, inner_scope = self.bind(scope, node.var)
@@ -750,7 +757,11 @@ def compile_monitor(ast: PropertyAst) -> Monitor:
     if not isinstance(ast.formula, Always):
         raise UnsupportedFragment("only G <body> properties are supported")
     _reject_temporal(ast.formula.body)
-    return Monitor(name=ast.name, body=ast.formula.body, cwes=ast.cwes)
+    monitor = Monitor(name=ast.name, body=ast.formula.body, cwes=ast.cwes)
+    if monitor.predicate.unbound:
+        raise UnboundVariable(f"property {ast.name!r} uses variable "
+                              f"{monitor.predicate.unbound[0]!r}, which no quantifier binds")
+    return monitor
 
 
 def _reject_temporal(node) -> None:

@@ -8,16 +8,21 @@ saved base register, 16-23 the canary when one is present. Higher
 indices are lower machine addresses, so a write that ascends in address
 space walks *down* in index space and may continue into the caller frame
 (frames are address-contiguous). A write is one `bytes.translate` per
-run of adjacent bytes, through the table of its byte operator.
+frame it crosses, over a run computed in closed form, through the table
+of its byte operator.
 
 The state space itself is a labeled transition system built by DFS over
 the binary CFG; library calls and loops contribute summarized effects
-computed by the effects module.
+computed by the effects module. Each instruction is decoded once per
+analysis, at its first visit, into a record that every root's build
+shares: owning function, successor, loop, dispatch kind, memory operator
+and prebuilt transition label.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import groupby
@@ -27,6 +32,7 @@ from .frontend import (CANARY_FS_OFFSET, CMOV, IMM, MEM, REG, BCfg, FunctionMap,
 
 RBP_RANGE = range(8, 16)
 CALL_DEPTH = 16             # user calls deeper than this are skipped with a note
+DEADLINE_EVERY = 256        # the builder reads the clock once per this many pops
 
 
 class ByteState(Enum):
@@ -61,7 +67,7 @@ class OverlappingBuffer(Exception):
 
 
 class StateBudgetExceeded(Exception):
-    pass
+    """The state budget or the build deadline ran out."""
 
 
 # the byte-state automaton: everything not listed here is an error
@@ -141,7 +147,7 @@ def fresh_frame(label: str) -> StackFrame:
 
 @dataclass(frozen=True)
 class MemOp:
-    kind: str                      # push|pop|write|fe|fa|shrink|frame-release|no-effect
+    kind: str                      # push|pop|write|fe|fa|shrink|no-effect
     byte_op: ByteOp | None = None
     base: str | None = None        # rbp/rsp for writes and buffer registration
     disp: int = 0
@@ -261,33 +267,13 @@ def apply_memory_operator(state: MemoryState, op: MemOp, *,
 
     Writes walk down in index space and continue into caller frames;
     leaving the outermost frame raises WriteOutsideStack unless clamp is
-    set, in which case the in-stack prefix is applied and a note recorded.
+    set, in which case the in-stack prefix is applied and a note recorded
+    per byte left out. A write is one closed-form run per frame it crosses.
     """
     notes: list[str] = []
     frames = list(state.frames)
-    if op.kind == "fa":
-        frames.append(fresh_frame("?"))
-    elif op.kind == "push":
-        top, risky = frames[-1], op.byte_op is ByteOp.RWRITE
-        frames[-1] = replace(top, bytes=top.bytes + (b"C" if risky else b"O") * 8,
-                             has_rbp_slot=top.has_rbp_slot or (risky and len(top.bytes) == 8))
-    elif op.kind == "pop":
-        top = frames[-1]
-        if len(top.bytes) - 8 < 8:
-            raise PopUnderflow(f"pop would consume the saved return address of {top.label}")
-        frames[-1] = replace(top, bytes=top.bytes[:-8])
-    elif op.kind == "fe":
-        top = frames[-1]
-        frames[-1] = replace(top, bytes=top.bytes + b"F" * op.amount)
-    elif op.kind == "shrink":
-        top = frames[-1]
-        if len(top.bytes) - op.amount < 16:
-            raise PopUnderflow(f"frame shrink below control data in {top.label}")
-        frames[-1] = replace(top, bytes=top.bytes[:len(top.bytes) - op.amount])
-    elif op.kind == "frame-release":
-        frames.pop()
-    elif op.kind == "write":
-        top = frames[-1]
+    top = frames[-1]
+    if op.kind == "write":
         if op.base == "rbp":
             start = top.index_for_rbp_offset(op.disp)
         else:
@@ -298,14 +284,58 @@ def apply_memory_operator(state: MemoryState, op: MemOp, *,
                 raise WriteOutsideStack(msg)
             notes.append(msg)
             start = len(top.bytes) - 1
-        touched = [(len(frames) - 1, start - k) for k in range(op.width)]
-        frames, extra = _apply_touches(frames, touched, op.byte_op, clamp=clamp)
-        notes.extend(extra)
+        runs, pos, left = [], len(frames) - 1, op.width
+        while left:
+            while start < 0 and pos:    # continue at the caller's highest index
+                pos -= 1
+                start += len(frames[pos].bytes)
+            if start < 0:
+                if not clamp:
+                    raise WriteOutsideStack("write ascends past the outermost modeled frame")
+                notes += ["write continued past the outermost modeled frame; clamped"] * left
+                break
+            take = min(left, start + 1)
+            runs.append((pos, start + 1 - take, start + 1))
+            start, left = start - take, left - take
+        _translate_runs(frames, runs, op.byte_op)
+        if op.canary:
+            top = frames[-1]
+            frames[-1] = StackFrame(top.label, top.bytes, top.buffers, True, top.has_rbp_slot)
+    elif op.kind == "push":
+        risky = op.byte_op is ByteOp.RWRITE
+        frames[-1] = StackFrame(top.label, top.bytes + (b"C" if risky else b"O") * 8,
+                                top.buffers, top.has_canary,
+                                top.has_rbp_slot or (risky and len(top.bytes) == 8))
+    elif op.kind == "pop":
+        if len(top.bytes) - 8 < 8:
+            raise PopUnderflow(f"pop would consume the saved return address of {top.label}")
+        frames[-1] = _with_bytes(top, top.bytes[:-8])
+    elif op.kind == "fe":
+        frames[-1] = _with_bytes(top, top.bytes + b"F" * op.amount)
+    elif op.kind == "shrink":
+        if len(top.bytes) - op.amount < 16:
+            raise PopUnderflow(f"frame shrink below control data in {top.label}")
+        frames[-1] = _with_bytes(top, top.bytes[:len(top.bytes) - op.amount])
     else:
         raise ValueError(f"not a direct operator: {op.kind}")
-    if op.kind == "write" and op.canary:
-        frames[-1] = replace(frames[-1], has_canary=True)
     return MemoryState(frames=tuple(frames), incoming_label=state.incoming_label), notes
+
+
+def _with_bytes(frame: StackFrame, data: bytes) -> StackFrame:
+    return StackFrame(frame.label, data, frame.buffers, frame.has_canary, frame.has_rbp_slot)
+
+
+def _translate_runs(frames: list[StackFrame], runs, byte_op: ByteOp) -> None:
+    """Translate each (frame position, lo, hi) run in order; the first byte
+    (highest index) with no transition raises, as byte by byte."""
+    table = _TRANSLATE[byte_op]
+    for pos, lo, hi in runs:
+        frame = frames[pos]
+        row = frame.bytes
+        seg = row[lo:hi].translate(table)
+        if 0 in seg:
+            byte_transition(ByteState(chr(row[lo + seg.rindex(0)])), byte_op)
+        frames[pos] = _with_bytes(frame, row[:lo] + seg + row[hi:])
 
 
 def _apply_touches(frames: list[StackFrame], touched: list[tuple[int, int]],
@@ -314,11 +344,9 @@ def _apply_touches(frames: list[StackFrame], touched: list[tuple[int, int]],
 
     Indices below 0 continue into the caller frame at its highest index;
     running past the outermost frame raises or clamps. Each run of adjacent
-    touches (descending index in one frame) is one slice translate; runs
-    apply in order, so the result is the byte-by-byte one.
+    touches (descending index in one frame) is one slice translate.
     """
     notes: list[str] = []
-    rows = [f.bytes for f in frames]
     runs: list[list[int]] = []      # [pos, lo, hi) in touch order
     for pos, idx in touched:
         while idx < 0:
@@ -329,10 +357,10 @@ def _apply_touches(frames: list[StackFrame], touched: list[tuple[int, int]],
                 idx = None
                 break
             pos -= 1
-            idx = len(rows[pos]) + idx  # idx is negative
+            idx = len(frames[pos].bytes) + idx  # idx is negative
         if idx is None:
             continue
-        if idx >= len(rows[pos]):
+        if idx >= len(frames[pos].bytes):
             if not clamp:
                 raise WriteOutsideStack("write below the allocated frame")
             notes.append("write below the allocated frame; clamped")
@@ -341,15 +369,8 @@ def _apply_touches(frames: list[StackFrame], touched: list[tuple[int, int]],
             runs[-1][1] = idx
         else:
             runs.append([pos, idx, idx + 1])
-    table = _TRANSLATE[byte_op]
-    for pos, lo, hi in runs:
-        row = rows[pos]
-        seg = row[lo:hi].translate(table)
-        if 0 in seg:    # the first touched (highest) index without a transition
-            byte_transition(ByteState(chr(row[lo + seg.rindex(0)])), byte_op)
-        rows[pos] = row[:lo] + seg + row[hi:]
-    out = [f if f.bytes is bs else replace(f, bytes=bs) for f, bs in zip(frames, rows)]
-    return out, notes
+    _translate_runs(frames, runs, byte_op)
+    return frames, notes
 
 
 def register_buffer(frame: StackFrame, offset: int, size: int) -> StackFrame:
@@ -427,14 +448,32 @@ class Config:
     enable_scanf_patch: bool = False
 
 
+@dataclass(slots=True)
+class _Decoded:
+    """One instruction's static facts, decoded at its first visit."""
+
+    ins: Instruction
+    fn: str                         # owning function
+    nxt: int | None                 # successor within fn
+    loop: object                    # reducible loop entered here, or None
+    kind: str                       # ret|jmp|jcc|lea|call|fa|direct|no-effect
+    target: int | None = None       # jump or call target
+    label: TransitionLabel | None = None
+    steps: tuple = ()               # direct: (MemOp, TransitionLabel) applied in order
+    fresh_steps: tuple = ()         # a push on a fresh frame
+
+
 class _SpaceBuilder:
     def __init__(self, bcfg: BCfg, funcs: FunctionMap, effects, cfg: Config,
-                 image: ProgramImage, buffer_overrides: dict | None):
+                 image: ProgramImage, buffer_overrides: dict | None,
+                 deadline: float | None, decoded: dict[int, _Decoded]):
         self.funcs = funcs
         self.effects = effects
         self.cfg = cfg
         self.image = image
         self.buffer_overrides = buffer_overrides or {}
+        self.deadline = deadline
+        self.decoded = decoded
         self.states: dict[int, MemoryState] = {}
         self.ids: dict = {}
         self.transitions: list[tuple[int, TransitionLabel, int]] = []
@@ -456,9 +495,8 @@ class _SpaceBuilder:
         self.states[sid] = state
         return sid
 
-    def emit(self, src: int, label: TransitionLabel, state: MemoryState) -> int:
-        state = MemoryState(frames=state.frames, incoming_label=label)
-        dst = self.intern(state)
+    def emit(self, src: int, label: TransitionLabel, frames: tuple[StackFrame, ...]) -> int:
+        dst = self.intern(MemoryState(frames=frames, incoming_label=label))
         edge = (src, label, dst)
         if edge not in self.tx_seen:
             self.tx_seen.add(edge)
@@ -483,11 +521,53 @@ class _SpaceBuilder:
             return pinned
         return infer_buffer_size(offset, self.object_boundaries(fn), has_canary)
 
+    def decode(self, pc: int) -> _Decoded:
+        ins = self.image.instructions[pc]
+        fn = self.funcs.function_of(pc) or "?"
+        nxt = self.image.next_address(pc)
+        if nxt is not None and self.funcs.function_of(nxt) != fn:
+            nxt = None
+        loop = self.effects.loop_at(pc) if self.effects else None
+        m, target = ins.mnemonic, ins.target()
+
+        def record(kind: str, **facts) -> _Decoded:
+            return _Decoded(ins, fn, nxt, loop, kind, target, **facts)
+        if m == "ret":
+            return record("ret", label=TransitionLabel("pop", pc, text=ins.text))
+        if m == "jmp" or ins.is_conditional:
+            return record("jcc" if ins.is_conditional else "jmp")
+        if m == "lea":
+            src = ins.operands[1]
+            if not (src.kind == MEM and src.base == "rbp" and src.disp < 0):
+                return record("no-effect")
+            return record("lea", label=TransitionLabel("buffer-register", pc, text=ins.text))
+        if m == "call":
+            sym = ins.target_symbol()
+            if target in self.image.instructions:
+                name = self.funcs.reverse.get(target, sym or f"sub_{target:x}")
+            else:
+                name = (sym or f"sub_{target:x}").removesuffix("@plt")
+            return record("call", label=TransitionLabel("call", pc, name=name, text=ins.text))
+        sites = self.canary_sites(fn)
+        op = classify_instruction(ins, FrameContext(sites))
+        if op.kind in ("no-effect", "fa"):
+            return record(op.kind, label=TransitionLabel("fa", pc, text=ins.text)
+                          if op.kind == "fa" else None)
+        label = TransitionLabel("fe" if op.kind == "shrink" else op.kind, pc, text=ins.text)
+        steps = ((op, label),)
+        if op.kind == "write" and self.cfg.atomic_writes and op.width > 1:
+            steps = tuple((replace(op, width=1, disp=op.disp + k),
+                           TransitionLabel("write", pc, text=f"{label.text} [byte {k}]"))
+                          for k in range(op.width))
+        fresh = () if op.kind != "push" else (
+            (classify_instruction(ins, FrameContext(sites, fresh_frame=True)), label),)
+        return record("direct", steps=steps, fresh_steps=fresh)
+
     # the DFS itself
 
     def run(self, entry: int) -> MemStaCe:
-        root_fn = self.funcs.function_of(entry) or f"sub_{entry:x}"
-        init = MemoryState(frames=(fresh_frame(root_fn),))
+        self.root = self.funcs.function_of(entry) or f"sub_{entry:x}"
+        init = MemoryState(frames=(fresh_frame(self.root),))
         try:
             init_id = self.intern(init)
             self._walk(entry, init_id, call_stack=())
@@ -495,169 +575,124 @@ class _SpaceBuilder:
             self.truncated = True
             self.notes.append(str(exc))
         return MemStaCe(states=self.states, transitions=self.transitions,
-                        initial=0 if self.states else -1, root=root_fn,
+                        initial=0 if self.states else -1, root=self.root,
                         truncated=self.truncated, notes=self.notes)
 
     def _walk(self, pc: int, sid: int, call_stack: tuple) -> None:
         work = [(pc, sid, call_stack)]
+        decoded, visited, deadline = self.decoded, self.visited, self.deadline
+        pops = 0
         while work:
             pc, sid, call_stack = work.pop()
-            if pc is None or pc not in self.image.instructions:
-                continue
+            pops += 1
+            if deadline is not None and pops % DEADLINE_EVERY == 0 \
+                    and time.perf_counter() > deadline:
+                raise StateBudgetExceeded(
+                    f"timeout during state-space construction of root {self.root!r}")
+            d = decoded.get(pc)
+            if d is None:
+                # a target outside the image is dropped when popped
+                if pc not in self.image.instructions:
+                    continue
+                d = decoded[pc] = self.decode(pc)
             vkey = (pc, sid, call_stack)
-            if vkey in self.visited:
+            if vkey in visited:
                 continue
-            self.visited.add(vkey)
+            visited.add(vkey)
 
-            fn = self.funcs.function_of(pc) or "?"
-            loop = self.effects.loop_at(pc) if self.effects else None
-            if loop is not None and not self._came_from_loop(sid, loop):
-                sid2 = self._apply_loop(sid, loop, fn)
-                work.append((loop.exit, sid2, call_stack))
-                continue
-
-            ins = self.image.instructions[pc]
-            nxt = self._next_in_function(pc, fn)
-
-            if ins.mnemonic == "ret":
+            kind = d.kind
+            if d.loop is not None and not self._came_from_loop(sid, d.loop):
+                work.append((d.loop.exit, self._apply_loop(sid, d.loop), call_stack))
+            elif kind == "no-effect":
+                work.append((d.nxt, sid, call_stack))
+            elif kind == "direct":
+                steps = d.steps
+                if d.fresh_steps and len(self.states[sid].top.bytes) == 8:
+                    steps = d.fresh_steps
+                for op, label in steps:
+                    sid = self._emit_applied(sid, label, op)
+                work.append((d.nxt, sid, call_stack))
+            elif kind == "jcc":
+                work += ((d.target, sid, call_stack), (d.nxt, sid, call_stack))
+            elif kind == "jmp":
+                work.append((d.target, sid, call_stack))
+            elif kind == "ret":
                 if call_stack:
-                    state = self.states[sid]
-                    label = TransitionLabel("pop", pc, text=ins.text)
-                    released, _ = apply_memory_operator(
-                        state, MemOp("frame-release"), clamp=True)
-                    dst = self.emit(sid, label, released)
+                    dst = self.emit(sid, d.label, self.states[sid].frames[:-1])
                     work.append((call_stack[-1], dst, call_stack[:-1]))
-                continue
-
-            # a target outside the image is dropped when popped
-            if ins.mnemonic == "jmp":
-                work.append((ins.target(), sid, call_stack))
-                continue
-            if ins.is_conditional:
-                work.append((ins.target(), sid, call_stack))
-                work.append((nxt, sid, call_stack))
-                continue
-
-            if ins.mnemonic == "lea":
-                sid = self._maybe_register_buffer(sid, ins, fn)
-                work.append((nxt, sid, call_stack))
-                continue
-
-            if ins.mnemonic == "call":
-                work.append(self._do_call(ins, sid, call_stack, nxt))
-                continue
-
-            sid = self._apply_direct(sid, ins, fn)
-            work.append((nxt, sid, call_stack))
-
-    def _next_in_function(self, pc: int, fn: str) -> int | None:
-        nxt = self.image.next_address(pc)
-        return nxt if nxt is not None and self.funcs.function_of(nxt) == fn else None
+            elif kind == "call":
+                work.append(self._do_call(d, sid, call_stack))
+            elif kind == "lea":
+                work.append((d.nxt, self._maybe_register_buffer(sid, d), call_stack))
+            else:   # fa: the frame the incoming call allocated gets its marker
+                top = self.states[sid].top
+                if len(top.bytes) == 8 and top.label == d.fn:
+                    sid = self.emit(sid, d.label, self.states[sid].frames)
+                work.append((d.nxt, sid, call_stack))
 
     def _came_from_loop(self, sid: int, loop) -> bool:
         lbl = self.states[sid].incoming_label
         return lbl is not None and lbl.kind == "loop" and lbl.address == loop.entry
 
-    def _apply_direct(self, sid: int, ins: Instruction, fn: str) -> int:
-        state = self.states[sid]
-        ctx = FrameContext(canary_store_sites=self.canary_sites(fn),
-                           fresh_frame=len(state.top.bytes) == 8)
-        op = classify_instruction(ins, ctx)
-        if op.kind == "no-effect":
-            return sid
-        if op.kind == "fa":
-            if len(state.top.bytes) == 8 and state.top.label == fn:
-                # frame already allocated by the incoming call; record the marker
-                label = TransitionLabel("fa", ins.address, text=ins.text)
-                return self.emit(sid, label, state)
-            return sid
-        kind = {"push": "push", "pop": "pop", "write": "write",
-                "fe": "fe", "shrink": "fe"}[op.kind]
-        label = TransitionLabel(kind, ins.address, text=ins.text)
-        if op.kind == "write" and self.cfg.atomic_writes and op.width > 1:
-            cur = sid
-            for k in range(op.width):
-                one = replace(op, width=1, disp=op.disp + k)
-                sub = TransitionLabel("write", ins.address, text=f"{ins.text} [byte {k}]")
-                cur = self._emit_applied(cur, sub, one)
-            return cur
-        return self._emit_applied(sid, label, op)
-
     def _emit_applied(self, sid: int, label: TransitionLabel, op: MemOp) -> int:
-        state = self.states[sid]
         try:
-            new, notes = apply_memory_operator(state, op, clamp=True)
+            new, notes = apply_memory_operator(self.states[sid], op, clamp=True)
         except (PopUnderflow, IllegalByteTransition) as exc:
             self.notes.append(f"{label.text} at {label.address:#x}: {exc}")
             return sid
         self.notes.extend(notes)
-        return self.emit(sid, label, new)
+        return self.emit(sid, label, new.frames)
 
-    def _maybe_register_buffer(self, sid: int, ins: Instruction, fn: str) -> int:
-        src = ins.operands[1]
-        if not (src.kind == MEM and src.base == "rbp" and src.disp < 0):
-            return sid
+    def _maybe_register_buffer(self, sid: int, d: _Decoded) -> int:
         state = self.states[sid]
-        top = state.top
+        top, offset = state.top, d.ins.operands[1].disp
         if not top.has_rbp_slot:
             return sid
-        size = self.buffer_size_at(fn, src.disp, top.has_canary)
+        size = self.buffer_size_at(d.fn, offset, top.has_canary)
         if size <= 0:
             return sid
         try:
-            new_top = register_buffer(top, src.disp, size)
+            new_top = register_buffer(top, offset, size)
         except OverlappingBuffer as exc:
-            self.notes.append(f"{ins.text}: {exc}")
+            self.notes.append(f"{d.label.text}: {exc}")
             return sid
         if new_top is top:
             return sid
-        label = TransitionLabel("buffer-register", ins.address, text=ins.text)
-        new = MemoryState(frames=state.frames[:-1] + (new_top,),
-                          incoming_label=state.incoming_label)
-        return self.emit(sid, label, new)
+        return self.emit(sid, d.label, state.frames[:-1] + (new_top,))
 
-    def _do_call(self, ins: Instruction, sid: int, call_stack: tuple, nxt):
-        callee_addr = ins.target()
-        sym = ins.target_symbol()
-        state = self.states[sid]
-        if callee_addr in self.image.instructions:
+    def _do_call(self, d: _Decoded, sid: int, call_stack: tuple):
+        frames = self.states[sid].frames
+        if d.target in self.image.instructions:
             # user call: the call itself creates the callee frame (the
             # pushed return address is its first 8 critical bytes)
-            callee = self.funcs.reverse.get(callee_addr, sym or f"sub_{callee_addr:x}")
             if len(call_stack) >= CALL_DEPTH:
-                self.notes.append(f"call depth limit at {ins.address:#x}; call skipped")
-                return (nxt, sid, call_stack)
-            label = TransitionLabel("call", ins.address, name=callee, text=ins.text)
-            new = MemoryState(frames=state.frames + (fresh_frame(callee),))
-            dst = self.emit(sid, label, new)
-            return (callee_addr, dst, call_stack + (nxt,))
+                self.notes.append(f"call depth limit at {d.ins.address:#x}; call skipped")
+                return (d.nxt, sid, call_stack)
+            dst = self.emit(sid, d.label, frames + (fresh_frame(d.label.name),))
+            return (d.target, dst, call_stack + (d.nxt,))
         # library / external call: splice the emulated effect
-        name = (sym or f"sub_{callee_addr:x}").removesuffix("@plt")
-        label = TransitionLabel("call", ins.address, name=name, text=ins.text)
-        effect = self.effects.call_effect(ins.address) if self.effects else None
+        effect = self.effects.call_effect(d.ins.address) if self.effects else None
         if effect is None or effect.opaque:
             if effect is not None and effect.truncating:
                 self.truncated = True
             if effect is not None:
                 self.notes.extend(effect.notes)
-            dst = self.emit(sid, label, state)
-            return (nxt, dst, call_stack)
-        new, notes = apply_effect(state, effect)
+            return (d.nxt, self.emit(sid, d.label, frames), call_stack)
+        new, notes = apply_effect(self.states[sid], effect)
         self.notes.extend(notes)
-        dst = self.emit(sid, label, new)
-        return (nxt, dst, call_stack)
+        return (d.nxt, self.emit(sid, d.label, new.frames), call_stack)
 
-    def _apply_loop(self, sid: int, loop, fn: str) -> int:
+    def _apply_loop(self, sid: int, loop) -> int:
         state = self.states[sid]
         effect = self.effects.loop_effect(loop)
         label = TransitionLabel("loop", loop.entry, text=f"loop {loop.entry:#x}..{loop.exit:#x}")
         if effect is None or effect.opaque:
             if effect is not None:
                 self.notes.extend(effect.notes)
-            return self.emit(sid, label, state)
+            return self.emit(sid, label, state.frames)
         new, notes = apply_effect(state, effect)
         self.notes.extend(notes)
-        return self.emit(sid, label, new)
+        return self.emit(sid, label, new.frames)
 
 
 def apply_effect(state: MemoryState, effect) -> tuple[MemoryState, list[str]]:
@@ -682,14 +717,19 @@ def apply_effect(state: MemoryState, effect) -> tuple[MemoryState, list[str]]:
 
 def build_memstace(bcfg: BCfg, funcs: FunctionMap, effects, cfg: Config,
                    image: ProgramImage, entry: int | None = None,
-                   buffer_overrides: dict | None = None) -> MemStaCe:
+                   buffer_overrides: dict | None = None,
+                   deadline: float | None = None,
+                   decoded: dict | None = None) -> MemStaCe:
     """DFS the CFG from entry, producing the labeled transition system.
 
     Library calls and loop bodies are summarized through the effects
     oracle; user calls descend, giving multi-frame states. Identical
-    states (frames plus incoming label) are shared.
+    states (frames plus incoming label) are shared. Roots that share one
+    `decoded` dict decode each instruction once; past `deadline` (a
+    `time.perf_counter()` value) the space is truncated.
     """
-    builder = _SpaceBuilder(bcfg, funcs, effects, cfg, image, buffer_overrides)
+    builder = _SpaceBuilder(bcfg, funcs, effects, cfg, image, buffer_overrides,
+                            deadline, {} if decoded is None else decoded)
     return builder.run(bcfg.entry if entry is None else entry)
 
 

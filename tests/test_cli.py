@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from stackcheck import checker, cli, ltl
+from stackcheck import checker, cli, ltl, memstace
 from stackcheck.cli import (Report, PropertyResult, analyze, analyze_image,
                             main, report_metrics)
 from stackcheck.frontend import parse_disassembly
@@ -203,6 +203,95 @@ def test_timeout_before_checking_is_inconclusive_not_clean(monkeypatch):
     assert [p.status for p in report.properties] == ["inconclusive"] * 7
     assert report.status == "inconclusive"
     assert "timeout before checking 'RIP Integrity' on root 'main'" in report.notes
+
+
+class _Ticking:
+    """A stand-in for the `time` module `memstace` reads: each read moves
+    the shared clock on by `step` seconds."""
+
+    def __init__(self, clock: _Clock, step: float):
+        self.clock, self.step = clock, step
+
+    def perf_counter(self) -> float:
+        self.clock.now += self.step
+        return self.clock.now
+
+
+def _diamonds(d: int) -> str:
+    """One root of `d` if/else diamonds whose arms write different bytes,
+    so its states double with every diamond."""
+    lines, addr = ["main:", "401000: push rbp", "401004: mov rbp, rsp",
+                   "401008: sub rsp, 0x20"], 0x40100c
+    for j in range(d):
+        lines += [f"{addr:x}: cmp rdi, {j:#x}", f"{addr + 4:x}: jne {addr + 16:#x}",
+                  f"{addr + 8:x}: mov byte [rbp-{2 * j + 1:#x}], 0x41",
+                  f"{addr + 12:x}: jmp {addr + 20:#x}",
+                  f"{addr + 16:x}: mov byte [rbp-{2 * j + 2:#x}], 0x42"]
+        addr += 20
+    lines += [f"{addr:x}: add rsp, 0x20", f"{addr + 4:x}: pop rbp", f"{addr + 8:x}: ret"]
+    return "\n".join(lines) + "\n"
+
+
+def test_timeout_during_one_roots_build_truncates_it(monkeypatch):
+    """The deadline expires inside the only root's build: the builder reads
+    the clock every DEADLINE_EVERY pops, stops, and truncates the space,
+    so the binary is inconclusive and the note names the root."""
+    clock = _Clock()
+    monkeypatch.setattr(cli, "time", clock)
+    monkeypatch.setattr(memstace, "time", _Ticking(clock, 0.5))
+    image = parse_disassembly(_diamonds(8))
+    full = analyze_image(image, "diamonds", Config())
+    report = analyze_image(image, "diamonds", Config(timeout=1))
+    assert not full.truncated and full.status == "clean"
+    assert report.truncated
+    assert "timeout during state-space construction of root 'main'" in report.notes
+    assert [p.status for p in report.properties] == ["inconclusive"] * 7
+    assert report.status == "inconclusive"
+    # three clock reads: at pops 256 and 512 the time is 0.5 and 1.0
+    assert clock.now == 1.5
+
+
+def test_unbound_property_variable_rejected_at_load(tmp_path, capsys):
+    """A property whose variable no quantifier binds stops the run with exit
+    code 2 and a message naming the property and the variable, before any
+    binary is analysed."""
+    props = tmp_path / "unbound.props"
+    props.write_text("property Unbound { ltl: G (byte(0, stack(g)) = Critical) }\n")
+    code = main(["analyze", str(corpus_path("strcpy_rip_ok")), "--props", str(props)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "'Unbound'" in err and "'g'" in err
+    with pytest.raises(ltl.UnboundVariable, match="'g'"):
+        ltl.compile_monitor(ltl.parse_property_file(props.read_text())[0])
+    # through the library, each binary is an error naming the property, not an internal one
+    report = analyze([str(corpus_path("strcpy_rip_ok"))], Config(properties_path=str(props)))[0]
+    assert report.status == "error"
+    assert report.error == "property 'Unbound' uses variable 'g', which no quantifier binds"
+
+
+def test_plt_symbol_on_user_function_warns():
+    """A call whose @plt symbol names a library function but whose target
+    is a user function descends as a user call; each such site warns."""
+    text = """\
+copy:
+401100: push rbp
+401104: mov rbp, rsp
+401108: pop rbp
+40110c: ret
+main:
+401120: push rbp
+401124: mov rbp, rsp
+401128: call 0x401100 <strcpy@plt>
+40112c: call 0x401100 <copy>
+401130: pop rbp
+401134: ret
+"""
+    report = analyze_image(parse_disassembly(text), "plt_user", Config())
+    assert [w for w in report.warnings if "@plt" in w] == [
+        "call at 0x401128 names strcpy@plt but its target 0x401100 is in user "
+        "function 'copy'; it descends as a user call"]
+    assert report.status == "clean"
 
 
 def test_timeout_between_roots_keeps_found_violations(monkeypatch):

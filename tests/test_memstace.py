@@ -72,21 +72,43 @@ def test_translate_tables_agree_with_the_automaton():
                 assert after.top.bytes == b"C" * 16 + target.value.encode() * 4
 
 
-def _write_byte_by_byte(frames, start: int, width: int, op: ByteOp) -> list[bytes]:
-    """Reference write: one byte_transition per touched byte, in touch order,
-    continuing into caller frames and clamped past the outermost one."""
+def _write_byte_by_byte(frames, start: int, width: int, op: ByteOp, *,
+                        clamp: bool = True) -> tuple[list[bytes], list[str]]:
+    """Reference write: place every touched byte in touch order, continuing
+    into caller frames, then one byte_transition per placed byte. A start
+    below the top frame moves to its last index with a note; a byte past
+    the outermost frame is left out with a note per byte. Without clamp
+    either raises WriteOutsideStack before any byte changes."""
     rows = [[ByteState(chr(b)) for b in f.bytes] for f in frames]
+    notes = []
+    if start >= len(rows[-1]):
+        msg = f"write below the allocated frame of {frames[-1].label} (index {start})"
+        if not clamp:
+            raise WriteOutsideStack(msg)
+        notes.append(msg)
+        start = len(rows[-1]) - 1
+    placed = []
     for k in range(width):
         pos, idx = len(rows) - 1, start - k
         while idx < 0 and pos > 0:
             pos -= 1
             idx += len(rows[pos])
         if idx >= 0:
-            rows[pos][idx] = byte_transition(rows[pos][idx], op)
-    return ["".join(s.value for s in row).encode() for row in rows]
+            placed.append((pos, idx))
+        elif not clamp:
+            raise WriteOutsideStack("write ascends past the outermost modeled frame")
+        else:
+            notes.append("write continued past the outermost modeled frame; clamped")
+    for pos, idx in placed:
+        rows[pos][idx] = byte_transition(rows[pos][idx], op)
+    return ["".join(s.value for s in row).encode() for row in rows], notes
 
 
 def test_slice_translate_writes_match_byte_by_byte():
+    """The closed-form runs give the reference's bytes, notes (text and
+    count) and errors: rsp- and rbp-based writes, starts below the top
+    frame, writes past the outermost frame, with and without clamp, and
+    canary stores, which mark only the top frame."""
     rng = random.Random(5)
     raised = 0
     for _ in range(500):
@@ -98,15 +120,47 @@ def test_slice_translate_writes_match_byte_by_byte():
         width = rng.randrange(1, 48)
         write = Write(op, "rsp", len(frames[-1].bytes) - 1 - start, width)
         try:
-            want = _write_byte_by_byte(frames, start, width, op)
+            want, want_notes = _write_byte_by_byte(frames, start, width, op)
         except IllegalByteTransition as exc:
             raised += 1
             with pytest.raises(IllegalByteTransition, match=re.escape(str(exc))):
                 apply_memory_operator(MemoryState(frames=frames), write, clamp=True)
             continue
-        after, _ = apply_memory_operator(MemoryState(frames=frames), write, clamp=True)
+        after, notes = apply_memory_operator(MemoryState(frames=frames), write, clamp=True)
         assert [f.bytes for f in after.frames] == want
+        assert notes == want_notes
     assert 50 < raised < 450
+
+    seen = {"illegal": 0, "outside": 0, "below": 0, "past": 0, "canary": 0}
+    for _ in range(2000):
+        frames = tuple(StackFrame(f"fn{k}", bytes(rng.choice(b"FCOM")
+                                                 for _ in range(rng.randrange(8, 40))),
+                                  has_rbp_slot=rng.random() < 0.5)
+                       for k in range(rng.randrange(1, 4)))
+        op, clamp, canary = rng.choice(list(ByteOp)), rng.random() < 0.5, rng.random() < 0.3
+        top = len(frames[-1].bytes)
+        start, width = rng.randrange(-24, top + 8), rng.randrange(1, 48)
+        if rng.random() < 0.5:
+            write = Write(op, "rbp", 15 - start, width, canary=canary)
+        else:
+            write = Write(op, "rsp", top - 1 - start, width, canary=canary)
+        before = MemoryState(frames=frames)
+        try:
+            want, want_notes = _write_byte_by_byte(frames, start, width, op, clamp=clamp)
+        except (IllegalByteTransition, WriteOutsideStack) as exc:
+            seen["illegal" if isinstance(exc, IllegalByteTransition) else "outside"] += 1
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                apply_memory_operator(before, write, clamp=clamp)
+            continue
+        after, notes = apply_memory_operator(before, write, clamp=clamp)
+        assert [f.bytes for f in after.frames] == want
+        assert notes == want_notes
+        assert [f.has_canary for f in after.frames] == [False] * (len(frames) - 1) + [canary]
+        assert [f.has_rbp_slot for f in after.frames] == [f.has_rbp_slot for f in frames]
+        seen["below"] += any(n.startswith("write below") for n in notes)
+        seen["past"] += any(n.startswith("write continued") for n in notes)
+        seen["canary"] += canary
+    assert min(seen.values()) > 50, seen
 
 
 def test_rle_matches_a_reference_encoding():
