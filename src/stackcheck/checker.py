@@ -6,20 +6,22 @@ per space therefore serves all properties: at each dequeued state every
 monitor still running takes one step, and the first state where a
 monitor rejects ends the (hence shortest) path to a state falsifying its
 body. BFS order does not depend on the property, so each verdict, trace
-and vacuity count is the one a search for that property alone gives. A
-path becomes a counterexample trace of <address: instruction -> memory
-operation> steps with per-byte state deltas.
+and vacuity count is the one a search for that property alone gives.
+Past a deadline the search stops and every monitor still running is
+inconclusive. A path becomes a counterexample trace of <address:
+instruction -> memory operation> steps with per-byte state deltas.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
 from . import load_data
 from .ltl import REJECT, RUN, EvalContext, Monitor
-from .memstace import MemStaCe, MemoryState, TransitionLabel
+from .memstace import DEADLINE_EVERY, MemStaCe, MemoryState, TransitionLabel
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -65,14 +67,18 @@ class Verdict:
     trace: Trace | None = None
     vacuity_notes: list[str] = field(default_factory=list)
     vacuous: bool = False
+    timed_out: bool = False         # the deadline passed before the search ended
 
 
 def check(space: MemStaCe, monitors: list[Monitor] | Monitor,
-          libc_names: set[str] | None = None) -> list[Verdict] | Verdict:
+          libc_names: set[str] | None = None,
+          deadline: float | None = None) -> list[Verdict] | Verdict:
     """One BFS for all monitors; one verdict per monitor (or the verdict of
-    a single monitor passed alone)."""
+    a single monitor passed alone). Past `deadline` (a `time.perf_counter()`
+    value, read once per DEADLINE_EVERY dequeues) every monitor still
+    running is inconclusive."""
     if isinstance(monitors, Monitor):
-        return check(space, [monitors], libc_names)[0]
+        return check(space, [monitors], libc_names, deadline)[0]
     ctxs = [EvalContext(libc_names=libc_names or set()) for _ in monitors]
     if space.initial < 0:
         return [Verdict(m.name, HOLDS, vacuity_notes=["empty state space"]) for m in monitors]
@@ -85,7 +91,13 @@ def check(space: MemStaCe, monitors: list[Monitor] | Monitor,
     queue = deque([space.initial])
     violating: dict[int, int] = {}          # monitor position -> first rejecting state
     running = list(range(len(monitors)))
+    dequeued, expired = 0, False
     while queue and running:
+        dequeued += 1
+        if deadline is not None and dequeued % DEADLINE_EVERY == 0 \
+                and time.perf_counter() > deadline:
+            expired = True
+            break
         sid = queue.popleft()
         state = space.states[sid]
         still = []
@@ -99,13 +111,15 @@ def check(space: MemStaCe, monitors: list[Monitor] | Monitor,
             if dst not in parent:
                 parent[dst] = (sid, lbl)
                 queue.append(dst)
-    return [_verdict(space, m, ctx, violating.get(k), parent)
+    return [_verdict(space, m, ctx, violating.get(k), parent, expired and k in running)
             for k, (m, ctx) in enumerate(zip(monitors, ctxs))]
 
 
 def _verdict(space: MemStaCe, monitor: Monitor, ctx: EvalContext,
-             violating: int | None, parent: dict) -> Verdict:
+             violating: int | None, parent: dict, timed_out: bool) -> Verdict:
     notes = list(dict.fromkeys(ctx.notes))
+    if timed_out:
+        return Verdict(monitor.name, INCONCLUSIVE, vacuity_notes=notes, timed_out=True)
     if violating is None:
         status = INCONCLUSIVE if space.truncated else HOLDS
         return Verdict(monitor.name, status, vacuity_notes=notes,

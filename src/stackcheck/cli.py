@@ -184,8 +184,9 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
                                 "base-register checks are vacuous there")
 
     # one BFS per root for all properties; the deadline is checked between
-    # roots, and a root left unchecked (or unbuilt) makes every property it
-    # could still violate inconclusive
+    # roots and inside each search, and a root left unchecked (or unbuilt,
+    # or whose search the deadline cut) makes every property it could still
+    # violate inconclusive
     v0 = time.perf_counter()
     per_root: dict[str, list[checker.Verdict]] = {}
     unchecked = None
@@ -194,7 +195,10 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
         if space is None or (deadline and time.perf_counter() > deadline):
             unchecked = fn_name
             break
-        per_root[fn_name] = checker.check(space, monitors, libc_names)
+        per_root[fn_name] = checker.check(space, monitors, libc_names, deadline)
+        if any(v.timed_out for v in per_root[fn_name]):
+            unchecked = fn_name
+            break
 
     for k, monitor in enumerate(monitors):
         best: checker.Verdict | None = None

@@ -124,6 +124,9 @@ class ProgramImage:
 
     def index(self) -> None:
         self._next = dict(zip(self.order, self.order[1:] + [None]))
+        # pc -> compiled instruction, filled by the interpreter at each
+        # instruction's first execution
+        self.code: dict = {}
         self._by_entry = sorted((a, n) for n, a in self.function_headers.items())
         self._entries = [a for a, _ in self._by_entry]
 

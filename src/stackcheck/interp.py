@@ -12,6 +12,14 @@ and loop entry, where forks are written to, snapshotted and diffed) and
 the validator for full before/after runs. The safecall pseudo-instruction
 executes the bounded replacement semantics installed by the patcher.
 
+Each instruction is compiled once per image, at its first execution, into
+a closure (see codegen) that takes the machine and returns the next pc;
+the image's `code` table (pc -> closure, reset by `ProgramImage.index()`)
+holds it, so every machine running the image shares it. The handlers in
+_HANDLERS are the generic semantics: the closure of an uncommon form calls
+its handler, and a specialised closure must leave the machine as its
+handler would.
+
 The stack spans STACK_SIZE bytes below STACK_TOP, but a machine holds
 bytes only from the lowest page written so far up to STACK_TOP: the
 window grows down a page at a time, unwritten bytes read as 0xCC, and
@@ -23,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .codegen import CONDITIONS, compile_instruction
 from .frontend import (CANARY_FS_OFFSET, CMOV, IMM, JCC, MEM, R64, REG, Instruction,
                        ProgramImage)
 
@@ -105,6 +114,7 @@ class Machine:
         self.steps = 0
         self.pc: int | None = None
         self.canary_regs: set[str] = set()
+        self.read_stdin = False     # set by every reader of stdin
         self._wm_lo = STACK_TOP
         self._wm_hi = STACK_BASE
         self._setup_argv(argv)
@@ -168,7 +178,15 @@ class Machine:
     def rd_cstr(self, addr: int, cap: int | None = None) -> bytes:
         cap = cap if cap is not None else self.cfg.max_input_len * 2
         out = bytearray()
-        for k in range(cap):
+        lo = self.stack_lo
+        if cap > 0 and lo <= addr < STACK_TOP:
+            # the part inside the written window in one search; bytes past
+            # STACK_TOP, if the string runs on, are read one at a time
+            out = self.stack[addr - lo:min(addr + cap, STACK_TOP) - lo]
+            end = out.find(0)
+            if end != -1:
+                return bytes(out[:end])
+        for k in range(len(out), cap):
             b = self.rd_mem(addr + k, 1)[0]
             if b == 0:
                 break
@@ -227,6 +245,7 @@ class Machine:
         clone.steps = self.steps
         clone.pc = self.pc
         clone.canary_regs = set(self.canary_regs)
+        clone.read_stdin = self.read_stdin
         clone._wm_lo = self._wm_lo
         clone._wm_hi = self._wm_hi
         return clone
@@ -259,14 +278,15 @@ class Machine:
     def step(self) -> None:
         if self.steps >= self.cfg.step_budget:
             raise Halt(STEP_BUDGET)
-        if self.pc is None or self.pc not in self.image.instructions:
-            raise Halt(CLEAN)
-        ins = self.image.instructions[self.pc]
+        run = self.image.code.get(self.pc)
+        if run is None:
+            ins = self.image.instructions.get(self.pc)
+            if ins is None:             # also a pc of None: the run left the image
+                raise Halt(CLEAN)
+            run = self.image.code[self.pc] = compile_instruction(
+                ins, self.image.next_address(self.pc), _HANDLERS.get(ins.mnemonic))
         self.steps += 1
-        nxt = self.image.next_address(self.pc)
-        # nop, endbr64 and unknown mnemonics (parsed as opaque) do nothing
-        handler = _HANDLERS.get(ins.mnemonic)
-        self.pc = handler(self, ins, nxt) if handler else nxt
+        self.pc = run(self)
 
     # instruction semantics: each handler returns the next pc
 
@@ -311,7 +331,7 @@ class Machine:
         return nxt
 
     def _do_cmov(self, ins: Instruction, nxt: int | None) -> int | None:
-        if _CONDITIONS[ins.mnemonic[4:]](self.flags):
+        if CONDITIONS[ins.mnemonic[4:]](self.flags):
             self._do_mov(ins, nxt)
         return nxt
 
@@ -370,7 +390,7 @@ class Machine:
         return ins.target()
 
     def _do_jcc(self, ins: Instruction, nxt: int | None) -> int | None:
-        return ins.target() if _CONDITIONS[ins.mnemonic[1:]](self.flags) else nxt
+        return ins.target() if CONDITIONS[ins.mnemonic[1:]](self.flags) else nxt
 
     def _set_arith_flags(self, a: int, b: int, res: int, w: int, *, sub: bool) -> None:
         bits = w * 8
@@ -460,6 +480,7 @@ class Machine:
             handler()
 
     def _read_line(self) -> bytes | None:
+        self.read_stdin = True
         if self.stdin_pos >= len(self.stdin):
             return None
         end = self.stdin.find(b"\n", self.stdin_pos)
@@ -500,6 +521,7 @@ class Machine:
         self.regs["rax"] = dest
 
     def _libc_fgets(self) -> None:
+        self.read_stdin = True
         dest, n = self.regs["rdi"], self.regs["rsi"]
         if n <= 0 or self.stdin_pos >= len(self.stdin):
             self.regs["rax"] = 0
@@ -567,6 +589,7 @@ class Machine:
         self.regs["rax"] = count
 
     def _read_token(self, width: int | None) -> bytes | None:
+        self.read_stdin = True
         while self.stdin_pos < len(self.stdin) and self.stdin[self.stdin_pos] in b" \t\n":
             self.stdin_pos += 1
         if self.stdin_pos >= len(self.stdin):
@@ -683,18 +706,6 @@ def _parse_scanf_format(fmt: str) -> list[tuple[str, int | None]]:
     return convs
 
 
-# condition code -> predicate over the flags, for jcc and cmovcc
-_CONDITIONS = {
-    "e": lambda f: f["zf"], "z": lambda f: f["zf"],
-    "ne": lambda f: not f["zf"], "nz": lambda f: not f["zf"],
-    "l": lambda f: f["sf"] != f["of"], "ge": lambda f: f["sf"] == f["of"],
-    "le": lambda f: f["zf"] or f["sf"] != f["of"],
-    "g": lambda f: not f["zf"] and f["sf"] == f["of"],
-    "b": lambda f: f["cf"], "ae": lambda f: not f["cf"],
-    "be": lambda f: f["cf"] or f["zf"], "a": lambda f: not f["cf"] and not f["zf"],
-    "s": lambda f: f["sf"], "ns": lambda f: not f["sf"],
-}
-
 _HANDLERS = {
     "push": Machine._do_push, "pop": Machine._do_pop,
     "mov": Machine._do_mov, "xchg": Machine._do_xchg, "lea": Machine._do_lea,
@@ -705,3 +716,4 @@ _HANDLERS = {
     **{m: Machine._do_jcc for m in JCC},
     **{m: Machine._do_cmov for m in CMOV},
 }
+

@@ -29,6 +29,7 @@ class RunOutcome:
     cause: str | None = None
     steps: int = 0
     stdout: bytes = b""
+    read_stdin: bool = False        # whether the run read stdin at all
 
     def crashed(self) -> bool:
         return self.status == CRASH
@@ -53,7 +54,7 @@ def run(image: ProgramImage, stdin: bytes = b"", cfg: Config | None = None,
         machine.run()
     except Halt as h:
         return RunOutcome(h.status, cause=h.cause, steps=machine.steps,
-                          stdout=bytes(machine.stdout))
+                          stdout=bytes(machine.stdout), read_stdin=machine.read_stdin)
 
 
 def validate_patch(original: ProgramImage, patched: ProgramImage,
@@ -62,10 +63,12 @@ def validate_patch(original: ProgramImage, patched: ProgramImage,
     """Before/after protocol: derived input when available, otherwise a
     deterministic batch of random inputs.
 
-    `runs` memoizes whole-program outcomes by (image, stdin) across calls
-    that share it; the interpreter is deterministic, so a memoized outcome
-    is the one a new run gives. The images must stay alive while `runs`
-    is in use, because they are keyed by identity."""
+    `runs` memoizes whole-program outcomes across calls that share it,
+    keyed by (id(image), stdin), or by (id(image), None) for a run that
+    never read stdin: that run answers every stdin for the image. The
+    interpreter is deterministic and argv and cfg are fixed, so a memoized
+    outcome is the one a new run gives. The images must stay alive while
+    `runs` is in use, because they are keyed by identity."""
     cfg = cfg or Config()
     runs = {} if runs is None else runs
     if crash_input is not None:
@@ -109,7 +112,10 @@ def _one_trial(original: ProgramImage, patched: ProgramImage, data: bytes,
 
 
 def _memo_run(runs: dict, image: ProgramImage, data: bytes, cfg: Config) -> RunOutcome:
-    key = (id(image), data)     # every run starts at the image's entry point
-    if key not in runs:
-        runs[key] = run(image, stdin=data, cfg=cfg)
-    return runs[key]
+    # every run starts at the image's entry point
+    for key in ((id(image), None), (id(image), data)):
+        if key in runs:
+            return runs[key]
+    outcome = run(image, stdin=data, cfg=cfg)
+    runs[(id(image), data if outcome.read_stdin else None)] = outcome
+    return outcome

@@ -251,6 +251,25 @@ def test_timeout_during_one_roots_build_truncates_it(monkeypatch):
     assert clock.now == 1.5
 
 
+def test_timeout_during_one_roots_check_is_inconclusive(monkeypatch):
+    """The deadline expires inside the only root's check: the search reads
+    the clock every DEADLINE_EVERY dequeues and stops, and every property it
+    has not found violated is inconclusive, as on a root left unchecked."""
+    clock = _Clock()
+    monkeypatch.setattr(cli, "time", clock)
+    monkeypatch.setattr(memstace, "time", clock)
+    monkeypatch.setattr(checker, "time", _Ticking(clock, 0.5))
+    image = parse_disassembly(_diamonds(9))         # 1027 states
+    report = analyze_image(image, "diamonds", Config(timeout=1))
+    assert not report.truncated
+    assert [p.status for p in report.properties] == ["inconclusive"] * 7
+    assert report.status == "inconclusive"
+    for p in report.properties:
+        assert f"timeout before checking {p.name!r} on root 'main'" in report.notes
+    # three clock reads: at dequeues 256 and 512 the time is 0.5 and 1.0
+    assert clock.now == 1.5
+
+
 def test_unbound_property_variable_rejected_at_load(tmp_path, capsys):
     """A property whose variable no quantifier binds stops the run with exit
     code 2 and a message naming the property and the variable, before any

@@ -47,7 +47,8 @@ def _mutate(rng: random.Random, text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_mutants_never_end_in_an_internal_error(tmp_path):
+def write_mutants(tmp_path) -> list[str]:
+    """The MUTANTS seeded mutants, written under tmp_path; their paths."""
     rng = random.Random(SEED)
     sources = sorted(CORPUS_DIR.glob("*.s")) + sorted(FIXTURE_DIR.glob("*.s"))
     paths = []
@@ -56,9 +57,17 @@ def test_mutants_never_end_in_an_internal_error(tmp_path):
         path = tmp_path / f"{src.stem}_{k}.s"
         path.write_text(_mutate(rng, src.read_text()))
         paths.append(str(path))
+    return paths
+
+
+# the configuration every mutant is analysed under
+MUTANT_CONFIG = Config(max_states=2000, step_budget=20000)
+
+
+def test_mutants_never_end_in_an_internal_error(tmp_path):
+    paths = write_mutants(tmp_path)
     t0 = time.perf_counter()
-    reports = analyze(paths, Config(max_states=2000, step_budget=20000),
-                      patch_all=True, validate=True)
+    reports = analyze(paths, MUTANT_CONFIG, patch_all=True, validate=True)
     elapsed = time.perf_counter() - t0
     internal = [f"{r.binary}: {r.error}" for r in reports
                 if r.error and r.error.startswith("internal error")]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from stackcheck.frontend import parse_disassembly
@@ -235,3 +237,33 @@ def test_strncpy_pads_to_exact_length():
     m.run_to(0x401024)
     dest = m.rd_reg("rbp") - 0x10
     assert m.rd_mem(dest, 8) == b"A" + b"\0" * 7
+
+
+def _rd_cstr_bytewise(m: Machine, addr: int, cap: int | None = None) -> bytes:
+    """The reference: one rd_mem call per byte."""
+    cap = cap if cap is not None else m.cfg.max_input_len * 2
+    out = bytearray()
+    for k in range(cap):
+        b = m.rd_mem(addr + k, 1)[0]
+        if b == 0:
+            break
+        out.append(b)
+    return bytes(out)
+
+
+def test_rd_cstr_matches_the_bytewise_reference():
+    """Strings that start below the written window (FILL bytes), run to
+    STACK_TOP and past it, live in argv, or stop at the cap."""
+    from stackcheck.interp import ARGV_BASE, PAGE, STACK_TOP
+    rng = random.Random(5)
+    m = Machine(parse_disassembly("main:\n401000: nop\n"), Config(max_input_len=64),
+                argv=("prog", "x" * 40, ""))
+    m.start(0x401000)
+    m.wr_mem(STACK_TOP - 2 * PAGE, bytes(rng.choice(b"\0ABC") for _ in range(2 * PAGE)))
+    m.wr_mem(STACK_TOP - 48, b"Z" * 48)             # no NUL up to STACK_TOP
+    starts = ([m.stack_lo - 16, m.stack_lo - 200, STACK_TOP - 48, STACK_TOP - 1, STACK_TOP,
+               ARGV_BASE, ARGV_BASE + 5, ARGV_BASE + 30]
+              + [rng.randrange(m.stack_lo - PAGE, STACK_TOP + 8) for _ in range(300)])
+    for addr in starts:
+        for cap in (None, 0, 1, 7, rng.randrange(1, 300)):
+            assert m.rd_cstr(addr, cap) == _rd_cstr_bytewise(m, addr, cap), (hex(addr), cap)

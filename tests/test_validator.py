@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import random
+
+import pytest
 
 from stackcheck import validator
-from stackcheck.cli import analyze
+from stackcheck.cli import analyze, analyze_image
 from stackcheck.effects import CrashInput
 from stackcheck.frontend import parse_disassembly
 from stackcheck.memstace import Config
 from stackcheck.validator import CLEAN, CRASH, STEP_BUDGET, run, validate_patch
 
-from conftest import corpus_path, fixture_path, load_image
+from conftest import CORPUS_DIR, FIXTURE_DIR, corpus_path, fixture_path, load_image
 from test_oracle import _chain
 
 
@@ -175,3 +178,78 @@ def test_whole_program_runs_do_not_grow_with_chain_length(tmp_path, monkeypatch)
         assert len(report.validations) == len(report.patches) >= n
         counts.append(runs[0])
     assert counts[0] == counts[1] == counts[2], counts
+
+
+# --- the stdin-blind memo ---------------------------------------------------------
+
+# a 16-byte buffer at rbp-0x10 and the format "%s" at rbp-0x20
+_READ = """\
+main:
+401000: push rbp
+401004: mov rbp, rsp
+401008: sub rsp, 0x20
+40100c: mov byte [rbp-0x20], 0x25
+401010: mov byte [rbp-0x1f], 0x73
+401014: mov byte [rbp-0x1e], 0x0
+401018: lea rdi, [rbp-{rdi}]
+40101c: {rsi}
+401020: {reader}
+401024: add rsp, 0x20
+401028: pop rbp
+40102c: ret
+"""
+
+
+@pytest.mark.parametrize("rdi, rsi, reader, reads", [
+    ("0x10", "nop", "call 0x401080 <gets@plt>", True),
+    ("0x10", "mov rsi, 0x8", "call 0x401088 <fgets@plt>", True),
+    ("0x10", "mov rsi, 0x0", "call 0x401088 <fgets@plt>", True),    # n <= 0 reads nothing
+    ("0x20", "lea rsi, [rbp-0x10]", "call 0x401090 <scanf@plt>", True),
+    ("0x10", "nop", "safecall bounded_readline 0x8", True),
+    ("0x20", "lea rsi, [rbp-0x10]", "safecall bounded_scan 0x8", True),
+    ("0x20", "nop", "call 0x401098 <puts@plt>", False),
+])
+def test_every_stdin_reader_marks_the_run(rdi, rsi, reader, reads):
+    image = parse_disassembly(_READ.format(rdi=rdi, rsi=rsi, reader=reader))
+    for stdin in (b"", b"abc\n"):
+        outcome = run(image, stdin=stdin)
+        assert outcome.status == CLEAN
+        assert outcome.read_stdin is reads, stdin
+
+
+def test_a_run_that_reads_no_stdin_answers_every_stdin():
+    """Every bundled image (original and patched) whose run never reads
+    stdin gives the same outcome, steps and stdout included, on 20 seeded
+    inputs: the outcome the memo hands out for any stdin."""
+    rng = random.Random(8)
+    blind = 0
+    for path in sorted(CORPUS_DIR.glob("*.s")) + sorted(FIXTURE_DIR.glob("*.s")):
+        original = load_image(path)
+        report = analyze_image(original, path.stem, Config(), patch_all=True)
+        for image in filter(None, (original, report.patched_image)):
+            first = run(image)
+            if first.read_stdin:
+                continue
+            blind += 1
+            for _ in range(20):
+                data = bytes(rng.randrange(256) for _ in range(rng.randrange(64)))
+                assert run(image, stdin=data) == first, path.stem
+    assert blind >= 10
+
+
+@pytest.mark.parametrize("name, runs", [("strcpy_rip_vuln", 2), ("gets_rip_vuln", 2)])
+def test_validation_runs_a_stdin_blind_image_once(name, runs, monkeypatch):
+    """strcpy_rip_vuln reads no stdin: its three random trials share one
+    run per image, two in all (six before the memo). gets_rip_vuln reads
+    stdin and is validated on its one derived input, two runs as before."""
+    calls = [0]
+    real_run = validator.run
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(validator, "run", counted)
+    report = analyze([str(corpus_path(name))], Config(), patch=True, validate=True)[0]
+    assert [v["success"] for v in report.validations] == [True]
+    assert calls[0] == runs
