@@ -1,7 +1,8 @@
 """Pipeline orchestration and the command-line front door.
 
 For every input listing: parse, rebuild the CFG, then build one state
-space per user function (descending through user calls), check every
+space per function of the image (descending through user calls; the
+instructions before the first header form a function too), check every
 property on each space, and aggregate per-property verdicts keeping the
 shortest counterexample. Violated properties are traced back to sinks;
 with --patch the sinks are rewritten and with --validate the original
@@ -22,10 +23,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import checker, ltl, patcher, validator
-from .effects import EffectsOracle, extract_concrete_input
-from .frontend import (FunctionMap, MalformedLine, DuplicateFunction,
-                       ProgramImage, build_bcfg, entry_point,
-                       extract_user_functions, parse_disassembly)
+from .effects import EffectsOracle, MalformedBuffers, load_buffer_pins
+from .frontend import (MalformedLine, DuplicateFunction, ProgramImage, build_bcfg,
+                       entry_point, parse_disassembly)
 from .memstace import Config, build_memstace, dump_memstace
 from .patcher import NoSinkFound, NoTemplate, load_templates
 
@@ -108,15 +108,6 @@ def _load_properties(cfg: Config) -> list[ltl.PropertyAst]:
     return props
 
 
-def _load_buffer_overrides(cfg: Config) -> dict:
-    if not cfg.buffers_path:
-        return {}
-    with open(cfg.buffers_path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return {fn: {int(off): size for off, size in table.items()}
-            for fn, table in raw.items()}
-
-
 def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
                   patch: bool = False, validate: bool = False,
                   patch_all: bool = False,
@@ -126,8 +117,7 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
     deadline = t0 + cfg.timeout if cfg.timeout else None
 
     bcfg = build_bcfg(image)
-    funcs = extract_user_functions(bcfg, image)
-    oracle = EffectsOracle(image, bcfg, funcs, cfg)
+    oracle = EffectsOracle(image, bcfg, cfg)
     properties = _load_properties(cfg)
     monitors = [ltl.compile_monitor(p) for p in properties]
     libc_names = oracle.libc_names()
@@ -135,7 +125,6 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
     for p in properties:
         if p.cwes:
             cwe_db.setdefault(p.name, list(p.cwes))
-    overrides = _load_buffer_overrides(cfg)
     report.warnings.extend(image.warnings)
     report.warnings.extend(bcfg.warnings)
     for lp in oracle.loops:
@@ -153,9 +142,9 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
         elif sym and sym.endswith("@plt") and target in image.instructions:
             report.warnings.append(
                 f"call at {last.address:#x} names {sym} but its target {target:#x} is in "
-                f"user function {funcs.function_of(target)!r}; it descends as a user call")
+                f"user function {image.function_of(target)!r}; it descends as a user call")
 
-    roots = sorted(funcs.entries.items(), key=lambda kv: kv[1])
+    roots = sorted(image.functions.items(), key=lambda kv: kv[1])
     roots = [(n, a) for n, a in roots if not n.startswith("__patch_")]
     report.roots = [n for n, _ in roots]
 
@@ -169,8 +158,7 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
             break
         oracle.set_root(entry)
         b0 = time.perf_counter()
-        space = build_memstace(bcfg, funcs, oracle, cfg, image=image, entry=entry,
-                               buffer_overrides=overrides, deadline=deadline,
+        space = build_memstace(image, oracle, cfg, entry, deadline=deadline,
                                decoded=decoded)
         build_elapsed += time.perf_counter() - b0
         spaces[fn_name] = space
@@ -245,7 +233,7 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
         if result.status != checker.VIOLATED or result.trace is None:
             continue
         try:
-            sink = patcher.locate_sink(result.trace, funcs, libc_names)
+            sink = patcher.locate_sink(result.trace, image, libc_names)
         except NoSinkFound:
             report.notes.append(
                 f"{result.name}: violation has no call/loop sink; report-only")
@@ -266,8 +254,7 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
                 continue
             callee = (ins.target_symbol() or "").removesuffix("@plt")
             if callee in templated and addr not in sink_map:
-                fn = funcs.function_of(addr) or "?"
-                sink_map[addr] = patcher.SinkSite(address=addr, function=fn,
+                sink_map[addr] = patcher.SinkSite(address=addr, function=image.function_of(addr),
                                                   callee=callee, kind="call")
 
     report.sinks = [{
@@ -276,8 +263,7 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
     } for s in sorted(sink_map.values(), key=lambda s: s.address)]
 
     if patch or validate or patch_all:
-        _patch_and_validate(report, image, sink_map, oracle, funcs, cfg,
-                            validate=validate)
+        _patch_and_validate(report, image, sink_map, oracle, cfg, validate=validate)
 
     report.notes = list(dict.fromkeys(report.notes))
     report.warnings = list(dict.fromkeys(report.warnings))
@@ -291,9 +277,7 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
 
 def _patch_and_validate(report: Report, image: ProgramImage,
                         sink_map: dict, oracle: EffectsOracle,
-                        funcs: FunctionMap, cfg: Config, *, validate: bool) -> None:
-    if not funcs.entries:
-        return
+                        cfg: Config, *, validate: bool) -> None:
     templates = load_templates(cfg.templates_path)
     patched = image
     plans = []
@@ -306,10 +290,8 @@ def _patch_and_validate(report: Report, image: ProgramImage,
         effect = oracle.call_effect(addr)
         if effect.opaque:
             # fall back to the sink's own function as the emulation root
-            fn_entry = funcs.entries.get(sink.function)
-            if fn_entry is not None:
-                oracle.set_root(fn_entry)
-                effect = oracle.call_effect(addr)
+            oracle.set_root(image.functions[sink.function])
+            effect = oracle.call_effect(addr)
         args = oracle.arguments(addr)
         try:
             plan = patcher.select_template(sink, effect, args, templates,
@@ -334,8 +316,7 @@ def _patch_and_validate(report: Report, image: ProgramImage,
         return
     runs: dict = {}     # whole-program outcomes shared by every sink's validation
     for plan, effect in plans:
-        crash_input = extract_concrete_input(effect)
-        vr = validator.validate_patch(image, patched, crash_input, cfg, runs)
+        vr = validator.validate_patch(image, patched, effect.concrete_input, cfg, runs)
         report.validations.append({
             "sink": plan.sink.address,
             "input_source": vr.input_source,
@@ -359,7 +340,8 @@ def analyze(paths: list[str], cfg: Config | None = None, *, patch: bool = False,
             image = parse_disassembly(Path(path).read_text(encoding="utf-8"))
             report = analyze_image(image, name, cfg, patch=patch, validate=validate,
                                    patch_all=patch_all, export_memstace=export_memstace)
-        except (MalformedLine, DuplicateFunction, OSError, *PROPERTY_ERRORS) as exc:
+        except (MalformedLine, DuplicateFunction, MalformedBuffers, OSError,
+                *PROPERTY_ERRORS) as exc:
             report = Report(binary=name, status="error", error=str(exc))
         except Exception as exc:    # a failure ends this binary's analysis, not the batch
             where = traceback.extract_tb(exc.__traceback__)[-1]
@@ -506,6 +488,11 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, *PROPERTY_ERRORS) as exc:
             print(f"stackcheck: --props {args.props}: {exc}", file=sys.stderr)
             return 2
+    try:
+        load_buffer_pins(args.buffers)
+    except (OSError, MalformedBuffers) as exc:
+        print(f"stackcheck: --buffers {args.buffers}: {exc}", file=sys.stderr)
+        return 2
     reports = analyze(args.paths, cfg, patch=args.patch or bool(args.out),
                       validate=args.validate, patch_all=args.patch_all,
                       out_dir=args.out, export_memstace=args.export_memstace)

@@ -13,7 +13,9 @@ effect with a note saying which. Calls that read stdin/argv record the
 smallest input reaching a saved return address or canary; that input is
 kept for patch validation. The write covers the input plus its
 terminator, so that length is the distance from the destination to the
-first protected byte at or above it (at least 1), in closed form.
+first protected byte at or above it (at least 1), in closed form. The
+oracle also owns the analysis's buffer-size rule, which the state-space
+builder and the call emulation both read.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import json
 from dataclasses import dataclass, field
 
 from . import interp, load_data
-from .frontend import BCfg, FunctionMap, ProgramImage, IMM, MEM, REG
-from .interp import CLEAN, CRASH, STEP_BUDGET, UNSUPPORTED, Halt, Machine
+from .frontend import BCfg, ProgramImage, IMM, MEM, REG
+from .interp import CLEAN, CRASH, STACK_TOP, STEP_BUDGET, UNSUPPORTED, Halt, Machine
 from .memstace import ByteOp, Config, infer_buffer_size, scan_object_boundaries
 
 ARG_REGS = ["rdi", "rsi", "rdx", "rcx", "r8", "r9"]
@@ -31,6 +33,10 @@ ARG_REGS = ["rdi", "rsi", "rdx", "rcx", "r8", "r9"]
 
 class UnknownLibc(Exception):
     pass
+
+
+class MalformedBuffers(Exception):
+    """A --buffers sidecar that is not {function: {rbp offset: size}}."""
 
 
 @dataclass(frozen=True)
@@ -56,6 +62,35 @@ def _parse_libc_db(text: str) -> dict[str, LibcSpec]:
     return {name: LibcSpec(name=name, arity=e["arity"], roles=tuple(e["roles"]),
                            input_source=e["input_source"], extent=e["extent"])
             for name, e in json.loads(text).items()}
+
+
+def load_buffer_pins(path: str | None) -> dict[str, dict[int, int]]:
+    """The buffer sizes a --buffers sidecar pins, {function: {rbp offset:
+    size}}: offsets are integer strings and sizes positive integers. No
+    path pins nothing."""
+    if path is None:
+        return {}
+    with open(path, encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:     # not JSON, or not UTF-8
+            raise MalformedBuffers(f"not JSON: {exc}")
+    if not isinstance(raw, dict) or not all(isinstance(t, dict) for t in raw.values()):
+        raise MalformedBuffers("expected an object mapping each function to an object "
+                               "of {rbp offset: size}")
+    pins: dict[str, dict[int, int]] = {}
+    for fn, table in raw.items():
+        pins[fn] = {}
+        for off, size in table.items():
+            try:
+                offset = int(off)
+            except ValueError:
+                raise MalformedBuffers(f"{fn}: offset {off!r} is not an integer")
+            if type(size) is not int or size <= 0:
+                raise MalformedBuffers(f"{fn}: size {size!r} at offset {off} is not a "
+                                       "positive integer")
+            pins[fn][offset] = size
+    return pins
 
 
 def lookup_libc(name: str, db: dict[str, LibcSpec] | None = None) -> LibcSpec:
@@ -156,28 +191,13 @@ class CallEffect:
     name: str
     site: int
     touched: tuple[tuple[int, int, ByteOp], ...] = ()
-    concrete_input: bytes | None = None
-    input_stream: str | None = None
+    concrete_input: bytes | None = None     # the smallest crashing stdin, if derived
     corrupting_len: int | None = None
-    expected_cause: str | None = None
     opaque: bool = False
     truncating: bool = False
     clamped: bool = False
     dest_size: int | None = None
-    dest_offset: int | None = None
     notes: list[str] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class CrashInput:
-    data: bytes
-    stream: str = "stdin"
-
-
-def extract_concrete_input(effect: CallEffect) -> CrashInput | None:
-    if effect.concrete_input is None:
-        return None
-    return CrashInput(data=effect.concrete_input, stream=effect.input_stream or "stdin")
 
 
 def _opaque(name: str, site: int, note: str, truncating: bool = False) -> CallEffect:
@@ -185,10 +205,11 @@ def _opaque(name: str, site: int, note: str, truncating: bool = False) -> CallEf
                       notes=[note])
 
 
-def emulate_call(machine: Machine, args: CallArgs) -> CallEffect:
+def emulate_call(machine: Machine, args: CallArgs, buffer_size) -> CallEffect:
     """The effect of the call at args.site on a machine standing there:
     apply the callee's write rule to a fork and report the stack diff as
-    (frame depth, byte index) touches."""
+    (frame depth, byte index) touches. `buffer_size(fn, offset,
+    has_canary)` is the analysis's buffer-size rule."""
     spec = args.spec
     name = spec.name
     call_site = args.site
@@ -202,23 +223,19 @@ def emulate_call(machine: Machine, args: CallArgs) -> CallEffect:
         return _opaque(name, call_site,
                        f"{name} at {call_site:#x}: destination unresolved", truncating=True)
 
-    dest_size = dest_offset = None
+    dest_size = None
     if dest is not None:
         frame = machine.frame_containing(dest)
         if frame is not None:
             dest_size = frame.protected_floor() - dest
-            if frame.rbp_loc is not None:
-                dest_offset = dest - frame.rbp_loc
-            # a neighbouring object caps the destination below the
-            # protected floor; only the active frame's layout is known here
-            if dest_offset is not None and frame is machine.shadow[-1]:
-                image = machine.image
-                bounds = scan_object_boundaries(
-                    image.function_body(image.function_of(call_site)))
-                inferred = infer_buffer_size(dest_offset, bounds,
-                                             frame.canary_loc is not None)
-                if 0 < inferred < dest_size:
-                    dest_size = inferred
+            # the buffer the rule gives (a pin or a neighbouring object)
+            # caps the destination below the protected floor; only the
+            # active frame's layout is known here
+            if frame.rbp_loc is not None and frame is machine.shadow[-1]:
+                size = buffer_size(machine.image.function_of(call_site),
+                                   dest - frame.rbp_loc, frame.canary_loc is not None)
+                if 0 < size < dest_size:
+                    dest_size = size
 
     try:
         payloads, search = _write_payloads(machine, spec, dest, cfg)
@@ -231,7 +248,6 @@ def emulate_call(machine: Machine, args: CallArgs) -> CallEffect:
     else:
         effect = _input_search(machine, name, call_site, dest, cfg, search)
     effect.dest_size = dest_size
-    effect.dest_offset = dest_offset
     return effect
 
 
@@ -283,7 +299,12 @@ def _source_string(machine: Machine, spec: LibcSpec, cfg: Config) -> bytes:
 
 def _apply_payload(clone: Machine, addr: int, data: bytes) -> bool:
     """Write data at addr up to the first byte outside the stack and the
-    aux area; whether the write was clamped there."""
+    aux area; whether the write was clamped there. A write that starts in
+    the stack runs in it up to STACK_TOP, so it is one write."""
+    if clone.in_stack(addr):
+        n = min(len(data), STACK_TOP - addr)
+        clone.wr_mem(addr, data[:n])
+        return n < len(data)
     for i, b in enumerate(data):
         a = addr + i
         if not (clone.in_stack(a) or a in clone.aux):
@@ -327,15 +348,13 @@ def _map_touches(machine: Machine, changed: dict[int, tuple[int, int]]):
     return touched, overflow
 
 
-def _protected_addresses(machine: Machine) -> dict[int, bool]:
-    """Saved return-address and canary bytes of every shadow frame, each
-    mapped to whether it is a canary byte."""
-    out: dict[int, bool] = {}
+def _protected_addresses(machine: Machine) -> set[int]:
+    """Saved return-address and canary bytes of every shadow frame."""
+    out: set[int] = set()
     for f in machine.shadow:
-        for a in range(f.ret_loc, f.ret_loc + 8):
-            out.setdefault(a, False)
+        out.update(range(f.ret_loc, f.ret_loc + 8))
         if f.canary_loc is not None:
-            out.update(dict.fromkeys(range(f.canary_loc, f.canary_loc + 8), True))
+            out.update(range(f.canary_loc, f.canary_loc + 8))
     return out
 
 
@@ -346,8 +365,7 @@ def _input_search(machine: Machine, name: str, site: int, dest: int,
     An input of length n writes dest..dest+n (payload plus terminator), so
     the first protected byte at or above dest fixes the minimum.
     """
-    protected = _protected_addresses(machine)
-    above = [a for a in protected if a >= dest]
+    above = [a for a in _protected_addresses(machine) if a >= dest]
     minimal = max(min(above) - dest, 1) if above else None
     if minimal is None or minimal > max_len:
         # bounded input: worst case is the full allowed extent, no crash input
@@ -357,10 +375,7 @@ def _input_search(machine: Machine, name: str, site: int, dest: int,
     data = b"A" * minimal + b"\0"
     effect = _diff_effect(machine, name, site, dest, data)
     effect.corrupting_len = minimal
-    effect.input_stream = "stdin"
     effect.concrete_input = b"A" * minimal + b"\n"
-    hits_canary = any(protected.get(a) for a in range(dest, dest + minimal + 1))
-    effect.expected_cause = interp.CAUSE_CANARY if hits_canary else interp.CAUSE_RET
     return effect
 
 
@@ -375,7 +390,7 @@ class LoopInfo:
     irreducible: bool = False
 
 
-def detect_loops(bcfg: BCfg, funcs: FunctionMap | None = None) -> list[LoopInfo]:
+def detect_loops(bcfg: BCfg, image: ProgramImage) -> list[LoopInfo]:
     """Natural loops from back-edges found by DFS ancestry, per function."""
     loops: list[LoopInfo] = []
     intra: dict[int, list[int]] = {}
@@ -384,13 +399,8 @@ def detect_loops(bcfg: BCfg, funcs: FunctionMap | None = None) -> list[LoopInfo]
                             if isinstance(t, int) and kind in ("fallthrough", "taken", "call-return")]
     preds = bcfg.predecessors
 
-    entries = sorted({e for e in (funcs.entries.values() if funcs else [bcfg.entry])
-                      if e in bcfg.blocks})
-    if not entries and bcfg.entry in bcfg.blocks:
-        entries = [bcfg.entry]
     seen_edges: set[tuple[int, int]] = set()
-    for fn_entry in entries:
-        fn_name = funcs.reverse.get(fn_entry, f"sub_{fn_entry:x}") if funcs else "?"
+    for fn_entry in sorted(image.functions.values()):
         back_edges = _find_back_edges(fn_entry, intra)
         dom = _dominators(fn_entry, intra, preds)
         for (src, tgt) in sorted(back_edges):
@@ -400,7 +410,7 @@ def detect_loops(bcfg: BCfg, funcs: FunctionMap | None = None) -> list[LoopInfo]
             irreducible = tgt not in dom.get(src, {src})
             body = _natural_loop_body(src, tgt, preds)
             exit_addr = _loop_exit(body, intra, bcfg)
-            loops.append(LoopInfo(function=fn_name, entry=tgt,
+            loops.append(LoopInfo(function=image.function_of(fn_entry), entry=tgt,
                                   exit=exit_addr, body=frozenset(body),
                                   irreducible=irreducible or exit_addr is None))
     return loops
@@ -533,18 +543,22 @@ class EffectsOracle:
     starts a fresh run that stops only at sites not yet cached. A run
     that halts is kept as its Halt, which fixes the opaque effect of
     every site it did not reach.
+
+    It also owns the buffer-size rule (`buffer_size`), memoized for the
+    analysis.
     """
 
-    def __init__(self, image: ProgramImage, bcfg: BCfg, funcs: FunctionMap,
-                 cfg: Config, libc_db: dict[str, LibcSpec] | None = None):
+    def __init__(self, image: ProgramImage, bcfg: BCfg, cfg: Config,
+                 libc_db: dict[str, LibcSpec] | None = None):
         self.image = image
         self.bcfg = bcfg
-        self.funcs = funcs
         self.cfg = cfg
         self.libc_db = libc_db or load_libc_db(cfg.libc_db_path)
+        self.buffer_pins = load_buffer_pins(cfg.buffers_path)
+        self._buffer_sizes: dict[tuple[str, int, bool], int] = {}
         # the analysis root emulations start from; callers set it per root
         self.root = image.order[0] if image.order else None
-        self.loops = detect_loops(bcfg, funcs)
+        self.loops = detect_loops(bcfg, image)
         self._loops_by_entry: dict[int, LoopInfo] = {}
         for lp in self.loops:
             cur = self._loops_by_entry.get(lp.entry)
@@ -565,6 +579,16 @@ class EffectsOracle:
 
     def libc_names(self) -> set[str]:
         return set(self.libc_db)
+
+    def buffer_size(self, fn: str, offset: int, has_canary: bool) -> int:
+        """Size of the buffer at rbp offset `offset` in `fn`: its --buffers
+        pin, else the gap to the next object the function addresses."""
+        key = (fn, offset, has_canary)
+        if key not in self._buffer_sizes:
+            pinned = self.buffer_pins.get(fn, {}).get(offset)
+            self._buffer_sizes[key] = pinned if pinned is not None else infer_buffer_size(
+                offset, scan_object_boundaries(self.image.function_body(fn)), has_canary)
+        return self._buffer_sizes[key]
 
     def arguments(self, site: int) -> CallArgs | None:
         if site not in self._args_cache:
@@ -640,7 +664,7 @@ class EffectsOracle:
         self._stops.discard(pc)
         key = (self.root, pc)
         if pc in self._call_sites and key not in self._call_cache:
-            self._call_cache[key] = emulate_call(machine, self.arguments(pc))
+            self._call_cache[key] = emulate_call(machine, self.arguments(pc), self.buffer_size)
         loop = self.loop_at(pc)
         if loop is not None and key not in self._loop_cache:
             self._loop_cache[key] = emulate_loop(machine, loop)

@@ -1,11 +1,16 @@
-"""Disassembly ingestion: parse objdump-style listings, rebuild the CFG,
-and collect the user-function map.
+"""Disassembly ingestion: parse objdump-style listings into a program image
+that owns the function table, and rebuild the CFG.
 
 Input grammar (Intel syntax, one instruction per line):
 
     <name>:                      function header
     <hexaddr>: <mnemonic> [ops]  instruction, operands comma-separated
     # ...                        comment, ignored
+
+Every instruction belongs to the function whose header precedes it.
+Instructions before the first header (all of a header-less listing) form
+the function ``sub_<address of the first one>``, which is not a header
+line and so is never emitted.
 
 Operands: registers (``rax`` .. ``r15`` in all widths), immediates
 (``0x2a`` or decimal), memory (``[rbp-0x10]``, ``[rax]``, optional
@@ -16,7 +21,6 @@ and call/jump targets (``call 0x401030 <strcpy@plt>``).
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -113,8 +117,9 @@ class Instruction:
 
 @dataclass
 class ProgramImage:
-    """Parsed instruction stream plus the function headers it came with.
-    Whoever builds or extends one calls `index()` once it is complete."""
+    """Parsed instruction stream plus the function headers it came with,
+    and the one function table every stage reads. Whoever builds or
+    extends one calls `index()` once it is complete."""
 
     instructions: dict[int, Instruction] = field(default_factory=dict)
     order: list[int] = field(default_factory=list)
@@ -128,29 +133,36 @@ class ProgramImage:
         # instruction's first execution
         self.code: dict = {}
         self._by_entry = sorted((a, n) for n, a in self.function_headers.items())
-        self._entries = [a for a, _ in self._by_entry]
+        # every function, the synthetic owner of a header-less prefix
+        # included: name -> entry, owner of each address, and bodies
+        self.functions: dict[str, int] = {}
+        self._owner: dict[int, str] = {}
+        self._bodies: dict[str, list[Instruction]] = {}
+        headers = dict(self._by_entry)
+        name = f"sub_{self.order[0]:x}" if self.order else None
+        for addr in self.order:
+            name = headers.get(addr, name)
+            if name not in self.functions:
+                self.functions[name] = addr
+                self._bodies[name] = []
+            self._owner[addr] = name
+            self._bodies[name].append(self.instructions[addr])
 
     def next_address(self, addr: int) -> int | None:
         return self._next[addr]
 
-    def function_of(self, addr: int) -> str | None:
-        """Name of the function whose listing contains addr: the one with
-        the highest entry at or below it."""
-        i = bisect_right(self._entries, addr)
-        return self._by_entry[i - 1][1] if i else None
+    def next_in_function(self, addr: int) -> int | None:
+        """The instruction after addr in the listing, unless that starts
+        another function (or there is none)."""
+        nxt = self._next[addr]
+        return nxt if nxt is not None and self._owner[nxt] == self._owner[addr] else None
+
+    def function_of(self, addr: int) -> str:
+        """Name of the function whose listing contains addr."""
+        return self._owner[addr]
 
     def function_body(self, name: str) -> list[Instruction]:
-        entry = self.function_headers[name]
-        others = [a for a in self.function_headers.values() if a > entry]
-        end = min(others) if others else None
-        out = []
-        for addr in self.order:
-            if addr < entry:
-                continue
-            if end is not None and addr >= end:
-                break
-            out.append(self.instructions[addr])
-        return out
+        return self._bodies[name]
 
     def emit(self) -> str:
         """Serialize back to the input grammar (round-trips raw_text)."""
@@ -270,6 +282,10 @@ def parse_disassembly(text: str) -> ProgramImage:
         if current_function is not None and image.function_headers[current_function] == -1:
             image.function_headers[current_function] = addr
     image.function_headers = {n: a for n, a in image.function_headers.items() if a != -1}
+    if image.order and image.order[0] not in image.function_headers.values() \
+            and f"sub_{image.order[0]:x}" in image.function_headers:
+        raise DuplicateFunction(f"function 'sub_{image.order[0]:x}' names both a header "
+                                "and the instructions before the first header")
     image.index()
     return image
 
@@ -371,10 +387,8 @@ def build_bcfg(image: ProgramImage) -> BCfg:
     if not image.order:
         return BCfg(blocks={}, entry=0)
     addrs = image.instructions
-    fn_boundaries = set(image.function_headers.values())
 
-    leaders = set(fn_boundaries)
-    leaders.add(image.order[0])
+    leaders = set(image.functions.values())
     for addr in image.order:
         ins = image.instructions[addr]
         nxt = image.next_address(addr)
@@ -403,9 +417,8 @@ def build_bcfg(image: ProgramImage) -> BCfg:
     cfg = BCfg(blocks=blocks, entry=entry_point(image))
     for blk in blocks.values():
         last = blk.instructions[-1]
-        nxt = image.next_address(last.address)
         # fallthrough never crosses a function boundary
-        nxt_in_fn = nxt if (nxt is not None and nxt not in fn_boundaries) else None
+        nxt_in_fn = image.next_in_function(last.address)
         if last.mnemonic == "jmp":
             _add_branch_edge(cfg, image, blk, last, TAKEN)
         elif last.is_conditional:
@@ -431,13 +444,8 @@ def build_bcfg(image: ProgramImage) -> BCfg:
 
 
 def entry_point(image: ProgramImage) -> int:
-    """Where a whole-program run starts: main, else the lowest function,
-    else the first instruction."""
-    if "main" in image.function_headers:
-        return image.function_headers["main"]
-    if image.function_headers:
-        return min(image.function_headers.values())
-    return image.order[0]
+    """Where a whole-program run starts: main, else the lowest function."""
+    return image.functions.get("main", min(image.functions.values()))
 
 
 def _add_branch_edge(cfg: BCfg, image: ProgramImage, blk: BasicBlock,
@@ -452,31 +460,3 @@ def _add_branch_edge(cfg: BCfg, image: ProgramImage, blk: BasicBlock,
         cfg.external_sinks.add(sym)
         blk.edges.append((kind, sym))
 
-
-# --- user functions ------------------------------------------------------
-
-@dataclass
-class FunctionMap:
-    entries: dict[str, int]            # user function name -> entry address
-    reverse: dict[int, str]
-    image: ProgramImage
-    library: set[str] = field(default_factory=set)  # @plt-suffixed symbols seen
-
-    def function_of(self, addr: int) -> str | None:
-        return self.image.function_of(addr)
-
-    def is_library(self, name: str) -> bool:
-        return name.endswith("@plt") or name in self.library
-
-
-def extract_user_functions(bcfg: BCfg, image: ProgramImage) -> FunctionMap:
-    entries = dict(image.function_headers)
-    fmap = FunctionMap(entries=entries, reverse={a: n for n, a in entries.items()},
-                       image=image)
-    for addr in image.order:
-        ins = image.instructions[addr]
-        if ins.mnemonic == "call":
-            sym = ins.target_symbol()
-            if sym and sym.endswith("@plt"):
-                fmap.library.add(sym)
-    return fmap

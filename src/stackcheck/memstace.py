@@ -27,8 +27,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import groupby
 
-from .frontend import (CANARY_FS_OFFSET, CMOV, IMM, MEM, REG, BCfg, FunctionMap,
-                       Instruction, ProgramImage)
+from .frontend import CANARY_FS_OFFSET, CMOV, IMM, MEM, REG, Instruction, ProgramImage
 
 RBP_RANGE = range(8, 16)
 CALL_DEPTH = 16             # user calls deeper than this are skipped with a note
@@ -426,9 +425,6 @@ class MemStaCe:
     truncated: bool = False
     notes: list[str] = field(default_factory=list)
 
-    def state_count(self) -> int:
-        return len(self.states)
-
 
 @dataclass
 class Config:
@@ -464,14 +460,11 @@ class _Decoded:
 
 
 class _SpaceBuilder:
-    def __init__(self, bcfg: BCfg, funcs: FunctionMap, effects, cfg: Config,
-                 image: ProgramImage, buffer_overrides: dict | None,
+    def __init__(self, image: ProgramImage, effects, cfg: Config,
                  deadline: float | None, decoded: dict[int, _Decoded]):
-        self.funcs = funcs
         self.effects = effects
         self.cfg = cfg
         self.image = image
-        self.buffer_overrides = buffer_overrides or {}
         self.deadline = deadline
         self.decoded = decoded
         self.states: dict[int, MemoryState] = {}
@@ -481,7 +474,6 @@ class _SpaceBuilder:
         self.notes: list[str] = []
         self.truncated = False
         self.visited: set = set()
-        self._fn_boundaries: dict[str, set[int]] = {}
         self._fn_canary_sites: dict[str, set[int]] = {}
 
     def intern(self, state: MemoryState) -> int:
@@ -505,29 +497,17 @@ class _SpaceBuilder:
 
     # static per-function facts
 
-    def object_boundaries(self, fn: str) -> set[int]:
-        if fn not in self._fn_boundaries:
-            self._fn_boundaries[fn] = scan_object_boundaries(self.image.function_body(fn))
-        return self._fn_boundaries[fn]
-
     def canary_sites(self, fn: str) -> set[int]:
         if fn not in self._fn_canary_sites:
             self._fn_canary_sites[fn] = scan_canary_stores(self.image.function_body(fn))
         return self._fn_canary_sites[fn]
 
-    def buffer_size_at(self, fn: str, offset: int, has_canary: bool) -> int:
-        pinned = self.buffer_overrides.get(fn, {}).get(offset)
-        if pinned is not None:
-            return pinned
-        return infer_buffer_size(offset, self.object_boundaries(fn), has_canary)
-
     def decode(self, pc: int) -> _Decoded:
-        ins = self.image.instructions[pc]
-        fn = self.funcs.function_of(pc) or "?"
-        nxt = self.image.next_address(pc)
-        if nxt is not None and self.funcs.function_of(nxt) != fn:
-            nxt = None
-        loop = self.effects.loop_at(pc) if self.effects else None
+        image = self.image
+        ins = image.instructions[pc]
+        fn = image.function_of(pc)
+        nxt = image.next_in_function(pc)
+        loop = self.effects.loop_at(pc)
         m, target = ins.mnemonic, ins.target()
 
         def record(kind: str, **facts) -> _Decoded:
@@ -542,11 +522,11 @@ class _SpaceBuilder:
                 return record("no-effect")
             return record("lea", label=TransitionLabel("buffer-register", pc, text=ins.text))
         if m == "call":
-            sym = ins.target_symbol()
-            if target in self.image.instructions:
-                name = self.funcs.reverse.get(target, sym or f"sub_{target:x}")
-            else:
-                name = (sym or f"sub_{target:x}").removesuffix("@plt")
+            name = ins.target_symbol() or f"sub_{target:x}"
+            if target not in image.instructions:
+                name = name.removesuffix("@plt")
+            elif image.functions[image.function_of(target)] == target:
+                name = image.function_of(target)    # a call to a function's entry
             return record("call", label=TransitionLabel("call", pc, name=name, text=ins.text))
         sites = self.canary_sites(fn)
         op = classify_instruction(ins, FrameContext(sites))
@@ -566,7 +546,7 @@ class _SpaceBuilder:
     # the DFS itself
 
     def run(self, entry: int) -> MemStaCe:
-        self.root = self.funcs.function_of(entry) or f"sub_{entry:x}"
+        self.root = self.image.function_of(entry)
         init = MemoryState(frames=(fresh_frame(self.root),))
         try:
             init_id = self.intern(init)
@@ -648,7 +628,7 @@ class _SpaceBuilder:
         top, offset = state.top, d.ins.operands[1].disp
         if not top.has_rbp_slot:
             return sid
-        size = self.buffer_size_at(d.fn, offset, top.has_canary)
+        size = self.effects.buffer_size(d.fn, offset, top.has_canary)
         if size <= 0:
             return sid
         try:
@@ -671,12 +651,10 @@ class _SpaceBuilder:
             dst = self.emit(sid, d.label, frames + (fresh_frame(d.label.name),))
             return (d.target, dst, call_stack + (d.nxt,))
         # library / external call: splice the emulated effect
-        effect = self.effects.call_effect(d.ins.address) if self.effects else None
-        if effect is None or effect.opaque:
-            if effect is not None and effect.truncating:
-                self.truncated = True
-            if effect is not None:
-                self.notes.extend(effect.notes)
+        effect = self.effects.call_effect(d.ins.address)
+        if effect.opaque:
+            self.truncated = self.truncated or effect.truncating
+            self.notes.extend(effect.notes)
             return (d.nxt, self.emit(sid, d.label, frames), call_stack)
         new, notes = apply_effect(self.states[sid], effect)
         self.notes.extend(notes)
@@ -686,9 +664,8 @@ class _SpaceBuilder:
         state = self.states[sid]
         effect = self.effects.loop_effect(loop)
         label = TransitionLabel("loop", loop.entry, text=f"loop {loop.entry:#x}..{loop.exit:#x}")
-        if effect is None or effect.opaque:
-            if effect is not None:
-                self.notes.extend(effect.notes)
+        if effect.opaque:
+            self.notes.extend(effect.notes)
             return self.emit(sid, label, state.frames)
         new, notes = apply_effect(state, effect)
         self.notes.extend(notes)
@@ -715,22 +692,20 @@ def apply_effect(state: MemoryState, effect) -> tuple[MemoryState, list[str]]:
     return MemoryState(frames=tuple(frames), incoming_label=state.incoming_label), notes
 
 
-def build_memstace(bcfg: BCfg, funcs: FunctionMap, effects, cfg: Config,
-                   image: ProgramImage, entry: int | None = None,
-                   buffer_overrides: dict | None = None,
+def build_memstace(image: ProgramImage, effects, cfg: Config, entry: int,
                    deadline: float | None = None,
                    decoded: dict | None = None) -> MemStaCe:
     """DFS the CFG from entry, producing the labeled transition system.
 
     Library calls and loop bodies are summarized through the effects
-    oracle; user calls descend, giving multi-frame states. Identical
-    states (frames plus incoming label) are shared. Roots that share one
-    `decoded` dict decode each instruction once; past `deadline` (a
+    oracle, which also sizes the buffers the builder registers; user
+    calls descend, giving multi-frame states. Identical states (frames
+    plus incoming label) are shared. Roots that share one `decoded` dict
+    decode each instruction once; past `deadline` (a
     `time.perf_counter()` value) the space is truncated.
     """
-    builder = _SpaceBuilder(bcfg, funcs, effects, cfg, image, buffer_overrides,
-                            deadline, {} if decoded is None else decoded)
-    return builder.run(bcfg.entry if entry is None else entry)
+    builder = _SpaceBuilder(image, effects, cfg, deadline, {} if decoded is None else decoded)
+    return builder.run(entry)
 
 
 # --- export ---------------------------------------------------------------

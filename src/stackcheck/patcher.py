@@ -17,7 +17,7 @@ from pathlib import Path
 from . import load_data
 from .checker import Trace
 from .effects import CallArgs, CallEffect, FRAME_ADDR
-from .frontend import FunctionMap, Instruction, Operand, ProgramImage, TARGET, IMM
+from .frontend import Instruction, Operand, ProgramImage, TARGET, IMM
 
 
 class NoSinkFound(Exception):
@@ -82,7 +82,7 @@ def _parse_templates(text: str) -> list[PatchTemplate]:
     return [PatchTemplate(**entry) for entry in json.loads(text)]
 
 
-def locate_sink(trace: Trace, funcs: FunctionMap,
+def locate_sink(trace: Trace, image: ProgramImage,
                 libc_names: set[str] | None = None) -> SinkSite:
     """Walk the trace backwards to the last library call, falling back to
     the loop entry when the violation came from a loop."""
@@ -91,13 +91,12 @@ def locate_sink(trace: Trace, funcs: FunctionMap,
         if step.operation.startswith("Call("):
             callee = step.operation[len("Call("):-1]
             if callee in libc_names:
-                fn = funcs.function_of(step.address) or "?"
-                return SinkSite(address=step.address, function=fn,
+                return SinkSite(address=step.address, function=image.function_of(step.address),
                                 callee=callee, kind="call")
     for step in reversed(trace.steps):
         if step.operation == "Loop":
-            fn = funcs.function_of(step.address) or "?"
-            return SinkSite(address=step.address, function=fn, callee=None, kind="loop")
+            return SinkSite(address=step.address, function=image.function_of(step.address),
+                            callee=None, kind="loop")
     raise NoSinkFound("trace has neither a library call nor a loop step")
 
 
@@ -146,9 +145,8 @@ def apply_trampoline(image: ProgramImage, plan: PatchPlan) -> ProgramImage:
     if sink_ins is None or sink_ins.mnemonic != "call":
         raise NoSinkFound(f"no call instruction at {sink_addr:#x}")
 
-    nxt = image.next_address(sink_addr)
-    sink_fn = image.function_of(sink_addr)
-    if nxt is None or image.function_of(nxt) != sink_fn:
+    nxt = image.next_in_function(sink_addr)
+    if nxt is None:
         # sink ends its function: return to the call-return successor,
         # which for a terminal call is simply past the listing
         nxt = sink_addr + 0x10

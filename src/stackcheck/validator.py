@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .effects import CrashInput
 from .frontend import ProgramImage, entry_point
 from .interp import CLEAN, CRASH, STEP_BUDGET, UNSUPPORTED, Halt, Machine
 from .memstace import Config
@@ -58,10 +57,10 @@ def run(image: ProgramImage, stdin: bytes = b"", cfg: Config | None = None,
 
 
 def validate_patch(original: ProgramImage, patched: ProgramImage,
-                   crash_input: CrashInput | None, cfg: Config | None = None,
+                   crash_input: bytes | None, cfg: Config | None = None,
                    runs: dict | None = None) -> ValidationReport:
-    """Before/after protocol: derived input when available, otherwise a
-    deterministic batch of random inputs.
+    """Before/after protocol: the derived stdin `crash_input` when there is
+    one, otherwise a deterministic batch of random inputs.
 
     `runs` memoizes whole-program outcomes across calls that share it,
     keyed by (id(image), stdin), or by (id(image), None) for a run that
@@ -72,7 +71,7 @@ def validate_patch(original: ProgramImage, patched: ProgramImage,
     cfg = cfg or Config()
     runs = {} if runs is None else runs
     if crash_input is not None:
-        return _one_trial(original, patched, crash_input.data, "derived", cfg, runs)
+        return _one_trial(original, patched, crash_input, "derived", cfg, runs)
 
     rng = random.Random(cfg.seed)
     reports = []

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from stackcheck.effects import EffectsOracle
-from stackcheck.frontend import build_bcfg, extract_user_functions, parse_disassembly
+from stackcheck.frontend import build_bcfg, parse_disassembly
 from stackcheck.memstace import Config, build_memstace
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "src" / "stackcheck" / "corpus"
@@ -26,21 +26,20 @@ def load_image(path: Path):
 
 
 def pipeline(path: Path, cfg: Config | None = None):
-    """(image, bcfg, funcs, oracle) for a listing on disk."""
+    """(image, bcfg, oracle) for a listing on disk."""
     cfg = cfg or Config()
     image = load_image(path)
     bcfg = build_bcfg(image)
-    funcs = extract_user_functions(bcfg, image)
-    oracle = EffectsOracle(image, bcfg, funcs, cfg)
-    return image, bcfg, funcs, oracle
+    oracle = EffectsOracle(image, bcfg, cfg)
+    return image, bcfg, oracle
 
 
 def space_for(path: Path, root: str, cfg: Config | None = None):
     cfg = cfg or Config()
-    image, bcfg, funcs, oracle = pipeline(path, cfg)
-    entry = funcs.entries[root]
+    image, bcfg, oracle = pipeline(path, cfg)
+    entry = image.functions[root]
     oracle.set_root(entry)
-    return build_memstace(bcfg, funcs, oracle, cfg, image=image, entry=entry), oracle
+    return build_memstace(image, oracle, cfg, entry), oracle
 
 
 @pytest.fixture(scope="session")

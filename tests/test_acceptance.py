@@ -15,7 +15,6 @@ import pytest
 
 from stackcheck.checker import check
 from stackcheck.cli import analyze, report_metrics
-from stackcheck.effects import extract_concrete_input
 from stackcheck.ltl import (EvalContext, compile_monitor, eval_body,
                             load_bundled_properties)
 from stackcheck.memstace import (ByteOp, ByteState, IllegalByteTransition,
@@ -264,8 +263,8 @@ def test_acceptance_7_checker_matches_path_enumeration(ground_truth):
     fixture_files = sorted(CORPUS_DIR.glob("*.s")) + sorted(FIXTURE_DIR.glob("*.s"))
     checked = 0
     for path in fixture_files:
-        _, _, funcs, _ = pipeline(path)
-        for root in funcs.entries:
+        image, _, _ = pipeline(path)
+        for root in image.functions:
             space, oracle = space_for(path, root)
             for prop in PROPS:
                 monitor = compile_monitor(prop)
@@ -291,21 +290,20 @@ def test_acceptance_8_crash_input_chain(corpus_reports, ground_truth):
         if not (truth["input_source"] and truth["vulnerable"]):
             continue
         image = load_image(corpus_path(binary))
-        image2, bcfg, funcs, oracle = pipeline(corpus_path(binary))
-        oracle.set_root(funcs.entries["main"])
+        image2, bcfg, oracle = pipeline(corpus_path(binary))
+        oracle.set_root(image2.functions["main"])
         sites = [a for a in image.order
                  if image.instructions[a].mnemonic == "call"
                  and (image.instructions[a].target_symbol() or "").startswith("gets")]
-        effect = oracle.call_effect(sites[0])
-        crash_input = extract_concrete_input(effect)
-        if crash_input is None or len(crash_input.data) != truth["derived_input_len"] + 1:
+        crash_input = oracle.call_effect(sites[0]).concrete_input
+        if crash_input is None or len(crash_input) != truth["derived_input_len"] + 1:
             failures.append(f"{binary}: derived input missing or wrong length")
             continue
-        original = run(image, stdin=crash_input.data)
+        original = run(image, stdin=crash_input)
         report = reports[binary]
         patched_run = None
         if report.patched_image is not None:
-            patched_run = run(report.patched_image, stdin=crash_input.data)
+            patched_run = run(report.patched_image, stdin=crash_input)
         if original.status != CRASH or original.cause != truth["crash_cause"]:
             failures.append(f"{binary}: original {original.status}/{original.cause}")
         if patched_run is None or patched_run.status != CLEAN:

@@ -10,7 +10,7 @@ from pathlib import Path
 from stackcheck.checker import HOLDS, INCONCLUSIVE, VIOLATED, check, map_cwe
 from stackcheck.effects import EffectsOracle
 from stackcheck.frontend import (DuplicateFunction, MalformedLine, build_bcfg,
-                                 extract_user_functions, parse_disassembly)
+                                 parse_disassembly)
 from stackcheck.ltl import (EvalContext, Monitor, compile_monitor, eval_body,
                             load_bundled_properties)
 from stackcheck.memstace import (Config, MemStaCe, MemoryState, StackFrame,
@@ -182,8 +182,8 @@ def test_bfs_agrees_with_path_enumeration(corpus_paths):
     disagreements = []
     for path in corpus_paths:
         from conftest import pipeline
-        image, bcfg, funcs, oracle = pipeline(path)
-        for root in funcs.entries:
+        image, bcfg, oracle = pipeline(path)
+        for root in image.functions:
             space, oracle2 = space_for(path, root)
             for prop in PROPS.values():
                 monitor = compile_monitor(prop)
@@ -200,12 +200,10 @@ def _spaces(text: str, cfg: Config):
     """(space, libc names) for every root of a listing."""
     image = parse_disassembly(text)
     bcfg = build_bcfg(image)
-    funcs = extract_user_functions(bcfg, image)
-    oracle = EffectsOracle(image, bcfg, funcs, cfg)
-    for entry in funcs.entries.values():
+    oracle = EffectsOracle(image, bcfg, cfg)
+    for entry in image.functions.values():
         oracle.set_root(entry)
-        yield build_memstace(bcfg, funcs, oracle, cfg, image=image, entry=entry), \
-            oracle.libc_names()
+        yield build_memstace(image, oracle, cfg, entry), oracle.libc_names()
 
 
 def _listings():

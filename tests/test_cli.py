@@ -150,6 +150,95 @@ def test_buffers_sidecar_pins_sizes(tmp_path):
     assert report.status == "vulnerable"
 
 
+def test_buffer_pin_bounds_the_static_patch(tmp_path):
+    """A pinned size is the one rule for both the detector and the patch:
+    the 16-byte gap is pinned to 8, so the static patch reads at most 8."""
+    sidecar = tmp_path / "buffers.json"
+    sidecar.write_text(json.dumps({"main": {"-16": 8}}))
+    image = load_image(corpus_path("gets_rip_vuln"))
+    report = analyze_image(image, "gets_rip_vuln", Config(buffers_path=str(sidecar)),
+                           patch=True, validate=True)
+    [patch] = report.patches
+    assert (patch["mode"], patch["bound"]) == ("static", 8)
+    assert "safecall bounded_readline 0x8" in report.patched_image.emit()
+    [validation] = report.validations
+    assert validation["success"]
+    assert validation["original"]["cause"] == "return-address-corrupted"
+    assert validation["patched"]["status"] == "clean-exit"
+    unpinned = analyze_image(image, "gets_rip_vuln", Config(), patch=True)
+    assert unpinned.patches[0]["bound"] == 16
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"main": {"x": 8}}', "main: offset 'x' is not an integer"),
+    ("[1, 2]", "expected an object mapping each function"),
+    ('{"main": 8}', "expected an object mapping each function"),
+    ('{"main": {"-16": 0}}', "main: size 0 at offset -16 is not a positive integer"),
+    ('{"main": {"-16": "8"}}', "main: size '8' at offset -16 is not a positive integer"),
+    ('{"main": {"-16": true}}', "main: size True at offset -16 is not a positive integer"),
+    ('{"main": {"-16": 8.0}}', "main: size 8.0 at offset -16 is not a positive integer"),
+    ("{", "not JSON"),
+])
+def test_malformed_buffers_file_is_an_input_error(tmp_path, capsys, content, message):
+    sidecar = tmp_path / "buffers.json"
+    sidecar.write_text(content)
+    # rejected before any binary is read: the listing does not exist
+    code = main(["analyze", str(tmp_path / "missing.s"), "--buffers", str(sidecar)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"stackcheck: --buffers {sidecar}: ")
+    assert message in err
+    report = analyze([str(corpus_path("gets_rip_vuln"))], Config(buffers_path=str(sidecar)))[0]
+    assert report.status == "error"
+    assert message in report.error
+    assert not report.error.startswith("internal error")
+
+
+# the gets listing of the corpus without its endbr64, so that it is 8 lines
+_HEADERLESS = """\
+401000: push rbp
+401004: mov rbp, rsp
+401008: sub rsp, 0x10
+40100c: lea rdi, [rbp-0x10]
+401010: call 0x401060 <gets@plt>
+401014: add rsp, 0x10
+401018: pop rbp
+40101c: ret
+"""
+
+
+def _without_timings(report) -> dict:
+    doc = report.to_json()
+    doc.pop("timings")
+    return doc
+
+
+def test_headerless_listing_is_analysed():
+    """A listing with no header line is one function, sub_<first address>,
+    and is analysed as if it had that header."""
+    report = analyze_image(parse_disassembly(_HEADERLESS), "headerless", Config())
+    headed = analyze_image(parse_disassembly("sub_401000:\n" + _HEADERLESS), "headerless",
+                           Config())
+    assert report.status == "vulnerable"
+    assert report.roots == ["sub_401000"]
+    assert [p.name for p in report.properties if p.status == "violated"] == [
+        "RIP Integrity", "RBP Integrity", "No Buffer Overflow by one", "No gets() Usage"]
+    assert _without_timings(report) == _without_timings(headed)
+
+
+def test_headerless_prefix_before_main_is_its_own_root():
+    text = _HEADERLESS + "main:\n401020: push rbp\n401024: pop rbp\n401028: ret\n"
+    report = analyze_image(parse_disassembly(text), "prefix", Config(), patch=True,
+                           validate=True)
+    assert report.roots == ["sub_401000", "main"]
+    violated = {p.name: p.root for p in report.properties if p.status == "violated"}
+    assert violated["RIP Integrity"] == "sub_401000"
+    assert report.sinks[0]["function"] == "sub_401000"
+    # the patched listing keeps the prefix header-less
+    assert report.patched_image.emit().startswith("401000: push rbp\n")
+
+
 def test_timeout_marks_remaining_inconclusive():
     image = load_image(corpus_path("strcpy_rip_vuln"))
     report = analyze_image(image, "strcpy_rip_vuln", Config(timeout=1e-9))

@@ -6,7 +6,6 @@ import pytest
 
 from stackcheck.effects import (CONSTANT, FRAME_ADDR, FRAME_SLOT, UNKNOWN,
                                 UnknownLibc, detect_loops,
-                                extract_concrete_input,
                                 lookup_libc, recover_arguments)
 from stackcheck.frontend import parse_disassembly, build_bcfg
 from stackcheck.memstace import (Config, MemoryState, apply_effect,
@@ -42,7 +41,7 @@ def test_lookup_strips_plt_suffix():
 # --- argument recovery -----------------------------------------------------------
 
 def test_recover_copy_arguments():
-    image, bcfg, funcs, _ = pipeline(corpus_path("strcpy_rip_vuln"))
+    image, bcfg, _ = pipeline(corpus_path("strcpy_rip_vuln"))
     args = recover_arguments(bcfg, 0x401118, lookup_libc("strcpy"))
     dest, src = args.by_role("dest"), args.by_role("src")
     assert dest.kind == FRAME_ADDR and dest.value == -16
@@ -86,7 +85,7 @@ main:
 
 
 def test_register_defined_in_one_arm_is_unknown():
-    image, bcfg, funcs, _ = pipeline(fixture_path("arm_defined_reg"))
+    image, bcfg, _ = pipeline(fixture_path("arm_defined_reg"))
     args = recover_arguments(bcfg, 0x401120, lookup_libc("gets"))
     assert args.by_role("dest").kind == UNKNOWN
 
@@ -113,8 +112,8 @@ main:
 
 def _call_effect(path, site, root="main"):
     cfg = Config()
-    image, bcfg, funcs, oracle = pipeline(path, cfg)
-    oracle.set_root(funcs.entries[root])
+    image, bcfg, oracle = pipeline(path, cfg)
+    oracle.set_root(image.functions[root])
     return oracle.call_effect(site), oracle
 
 
@@ -137,15 +136,14 @@ def test_strcpy_in_bounds_touches_length_plus_nul():
 def test_gets_minimal_corrupting_length_is_24():
     effect, _ = _call_effect(corpus_path("gets_rip_vuln"), 0x401114)
     assert effect.corrupting_len == 24
-    assert effect.expected_cause == "return-address-corrupted"
     # the terminator lands on the first return-address byte
     assert (0, 7) in {(d, i) for d, i, _ in effect.touched}
 
 
 def test_gets_monotone_corruption():
     cfg = Config()
-    image, bcfg, funcs, oracle = pipeline(corpus_path("gets_rip_vuln"), cfg)
-    oracle.set_root(funcs.entries["main"])
+    image, bcfg, oracle = pipeline(corpus_path("gets_rip_vuln"), cfg)
+    oracle.set_root(image.functions["main"])
     effect = oracle.call_effect(0x401114)
     minimal = effect.corrupting_len
     # independent replay: every longer write also reaches protected bytes,
@@ -157,27 +155,24 @@ def test_gets_monotone_corruption():
 
 def test_extract_input_gets():
     effect, _ = _call_effect(corpus_path("gets_rip_vuln"), 0x401114)
-    crash = extract_concrete_input(effect)
-    assert crash.data == b"A" * 24 + b"\n"
-    assert crash.stream == "stdin"
+    assert effect.concrete_input == b"A" * 24 + b"\n"
 
 
 def test_extract_input_none_for_strcpy():
     effect, _ = _call_effect(corpus_path("strcpy_rip_ok"), 0x401128)
-    assert extract_concrete_input(effect) is None
+    assert effect.concrete_input is None
 
 
 def test_scanf_token_search():
     effect, _ = _call_effect(fixture_path("scanf_vuln"), 0x401124)
     assert effect.corrupting_len == 16
-    crash = extract_concrete_input(effect)
-    assert crash.data == b"A" * 16 + b"\n"
+    assert effect.concrete_input == b"A" * 16 + b"\n"
 
 
 def test_fgets_bounded_no_crash_input():
     effect, _ = _call_effect(corpus_path("gets_rip_ok"), 0x40111c)
     assert effect.corrupting_len is None
-    assert extract_concrete_input(effect) is None
+    assert effect.concrete_input is None
     assert all(16 <= i <= 31 for d, i, _ in effect.touched if d == 0)
 
 
@@ -196,8 +191,8 @@ main:
     f.write(text)
     f.close()
     cfg = Config()
-    image, bcfg, funcs, oracle = pipeline(Path(f.name), cfg)
-    oracle.set_root(funcs.entries["main"])
+    image, bcfg, oracle = pipeline(Path(f.name), cfg)
+    oracle.set_root(image.functions["main"])
     effect = oracle.call_effect(0x401008)
     assert effect.opaque
 
@@ -218,8 +213,8 @@ def test_effect_replay_matches_frame_model():
 # --- loops -----------------------------------------------------------------------
 
 def test_detect_single_loop():
-    image, bcfg, funcs, _ = pipeline(corpus_path("strcpy_rip_vuln"))
-    loops = detect_loops(bcfg, funcs)
+    image, bcfg, _ = pipeline(corpus_path("strcpy_rip_vuln"))
+    loops = detect_loops(bcfg, image)
     assert len(loops) == 1
     loop = loops[0]
     assert loop.function == "main"
@@ -229,13 +224,13 @@ def test_detect_single_loop():
 
 
 def test_loop_free_function_has_no_loops():
-    image, bcfg, funcs, _ = pipeline(corpus_path("gets_rip_vuln"))
-    assert detect_loops(bcfg, funcs) == []
+    image, bcfg, _ = pipeline(corpus_path("gets_rip_vuln"))
+    assert detect_loops(bcfg, image) == []
 
 
 def test_nested_loops_inner_inside_outer():
-    image, bcfg, funcs, _ = pipeline(fixture_path("nested_loops"))
-    loops = sorted(detect_loops(bcfg, funcs), key=lambda l: len(l.body))
+    image, bcfg, _ = pipeline(fixture_path("nested_loops"))
+    loops = sorted(detect_loops(bcfg, image), key=lambda l: len(l.body))
     assert len(loops) == 2
     inner, outer = loops
     assert inner.body < outer.body
@@ -244,8 +239,8 @@ def test_nested_loops_inner_inside_outer():
 
 def test_loop_effect_off_by_one():
     cfg = Config()
-    image, bcfg, funcs, oracle = pipeline(corpus_path("loop_offbyone_vuln"), cfg)
-    oracle.set_root(funcs.entries["main"])
+    image, bcfg, oracle = pipeline(corpus_path("loop_offbyone_vuln"), cfg)
+    oracle.set_root(image.functions["main"])
     loop = oracle.loop_at(0x401118)
     effect = oracle.loop_effect(loop)
     touched = {i for d, i, _ in effect.touched if d == 0}
@@ -277,19 +272,19 @@ main:
     f.write(text)
     f.close()
     cfg = Config()
-    image, bcfg, funcs, oracle = pipeline(Path(f.name), cfg)
-    loops = detect_loops(bcfg, funcs)
+    image, bcfg, oracle = pipeline(Path(f.name), cfg)
+    loops = detect_loops(bcfg, image)
     assert loops
-    oracle.set_root(funcs.entries["main"])
+    oracle.set_root(image.functions["main"])
     effect = oracle.loop_effect(loops[0])
     assert effect.touched == ()
 
 
 def test_loop_iteration_budget_flagged():
     cfg = Config(max_loop_iters=8)
-    image, bcfg, funcs, oracle = pipeline(corpus_path("strcpy_rip_vuln"), cfg)
-    loops = detect_loops(bcfg, funcs)
-    oracle.set_root(funcs.entries["main"])
+    image, bcfg, oracle = pipeline(corpus_path("strcpy_rip_vuln"), cfg)
+    loops = detect_loops(bcfg, image)
+    oracle.set_root(image.functions["main"])
     effect = oracle.loop_effect(loops[0])
     assert any("iteration budget" in n for n in effect.notes)
     assert len(effect.touched) <= 9
@@ -300,8 +295,8 @@ def test_diff_minimality_against_full_stack_comparison():
     against an independent byte-by-byte comparison of the whole stack."""
     from stackcheck.interp import Machine, STACK_BASE, STACK_SIZE
     cfg = Config()
-    image, bcfg, funcs, oracle = pipeline(corpus_path("strcpy_rip_ok"), cfg)
-    entry = funcs.entries["main"]
+    image, bcfg, oracle = pipeline(corpus_path("strcpy_rip_ok"), cfg)
+    entry = image.functions["main"]
     machine = Machine(image, cfg)
     machine.start(entry)
     machine.run_to(0x401128)
@@ -321,8 +316,8 @@ def test_diff_minimality_against_full_stack_comparison():
 
 def test_loop_fill_255_bytes_with_sufficient_budget():
     cfg = Config(max_loop_iters=300)
-    image, bcfg, funcs, oracle = pipeline(corpus_path("strcpy_rip_vuln"), cfg)
-    oracle.set_root(funcs.entries["main"])
+    image, bcfg, oracle = pipeline(corpus_path("strcpy_rip_vuln"), cfg)
+    oracle.set_root(image.functions["main"])
     loop = oracle.loop_at(0x401148)
     effect = oracle.loop_effect(loop)
     touched = sorted(i for d, i, _ in effect.touched if d == 0)
@@ -349,3 +344,36 @@ def test_self_call_recursion_finishes_within_timeout(tmp_path):
         return out
 
     assert report(Config(timeout=2)) == report(Config())
+
+
+def _apply_payload_per_byte(clone, addr: int, data: bytes) -> bool:
+    """The reference: one write per byte, stopping at the first byte
+    outside the stack and the aux area."""
+    for i, b in enumerate(data):
+        a = addr + i
+        if not (clone.in_stack(a) or a in clone.aux):
+            return True
+        clone.wr_mem(a, bytes([b]))
+    return False
+
+
+def test_apply_payload_matches_per_byte_writes():
+    import random
+    from stackcheck.effects import _apply_payload
+    from stackcheck.interp import ARGV_BASE, STACK_BASE, STACK_TOP, Machine
+    rng = random.Random(7)
+    machine = Machine(parse_disassembly("main:\n401000: ret\n"), Config(),
+                      argv=("prog", "A" * 40))
+    machine.start(0x401000)
+    starts = {"below": lambda: STACK_BASE - rng.randrange(1, 400),
+              "stack": lambda: rng.randrange(STACK_BASE, STACK_TOP - 400),
+              "straddle": lambda: STACK_TOP - rng.randrange(0, 300),
+              "argv": lambda: ARGV_BASE + rng.randrange(0, 80)}
+    for where, start in starts.items():
+        for _ in range(60):
+            addr, n = start(), rng.randrange(0, 301)
+            data = bytes(rng.randrange(256) for _ in range(n))
+            one, ref = machine.fork(), machine.fork()
+            assert _apply_payload(one, addr, data) == _apply_payload_per_byte(ref, addr, data)
+            assert (one.stack_lo, one.stack, one.aux) == (ref.stack_lo, ref.stack, ref.aux), where
+            assert (one._wm_lo, one._wm_hi) == (ref._wm_lo, ref._wm_hi), where

@@ -1,4 +1,4 @@
-"""Parser, CFG and function-map tests."""
+"""Parser, CFG and function-table tests."""
 
 from __future__ import annotations
 
@@ -6,10 +6,9 @@ import pytest
 
 from stackcheck.frontend import (CALL, CALL_RETURN, FALLTHROUGH, TAKEN,
                                  DuplicateFunction, MalformedLine, MEM, REG,
-                                 build_bcfg, extract_user_functions,
-                                 parse_disassembly)
+                                 build_bcfg, entry_point, parse_disassembly)
 
-from conftest import corpus_path, fixture_path, load_image
+from conftest import CORPUS_DIR, FIXTURE_DIR, corpus_path, fixture_path, load_image
 
 # the condensed copy body: seven lines including the call
 COPY_BODY = """\
@@ -178,23 +177,65 @@ def test_every_call_has_one_return_successor(corpus_paths):
             assert len(returns) == 1, f"{path.name} @ {last.address:#x}"
 
 
-# --- function map ------------------------------------------------------------
+# --- function table ------------------------------------------------------------
 
-def test_user_functions_and_library_classification():
+def test_user_functions():
     image = load_image(corpus_path("strcpy_rip_vuln"))
-    cfg = build_bcfg(image)
-    fmap = extract_user_functions(cfg, image)
-    assert set(fmap.entries) == {"copy", "main"}
-    assert fmap.is_library("strcpy@plt")
-    assert not fmap.is_library("copy")
-    assert fmap.function_of(0x401118) == "copy"
-    assert fmap.function_of(0x401160) == "main"
+    assert set(image.functions) == {"copy", "main"}
+    assert image.function_of(0x401118) == "copy"
+    assert image.function_of(0x401160) == "main"
 
 
 def test_single_function_map():
     image = parse_disassembly("main:\n401000: ret\n")
-    fmap = extract_user_functions(build_bcfg(image), image)
-    assert fmap.entries == {"main": 0x401000}
+    assert image.functions == {"main": 0x401000}
+
+
+HEADERLESS = """\
+401000: push rbp
+401001: mov rbp, rsp
+401004: ret
+main:
+401010: push rbp
+401011: pop rbp
+401012: ret
+"""
+
+
+def test_headerless_prefix_is_its_own_function():
+    image = parse_disassembly(HEADERLESS)
+    assert image.functions == {"sub_401000": 0x401000, "main": 0x401010}
+    assert image.function_headers == {"main": 0x401010}
+    assert [i.address for i in image.function_body("sub_401000")] == [0x401000, 0x401001,
+                                                                       0x401004]
+    assert image.next_in_function(0x401001) == 0x401004
+    assert image.next_in_function(0x401004) is None     # main starts next
+    assert image.next_in_function(0x401012) is None     # end of the listing
+    assert entry_point(image) == 0x401010
+    # the synthetic owner is not a header line
+    assert image.emit() == HEADERLESS
+    assert entry_point(parse_disassembly(HEADERLESS.replace("main:", "helper:"))) == 0x401000
+
+
+def test_headerless_prefix_may_not_share_a_header_name():
+    with pytest.raises(DuplicateFunction):
+        parse_disassembly("401000: ret\nsub_401000:\n401010: ret\n")
+
+
+def test_every_instruction_has_an_owner():
+    paths = sorted(CORPUS_DIR.glob("*.s")) + sorted(FIXTURE_DIR.glob("*.s"))
+    images = [load_image(p) for p in paths] + [parse_disassembly(HEADERLESS)]
+    for image in images:
+        for addr in image.order:
+            fn = image.function_of(addr)
+            assert fn is not None and fn in image.functions
+            assert image.instructions[addr] in image.function_body(fn)
+        nxt_rule = {a: image.next_in_function(a) for a in image.order}
+        # the successor within a function is the next listed instruction of
+        # the same owner, and a function entry is never one
+        for a, nxt in nxt_rule.items():
+            assert nxt is None or (image.function_of(nxt) == image.function_of(a)
+                                   and nxt not in image.functions.values())
 
 
 def test_copy_with_epilogue_has_return_continuation_block():

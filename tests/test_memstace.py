@@ -418,7 +418,7 @@ def test_diamond_paths_share_join_state():
 def test_determinism_rebuild_isomorphic():
     a, _ = space_for(corpus_path("strcat_rbp_vuln"), "main")
     b, _ = space_for(corpus_path("strcat_rbp_vuln"), "main")
-    assert a.state_count() == b.state_count()
+    assert len(a.states) == len(b.states)
     labels_a = sorted((l.kind, l.address) for _, l, _ in a.transitions)
     labels_b = sorted((l.kind, l.address) for _, l, _ in b.transitions)
     assert labels_a == labels_b
@@ -427,7 +427,7 @@ def test_determinism_rebuild_isomorphic():
 def test_state_budget_truncation():
     space, _ = space_for(corpus_path("strcpy_rip_vuln"), "copy", Config(max_states=3))
     assert space.truncated
-    assert space.state_count() <= 3
+    assert len(space.states) <= 3
 
 
 def test_atomic_writes_mode():
@@ -442,7 +442,7 @@ def test_export_json_and_dot():
     space, _ = space_for(corpus_path("strcpy_rip_vuln"), "copy")
     doc = memstace_to_json(space)
     assert doc["initial"] == 0
-    assert len(doc["nodes"]) == space.state_count()
+    assert len(doc["nodes"]) == len(space.states)
     assert any(n["frames"][0]["rle"].startswith("8C") for n in doc["nodes"])
     dot = memstace_to_dot(space)
     assert dot.startswith("digraph") and "call strcpy" in dot

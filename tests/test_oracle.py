@@ -11,8 +11,7 @@ from test_fuzz import MUTANTS, SEED, _mutate
 
 from stackcheck.cli import analyze
 from stackcheck.effects import EffectsOracle, _unreached, emulate_call, emulate_loop
-from stackcheck.frontend import (MalformedLine, build_bcfg, extract_user_functions,
-                                 parse_disassembly)
+from stackcheck.frontend import MalformedLine, build_bcfg, parse_disassembly
 from stackcheck.interp import CLEAN, CRASH, STEP_BUDGET, UNSUPPORTED, Halt, Machine
 from stackcheck.memstace import Config
 
@@ -34,13 +33,12 @@ def _check_against_replay(text: str, cfg: Config, rng: random.Random) -> Counter
     count of replays by how they ended: reached, or a Halt status."""
     image = parse_disassembly(text)
     bcfg = build_bcfg(image)
-    funcs = extract_user_functions(bcfg, image)
-    oracle = EffectsOracle(image, bcfg, funcs, cfg)
+    oracle = EffectsOracle(image, bcfg, cfg)
     calls = [a for a, ins in image.instructions.items()
              if ins.mnemonic == "call" and oracle.arguments(a) is not None]
     loops = {lp.entry: oracle.loop_at(lp.entry) for lp in oracle.loops if oracle.loop_at(lp.entry)}
-    asks = [(root, site, None) for root in funcs.entries.values() for site in calls]
-    asks += [(root, lp.entry, lp) for root in funcs.entries.values() for lp in loops.values()]
+    asks = [(root, site, None) for root in image.functions.values() for site in calls]
+    asks += [(root, lp.entry, lp) for root in image.functions.values() for lp in loops.values()]
     rng.shuffle(asks)
     ends = Counter()
     for root, site, loop in asks:
@@ -52,7 +50,8 @@ def _check_against_replay(text: str, cfg: Config, rng: random.Random) -> Counter
         if isinstance(ref, Halt):
             expected = _unreached(name, site, root, ref)
         else:
-            expected = emulate_loop(ref, loop) if loop else emulate_call(ref, oracle.arguments(site))
+            expected = (emulate_loop(ref, loop) if loop else
+                        emulate_call(ref, oracle.arguments(site), oracle.buffer_size))
         assert effect == expected, (hex(root), hex(site), name)
     return ends
 

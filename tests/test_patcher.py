@@ -26,8 +26,8 @@ def _violation_trace(path, root, prop="RIP Integrity"):
 
 def test_locate_strcpy_sink():
     trace, oracle = _violation_trace(corpus_path("strcpy_rip_vuln"), "copy")
-    image, bcfg, funcs, _ = pipeline(corpus_path("strcpy_rip_vuln"))
-    sink = locate_sink(trace, funcs, oracle.libc_names())
+    image, bcfg, _ = pipeline(corpus_path("strcpy_rip_vuln"))
+    sink = locate_sink(trace, image, oracle.libc_names())
     assert sink.kind == "call"
     assert sink.callee == "strcpy"
     assert sink.address == 0x401118
@@ -37,8 +37,8 @@ def test_locate_strcpy_sink():
 def test_locate_loop_sink():
     trace, oracle = _violation_trace(corpus_path("loop_offbyone_vuln"), "main",
                                      "No off-by-one Overflow")
-    image, bcfg, funcs, _ = pipeline(corpus_path("loop_offbyone_vuln"))
-    sink = locate_sink(trace, funcs, oracle.libc_names())
+    image, bcfg, _ = pipeline(corpus_path("loop_offbyone_vuln"))
+    sink = locate_sink(trace, image, oracle.libc_names())
     assert sink.kind == "loop"
     assert sink.address == 0x401118
     assert sink.callee is None
@@ -46,28 +46,27 @@ def test_locate_loop_sink():
 
 def test_direct_write_has_no_sink():
     trace, oracle = _violation_trace(fixture_path("direct_write"), "main")
-    image, bcfg, funcs, _ = pipeline(fixture_path("direct_write"))
+    image, bcfg, _ = pipeline(fixture_path("direct_write"))
     with pytest.raises(NoSinkFound):
-        locate_sink(trace, funcs, oracle.libc_names())
+        locate_sink(trace, image, oracle.libc_names())
 
 
 # --- template selection -----------------------------------------------------------
 
 def _sink_args_effect(path, site, root="main"):
-    image, bcfg, funcs, oracle = pipeline(path)
-    oracle.set_root(funcs.entries[root])
+    image, bcfg, oracle = pipeline(path)
+    oracle.set_root(image.functions[root])
     effect = oracle.call_effect(site)
     args = oracle.arguments(site)
-    space, oracle2 = space_for(path, root if root in funcs.entries else "main")
-    return image, funcs, oracle, effect, args
+    space, oracle2 = space_for(path, root if root in image.functions else "main")
+    return image, oracle, effect, args
 
 
 def test_static_plan_for_known_destination():
-    image, funcs, oracle, effect, args = _sink_args_effect(
+    image, oracle, effect, args = _sink_args_effect(
         corpus_path("strcpy_rip_vuln"), 0x401118, root="copy")
     trace, _ = _violation_trace(corpus_path("strcpy_rip_vuln"), "copy")
-    _, bcfg, fmap, _ = pipeline(corpus_path("strcpy_rip_vuln"))
-    sink = locate_sink(trace, fmap, oracle.libc_names())
+    sink = locate_sink(trace, image, oracle.libc_names())
     plan = select_template(sink, effect, args)
     assert plan.template.mode == "static"
     assert plan.bound == 16
@@ -75,11 +74,10 @@ def test_static_plan_for_known_destination():
 
 
 def test_runtime_plan_for_unknown_destination():
-    image, funcs, oracle, effect, args = _sink_args_effect(
+    image, oracle, effect, args = _sink_args_effect(
         corpus_path("strcpy_runtime_vuln"), 0x40111c)
     trace, _ = _violation_trace(corpus_path("strcpy_runtime_vuln"), "main")
-    _, bcfg, fmap, _ = pipeline(corpus_path("strcpy_runtime_vuln"))
-    sink = locate_sink(trace, fmap, oracle.libc_names())
+    sink = locate_sink(trace, image, oracle.libc_names())
     plan = select_template(sink, effect, args)
     assert plan.template.mode == "runtime"
     assert plan.bound is None
@@ -88,18 +86,16 @@ def test_runtime_plan_for_unknown_destination():
 def test_loop_sink_has_no_template():
     trace, oracle = _violation_trace(corpus_path("loop_offbyone_vuln"), "main",
                                      "No off-by-one Overflow")
-    _, bcfg, fmap, _ = pipeline(corpus_path("loop_offbyone_vuln"))
-    sink = locate_sink(trace, fmap, oracle.libc_names())
+    sink = locate_sink(trace, oracle.image, oracle.libc_names())
     with pytest.raises(NoTemplate):
         select_template(sink, None, None)
 
 
 def test_scanf_patch_requires_opt_in():
-    image, funcs, oracle, effect, args = _sink_args_effect(
+    image, oracle, effect, args = _sink_args_effect(
         fixture_path("scanf_vuln"), 0x401124)
     trace, _ = _violation_trace(fixture_path("scanf_vuln"), "main")
-    _, bcfg, fmap, _ = pipeline(fixture_path("scanf_vuln"))
-    sink = locate_sink(trace, fmap, oracle.libc_names())
+    sink = locate_sink(trace, image, oracle.libc_names())
     with pytest.raises(NoTemplate):
         select_template(sink, effect, args)
     plan = select_template(sink, effect, args, enable_scanf=True)
@@ -119,12 +115,12 @@ def test_template_totality():
 # --- trampoline rewriting -----------------------------------------------------------
 
 def _patched_copy():
-    image, bcfg, funcs, oracle = pipeline(corpus_path("strcpy_rip_vuln"))
-    oracle.set_root(funcs.entries["copy"])
+    image, bcfg, oracle = pipeline(corpus_path("strcpy_rip_vuln"))
+    oracle.set_root(image.functions["copy"])
     effect = oracle.call_effect(0x401118)
     args = oracle.arguments(0x401118)
     trace, _ = _violation_trace(corpus_path("strcpy_rip_vuln"), "copy")
-    sink = locate_sink(trace, funcs, oracle.libc_names())
+    sink = locate_sink(trace, image, oracle.libc_names())
     plan = select_template(sink, effect, args)
     return image, apply_trampoline(image, plan), plan
 
@@ -161,8 +157,8 @@ def test_patch_idempotence():
 
 
 def test_two_sinks_two_disjoint_trampolines():
-    image, bcfg, funcs, oracle = pipeline(fixture_path("two_sinks"))
-    oracle.set_root(funcs.entries["main"])
+    image, bcfg, oracle = pipeline(fixture_path("two_sinks"))
+    oracle.set_root(image.functions["main"])
     templates = load_templates()
     patched = image
     labels = []

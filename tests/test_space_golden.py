@@ -175,10 +175,10 @@ GOLDEN_ATOMIC = {
 def _digests(cfg: Config) -> dict[str, str]:
     out = {}
     for path in sorted(CORPUS_DIR.glob("*.s")) + sorted(FIXTURE_DIR.glob("*.s")):
-        image, bcfg, funcs, oracle = pipeline(path, cfg)
-        for fn, entry in sorted(funcs.entries.items(), key=lambda kv: kv[1]):
+        image, bcfg, oracle = pipeline(path, cfg)
+        for fn, entry in sorted(image.functions.items(), key=lambda kv: kv[1]):
             oracle.set_root(entry)
-            space = build_memstace(bcfg, funcs, oracle, cfg, image=image, entry=entry)
+            space = build_memstace(image, oracle, cfg, entry)
             doc = {"space": memstace_to_json(space), "notes": space.notes}
             out[f"{path.stem}:{fn}"] = hashlib.sha256(
                 json.dumps(doc, sort_keys=True).encode()).hexdigest()

@@ -8,7 +8,6 @@ import pytest
 
 from stackcheck import validator
 from stackcheck.cli import analyze, analyze_image
-from stackcheck.effects import CrashInput
 from stackcheck.frontend import parse_disassembly
 from stackcheck.memstace import Config
 from stackcheck.validator import CLEAN, CRASH, STEP_BUDGET, run, validate_patch
@@ -101,7 +100,7 @@ def test_benign_overflow_fixtures_run_clean():
 
 def test_validate_with_derived_input():
     original, patched = _patched("gets_rip_vuln")
-    report = validate_patch(original, patched, CrashInput(b"A" * 24 + b"\n"))
+    report = validate_patch(original, patched, b"A" * 24 + b"\n")
     assert report.input_source == "derived"
     assert report.original.crashed()
     assert report.patched.status == CLEAN
@@ -149,7 +148,7 @@ def _patched_fixture(name: str, enable_scanf=False):
 
 def test_scanf_opt_in_patch_validates():
     original, patched = _patched_fixture("scanf_vuln", enable_scanf=True)
-    report = validate_patch(original, patched, CrashInput(b"A" * 16 + b"\n"))
+    report = validate_patch(original, patched, b"A" * 16 + b"\n")
     assert report.original.crashed()
     assert report.original.cause == "return-address-corrupted"
     assert report.patched.status == CLEAN
