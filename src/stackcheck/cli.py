@@ -35,6 +35,10 @@ PROPERTY_ERRORS = (ltl.PropertySyntaxError, ltl.UnknownOperator,
                    ltl.UnsupportedFragment, ltl.UnboundVariable)
 
 
+class EmptyListing(Exception):
+    """A listing with no instruction: nothing to analyse, so no verdict."""
+
+
 @dataclass
 class PropertyResult:
     name: str
@@ -338,10 +342,12 @@ def analyze(paths: list[str], cfg: Config | None = None, *, patch: bool = False,
         name = Path(path).stem
         try:
             image = parse_disassembly(Path(path).read_text(encoding="utf-8"))
+            if not image.instructions:
+                raise EmptyListing("listing has no instructions")
             report = analyze_image(image, name, cfg, patch=patch, validate=validate,
                                    patch_all=patch_all, export_memstace=export_memstace)
-        except (MalformedLine, DuplicateFunction, MalformedBuffers, OSError,
-                *PROPERTY_ERRORS) as exc:
+        except (MalformedLine, DuplicateFunction, EmptyListing, MalformedBuffers,
+                OSError, *PROPERTY_ERRORS) as exc:
             report = Report(binary=name, status="error", error=str(exc))
         except Exception as exc:    # a failure ends this binary's analysis, not the batch
             where = traceback.extract_tb(exc.__traceback__)[-1]
@@ -431,6 +437,17 @@ def _render_text(report: Report) -> str:
     return "\n".join(lines)
 
 
+def _positive(kind: type):
+    """argparse type: a `kind` value above zero."""
+    def positive(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+    positive.__name__ = kind.__name__   # argparse names it in "invalid int value"
+    return positive
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="stackcheck",
@@ -443,10 +460,10 @@ def main(argv: list[str] | None = None) -> int:
     pa.add_argument("--templates", help="patch template file or directory")
     pa.add_argument("--libc-db", help="libc function database file")
     pa.add_argument("--buffers", help="sidecar JSON pinning buffer sizes")
-    pa.add_argument("--max-states", type=int, default=4096)
-    pa.add_argument("--max-loop-iters", type=int, default=64)
-    pa.add_argument("--max-input-len", type=int, default=4096)
-    pa.add_argument("--step-budget", type=int, default=200_000)
+    pa.add_argument("--max-states", type=_positive(int), default=4096)
+    pa.add_argument("--max-loop-iters", type=_positive(int), default=64)
+    pa.add_argument("--max-input-len", type=_positive(int), default=4096)
+    pa.add_argument("--step-budget", type=_positive(int), default=200_000)
     pa.add_argument("--atomic-writes", action="store_true",
                     help="one transition per written byte")
     pa.add_argument("--export-memstace", metavar="PATH",
@@ -460,7 +477,8 @@ def main(argv: list[str] | None = None) -> int:
                     help="execute original and patched images on crash inputs")
     pa.add_argument("--out", help="directory for patched listings")
     pa.add_argument("--report", choices=["json", "text"], default="text")
-    pa.add_argument("--timeout", type=float, default=None, help="seconds per binary")
+    pa.add_argument("--timeout", type=_positive(float), default=None,
+                    help="seconds per binary")
     pa.add_argument("--ground-truth", help="JSON {binary: bool} or "
                     '{binary: {"vulnerable": bool}} for batch metrics')
     pa.add_argument("--seed", type=int, default=0)

@@ -480,18 +480,17 @@ def eval_atom(atom, state: MemoryState, env: dict | None = None,
 def eval_body(node, state: MemoryState, env: dict, ctx: EvalContext) -> bool:
     """Evaluate `node` with `env` (variable name -> frame, buffer or index)
     bound, through the node's compiled form."""
-    return compile_body(node, tuple(env))(state, ctx, *env.values())
+    pred = compile_body(node, tuple(env))
+    return pred(state, [*env.values()] + [None] * (pred.slots - len(env)), ctx)
 
 
 @lru_cache(maxsize=256)
-def compile_body(node, free: tuple[str, ...] = ()) -> Callable[..., bool]:
-    """pred(state, ctx, *values), with `values` bound to the `free` names."""
+def compile_body(node, free: tuple[str, ...] = ()) -> Pred:
+    """pred(state, env, ctx) over an `env` list of `pred.slots` entries,
+    whose first slots hold the values of the `free` names."""
     compiler = _Compiler(len(free))
-    inner = compiler.node(node, {name: k for k, name in enumerate(free)})
-    binder_slots = [None] * (compiler.slots - len(free))
-
-    def pred(state: MemoryState, ctx: EvalContext, *values) -> bool:
-        return inner(state, [*values, *binder_slots], ctx)
+    pred = compiler.node(node, {name: k for k, name in enumerate(free)})
+    pred.slots = compiler.slots
     pred.unbound = tuple(compiler.unbound_names)
     return pred
 
@@ -737,9 +736,14 @@ class Monitor:
     initial: str = RUN
     accepting: tuple[str, ...] = (REJECT,)
     predicate: Callable[..., bool] = field(init=False, compare=False, repr=False)
+    env: list = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "predicate", compile_body(self.body))
+        # the body has no free variables, so each binder overwrites its slot
+        # before reading it and one env list serves every step
+        pred = compile_body(self.body)
+        object.__setattr__(self, "predicate", pred)
+        object.__setattr__(self, "env", [None] * pred.slots)
 
     def positive_form(self) -> dict:
         return {"states": ("run",), "initial": "run",
@@ -749,7 +753,7 @@ class Monitor:
              ctx: EvalContext) -> str:
         if monitor_state == REJECT:
             return REJECT
-        return RUN if self.predicate(memory_state, ctx) else REJECT
+        return RUN if self.predicate(memory_state, self.env, ctx) else REJECT
 
 
 def compile_monitor(ast: PropertyAst) -> Monitor:
@@ -757,11 +761,11 @@ def compile_monitor(ast: PropertyAst) -> Monitor:
     if not isinstance(ast.formula, Always):
         raise UnsupportedFragment("only G <body> properties are supported")
     _reject_temporal(ast.formula.body)
-    monitor = Monitor(name=ast.name, body=ast.formula.body, cwes=ast.cwes)
-    if monitor.predicate.unbound:
+    unbound = compile_body(ast.formula.body).unbound
+    if unbound:
         raise UnboundVariable(f"property {ast.name!r} uses variable "
-                              f"{monitor.predicate.unbound[0]!r}, which no quantifier binds")
-    return monitor
+                              f"{unbound[0]!r}, which no quantifier binds")
+    return Monitor(name=ast.name, body=ast.formula.body, cwes=ast.cwes)
 
 
 def _reject_temporal(node) -> None:

@@ -1,7 +1,9 @@
 """Byte-precise stack memory model and the memory state space (MemStaCe).
 
-A memory state is an ordered list of stack frames (caller to callee).
-Each frame is a `bytes` object with one letter per byte state (F, C, O
+A memory state is a tuple of stack frames (caller to callee) plus the
+label of the transition that reached it. Frames, states and labels are
+`NamedTuple`s, so they are immutable and hash and compare as plain
+tuples, in C. A frame's `bytes` holds one letter per byte state (F, C, O
 or M), indexed so that index i denotes the byte at machine address
 rbp_anchor + 15 - i: indices 0-7 hold the saved return address, 8-15 the
 saved base register, 16-23 the canary when one is present. Higher
@@ -13,10 +15,12 @@ of its byte operator.
 
 The state space itself is a labeled transition system built by DFS over
 the binary CFG; library calls and loops contribute summarized effects
-computed by the effects module. Each instruction is decoded once per
-analysis, at its first visit, into a record that every root's build
-shares: owning function, successor, loop, dispatch kind, memory operator
-and prebuilt transition label.
+computed by the effects module. Operators and effects map a frames tuple
+to a new one, and the builder wraps it with its label into the one
+`MemoryState` it interns, so each state is constructed once. Each
+instruction is decoded once per analysis, at its first visit, into a
+record that every root's build shares: owning function, successor, loop,
+dispatch kind, memory operator and prebuilt transition label.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import groupby
+from typing import NamedTuple
 
 from .frontend import CANARY_FS_OFFSET, CMOV, IMM, MEM, REG, Instruction, ProgramImage
 
@@ -95,8 +100,7 @@ for (_state, _op), _target in _BYTE_AUTOMATON.items():
 
 # --- frames and states ---------------------------------------------------
 
-@dataclass(frozen=True)
-class StackFrame:
+class StackFrame(NamedTuple):
     label: str
     bytes: bytes                # one ByteState letter per byte
     buffers: frozenset[tuple[int, int]] = frozenset()  # (rbp offset, size)
@@ -114,8 +118,7 @@ class StackFrame:
         return "".join(f"{len(list(run))}{chr(letter)}" for letter, run in groupby(self.bytes))
 
 
-@dataclass(frozen=True)
-class TransitionLabel:
+class TransitionLabel(NamedTuple):
     kind: str               # push|pop|write|fe|fa|call|loop|buffer-register
     address: int
     name: str | None = None  # callee for call labels
@@ -127,8 +130,7 @@ class TransitionLabel:
         return self.kind
 
 
-@dataclass(frozen=True)
-class MemoryState:
+class MemoryState(NamedTuple):
     frames: tuple[StackFrame, ...]
     incoming_label: TransitionLabel | None = None
 
@@ -260,9 +262,10 @@ def scan_canary_stores(body: list[Instruction]) -> set[int]:
 
 # --- applying operators --------------------------------------------------
 
-def apply_memory_operator(state: MemoryState, op: MemOp, *,
-                          clamp: bool = False) -> tuple[MemoryState, list[str]]:
-    """Apply a direct memory operator, returning the new state plus notes.
+def apply_memory_operator(frames: tuple[StackFrame, ...], op: MemOp, *,
+                          clamp: bool = False) -> tuple[tuple[StackFrame, ...], list[str]]:
+    """Apply a direct memory operator to a state's frames (caller to
+    callee), returning the new frames plus notes; `frames` is not changed.
 
     Writes walk down in index space and continue into caller frames;
     leaving the outermost frame raises WriteOutsideStack unless clamp is
@@ -270,7 +273,7 @@ def apply_memory_operator(state: MemoryState, op: MemOp, *,
     per byte left out. A write is one closed-form run per frame it crosses.
     """
     notes: list[str] = []
-    frames = list(state.frames)
+    frames = list(frames)
     top = frames[-1]
     if op.kind == "write":
         if op.base == "rbp":
@@ -317,7 +320,7 @@ def apply_memory_operator(state: MemoryState, op: MemOp, *,
         frames[-1] = _with_bytes(top, top.bytes[:len(top.bytes) - op.amount])
     else:
         raise ValueError(f"not a direct operator: {op.kind}")
-    return MemoryState(frames=tuple(frames), incoming_label=state.incoming_label), notes
+    return tuple(frames), notes
 
 
 def _with_bytes(frame: StackFrame, data: bytes) -> StackFrame:
@@ -381,7 +384,7 @@ def register_buffer(frame: StackFrame, offset: int, size: int) -> StackFrame:
     for (o, s) in frame.buffers:
         if lo < o + s and o < hi:
             raise OverlappingBuffer(f"buffer {entry} overlaps {(o, s)}")
-    return replace(frame, buffers=frame.buffers | {entry})
+    return frame._replace(buffers=frame.buffers | {entry})
 
 
 def buffer_index_span(frame: StackFrame, offset: int, size: int) -> tuple[int, int]:
@@ -488,7 +491,7 @@ class _SpaceBuilder:
         return sid
 
     def emit(self, src: int, label: TransitionLabel, frames: tuple[StackFrame, ...]) -> int:
-        dst = self.intern(MemoryState(frames=frames, incoming_label=label))
+        dst = self.intern(MemoryState(frames, label))
         edge = (src, label, dst)
         if edge not in self.tx_seen:
             self.tx_seen.add(edge)
@@ -616,12 +619,12 @@ class _SpaceBuilder:
 
     def _emit_applied(self, sid: int, label: TransitionLabel, op: MemOp) -> int:
         try:
-            new, notes = apply_memory_operator(self.states[sid], op, clamp=True)
+            frames, notes = apply_memory_operator(self.states[sid].frames, op, clamp=True)
         except (PopUnderflow, IllegalByteTransition) as exc:
             self.notes.append(f"{label.text} at {label.address:#x}: {exc}")
             return sid
         self.notes.extend(notes)
-        return self.emit(sid, label, new.frames)
+        return self.emit(sid, label, frames)
 
     def _maybe_register_buffer(self, sid: int, d: _Decoded) -> int:
         state = self.states[sid]
@@ -656,25 +659,26 @@ class _SpaceBuilder:
             self.truncated = self.truncated or effect.truncating
             self.notes.extend(effect.notes)
             return (d.nxt, self.emit(sid, d.label, frames), call_stack)
-        new, notes = apply_effect(self.states[sid], effect)
+        frames, notes = apply_effect(frames, effect)
         self.notes.extend(notes)
-        return (d.nxt, self.emit(sid, d.label, new.frames), call_stack)
+        return (d.nxt, self.emit(sid, d.label, frames), call_stack)
 
     def _apply_loop(self, sid: int, loop) -> int:
-        state = self.states[sid]
+        frames = self.states[sid].frames
         effect = self.effects.loop_effect(loop)
         label = TransitionLabel("loop", loop.entry, text=f"loop {loop.entry:#x}..{loop.exit:#x}")
         if effect.opaque:
             self.notes.extend(effect.notes)
-            return self.emit(sid, label, state.frames)
-        new, notes = apply_effect(state, effect)
+            return self.emit(sid, label, frames)
+        frames, notes = apply_effect(frames, effect)
         self.notes.extend(notes)
-        return self.emit(sid, label, new.frames)
+        return self.emit(sid, label, frames)
 
 
-def apply_effect(state: MemoryState, effect) -> tuple[MemoryState, list[str]]:
-    """Splice an emulated call/loop effect (depth, index, op) into a state."""
-    frames = list(state.frames)
+def apply_effect(frames: tuple[StackFrame, ...], effect) -> tuple[tuple[StackFrame, ...], list[str]]:
+    """Splice an emulated call/loop effect (depth, index, op) into a state's
+    frames, returning the new frames plus notes; `frames` is not changed."""
+    frames = list(frames)
     touched = []
     skipped = 0
     for depth, idx, bop in effect.touched:
@@ -689,7 +693,7 @@ def apply_effect(state: MemoryState, effect) -> tuple[MemoryState, list[str]]:
                          "modeled frames skipped"]
     if effect.clamped:
         notes = notes + [f"effect of {effect.name} clamped at the outermost frame"]
-    return MemoryState(frames=tuple(frames), incoming_label=state.incoming_label), notes
+    return tuple(frames), notes
 
 
 def build_memstace(image: ProgramImage, effects, cfg: Config, entry: int,

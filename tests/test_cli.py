@@ -195,6 +195,33 @@ def test_malformed_buffers_file_is_an_input_error(tmp_path, capsys, content, mes
     assert not report.error.startswith("internal error")
 
 
+@pytest.mark.parametrize("text", ["# nothing\n", "main:\n"], ids=["comment-only", "header-only"])
+def test_empty_listing_is_an_input_error(tmp_path, capsys, text):
+    """Nothing was analysed, so there is no verdict to report as clean."""
+    path = tmp_path / "empty.s"
+    path.write_text(text)
+    [report] = analyze([str(path)])
+    assert (report.status, report.error) == ("error", "listing has no instructions")
+    assert report.properties == []
+    assert main(["analyze", str(path)]) == 2
+    assert "error: listing has no instructions" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, bad", [
+    ("--max-states", "-1"), ("--max-loop-iters", "0"), ("--max-input-len", "-3"),
+    ("--step-budget", "-5"), ("--timeout", "0"),
+])
+def test_non_positive_budget_is_rejected(tmp_path, capsys, flag, bad):
+    # rejected before any binary is read: the listing does not exist
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(tmp_path / "missing.s"), flag, bad])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert f"argument {flag}: must be positive, got '{bad}'" in err
+    assert main(["analyze", str(corpus_path("gets_rip_ok")), flag, "1"]) in (0, 1)
+
+
 # the gets listing of the corpus without its endbr64, so that it is 8 lines
 _HEADERLESS = """\
 401000: push rbp

@@ -203,10 +203,10 @@ def test_effect_replay_matches_frame_model():
     effect, oracle = _call_effect(corpus_path("strcpy_rip_ok"), 0x401128)
     from stackcheck.memstace import Fe, Push, ByteOp as BO, apply_memory_operator
     state = MemoryState(frames=(fresh_frame("main"),))
-    state, _ = apply_memory_operator(state, Push(BO.RWRITE))
-    state, _ = apply_memory_operator(state, Fe(0x20))
-    after, notes = apply_effect(state, effect)
-    occupied = {i for i, b in enumerate(after.top.bytes) if b == ord("O")}
+    frames, _ = apply_memory_operator(state.frames, Push(BO.RWRITE))
+    frames, _ = apply_memory_operator(frames, Fe(0x20))
+    after, notes = apply_effect(frames, effect)
+    occupied = {i for i, b in enumerate(after[-1].bytes) if b == ord("O")}
     assert occupied == {28, 29, 30, 31}
 
 

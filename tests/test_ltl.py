@@ -25,8 +25,8 @@ RIP_TEXT = "G (forall_stack f . all i in 0..7 : byte(i, stack(f)) = Critical)"
 def _prologue_and_smashed_states():
     """A freshly prologued frame and its post-overflow counterpart."""
     state = MemoryState(frames=(fresh_frame("copy"),))
-    state, _ = apply_memory_operator(state, Push(ByteOp.RWRITE))
-    prologue = state
+    frames, _ = apply_memory_operator(state.frames, Push(ByteOp.RWRITE))
+    prologue = MemoryState(frames)
     smashed_frame = prologue.top
     smashed_frame = smashed_frame.__class__(
         label="copy",
@@ -134,8 +134,8 @@ def test_prev_transition_matching():
 
 def test_start_end_atoms_follow_index_convention():
     prologue, _ = _prologue_and_smashed_states()
-    state, _ = apply_memory_operator(prologue, Fe(32))
-    frame = register_buffer(state.top, -16, 16)
+    frames, _ = apply_memory_operator(prologue.frames, Fe(32))
+    frame = register_buffer(frames[-1], -16, 16)
     state = MemoryState(frames=(frame,))
     env = {"f": frame, "b": (-16, 16)}
     start = ByteAtom(index=_start("b"), frame_var="f", op="=", state=F)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +13,8 @@ from stackcheck.memstace import (_BYTE_AUTOMATON, _TRANSLATE, ByteOp, ByteState,
                                  Config, Fe, FrameContext,
                                  IllegalByteTransition, MemoryState,
                                  OverlappingBuffer, PopUnderflow, Pop, Push,
-                                 StackFrame, Write, WriteOutsideStack,
+                                 Shrink, StackFrame, TransitionLabel, Write,
+                                 WriteOutsideStack, _SpaceBuilder, apply_effect,
                                  apply_memory_operator, buffer_index_span,
                                  byte_transition,
                                  classify_instruction, fresh_frame,
@@ -62,14 +64,14 @@ def test_translate_tables_agree_with_the_automaton():
             target = _BYTE_AUTOMATON.get((state, op))
             assert _TRANSLATE[op][ord(state.value)] == (ord(target.value) if target else 0)
             frame = StackFrame("f", b"C" * 16 + state.value.encode() * 4, has_rbp_slot=True)
-            before = MemoryState(frames=(frame,))
+            before = (frame,)
             write = Write(op, "rbp", -4, 4)     # indices 19..16
             if target is None:
                 with pytest.raises(IllegalByteTransition, match=state.name):
                     apply_memory_operator(before, write)
             else:
                 after, _ = apply_memory_operator(before, write)
-                assert after.top.bytes == b"C" * 16 + target.value.encode() * 4
+                assert after[-1].bytes == b"C" * 16 + target.value.encode() * 4
 
 
 def _write_byte_by_byte(frames, start: int, width: int, op: ByteOp, *,
@@ -124,10 +126,10 @@ def test_slice_translate_writes_match_byte_by_byte():
         except IllegalByteTransition as exc:
             raised += 1
             with pytest.raises(IllegalByteTransition, match=re.escape(str(exc))):
-                apply_memory_operator(MemoryState(frames=frames), write, clamp=True)
+                apply_memory_operator(frames, write, clamp=True)
             continue
-        after, notes = apply_memory_operator(MemoryState(frames=frames), write, clamp=True)
-        assert [f.bytes for f in after.frames] == want
+        after, notes = apply_memory_operator(frames, write, clamp=True)
+        assert [f.bytes for f in after] == want
         assert notes == want_notes
     assert 50 < raised < 450
 
@@ -144,7 +146,7 @@ def test_slice_translate_writes_match_byte_by_byte():
             write = Write(op, "rbp", 15 - start, width, canary=canary)
         else:
             write = Write(op, "rsp", top - 1 - start, width, canary=canary)
-        before = MemoryState(frames=frames)
+        before = frames
         try:
             want, want_notes = _write_byte_by_byte(frames, start, width, op, clamp=clamp)
         except (IllegalByteTransition, WriteOutsideStack) as exc:
@@ -153,10 +155,10 @@ def test_slice_translate_writes_match_byte_by_byte():
                 apply_memory_operator(before, write, clamp=clamp)
             continue
         after, notes = apply_memory_operator(before, write, clamp=clamp)
-        assert [f.bytes for f in after.frames] == want
+        assert [f.bytes for f in after] == want
         assert notes == want_notes
-        assert [f.has_canary for f in after.frames] == [False] * (len(frames) - 1) + [canary]
-        assert [f.has_rbp_slot for f in after.frames] == [f.has_rbp_slot for f in frames]
+        assert [f.has_canary for f in after] == [False] * (len(frames) - 1) + [canary]
+        assert [f.has_rbp_slot for f in after] == [f.has_rbp_slot for f in frames]
         seen["below"] += any(n.startswith("write below") for n in notes)
         seen["past"] += any(n.startswith("write continued") for n in notes)
         seen["canary"] += canary
@@ -232,10 +234,16 @@ def test_classify_add_rsp_shrinks():
 
 # --- operators ------------------------------------------------------------------
 
+def _apply(state: MemoryState, op, **kw) -> tuple[MemoryState, list[str]]:
+    """apply_memory_operator on a whole state's frames."""
+    frames, notes = apply_memory_operator(state.frames, op, **kw)
+    return MemoryState(frames), notes
+
+
 def _prologue_state() -> MemoryState:
     state = MemoryState(frames=(fresh_frame("f"),))
-    state, _ = apply_memory_operator(state, Push(RW))
-    state, _ = apply_memory_operator(state, Fe(32))
+    state, _ = _apply(state, Push(RW))
+    state, _ = _apply(state, Fe(32))
     return state
 
 
@@ -249,22 +257,22 @@ def test_fa_push_fe_snapshot():
 
 def test_pop_sixteen_to_eight():
     state = MemoryState(frames=(fresh_frame("f"),))
-    state, _ = apply_memory_operator(state, Push(RW))
-    state, _ = apply_memory_operator(state, Pop())
+    state, _ = _apply(state, Push(RW))
+    state, _ = _apply(state, Pop())
     assert len(state.top.bytes) == 8
 
 
 def test_pop_underflow():
     state = MemoryState(frames=(fresh_frame("f"),))
     with pytest.raises(PopUnderflow):
-        apply_memory_operator(state, Pop())
+        _apply(state, Pop())
 
 
 def test_seventeen_byte_write_marks_off_by_one():
     # write of 17 bytes starting at frame offset -16: indices 31..16 become
     # occupied and index 15 (the low saved-base-register byte) is modified
     state = _prologue_state()
-    state, _ = apply_memory_operator(state, Write(NRW, "rbp", -16, 17))
+    state, _ = _apply(state, Write(NRW, "rbp", -16, 17))
     frame = state.top
     assert frame.bytes[16:32] == b"O" * 16
     assert frame.bytes[15:16] == b"M"
@@ -274,16 +282,16 @@ def test_seventeen_byte_write_marks_off_by_one():
 def test_write_outside_stack_raises():
     state = _prologue_state()
     with pytest.raises(WriteOutsideStack):
-        apply_memory_operator(state, Write(NRW, "rbp", -16, 64))
+        _apply(state, Write(NRW, "rbp", -16, 64))
 
 
 def test_cross_frame_write_continuity():
     caller = _prologue_state().top
     state = MemoryState(frames=(caller, fresh_frame("g")))
-    state, _ = apply_memory_operator(state, Push(RW))
+    state, _ = _apply(state, Push(RW))
     # 20 bytes from the callee's offset 0 walk through its 16 bytes and
     # continue into the caller's lowest-address locals
-    state, _ = apply_memory_operator(state, Write(NRW, "rbp", 0, 20))
+    state, _ = _apply(state, Write(NRW, "rbp", 0, 20))
     callee, = [f for f in state.frames if f.label == "g"]
     caller_after = state.frames[0]
     assert callee.bytes[0:16] == b"M" * 16
@@ -293,7 +301,7 @@ def test_cross_frame_write_continuity():
 
 def test_rsp_relative_write():
     state = _prologue_state()
-    state, _ = apply_memory_operator(state, Write(NRW, "rsp", 0, 8))
+    state, _ = _apply(state, Write(NRW, "rsp", 0, 8))
     assert state.top.bytes[40:48] == b"O" * 8
 
 
@@ -304,14 +312,14 @@ def test_frame_size_changes_only_by_stack_ops():
         before = len(state.top.bytes)
         pick = rng.randrange(4)
         if pick == 0:
-            state, _ = apply_memory_operator(state, Push(NRW))
+            state, _ = _apply(state, Push(NRW))
             assert len(state.top.bytes) == before + 8
         elif pick == 1 and before >= 24:
-            state, _ = apply_memory_operator(state, Pop())
+            state, _ = _apply(state, Pop())
             assert len(state.top.bytes) == before - 8
         elif pick == 2:
             n = rng.randrange(1, 17)
-            state, _ = apply_memory_operator(state, Fe(n))
+            state, _ = _apply(state, Fe(n))
             assert len(state.top.bytes) == before + n
         else:
             width = rng.randrange(1, 9)
@@ -320,7 +328,7 @@ def test_frame_size_changes_only_by_stack_ops():
                 continue
             disp = rng.randrange(lo, -width + 1) if lo < -width + 1 else lo
             try:
-                state, _ = apply_memory_operator(state, Write(NRW, "rbp", disp, width))
+                state, _ = _apply(state, Write(NRW, "rbp", disp, width))
             except WriteOutsideStack:
                 pass
             assert len(state.top.bytes) == before
@@ -369,6 +377,73 @@ def test_buffer_size_inference():
     assert infer_buffer_size(-32, {-16}, has_canary=False) == 16
     assert infer_buffer_size(-24, {-48}, has_canary=True) == 16
     assert infer_buffer_size(-48, {-24, -8}, has_canary=True) == 24
+
+
+# --- state identity ---------------------------------------------------------------
+
+def _builder() -> _SpaceBuilder:
+    return _SpaceBuilder(parse_disassembly("f:\n401000: ret\n"), None, Config(), None, {})
+
+
+def test_equal_frames_with_different_labels_are_different_states():
+    builder = _builder()
+    frames = _prologue_state().frames
+    push = builder.intern(MemoryState(frames, TransitionLabel("push", 0x401000)))
+    fe = builder.intern(MemoryState(frames, TransitionLabel("fe", 0x401000)))
+    bare = builder.intern(MemoryState(frames))
+    assert len({push, fe, bare}) == 3
+    assert builder.intern(MemoryState(frames, TransitionLabel("push", 0x401000))) == push
+
+
+def test_equal_states_reached_by_different_paths_share_one_id():
+    """Fe(8) twice and Fe(16) once build equal (not identical) frames; the
+    same label on both makes them one state, and the repeated edge is kept once."""
+    builder = _builder()
+    start = _prologue_state().frames
+    src = builder.intern(MemoryState(start))
+    twice, _ = apply_memory_operator(apply_memory_operator(start, Fe(8))[0], Fe(8))
+    once, _ = apply_memory_operator(start, Fe(16))
+    assert twice == once and twice is not once
+    label = TransitionLabel("fe", 0x401008, text="sub rsp, 0x10")
+    assert builder.emit(src, label, twice) == builder.emit(src, label, once)
+    assert len(builder.states) == 2 and len(builder.transitions) == 1
+
+
+def _snapshot(frames) -> list:
+    return [(f.label, f.bytes, f.buffers, f.has_canary, f.has_rbp_slot) for f in frames]
+
+
+@pytest.mark.parametrize("op", [Push(NRW), Pop(), Fe(8), Shrink(8), Write(NRW, "rbp", -16, 4),
+                                Write(RW, "rbp", -8, 8, canary=True)],
+                         ids=["push", "pop", "fe", "shrink", "write", "canary-write"])
+def test_operators_return_new_frames_and_leave_their_input(op):
+    frames = (fresh_frame("main"), _prologue_state().top)
+    frames, _ = apply_memory_operator(frames, Fe(16))
+    before = _snapshot(frames)
+    after, _ = apply_memory_operator(frames, op)
+    assert type(after) is tuple and after != frames
+    assert _snapshot(frames) == before
+
+
+def test_effect_and_buffer_registration_leave_their_input():
+    frames = _prologue_state().frames
+    before = _snapshot(frames)
+    effect = SimpleNamespace(name="memset", touched=[(0, 31, NRW), (0, 30, NRW)],
+                             clamped=False)
+    after, notes = apply_effect(frames, effect)
+    assert notes == [] and after[-1].bytes[30:32] == b"OO"
+    top = register_buffer(frames[-1], -16, 16)
+    assert top.buffers == {(-16, 16)}
+    assert _snapshot(frames) == before
+
+
+def test_stack_frame_is_immutable():
+    frame = fresh_frame("f")
+    with pytest.raises(AttributeError):
+        frame.bytes = b"M" * 8
+    with pytest.raises(AttributeError):
+        MemoryState((frame,)).incoming_label = TransitionLabel("push", 0)
+    assert frame.bytes == b"C" * 8
 
 
 # --- state-space construction -----------------------------------------------------
