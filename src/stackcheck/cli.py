@@ -118,7 +118,7 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
                   export_memstace: str | None = None) -> Report:
     report = Report(binary=name)
     t0 = time.perf_counter()
-    deadline = t0 + cfg.timeout if cfg.timeout else None
+    deadline = t0 + cfg.timeout if cfg.timeout is not None else None
 
     bcfg = build_bcfg(image)
     oracle = EffectsOracle(image, bcfg, cfg)

@@ -7,20 +7,25 @@ only as far as the furthest site asked for. At a call site the callee's
 write-extent rule is applied to a fork of the machine, and the stack
 diff gives the touched bytes, each placed in its owning shadow frame. A
 loop's effect is the diff between a fork's arrival at the loop entry and
-its exit. When the run halts first (clean exit, crash, step budget or an
-unsupported construct), every site it did not reach gets an opaque
-effect with a note saying which. Calls that read stdin/argv record the
-smallest input reaching a saved return address or canary; that input is
-kept for patch validation. The write covers the input plus its
-terminator, so that length is the distance from the destination to the
-first protected byte at or above it (at least 1), in closed form. The
-oracle also owns the analysis's buffer-size rule, which the state-space
-builder and the call emulation both read.
+its exit. When that fork reaches the exit without halting, within the
+iteration budget and without passing a site the run still has to stop
+at, the run continues from the fork instead of executing the loop
+again, so the root executes that loop once. When the run
+halts first (clean exit, crash, step budget or an unsupported
+construct), every site it did not reach gets an opaque effect with a
+note saying which. Calls that read stdin/argv record the smallest input
+reaching a saved return address or canary; that input is kept for patch
+validation. The write covers the input plus its terminator, so that
+length is the distance from the destination to the first protected byte
+at or above it (at least 1), in closed form. The oracle also owns the
+analysis's buffer-size rule, which the state-space builder and the call
+emulation both read.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import interp, load_data
@@ -486,21 +491,31 @@ def _loop_exit(body: set[int], intra, bcfg: BCfg) -> int | None:
     return None
 
 
-def emulate_loop(machine: Machine, loop: LoopInfo) -> CallEffect:
+def emulate_loop(machine: Machine, loop: LoopInfo,
+                 stops: set[int] | frozenset[int] = frozenset(),
+                 adopt: Callable[[Machine], None] | None = None) -> CallEffect:
     """The effect of a loop on a machine standing at its entry: run a fork
     to the exit (or until the iteration budget runs out) and diff the
-    stack against the arrival."""
+    stack against the arrival.
+
+    When the fork reaches the exit without halting, within the iteration
+    budget and without passing a pc in `stops`, it stands where `machine`
+    would after stepping through the loop itself; `adopt` is then called
+    with that fork, its write marks widened to cover `machine`'s."""
     cfg = machine.cfg
-    machine = machine.fork()
-    snap = machine.snapshot()
+    fork = machine.fork()
+    snap = fork.snapshot()
     iterations = 0
     notes: list[str] = []
+    reached = passed = False
     try:
         while True:
-            machine.step()
-            if machine.pc == loop.exit:
+            fork.step()
+            if fork.pc == loop.exit:
+                reached = True
                 break
-            if machine.pc == loop.entry:
+            passed = passed or fork.pc in stops
+            if fork.pc == loop.entry:
                 iterations += 1
                 if iterations >= cfg.max_loop_iters:
                     notes.append(f"loop at {loop.entry:#x}: iteration budget "
@@ -510,10 +525,15 @@ def emulate_loop(machine: Machine, loop: LoopInfo) -> CallEffect:
         notes.append({STEP_BUDGET: f"loop at {loop.entry:#x}: step budget exhausted",
                       UNSUPPORTED: f"loop at {loop.entry:#x}: emulation failed: {h.cause}"}
                      .get(h.status, f"loop at {loop.entry:#x}: execution left the function"))
-    changed = machine.diff_stack(snap)
-    touched, overflow = _map_touches(machine, changed)
-    return CallEffect(name="loop", site=loop.entry, touched=tuple(touched),
-                      clamped=overflow, notes=notes)
+    changed = fork.diff_stack(snap)
+    touched, overflow = _map_touches(fork, changed)
+    effect = CallEffect(name="loop", site=loop.entry, touched=tuple(touched),
+                        clamped=overflow, notes=notes)
+    if adopt is not None and reached and not passed:
+        fork._wm_lo = min(fork._wm_lo, machine._wm_lo)
+        fork._wm_hi = max(fork._wm_hi, machine._wm_hi)
+        adopt(fork)
+    return effect
 
 
 def _unreached(name: str, site: int, root: int, h: Halt) -> CallEffect:
@@ -538,11 +558,14 @@ class EffectsOracle:
     Each root has one interpreter run. A cache miss advances it to the
     next pending site (a library call with a libc spec, or the entry of a
     reducible loop) and computes that site's effect at this first
-    arrival, until the requested site is cached. Only the current root's
-    run stays alive: set_root drops it, and a later miss for that root
-    starts a fresh run that stops only at sites not yet cached. A run
-    that halts is kept as its Halt, which fixes the opaque effect of
-    every site it did not reach.
+    arrival, until the requested site is cached. At a loop entry the run
+    continues from the fork that computed the loop's effect when
+    emulate_loop hands it over (the fork reached the exit without
+    passing a pending site); otherwise it steps through the loop itself.
+    Only the current root's run stays alive: set_root drops it, and a
+    later miss for that root starts a fresh run, which computes only the
+    effects not cached yet. A run that halts is kept as its Halt, which
+    fixes the opaque effect of every site it did not reach.
 
     It also owns the buffer-size rule (`buffer_size`), memoized for the
     analysis.
@@ -568,6 +591,7 @@ class EffectsOracle:
         self._loop_cache: dict[tuple[int, int], CallEffect] = {}
         self._args_cache: dict[int, CallArgs] = {}
         self._call_sites: frozenset[int] | None = None
+        self._sites: frozenset[int] | None = None     # call sites and loop entries
         self._run: Machine | None = None      # the current root's run, while alive
         self._stops: set[int] = set()         # pending sites that run has not reached
         self._halts: dict[int, Halt] = {}     # how each halted root's run ended
@@ -636,7 +660,7 @@ class EffectsOracle:
             if self._run is None:
                 self._run = Machine(self.image, self.cfg, stdin=b"")
                 self._run.start(root)
-                self._stops = self._pending(root)
+                self._stops = self._pending()
             try:
                 while key not in cache:
                     self._run.run_to(*self._stops)
@@ -647,19 +671,22 @@ class EffectsOracle:
         if key not in cache:
             cache[key] = _unreached(name, key[1], root, self._halts[root])
 
-    def _pending(self, root: int) -> set[int]:
-        """Call sites with a libc spec and reducible loop entries whose
-        effect from `root` is not cached yet."""
-        if self._call_sites is None:
+    def _pending(self) -> set[int]:
+        """Call sites with a libc spec and reducible loop entries: where a
+        root's run stops. _arrive skips a site whose effect from the root
+        is cached already."""
+        if self._sites is None:
             self._call_sites = frozenset(
                 a for a, ins in self.image.instructions.items()
                 if ins.mnemonic == "call" and self.arguments(a) is not None)
-        return ({a for a in self._call_sites if (root, a) not in self._call_cache}
-                | {a for a, lp in self._loops_by_entry.items()
-                   if not lp.irreducible and (root, a) not in self._loop_cache})
+            self._sites = self._call_sites | {
+                a for a, lp in self._loops_by_entry.items() if not lp.irreducible}
+        return set(self._sites)
 
     def _arrive(self, machine: Machine) -> None:
-        """Compute the effects at the run's first arrival at machine.pc."""
+        """Compute the effects at the run's first arrival at machine.pc. A
+        loop's fork that reached the exit without passing a pending site
+        becomes the run."""
         pc = machine.pc
         self._stops.discard(pc)
         key = (self.root, pc)
@@ -667,4 +694,7 @@ class EffectsOracle:
             self._call_cache[key] = emulate_call(machine, self.arguments(pc), self.buffer_size)
         loop = self.loop_at(pc)
         if loop is not None and key not in self._loop_cache:
-            self._loop_cache[key] = emulate_loop(machine, loop)
+            self._loop_cache[key] = emulate_loop(machine, loop, self._stops, self._adopt)
+
+    def _adopt(self, fork: Machine) -> None:
+        self._run = fork

@@ -8,9 +8,10 @@ exception, Halt, whose status is a clean exit, a crash, the step budget
 running out, or a construct the interpreter does not model (a printf
 conversion, an operand form). The same machine serves the effects module
 in capture mode (one run per analysis root that stops at each call site
-and loop entry, where forks are written to, snapshotted and diffed) and
-the validator for full before/after runs. The safecall pseudo-instruction
-executes the bounded replacement semantics installed by the patcher.
+and loop entry, where forks are written to, snapshotted and diffed, and
+that may continue from a loop's fork) and the validator for full
+before/after runs. The safecall pseudo-instruction executes the bounded
+replacement semantics installed by the patcher.
 
 Each instruction is compiled once per image, at its first execution, into
 a closure (see codegen) that takes the machine and returns the next pc;
@@ -24,7 +25,9 @@ The stack spans STACK_SIZE bytes below STACK_TOP, but a machine holds
 bytes only from the lowest page written so far up to STACK_TOP: the
 window grows down a page at a time, unwritten bytes read as 0xCC, and
 fork() and snapshot() copy only the window. Many machines can then be
-alive at once without each holding the whole stack.
+alive at once without each holding the whole stack. wr_mem, which every
+stack write goes through, keeps the span written since the last
+snapshot, and diff_stack compares only that span.
 """
 
 from __future__ import annotations
@@ -115,6 +118,8 @@ class Machine:
         self.pc: int | None = None
         self.canary_regs: set[str] = set()
         self.read_stdin = False     # set by every reader of stdin
+        # the write marks: the span of stack bytes written since the last
+        # snapshot (since the start, on a machine never snapshotted)
         self._wm_lo = STACK_TOP
         self._wm_hi = STACK_BASE
         self._setup_argv(argv)
@@ -211,16 +216,19 @@ class Machine:
 
     # --- snapshots (capture mode) ----------------------------------------
 
-    def snapshot(self) -> tuple[bytes, int, int, int]:
-        lo, hi = self._wm_lo, self._wm_hi
+    def snapshot(self) -> tuple[bytes, int]:
+        """The stack window and its low address, for diff_stack; clears the
+        write marks, so that they span only the writes after it."""
         self._wm_lo, self._wm_hi = STACK_TOP, STACK_BASE
-        return (bytes(self.stack), self.stack_lo, lo, hi)
+        return (bytes(self.stack), self.stack_lo)
 
-    def diff_stack(self, snap: tuple[bytes, int, int, int]) -> dict[int, tuple[int, int]]:
-        """Changed stack addresses since the snapshot: addr -> (old, new)."""
-        old, old_lo, snap_lo, snap_hi = snap
-        lo = max(min(self._wm_lo, snap_lo), self.stack_lo)
-        hi = min(max(self._wm_hi, snap_hi), STACK_TOP - 1)
+    def diff_stack(self, snap: tuple[bytes, int]) -> dict[int, tuple[int, int]]:
+        """Changed stack addresses since the snapshot: addr -> (old, new).
+        Every stack write goes through wr_mem, which widens the write marks,
+        so only the marked span can differ from the snapshot."""
+        old, old_lo = snap
+        lo = max(self._wm_lo, self.stack_lo)
+        hi = min(self._wm_hi, STACK_TOP - 1)
         out: dict[int, tuple[int, int]] = {}
         for a in range(lo, hi + 1):
             was = old[a - old_lo] if a >= old_lo else FILL

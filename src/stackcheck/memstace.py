@@ -446,6 +446,15 @@ class Config:
     buffers_path: str | None = None
     enable_scanf_patch: bool = False
 
+    def __post_init__(self) -> None:
+        # budgets are hard limits: one that is not positive limits nothing
+        for name in ("max_states", "max_loop_iters", "max_input_len", "step_budget", "timeout"):
+            value = getattr(self, name)
+            if name == "timeout" and value is None:
+                continue
+            if not value > 0:
+                raise ValueError(f"Config.{name} must be positive, got {value!r}")
+
 
 @dataclass(slots=True)
 class _Decoded:

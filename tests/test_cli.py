@@ -222,6 +222,20 @@ def test_non_positive_budget_is_rejected(tmp_path, capsys, flag, bad):
     assert main(["analyze", str(corpus_path("gets_rip_ok")), flag, "1"]) in (0, 1)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("max_states", -1), ("max_loop_iters", 0), ("max_input_len", -3),
+    ("step_budget", -5), ("timeout", 0), ("timeout", -1.0), ("timeout", float("nan")),
+])
+def test_library_config_rejects_non_positive_budgets(field, bad):
+    """A budget is a hard limit through the library too: a non-positive one
+    is a ValueError, not a verdict (a state budget of -1 read as exhausted,
+    a timeout of 0 as no limit)."""
+    with pytest.raises(ValueError, match=field):
+        analyze([str(corpus_path("gets_rip_vuln"))], Config(**{field: bad}),
+                patch=True, validate=True)
+    assert Config(**{field: 1}) is not None
+
+
 # the gets listing of the corpus without its endbr64, so that it is 8 lines
 _HEADERLESS = """\
 401000: push rbp

@@ -267,3 +267,54 @@ def test_rd_cstr_matches_the_bytewise_reference():
     for addr in starts:
         for cap in (None, 0, 1, 7, rng.randrange(1, 300)):
             assert m.rd_cstr(addr, cap) == _rd_cstr_bytewise(m, addr, cap), (hex(addr), cap)
+
+
+def _diff_bytewise(before: Machine, after: Machine) -> dict[int, tuple[int, int]]:
+    """The reference: every byte of both windows, each padded below with
+    FILL (how unwritten bytes read) to the lower of the two."""
+    from stackcheck.interp import FILL
+    lo = min(before.stack_lo, after.stack_lo)
+    old, new = (bytes([FILL]) * (m.stack_lo - lo) + m.stack for m in (before, after))
+    return {lo + k: (o, n) for k, (o, n) in enumerate(zip(old, new)) if o != n}
+
+
+def test_diff_stack_matches_a_bytewise_diff_of_the_whole_window():
+    """Writes before and after the snapshot, writes that grow the window
+    below stack_lo, writes that put back the byte already there or that
+    change a byte and then restore it, and snapshots taken on a fork."""
+    from stackcheck.interp import FILL, PAGE, STACK_TOP
+    rng = random.Random(11)
+    image = parse_disassembly("main:\n401000: nop\n")
+
+    def data(n: int) -> bytes:
+        return bytes(rng.choice((0, 0x41, FILL, rng.randrange(256))) for _ in range(n))
+
+    def write(m: Machine, depth: int) -> None:
+        addr = STACK_TOP - rng.randrange(1, depth)
+        n = rng.randrange(1, min(64, STACK_TOP - addr) + 1)
+        kind = rng.randrange(3)
+        if kind == 0:
+            m.wr_mem(addr, data(n))
+        elif kind == 1:                             # the bytes already there
+            m.wr_mem(addr, m.rd_mem(addr, n))
+        else:                                       # changed, then restored
+            old = m.rd_mem(addr, n)
+            m.wr_mem(addr, data(n))
+            m.wr_mem(addr, old)
+
+    kinds = set()
+    for _ in range(100):
+        m = Machine(image, Config())
+        m.start(0x401000)
+        for _ in range(rng.randrange(0, 20)):
+            write(m, 2 * PAGE)
+        if rng.random() < 0.5:
+            m = m.fork()
+            kinds.add("fork")
+        before = m.fork()
+        snap = m.snapshot()
+        for _ in range(rng.randrange(0, 20)):
+            write(m, 5 * PAGE)
+        kinds.add("grown" if m.stack_lo < before.stack_lo else "same window")
+        assert m.diff_stack(snap) == _diff_bytewise(before, m)
+    assert kinds == {"fork", "grown", "same window"}

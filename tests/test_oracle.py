@@ -7,13 +7,15 @@ import random
 from collections import Counter
 
 from conftest import CORPUS_DIR, FIXTURE_DIR
-from test_fuzz import MUTANTS, SEED, _mutate
+from test_compiled import STATE
+from test_fuzz import MUTANT_CONFIG, MUTANTS, SEED, _mutate, write_mutants
 
 from stackcheck.cli import analyze
 from stackcheck.effects import EffectsOracle, _unreached, emulate_call, emulate_loop
 from stackcheck.frontend import MalformedLine, build_bcfg, parse_disassembly
 from stackcheck.interp import CLEAN, CRASH, STEP_BUDGET, UNSUPPORTED, Halt, Machine
 from stackcheck.memstace import Config
+from stackcheck.validator import run
 
 
 def _replay(oracle: EffectsOracle, root: int, site: int):
@@ -115,3 +117,73 @@ def test_interpreter_steps_grow_linearly_with_chain_length(tmp_path, monkeypatch
         assert report.status == "clean", report.error
         counts.append(steps[0])
     assert counts[1] <= 2.2 * counts[0] and counts[2] <= 2.2 * counts[1], counts
+
+
+def test_root_runs_do_not_reexecute_loop_iterations(tmp_path, monkeypatch):
+    """A root's run continues from the fork that computed a loop's effect
+    instead of stepping through the loop again: on chain listings, the
+    oracle's steps, forks included, stay within one whole run per root
+    (a second pass over every fill loop exceeds that)."""
+    steps = [0]
+    step = Machine.step
+
+    def counted(self):
+        steps[0] += 1
+        return step(self)
+
+    monkeypatch.setattr(Machine, "step", counted)
+    for n in (8, 16, 32):
+        path = tmp_path / f"chain_{n}.s"
+        path.write_text(_chain(n))
+        steps[0] = 0
+        report = analyze([str(path)], Config())[0]
+        assert report.status == "clean", report.error
+        emulated = steps[0]
+        image = parse_disassembly(_chain(n))
+        whole = sum(run(image, entry=entry).steps for entry in image.functions.values())
+        assert emulated <= whole, (n, emulated, whole)
+
+
+def test_loop_hand_off_equals_stepping_through_the_loop(tmp_path, monkeypatch):
+    """Wherever the oracle's run continues from a loop's fork, the fork is
+    the machine the run itself reaches by stepping on from the loop entry
+    to the exit, in every field a step can change, and no site the run
+    must stop at lies on the way. The corpus, the fixtures, chain listings
+    and the fuzz mutants."""
+    arrive = EffectsOracle._arrive
+    ends = Counter()
+    mismatches: list[str] = []
+
+    def checked(self, machine):
+        pc = machine.pc
+        loop = self.loop_at(pc)
+        if loop is None or (self.root, pc) in self._loop_cache:
+            return arrive(self, machine)
+        stops = self._stops - {pc}
+        ref = machine.fork()
+        arrive(self, machine)
+        if self._run is machine:
+            ends["kept"] += 1
+            return
+        ends["handed off"] += 1
+        try:
+            ref.step()
+            while ref.pc != loop.exit and ref.pc not in stops:
+                ref.step()
+        except Halt as h:
+            mismatches.append(f"loop {pc:#x}: the run halts ({h}) before its exit")
+            return
+        differ = [f for f in STATE if getattr(self._run, f) != getattr(ref, f)]
+        if differ:
+            mismatches.append(f"loop {pc:#x}: state differs in {differ}")
+
+    monkeypatch.setattr(EffectsOracle, "_arrive", checked)
+    listings = [str(p) for p in sorted(CORPUS_DIR.glob("*.s")) + sorted(FIXTURE_DIR.glob("*.s"))]
+    for n in (4, 8):
+        path = tmp_path / f"chain_{n}.s"
+        path.write_text(_chain(n))
+        listings.append(str(path))
+    analyze(listings, Config())
+    analyze(write_mutants(tmp_path), MUTANT_CONFIG)
+    assert not mismatches, mismatches[:3]
+    assert ends["handed off"] > 80 and ends["kept"] > 10, ends
