@@ -282,8 +282,9 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
 def _patch_and_validate(report: Report, image: ProgramImage,
                         sink_map: dict, oracle: EffectsOracle,
                         cfg: Config, *, validate: bool) -> None:
+    """Plan every sink, apply all the plans in one rewrite, then validate
+    each planned sink on the patched image."""
     templates = load_templates(cfg.templates_path)
-    patched = image
     plans = []
     for addr in sorted(sink_map):
         sink = sink_map[addr]
@@ -296,26 +297,26 @@ def _patch_and_validate(report: Report, image: ProgramImage,
             # fall back to the sink's own function as the emulation root
             oracle.set_root(image.functions[sink.function])
             effect = oracle.call_effect(addr)
-        args = oracle.arguments(addr)
+        frame_dest = patcher.dest_in_frame(oracle.bcfg, addr, oracle.spec(addr))
         try:
-            plan = patcher.select_template(sink, effect, args, templates,
+            plan = patcher.select_template(sink, effect, frame_dest, templates,
                                            enable_scanf=cfg.enable_scanf_patch)
         except NoTemplate as exc:
             report.notes.append(f"sink at {addr:#x}: {exc}")
             continue
-        patched = patcher.apply_trampoline(patched, plan)
         plans.append((plan, effect))
-        report.patches.append({
-            "sink": addr,
-            "callee": sink.callee,
-            "template": plan.template.name,
-            "mode": plan.template.mode,
-            "bound": plan.bound,
-            "trampoline": plan.trampoline_label,
-            "return_address": plan.return_address,
-        })
-    if patched is not image:
-        report.patched_image = patched
+    if not plans:
+        return
+    patched = report.patched_image = patcher.apply_trampolines(image, [p for p, _ in plans])
+    report.patches = [{
+        "sink": plan.sink.address,
+        "callee": plan.sink.callee,
+        "template": plan.template.name,
+        "mode": plan.template.mode,
+        "bound": plan.bound,
+        "trampoline": plan.trampoline_label,
+        "return_address": plan.return_address,
+    } for plan, _ in plans]
     if not validate:
         return
     runs: dict = {}     # whole-program outcomes shared by every sink's validation

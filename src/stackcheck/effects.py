@@ -13,13 +13,15 @@ at, the run continues from the fork instead of executing the loop
 again, so the root executes that loop once. When the run
 halts first (clean exit, crash, step budget or an unsupported
 construct), every site it did not reach gets an opaque effect with a
-note saying which. Calls that read stdin/argv record the smallest input
-reaching a saved return address or canary; that input is kept for patch
-validation. The write covers the input plus its terminator, so that
-length is the distance from the destination to the first protected byte
-at or above it (at least 1), in closed form. The oracle also owns the
-analysis's buffer-size rule, which the state-space builder and the call
-emulation both read.
+note saying which. A call site's libc spec is looked up by the symbol
+it names, and its arguments are read from the machine standing at the
+call, never recovered from the listing. Calls that read stdin/argv
+record the smallest input reaching a saved return address or canary;
+that input is kept for patch validation. The write covers the input
+plus its terminator, so that length is the distance from the
+destination to the first protected byte at or above it (at least 1), in
+closed form. The oracle also owns the analysis's buffer-size rule, which
+the state-space builder and the call emulation both read.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import interp, load_data
-from .frontend import BCfg, ProgramImage, IMM, MEM, REG
+from .frontend import BCfg, ProgramImage
 from .interp import CLEAN, CRASH, STACK_TOP, STEP_BUDGET, UNSUPPORTED, Halt, Machine
 from .memstace import ByteOp, Config, infer_buffer_size, scan_object_boundaries
 
@@ -106,89 +108,6 @@ def lookup_libc(name: str, db: dict[str, LibcSpec] | None = None) -> LibcSpec:
     return db[key]
 
 
-# --- argument recovery ------------------------------------------------------
-
-CONSTANT = "constant"
-FRAME_ADDR = "frame-addr"
-FRAME_SLOT = "frame-slot"
-UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class ArgValue:
-    kind: str
-    value: int | None = None            # constant, or rbp offset for frame kinds
-    chain: tuple[int, ...] = ()         # defining instruction addresses
-
-
-@dataclass
-class CallArgs:
-    site: int
-    spec: LibcSpec
-    regs: dict[str, ArgValue]
-
-    def by_role(self, role: str) -> ArgValue:
-        reg = self.spec.role_register(role)
-        if reg is None:
-            return ArgValue(UNKNOWN)
-        return self.regs.get(reg, ArgValue(UNKNOWN))
-
-
-def recover_arguments(bcfg: BCfg, call_site: int, spec: LibcSpec,
-                      depth_bound: int = 4) -> CallArgs:
-    """Resolve argument registers by scanning backwards from the call.
-
-    The scan covers the containing block and, when that fails, walks the
-    unique-predecessor chain up to depth_bound blocks. Unresolved
-    registers stay unknown (a legitimate outcome that later selects the
-    runtime patch mode).
-    """
-    block = bcfg.block_containing(call_site)
-    out: dict[str, ArgValue] = {}
-    for reg in ARG_REGS[:spec.arity]:
-        out[reg] = _resolve(bcfg, block, call_site, reg, depth_bound)
-    return CallArgs(site=call_site, spec=spec, regs=out)
-
-
-def _resolve(bcfg, block, before: int, reg: str, depth: int,
-             chain: tuple[int, ...] = ()) -> ArgValue:
-    if block is None or depth < 0:
-        return ArgValue(UNKNOWN, chain=chain)
-    body = [i for i in block.instructions if i.address < before]
-    for ins in reversed(body):
-        defined = _defines(ins, reg)
-        if not defined:
-            continue
-        chain = chain + (ins.address,)
-        if ins.mnemonic == "mov":
-            src = ins.operands[1]
-            if src.kind == IMM:
-                return ArgValue(CONSTANT, src.value, chain)
-            if src.kind == MEM and src.base == "rbp":
-                return ArgValue(FRAME_SLOT, src.disp, chain)
-            if src.kind == REG:
-                return _resolve(bcfg, block, ins.address, src.reg, depth, chain)
-            return ArgValue(UNKNOWN, chain=chain)
-        if ins.mnemonic == "lea":
-            src = ins.operands[1]
-            if src.kind == MEM and src.base == "rbp":
-                return ArgValue(FRAME_ADDR, src.disp, chain)
-            return ArgValue(UNKNOWN, chain=chain)
-        return ArgValue(UNKNOWN, chain=chain)
-    sources = bcfg.predecessors.get(block.start, [])
-    if len(sources) == 1:
-        pred = bcfg.blocks[sources[0]]
-        return _resolve(bcfg, pred, pred.end + 1, reg, depth - 1, chain)
-    return ArgValue(UNKNOWN, chain=chain)
-
-
-def _defines(ins, reg: str) -> bool:
-    if ins.mnemonic in ("mov", "lea", "pop") and ins.operands:
-        dst = ins.operands[0]
-        return dst.kind == REG and dst.reg == reg
-    return False
-
-
 # --- call effects ----------------------------------------------------------
 
 @dataclass
@@ -210,14 +129,13 @@ def _opaque(name: str, site: int, note: str, truncating: bool = False) -> CallEf
                       notes=[note])
 
 
-def emulate_call(machine: Machine, args: CallArgs, buffer_size) -> CallEffect:
-    """The effect of the call at args.site on a machine standing there:
-    apply the callee's write rule to a fork and report the stack diff as
-    (frame depth, byte index) touches. `buffer_size(fn, offset,
+def emulate_call(machine: Machine, call_site: int, spec: LibcSpec,
+                 buffer_size) -> CallEffect:
+    """The effect of the call to `spec` at call_site on a machine standing
+    there: apply the callee's write rule to a fork and report the stack
+    diff as (frame depth, byte index) touches. `buffer_size(fn, offset,
     has_canary)` is the analysis's buffer-size rule."""
-    spec = args.spec
     name = spec.name
-    call_site = args.site
     cfg = machine.cfg
     if spec.extent == "none":
         return CallEffect(name=name, site=call_site)
@@ -407,6 +325,8 @@ def detect_loops(bcfg: BCfg, image: ProgramImage) -> list[LoopInfo]:
     seen_edges: set[tuple[int, int]] = set()
     for fn_entry in sorted(image.functions.values()):
         back_edges = _find_back_edges(fn_entry, intra)
+        if not back_edges:
+            continue
         dom = _dominators(fn_entry, intra, preds)
         for (src, tgt) in sorted(back_edges):
             if (src, tgt) in seen_edges:
@@ -589,7 +509,6 @@ class EffectsOracle:
                 self._loops_by_entry[lp.entry] = lp
         self._call_cache: dict[tuple[int, int], CallEffect] = {}
         self._loop_cache: dict[tuple[int, int], CallEffect] = {}
-        self._args_cache: dict[int, CallArgs] = {}
         self._call_sites: frozenset[int] | None = None
         self._sites: frozenset[int] | None = None     # call sites and loop entries
         self._run: Machine | None = None      # the current root's run, while alive
@@ -614,29 +533,25 @@ class EffectsOracle:
                 offset, scan_object_boundaries(self.image.function_body(fn)), has_canary)
         return self._buffer_sizes[key]
 
-    def arguments(self, site: int) -> CallArgs | None:
-        if site not in self._args_cache:
-            ins = self.image.instructions[site]
-            name = (ins.target_symbol() or "").removesuffix("@plt")
-            try:
-                spec = lookup_libc(name, self.libc_db)
-            except UnknownLibc:
-                self._args_cache[site] = None
-            else:
-                self._args_cache[site] = recover_arguments(self.bcfg, site, spec)
-        return self._args_cache[site]
+    def spec(self, site: int) -> LibcSpec | None:
+        """The libc spec of the function the call at `site` names, if any."""
+        try:
+            return lookup_libc(self.image.instructions[site].target_symbol() or "",
+                               self.libc_db)
+        except UnknownLibc:
+            return None
 
     def call_effect(self, site: int) -> CallEffect:
         key = (self.root, site)
         if key not in self._call_cache:
-            args = self.arguments(site)
-            if args is None:
+            spec = self.spec(site)
+            if spec is None:
                 ins = self.image.instructions[site]
                 name = (ins.target_symbol() or f"sub_{ins.target():x}").removesuffix("@plt")
                 self._call_cache[key] = _opaque(
                     name, site, f"unknown library function {name!r}; call treated as opaque")
             else:
-                self._advance(self._call_cache, key, args.spec.name)
+                self._advance(self._call_cache, key, spec.name)
         return self._call_cache[key]
 
     def loop_at(self, pc: int) -> LoopInfo | None:
@@ -678,7 +593,7 @@ class EffectsOracle:
         if self._sites is None:
             self._call_sites = frozenset(
                 a for a, ins in self.image.instructions.items()
-                if ins.mnemonic == "call" and self.arguments(a) is not None)
+                if ins.mnemonic == "call" and self.spec(a) is not None)
             self._sites = self._call_sites | {
                 a for a, lp in self._loops_by_entry.items() if not lp.irreducible}
         return set(self._sites)
@@ -691,7 +606,7 @@ class EffectsOracle:
         self._stops.discard(pc)
         key = (self.root, pc)
         if pc in self._call_sites and key not in self._call_cache:
-            self._call_cache[key] = emulate_call(machine, self.arguments(pc), self.buffer_size)
+            self._call_cache[key] = emulate_call(machine, pc, self.spec(pc), self.buffer_size)
         loop = self.loop_at(pc)
         if loop is not None and key not in self._loop_cache:
             self._loop_cache[key] = emulate_loop(machine, loop, self._stops, self._adopt)

@@ -125,7 +125,6 @@ class ProgramImage:
     order: list[int] = field(default_factory=list)
     function_headers: dict[str, int] = field(default_factory=dict)  # name -> entry addr
     warnings: list[str] = field(default_factory=list)
-    patched_sites: set[int] = field(default_factory=set)
 
     def index(self) -> None:
         self._next = dict(zip(self.order, self.order[1:] + [None]))

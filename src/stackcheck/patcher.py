@@ -2,10 +2,12 @@
 
 A counterexample trace is walked backwards to the offending library call
 (or loop entry). For call sinks a template is instantiated: static mode
-when the destination buffer offset and size are known from the call
-state, runtime mode otherwise. The rewrite replaces the sink call with a
-jump to an appended trampoline block holding the bounded safecall
-replacement, followed by a jump back to the instruction after the sink.
+when the destination is a frame address (`lea reg, [rbp-x]` reaching the
+call) and the call state gives its buffer size, runtime mode otherwise.
+One rewrite applies every plan to a single copy of the image: each sink
+call becomes a jump to an appended trampoline block holding the bounded
+safecall replacement, followed by a jump back to the instruction after
+the sink.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from pathlib import Path
 
 from . import load_data
 from .checker import Trace
-from .effects import CallArgs, CallEffect, FRAME_ADDR
-from .frontend import Instruction, Operand, ProgramImage, TARGET, IMM
+from .effects import CallEffect, LibcSpec
+from .frontend import BCfg, Instruction, Operand, ProgramImage, IMM, MEM, REG, TARGET
 
 
 class NoSinkFound(Exception):
@@ -25,14 +27,6 @@ class NoSinkFound(Exception):
 
 
 class NoTemplate(Exception):
-    pass
-
-
-class AlreadyPatched(Exception):
-    pass
-
-
-class LabelCollision(Exception):
     pass
 
 
@@ -62,7 +56,6 @@ class PatchPlan:
     bound: int | None             # bytes, None for runtime mode
     trampoline_label: str
     return_address: int
-    dest_offset: int | None = None
 
 
 def load_templates(path: str | None = None) -> list[PatchTemplate]:
@@ -100,12 +93,44 @@ def locate_sink(trace: Trace, image: ProgramImage,
     raise NoSinkFound("trace has neither a library call nor a loop step")
 
 
-def select_template(sink: SinkSite, effect: CallEffect | None,
-                    args: CallArgs | None,
+def dest_in_frame(bcfg: BCfg, call_site: int, spec: LibcSpec | None) -> bool:
+    """Whether the destination register of the call at call_site holds a
+    `lea reg, [rbp-x]` frame address.
+
+    The scan runs backwards through the call's block, follows `mov reg,
+    reg` copies, and when the block does not define the register climbs
+    the unique-predecessor chain up to 4 blocks. Any other definition, a
+    join or the end of the chain answers no (which selects the runtime
+    patch mode).
+    """
+    reg = spec.role_register("dest") if spec is not None else None
+    block = bcfg.block_containing(call_site) if reg is not None else None
+    before, depth = call_site, 4
+    while block is not None:
+        ins = next((i for i in reversed(block.instructions)
+                    if i.address < before and i.mnemonic in ("mov", "lea", "pop")
+                    and i.operands[0].kind == REG and i.operands[0].reg == reg), None)
+        if ins is None:
+            sources = bcfg.predecessors.get(block.start, [])
+            if len(sources) != 1 or depth == 0:
+                return False
+            block = bcfg.blocks[sources[0]]
+            before, depth = block.end + 1, depth - 1
+            continue
+        src = ins.operands[-1]
+        if ins.mnemonic == "mov" and src.kind == REG:
+            reg, before = src.reg, ins.address
+            continue
+        return ins.mnemonic == "lea" and src.kind == MEM and src.base == "rbp"
+    return False
+
+
+def select_template(sink: SinkSite, effect: CallEffect | None, frame_dest: bool,
                     templates: list[PatchTemplate] | None = None,
                     enable_scanf: bool = False) -> PatchPlan:
-    """Static mode needs a destination resolved to a concrete frame offset
-    with a known size; anything else falls back to the runtime template."""
+    """Static mode needs a frame-address destination (`frame_dest`, see
+    dest_in_frame) with a known size; anything else falls back to the
+    runtime template."""
     if sink.kind != "call":
         raise NoTemplate(f"no template for {sink.kind} sinks")
     templates = templates if templates is not None else load_templates()
@@ -115,9 +140,7 @@ def select_template(sink: SinkSite, effect: CallEffect | None,
     if sink.callee == "scanf" and not enable_scanf:
         raise NoTemplate("scanf patching is disabled by default (detection only)")
 
-    dest = args.by_role("dest") if args is not None else None
-    static_known = (dest is not None and dest.kind == FRAME_ADDR
-                    and effect is not None and effect.dest_size is not None
+    static_known = (frame_dest and effect is not None and effect.dest_size is not None
                     and effect.dest_size > 0)
     mode = "static" if static_known else "runtime"
     template = next(t for t in candidates if t.mode == mode)
@@ -127,61 +150,56 @@ def select_template(sink: SinkSite, effect: CallEffect | None,
         bound=effect.dest_size if static_known else None,
         trampoline_label="",           # assigned when applied
         return_address=0,
-        dest_offset=dest.value if static_known else None,
     )
 
 
-def apply_trampoline(image: ProgramImage, plan: PatchPlan) -> ProgramImage:
-    """Replace the sink call with a jump into an appended trampoline block.
+def apply_trampolines(image: ProgramImage, plans: list[PatchPlan]) -> ProgramImage:
+    """Replace each plan's sink call with a jump into its own appended
+    trampoline block, in one copy of the image.
 
-    The trampoline runs the bounded safecall and jumps back to the
-    instruction after the sink; everything else is byte-for-byte the
-    original image.
+    A trampoline runs the bounded safecall and jumps back to the
+    instruction after its sink; everything else is byte-for-byte the
+    original image. Trampoline n starts 0x100 + n*0x40 bytes past the
+    highest address so far (aligned down to 16) and is headed by the
+    first free `__patch_<k>` label. A sink that is not a call, such as
+    one a plan earlier in the list already patched, raises NoSinkFound.
     """
-    sink_addr = plan.sink.address
-    if sink_addr in image.patched_sites:
-        raise AlreadyPatched(f"sink {sink_addr:#x} already patched")
-    sink_ins = image.instructions.get(sink_addr)
-    if sink_ins is None or sink_ins.mnemonic != "call":
-        raise NoSinkFound(f"no call instruction at {sink_addr:#x}")
-
-    nxt = image.next_in_function(sink_addr)
-    if nxt is None:
-        # sink ends its function: return to the call-return successor,
-        # which for a terminal call is simply past the listing
-        nxt = sink_addr + 0x10
-
-    n = len(image.patched_sites)
-    label = f"__patch_{n}"
-    if label in image.function_headers:
-        raise LabelCollision(label)
-    base = (max(image.order) + 0x100 + n * 0x40) & ~0xF
-
     new = ProgramImage(
         instructions=dict(image.instructions),
         order=list(image.order),
         function_headers=dict(image.function_headers),
         warnings=list(image.warnings),
-        patched_sites=set(image.patched_sites),
     )
-    jmp_text = f"{sink_addr:x}: jmp 0x{base:x}"
-    new.instructions[sink_addr] = Instruction(
-        sink_addr, "jmp", (Operand(kind=TARGET, value=base),), jmp_text)
-
-    bound_text = f"0x{plan.bound:x}" if plan.bound is not None else "rt"
-    safecall_text = f"{base:x}: safecall {plan.template.replacement} {bound_text}"
-    safecall = Instruction(
-        base, "safecall",
-        (Operand(kind=IMM, value=plan.bound, symbol=plan.template.replacement),),
-        safecall_text)
-    back = Instruction(base + 8, "jmp", (Operand(kind=TARGET, value=nxt),),
-                       f"{base + 8:x}: jmp 0x{nxt:x}")
-    new.instructions[base] = safecall
-    new.instructions[base + 8] = back
-    new.order.extend([base, base + 8])
-    new.function_headers[label] = base
-    new.patched_sites.add(sink_addr)
+    top = max(image.order)
+    k = 0
+    for n, plan in enumerate(plans):
+        sink_addr = plan.sink.address
+        sink_ins = new.instructions.get(sink_addr)
+        if sink_ins is None or sink_ins.mnemonic != "call":
+            raise NoSinkFound(f"no call instruction at {sink_addr:#x}")
+        nxt = image.next_in_function(sink_addr)
+        if nxt is None:
+            # sink ends its function: return to the call-return successor,
+            # which for a terminal call is simply past the listing
+            nxt = sink_addr + 0x10
+        while f"__patch_{k}" in new.function_headers:
+            k += 1
+        label = f"__patch_{k}"
+        base = (top + 0x100 + n * 0x40) & ~0xF
+        top = base + 8                  # the jump back, now the highest address
+        new.instructions[sink_addr] = Instruction(
+            sink_addr, "jmp", (Operand(kind=TARGET, value=base),),
+            f"{sink_addr:x}: jmp 0x{base:x}")
+        bound_text = f"0x{plan.bound:x}" if plan.bound is not None else "rt"
+        new.instructions[base] = Instruction(
+            base, "safecall",
+            (Operand(kind=IMM, value=plan.bound, symbol=plan.template.replacement),),
+            f"{base:x}: safecall {plan.template.replacement} {bound_text}")
+        new.instructions[top] = Instruction(top, "jmp", (Operand(kind=TARGET, value=nxt),),
+                                            f"{top:x}: jmp 0x{nxt:x}")
+        new.order.extend([base, top])
+        new.function_headers[label] = base
+        plan.trampoline_label = label
+        plan.return_address = nxt
     new.index()
-    plan.trampoline_label = label
-    plan.return_address = nxt
     return new

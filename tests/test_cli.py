@@ -133,6 +133,22 @@ def test_cli_patched_output_and_export(tmp_path, capsys):
     assert (tmp_path / "space.main.dot").exists()
 
 
+def test_emitted_patched_listing_can_be_patched_again(tmp_path, capsys):
+    """Detect, patch, re-detect: the emitted listing already holds
+    `__patch_0`, so the new trampoline takes the next free label."""
+    out = tmp_path / "out"
+    assert main(["analyze", str(fixture_path("two_sinks")), "--patch",
+                 "--out", str(out)]) == 1
+    capsys.readouterr()
+    code = main(["analyze", str(out / "two_sinks.patched.s"), "--patch", "--validate",
+                 "--report", "json"])
+    doc = json.loads(capsys.readouterr().out)["reports"][0]
+    assert code == 1, doc["error"]
+    assert [s["address"] for s in doc["sinks"]] == [0x401144]
+    assert [(p["sink"], p["trampoline"]) for p in doc["patches"]] == [(0x401144, "__patch_1")]
+    assert [(v["sink"], v["success"]) for v in doc["validations"]] == [(0x401144, True)]
+
+
 def test_batch_isolates_per_binary_errors(tmp_path):
     bad = tmp_path / "broken.s"
     bad.write_text("???")

@@ -1,15 +1,16 @@
-"""Call/loop emulation, argument recovery and the input-length search."""
+"""Call/loop emulation, destination recovery and the input-length search."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from stackcheck.effects import (CONSTANT, FRAME_ADDR, FRAME_SLOT, UNKNOWN,
-                                UnknownLibc, detect_loops,
-                                lookup_libc, recover_arguments)
+from stackcheck.effects import UnknownLibc, detect_loops, lookup_libc
 from stackcheck.frontend import parse_disassembly, build_bcfg
 from stackcheck.memstace import (Config, MemoryState, apply_effect,
                                  fresh_frame)
+from stackcheck.patcher import dest_in_frame
 
 from conftest import corpus_path, fixture_path, pipeline
 
@@ -38,14 +39,14 @@ def test_lookup_strips_plt_suffix():
     assert lookup_libc("strcpy@plt").name == "strcpy"
 
 
-# --- argument recovery -----------------------------------------------------------
+# --- destination recovery (patcher.dest_in_frame) --------------------------------
 
 def test_recover_copy_arguments():
     image, bcfg, _ = pipeline(corpus_path("strcpy_rip_vuln"))
-    args = recover_arguments(bcfg, 0x401118, lookup_libc("strcpy"))
-    dest, src = args.by_role("dest"), args.by_role("src")
-    assert dest.kind == FRAME_ADDR and dest.value == -16
-    assert src.kind == FRAME_SLOT and src.value == -24
+    spec = lookup_libc("strcpy")
+    assert dest_in_frame(bcfg, 0x401118, spec)
+    # rsi, the source, holds a frame slot's value, not a frame address
+    assert not dest_in_frame(bcfg, 0x401118, replace(spec, roles=("src", "dest")))
 
 
 def test_recover_constant_argument():
@@ -60,9 +61,7 @@ main:
 """
     image = parse_disassembly(text)
     bcfg = build_bcfg(image)
-    args = recover_arguments(bcfg, 0x40100c, lookup_libc("gets"))
-    dest = args.by_role("dest")
-    assert dest.kind == CONSTANT and dest.value == 0
+    assert not dest_in_frame(bcfg, 0x40100c, lookup_libc("gets"))
 
 
 def test_recover_register_chain():
@@ -78,16 +77,12 @@ main:
 """
     image = parse_disassembly(text)
     bcfg = build_bcfg(image)
-    args = recover_arguments(bcfg, 0x401010, lookup_libc("gets"))
-    dest = args.by_role("dest")
-    assert dest.kind == FRAME_ADDR and dest.value == -16
-    assert len(dest.chain) == 2
+    assert dest_in_frame(bcfg, 0x401010, lookup_libc("gets"))
 
 
 def test_register_defined_in_one_arm_is_unknown():
     image, bcfg, _ = pipeline(fixture_path("arm_defined_reg"))
-    args = recover_arguments(bcfg, 0x401120, lookup_libc("gets"))
-    assert args.by_role("dest").kind == UNKNOWN
+    assert not dest_in_frame(bcfg, 0x401120, lookup_libc("gets"))
 
 
 def test_recovery_walks_unique_predecessor():
@@ -104,8 +99,7 @@ main:
     image = parse_disassembly(text)
     bcfg = build_bcfg(image)
     # the second call's block has a single predecessor holding the lea
-    args = recover_arguments(bcfg, 0x401010, lookup_libc("gets"))
-    assert args.by_role("dest").kind == FRAME_ADDR
+    assert dest_in_frame(bcfg, 0x401010, lookup_libc("gets"))
 
 
 # --- call emulation ----------------------------------------------------------------

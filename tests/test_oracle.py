@@ -37,7 +37,7 @@ def _check_against_replay(text: str, cfg: Config, rng: random.Random) -> Counter
     bcfg = build_bcfg(image)
     oracle = EffectsOracle(image, bcfg, cfg)
     calls = [a for a, ins in image.instructions.items()
-             if ins.mnemonic == "call" and oracle.arguments(a) is not None]
+             if ins.mnemonic == "call" and oracle.spec(a) is not None]
     loops = {lp.entry: oracle.loop_at(lp.entry) for lp in oracle.loops if oracle.loop_at(lp.entry)}
     asks = [(root, site, None) for root in image.functions.values() for site in calls]
     asks += [(root, lp.entry, lp) for root in image.functions.values() for lp in loops.values()]
@@ -47,13 +47,13 @@ def _check_against_replay(text: str, cfg: Config, rng: random.Random) -> Counter
         oracle.set_root(root)
         effect = oracle.loop_effect(loop) if loop else oracle.call_effect(site)
         ref = _replay(oracle, root, site)
-        name = "loop" if loop else oracle.arguments(site).spec.name
+        name = "loop" if loop else oracle.spec(site).name
         ends[ref.status if isinstance(ref, Halt) else "reached"] += 1
         if isinstance(ref, Halt):
             expected = _unreached(name, site, root, ref)
         else:
             expected = (emulate_loop(ref, loop) if loop else
-                        emulate_call(ref, oracle.arguments(site), oracle.buffer_size))
+                        emulate_call(ref, site, oracle.spec(site), oracle.buffer_size))
         assert effect == expected, (hex(root), hex(site), name)
     return ends
 

@@ -8,9 +8,9 @@ from stackcheck import checker
 from stackcheck.checker import check
 from stackcheck.frontend import parse_disassembly
 from stackcheck.ltl import compile_monitor, load_bundled_properties
-from stackcheck.patcher import (AlreadyPatched, NoSinkFound, NoTemplate,
-                                apply_trampoline, load_templates, locate_sink,
-                                select_template)
+from stackcheck.patcher import (NoSinkFound, NoTemplate, SinkSite,
+                                apply_trampolines, dest_in_frame, load_templates,
+                                locate_sink, select_template)
 
 from conftest import corpus_path, fixture_path, pipeline, space_for
 
@@ -57,28 +57,28 @@ def _sink_args_effect(path, site, root="main"):
     image, bcfg, oracle = pipeline(path)
     oracle.set_root(image.functions[root])
     effect = oracle.call_effect(site)
-    args = oracle.arguments(site)
-    space, oracle2 = space_for(path, root if root in image.functions else "main")
-    return image, oracle, effect, args
+    frame_dest = dest_in_frame(bcfg, site, oracle.spec(site))
+    return image, oracle, effect, frame_dest
 
 
 def test_static_plan_for_known_destination():
-    image, oracle, effect, args = _sink_args_effect(
+    image, oracle, effect, frame_dest = _sink_args_effect(
         corpus_path("strcpy_rip_vuln"), 0x401118, root="copy")
     trace, _ = _violation_trace(corpus_path("strcpy_rip_vuln"), "copy")
     sink = locate_sink(trace, image, oracle.libc_names())
-    plan = select_template(sink, effect, args)
+    assert frame_dest
+    plan = select_template(sink, effect, frame_dest)
     assert plan.template.mode == "static"
     assert plan.bound == 16
-    assert plan.dest_offset == -16
 
 
 def test_runtime_plan_for_unknown_destination():
-    image, oracle, effect, args = _sink_args_effect(
+    image, oracle, effect, frame_dest = _sink_args_effect(
         corpus_path("strcpy_runtime_vuln"), 0x40111c)
     trace, _ = _violation_trace(corpus_path("strcpy_runtime_vuln"), "main")
     sink = locate_sink(trace, image, oracle.libc_names())
-    plan = select_template(sink, effect, args)
+    assert not frame_dest
+    plan = select_template(sink, effect, frame_dest)
     assert plan.template.mode == "runtime"
     assert plan.bound is None
 
@@ -88,17 +88,17 @@ def test_loop_sink_has_no_template():
                                      "No off-by-one Overflow")
     sink = locate_sink(trace, oracle.image, oracle.libc_names())
     with pytest.raises(NoTemplate):
-        select_template(sink, None, None)
+        select_template(sink, None, False)
 
 
 def test_scanf_patch_requires_opt_in():
-    image, oracle, effect, args = _sink_args_effect(
+    image, oracle, effect, frame_dest = _sink_args_effect(
         fixture_path("scanf_vuln"), 0x401124)
     trace, _ = _violation_trace(fixture_path("scanf_vuln"), "main")
     sink = locate_sink(trace, image, oracle.libc_names())
     with pytest.raises(NoTemplate):
-        select_template(sink, effect, args)
-    plan = select_template(sink, effect, args, enable_scanf=True)
+        select_template(sink, effect, frame_dest)
+    plan = select_template(sink, effect, frame_dest, enable_scanf=True)
     assert plan.template.target == "scanf"
     assert plan.bound == 8
 
@@ -118,11 +118,10 @@ def _patched_copy():
     image, bcfg, oracle = pipeline(corpus_path("strcpy_rip_vuln"))
     oracle.set_root(image.functions["copy"])
     effect = oracle.call_effect(0x401118)
-    args = oracle.arguments(0x401118)
     trace, _ = _violation_trace(corpus_path("strcpy_rip_vuln"), "copy")
     sink = locate_sink(trace, image, oracle.libc_names())
-    plan = select_template(sink, effect, args)
-    return image, apply_trampoline(image, plan), plan
+    plan = select_template(sink, effect, dest_in_frame(bcfg, 0x401118, oracle.spec(0x401118)))
+    return image, apply_trampolines(image, [plan]), plan
 
 
 def test_trampoline_structure():
@@ -151,28 +150,61 @@ def test_patch_locality():
 
 
 def test_patch_idempotence():
+    # a patched sink is a jmp, so neither a second rewrite nor a repeated
+    # plan in one rewrite finds a call to patch
     image, patched, plan = _patched_copy()
-    with pytest.raises(AlreadyPatched):
-        apply_trampoline(patched, plan)
+    with pytest.raises(NoSinkFound):
+        apply_trampolines(patched, [plan])
+    with pytest.raises(NoSinkFound):
+        apply_trampolines(image, [plan, plan])
 
 
 def test_two_sinks_two_disjoint_trampolines():
     image, bcfg, oracle = pipeline(fixture_path("two_sinks"))
     oracle.set_root(image.functions["main"])
     templates = load_templates()
-    patched = image
-    labels = []
+    plans = []
     for site in (0x401138, 0x401144):
         effect = oracle.call_effect(site)
-        args = oracle.arguments(site)
-        from stackcheck.patcher import SinkSite
         sink = SinkSite(address=site, function="main", callee="strcpy", kind="call")
-        plan = select_template(sink, effect, args, templates)
-        patched = apply_trampoline(patched, plan)
-        labels.append(plan.trampoline_label)
-    assert len(set(labels)) == 2
-    tramp_addrs = [patched.function_headers[lb] for lb in labels]
-    assert tramp_addrs[0] != tramp_addrs[1]
+        plans.append(select_template(sink, effect, dest_in_frame(bcfg, site, oracle.spec(site)),
+                                     templates))
+    patched = apply_trampolines(image, plans)
+    labels = [plan.trampoline_label for plan in plans]
+    assert labels == ["__patch_0", "__patch_1"]
+    # each trampoline starts 0x100 + n*0x40 past the highest address before it
+    top = max(image.order)
+    for n, label in enumerate(labels):
+        base = patched.function_headers[label]
+        assert base == (top + 0x100 + n * 0x40) & ~0xF
+        assert patched.instructions[plans[n].sink.address].target() == base
+        top = base + 8
+    assert max(patched.order) == top
+
+
+def test_patch_stage_indexes_the_image_once(monkeypatch):
+    """One rewrite per patch stage, whatever the number of sinks."""
+    from stackcheck.cli import analyze_image
+    from stackcheck.frontend import ProgramImage
+    from stackcheck.memstace import Config
+    from test_oracle import _chain
+
+    images = {n: parse_disassembly(_chain(n)) for n in (8, 16, 32)}
+    calls = [0]
+    index = ProgramImage.index
+
+    def counted(self):
+        calls[0] += 1
+        return index(self)
+
+    monkeypatch.setattr(ProgramImage, "index", counted)
+    counts = []
+    for n, image in images.items():
+        calls[0] = 0
+        report = analyze_image(image, f"chain_{n}", Config(), patch_all=True)
+        assert len(report.patches) == n
+        counts.append(calls[0])
+    assert counts == [1, 1, 1], counts
 
 
 def test_patched_image_round_trips_through_grammar():
