@@ -8,8 +8,9 @@ monitor rejects ends the (hence shortest) path to a state falsifying its
 body. BFS order does not depend on the property, so each verdict, trace
 and vacuity count is the one a search for that property alone gives.
 Past a deadline the search stops and every monitor still running is
-inconclusive. A path becomes a counterexample trace of <address:
-instruction -> memory operation> steps with per-byte state deltas.
+inconclusive. A violation keeps its path, which becomes a counterexample
+trace of <address: instruction -> memory operation> steps with per-byte
+state deltas when the trace is first read.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import load_data
 from .ltl import REJECT, RUN, EvalContext, Monitor
@@ -64,10 +66,17 @@ class Trace:
 class Verdict:
     property_name: str
     status: str
-    trace: Trace | None = None
+    # a violation's path from the initial state: (source, label, target) per
+    # transition; `trace` is built from it on first read
+    path: list[tuple[int, TransitionLabel, int]] | None = None
+    space: MemStaCe | None = field(default=None, repr=False)
     vacuity_notes: list[str] = field(default_factory=list)
     vacuous: bool = False
     timed_out: bool = False         # the deadline passed before the search ended
+
+    @cached_property
+    def trace(self) -> Trace | None:
+        return None if self.path is None else build_counterexample(self.path, self.space)
 
 
 def check(space: MemStaCe, monitors: list[Monitor] | Monitor,
@@ -90,7 +99,7 @@ def check(space: MemStaCe, monitors: list[Monitor] | Monitor,
     parent: dict[int, tuple[int, TransitionLabel] | None] = {space.initial: None}
     queue = deque([space.initial])
     violating: dict[int, int] = {}          # monitor position -> first rejecting state
-    running = list(range(len(monitors)))
+    running = [(k, m.step, ctx) for k, (m, ctx) in enumerate(zip(monitors, ctxs))]
     dequeued, expired = 0, False
     while queue and running:
         dequeued += 1
@@ -101,17 +110,19 @@ def check(space: MemStaCe, monitors: list[Monitor] | Monitor,
         sid = queue.popleft()
         state = space.states[sid]
         still = []
-        for k in running:
-            if monitors[k].step(RUN, state, ctxs[k]) == REJECT:
+        for entry in running:
+            k, step, ctx = entry
+            if step(RUN, state, ctx) == REJECT:
                 violating[k] = sid
             else:
-                still.append(k)
+                still.append(entry)
         running = still
         for lbl, dst in succ.get(sid, ()):
             if dst not in parent:
                 parent[dst] = (sid, lbl)
                 queue.append(dst)
-    return [_verdict(space, m, ctx, violating.get(k), parent, expired and k in running)
+    unfinished = {k for k, _, _ in running} if expired else set()
+    return [_verdict(space, m, ctx, violating.get(k), parent, k in unfinished)
             for k, (m, ctx) in enumerate(zip(monitors, ctxs))]
 
 
@@ -132,8 +143,7 @@ def _verdict(space: MemStaCe, monitor: Monitor, ctx: EvalContext,
         path.append((prev, lbl, cur))
         cur = prev
     path.reverse()
-    trace = build_counterexample(path, space)
-    return Verdict(monitor.name, VIOLATED, trace=trace, vacuity_notes=notes)
+    return Verdict(monitor.name, VIOLATED, path=path, space=space, vacuity_notes=notes)
 
 
 def build_counterexample(path: list[tuple[int, TransitionLabel, int]],

@@ -98,18 +98,18 @@ class Report:
         }
 
 
-def _load_properties(cfg: Config) -> list[ltl.PropertyAst]:
-    """Bundled properties; a user file extends the set and overrides
-    same-named entries."""
-    props = ltl.load_bundled_properties()
+def _load_monitors(cfg: Config) -> list[ltl.Monitor]:
+    """Monitors of the bundled properties; a user file, read and compiled
+    on every call, extends the set and overrides same-named entries."""
+    monitors = ltl.load_bundled_monitors()
     if cfg.properties_path:
         with open(cfg.properties_path, encoding="utf-8") as fh:
             user = ltl.parse_property_file(fh.read())
-        by_name = {p.name: p for p in props}
+        by_name = {m.name: m for m in monitors}
         for p in user:
-            by_name[p.name] = p
-        props = list(by_name.values())
-    return props
+            by_name[p.name] = ltl.compile_monitor(p)
+        monitors = list(by_name.values())
+    return monitors
 
 
 def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
@@ -122,13 +122,12 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
 
     bcfg = build_bcfg(image)
     oracle = EffectsOracle(image, bcfg, cfg)
-    properties = _load_properties(cfg)
-    monitors = [ltl.compile_monitor(p) for p in properties]
+    monitors = _load_monitors(cfg)
     libc_names = oracle.libc_names()
     cwe_db = dict(checker.load_cwe_map())
-    for p in properties:
-        if p.cwes:
-            cwe_db.setdefault(p.name, list(p.cwes))
+    for m in monitors:
+        if m.cwes:
+            cwe_db.setdefault(m.name, list(m.cwes))
     report.warnings.extend(image.warnings)
     report.warnings.extend(bcfg.warnings)
     for lp in oracle.loops:
@@ -203,7 +202,7 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
             vnotes.extend(verdict.vacuity_notes)
             if verdict.status == checker.VIOLATED:
                 vacuous_all = False
-                if best is None or len(verdict.trace.steps) < len(best.trace.steps):
+                if best is None or len(verdict.path) < len(best.path):
                     best, best_root = verdict, fn_name
             elif verdict.status == checker.INCONCLUSIVE:
                 any_inconclusive = True
@@ -502,8 +501,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.props:
         # a property file that cannot be compiled fails before any binary is read
         try:
-            for prop in _load_properties(cfg):
-                ltl.compile_monitor(prop)
+            _load_monitors(cfg)
         except (OSError, *PROPERTY_ERRORS) as exc:
             print(f"stackcheck: --props {args.props}: {exc}", file=sys.stderr)
             return 2

@@ -101,7 +101,7 @@ def load_buffer_pins(path: str | None) -> dict[str, dict[int, int]]:
 
 
 def lookup_libc(name: str, db: dict[str, LibcSpec] | None = None) -> LibcSpec:
-    db = db or load_libc_db()
+    db = load_libc_db() if db is None else db
     key = name.removesuffix("@plt")
     if key not in db:
         raise UnknownLibc(name)
@@ -496,7 +496,7 @@ class EffectsOracle:
         self.image = image
         self.bcfg = bcfg
         self.cfg = cfg
-        self.libc_db = libc_db or load_libc_db(cfg.libc_db_path)
+        self.libc_db = load_libc_db(cfg.libc_db_path) if libc_db is None else libc_db
         self.buffer_pins = load_buffer_pins(cfg.buffers_path)
         self._buffer_sizes: dict[tuple[str, int, bool], int] = {}
         # the analysis root emulations start from; callers set it per root

@@ -18,19 +18,22 @@ before the base-register push has no bytes 8-15, which must not count as
 corruption). A bare byte atom with an out-of-frame index evaluates false
 and records a vacuity note.
 
-`compile_monitor` compiles each body once into a closure over slot-bound
-variables; `Monitor.step` calls it, and `eval_body`/`eval_atom` are thin
-entry points into the same compiled form. An index-range conjunction of a
-single byte atom, such as the one above, becomes a slice compare over the
-frame's letters.
+`compile_body` writes each body as the source of one straight-line Python
+function and compiles it once: one `for` loop per quantifier, bound
+variables as locals, and an index-range conjunction of a single byte atom,
+such as the one above, as one slice compare over the frame's letters.
+`Monitor.step` calls that function, and `eval_body`/`eval_atom` are thin
+entry points into it. A body nested deeper than Python compiles (more than
+20 quantifiers and ranges inside one another) is an unsupported fragment.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Callable
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from . import load_data
 from .memstace import (RBP_RANGE, ByteState, MemoryState, StackFrame,
@@ -447,12 +450,16 @@ def parse_property_file(text: str) -> list[PropertyAst]:
 
 # --- evaluation ---------------------------------------------------------------
 #
-# A body compiles once into a closure pred(state, env, ctx) -> bool. Every
-# variable binder owns one slot of the `env` list, resolved at compile time,
-# so evaluation builds no dicts and dispatches on no node types. Evaluation
-# order is the formula's: connectives and quantifiers short-circuit left to
-# right, and `all i in a..b` evaluates every index it does not skip, so the
+# A body compiles once into the source of one Python function
+# pred(state, env, ctx) -> bool, which `compile` turns into code. Each
+# quantifier is one `for` loop and each bound variable a local; the value of
+# the node just evaluated is always in the local `t`. Evaluation order is
+# the formula's: connectives and quantifiers short-circuit left to right,
+# and `all i in a..b` evaluates every index it does not skip, so the
 # EvalContext counters and notes record every atom and domain evaluated.
+# The source holds only generated names, operators and integer literals;
+# every other value (byte letters, call names, variable names for errors)
+# reaches it through the function's globals.
 
 @dataclass
 class EvalContext:
@@ -480,201 +487,253 @@ def eval_atom(atom, state: MemoryState, env: dict | None = None,
 def eval_body(node, state: MemoryState, env: dict, ctx: EvalContext) -> bool:
     """Evaluate `node` with `env` (variable name -> frame, buffer or index)
     bound, through the node's compiled form."""
-    pred = compile_body(node, tuple(env))
-    return pred(state, [*env.values()] + [None] * (pred.slots - len(env)), ctx)
+    return compile_body(node, tuple(env))(state, list(env.values()), ctx)
 
 
 @lru_cache(maxsize=256)
 def compile_body(node, free: tuple[str, ...] = ()) -> Pred:
     """pred(state, env, ctx) over an `env` list of `pred.slots` entries,
-    whose first slots hold the values of the `free` names."""
-    compiler = _Compiler(len(free))
-    pred = compiler.node(node, {name: k for k, name in enumerate(free)})
-    pred.slots = compiler.slots
-    pred.unbound = tuple(compiler.unbound_names)
+    which hold the values of the `free` names in order. `pred.unbound`
+    names the variables no binder in scope defines; evaluating one raises
+    KeyError, so a branch never reached does not fail. `pred.source` is the
+    generated source."""
+    gen = _Generator()
+    scope = {}
+    for k, name in enumerate(free):
+        scope[name] = gen.local()
+        gen.emit(f"{scope[name]} = env[{k}]")
+    gen.node(node, scope)
+    gen.emit("return t")
+    source = "def pred(state, env, ctx):\n" + "\n".join(gen.lines) + "\n"
+    namespace = dict(gen.globals)
+    try:
+        exec(compile(source, "<property body>", "exec"), namespace)
+    except SyntaxError as exc:      # more nested blocks than Python compiles
+        raise UnsupportedFragment(f"property body nests too deeply: {exc.msg}") from None
+    pred = namespace["pred"]
+    pred.slots = len(free)
+    pred.unbound = tuple(gen.unbound_names)
+    pred.source = source
     return pred
 
 
-class _Compiler:
-    """Compiles body nodes to closures; each variable binder gets the next
-    slot of the `env` list, after the slots of the free variables."""
+def _outside(ctx: EvalContext, idx: int, frame: StackFrame) -> bool:
+    ctx.notes.append(f"byte index {idx} outside frame {frame.label!r}; atom false")
+    return False
 
-    def __init__(self, slots: int):
-        self.slots = slots
+
+def _unbound(name: str):
+    raise KeyError(name)
+
+
+def _empty(ctx: EvalContext) -> bool:
+    """A conjunction over an empty domain: vacuously true."""
+    ctx.quantifier_domains += 1
+    ctx.empty_domains += 1
+    return True
+
+
+_RBP_LO, _RBP_HI = RBP_RANGE.start, RBP_RANGE.stop
+
+
+class _Generator:
+    """Writes the body of one predicate: `lines` of source, indented one
+    level, and the `globals` that source reads."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.depth = 1
+        self.locals = 0
+        self.globals = {"outside": _outside, "unbound": _unbound, "empty": _empty,
+                        "span": buffer_index_span,
+                        "LOOP": "loop", "CALL": "call",
+                        **{s.name: ord(s.value) for s in ByteState}}
         self.unbound_names: list[str] = []
 
-    def unbound(self, name: str):
-        """A variable that no binder in scope defines is recorded, and raises
-        KeyError when it is evaluated, so a branch never reached does not fail."""
+    def emit(self, *lines: str) -> None:
+        self.lines.extend("    " * self.depth + line for line in lines)
+
+    @contextmanager
+    def block(self, head: str):
+        self.emit(head)
+        self.depth += 1
+        yield
+        self.depth -= 1
+
+    def local(self) -> str:
+        self.locals += 1
+        return f"v{self.locals - 1}"
+
+    def constant(self, value) -> str:
+        """A global holding `value`, for values the source must not spell."""
+        name = f"K{len(self.globals)}"
+        self.globals[name] = value
+        return name
+
+    def unbound(self, name: str) -> str:
+        """An expression that raises KeyError(name) when evaluated."""
         self.unbound_names.append(name)
+        return f"unbound({self.constant(name)})"
 
-        def unbound_variable(*_):
-            raise KeyError(name)
-        return unbound_variable
-
-    def bind(self, scope: dict, var: str) -> tuple[int, dict]:
-        self.slots += 1
-        return self.slots - 1, {**scope, var: self.slots - 1}
-
-    def node(self, node, scope: dict) -> Pred:
+    def node(self, node, scope: dict) -> None:
+        """Emit code that leaves the value of `node` in `t`."""
         for kinds, method in self.RULES:
             if isinstance(node, kinds):
                 return method(self, node, scope)
         raise TypeError(f"cannot evaluate node {node!r}")
 
-    def byte_atom(self, atom: ByteAtom, scope: dict) -> Pred:
-        fs = scope.get(atom.frame_var)
-        if fs is None:
-            return self.unbound(atom.frame_var)
-        index = self.index(atom.index, scope)
-        letter, want = ord(atom.state.value), atom.op == "="
+    def byte_atom(self, atom: ByteAtom, scope: dict) -> None:
+        f = scope.get(atom.frame_var)
+        if f is None:
+            return self.emit(f"t = {self.unbound(atom.frame_var)}")
+        idx = self.frame_index(atom.index, f, scope)
+        op = "==" if atom.op == "=" else "!="
+        if atom.index.base == "const" and atom.index.value >= 0:
+            held = f"{idx} < len({f}.bytes)"
+        else:
+            self.emit(f"x = {idx}")
+            idx, held = "x", f"0 <= x < len({f}.bytes)"
+        self.emit(f"t = {f}.bytes[{idx}] {op} {atom.state.name} if {held} "
+                  f"else outside(ctx, {idx}, {f})")
 
-        def byte(state, env, ctx):
-            frame = env[fs]
-            idx = index(frame, env)
-            if 0 <= idx < len(frame.bytes):
-                return (frame.bytes[idx] == letter) == want
-            ctx.notes.append(f"byte index {idx} outside frame {frame.label!r}; atom false")
-            return False
-        return byte
-
-    def index(self, expr: IndexExpr, scope: dict) -> Callable[[StackFrame, list], int]:
+    def frame_index(self, expr: IndexExpr, f: str, scope: dict) -> str:
+        """The expression for a byte index into frame `f`."""
         if expr.base == "const":
-            value = expr.value
-            return lambda frame, env: value
-        slot = scope.get(expr.var)
-        if slot is None:
+            return str(expr.value)
+        var = scope.get(expr.var)
+        if var is None:
             return self.unbound(expr.var)
         if expr.base == "var":
-            return lambda frame, env: env[slot]
-        end, off = expr.base == "end", expr.value
-        return lambda frame, env: buffer_index_span(frame, *env[slot])[end] + off
+            return var
+        offset = f" + {expr.value}" if expr.value > 0 else f" - {-expr.value}" if expr.value else ""
+        return f"span({f}, *{var})[{int(expr.base == 'end')}]{offset}"
 
-    def has_canary(self, atom: HasCanary, scope: dict) -> Pred:
-        fs = scope.get(atom.frame_var)
-        if fs is None:
-            return self.unbound(atom.frame_var)
-        return lambda state, env, ctx: env[fs].has_canary
+    def has_canary(self, atom: HasCanary, scope: dict) -> None:
+        f = scope.get(atom.frame_var)
+        self.emit(f"t = {self.unbound(atom.frame_var) if f is None else f + '.has_canary'}")
 
-    def prev_transition(self, atom: PrevTransition, scope: dict) -> Pred:
-        loop, libc = ("loop",) in atom.targets, ("libc",) in atom.targets
-        calls = {t[1] for t in atom.targets if t[0] == "call"}
-        want = atom.op == "="
+    def prev_transition(self, atom: PrevTransition, scope: dict) -> None:
+        """Whether the incoming label is a loop or a call to one of the
+        targets; only loop and call labels can match."""
+        calls = frozenset(t[1] for t in atom.targets if t[0] == "call")
+        names = [f"x.name in {self.constant(calls)}"] if calls else []
+        if ("libc",) in atom.targets:
+            names.append("x.name in ctx.libc_names")
+        kinds = [f"x.kind == CALL and ({' or '.join(names)})"] if names else []
+        if ("loop",) in atom.targets:
+            kinds.append("x.kind == LOOP")
+        matched = f"x is not None and ({' or '.join(kinds)})" if kinds else "False"
+        self.emit("x = state.incoming_label",
+                  f"t = {matched}" if atom.op == "=" else f"t = not ({matched})")
 
-        def prev(state, env, ctx):
-            label = state.incoming_label
-            if label is None or label.kind not in ("loop", "call"):
-                return not want
-            if label.kind == "loop":
-                return loop == want
-            matched = label.name in calls or (libc and label.name in ctx.libc_names)
-            return matched == want
-        return prev
+    def bool_lit(self, lit: BoolLit, scope: dict) -> None:
+        self.emit(f"t = {bool(lit.value)}")
 
-    def bool_lit(self, lit: BoolLit, scope: dict) -> Pred:
-        value = lit.value
-        return lambda state, env, ctx: value
+    def negation(self, node: Not, scope: dict) -> None:
+        self.node(node.operand, scope)
+        self.emit("t = not t")
 
-    def negation(self, node: Not, scope: dict) -> Pred:
-        inner = self.node(node.operand, scope)
-        return lambda state, env, ctx: not inner(state, env, ctx)
+    def junction(self, node, scope: dict) -> None:
+        """Each item past the first runs only while no earlier one has
+        decided the junction."""
+        self.node(node.items[0], scope)
+        for item in node.items[1:]:
+            with self.block("if not t:" if isinstance(node, Or) else "if t:"):
+                self.node(item, scope)
 
-    def junction(self, node, scope: dict) -> Pred:
-        items = tuple(self.node(i, scope) for i in node.items)
-        stop = isinstance(node, Or)     # the value that ends the scan
+    def implies(self, node: Implies, scope: dict) -> None:
+        self.emit("ctx.implications += 1")
+        self.node(node.lhs, scope)
+        with self.block("if t:"):
+            self.emit("ctx.antecedents_true += 1")
+            self.node(node.rhs, scope)
+        with self.block("else:"):
+            self.emit("t = True")
 
-        def junction(state, env, ctx):
-            for item in items:
-                if item(state, env, ctx) == stop:
-                    return stop
-            return not stop
-        return junction
-
-    def implies(self, node: Implies, scope: dict) -> Pred:
-        lhs, rhs = self.node(node.lhs, scope), self.node(node.rhs, scope)
-
-        def implies(state, env, ctx):
-            ctx.implications += 1
-            if not lhs(state, env, ctx):
-                return True
-            ctx.antecedents_true += 1
-            return rhs(state, env, ctx)
-        return implies
-
-    def quantifier(self, node, scope: dict) -> Pred:
+    def quantifier(self, node, scope: dict) -> None:
         """forall/exists over the state's frames or a frame's buffers (in
         sorted order); each quantifier evaluation is one domain."""
         if isinstance(node, (ForallStack, ExistsStack)):
-            domain = lambda state, env: state.frames
-        elif (fs := scope.get(node.frame_var)) is None:
-            return self.unbound(node.frame_var)
+            domain = "state.frames"
+        elif (f := scope.get(node.frame_var)) is None:
+            return self.emit(f"t = {self.unbound(node.frame_var)}")
         else:
-            domain = lambda state, env: sorted(env[fs].buffers)
-        slot, inner_scope = self.bind(scope, node.var)
-        body = self.node(node.body, inner_scope)
-        stop = isinstance(node, (ExistsStack, ExistsBuffer))
+            domain = f"sorted({f}.buffers)"
+        v = self.local()
+        exists = isinstance(node, (ExistsStack, ExistsBuffer))
+        self.emit("ctx.quantifier_domains += 1", f"d{v} = {domain}")
+        with self.block(f"if not d{v}:"):
+            self.emit("ctx.empty_domains += 1")
+        self.emit(f"t = {not exists}")
+        with self.block(f"for {v} in d{v}:"):
+            self.node(node.body, {**scope, node.var: v})
+            with self.block("if t:" if exists else "if not t:"):
+                self.emit("break")
 
-        def quantifier(state, env, ctx):
-            items = domain(state, env)
-            ctx.quantifier_domains += 1
-            if not items:
-                ctx.empty_domains += 1
-            for item in items:
-                env[slot] = item
-                if body(state, env, ctx) == stop:
-                    return stop
-            return not stop
-        return quantifier
-
-    def all_range(self, node: AllRange, scope: dict) -> Pred:
+    def all_range(self, node: AllRange, scope: dict) -> None:
         """Conjunction over the range. Indices the frame does not hold are
         skipped, so that pre-prologue frames do not count as corrupted; an
         all-skipped range is an empty (vacuous) domain."""
-        slot, inner_scope = self.bind(scope, node.var)
-        body, indices = node.body, range(node.lo, node.hi + 1)
+        body = node.body
         if isinstance(body, ByteAtom) and body.index == IndexExpr("var", 0, node.var) \
                 and body.frame_var in scope and body.frame_var != node.var:
-            return _range_slice(scope[body.frame_var], node.lo, node.hi, body)
-        absent = self.absent(body, inner_scope)
-        inner = self.node(body, inner_scope)
+            return self.range_slice(node, scope[body.frame_var])
+        v = self.local()
+        inner = {**scope, node.var: v}
+        self.emit(f"h{v} = True", f"s{v} = False")
+        with self.block(f"for {v} in range({node.lo}, {node.hi + 1}):"):
+            self.absent(body, inner)
+            self.emit(f"s{v} = True")
+            self.node(body, inner)
+            with self.block("if not t:"):
+                self.emit(f"h{v} = False")
+        self.emit(f"t = h{v} if s{v} else empty(ctx)")
 
-        def conjunction(state, env, ctx):
-            held, seen = True, False
-            for i in indices:
-                env[slot] = i
-                if absent is not None and absent(env):
-                    continue
-                seen = True
-                if not inner(state, env, ctx):
-                    held = False
-            if not seen:
-                ctx.quantifier_domains += 1
-                ctx.empty_domains += 1
-            return held
-        return conjunction
-
-    def absent(self, body, scope: dict):
-        """absent(env): every byte atom of the body's propositional part
-        indexes a slot the frame does not hold: past its extent, or in the
-        saved-base-register positions 8..15 of a frame whose prologue never
-        pushed the base register. None when the body has no byte atoms."""
-        atoms = [(scope.get(a.frame_var), self.index(a.index, scope))
-                 for a in _byte_atoms(body)]
+    def absent(self, body, scope: dict) -> None:
+        """Skip the index (`continue`) when every byte atom of the body's
+        propositional part indexes a slot the frame does not hold: past its
+        extent, or in the saved-base-register slots of a frame whose
+        prologue never pushed the base register. Quantified bodies are not
+        entered; a body with no byte atoms skips nothing."""
+        atoms, todo = [], [body]
+        while todo:
+            n = todo.pop()
+            if isinstance(n, ByteAtom):
+                atoms.append(n)
+            elif isinstance(n, (Not, And, Or, Implies)):
+                todo.extend(reversed(_children(n)))
         if not atoms:
-            return None
+            return
+        self.emit("a = True")
+        for k, atom in enumerate(atoms):
+            f = scope.get(atom.frame_var)
+            with self.block("if a:") if k else nullcontext():
+                if f is None:
+                    self.emit("a = False")
+                    break
+                self.emit(f"x = {self.frame_index(atom.index, f, scope)}",
+                          f"a = {_RBP_LO} <= x < {_RBP_HI} and not {f}.has_rbp_slot "
+                          f"or not 0 <= x < len({f}.bytes)")
+        with self.block("if a:"):
+            self.emit("continue")
 
-        def absent(env):
-            for fs, index in atoms:
-                if fs is None:
-                    return False
-                frame = env[fs]
-                idx = index(frame, env)
-                if idx in RBP_RANGE and not frame.has_rbp_slot:
-                    continue
-                if 0 <= idx < len(frame.bytes):
-                    return False
-            return True
-        return absent
+    def range_slice(self, node: AllRange, f: str) -> None:
+        """`all i in lo..hi : byte(i, stack(f)) op S` as one slice compare
+        over the indices the range does not skip; no index it keeps is out
+        of frame, so the atom never notes."""
+        atom = node.body
+        start, stop = max(node.lo, 0), node.hi + 1
+        if stop <= start:
+            return self.emit("t = empty(ctx)")
+        segment = f"{f}.bytes[{start}:{stop}]"
+        if start < _RBP_HI and stop > _RBP_LO:
+            kept = f"{f}.bytes[{_RBP_HI}:{stop}]"
+            if start < _RBP_LO:
+                kept = f"{f}.bytes[{start}:{_RBP_LO}] + {kept}"
+            segment = f"{segment} if {f}.has_rbp_slot else {kept}"
+        letter = atom.state.name
+        held = f"x.count({letter}) == len(x)" if atom.op == "=" else f"{letter} not in x"
+        self.emit(f"x = {segment}", f"t = {held} if x else empty(ctx)")
 
     RULES = (
         (ByteAtom, byte_atom), (HasCanary, has_canary),
@@ -683,35 +742,6 @@ class _Compiler:
         ((ForallStack, ExistsStack, ForallBuffer, ExistsBuffer), quantifier),
         (AllRange, all_range),
     )
-
-
-def _range_slice(fs: int, lo: int, hi: int, atom: ByteAtom) -> Pred:
-    """`all i in lo..hi : byte(i, stack(f)) op S` as one slice compare over
-    the indices the range does not skip; no index it keeps is out of frame,
-    so the atom never notes."""
-    letter, want = ord(atom.state.value), atom.op == "="
-
-    def conjunction(state, env, ctx):
-        frame = env[fs]
-        a, z = max(lo, 0), min(hi + 1, len(frame.bytes))
-        seg = frame.bytes[a:z]
-        if not frame.has_rbp_slot and a < RBP_RANGE.stop and z > RBP_RANGE.start:
-            seg = frame.bytes[a:RBP_RANGE.start] + frame.bytes[RBP_RANGE.stop:z]
-        if not seg:
-            ctx.quantifier_domains += 1
-            ctx.empty_domains += 1
-            return True
-        return seg.count(letter) == len(seg) if want else letter not in seg
-    return conjunction
-
-
-def _byte_atoms(node):
-    """Byte atoms of the propositional part; quantified bodies are not entered."""
-    if isinstance(node, ByteAtom):
-        yield node
-    elif isinstance(node, (Not, And, Or, Implies)):
-        for child in _children(node):
-            yield from _byte_atoms(child)
 
 
 # --- monitors -----------------------------------------------------------------
@@ -736,14 +766,9 @@ class Monitor:
     initial: str = RUN
     accepting: tuple[str, ...] = (REJECT,)
     predicate: Callable[..., bool] = field(init=False, compare=False, repr=False)
-    env: list = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        # the body has no free variables, so each binder overwrites its slot
-        # before reading it and one env list serves every step
-        pred = compile_body(self.body)
-        object.__setattr__(self, "predicate", pred)
-        object.__setattr__(self, "env", [None] * pred.slots)
+        object.__setattr__(self, "predicate", compile_body(self.body))
 
     def positive_form(self) -> dict:
         return {"states": ("run",), "initial": "run",
@@ -753,7 +778,8 @@ class Monitor:
              ctx: EvalContext) -> str:
         if monitor_state == REJECT:
             return REJECT
-        return RUN if self.predicate(memory_state, self.env, ctx) else REJECT
+        # the body has no free variables, so its environment is empty
+        return RUN if self.predicate(memory_state, (), ctx) else REJECT
 
 
 def compile_monitor(ast: PropertyAst) -> Monitor:
@@ -789,3 +815,10 @@ def _children(node):
 
 def load_bundled_properties() -> list[PropertyAst]:
     return load_data("properties.props", parse_property_file)
+
+
+@cache
+def load_bundled_monitors() -> list[Monitor]:
+    """The bundled properties' monitors, compiled once per process (callers
+    share the list and must not mutate it)."""
+    return [compile_monitor(p) for p in load_bundled_properties()]

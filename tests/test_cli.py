@@ -496,7 +496,7 @@ def test_report_does_not_depend_on_property_order(tmp_path, monkeypatch):
     reversed_file.write_text("\n".join(
         f'property "{p.name}" {{ ltl: {p.source} cwe: [{", ".join(p.cwes)}] }}'
         for p in reversed(ltl.load_bundled_properties())))
-    monkeypatch.setattr(ltl, "load_bundled_properties", list)
+    monkeypatch.setattr(ltl, "load_bundled_monitors", list)
     after = analyze(paths, Config(properties_path=str(reversed_file)),
                     patch_all=True, validate=True)
     assert after[0].properties[0].name == "No gets() Usage"

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from stackcheck.cli import analyze
 from stackcheck.effects import UnknownLibc, detect_loops, lookup_libc
 from stackcheck.frontend import parse_disassembly, build_bcfg
 from stackcheck.memstace import (Config, MemoryState, apply_effect,
@@ -37,6 +38,26 @@ def test_lookup_unknown():
 
 def test_lookup_strips_plt_suffix():
     assert lookup_libc("strcpy@plt").name == "strcpy"
+
+
+def test_empty_libc_db_is_used_as_given(tmp_path):
+    """A user libc database that lists no function is not replaced by the
+    bundled one: `gets` has no spec, so its call is opaque and only the
+    call-name property sees it."""
+    with pytest.raises(UnknownLibc):
+        lookup_libc("gets", {})
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    cfg = Config(libc_db_path=str(empty))
+    image, _, oracle = pipeline(corpus_path("gets_rip_vuln"), cfg)
+    assert oracle.libc_names() == set()
+    site = next(a for a, ins in image.instructions.items()
+                if ins.target_symbol() == "gets@plt")
+    assert oracle.spec(site) is None
+    report = analyze([str(corpus_path("gets_rip_vuln"))], cfg)[0]
+    assert "unknown library function 'gets'; call treated as opaque" in report.notes
+    assert [p.name for p in report.properties if p.status == "violated"] == \
+        ["No gets() Usage"]
 
 
 # --- destination recovery (patcher.dest_in_frame) --------------------------------
