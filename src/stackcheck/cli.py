@@ -255,7 +255,7 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
             ins = image.instructions[addr]
             if ins.mnemonic != "call":
                 continue
-            callee = (ins.target_symbol() or "").removesuffix("@plt")
+            callee = ins.callee
             if callee in templated and addr not in sink_map:
                 sink_map[addr] = patcher.SinkSite(address=addr, function=image.function_of(addr),
                                                   callee=callee, kind="call")

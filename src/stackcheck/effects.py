@@ -14,13 +14,16 @@ again, so the root executes that loop once. When the run
 halts first (clean exit, crash, step budget or an unsupported
 construct), every site it did not reach gets an opaque effect with a
 note saying which. A call site's libc spec is looked up by the symbol
-it names, and its arguments are read from the machine standing at the
-call, never recovered from the listing. Calls that read stdin/argv
-record the smallest input reaching a saved return address or canary;
-that input is kept for patch validation. The write covers the input
-plus its terminator, so that length is the distance from the
-destination to the first protected byte at or above it (at least 1), in
-closed form. The oracle also owns the analysis's buffer-size rule, which
+it names (`Instruction.callee`), and its arguments are read from the
+machine standing at the call, never recovered from the listing. An
+effect's touched bytes are (frame depth, byte index) pairs, each in the
+shadow frame whose top is the lowest at or above its address, so no
+index is negative. Calls that read stdin/argv record the smallest input
+reaching a saved return address or canary; that input is kept for patch
+validation. The write covers the input plus its terminator, so that
+length is the distance from the destination to the first protected byte
+at or above it (at least 1), in closed form over each frame's 8-byte
+slots. The oracle also owns the analysis's buffer-size rule, which
 the state-space builder and the call emulation both read.
 """
 
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 from . import interp, load_data
 from .frontend import BCfg, ProgramImage
 from .interp import CLEAN, CRASH, STACK_TOP, STEP_BUDGET, UNSUPPORTED, Halt, Machine
-from .memstace import ByteOp, Config, infer_buffer_size, scan_object_boundaries
+from .memstace import Config, infer_buffer_size, scan_object_boundaries
 
 ARG_REGS = ["rdi", "rsi", "rdx", "rcx", "r8", "r9"]
 
@@ -49,9 +52,7 @@ class MalformedBuffers(Exception):
 @dataclass(frozen=True)
 class LibcSpec:
     name: str
-    arity: int
     roles: tuple[str, ...]           # dest | src | format | value per argument
-    input_source: bool
     extent: str                      # write-extent rule id
 
     def role_register(self, role: str) -> str | None:
@@ -66,8 +67,7 @@ def load_libc_db(path: str | None = None) -> dict[str, LibcSpec]:
 
 
 def _parse_libc_db(text: str) -> dict[str, LibcSpec]:
-    return {name: LibcSpec(name=name, arity=e["arity"], roles=tuple(e["roles"]),
-                           input_source=e["input_source"], extent=e["extent"])
+    return {name: LibcSpec(name=name, roles=tuple(e["roles"]), extent=e["extent"])
             for name, e in json.loads(text).items()}
 
 
@@ -113,10 +113,8 @@ def lookup_libc(name: str, db: dict[str, LibcSpec] | None = None) -> LibcSpec:
 @dataclass
 class CallEffect:
     name: str
-    site: int
-    touched: tuple[tuple[int, int, ByteOp], ...] = ()
+    touched: tuple[tuple[int, int], ...] = ()    # (frame depth, byte index) written
     concrete_input: bytes | None = None     # the smallest crashing stdin, if derived
-    corrupting_len: int | None = None
     opaque: bool = False
     truncating: bool = False
     clamped: bool = False
@@ -124,9 +122,8 @@ class CallEffect:
     notes: list[str] = field(default_factory=list)
 
 
-def _opaque(name: str, site: int, note: str, truncating: bool = False) -> CallEffect:
-    return CallEffect(name=name, site=site, opaque=True, truncating=truncating,
-                      notes=[note])
+def _opaque(name: str, note: str, truncating: bool = False) -> CallEffect:
+    return CallEffect(name=name, opaque=True, truncating=truncating, notes=[note])
 
 
 def emulate_call(machine: Machine, call_site: int, spec: LibcSpec,
@@ -138,13 +135,13 @@ def emulate_call(machine: Machine, call_site: int, spec: LibcSpec,
     name = spec.name
     cfg = machine.cfg
     if spec.extent == "none":
-        return CallEffect(name=name, site=call_site)
+        return CallEffect(name=name)
 
     dest_reg = spec.role_register("dest")
     dest = machine.rd_reg(dest_reg) if dest_reg else None
     if dest is not None and not _plausible_pointer(machine, dest):
-        return _opaque(name, call_site,
-                       f"{name} at {call_site:#x}: destination unresolved", truncating=True)
+        return _opaque(name, f"{name} at {call_site:#x}: destination unresolved",
+                       truncating=True)
 
     dest_size = None
     if dest is not None:
@@ -163,13 +160,13 @@ def emulate_call(machine: Machine, call_site: int, spec: LibcSpec,
     try:
         payloads, search = _write_payloads(machine, spec, dest, cfg)
     except Halt as h:
-        return _opaque(name, call_site, f"{name} at {call_site:#x}: {h.cause}", truncating=True)
+        return _opaque(name, f"{name} at {call_site:#x}: {h.cause}", truncating=True)
 
     if search is None:
         data, at = payloads
-        effect = _diff_effect(machine, name, call_site, at, data)
+        effect = _diff_effect(machine, name, at, data)
     else:
-        effect = _input_search(machine, name, call_site, dest, cfg, search)
+        effect = _input_search(machine, name, dest, search)
     effect.dest_size = dest_size
     return effect
 
@@ -236,13 +233,12 @@ def _apply_payload(clone: Machine, addr: int, data: bytes) -> bool:
     return False
 
 
-def _diff_effect(machine: Machine, name: str, site: int, at: int, data: bytes) -> CallEffect:
+def _diff_effect(machine: Machine, name: str, at: int, data: bytes) -> CallEffect:
     clone = machine.fork()
     snap = clone.snapshot()
     clamped = _apply_payload(clone, at, data)
     touched, overflow = _map_touches(machine, clone.diff_stack(snap))
-    return CallEffect(name=name, site=site, touched=tuple(touched),
-                      clamped=clamped or overflow)
+    return CallEffect(name=name, touched=tuple(touched), clamped=clamped or overflow)
 
 
 def _map_touches(machine: Machine, changed: dict[int, tuple[int, int]]):
@@ -267,37 +263,28 @@ def _map_touches(machine: Machine, changed: dict[int, tuple[int, int]]):
         if i == len(by_top):
             return touched, True
         k = by_top[i]
-        touched.append((len(shadow) - 1 - k, shadow[k].index_of(addr), ByteOp.NRWRITE))
+        touched.append((len(shadow) - 1 - k, shadow[k].index_of(addr)))
     return touched, overflow
 
 
-def _protected_addresses(machine: Machine) -> set[int]:
-    """Saved return-address and canary bytes of every shadow frame."""
-    out: set[int] = set()
-    for f in machine.shadow:
-        out.update(range(f.ret_loc, f.ret_loc + 8))
-        if f.canary_loc is not None:
-            out.update(range(f.canary_loc, f.canary_loc + 8))
-    return out
-
-
-def _input_search(machine: Machine, name: str, site: int, dest: int,
-                  cfg: Config, max_len: int) -> CallEffect:
+def _input_search(machine: Machine, name: str, dest: int, max_len: int) -> CallEffect:
     """The smallest input length whose write reaches protected bytes.
 
     An input of length n writes dest..dest+n (payload plus terminator), so
-    the first protected byte at or above dest fixes the minimum.
+    the first protected byte at or above dest fixes the minimum: over the
+    8-byte saved return-address and canary slots of every shadow frame,
+    a slot at lo holds one when lo + 7 >= dest, and its first is max(lo, dest).
     """
-    above = [a for a in _protected_addresses(machine) if a >= dest]
+    above = [max(lo, dest) for f in machine.shadow for lo in (f.ret_loc, f.canary_loc)
+             if lo is not None and lo + 7 >= dest]
     minimal = max(min(above) - dest, 1) if above else None
     if minimal is None or minimal > max_len:
         # bounded input: worst case is the full allowed extent, no crash input
         data = b"A" * max_len + (b"\0" if max_len else b"")
-        return _diff_effect(machine, name, site, dest, data)
+        return _diff_effect(machine, name, dest, data)
 
     data = b"A" * minimal + b"\0"
-    effect = _diff_effect(machine, name, site, dest, data)
-    effect.corrupting_len = minimal
+    effect = _diff_effect(machine, name, dest, data)
     effect.concrete_input = b"A" * minimal + b"\n"
     return effect
 
@@ -342,22 +329,28 @@ def detect_loops(bcfg: BCfg, image: ProgramImage) -> list[LoopInfo]:
 
 
 def _find_back_edges(entry: int, intra: dict[int, list[int]]) -> set[tuple[int, int]]:
+    """Edges into a block on the DFS path, visiting successors in order. The
+    path is an explicit stack of (block, successor iterator), so a long
+    function cannot exhaust the interpreter's recursion limit."""
     back: set[tuple[int, int]] = set()
-    on_stack: set[int] = set()
-    seen: set[int] = set()
-
-    def visit(b: int) -> None:
-        seen.add(b)
-        on_stack.add(b)
-        for t in intra.get(b, []):
+    if entry not in intra:
+        return back
+    on_stack: set[int] = {entry}
+    seen: set[int] = {entry}
+    path = [(entry, iter(intra[entry]))]
+    while path:
+        b, succs = path[-1]
+        for t in succs:
             if t in on_stack:
                 back.add((b, t))
             elif t not in seen:
-                visit(t)
-        on_stack.discard(b)
-
-    if entry in intra:
-        visit(entry)
+                seen.add(t)
+                on_stack.add(t)
+                path.append((t, iter(intra.get(t, []))))
+                break
+        else:
+            path.pop()
+            on_stack.discard(b)
     return back
 
 
@@ -447,8 +440,7 @@ def emulate_loop(machine: Machine, loop: LoopInfo,
                      .get(h.status, f"loop at {loop.entry:#x}: execution left the function"))
     changed = fork.diff_stack(snap)
     touched, overflow = _map_touches(fork, changed)
-    effect = CallEffect(name="loop", site=loop.entry, touched=tuple(touched),
-                        clamped=overflow, notes=notes)
+    effect = CallEffect(name="loop", touched=tuple(touched), clamped=overflow, notes=notes)
     if adopt is not None and reached and not passed:
         fork._wm_lo = min(fork._wm_lo, machine._wm_lo)
         fork._wm_hi = max(fork._wm_hi, machine._wm_hi)
@@ -467,7 +459,7 @@ def _unreached(name: str, site: int, root: int, h: Halt) -> CallEffect:
                 STEP_BUDGET: f"emulation diverged before {site:#x}",
                 CRASH: f"crash ({h.cause}) before {site:#x}",
                 UNSUPPORTED: f"emulation failed before {site:#x}: {h.cause}"}[h.status]
-    return _opaque(name, site, note, truncating=True)
+    return _opaque(name, note, truncating=True)
 
 
 # --- the oracle used by the state-space builder ------------------------------
@@ -535,21 +527,16 @@ class EffectsOracle:
 
     def spec(self, site: int) -> LibcSpec | None:
         """The libc spec of the function the call at `site` names, if any."""
-        try:
-            return lookup_libc(self.image.instructions[site].target_symbol() or "",
-                               self.libc_db)
-        except UnknownLibc:
-            return None
+        return self.libc_db.get(self.image.instructions[site].callee)
 
     def call_effect(self, site: int) -> CallEffect:
         key = (self.root, site)
         if key not in self._call_cache:
             spec = self.spec(site)
             if spec is None:
-                ins = self.image.instructions[site]
-                name = (ins.target_symbol() or f"sub_{ins.target():x}").removesuffix("@plt")
+                name = self.image.instructions[site].callee
                 self._call_cache[key] = _opaque(
-                    name, site, f"unknown library function {name!r}; call treated as opaque")
+                    name, f"unknown library function {name!r}; call treated as opaque")
             else:
                 self._advance(self._call_cache, key, spec.name)
         return self._call_cache[key]

@@ -114,6 +114,12 @@ class Instruction:
                 return op.symbol
         return None
 
+    @property
+    def callee(self) -> str:
+        """The library function a call names: its symbol without @plt, or
+        sub_<target> when it names none."""
+        return (self.target_symbol() or f"sub_{self.target():x}").removesuffix("@plt")
+
 
 @dataclass
 class ProgramImage:
@@ -334,8 +340,6 @@ class BasicBlock:
 @dataclass
 class BCfg:
     blocks: dict[int, BasicBlock]
-    entry: int
-    external_sinks: set[str] = field(default_factory=set)
     warnings: list[str] = field(default_factory=list)
 
     # the maps below are built on first use, after build_bcfg has wired every edge
@@ -358,23 +362,6 @@ class BCfg:
                     preds.setdefault(tgt, []).append(blk.start)
         return preds
 
-    def reachable_addresses(self, start: int | None = None) -> set[int]:
-        start = self.entry if start is None else start
-        seen_blocks: set[int] = set()
-        work = [start]
-        addrs: set[int] = set()
-        while work:
-            b = work.pop()
-            if b in seen_blocks or b not in self.blocks:
-                continue
-            seen_blocks.add(b)
-            blk = self.blocks[b]
-            addrs.update(i.address for i in blk.instructions)
-            for _, tgt in blk.edges:
-                if isinstance(tgt, int):
-                    work.append(tgt)
-        return addrs
-
 
 def build_bcfg(image: ProgramImage) -> BCfg:
     """Split the instruction stream into basic blocks and wire edges.
@@ -384,7 +371,7 @@ def build_bcfg(image: ProgramImage) -> BCfg:
     become external sinks with a warning.
     """
     if not image.order:
-        return BCfg(blocks={}, entry=0)
+        return BCfg(blocks={})
     addrs = image.instructions
 
     leaders = set(image.functions.values())
@@ -413,7 +400,7 @@ def build_bcfg(image: ProgramImage) -> BCfg:
     if current:
         blocks[current[0].address] = BasicBlock(current[0].address, current)
 
-    cfg = BCfg(blocks=blocks, entry=entry_point(image))
+    cfg = BCfg(blocks=blocks)
     for blk in blocks.values():
         last = blk.instructions[-1]
         # fallthrough never crosses a function boundary
@@ -429,9 +416,7 @@ def build_bcfg(image: ProgramImage) -> BCfg:
             if tgt in addrs:
                 blk.edges.append((CALL, tgt))
             else:
-                sink = sym or f"sub_{tgt:x}"
-                cfg.external_sinks.add(sink)
-                blk.edges.append((CALL, sink))
+                blk.edges.append((CALL, sym or f"sub_{tgt:x}"))
             if nxt_in_fn is not None:
                 blk.edges.append((CALL_RETURN, nxt_in_fn))
         elif last.mnemonic == "ret":
@@ -453,9 +438,7 @@ def _add_branch_edge(cfg: BCfg, image: ProgramImage, blk: BasicBlock,
     if tgt in image.instructions:
         blk.edges.append((kind, tgt))
     else:
-        sym = ins.target_symbol() or f"loc_{tgt:x}"
         cfg.warnings.append(
             f"dangling branch at {ins.address:#x} to {tgt:#x}, routed to external sink")
-        cfg.external_sinks.add(sym)
-        blk.edges.append((kind, sym))
+        blk.edges.append((kind, ins.target_symbol() or f"loc_{tgt:x}"))
 

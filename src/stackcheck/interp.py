@@ -447,14 +447,13 @@ class Machine:
     # --- calls and returns ------------------------------------------------
 
     def _do_call(self, ins: Instruction, nxt: int | None) -> int | None:
-        tgt, sym = ins.target(), ins.target_symbol()
+        tgt = ins.target()
         if tgt in self.image.instructions:
             self._push_qword(SENTINEL_RET if nxt is None else nxt)
             self.shadow.append(ShadowFrame(ret_loc=self.regs["rsp"],
                                            ret_bytes=self.rd_mem(self.regs["rsp"], 8)))
             return tgt
-        name = (sym or f"sub_{tgt:x}").removesuffix("@plt")
-        self._exec_libc(name)
+        self._exec_libc(ins.callee)
         return nxt
 
     def _do_ret(self, ins: Instruction, nxt: int | None) -> int | None:

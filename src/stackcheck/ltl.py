@@ -22,9 +22,10 @@ and records a vacuity note.
 function and compiles it once: one `for` loop per quantifier, bound
 variables as locals, and an index-range conjunction of a single byte atom,
 such as the one above, as one slice compare over the frame's letters.
-`Monitor.step` calls that function, and `eval_body`/`eval_atom` are thin
-entry points into it. A body nested deeper than Python compiles (more than
-20 quantifiers and ranges inside one another) is an unsupported fragment.
+`Monitor.step` calls that function, and `eval_body` is a thin entry
+point into it. A body nested deeper than Python compiles (more than
+20 quantifiers and ranges inside one another), or more than MAX_NESTING
+levels deep in all, is an unsupported fragment.
 """
 
 from __future__ import annotations
@@ -53,6 +54,13 @@ class UnknownOperator(Exception):
 
 class UnsupportedFragment(Exception):
     pass
+
+
+TOO_DEEP = "property body nests too deeply"
+# parentheses, negations, quantifiers, ranges and implications one inside
+# another; a deeper body is rejected before the parser's recursion, or any
+# later walk over the body, reaches Python's recursion limit
+MAX_NESTING = 100
 
 
 class UnboundVariable(Exception):
@@ -175,8 +183,6 @@ _TOKEN_RE = re.compile(r"""
 _STATE_NAMES = {"Free": ByteState.FREE, "Critical": ByteState.CRITICAL,
                 "Occupied": ByteState.OCCUPIED, "Modified": ByteState.MODIFIED}
 _TEMPORAL = {"G", "F", "X", "U", "W", "R"}
-_ATOM_HEADS = {"byte", "has_canary", "previous_transition", "start", "end",
-               "stack", "buffer", "true", "false"}
 
 
 @dataclass
@@ -214,6 +220,7 @@ class _Parser:
         self.toks = _lex(text)
         self.pos = 0
         self.open_parens: list[_Tok] = []
+        self.depth = 0      # enclosing bodies and negations
 
     def peek(self) -> _Tok | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -255,11 +262,13 @@ class _Parser:
         return Always(body)
 
     def body(self):
+        self.depth += 1
         lhs = self.or_expr()
         tok = self.peek()
         if tok is not None and tok.kind == "arrow":
             self.next()
-            return Implies(lhs, self.body())
+            lhs = Implies(lhs, self.body())
+        self.depth -= 1
         return lhs
 
     def or_expr(self):
@@ -277,12 +286,17 @@ class _Parser:
         return items[0] if len(items) == 1 else And(tuple(items))
 
     def unary(self):
+        if self.depth > MAX_NESTING:    # every nesting recurses through here
+            raise UnsupportedFragment(TOO_DEEP)
         tok = self.peek()
         if tok is None:
             self.next()  # raises with position info
         if tok.text == "!":
             self.next()
-            return Not(self.unary())
+            self.depth += 1
+            operand = self.unary()
+            self.depth -= 1
+            return Not(operand)
         if tok.text == "(":
             self.next()
             self.open_parens.append(tok)
@@ -479,11 +493,6 @@ class EvalContext:
 Pred = Callable[[MemoryState, list, EvalContext], bool]
 
 
-def eval_atom(atom, state: MemoryState, env: dict | None = None,
-              ctx: EvalContext | None = None) -> bool:
-    return eval_body(atom, state, env or {}, ctx if ctx is not None else EvalContext())
-
-
 def eval_body(node, state: MemoryState, env: dict, ctx: EvalContext) -> bool:
     """Evaluate `node` with `env` (variable name -> frame, buffer or index)
     bound, through the node's compiled form."""
@@ -509,7 +518,7 @@ def compile_body(node, free: tuple[str, ...] = ()) -> Pred:
     try:
         exec(compile(source, "<property body>", "exec"), namespace)
     except SyntaxError as exc:      # more nested blocks than Python compiles
-        raise UnsupportedFragment(f"property body nests too deeply: {exc.msg}") from None
+        raise UnsupportedFragment(f"{TOO_DEEP}: {exc.msg}") from None
     pred = namespace["pred"]
     pred.slots = len(free)
     pred.unbound = tuple(gen.unbound_names)

@@ -11,16 +11,20 @@ indices are lower machine addresses, so a write that ascends in address
 space walks *down* in index space and may continue into the caller frame
 (frames are address-contiguous). A write is one `bytes.translate` per
 frame it crosses, over a run computed in closed form, through the table
-of its byte operator.
+of its byte operator. There is one write path: a write that leaves the
+modeled stack is clamped with a note, never raised.
 
 The state space itself is a labeled transition system built by DFS over
 the binary CFG; library calls and loops contribute summarized effects
-computed by the effects module. Operators and effects map a frames tuple
+computed by the effects module, each a list of (frame depth, byte index)
+pairs written with nRWrite. Operators and effects map a frames tuple
 to a new one, and the builder wraps it with its label into the one
 `MemoryState` it interns, so each state is constructed once. Each
 instruction is decoded once per analysis, at its first visit, into a
 record that every root's build shares: owning function, successor, loop,
-dispatch kind, memory operator and prebuilt transition label.
+dispatch kind, memory operator and prebuilt transition label. Whether a
+base-register push is the prologue push depends on the frame it meets,
+so apply_memory_operator decides that, not the decoder.
 """
 
 from __future__ import annotations
@@ -55,10 +59,6 @@ class ByteOp(Enum):
 
 
 class IllegalByteTransition(Exception):
-    pass
-
-
-class WriteOutsideStack(Exception):
     pass
 
 
@@ -185,21 +185,14 @@ def NoEffect() -> MemOp:
     return MemOp("no-effect")
 
 
-@dataclass
-class FrameContext:
-    """Static facts classify_instruction needs about the surrounding code."""
-
-    canary_store_sites: set[int] = field(default_factory=set)
-    fresh_frame: bool = False   # no push has extended the new frame yet
-
-
-def classify_instruction(ins: Instruction, ctx: FrameContext) -> MemOp:
+def classify_instruction(ins: Instruction, canary_store_sites: set[int]) -> MemOp:
     """Map one instruction to its memory operator.
 
     Stores to frame-relative addresses are writes (risky only for canary
-    stores); push of the base register on a fresh frame is the prologue
-    push and therefore risky; sub rsp grows the frame, add rsp shrinks it.
-    Everything else leaves the stack untouched; calls never get here,
+    stores, whose addresses `canary_store_sites` holds); a push of the base
+    register is risky, and apply_memory_operator makes it the prologue
+    push on a fresh frame only; sub rsp grows the frame, add rsp shrinks
+    it. Everything else leaves the stack untouched; calls never get here,
     because the state-space builder splices their effects itself.
     """
     m = ins.mnemonic
@@ -207,7 +200,7 @@ def classify_instruction(ins: Instruction, ctx: FrameContext) -> MemOp:
         return Fa()
     if m == "push":
         op = ins.operands[0]
-        risky = op.kind == REG and op.reg == "rbp" and ctx.fresh_frame
+        risky = op.kind == REG and op.reg == "rbp"
         return Push(ByteOp.RWRITE if risky else ByteOp.NRWRITE)
     if m == "pop":
         return Pop()
@@ -227,7 +220,7 @@ def classify_instruction(ins: Instruction, ctx: FrameContext) -> MemOp:
     if m in ("mov", "xchg") or m in CMOV:
         dst = ins.operands[0]
         if dst.is_frame_relative():
-            risky = ins.address in ctx.canary_store_sites
+            risky = ins.address in canary_store_sites
             return Write(ByteOp.RWRITE if risky else ByteOp.NRWRITE,
                          dst.base, dst.disp, _write_width(ins, dst), canary=risky)
     return NoEffect()
@@ -262,15 +255,17 @@ def scan_canary_stores(body: list[Instruction]) -> set[int]:
 
 # --- applying operators --------------------------------------------------
 
-def apply_memory_operator(frames: tuple[StackFrame, ...], op: MemOp, *,
-                          clamp: bool = False) -> tuple[tuple[StackFrame, ...], list[str]]:
+def apply_memory_operator(frames: tuple[StackFrame, ...],
+                          op: MemOp) -> tuple[tuple[StackFrame, ...], list[str]]:
     """Apply a direct memory operator to a state's frames (caller to
     callee), returning the new frames plus notes; `frames` is not changed.
 
-    Writes walk down in index space and continue into caller frames;
-    leaving the outermost frame raises WriteOutsideStack unless clamp is
-    set, in which case the in-stack prefix is applied and a note recorded
-    per byte left out. A write is one closed-form run per frame it crosses.
+    Writes walk down in index space and continue into caller frames. A
+    write that starts below the allocated frame starts at its lowest byte
+    instead, and the part past the outermost frame is left out, with a
+    note per byte. A write is one closed-form run per frame it crosses. An
+    RWrite push is the prologue push (critical bytes, and the frame gets
+    its base-register slot) only on a fresh frame; elsewhere it occupies.
     """
     notes: list[str] = []
     frames = list(frames)
@@ -281,10 +276,7 @@ def apply_memory_operator(frames: tuple[StackFrame, ...], op: MemOp, *,
         else:
             start = top.index_for_rsp_offset(op.disp)
         if start >= len(top.bytes):
-            msg = f"write below the allocated frame of {top.label} (index {start})"
-            if not clamp:
-                raise WriteOutsideStack(msg)
-            notes.append(msg)
+            notes.append(f"write below the allocated frame of {top.label} (index {start})")
             start = len(top.bytes) - 1
         runs, pos, left = [], len(frames) - 1, op.width
         while left:
@@ -292,8 +284,6 @@ def apply_memory_operator(frames: tuple[StackFrame, ...], op: MemOp, *,
                 pos -= 1
                 start += len(frames[pos].bytes)
             if start < 0:
-                if not clamp:
-                    raise WriteOutsideStack("write ascends past the outermost modeled frame")
                 notes += ["write continued past the outermost modeled frame; clamped"] * left
                 break
             take = min(left, start + 1)
@@ -304,10 +294,9 @@ def apply_memory_operator(frames: tuple[StackFrame, ...], op: MemOp, *,
             top = frames[-1]
             frames[-1] = StackFrame(top.label, top.bytes, top.buffers, True, top.has_rbp_slot)
     elif op.kind == "push":
-        risky = op.byte_op is ByteOp.RWRITE
+        risky = op.byte_op is ByteOp.RWRITE and len(top.bytes) == 8
         frames[-1] = StackFrame(top.label, top.bytes + (b"C" if risky else b"O") * 8,
-                                top.buffers, top.has_canary,
-                                top.has_rbp_slot or (risky and len(top.bytes) == 8))
+                                top.buffers, top.has_canary, top.has_rbp_slot or risky)
     elif op.kind == "pop":
         if len(top.bytes) - 8 < 8:
             raise PopUnderflow(f"pop would consume the saved return address of {top.label}")
@@ -338,41 +327,6 @@ def _translate_runs(frames: list[StackFrame], runs, byte_op: ByteOp) -> None:
         if 0 in seg:
             byte_transition(ByteState(chr(row[lo + seg.rindex(0)])), byte_op)
         frames[pos] = _with_bytes(frame, row[:lo] + seg + row[hi:])
-
-
-def _apply_touches(frames: list[StackFrame], touched: list[tuple[int, int]],
-                   byte_op: ByteOp, *, clamp: bool) -> tuple[list[StackFrame], list[str]]:
-    """Apply byte transitions at (frame position, index) pairs.
-
-    Indices below 0 continue into the caller frame at its highest index;
-    running past the outermost frame raises or clamps. Each run of adjacent
-    touches (descending index in one frame) is one slice translate.
-    """
-    notes: list[str] = []
-    runs: list[list[int]] = []      # [pos, lo, hi) in touch order
-    for pos, idx in touched:
-        while idx < 0:
-            if pos == 0:
-                if not clamp:
-                    raise WriteOutsideStack("write ascends past the outermost modeled frame")
-                notes.append("write continued past the outermost modeled frame; clamped")
-                idx = None
-                break
-            pos -= 1
-            idx = len(frames[pos].bytes) + idx  # idx is negative
-        if idx is None:
-            continue
-        if idx >= len(frames[pos].bytes):
-            if not clamp:
-                raise WriteOutsideStack("write below the allocated frame")
-            notes.append("write below the allocated frame; clamped")
-            continue
-        if runs and runs[-1][0] == pos and runs[-1][1] == idx + 1:
-            runs[-1][1] = idx
-        else:
-            runs.append([pos, idx, idx + 1])
-    _translate_runs(frames, runs, byte_op)
-    return frames, notes
 
 
 def register_buffer(frame: StackFrame, offset: int, size: int) -> StackFrame:
@@ -468,7 +422,6 @@ class _Decoded:
     target: int | None = None       # jump or call target
     label: TransitionLabel | None = None
     steps: tuple = ()               # direct: (MemOp, TransitionLabel) applied in order
-    fresh_steps: tuple = ()         # a push on a fresh frame
 
 
 class _SpaceBuilder:
@@ -540,8 +493,7 @@ class _SpaceBuilder:
             elif image.functions[image.function_of(target)] == target:
                 name = image.function_of(target)    # a call to a function's entry
             return record("call", label=TransitionLabel("call", pc, name=name, text=ins.text))
-        sites = self.canary_sites(fn)
-        op = classify_instruction(ins, FrameContext(sites))
+        op = classify_instruction(ins, self.canary_sites(fn))
         if op.kind in ("no-effect", "fa"):
             return record(op.kind, label=TransitionLabel("fa", pc, text=ins.text)
                           if op.kind == "fa" else None)
@@ -551,9 +503,7 @@ class _SpaceBuilder:
             steps = tuple((replace(op, width=1, disp=op.disp + k),
                            TransitionLabel("write", pc, text=f"{label.text} [byte {k}]"))
                           for k in range(op.width))
-        fresh = () if op.kind != "push" else (
-            (classify_instruction(ins, FrameContext(sites, fresh_frame=True)), label),)
-        return record("direct", steps=steps, fresh_steps=fresh)
+        return record("direct", steps=steps)
 
     # the DFS itself
 
@@ -598,10 +548,7 @@ class _SpaceBuilder:
             elif kind == "no-effect":
                 work.append((d.nxt, sid, call_stack))
             elif kind == "direct":
-                steps = d.steps
-                if d.fresh_steps and len(self.states[sid].top.bytes) == 8:
-                    steps = d.fresh_steps
-                for op, label in steps:
+                for op, label in d.steps:
                     sid = self._emit_applied(sid, label, op)
                 work.append((d.nxt, sid, call_stack))
             elif kind == "jcc":
@@ -628,7 +575,7 @@ class _SpaceBuilder:
 
     def _emit_applied(self, sid: int, label: TransitionLabel, op: MemOp) -> int:
         try:
-            frames, notes = apply_memory_operator(self.states[sid].frames, op, clamp=True)
+            frames, notes = apply_memory_operator(self.states[sid].frames, op)
         except (PopUnderflow, IllegalByteTransition) as exc:
             self.notes.append(f"{label.text} at {label.address:#x}: {exc}")
             return sid
@@ -685,18 +632,31 @@ class _SpaceBuilder:
 
 
 def apply_effect(frames: tuple[StackFrame, ...], effect) -> tuple[tuple[StackFrame, ...], list[str]]:
-    """Splice an emulated call/loop effect (depth, index, op) into a state's
-    frames, returning the new frames plus notes; `frames` is not changed."""
+    """Splice an emulated call/loop effect into a state's frames, returning
+    the new frames plus notes; `frames` is not changed.
+
+    Each touch is an nRWrite at a (frame depth from the callee, byte index)
+    pair. A touch in a frame above the modeled ones, or below the frame's
+    allocated bytes, is left out with a note. Each run of adjacent touches
+    (descending index in one frame) is one slice translate.
+    """
     frames = list(frames)
-    touched = []
+    notes: list[str] = []
+    runs: list[list[int]] = []      # [pos, lo, hi) in touch order
     skipped = 0
-    for depth, idx, bop in effect.touched:
+    for depth, idx in effect.touched:
         pos = len(frames) - 1 - depth
         if pos < 0:
             skipped += 1
             continue
-        touched.append((pos, idx))
-    frames, notes = _apply_touches(frames, touched, ByteOp.NRWRITE, clamp=True)
+        if idx >= len(frames[pos].bytes):
+            notes.append("write below the allocated frame; clamped")
+            continue
+        if runs and runs[-1][0] == pos and runs[-1][1] == idx + 1:
+            runs[-1][1] = idx
+        else:
+            runs.append([pos, idx, idx + 1])
+    _translate_runs(frames, runs, ByteOp.NRWRITE)
     if skipped:
         notes = notes + [f"effect of {effect.name}: {skipped} byte(s) above the "
                          "modeled frames skipped"]

@@ -45,8 +45,6 @@ class PatchTemplate:
     target: str                   # the C function being replaced
     mode: str                     # static | runtime
     replacement: str              # safecall semantic id
-    size_expr: str                # dest_size | runtime
-    terminate: bool
 
 
 @dataclass
@@ -72,7 +70,8 @@ def load_templates(path: str | None = None) -> list[PatchTemplate]:
 
 
 def _parse_templates(text: str) -> list[PatchTemplate]:
-    return [PatchTemplate(**entry) for entry in json.loads(text)]
+    return [PatchTemplate(name=e["name"], target=e["target"], mode=e["mode"],
+                          replacement=e["replacement"]) for e in json.loads(text)]
 
 
 def locate_sink(trace: Trace, image: ProgramImage,

@@ -435,6 +435,24 @@ def test_unbound_property_variable_rejected_at_load(tmp_path, capsys):
     assert report.error == "property 'Unbound' uses variable 'g', which no quantifier binds"
 
 
+@pytest.mark.parametrize("body", ["(" * 300 + "true" + ")" * 300, "!" * 5000 + "true",
+                                  "true -> " * 5000 + "true"],
+                         ids=["parentheses", "negations", "implications"])
+def test_deeply_nested_property_is_an_input_error(tmp_path, capsys, body):
+    """A body nested past the parser's limit is an unsupported fragment:
+    the CLI prints its --props message and exits 2, and the library
+    reports an input error instead of an internal one."""
+    props = tmp_path / "deep.props"
+    props.write_text(f"property Deep {{ ltl: G ({body}) }}\n")
+    code = main(["analyze", str(corpus_path("strcpy_rip_ok")), "--props", str(props)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"stackcheck: --props {props}: property body nests too deeply\n"
+    report = analyze([str(corpus_path("strcpy_rip_ok"))], Config(properties_path=str(props)))[0]
+    assert report.status == "error"
+    assert report.error == "property body nests too deeply"
+
+
 def test_plt_symbol_on_user_function_warns():
     """A call whose @plt symbol names a library function but whose target
     is a user function descends as a user call; each such site warns."""
@@ -611,8 +629,9 @@ def test_templates_dir_extends_and_overrides(tmp_path):
     (tdir / "custom.json").write_text(_json.dumps([
         {"name": "strcpy_static", "target": "strcpy", "mode": "static",
          "replacement": "bounded_copy", "size_expr": "dest_size", "terminate": True},
+        # keys no stage reads are optional
         {"name": "memcpy_static", "target": "memcpy", "mode": "static",
-         "replacement": "bounded_copy", "size_expr": "dest_size", "terminate": True},
+         "replacement": "bounded_copy"},
     ]))
     templates = load_templates(str(tdir))
     names = {t.name for t in templates}

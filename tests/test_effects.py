@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -18,17 +19,16 @@ from conftest import corpus_path, fixture_path, pipeline
 
 def test_lookup_strcpy():
     spec = lookup_libc("strcpy")
-    assert spec.arity == 2
     assert spec.roles == ("dest", "src")
     assert spec.role_register("dest") == "rdi"
     assert spec.role_register("src") == "rsi"
-    assert not spec.input_source
+    assert spec.extent == "strlen_src_plus_1"
 
 
 def test_lookup_gets_unbounded_input():
     spec = lookup_libc("gets")
-    assert spec.arity == 1
-    assert spec.input_source
+    assert spec.roles == ("dest",)
+    assert spec.extent == "line_plus_1"
 
 
 def test_lookup_unknown():
@@ -58,6 +58,20 @@ def test_empty_libc_db_is_used_as_given(tmp_path):
     assert "unknown library function 'gets'; call treated as opaque" in report.notes
     assert [p.name for p in report.properties if p.status == "violated"] == \
         ["No gets() Usage"]
+
+
+def test_libc_db_entries_need_only_roles_and_extent(tmp_path):
+    """A user libc entry gives a function's argument roles and write-extent
+    rule; keys no stage reads change nothing, whether present or not."""
+    listing = str(corpus_path("gets_rip_vuln"))
+    want = [p.status for p in analyze([listing])[0].properties]
+    db = tmp_path / "libc.json"
+    for entry in ({"roles": ["dest"], "extent": "line_plus_1"},
+                  {"arity": 1, "roles": ["dest"], "input_source": True,
+                   "extent": "line_plus_1"}):
+        db.write_text(json.dumps({"gets": entry}))
+        report = analyze([listing], Config(libc_db_path=str(db)))[0]
+        assert [p.status for p in report.properties] == want, report.error
 
 
 # --- destination recovery (patcher.dest_in_frame) --------------------------------
@@ -134,7 +148,7 @@ def _call_effect(path, site, root="main"):
 
 def test_strcpy_overflow_touches_control_and_beyond():
     effect, _ = _call_effect(corpus_path("strcpy_rip_vuln"), 0x401118, root="copy")
-    touched = {(d, i) for d, i, _ in effect.touched}
+    touched = set(effect.touched)
     assert {(0, i) for i in range(32)} <= touched
     assert effect.clamped
     assert effect.dest_size == 16
@@ -143,16 +157,16 @@ def test_strcpy_overflow_touches_control_and_beyond():
 def test_strcpy_in_bounds_touches_length_plus_nul():
     # three-character source plus terminator: four touched bytes, all in-buffer
     effect, _ = _call_effect(corpus_path("strcpy_rip_ok"), 0x401128)
-    touched = sorted(i for d, i, _ in effect.touched if d == 0)
+    touched = sorted(i for d, i in effect.touched if d == 0)
     assert touched == [28, 29, 30, 31]
     assert not effect.clamped
 
 
 def test_gets_minimal_corrupting_length_is_24():
     effect, _ = _call_effect(corpus_path("gets_rip_vuln"), 0x401114)
-    assert effect.corrupting_len == 24
+    assert effect.concrete_input == b"A" * 24 + b"\n"
     # the terminator lands on the first return-address byte
-    assert (0, 7) in {(d, i) for d, i, _ in effect.touched}
+    assert (0, 7) in effect.touched
 
 
 def test_gets_monotone_corruption():
@@ -160,7 +174,7 @@ def test_gets_monotone_corruption():
     image, bcfg, oracle = pipeline(corpus_path("gets_rip_vuln"), cfg)
     oracle.set_root(image.functions["main"])
     effect = oracle.call_effect(0x401114)
-    minimal = effect.corrupting_len
+    minimal = len(effect.concrete_input) - 1     # the input line without its newline
     # independent replay: every longer write also reaches protected bytes,
     # every shorter one does not (buffer at rbp-16, return address at rbp+8)
     for length in range(1, 64):
@@ -180,15 +194,13 @@ def test_extract_input_none_for_strcpy():
 
 def test_scanf_token_search():
     effect, _ = _call_effect(fixture_path("scanf_vuln"), 0x401124)
-    assert effect.corrupting_len == 16
     assert effect.concrete_input == b"A" * 16 + b"\n"
 
 
 def test_fgets_bounded_no_crash_input():
     effect, _ = _call_effect(corpus_path("gets_rip_ok"), 0x40111c)
-    assert effect.corrupting_len is None
     assert effect.concrete_input is None
-    assert all(16 <= i <= 31 for d, i, _ in effect.touched if d == 0)
+    assert all(16 <= i <= 31 for d, i in effect.touched if d == 0)
 
 
 def test_unknown_callee_is_opaque():
@@ -252,13 +264,32 @@ def test_nested_loops_inner_inside_outer():
     assert inner.entry != outer.entry
 
 
+def test_long_function_is_analysed_without_recursion(tmp_path):
+    """One function of 1,000 if/else diamonds: loop detection walks its
+    5,000 blocks deep, and the analysis still ends in a verdict."""
+    body = ["push rbp", "mov rbp, rsp", "sub rsp, 0x10"]
+    for _ in range(1000):
+        first = len(body)
+        body += ["cmp rdi, 0x0", f"jne {{{first + 4}}}", "mov byte [rbp-0x1], 0x61",
+                 f"jmp {{{first + 5}}}", "mov byte [rbp-0x1], 0x61"]
+    body += ["add rsp, 0x10", "pop rbp", "ret"]
+    addrs = [hex(0x401000 + 4 * k) for k in range(len(body))]
+    path = tmp_path / "diamonds.s"
+    path.write_text("main:\n" + "".join(f"{a[2:]}: {text.format(*addrs)}\n"
+                                        for a, text in zip(addrs, body)))
+    image, bcfg, _ = pipeline(path)
+    assert detect_loops(bcfg, image) == []
+    report = analyze([str(path)])[0]
+    assert report.status == "clean", report.error
+
+
 def test_loop_effect_off_by_one():
     cfg = Config()
     image, bcfg, oracle = pipeline(corpus_path("loop_offbyone_vuln"), cfg)
     oracle.set_root(image.functions["main"])
     loop = oracle.loop_at(0x401118)
     effect = oracle.loop_effect(loop)
-    touched = {i for d, i, _ in effect.touched if d == 0}
+    touched = {i for d, i in effect.touched if d == 0}
     # one byte past the 16-byte buffer: the low saved-base-register byte
     assert touched == set(range(15, 32))
 
@@ -325,7 +356,7 @@ def test_diff_minimality_against_full_stack_comparison():
     oracle.set_root(entry)
     effect = oracle.call_effect(0x401128)
     frame = machine.shadow[-1]
-    touched_addrs = {frame.top_addr - idx for d, idx, _ in effect.touched if d == 0}
+    touched_addrs = {frame.top_addr - idx for d, idx in effect.touched if d == 0}
     assert touched_addrs == independent
 
 
@@ -335,7 +366,7 @@ def test_loop_fill_255_bytes_with_sufficient_budget():
     oracle.set_root(image.functions["main"])
     loop = oracle.loop_at(0x401148)
     effect = oracle.loop_effect(loop)
-    touched = sorted(i for d, i, _ in effect.touched if d == 0)
+    touched = sorted(i for d, i in effect.touched if d == 0)
     # 255 writes inside the 256-byte buffer (indices 17..271); index 16,
     # the last buffer byte, stays untouched
     assert len(touched) == 255

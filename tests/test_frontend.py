@@ -118,9 +118,7 @@ def test_straight_line_copy_blocks():
     assert len(cfg.blocks) == 1
     blk = cfg.blocks[0x401100]
     assert blk.instructions[-1].mnemonic == "call"
-    kinds = [k for k, _ in blk.edges]
-    assert kinds == [CALL]
-    assert "strcpy@plt" in cfg.external_sinks
+    assert blk.edges == [(CALL, "strcpy@plt")]
 
 
 def test_call_with_continuation_gets_return_edge():
@@ -156,10 +154,22 @@ def test_dangling_branch_becomes_external_sink():
     assert any(not isinstance(t, int) for b in cfg.blocks.values() for _, t in b.edges)
 
 
+def _reachable_addresses(cfg, start: int) -> set[int]:
+    """Addresses of the blocks the CFG's edges reach from `start`."""
+    seen, work = set(), [start]
+    while work:
+        b = work.pop()
+        if b in seen or b not in cfg.blocks:
+            continue
+        seen.add(b)
+        work += [t for _, t in cfg.blocks[b].edges if isinstance(t, int)]
+    return {i.address for b in seen for i in cfg.blocks[b].instructions}
+
+
 def test_reachable_addresses_match_hand_enumeration():
     image = load_image(fixture_path("diamond"))
     cfg = build_bcfg(image)
-    reachable = cfg.reachable_addresses(0x401100)
+    reachable = _reachable_addresses(cfg, 0x401100)
     assert reachable == set(image.instructions)
 
 
@@ -254,4 +264,5 @@ def test_cfg_soundness_all_corpus_fixtures(corpus_paths):
     for path in corpus_paths:
         image = load_image(path)
         cfg = build_bcfg(image)
-        assert cfg.reachable_addresses() == set(image.instructions), path.name
+        reachable = _reachable_addresses(cfg, entry_point(image))
+        assert reachable == set(image.instructions), path.name

@@ -9,7 +9,7 @@ import pytest
 from stackcheck.ltl import (AllRange, Always, ByteAtom, EvalContext,
                             ForallStack,
                             PrevTransition, PropertySyntaxError, UnknownOperator,
-                            UnsupportedFragment, compile_monitor, eval_atom,
+                            UnsupportedFragment, compile_monitor,
                             eval_body, load_bundled_properties, parse_property,
                             parse_property_file)
 from stackcheck.memstace import (ByteOp, ByteState, Fe, MemoryState, Push,
@@ -100,15 +100,15 @@ def test_property_file_block_grammar():
 def test_byte_atom_on_prologue_and_smashed_states():
     prologue, smashed = _prologue_and_smashed_states()
     atom = ByteAtom(index=_const(0), frame_var="f", op="=", state=C)
-    assert eval_atom(atom, prologue, {"f": prologue.top})
-    assert not eval_atom(atom, smashed, {"f": smashed.top})
+    assert eval_body(atom, prologue, {"f": prologue.top}, EvalContext())
+    assert not eval_body(atom, smashed, {"f": smashed.top}, EvalContext())
 
 
 def test_byte_atom_out_of_frame_false_with_note():
     prologue, _ = _prologue_and_smashed_states()
     ctx = EvalContext()
     atom = ByteAtom(index=_const(99), frame_var="f", op="=", state=C)
-    assert not eval_atom(atom, prologue, {"f": prologue.top}, ctx)
+    assert not eval_body(atom, prologue, {"f": prologue.top}, ctx)
     assert ctx.notes
 
 
@@ -125,11 +125,11 @@ def test_prev_transition_matching():
     _, smashed = _prologue_and_smashed_states()
     libc_ctx = EvalContext(libc_names={"strcpy", "gets"})
     libc_set = PrevTransition(op="=", targets=(("loop",), ("libc",)))
-    assert eval_atom(libc_set, smashed, {}, libc_ctx)
+    assert eval_body(libc_set, smashed, {}, libc_ctx)
     gets_only = PrevTransition(op="=", targets=(("call", "gets"),))
-    assert not eval_atom(gets_only, smashed, {}, libc_ctx)
+    assert not eval_body(gets_only, smashed, {}, libc_ctx)
     no_gets = PrevTransition(op="!=", targets=(("call", "gets"),))
-    assert eval_atom(no_gets, smashed, {}, libc_ctx)
+    assert eval_body(no_gets, smashed, {}, libc_ctx)
 
 
 def test_start_end_atoms_follow_index_convention():
@@ -141,8 +141,8 @@ def test_start_end_atoms_follow_index_convention():
     start = ByteAtom(index=_start("b"), frame_var="f", op="=", state=F)
     end = ByteAtom(index=_end("b"), frame_var="f", op="=", state=F)
     # start is the lowest-address byte (index 31), end index 16; both free here
-    assert eval_atom(start, state, env)
-    assert eval_atom(end, state, env)
+    assert eval_body(start, state, env, EvalContext())
+    assert eval_body(end, state, env, EvalContext())
 
 
 def _const(v):

@@ -10,11 +10,11 @@ import pytest
 
 from stackcheck.frontend import parse_disassembly
 from stackcheck.memstace import (_BYTE_AUTOMATON, _TRANSLATE, ByteOp, ByteState,
-                                 Config, Fe, FrameContext,
+                                 Config, Fe,
                                  IllegalByteTransition, MemoryState,
                                  OverlappingBuffer, PopUnderflow, Pop, Push,
                                  Shrink, StackFrame, TransitionLabel, Write,
-                                 WriteOutsideStack, _SpaceBuilder, apply_effect,
+                                 _SpaceBuilder, apply_effect,
                                  apply_memory_operator, buffer_index_span,
                                  byte_transition,
                                  classify_instruction, fresh_frame,
@@ -74,20 +74,16 @@ def test_translate_tables_agree_with_the_automaton():
                 assert after[-1].bytes == b"C" * 16 + target.value.encode() * 4
 
 
-def _write_byte_by_byte(frames, start: int, width: int, op: ByteOp, *,
-                        clamp: bool = True) -> tuple[list[bytes], list[str]]:
+def _write_byte_by_byte(frames, start: int, width: int,
+                        op: ByteOp) -> tuple[list[bytes], list[str]]:
     """Reference write: place every touched byte in touch order, continuing
     into caller frames, then one byte_transition per placed byte. A start
     below the top frame moves to its last index with a note; a byte past
-    the outermost frame is left out with a note per byte. Without clamp
-    either raises WriteOutsideStack before any byte changes."""
+    the outermost frame is left out with a note per byte."""
     rows = [[ByteState(chr(b)) for b in f.bytes] for f in frames]
     notes = []
     if start >= len(rows[-1]):
-        msg = f"write below the allocated frame of {frames[-1].label} (index {start})"
-        if not clamp:
-            raise WriteOutsideStack(msg)
-        notes.append(msg)
+        notes.append(f"write below the allocated frame of {frames[-1].label} (index {start})")
         start = len(rows[-1]) - 1
     placed = []
     for k in range(width):
@@ -97,8 +93,6 @@ def _write_byte_by_byte(frames, start: int, width: int, op: ByteOp, *,
             idx += len(rows[pos])
         if idx >= 0:
             placed.append((pos, idx))
-        elif not clamp:
-            raise WriteOutsideStack("write ascends past the outermost modeled frame")
         else:
             notes.append("write continued past the outermost modeled frame; clamped")
     for pos, idx in placed:
@@ -109,8 +103,8 @@ def _write_byte_by_byte(frames, start: int, width: int, op: ByteOp, *,
 def test_slice_translate_writes_match_byte_by_byte():
     """The closed-form runs give the reference's bytes, notes (text and
     count) and errors: rsp- and rbp-based writes, starts below the top
-    frame, writes past the outermost frame, with and without clamp, and
-    canary stores, which mark only the top frame."""
+    frame, writes past the outermost frame, and canary stores, which mark
+    only the top frame."""
     rng = random.Random(5)
     raised = 0
     for _ in range(500):
@@ -126,20 +120,20 @@ def test_slice_translate_writes_match_byte_by_byte():
         except IllegalByteTransition as exc:
             raised += 1
             with pytest.raises(IllegalByteTransition, match=re.escape(str(exc))):
-                apply_memory_operator(frames, write, clamp=True)
+                apply_memory_operator(frames, write)
             continue
-        after, notes = apply_memory_operator(frames, write, clamp=True)
+        after, notes = apply_memory_operator(frames, write)
         assert [f.bytes for f in after] == want
         assert notes == want_notes
     assert 50 < raised < 450
 
-    seen = {"illegal": 0, "outside": 0, "below": 0, "past": 0, "canary": 0}
+    seen = {"illegal": 0, "below": 0, "past": 0, "canary": 0}
     for _ in range(2000):
         frames = tuple(StackFrame(f"fn{k}", bytes(rng.choice(b"FCOM")
                                                  for _ in range(rng.randrange(8, 40))),
                                   has_rbp_slot=rng.random() < 0.5)
                        for k in range(rng.randrange(1, 4)))
-        op, clamp, canary = rng.choice(list(ByteOp)), rng.random() < 0.5, rng.random() < 0.3
+        op, canary = rng.choice(list(ByteOp)), rng.random() < 0.3
         top = len(frames[-1].bytes)
         start, width = rng.randrange(-24, top + 8), rng.randrange(1, 48)
         if rng.random() < 0.5:
@@ -148,13 +142,13 @@ def test_slice_translate_writes_match_byte_by_byte():
             write = Write(op, "rsp", top - 1 - start, width, canary=canary)
         before = frames
         try:
-            want, want_notes = _write_byte_by_byte(frames, start, width, op, clamp=clamp)
-        except (IllegalByteTransition, WriteOutsideStack) as exc:
-            seen["illegal" if isinstance(exc, IllegalByteTransition) else "outside"] += 1
-            with pytest.raises(type(exc), match=re.escape(str(exc))):
-                apply_memory_operator(before, write, clamp=clamp)
+            want, want_notes = _write_byte_by_byte(frames, start, width, op)
+        except IllegalByteTransition as exc:
+            seen["illegal"] += 1
+            with pytest.raises(IllegalByteTransition, match=re.escape(str(exc))):
+                apply_memory_operator(before, write)
             continue
-        after, notes = apply_memory_operator(before, write, clamp=clamp)
+        after, notes = apply_memory_operator(before, write)
         assert [f.bytes for f in after] == want
         assert notes == want_notes
         assert [f.has_canary for f in after] == [False] * (len(frames) - 1) + [canary]
@@ -182,10 +176,10 @@ def test_rle_matches_a_reference_encoding():
 
 # --- classification -----------------------------------------------------------
 
-def _classify(line: str, ctx: FrameContext | None = None):
+def _classify(line: str, canary_store_sites: set[int] = frozenset()):
     image = parse_disassembly(f"f:\n{line}\n")
     ins = next(iter(image.instructions.values()))
-    return classify_instruction(ins, ctx or FrameContext())
+    return classify_instruction(ins, canary_store_sites)
 
 
 def test_classify_frame_extension():
@@ -204,17 +198,23 @@ def test_classify_endbr64_is_frame_allocation():
 
 
 def test_classify_canary_store_is_risky():
-    ctx = FrameContext(canary_store_sites={0x401000})
-    op = _classify("401000: mov [rbp-0x8], rax", ctx)
+    op = _classify("401000: mov [rbp-0x8], rax", {0x401000})
     assert op.byte_op is RW and op.canary
 
 
 def test_classify_prologue_push_risky_only_on_fresh_frame():
-    fresh = FrameContext(fresh_frame=True)
-    later = FrameContext(fresh_frame=False)
-    assert _classify("401000: push rbp", fresh).byte_op is RW
-    assert _classify("401000: push rbp", later).byte_op is NRW
-    assert _classify("401000: push rax", fresh).byte_op is NRW
+    """A base-register push is classified RWrite; applying it writes
+    critical bytes and a base-register slot only on a fresh frame."""
+    push_rbp = _classify("401000: push rbp")
+    assert push_rbp.byte_op is RW
+    assert _classify("401000: push rax").byte_op is NRW
+    fresh, = apply_memory_operator((fresh_frame("f"),), push_rbp)[0]
+    assert fresh.bytes == b"C" * 16 and fresh.has_rbp_slot
+    later, = apply_memory_operator((fresh,), push_rbp)[0]
+    assert later.bytes == b"C" * 16 + b"O" * 8 and later.has_rbp_slot
+    grown, = apply_memory_operator((fresh_frame("f"),), Fe(8))[0]
+    pushed, = apply_memory_operator((grown,), push_rbp)[0]
+    assert pushed.bytes == b"C" * 8 + b"F" * 8 + b"O" * 8 and not pushed.has_rbp_slot
 
 
 def test_classify_load_and_register_moves_have_no_effect():
@@ -234,9 +234,9 @@ def test_classify_add_rsp_shrinks():
 
 # --- operators ------------------------------------------------------------------
 
-def _apply(state: MemoryState, op, **kw) -> tuple[MemoryState, list[str]]:
+def _apply(state: MemoryState, op) -> tuple[MemoryState, list[str]]:
     """apply_memory_operator on a whole state's frames."""
-    frames, notes = apply_memory_operator(state.frames, op, **kw)
+    frames, notes = apply_memory_operator(state.frames, op)
     return MemoryState(frames), notes
 
 
@@ -279,10 +279,13 @@ def test_seventeen_byte_write_marks_off_by_one():
     assert frame.bytes[14:15] == b"C"
 
 
-def test_write_outside_stack_raises():
+def test_write_outside_stack_is_clamped():
+    """A write past the outermost frame changes the bytes it reaches and
+    notes each byte left out."""
     state = _prologue_state()
-    with pytest.raises(WriteOutsideStack):
-        _apply(state, Write(NRW, "rbp", -16, 64))
+    state, notes = _apply(state, Write(NRW, "rbp", -16, 64))
+    assert state.top.bytes == b"M" * 16 + b"O" * 16 + b"F" * 16
+    assert notes == ["write continued past the outermost modeled frame; clamped"] * 32
 
 
 def test_cross_frame_write_continuity():
@@ -327,10 +330,7 @@ def test_frame_size_changes_only_by_stack_ops():
             if lo >= 0:
                 continue
             disp = rng.randrange(lo, -width + 1) if lo < -width + 1 else lo
-            try:
-                state, _ = _apply(state, Write(NRW, "rbp", disp, width))
-            except WriteOutsideStack:
-                pass
+            state, _ = _apply(state, Write(NRW, "rbp", disp, width))
             assert len(state.top.bytes) == before
 
 
@@ -428,7 +428,7 @@ def test_operators_return_new_frames_and_leave_their_input(op):
 def test_effect_and_buffer_registration_leave_their_input():
     frames = _prologue_state().frames
     before = _snapshot(frames)
-    effect = SimpleNamespace(name="memset", touched=[(0, 31, NRW), (0, 30, NRW)],
+    effect = SimpleNamespace(name="memset", touched=[(0, 31), (0, 30)],
                              clamped=False)
     after, notes = apply_effect(frames, effect)
     assert notes == [] and after[-1].bytes[30:32] == b"OO"
