@@ -22,8 +22,8 @@ import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import checker, ltl, patcher, validator
-from .effects import EffectsOracle, MalformedBuffers, load_buffer_pins
+from . import MalformedData, checker, ltl, patcher, validator
+from .effects import EffectsOracle, load_buffer_pins, load_libc_db
 from .frontend import (MalformedLine, DuplicateFunction, ProgramImage, build_bcfg,
                        entry_point, parse_disassembly)
 from .memstace import Config, build_memstace, dump_memstace
@@ -32,7 +32,7 @@ from .patcher import NoSinkFound, NoTemplate, load_templates
 SCHEMA_VERSION = 1
 # a property file that raises one of these is an input error, not an internal one
 PROPERTY_ERRORS = (ltl.PropertySyntaxError, ltl.UnknownOperator,
-                   ltl.UnsupportedFragment, ltl.UnboundVariable)
+                   ltl.UnsupportedFragment, ltl.UnboundVariable, UnicodeDecodeError)
 
 
 class EmptyListing(Exception):
@@ -98,12 +98,12 @@ class Report:
         }
 
 
-def _load_monitors(cfg: Config) -> list[ltl.Monitor]:
+def _load_monitors(path: str | None) -> list[ltl.Monitor]:
     """Monitors of the bundled properties; a user file, read and compiled
     on every call, extends the set and overrides same-named entries."""
     monitors = ltl.load_bundled_monitors()
-    if cfg.properties_path:
-        with open(cfg.properties_path, encoding="utf-8") as fh:
+    if path:
+        with open(path, encoding="utf-8") as fh:
             user = ltl.parse_property_file(fh.read())
         by_name = {m.name: m for m in monitors}
         for p in user:
@@ -122,12 +122,12 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
 
     bcfg = build_bcfg(image)
     oracle = EffectsOracle(image, bcfg, cfg)
-    monitors = _load_monitors(cfg)
+    monitors = _load_monitors(cfg.properties_path)
     libc_names = oracle.libc_names()
     cwe_db = dict(checker.load_cwe_map())
     for m in monitors:
-        if m.cwes:
-            cwe_db.setdefault(m.name, list(m.cwes))
+        if m.cwes:      # a property's own tags win over the bundled map
+            cwe_db[m.name] = list(m.cwes)
     report.warnings.extend(image.warnings)
     report.warnings.extend(bcfg.warnings)
     for lp in oracle.loops:
@@ -346,7 +346,7 @@ def analyze(paths: list[str], cfg: Config | None = None, *, patch: bool = False,
                 raise EmptyListing("listing has no instructions")
             report = analyze_image(image, name, cfg, patch=patch, validate=validate,
                                    patch_all=patch_all, export_memstace=export_memstace)
-        except (MalformedLine, DuplicateFunction, EmptyListing, MalformedBuffers,
+        except (MalformedLine, DuplicateFunction, EmptyListing, MalformedData,
                 OSError, *PROPERTY_ERRORS) as exc:
             report = Report(binary=name, status="error", error=str(exc))
         except Exception as exc:    # a failure ends this binary's analysis, not the batch
@@ -498,18 +498,17 @@ def main(argv: list[str] | None = None) -> int:
                  templates_path=args.templates, libc_db_path=args.libc_db,
                  buffers_path=args.buffers,
                  enable_scanf_patch=args.enable_scanf_patch)
-    if args.props:
-        # a property file that cannot be compiled fails before any binary is read
+    # a user file that cannot be read fails before any binary is read
+    for flag, path, load in (("--props", args.props, _load_monitors),
+                             ("--templates", args.templates, load_templates),
+                             ("--libc-db", args.libc_db, load_libc_db),
+                             ("--buffers", args.buffers, load_buffer_pins)):
         try:
-            _load_monitors(cfg)
-        except (OSError, *PROPERTY_ERRORS) as exc:
-            print(f"stackcheck: --props {args.props}: {exc}", file=sys.stderr)
+            if path is not None:
+                load(path)
+        except (OSError, MalformedData, *PROPERTY_ERRORS) as exc:
+            print(f"stackcheck: {flag} {path}: {exc}", file=sys.stderr)
             return 2
-    try:
-        load_buffer_pins(args.buffers)
-    except (OSError, MalformedBuffers) as exc:
-        print(f"stackcheck: --buffers {args.buffers}: {exc}", file=sys.stderr)
-        return 2
     reports = analyze(args.paths, cfg, patch=args.patch or bool(args.out),
                       validate=args.validate, patch_all=args.patch_all,
                       out_dir=args.out, export_memstace=args.export_memstace)

@@ -3,72 +3,82 @@
 Effects are computed by bounded concrete emulation. The oracle keeps one
 interpreter run per analysis root and computes the effect of each call
 site and loop entry at the run's first arrival there; the run advances
-only as far as the furthest site asked for. At a call site the callee's
-write-extent rule is applied to a fork of the machine, and the stack
-diff gives the touched bytes, each placed in its owning shadow frame. A
-loop's effect is the diff between a fork's arrival at the loop entry and
-its exit. When that fork reaches the exit without halting, within the
-iteration budget and without passing a site the run still has to stop
-at, the run continues from the fork instead of executing the loop
-again, so the root executes that loop once. When the run
-halts first (clean exit, crash, step budget or an unsupported
-construct), every site it did not reach gets an opaque effect with a
-note saying which. A call site's libc spec is looked up by the symbol
-it names (`Instruction.callee`), and its arguments are read from the
-machine standing at the call, never recovered from the listing. An
-effect's touched bytes are (frame depth, byte index) pairs, each in the
-shadow frame whose top is the lowest at or above its address, so no
-index is negative. Calls that read stdin/argv record the smallest input
-reaching a saved return address or canary; that input is kept for patch
-validation. The write covers the input plus its terminator, so that
-length is the distance from the destination to the first protected byte
-at or above it (at least 1), in closed form over each frame's 8-byte
-slots. The oracle also owns the analysis's buffer-size rule, which
-the state-space builder and the call emulation both read.
+only as far as the furthest site asked for. Both kinds give one record,
+a CallEffect (touched bytes, notes, and whether it is complete), in one
+cache keyed by (root, pc, "call" | "loop"). At a call site the callee's
+write-extent rule gives one payload (bytes, address, crashing stdin or
+None), written to a fork; the stack diff gives the touched bytes, each
+placed in its owning shadow frame. A loop's effect is the diff between a
+fork's arrival at the loop entry and its exit; a fork that does not
+reach the exit (iteration or step budget, an unsupported construct, or
+leaving the function) gives a truncating effect, with a note saying why.
+When the fork reaches the exit without halting, within the iteration
+budget and without passing a site the run still has to stop at, the run
+continues from the fork instead of executing the loop again. When the
+run halts first (clean exit, crash, step budget or an unsupported
+construct), every site it did not reach gets a truncating opaque effect
+with a note saying which. A call site's libc spec is looked up by the
+symbol it names (`Instruction.callee`), and its arguments are read from
+the machine standing at the call. Touched bytes are (frame depth, byte
+index) pairs, each in the shadow frame whose top is the lowest at or
+above its address, so no index is negative. Calls that read stdin/argv
+record the smallest input reaching a saved return address or canary, for
+patch validation: it writes the input plus its terminator, so its length
+is the distance from the destination to the first protected byte at or
+above it (at least 1), in closed form over each frame's 8-byte slots.
+The oracle also owns the analysis's buffer-size rule. A user libc
+database is checked at load: roles from ROLES, a rule from EXTENTS.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from pathlib import Path
 
-from . import interp, load_data
+from . import MalformedData, interp, load_data, parse_json
 from .frontend import BCfg, ProgramImage
 from .interp import CLEAN, CRASH, STACK_TOP, STEP_BUDGET, UNSUPPORTED, Halt, Machine
 from .memstace import Config, infer_buffer_size, scan_object_boundaries
 
 ARG_REGS = ["rdi", "rsi", "rdx", "rcx", "r8", "r9"]
-
-
-class UnknownLibc(Exception):
-    pass
-
-
-class MalformedBuffers(Exception):
-    """A --buffers sidecar that is not {function: {rbp offset: size}}."""
+ROLES = ("dest", "src", "format", "value")
 
 
 @dataclass(frozen=True)
 class LibcSpec:
     name: str
-    roles: tuple[str, ...]           # dest | src | format | value per argument
-    extent: str                      # write-extent rule id
+    roles: tuple[str, ...]           # one of ROLES per argument
+    extent: str                      # write-extent rule id, a key of EXTENTS
 
     def role_register(self, role: str) -> str | None:
-        for i, r in enumerate(self.roles):
-            if r == role:
-                return ARG_REGS[i]
-        return None
+        return ARG_REGS[self.roles.index(role)] if role in self.roles else None
 
 
 def load_libc_db(path: str | None = None) -> dict[str, LibcSpec]:
     return load_data("libc.json", _parse_libc_db, path)
 
 
-def _parse_libc_db(text: str) -> dict[str, LibcSpec]:
-    return {name: LibcSpec(name=name, roles=tuple(e["roles"]), extent=e["extent"])
-            for name, e in json.loads(text).items()}
+def _parse_libc_db(data: str | bytes) -> dict[str, LibcSpec]:
+    raw = parse_json(data)
+    if not isinstance(raw, dict) or not all(isinstance(e, dict) for e in raw.values()):
+        raise MalformedData('expected an object mapping each function to '
+                            '{"roles": [...], "extent": ...}')
+    db = {}
+    for name, e in raw.items():
+        roles, extent = e.get("roles"), e.get("extent")
+        if not (isinstance(roles, list) and len(roles) <= len(ARG_REGS)
+                and all(r in ROLES for r in roles)):
+            raise MalformedData(f"{name}: roles {roles!r} is not a list of at most "
+                                f"{len(ARG_REGS)} of {', '.join(ROLES)}")
+        if not isinstance(extent, str) or extent not in EXTENTS:
+            raise MalformedData(f"{name}: extent {extent!r} is not one of "
+                                f"{', '.join(EXTENTS)}")
+        if not set(EXTENTS[extent]) <= set(roles):
+            raise MalformedData(f"{name}: extent {extent} needs the roles "
+                                f"{', '.join(EXTENTS[extent])}")
+        db[name] = LibcSpec(name=name, roles=tuple(roles), extent=extent)
+    return db
 
 
 def load_buffer_pins(path: str | None) -> dict[str, dict[int, int]]:
@@ -77,14 +87,10 @@ def load_buffer_pins(path: str | None) -> dict[str, dict[int, int]]:
     path pins nothing."""
     if path is None:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except ValueError as exc:     # not JSON, or not UTF-8
-            raise MalformedBuffers(f"not JSON: {exc}")
+    raw = parse_json(Path(path).read_bytes())
     if not isinstance(raw, dict) or not all(isinstance(t, dict) for t in raw.values()):
-        raise MalformedBuffers("expected an object mapping each function to an object "
-                               "of {rbp offset: size}")
+        raise MalformedData("expected an object mapping each function to an object "
+                            "of {rbp offset: size}")
     pins: dict[str, dict[int, int]] = {}
     for fn, table in raw.items():
         pins[fn] = {}
@@ -92,20 +98,12 @@ def load_buffer_pins(path: str | None) -> dict[str, dict[int, int]]:
             try:
                 offset = int(off)
             except ValueError:
-                raise MalformedBuffers(f"{fn}: offset {off!r} is not an integer")
+                raise MalformedData(f"{fn}: offset {off!r} is not an integer")
             if type(size) is not int or size <= 0:
-                raise MalformedBuffers(f"{fn}: size {size!r} at offset {off} is not a "
-                                       "positive integer")
+                raise MalformedData(f"{fn}: size {size!r} at offset {off} is not a "
+                                    "positive integer")
             pins[fn][offset] = size
     return pins
-
-
-def lookup_libc(name: str, db: dict[str, LibcSpec] | None = None) -> LibcSpec:
-    db = load_libc_db() if db is None else db
-    key = name.removesuffix("@plt")
-    if key not in db:
-        raise UnknownLibc(name)
-    return db[key]
 
 
 # --- call effects ----------------------------------------------------------
@@ -116,8 +114,7 @@ class CallEffect:
     touched: tuple[tuple[int, int], ...] = ()    # (frame depth, byte index) written
     concrete_input: bytes | None = None     # the smallest crashing stdin, if derived
     opaque: bool = False
-    truncating: bool = False
-    clamped: bool = False
+    truncating: bool = False                # incomplete: its root's space is truncated
     dest_size: int | None = None
     notes: list[str] = field(default_factory=list)
 
@@ -137,38 +134,36 @@ def emulate_call(machine: Machine, call_site: int, spec: LibcSpec,
     if spec.extent == "none":
         return CallEffect(name=name)
 
-    dest_reg = spec.role_register("dest")
-    dest = machine.rd_reg(dest_reg) if dest_reg else None
-    if dest is not None and not _plausible_pointer(machine, dest):
+    dest = machine.rd_reg(spec.role_register("dest"))    # every writing rule names one
+    if not _plausible_pointer(machine, dest):
         return _opaque(name, f"{name} at {call_site:#x}: destination unresolved",
                        truncating=True)
 
     dest_size = None
-    if dest is not None:
-        frame = machine.frame_containing(dest)
-        if frame is not None:
-            dest_size = frame.protected_floor() - dest
-            # the buffer the rule gives (a pin or a neighbouring object)
-            # caps the destination below the protected floor; only the
-            # active frame's layout is known here
-            if frame.rbp_loc is not None and frame is machine.shadow[-1]:
-                size = buffer_size(machine.image.function_of(call_site),
-                                   dest - frame.rbp_loc, frame.canary_loc is not None)
-                if 0 < size < dest_size:
-                    dest_size = size
+    frame = machine.frame_containing(dest)
+    if frame is not None:
+        dest_size = frame.protected_floor() - dest
+        # the buffer the rule gives (a pin or a neighbouring object) caps
+        # the destination below the protected floor; only the active
+        # frame's layout is known here
+        if frame.rbp_loc is not None and frame is machine.shadow[-1]:
+            size = buffer_size(machine.image.function_of(call_site),
+                               dest - frame.rbp_loc, frame.canary_loc is not None)
+            if 0 < size < dest_size:
+                dest_size = size
 
     try:
-        payloads, search = _write_payloads(machine, spec, dest, cfg)
+        data, at, crash_input = _write_payloads(machine, spec, dest, cfg)
     except Halt as h:
         return _opaque(name, f"{name} at {call_site:#x}: {h.cause}", truncating=True)
 
-    if search is None:
-        data, at = payloads
-        effect = _diff_effect(machine, name, at, data)
-    else:
-        effect = _input_search(machine, name, dest, search)
-    effect.dest_size = dest_size
-    return effect
+    clone = machine.fork()
+    snap = clone.snapshot()
+    clamped = _apply_payload(clone, at, data)
+    touched, overflow = _map_touches(machine, clone.diff_stack(snap))
+    notes = [f"effect of {name} clamped at the outermost frame"] if clamped or overflow else []
+    return CallEffect(name=name, touched=tuple(touched), concrete_input=crash_input,
+                      dest_size=dest_size, notes=notes)
 
 
 def _plausible_pointer(machine: Machine, addr: int) -> bool:
@@ -176,37 +171,43 @@ def _plausible_pointer(machine: Machine, addr: int) -> bool:
         interp.ARGV_BASE <= addr < interp.ARGV_BASE + 0x10000)
 
 
+# each write-extent rule _write_payloads implements ("none" writes nothing),
+# with the argument roles it reads
+EXTENTS = {"none": (), "strlen_src_plus_1": ("dest", "src"),
+           "append_src_plus_1": ("dest", "src"), "format_output_plus_1": ("dest", "format"),
+           "bounded_format": ("dest",), "exactly_n": ("dest",), "line_plus_1": ("dest",),
+           "token_plus_1": ("dest",), "bounded_line": ("dest",)}
+
+
 def _write_payloads(machine: Machine, spec: LibcSpec, dest, cfg: Config):
-    """(payload bytes, write address) for non-input rules, or the search
-    bound for input-source rules."""
+    """(payload bytes, write address, crashing stdin or None) of the call's
+    write-extent rule. Only the input rules derive a crashing stdin."""
     if spec.extent == "strlen_src_plus_1":
         data = _source_string(machine, spec, cfg)
-        return (data + b"\0", dest), None
+        return data + b"\0", dest, None
     if spec.extent == "append_src_plus_1":
         data = _source_string(machine, spec, cfg)
         dlen = len(machine.rd_cstr(dest))
-        return (data + b"\0", dest + dlen), None
+        return data + b"\0", dest + dlen, None
     if spec.extent == "format_output_plus_1":
         fmt_reg = spec.role_register("format")
         fmt = machine.rd_cstr(machine.rd_reg(fmt_reg))
         pos = ARG_REGS.index(fmt_reg)
         out = machine._render_format(fmt, ARG_REGS[pos + 1:])
-        return (out + b"\0", dest), None
+        return out + b"\0", dest, None
     if spec.extent == "bounded_format":
         n = machine.rd_reg(spec.role_register("value") or "rsi")
         fmt = machine.rd_cstr(machine.rd_reg("rdx"))
         out = machine._render_format(fmt, ["rcx", "r8", "r9"])
-        return (out[:max(n - 1, 0)] + (b"\0" if n > 0 else b""), dest), None
+        return out[:max(n - 1, 0)] + (b"\0" if n > 0 else b""), dest, None
     if spec.extent == "exactly_n":
-        n = machine.rd_reg("rdx")
-        n = min(n, cfg.max_input_len)
-        return (b"A" * n, dest), None
-    if spec.extent in ("line_plus_1", "token_plus_1"):
-        return None, cfg.max_input_len
+        n = min(machine.rd_reg("rdx"), cfg.max_input_len)
+        return b"A" * n, dest, None
     if spec.extent == "bounded_line":
-        n = machine.rd_reg("rsi")
-        return None, max(min(n - 1, cfg.max_input_len), 0)
-    raise UnknownLibc(f"no write-extent rule {spec.extent!r}")
+        return _input_payload(machine, dest, max(min(machine.rd_reg("rsi") - 1,
+                                                     cfg.max_input_len), 0))
+    # line_plus_1 or token_plus_1, the only rules left in EXTENTS
+    return _input_payload(machine, dest, cfg.max_input_len)
 
 
 def _source_string(machine: Machine, spec: LibcSpec, cfg: Config) -> bytes:
@@ -231,14 +232,6 @@ def _apply_payload(clone: Machine, addr: int, data: bytes) -> bool:
             return True
         clone.wr_mem(a, bytes([b]))
     return False
-
-
-def _diff_effect(machine: Machine, name: str, at: int, data: bytes) -> CallEffect:
-    clone = machine.fork()
-    snap = clone.snapshot()
-    clamped = _apply_payload(clone, at, data)
-    touched, overflow = _map_touches(machine, clone.diff_stack(snap))
-    return CallEffect(name=name, touched=tuple(touched), clamped=clamped or overflow)
 
 
 def _map_touches(machine: Machine, changed: dict[int, tuple[int, int]]):
@@ -267,8 +260,10 @@ def _map_touches(machine: Machine, changed: dict[int, tuple[int, int]]):
     return touched, overflow
 
 
-def _input_search(machine: Machine, name: str, dest: int, max_len: int) -> CallEffect:
-    """The smallest input length whose write reaches protected bytes.
+def _input_payload(machine: Machine, dest: int, max_len: int):
+    """The write of the smallest input reaching protected bytes, with that
+    input as the crashing stdin; the full allowed extent, with none, when
+    no input of at most max_len bytes reaches them.
 
     An input of length n writes dest..dest+n (payload plus terminator), so
     the first protected byte at or above dest fixes the minimum: over the
@@ -279,14 +274,8 @@ def _input_search(machine: Machine, name: str, dest: int, max_len: int) -> CallE
              if lo is not None and lo + 7 >= dest]
     minimal = max(min(above) - dest, 1) if above else None
     if minimal is None or minimal > max_len:
-        # bounded input: worst case is the full allowed extent, no crash input
-        data = b"A" * max_len + (b"\0" if max_len else b"")
-        return _diff_effect(machine, name, dest, data)
-
-    data = b"A" * minimal + b"\0"
-    effect = _diff_effect(machine, name, dest, data)
-    effect.concrete_input = b"A" * minimal + b"\n"
-    return effect
+        return b"A" * max_len + (b"\0" if max_len else b""), dest, None
+    return b"A" * minimal + b"\0", dest, b"A" * minimal + b"\n"
 
 
 # --- loops ------------------------------------------------------------------
@@ -311,17 +300,14 @@ def detect_loops(bcfg: BCfg, image: ProgramImage) -> list[LoopInfo]:
 
     seen_edges: set[tuple[int, int]] = set()
     for fn_entry in sorted(image.functions.values()):
-        back_edges = _find_back_edges(fn_entry, intra)
-        if not back_edges:
-            continue
-        dom = _dominators(fn_entry, intra, preds)
-        for (src, tgt) in sorted(back_edges):
+        for (src, tgt) in sorted(_find_back_edges(fn_entry, intra)):
             if (src, tgt) in seen_edges:
                 continue
             seen_edges.add((src, tgt))
-            irreducible = tgt not in dom.get(src, {src})
+            # a back edge whose target does not dominate its source
+            irreducible = _reaches_avoiding(fn_entry, src, tgt, intra)
             body = _natural_loop_body(src, tgt, preds)
-            exit_addr = _loop_exit(body, intra, bcfg)
+            exit_addr = _loop_exit(body, intra)
             loops.append(LoopInfo(function=image.function_of(fn_entry), entry=tgt,
                                   exit=exit_addr, body=frozenset(body),
                                   irreducible=irreducible or exit_addr is None))
@@ -354,32 +340,20 @@ def _find_back_edges(entry: int, intra: dict[int, list[int]]) -> set[tuple[int, 
     return back
 
 
-def _dominators(entry: int, intra, preds) -> dict[int, set[int]]:
-    nodes = set()
+def _reaches_avoiding(entry: int, goal: int, avoid: int, intra) -> bool:
+    """Whether a path from entry reaches goal without passing avoid: it
+    does not exactly when avoid dominates goal."""
+    seen = {avoid}
     work = [entry]
     while work:
         b = work.pop()
-        if b in nodes:
+        if b in seen:
             continue
-        nodes.add(b)
+        if b == goal:
+            return True
+        seen.add(b)
         work.extend(intra.get(b, []))
-    dom = {b: set(nodes) for b in nodes}
-    dom[entry] = {entry}
-    changed = True
-    while changed:
-        changed = False
-        for b in nodes - {entry}:
-            ps = [p for p in preds.get(b, []) if p in nodes]
-            new = set(nodes)
-            for p in ps:
-                new &= dom[p]
-            new |= {b}
-            if not ps:
-                new = {b}
-            if new != dom[b]:
-                dom[b] = new
-                changed = True
-    return dom
+    return False
 
 
 def _natural_loop_body(src: int, tgt: int, preds) -> set[int]:
@@ -396,7 +370,7 @@ def _natural_loop_body(src: int, tgt: int, preds) -> set[int]:
     return body
 
 
-def _loop_exit(body: set[int], intra, bcfg: BCfg) -> int | None:
+def _loop_exit(body: set[int], intra) -> int | None:
     for b in sorted(body):
         for t in intra.get(b, []):
             if t not in body:
@@ -409,7 +383,8 @@ def emulate_loop(machine: Machine, loop: LoopInfo,
                  adopt: Callable[[Machine], None] | None = None) -> CallEffect:
     """The effect of a loop on a machine standing at its entry: run a fork
     to the exit (or until the iteration budget runs out) and diff the
-    stack against the arrival.
+    stack against the arrival. A fork that does not reach the exit gives
+    a truncating effect, with a note saying why.
 
     When the fork reaches the exit without halting, within the iteration
     budget and without passing a pc in `stops`, it stands where `machine`
@@ -438,27 +413,23 @@ def emulate_loop(machine: Machine, loop: LoopInfo,
         notes.append({STEP_BUDGET: f"loop at {loop.entry:#x}: step budget exhausted",
                       UNSUPPORTED: f"loop at {loop.entry:#x}: emulation failed: {h.cause}"}
                      .get(h.status, f"loop at {loop.entry:#x}: execution left the function"))
-    changed = fork.diff_stack(snap)
-    touched, overflow = _map_touches(fork, changed)
-    effect = CallEffect(name="loop", touched=tuple(touched), clamped=overflow, notes=notes)
+    touched, overflow = _map_touches(fork, fork.diff_stack(snap))
+    if overflow:
+        notes.append("effect of loop clamped at the outermost frame")
     if adopt is not None and reached and not passed:
         fork._wm_lo = min(fork._wm_lo, machine._wm_lo)
         fork._wm_hi = max(fork._wm_hi, machine._wm_hi)
         adopt(fork)
-    return effect
+    return CallEffect(name="loop", touched=tuple(touched), truncating=not reached, notes=notes)
 
 
 def _unreached(name: str, site: int, root: int, h: Halt) -> CallEffect:
-    """The opaque effect of a call site (or, named "loop", a loop entry)
-    that the run from `root` halted before reaching."""
-    if name == "loop":
-        note = (f"emulation failed before {site:#x}: {h.cause}" if h.status == UNSUPPORTED
-                else f"loop at {site:#x} not reached from {root:#x}")
-    else:
-        note = {CLEAN: f"{name} at {site:#x} not reached from {root:#x}",
-                STEP_BUDGET: f"emulation diverged before {site:#x}",
-                CRASH: f"crash ({h.cause}) before {site:#x}",
-                UNSUPPORTED: f"emulation failed before {site:#x}: {h.cause}"}[h.status]
+    """The truncating opaque effect of a call site or loop entry (named
+    "loop") that the run from `root` halted before reaching."""
+    note = {CLEAN: f"{name} at {site:#x} not reached from {root:#x}",
+            STEP_BUDGET: f"emulation diverged before {site:#x}",
+            CRASH: f"crash ({h.cause}) before {site:#x}",
+            UNSUPPORTED: f"emulation failed before {site:#x}: {h.cause}"}[h.status]
     return _opaque(name, note, truncating=True)
 
 
@@ -483,12 +454,11 @@ class EffectsOracle:
     analysis.
     """
 
-    def __init__(self, image: ProgramImage, bcfg: BCfg, cfg: Config,
-                 libc_db: dict[str, LibcSpec] | None = None):
+    def __init__(self, image: ProgramImage, bcfg: BCfg, cfg: Config):
         self.image = image
         self.bcfg = bcfg
         self.cfg = cfg
-        self.libc_db = load_libc_db(cfg.libc_db_path) if libc_db is None else libc_db
+        self.libc_db = load_libc_db(cfg.libc_db_path)
         self.buffer_pins = load_buffer_pins(cfg.buffers_path)
         self._buffer_sizes: dict[tuple[str, int, bool], int] = {}
         # the analysis root emulations start from; callers set it per root
@@ -499,8 +469,7 @@ class EffectsOracle:
             cur = self._loops_by_entry.get(lp.entry)
             if cur is None or len(lp.body) > len(cur.body):
                 self._loops_by_entry[lp.entry] = lp
-        self._call_cache: dict[tuple[int, int], CallEffect] = {}
-        self._loop_cache: dict[tuple[int, int], CallEffect] = {}
+        self._effects: dict[tuple[int, int, str], CallEffect] = {}   # (root, pc, call|loop)
         self._call_sites: frozenset[int] | None = None
         self._sites: frozenset[int] | None = None     # call sites and loop entries
         self._run: Machine | None = None      # the current root's run, while alive
@@ -530,48 +499,40 @@ class EffectsOracle:
         return self.libc_db.get(self.image.instructions[site].callee)
 
     def call_effect(self, site: int) -> CallEffect:
-        key = (self.root, site)
-        if key not in self._call_cache:
-            spec = self.spec(site)
-            if spec is None:
-                name = self.image.instructions[site].callee
-                self._call_cache[key] = _opaque(
-                    name, f"unknown library function {name!r}; call treated as opaque")
-            else:
-                self._advance(self._call_cache, key, spec.name)
-        return self._call_cache[key]
+        spec = self.spec(site)
+        if spec is None:
+            name = self.image.instructions[site].callee
+            return _opaque(name, f"unknown library function {name!r}; call treated as opaque")
+        return self._effect(site, "call", spec.name)
 
     def loop_at(self, pc: int) -> LoopInfo | None:
         loop = self._loops_by_entry.get(pc)
-        if loop is None or loop.irreducible:
-            return None
-        return loop
+        return None if loop is None or loop.irreducible else loop
 
     def loop_effect(self, loop: LoopInfo) -> CallEffect:
         """The effect of `loop`, which is the loop loop_at gives for its entry."""
-        key = (self.root, loop.entry)
-        if key not in self._loop_cache:
-            self._advance(self._loop_cache, key, "loop")
-        return self._loop_cache[key]
+        return self._effect(loop.entry, "loop", "loop")
 
-    def _advance(self, cache: dict, key: tuple[int, int], name: str) -> None:
-        """Run the current root until `key` is in `cache`, or store the
-        opaque effect its halt gives."""
+    def _effect(self, pc: int, kind: str, name: str) -> CallEffect:
+        """The `kind` effect at pc from the current root: run the root until
+        _arrive caches it, or give the opaque effect the run's halt fixes."""
         root = self.root
-        if root not in self._halts:
+        key = (root, pc, kind)
+        if key not in self._effects and root not in self._halts:
             if self._run is None:
                 self._run = Machine(self.image, self.cfg, stdin=b"")
                 self._run.start(root)
                 self._stops = self._pending()
             try:
-                while key not in cache:
+                while key not in self._effects:
                     self._run.run_to(*self._stops)
                     self._arrive(self._run)
             except Halt as h:
                 self._halts[root] = h
                 self._run = None
-        if key not in cache:
-            cache[key] = _unreached(name, key[1], root, self._halts[root])
+        if key not in self._effects:
+            self._effects[key] = _unreached(name, pc, root, self._halts[root])
+        return self._effects[key]
 
     def _pending(self) -> set[int]:
         """Call sites with a libc spec and reducible loop entries: where a
@@ -589,14 +550,14 @@ class EffectsOracle:
         """Compute the effects at the run's first arrival at machine.pc. A
         loop's fork that reached the exit without passing a pending site
         becomes the run."""
-        pc = machine.pc
+        pc, effects = machine.pc, self._effects
         self._stops.discard(pc)
-        key = (self.root, pc)
-        if pc in self._call_sites and key not in self._call_cache:
-            self._call_cache[key] = emulate_call(machine, pc, self.spec(pc), self.buffer_size)
+        if pc in self._call_sites and (self.root, pc, "call") not in effects:
+            effects[self.root, pc, "call"] = emulate_call(machine, pc, self.spec(pc),
+                                                          self.buffer_size)
         loop = self.loop_at(pc)
-        if loop is not None and key not in self._loop_cache:
-            self._loop_cache[key] = emulate_loop(machine, loop, self._stops, self._adopt)
+        if loop is not None and (self.root, pc, "loop") not in effects:
+            effects[self.root, pc, "loop"] = emulate_loop(machine, loop, self._stops, self._adopt)
 
     def _adopt(self, fork: Machine) -> None:
         self._run = fork

@@ -647,6 +647,10 @@ class Machine:
 
     # --- safecall: bounded replacement semantics ----------------------------
 
+    # the semantics _do_safecall implements; a template may name only these
+    SAFECALLS = ("bounded_copy", "bounded_append", "bounded_format", "bounded_readline",
+                 "bounded_scan")
+
     def _do_safecall(self, ins: Instruction, nxt: int | None) -> int | None:
         op = ins.operands[0]
         template = op.symbol

@@ -17,7 +17,9 @@ modeled stack is clamped with a note, never raised.
 The state space itself is a labeled transition system built by DFS over
 the binary CFG; library calls and loops contribute summarized effects
 computed by the effects module, each a list of (frame depth, byte index)
-pairs written with nRWrite. Operators and effects map a frames tuple
+pairs written with nRWrite. One builder step splices either kind: it
+writes the touches, records the notes, and truncates the root's space
+when the effect is incomplete. Operators and effects map a frames tuple
 to a new one, and the builder wraps it with its label into the one
 `MemoryState` it interns, so each state is constructed once. Each
 instruction is decoded once per analysis, at its first visit, into a
@@ -544,7 +546,11 @@ class _SpaceBuilder:
 
             kind = d.kind
             if d.loop is not None and not self._came_from_loop(sid, d.loop):
-                work.append((d.loop.exit, self._apply_loop(sid, d.loop), call_stack))
+                loop = d.loop
+                label = TransitionLabel("loop", loop.entry,
+                                        text=f"loop {loop.entry:#x}..{loop.exit:#x}")
+                work.append((loop.exit, self._splice(sid, label, self.effects.loop_effect(loop)),
+                             call_stack))
             elif kind == "no-effect":
                 work.append((d.nxt, sid, call_stack))
             elif kind == "direct":
@@ -610,24 +616,15 @@ class _SpaceBuilder:
             dst = self.emit(sid, d.label, frames + (fresh_frame(d.label.name),))
             return (d.target, dst, call_stack + (d.nxt,))
         # library / external call: splice the emulated effect
-        effect = self.effects.call_effect(d.ins.address)
-        if effect.opaque:
-            self.truncated = self.truncated or effect.truncating
-            self.notes.extend(effect.notes)
-            return (d.nxt, self.emit(sid, d.label, frames), call_stack)
-        frames, notes = apply_effect(frames, effect)
-        self.notes.extend(notes)
-        return (d.nxt, self.emit(sid, d.label, frames), call_stack)
+        return (d.nxt, self._splice(sid, d.label, self.effects.call_effect(d.ins.address)),
+                call_stack)
 
-    def _apply_loop(self, sid: int, loop) -> int:
-        frames = self.states[sid].frames
-        effect = self.effects.loop_effect(loop)
-        label = TransitionLabel("loop", loop.entry, text=f"loop {loop.entry:#x}..{loop.exit:#x}")
-        if effect.opaque:
-            self.notes.extend(effect.notes)
-            return self.emit(sid, label, frames)
-        frames, notes = apply_effect(frames, effect)
-        self.notes.extend(notes)
+    def _splice(self, sid: int, label: TransitionLabel, effect) -> int:
+        """Splice an emulated call or loop effect into state sid. An
+        incomplete (truncating) effect truncates the root's space."""
+        frames, notes = apply_effect(self.states[sid].frames, effect)
+        self.notes += notes + effect.notes
+        self.truncated = self.truncated or effect.truncating
         return self.emit(sid, label, frames)
 
 
@@ -658,10 +655,8 @@ def apply_effect(frames: tuple[StackFrame, ...], effect) -> tuple[tuple[StackFra
             runs.append([pos, idx, idx + 1])
     _translate_runs(frames, runs, ByteOp.NRWRITE)
     if skipped:
-        notes = notes + [f"effect of {effect.name}: {skipped} byte(s) above the "
-                         "modeled frames skipped"]
-    if effect.clamped:
-        notes = notes + [f"effect of {effect.name} clamped at the outermost frame"]
+        notes.append(f"effect of {effect.name}: {skipped} byte(s) above the "
+                     "modeled frames skipped")
     return tuple(frames), notes
 
 

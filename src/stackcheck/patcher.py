@@ -12,14 +12,16 @@ the sink.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import load_data
+from . import MalformedData, load_data, parse_json
 from .checker import Trace
 from .effects import CallEffect, LibcSpec
 from .frontend import BCfg, Instruction, Operand, ProgramImage, IMM, MEM, REG, TARGET
+from .interp import Machine
+
+MODES = ("static", "runtime")       # select_template's patch modes
 
 
 class NoSinkFound(Exception):
@@ -43,8 +45,8 @@ class SinkSite:
 class PatchTemplate:
     name: str
     target: str                   # the C function being replaced
-    mode: str                     # static | runtime
-    replacement: str              # safecall semantic id
+    mode: str                     # one of MODES
+    replacement: str              # one of Machine.SAFECALLS
 
 
 @dataclass
@@ -64,14 +66,26 @@ def load_templates(path: str | None = None) -> list[PatchTemplate]:
         p = Path(path)
         files = sorted(p.glob("*.json")) if p.is_dir() else [p]
         for f in files:
-            for t in _parse_templates(f.read_text(encoding="utf-8")):
+            for t in _parse_templates(f.read_bytes()):
                 by_name[t.name] = t
     return list(by_name.values())
 
 
-def _parse_templates(text: str) -> list[PatchTemplate]:
-    return [PatchTemplate(name=e["name"], target=e["target"], mode=e["mode"],
-                          replacement=e["replacement"]) for e in json.loads(text)]
+def _parse_templates(data: str | bytes) -> list[PatchTemplate]:
+    raw = parse_json(data)
+    if not isinstance(raw, list) or not all(isinstance(e, dict) for e in raw):
+        raise MalformedData("expected a list of template objects")
+    keys = ("name", "target", "mode", "replacement")
+    for e in raw:
+        missing = [k for k in keys if not isinstance(e.get(k), str)]
+        if missing:
+            raise MalformedData(f"template {e.get('name')!r}: {', '.join(missing)} "
+                                "missing or not a string")
+        for key, allowed in (("mode", MODES), ("replacement", Machine.SAFECALLS)):
+            if e[key] not in allowed:
+                raise MalformedData(f"template {e['name']!r}: {key} {e[key]!r} is not "
+                                    f"one of {', '.join(allowed)}")
+    return [PatchTemplate(*(e[k] for k in keys)) for e in raw]
 
 
 def locate_sink(trace: Trace, image: ProgramImage,
@@ -128,8 +142,9 @@ def select_template(sink: SinkSite, effect: CallEffect | None, frame_dest: bool,
                     templates: list[PatchTemplate] | None = None,
                     enable_scanf: bool = False) -> PatchPlan:
     """Static mode needs a frame-address destination (`frame_dest`, see
-    dest_in_frame) with a known size; anything else falls back to the
-    runtime template."""
+    dest_in_frame) with a known size and a static template for the callee;
+    anything else falls back to the runtime template, and a callee without
+    one raises NoTemplate."""
     if sink.kind != "call":
         raise NoTemplate(f"no template for {sink.kind} sinks")
     templates = templates if templates is not None else load_templates()
@@ -141,12 +156,14 @@ def select_template(sink: SinkSite, effect: CallEffect | None, frame_dest: bool,
 
     static_known = (frame_dest and effect is not None and effect.dest_size is not None
                     and effect.dest_size > 0)
-    mode = "static" if static_known else "runtime"
-    template = next(t for t in candidates if t.mode == mode)
+    modes = MODES if static_known else ("runtime",)
+    template = next((t for m in modes for t in candidates if t.mode == m), None)
+    if template is None:
+        raise NoTemplate(f"no runtime template for callee {sink.callee!r}")
     return PatchPlan(
         template=template,
         sink=sink,
-        bound=effect.dest_size if static_known else None,
+        bound=effect.dest_size if template.mode == "static" else None,
         trampoline_label="",           # assigned when applied
         return_address=0,
     )

@@ -12,6 +12,7 @@ from stackcheck.cli import (Report, PropertyResult, analyze, analyze_image,
                             main, report_metrics)
 from stackcheck.frontend import parse_disassembly
 from stackcheck.memstace import Config
+from stackcheck.patcher import NoTemplate, PatchTemplate, SinkSite, select_template
 
 from conftest import CORPUS_DIR, FIXTURE_DIR, corpus_path, fixture_path, load_image
 
@@ -209,6 +210,86 @@ def test_malformed_buffers_file_is_an_input_error(tmp_path, capsys, content, mes
     assert report.status == "error"
     assert message in report.error
     assert not report.error.startswith("internal error")
+
+
+@pytest.mark.parametrize("flag, content, message", [
+    ("--templates", [{"name": "t", "mode": "static", "replacement": "bounded_copy"}],
+     "template 't': target missing or not a string"),
+    ("--templates", "{", "not JSON"),
+    ("--libc-db", "{", "not JSON"),
+    ("--libc-db", {"gets": {"roles": ["dest"], "extent": "bogus"}},
+     "gets: extent 'bogus' is not one of"),
+    ("--templates", [{"name": "gets_static", "target": "gets", "mode": "sometimes",
+                      "replacement": "bounded_readline"}],
+     "template 'gets_static': mode 'sometimes' is not one of static, runtime"),
+    ("--templates", [{"name": "gets_static", "target": "gets", "mode": "static",
+                      "replacement": "bogus"}],
+     "template 'gets_static': replacement 'bogus' is not one of bounded_copy"),
+], ids=["template-without-target", "template-not-json", "libc-not-json",
+        "libc-unknown-extent", "template-unknown-mode", "template-unknown-replacement"])
+def test_malformed_templates_or_libc_file_is_an_input_error(tmp_path, capsys, flag,
+                                                             content, message):
+    data = tmp_path / "data.json"
+    data.write_text(content if isinstance(content, str) else json.dumps(content))
+    # rejected before any binary is read: the listing does not exist
+    code = main(["analyze", str(tmp_path / "missing.s"), flag, str(data)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"stackcheck: {flag} {data}: ")
+    assert message in err
+    field = {"--templates": "templates_path", "--libc-db": "libc_db_path"}[flag]
+    report = analyze([str(corpus_path("gets_rip_vuln"))], Config(**{field: str(data)}),
+                     patch=True, validate=True)[0]
+    assert report.status == "error"
+    assert message in report.error
+    assert not report.error.startswith("internal error")
+
+
+def test_template_for_one_mode_only(tmp_path):
+    """A callee whose only template is the runtime one is patched in runtime
+    mode where a static patch is wanted; one whose only template is static
+    gets no patch where a runtime patch is wanted, only a note."""
+    listing = tmp_path / "strncpy_frame.s"
+    listing.write_text("""\
+main:
+401000: push rbp
+401004: mov rbp, rsp
+401008: sub rsp, 0x10
+40100c: lea rdi, [rbp-0x10]
+401010: lea rsi, [rbp-0x8]
+401014: mov rdx, 0x20
+401018: call 0x401060 <strncpy@plt>
+40101c: add rsp, 0x10
+401020: pop rbp
+401024: ret
+""")
+    templates = tmp_path / "templates.json"
+    templates.write_text(json.dumps([{"name": "strncpy_runtime", "target": "strncpy",
+                                      "mode": "runtime", "replacement": "bounded_copy"}]))
+    report = analyze([str(listing)], Config(templates_path=str(templates)), patch_all=True)[0]
+    assert report.error is None
+    assert [(p["template"], p["mode"], p["bound"]) for p in report.patches] == \
+        [("strncpy_runtime", "runtime", None)]
+
+    static_only = [PatchTemplate("strncpy_static", "strncpy", "static", "bounded_copy")]
+    sink = SinkSite(address=0x401018, function="main", callee="strncpy", kind="call")
+    with pytest.raises(NoTemplate, match="no runtime template for callee 'strncpy'"):
+        select_template(sink, None, False, static_only)
+
+
+def test_overriding_property_keeps_its_own_cwe_tags(tmp_path):
+    props = tmp_path / "override.props"
+    props.write_text('property "RIP Integrity" {\n'
+                     '  ltl: G (forall_stack f . all i in 0..7 : byte(i, stack(f)) = Critical)\n'
+                     '  cwe: [CWE-999]\n}\n')
+    report = analyze([str(corpus_path("strcpy_rip_vuln"))],
+                     Config(properties_path=str(props)))[0]
+    rip = next(p for p in report.properties if p.name == "RIP Integrity")
+    assert rip.status == "violated" and rip.cwes == ["CWE-999"]
+    bundled = analyze([str(corpus_path("strcpy_rip_vuln"))])[0]
+    assert next(p for p in bundled.properties if p.name == "RIP Integrity").cwes == \
+        ["CWE-121", "CWE-787"]
 
 
 @pytest.mark.parametrize("text", ["# nothing\n", "main:\n"], ids=["comment-only", "header-only"])
@@ -435,6 +516,19 @@ def test_unbound_property_variable_rejected_at_load(tmp_path, capsys):
     assert report.error == "property 'Unbound' uses variable 'g', which no quantifier binds"
 
 
+def test_property_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    props = tmp_path / "latin1.props"
+    props.write_bytes(b"\xff\xfe")
+    code = main(["analyze", str(corpus_path("strcpy_rip_ok")), "--props", str(props)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"stackcheck: --props {props}: 'utf-8' codec can't decode")
+    report = analyze([str(corpus_path("strcpy_rip_ok"))], Config(properties_path=str(props)))[0]
+    assert report.status == "error"
+    assert not report.error.startswith("internal error")
+
+
 @pytest.mark.parametrize("body", ["(" * 300 + "true" + ")" * 300, "!" * 5000 + "true",
                                   "true -> " * 5000 + "true"],
                          ids=["parentheses", "negations", "implications"])
@@ -618,7 +712,8 @@ def test_props_file_extends_and_overrides(tmp_path):
     assert "No Writes At All" in names
     assert names["No Writes At All"].cwes == ["CWE-787"]
     assert names["No gets() Usage"].status == "violated"
-    assert names["No gets() Usage"].cwes == ["CWE-121", "CWE-676", "CWE-787"]
+    # the overriding property's own tags replace the bundled map's
+    assert names["No gets() Usage"].cwes == ["CWE-676"]
 
 
 def test_templates_dir_extends_and_overrides(tmp_path):

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from stackcheck.cli import analyze
-from stackcheck.effects import UnknownLibc, detect_loops, lookup_libc
+from stackcheck.effects import detect_loops, load_libc_db
 from stackcheck.frontend import parse_disassembly, build_bcfg
 from stackcheck.memstace import (Config, MemoryState, apply_effect,
                                  fresh_frame)
@@ -18,7 +18,7 @@ from conftest import corpus_path, fixture_path, pipeline
 
 
 def test_lookup_strcpy():
-    spec = lookup_libc("strcpy")
+    spec = load_libc_db()["strcpy"]
     assert spec.roles == ("dest", "src")
     assert spec.role_register("dest") == "rdi"
     assert spec.role_register("src") == "rsi"
@@ -26,26 +26,24 @@ def test_lookup_strcpy():
 
 
 def test_lookup_gets_unbounded_input():
-    spec = lookup_libc("gets")
+    spec = load_libc_db()["gets"]
     assert spec.roles == ("dest",)
     assert spec.extent == "line_plus_1"
 
 
 def test_lookup_unknown():
-    with pytest.raises(UnknownLibc):
-        lookup_libc("qsort")
+    assert "qsort" not in load_libc_db()
 
 
 def test_lookup_strips_plt_suffix():
-    assert lookup_libc("strcpy@plt").name == "strcpy"
+    call = parse_disassembly("main:\n401000: call 0x401060 <strcpy@plt>\n").instructions[0x401000]
+    assert load_libc_db()[call.callee].name == "strcpy"
 
 
 def test_empty_libc_db_is_used_as_given(tmp_path):
     """A user libc database that lists no function is not replaced by the
     bundled one: `gets` has no spec, so its call is opaque and only the
     call-name property sees it."""
-    with pytest.raises(UnknownLibc):
-        lookup_libc("gets", {})
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
     cfg = Config(libc_db_path=str(empty))
@@ -78,7 +76,7 @@ def test_libc_db_entries_need_only_roles_and_extent(tmp_path):
 
 def test_recover_copy_arguments():
     image, bcfg, _ = pipeline(corpus_path("strcpy_rip_vuln"))
-    spec = lookup_libc("strcpy")
+    spec = load_libc_db()["strcpy"]
     assert dest_in_frame(bcfg, 0x401118, spec)
     # rsi, the source, holds a frame slot's value, not a frame address
     assert not dest_in_frame(bcfg, 0x401118, replace(spec, roles=("src", "dest")))
@@ -96,7 +94,7 @@ main:
 """
     image = parse_disassembly(text)
     bcfg = build_bcfg(image)
-    assert not dest_in_frame(bcfg, 0x40100c, lookup_libc("gets"))
+    assert not dest_in_frame(bcfg, 0x40100c, load_libc_db()["gets"])
 
 
 def test_recover_register_chain():
@@ -112,12 +110,12 @@ main:
 """
     image = parse_disassembly(text)
     bcfg = build_bcfg(image)
-    assert dest_in_frame(bcfg, 0x401010, lookup_libc("gets"))
+    assert dest_in_frame(bcfg, 0x401010, load_libc_db()["gets"])
 
 
 def test_register_defined_in_one_arm_is_unknown():
     image, bcfg, _ = pipeline(fixture_path("arm_defined_reg"))
-    assert not dest_in_frame(bcfg, 0x401120, lookup_libc("gets"))
+    assert not dest_in_frame(bcfg, 0x401120, load_libc_db()["gets"])
 
 
 def test_recovery_walks_unique_predecessor():
@@ -134,7 +132,7 @@ main:
     image = parse_disassembly(text)
     bcfg = build_bcfg(image)
     # the second call's block has a single predecessor holding the lea
-    assert dest_in_frame(bcfg, 0x401010, lookup_libc("gets"))
+    assert dest_in_frame(bcfg, 0x401010, load_libc_db()["gets"])
 
 
 # --- call emulation ----------------------------------------------------------------
@@ -150,7 +148,7 @@ def test_strcpy_overflow_touches_control_and_beyond():
     effect, _ = _call_effect(corpus_path("strcpy_rip_vuln"), 0x401118, root="copy")
     touched = set(effect.touched)
     assert {(0, i) for i in range(32)} <= touched
-    assert effect.clamped
+    assert effect.notes == ["effect of strcpy clamped at the outermost frame"]
     assert effect.dest_size == 16
 
 
@@ -159,7 +157,7 @@ def test_strcpy_in_bounds_touches_length_plus_nul():
     effect, _ = _call_effect(corpus_path("strcpy_rip_ok"), 0x401128)
     touched = sorted(i for d, i in effect.touched if d == 0)
     assert touched == [28, 29, 30, 31]
-    assert not effect.clamped
+    assert effect.notes == []
 
 
 def test_gets_minimal_corrupting_length_is_24():
@@ -372,6 +370,62 @@ def test_loop_fill_255_bytes_with_sufficient_budget():
     assert len(touched) == 255
     assert touched[0] == 17 and touched[-1] == 271
     assert not effect.notes
+
+
+# a fill loop writing 0xa0 bytes into a 0x80-byte buffer: the last 32
+# reach the saved base register and return address
+FILL_160 = """\
+main:
+401000: push rbp
+401004: mov rbp, rsp
+401008: sub rsp, 0x80
+40100c: lea rax, [rbp-0x80]
+401010: mov rcx, 0x0
+401014: mov byte [rax], 0x41
+401018: add rax, 0x1
+40101c: add rcx, 0x1
+401020: cmp rcx, 0xa0
+401024: jne 0x401014
+401028: add rsp, 0x80
+40102c: pop rbp
+401030: ret
+"""
+
+
+def test_loop_cut_short_by_its_budget_is_inconclusive(tmp_path):
+    """The iteration budget stops the fill loop before it writes past the
+    buffer; the partial effect truncates the root instead of reading clean."""
+    path = tmp_path / "fill_160.s"
+    path.write_text(FILL_160)
+    report = analyze([str(path)])[0]
+    assert report.status == "inconclusive" and report.truncated
+    assert "loop at 0x401014: iteration budget (64) exhausted; effect may be partial" \
+        in report.notes
+    report = analyze([str(path)], Config(max_loop_iters=512))[0]
+    assert report.status == "vulnerable"
+    assert not any("iteration budget" in n for n in report.notes)
+
+
+def test_unreached_loop_is_inconclusive(tmp_path):
+    """The root's run takes the branch around the loop, so the loop has no
+    emulated effect: like an unreached call, it makes the root inconclusive."""
+    path = tmp_path / "unreached_loop.s"
+    path.write_text(FILL_160.replace("40100c: lea rax, [rbp-0x80]\n",
+                                     "40100c: cmp rdi, 0x2\n"
+                                     "40100d: jne 0x401028\n"
+                                     "40100e: lea rax, [rbp-0x80]\n"))
+    report = analyze([str(path)])[0]
+    assert report.status == "inconclusive" and report.truncated, report.error
+    assert "loop at 0x401014 not reached from 0x401000" in report.notes
+
+
+@pytest.mark.parametrize("iters", [1, 2, 4])
+def test_small_loop_budget_never_reads_a_vulnerable_listing_clean(corpus_paths,
+                                                                  ground_truth, iters):
+    reports = analyze([str(p) for p in corpus_paths], Config(max_loop_iters=iters))
+    clean = [r.binary for r in reports
+             if ground_truth[r.binary]["vulnerable"] and r.status == "clean"]
+    assert not clean
 
 
 def test_self_call_recursion_finishes_within_timeout(tmp_path):

@@ -74,7 +74,7 @@ GOLDEN = {
     "strcpy_rip_ok":
         "5503e7eea3dc1b9e4cad480db4c738c73bb65ef2cfc1aa59b1b54578c2a389c1",
     "strcpy_rip_vuln":
-        "63c1a88bdf8199a4ab5be6691806ab19f0e5bc97d6a45591ea8b9a908908c507",
+        "b62651ec9eae1b4325266ad5b52d290612cc6b57e267a83ecd71b729c588f37b",
     "strcpy_runtime_ok":
         "a63179e473b96e1ac8514c016f1a0792967a093abcf45a0ec4e51f318c36dd54",
     "strcpy_runtime_vuln":

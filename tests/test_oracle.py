@@ -157,7 +157,7 @@ def test_loop_hand_off_equals_stepping_through_the_loop(tmp_path, monkeypatch):
     def checked(self, machine):
         pc = machine.pc
         loop = self.loop_at(pc)
-        if loop is None or (self.root, pc) in self._loop_cache:
+        if loop is None or (self.root, pc, "loop") in self._effects:
             return arrive(self, machine)
         stops = self._stops - {pc}
         ref = machine.fork()

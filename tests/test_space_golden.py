@@ -83,7 +83,7 @@ GOLDEN_DEFAULT = {
     "strcpy_rip_vuln:copy":
         "75f6f22aee343e65bf0f5c1884de0a04df3db31475e8135021a291e916822031",
     "strcpy_rip_vuln:main":
-        "26c14eb27acf135099a09339d696a7d0ea03f4c1758115de108e2b291a4adcb7",
+        "9cadf36d374e6f8b05eaf1d2ca5c5300d7d15bc7ba1eae0bb8c8bd820033fe33",
     "strcpy_runtime_ok:do_copy":
         "7f576b69c484e9f0ac81474f2caa8429ef8dd15e8ad011dcb83e3959427ed932",
     "strcpy_runtime_ok:main":
@@ -158,7 +158,7 @@ GOLDEN_ATOMIC = {
     "strcpy_rip_vuln:copy":
         "10974f2c300064a45091bc8e697dd1401673911c26c3053f6738e19b6a8382a5",
     "strcpy_rip_vuln:main":
-        "06b72497c65d6e2a3f2184c922af73b6c63dfdb7059b65ae16592904a1667a74",
+        "f71a918f4a44c8f0f937af32bd56dfc6db6d1337750cb9fb3618196700f6e639",
     "strcpy_runtime_ok:do_copy":
         "7609b418a12dcd306ae94602324f121435cb42655cd4428f61055acd4983f3de",
     "strcpy_runtime_ok:main":
