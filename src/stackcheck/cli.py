@@ -1,12 +1,13 @@
 """Pipeline orchestration and the command-line front door.
 
 For every input listing: parse, rebuild the CFG, then build one state
-space per function of the image (descending through user calls; the
-instructions before the first header form a function too), check every
-property on each space, and aggregate per-property verdicts keeping the
-shortest counterexample. Violated properties are traced back to sinks;
-with --patch the sinks are rewritten and with --validate the original
-and patched images are executed on the derived (or random) inputs.
+space per analysis root (descending through user calls, so a callee is
+walked in its callers' context; the instructions before the first header
+form a function too), check every property on each space, and aggregate
+per-property verdicts keeping the shortest counterexample. Violated
+properties are traced back to sinks; with --patch the sinks are
+rewritten and with --validate the original and patched images are
+executed on the derived (or random) inputs.
 
 A binary is classified vulnerable iff at least one property is violated.
 Exit codes: 0 clean, 1 vulnerabilities found, 2 errors.
@@ -26,7 +27,7 @@ from . import MalformedData, checker, ltl, patcher, validator
 from .effects import EffectsOracle, load_buffer_pins, load_libc_db
 from .frontend import (MalformedLine, DuplicateFunction, ProgramImage, build_bcfg,
                        entry_point, parse_disassembly)
-from .memstace import Config, build_memstace, dump_memstace
+from .memstace import Config, MemStaCe, build_memstace, dump_memstace
 from .patcher import NoSinkFound, NoTemplate, load_templates
 
 SCHEMA_VERSION = 1
@@ -147,32 +148,26 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
                 f"call at {last.address:#x} names {sym} but its target {target:#x} is in "
                 f"user function {image.function_of(target)!r}; it descends as a user call")
 
-    roots = sorted(image.functions.items(), key=lambda kv: kv[1])
-    roots = [(n, a) for n, a in roots if not n.startswith("__patch_")]
-    report.roots = [n for n, _ in roots]
-
-    spaces = {}
-    decoded: dict = {}      # instruction records shared by every root's build
-    build_elapsed = 0.0
-    for fn_name, entry in roots:
-        if deadline and time.perf_counter() > deadline:
+    b0 = time.perf_counter()
+    spaces = build_root_spaces(image, oracle, cfg, deadline)
+    build_elapsed = time.perf_counter() - b0
+    report.roots = list(spaces)
+    for fn_name, space in spaces.items():
+        if space is None:
             report.notes.append("timeout during state-space construction")
             report.truncated = True
             break
-        oracle.set_root(entry)
-        b0 = time.perf_counter()
-        space = build_memstace(image, oracle, cfg, entry, deadline=deadline,
-                               decoded=decoded)
-        build_elapsed += time.perf_counter() - b0
-        spaces[fn_name] = space
         report.notes.extend(space.notes)
         report.truncated = report.truncated or space.truncated
         if export_memstace:
             dump_memstace(space, f"{export_memstace}.{fn_name}")
-        body = image.function_body(fn_name)
-        if body and not any(i.mnemonic == "push" for i in body[:4]):
-            report.notes.append(f"function {fn_name!r} lacks a standard prologue; "
-                                "base-register checks are vacuous there")
+        # every function the root walks: the root and the callees it enters
+        walked = [fn_name] + [lbl.name for _, lbl, _ in space.transitions if lbl.kind == "call"]
+        for fn in dict.fromkeys(walked):
+            body = image.function_body(fn) if fn in image.functions else None
+            if body and not any(i.mnemonic == "push" for i in body[:4]):
+                report.notes.append(f"function {fn!r} lacks a standard prologue; "
+                                    "base-register checks are vacuous there")
 
     # one BFS per root for all properties; the deadline is checked between
     # roots and inside each search, and a root left unchecked (or unbuilt,
@@ -181,8 +176,7 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
     v0 = time.perf_counter()
     per_root: dict[str, list[checker.Verdict]] = {}
     unchecked = None
-    for fn_name, _ in roots:
-        space = spaces.get(fn_name)
+    for fn_name, space in spaces.items():
         if space is None or (deadline and time.perf_counter() > deadline):
             unchecked = fn_name
             break
@@ -276,6 +270,31 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
         "total_s": round(time.perf_counter() - t0, 6),
     }
     return report
+
+
+def build_root_spaces(image: ProgramImage, oracle: EffectsOracle, cfg: Config,
+                      deadline: float | None = None) -> dict[str, MemStaCe | None]:
+    """{root: state space}, in the order the roots are analysed: functions
+    no call targets, then the rest, each in entry order, never a
+    `__patch_*` trampoline. A function is a root unless an earlier root's
+    complete (not truncated) space has a call edge into it. A root the
+    deadline stops before its build maps to None and ends the dict."""
+    called = {ins.target() for ins in image.instructions.values() if ins.mnemonic == "call"}
+    spaces: dict[str, MemStaCe | None] = {}
+    entered: set[str] = set()
+    decoded: dict = {}      # instruction records shared by every root's build
+    for _, entry, fn in sorted((e in called, e, fn) for fn, e in image.functions.items()):
+        if fn in entered or fn.startswith("__patch_"):
+            continue
+        if deadline and time.perf_counter() > deadline:
+            spaces[fn] = None
+            break
+        oracle.set_root(entry)
+        space = spaces[fn] = build_memstace(image, oracle, cfg, entry, deadline=deadline,
+                                            decoded=decoded)
+        if not space.truncated:
+            entered.update(lbl.name for _, lbl, _ in space.transitions if lbl.kind == "call")
+    return spaces
 
 
 def _patch_and_validate(report: Report, image: ProgramImage,

@@ -22,10 +22,10 @@ symbol it names (`Instruction.callee`), and its arguments are read from
 the machine standing at the call. Touched bytes are (frame depth, byte
 index) pairs, each in the shadow frame whose top is the lowest at or
 above its address, so no index is negative. Calls that read stdin/argv
-record the smallest input reaching a saved return address or canary, for
-patch validation: it writes the input plus its terminator, so its length
-is the distance from the destination to the first protected byte at or
-above it (at least 1), in closed form over each frame's 8-byte slots.
+record the smallest input that changes a saved return address or canary
+byte, for patch validation, in closed form over each frame's 8-byte
+slots: it writes the input plus its terminator, and a terminator landing
+on a byte already 0x00 changes nothing.
 The oracle also owns the analysis's buffer-size rule. A user libc
 database is checked at load: roles from ROLES, a rule from EXTENTS.
 """
@@ -269,10 +269,14 @@ def _input_payload(machine: Machine, dest: int, max_len: int):
     the first protected byte at or above dest fixes the minimum: over the
     8-byte saved return-address and canary slots of every shadow frame,
     a slot at lo holds one when lo + 7 >= dest, and its first is max(lo, dest).
+    A terminator landing on a byte already 0x00 there changes nothing, so
+    the input is then one byte longer.
     """
     above = [max(lo, dest) for f in machine.shadow for lo in (f.ret_loc, f.canary_loc)
              if lo is not None and lo + 7 >= dest]
-    minimal = max(min(above) - dest, 1) if above else None
+    first = min(above, default=None)
+    minimal = None if first is None else max(first - dest, 1) + (
+        first > dest and machine.rd_mem(first, 1) == b"\0")
     if minimal is None or minimal > max_len:
         return b"A" * max_len + (b"\0" if max_len else b""), dest, None
     return b"A" * minimal + b"\0", dest, b"A" * minimal + b"\n"

@@ -66,7 +66,11 @@ def load_templates(path: str | None = None) -> list[PatchTemplate]:
         p = Path(path)
         files = sorted(p.glob("*.json")) if p.is_dir() else [p]
         for f in files:
-            for t in _parse_templates(f.read_bytes()):
+            try:
+                templates = _parse_templates(f.read_bytes())
+            except MalformedData as exc:
+                raise exc if f == p else MalformedData(f"{f.name}: {exc}")
+            for t in templates:
                 by_name[t.name] = t
     return list(by_name.values())
 

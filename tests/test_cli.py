@@ -377,6 +377,79 @@ def test_headerless_prefix_before_main_is_its_own_root():
     assert report.patched_image.emit().startswith("401000: push rbp\n")
 
 
+_CALLS_LEAF = """\
+leaf:
+401100: push rbp
+401104: mov rbp, rsp
+401108: pop rbp
+40110c: ret
+main:
+401120: push rbp
+401124: mov rbp, rsp
+401128: sub rsp, 0x10
+40112c: mov qword [rbp-0x8], 0x1
+401130: call 0x401100 <leaf>
+401134: add rsp, 0x10
+401138: pop rbp
+40113c: ret
+"""
+
+
+def test_callee_is_walked_only_in_its_callers_context():
+    """A function that a root's complete walk enters is not a root itself."""
+    report = analyze_image(parse_disassembly(_CALLS_LEAF), "calls_leaf", Config())
+    assert report.roots == ["main"]
+    assert report.status == "clean"
+
+
+def test_callee_of_a_truncated_walk_stays_a_root():
+    """main's walk runs out of states before its call, so leaf is analysed
+    on its own, after main."""
+    report = analyze_image(parse_disassembly(_CALLS_LEAF), "calls_leaf",
+                           Config(max_states=3))
+    assert report.roots == ["main", "leaf"]
+    assert report.truncated
+
+
+def test_callee_beyond_the_call_depth_stays_a_root():
+    """g0 calls g1, which calls g2, and so on: the walk from g0 skips the
+    call into the last function, so that function is a root of its own."""
+    lines = []
+    for k in range(memstace.CALL_DEPTH + 2):
+        base = 0x401000 + 0x20 * k
+        lines += [f"g{k}:", f"{base:x}: push rbp", f"{base + 4:x}: mov rbp, rsp"]
+        if k <= memstace.CALL_DEPTH:
+            lines.append(f"{base + 8:x}: call {base + 0x20:#x} <g{k + 1}>")
+        lines += [f"{base + 0xc:x}: pop rbp", f"{base + 0x10:x}: ret"]
+    report = analyze_image(parse_disassembly("\n".join(lines) + "\n"), "deep", Config())
+    assert report.roots == ["g0", f"g{memstace.CALL_DEPTH + 1}"]
+    assert f"call depth limit at {0x401008 + 0x20 * memstace.CALL_DEPTH:#x}; call skipped" \
+        in report.notes
+
+
+def test_self_recursive_function_nothing_calls_stays_a_root():
+    """rec calls only itself, so no walk from an uncalled function enters
+    it; it is a root after main, although it comes first in the listing."""
+    text = """\
+rec:
+401100: push rbp
+401104: mov rbp, rsp
+401108: cmp rdi, 0x0
+40110c: jne 0x401114
+401110: call 0x401100 <rec>
+401114: pop rbp
+401118: ret
+main:
+401120: push rbp
+401124: mov rbp, rsp
+401128: pop rbp
+40112c: ret
+"""
+    report = analyze_image(parse_disassembly(text), "rec", Config())
+    assert report.roots == ["main", "rec"]
+    assert report.status == "clean"
+
+
 def test_timeout_marks_remaining_inconclusive():
     image = load_image(corpus_path("strcpy_rip_vuln"))
     report = analyze_image(image, "strcpy_rip_vuln", Config(timeout=1e-9))
@@ -572,20 +645,21 @@ main:
 
 
 def test_timeout_between_roots_keeps_found_violations(monkeypatch):
-    """Checking the first root (copy) outlasts the deadline: the violations
+    """Checking the first root (main) outlasts the deadline: the violations
     found there stand, and every other property is inconclusive with a note
-    naming the unchecked root (main)."""
+    naming the unchecked root (copy), which stays a root because main's
+    walk is truncated."""
     clock = _Clock()
     monkeypatch.setattr(cli, "time", clock)
     _slow(monkeypatch, clock, checker, "check", 5.0)
     image = load_image(corpus_path("strcpy_rip_vuln"))
     report = analyze_image(image, "strcpy_rip_vuln", Config(timeout=1))
-    assert report.roots == ["copy", "main"]
+    assert report.roots == ["main", "copy"]
     statuses = {p.name: p.status for p in report.properties}
     assert statuses["RIP Integrity"] == "violated"
     assert "inconclusive" in statuses.values()
     for name, status in statuses.items():
-        note = f"timeout before checking {name!r} on root 'main'"
+        note = f"timeout before checking {name!r} on root 'copy'"
         assert (note in report.notes) == (status == "inconclusive"), name
     assert report.status == "vulnerable"
 
@@ -714,6 +788,18 @@ def test_props_file_extends_and_overrides(tmp_path):
     assert names["No gets() Usage"].status == "violated"
     # the overriding property's own tags replace the bundled map's
     assert names["No gets() Usage"].cwes == ["CWE-676"]
+
+
+def test_malformed_file_in_templates_dir_is_named(tmp_path, capsys):
+    tdir = tmp_path / "templates"
+    tdir.mkdir()
+    (tdir / "a.json").write_text("[]")
+    (tdir / "b.json").write_text(json.dumps([{"name": "x"}]))
+    code = main(["analyze", str(tmp_path / "missing.s"), "--templates", str(tdir)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == (f"stackcheck: --templates {tdir}: b.json: template 'x': target, mode, "
+                   "replacement missing or not a string\n")
 
 
 def test_templates_dir_extends_and_overrides(tmp_path):

@@ -7,8 +7,9 @@ from dataclasses import replace
 
 import pytest
 
+from stackcheck import validator
 from stackcheck.cli import analyze
-from stackcheck.effects import detect_loops, load_libc_db
+from stackcheck.effects import EffectsOracle, detect_loops, load_libc_db
 from stackcheck.frontend import parse_disassembly, build_bcfg
 from stackcheck.memstace import (Config, MemoryState, apply_effect,
                                  fresh_frame)
@@ -183,6 +184,41 @@ def test_gets_monotone_corruption():
 def test_extract_input_gets():
     effect, _ = _call_effect(corpus_path("gets_rip_vuln"), 0x401114)
     assert effect.concrete_input == b"A" * 24 + b"\n"
+
+
+_GETS_LEAF_RETURNS_TO_00 = """\
+leaf:
+401100: push rbp
+401104: mov rbp, rsp
+401108: sub rsp, 0x30
+40110c: lea rdi, [rbp-0x30]
+401110: call 0x401060 <gets@plt>
+401114: add rsp, 0x30
+401118: pop rbp
+40111c: ret
+main:
+4011f0: endbr64
+4011f4: push rbp
+4011f8: mov rbp, rsp
+4011fc: call 0x401100 <leaf>
+401200: pop rbp
+401204: ret
+"""
+
+
+def test_gets_crash_input_changes_a_zero_return_address_byte():
+    """leaf returns to 0x401200, so the low byte of its saved return address
+    is already 0x00: a terminator landing there changes nothing, and the
+    crashing input needs one byte more to reach the return address."""
+    cfg = Config()
+    image = parse_disassembly(_GETS_LEAF_RETURNS_TO_00)
+    oracle = EffectsOracle(image, build_bcfg(image), cfg)
+    oracle.set_root(image.functions["main"])
+    effect = oracle.call_effect(0x401110)
+    assert effect.concrete_input == b"A" * 57 + b"\n"
+    assert any((0, i) in effect.touched for i in range(8))
+    outcome = validator.run(image, effect.concrete_input, cfg)
+    assert (outcome.status, outcome.cause) == ("crash", "return-address-corrupted")
 
 
 def test_extract_input_none_for_strcpy():

@@ -46,7 +46,7 @@ GOLDEN = {
     "nested_loops":
         "7d75dfae1b6969cadd01849f70ac6d75362114c064fbebfcc4f4dff935663af8",
     "no_prologue":
-        "33544e42d9e5351e50d64efa9c400bdaae8427ce5496b92a1548bbeec7b623d4",
+        "d4044690302f021c49bf216ffd6027f66c5e489a2e2ac6374209eb62791ce6b0",
     "scanf_vuln":
         "20eca46f879fb872e57b8998570b582a853101fa686d9d0396c2b5e6d2785795",
     "sprintf_rbp_ok":
@@ -74,11 +74,11 @@ GOLDEN = {
     "strcpy_rip_ok":
         "5503e7eea3dc1b9e4cad480db4c738c73bb65ef2cfc1aa59b1b54578c2a389c1",
     "strcpy_rip_vuln":
-        "b62651ec9eae1b4325266ad5b52d290612cc6b57e267a83ecd71b729c588f37b",
+        "41f037c4026e0ceda85f42c477fed55804aa96bb777fcaa22d78f264be677690",
     "strcpy_runtime_ok":
-        "a63179e473b96e1ac8514c016f1a0792967a093abcf45a0ec4e51f318c36dd54",
+        "29aa169929e9308bd73250cdd5c54526cfdf3e3893e4c1fb9084e54280b6f184",
     "strcpy_runtime_vuln":
-        "f69c84d6ab8ee0003e29d41694ac2cbd6b96e2e719bf21ab945f416bf1ed2df0",
+        "31556d6463fe1de4bf64327fa0b974498cf07f485cb27091777758ee7fe3a303",
     "two_sinks":
         "32114d29a6e02e5ccece8ad12cc14905da6ccee31b2521ab5ba3f28c01405afb",
 }

@@ -2,8 +2,8 @@
 
 Each digest is the sha256 of one root's `memstace_to_json(space)` plus
 `space.notes` (serialized together with sorted keys), built as
-`analyze_image` builds it: one effects oracle per listing, roots in entry
-order. Report digests see states only through traces; these also pin
+`analyze_image` builds it: one effects oracle per listing, and the roots
+and spaces of `build_root_spaces`. Report digests see states only through traces; these also pin
 state ids, edge order, labels and notes. One table per configuration:
 the default, and one transition per written byte (`atomic_writes`).
 Regenerate a digest only when a state space is meant to change, and say
@@ -17,7 +17,8 @@ import json
 
 import pytest
 
-from stackcheck.memstace import Config, build_memstace, memstace_to_json
+from stackcheck.cli import build_root_spaces
+from stackcheck.memstace import Config, memstace_to_json
 
 from conftest import CORPUS_DIR, FIXTURE_DIR, pipeline
 
@@ -50,8 +51,6 @@ GOLDEN_DEFAULT = {
         "fc067952e3780883c5e82294f3dfe5fa3af78bffaf46272917b09cd5bcd10ecc",
     "nested_loops:main":
         "79928c40bf0bac92645f559e70dfc568302968f29bd09e617f0d8b0e7c838f6f",
-    "no_prologue:leaf":
-        "659cc7d68b9e8bd468793a9705436e655c2f2ddb37ccee8927d2acc352e29670",
     "no_prologue:main":
         "fa487ed2b9bf8f2969ea9c4ae126eb26895f06513080f3bb970835818170189f",
     "scanf_vuln:main":
@@ -84,12 +83,8 @@ GOLDEN_DEFAULT = {
         "75f6f22aee343e65bf0f5c1884de0a04df3db31475e8135021a291e916822031",
     "strcpy_rip_vuln:main":
         "9cadf36d374e6f8b05eaf1d2ca5c5300d7d15bc7ba1eae0bb8c8bd820033fe33",
-    "strcpy_runtime_ok:do_copy":
-        "7f576b69c484e9f0ac81474f2caa8429ef8dd15e8ad011dcb83e3959427ed932",
     "strcpy_runtime_ok:main":
         "cab0d75029b776bceae7be9297c1a4c4d4e3f23d46dabd83a88108c8e7e4278f",
-    "strcpy_runtime_vuln:do_copy":
-        "7f576b69c484e9f0ac81474f2caa8429ef8dd15e8ad011dcb83e3959427ed932",
     "strcpy_runtime_vuln:main":
         "f3aec37f9d2e4e5733ea40b37f34525e073792ffa10569050badd64fb623bb7a",
     "two_sinks:main":
@@ -125,8 +120,6 @@ GOLDEN_ATOMIC = {
         "fc067952e3780883c5e82294f3dfe5fa3af78bffaf46272917b09cd5bcd10ecc",
     "nested_loops:main":
         "79928c40bf0bac92645f559e70dfc568302968f29bd09e617f0d8b0e7c838f6f",
-    "no_prologue:leaf":
-        "659cc7d68b9e8bd468793a9705436e655c2f2ddb37ccee8927d2acc352e29670",
     "no_prologue:main":
         "fa487ed2b9bf8f2969ea9c4ae126eb26895f06513080f3bb970835818170189f",
     "scanf_vuln:main":
@@ -159,12 +152,8 @@ GOLDEN_ATOMIC = {
         "10974f2c300064a45091bc8e697dd1401673911c26c3053f6738e19b6a8382a5",
     "strcpy_rip_vuln:main":
         "f71a918f4a44c8f0f937af32bd56dfc6db6d1337750cb9fb3618196700f6e639",
-    "strcpy_runtime_ok:do_copy":
-        "7609b418a12dcd306ae94602324f121435cb42655cd4428f61055acd4983f3de",
     "strcpy_runtime_ok:main":
         "f4c3c9fd83325ddec4ca4e60b254fba92e94cfa678969a95317fd3f6f1913769",
-    "strcpy_runtime_vuln:do_copy":
-        "7609b418a12dcd306ae94602324f121435cb42655cd4428f61055acd4983f3de",
     "strcpy_runtime_vuln:main":
         "c97fa2f8f49af7e668d7c6b6ca1b89c9b4dcb33b45693070950de286161197aa",
     "two_sinks:main":
@@ -176,9 +165,7 @@ def _digests(cfg: Config) -> dict[str, str]:
     out = {}
     for path in sorted(CORPUS_DIR.glob("*.s")) + sorted(FIXTURE_DIR.glob("*.s")):
         image, bcfg, oracle = pipeline(path, cfg)
-        for fn, entry in sorted(image.functions.items(), key=lambda kv: kv[1]):
-            oracle.set_root(entry)
-            space = build_memstace(image, oracle, cfg, entry)
+        for fn, space in build_root_spaces(image, oracle, cfg).items():
             doc = {"space": memstace_to_json(space), "notes": space.notes}
             out[f"{path.stem}:{fn}"] = hashlib.sha256(
                 json.dumps(doc, sort_keys=True).encode()).hexdigest()
