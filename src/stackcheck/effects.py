@@ -455,7 +455,7 @@ class EffectsOracle:
     fixes the opaque effect of every site it did not reach.
 
     It also owns the buffer-size rule (`buffer_size`), memoized for the
-    analysis.
+    analysis, and scans each function's object boundaries once.
     """
 
     def __init__(self, image: ProgramImage, bcfg: BCfg, cfg: Config):
@@ -465,6 +465,7 @@ class EffectsOracle:
         self.libc_db = load_libc_db(cfg.libc_db_path)
         self.buffer_pins = load_buffer_pins(cfg.buffers_path)
         self._buffer_sizes: dict[tuple[str, int, bool], int] = {}
+        self._boundaries: dict[str, set[int]] = {}    # fn -> its object start offsets
         # the analysis root emulations start from; callers set it per root
         self.root = image.order[0] if image.order else None
         self.loops = detect_loops(bcfg, image)
@@ -493,9 +494,12 @@ class EffectsOracle:
         pin, else the gap to the next object the function addresses."""
         key = (fn, offset, has_canary)
         if key not in self._buffer_sizes:
-            pinned = self.buffer_pins.get(fn, {}).get(offset)
-            self._buffer_sizes[key] = pinned if pinned is not None else infer_buffer_size(
-                offset, scan_object_boundaries(self.image.function_body(fn)), has_canary)
+            size = self.buffer_pins.get(fn, {}).get(offset)
+            if size is None:
+                if fn not in self._boundaries:
+                    self._boundaries[fn] = scan_object_boundaries(self.image.function_body(fn))
+                size = infer_buffer_size(offset, self._boundaries[fn], has_canary)
+            self._buffer_sizes[key] = size
         return self._buffer_sizes[key]
 
     def spec(self, site: int) -> LibcSpec | None:

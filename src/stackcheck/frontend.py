@@ -15,7 +15,14 @@ line and so is never emitted.
 Operands: registers (``rax`` .. ``r15`` in all widths), immediates
 (``0x2a`` or decimal), memory (``[rbp-0x10]``, ``[rax]``, optional
 ``byte|word|dword|qword`` width prefix), segment reads (``fs:0x28``)
-and call/jump targets (``call 0x401030 <strcpy@plt>``).
+and call/jump targets (``call 0x401030 <strcpy@plt>``). The patcher's
+``safecall <template> <0xbound|rt>`` names one of SAFECALLS.
+
+Operand text is parsed once per listing: each distinct (mnemonic,
+operand text) pair is parsed and arity-checked at its first line, and
+every later line with the same pair shares that operand tuple. The memo
+lives for one `parse_disassembly` call only, and a text that raises is
+never stored, so each malformed line reports its own line number.
 """
 
 from __future__ import annotations
@@ -45,6 +52,11 @@ KNOWN_MNEMONICS = {
 JCC = {"je", "jne", "jl", "jle", "jg", "jge", "jb", "jbe", "ja", "jae", "js", "jns"}
 CMOV = {"cmove", "cmovne", "cmovl", "cmovle", "cmovg", "cmovge", "cmovz", "cmovnz"}
 KNOWN_MNEMONICS |= JCC | CMOV
+
+# the bounded replacements a `safecall` line may name, each one the
+# interpreter implements and a patch template may choose
+SAFECALLS = ("bounded_copy", "bounded_append", "bounded_format", "bounded_readline",
+             "bounded_scan")
 
 # the stack canary is read from this offset in the fs segment
 CANARY_FS_OFFSET = 0x28
@@ -185,6 +197,7 @@ _LINE_RE = re.compile(r"^([0-9a-f]+):\s+(\S+)(?:\s+(.*))?$")
 _MEM_RE = re.compile(r"^\[([a-z0-9]+)(?:(\+|-)0x([0-9a-f]+))?\]$")
 _SEG_RE = re.compile(r"^fs:0x([0-9a-f]+)$")
 _CALL_RE = re.compile(r"^0x([0-9a-f]+)(?:\s+<([\w.$@]+)>)?$")
+_BOUND_RE = re.compile(r"^(?:0x)?[0-9a-f]+$")
 
 
 def _parse_operand(text: str, lineno: int, raw: str) -> Operand:
@@ -235,14 +248,14 @@ def parse_disassembly(text: str) -> ProgramImage:
     warning; structurally bad lines raise MalformedLine.
     """
     image = ProgramImage()
+    parsed: dict[tuple[str, str], tuple[Operand, ...]] = {}    # (mnemonic, text) -> operands
     current_function = None
     last_addr_in_function = -1
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].rstrip()
-        stripped = line.strip()
+        stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        m = _HEADER_RE.match(stripped)
+        m = _HEADER_RE.match(stripped) if stripped[-1] == ":" else None
         if m:
             name = m.group(1)
             if name in image.function_headers:
@@ -254,9 +267,9 @@ def parse_disassembly(text: str) -> ProgramImage:
         m = _LINE_RE.match(stripped)
         if not m:
             raise MalformedLine(lineno, stripped, "not a header or instruction line")
-        addr = int(m.group(1), 16)
-        mnemonic = m.group(2).lower()
-        rest = m.group(3) or ""
+        addr_text, mnemonic, rest = m.groups("")
+        addr = int(addr_text, 16)
+        mnemonic = mnemonic.lower()
         if addr in image.instructions:
             raise MalformedLine(lineno, stripped, f"duplicate address {addr:#x}")
         if last_addr_in_function >= 0 and addr <= last_addr_in_function:
@@ -266,23 +279,12 @@ def parse_disassembly(text: str) -> ProgramImage:
         if mnemonic not in KNOWN_MNEMONICS:
             image.warnings.append(
                 f"line {lineno}: unknown mnemonic {mnemonic!r} at {addr:#x}, treated as no-effect")
-            ins = Instruction(addr, mnemonic, (), stripped)
-        elif mnemonic in ("call", "jmp") or mnemonic in JCC:
-            ins = Instruction(addr, mnemonic, (_parse_target(rest, lineno, stripped),), stripped)
-        elif mnemonic == "safecall":
-            # safecall <template> <0xbound|rt>; emitted by the patcher
-            parts = rest.split()
-            if len(parts) != 2:
-                raise MalformedLine(lineno, stripped, "safecall takes template and bound")
-            bound = None if parts[1] == "rt" else int(parts[1], 16)
-            ops = (Operand(kind=IMM, value=bound, symbol=parts[0]),)
-            ins = Instruction(addr, mnemonic, ops, stripped)
+            ops = ()
         else:
-            ops = tuple(_parse_operand(p, lineno, stripped) for p in _split_operands(rest)) if rest else ()
-            _check_arity(mnemonic, ops, lineno, stripped)
-            ins = Instruction(addr, mnemonic, ops, stripped)
-
-        image.instructions[addr] = ins
+            ops = parsed.get((mnemonic, rest))
+            if ops is None:
+                ops = parsed[mnemonic, rest] = _parse_operands(mnemonic, rest, lineno, stripped)
+        image.instructions[addr] = Instruction(addr, mnemonic, ops, stripped)
         image.order.append(addr)
         if current_function is not None and image.function_headers[current_function] == -1:
             image.function_headers[current_function] = addr
@@ -293,6 +295,33 @@ def parse_disassembly(text: str) -> ProgramImage:
                                 "and the instructions before the first header")
     image.index()
     return image
+
+
+def _parse_operands(mnemonic: str, rest: str, lineno: int, raw: str) -> tuple[Operand, ...]:
+    """The operand tuple of a known mnemonic, arity-checked; errors name
+    `lineno` and `raw`, the line being parsed."""
+    if mnemonic in ("call", "jmp") or mnemonic in JCC:
+        return (_parse_target(rest, lineno, raw),)
+    if mnemonic == "safecall":
+        return (_parse_safecall(rest, lineno, raw),)
+    ops = tuple(_parse_operand(p, lineno, raw) for p in _split_operands(rest)) if rest else ()
+    _check_arity(mnemonic, ops, lineno, raw)
+    return ops
+
+
+def _parse_safecall(rest: str, lineno: int, raw: str) -> Operand:
+    # safecall <template> <0xbound|rt>; emitted by the patcher
+    parts = rest.split()
+    if len(parts) != 2:
+        raise MalformedLine(lineno, raw, "safecall takes template and bound")
+    template, bound = parts
+    if template not in SAFECALLS:
+        raise MalformedLine(lineno, raw, f"unknown safecall template {template!r}")
+    if bound == "rt":
+        return Operand(kind=IMM, value=None, symbol=template)
+    if not _BOUND_RE.match(bound):
+        raise MalformedLine(lineno, raw, f"bad safecall bound {bound!r}")
+    return Operand(kind=IMM, value=int(bound, 16), symbol=template)
 
 
 def _split_operands(rest: str) -> list[str]:

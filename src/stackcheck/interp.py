@@ -647,11 +647,9 @@ class Machine:
 
     # --- safecall: bounded replacement semantics ----------------------------
 
-    # the semantics _do_safecall implements; a template may name only these
-    SAFECALLS = ("bounded_copy", "bounded_append", "bounded_format", "bounded_readline",
-                 "bounded_scan")
-
     def _do_safecall(self, ins: Instruction, nxt: int | None) -> int | None:
+        # one branch per name in frontend.SAFECALLS, the only templates the
+        # parser and the template loader admit
         op = ins.operands[0]
         template = op.symbol
         dest = self.regs["rdi"]
@@ -692,7 +690,7 @@ class Machine:
                 return nxt
             self.wr_mem(dest, token + b"\0")
             self.regs["rax"] = 1
-        return nxt                  # an unknown template is a no-op
+        return nxt
 
     def _runtime_bound(self, dest: int) -> int:
         floors = [f.protected_floor() for f in self.shadow if f.protected_floor() > dest]

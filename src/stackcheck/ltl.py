@@ -22,10 +22,9 @@ and records a vacuity note.
 function and compiles it once: one `for` loop per quantifier, bound
 variables as locals, and an index-range conjunction of a single byte atom,
 such as the one above, as one slice compare over the frame's letters.
-`Monitor.step` calls that function, and `eval_body` is a thin entry
-point into it. A body nested deeper than Python compiles (more than
-20 quantifiers and ranges inside one another), or more than MAX_NESTING
-levels deep in all, is an unsupported fragment.
+`Monitor.step` calls that function. A body nested deeper than Python
+compiles (more than 20 quantifiers and ranges inside one another), or
+more than MAX_NESTING levels deep in all, is an unsupported fragment.
 """
 
 from __future__ import annotations
@@ -491,12 +490,6 @@ class EvalContext:
 
 
 Pred = Callable[[MemoryState, list, EvalContext], bool]
-
-
-def eval_body(node, state: MemoryState, env: dict, ctx: EvalContext) -> bool:
-    """Evaluate `node` with `env` (variable name -> frame, buffer or index)
-    bound, through the node's compiled form."""
-    return compile_body(node, tuple(env))(state, list(env.values()), ctx)
 
 
 @lru_cache(maxsize=256)

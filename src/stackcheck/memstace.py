@@ -24,9 +24,11 @@ to a new one, and the builder wraps it with its label into the one
 `MemoryState` it interns, so each state is constructed once. Each
 instruction is decoded once per analysis, at its first visit, into a
 record that every root's build shares: owning function, successor, loop,
-dispatch kind, memory operator and prebuilt transition label. Whether a
-base-register push is the prologue push depends on the frame it meets,
-so apply_memory_operator decides that, not the decoder.
+dispatch kind, jump or call target, memory operator and prebuilt
+transition label; the operators without operands are shared constants
+(MemOp is frozen). Whether a base-register push is the prologue push
+depends on the frame it meets, so apply_memory_operator decides that,
+not the decoder.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from enum import Enum
 from itertools import groupby
 from typing import NamedTuple
 
-from .frontend import CANARY_FS_OFFSET, CMOV, IMM, MEM, REG, Instruction, ProgramImage
+from .frontend import CANARY_FS_OFFSET, CMOV, IMM, JCC, MEM, REG, Instruction, ProgramImage
 
 RBP_RANGE = range(8, 16)
 CALL_DEPTH = 16             # user calls deeper than this are skipped with a note
@@ -163,10 +165,6 @@ def Push(byte_op: ByteOp) -> MemOp:
     return MemOp("push", byte_op=byte_op)
 
 
-def Pop() -> MemOp:
-    return MemOp("pop")
-
-
 def Write(byte_op: ByteOp, base: str, disp: int, width: int, canary: bool = False) -> MemOp:
     return MemOp("write", byte_op=byte_op, base=base, disp=disp, width=width, canary=canary)
 
@@ -175,16 +173,14 @@ def Fe(amount: int) -> MemOp:
     return MemOp("fe", amount=amount)
 
 
-def Fa() -> MemOp:
-    return MemOp("fa")
-
-
 def Shrink(amount: int) -> MemOp:
     return MemOp("shrink", amount=amount)
 
 
-def NoEffect() -> MemOp:
-    return MemOp("no-effect")
+# the operators that carry no operand; MemOp is frozen, so one of each serves
+POP = MemOp("pop")
+FA = MemOp("fa")
+NO_EFFECT = MemOp("no-effect")
 
 
 def classify_instruction(ins: Instruction, canary_store_sites: set[int]) -> MemOp:
@@ -199,18 +195,18 @@ def classify_instruction(ins: Instruction, canary_store_sites: set[int]) -> MemO
     """
     m = ins.mnemonic
     if m == "endbr64":
-        return Fa()
+        return FA
     if m == "push":
         op = ins.operands[0]
         risky = op.kind == REG and op.reg == "rbp"
         return Push(ByteOp.RWRITE if risky else ByteOp.NRWRITE)
     if m == "pop":
-        return Pop()
+        return POP
     if m == "sub":
         dst, src = ins.operands
         if dst.kind == REG and dst.reg == "rsp" and src.kind == IMM:
             return Fe(src.value)
-        return NoEffect()
+        return NO_EFFECT
     if m == "add":
         dst, src = ins.operands
         if dst.kind == REG and dst.reg == "rsp" and src.kind == IMM:
@@ -218,14 +214,14 @@ def classify_instruction(ins: Instruction, canary_store_sites: set[int]) -> MemO
             return Shrink(src.value)
         if dst.is_frame_relative():
             return Write(ByteOp.NRWRITE, dst.base, dst.disp, _write_width(ins, dst))
-        return NoEffect()
+        return NO_EFFECT
     if m in ("mov", "xchg") or m in CMOV:
         dst = ins.operands[0]
         if dst.is_frame_relative():
             risky = ins.address in canary_store_sites
             return Write(ByteOp.RWRITE if risky else ByteOp.NRWRITE,
                          dst.base, dst.disp, _write_width(ins, dst), canary=risky)
-    return NoEffect()
+    return NO_EFFECT
 
 
 def _write_width(ins: Instruction, dst) -> int:
@@ -475,37 +471,42 @@ class _SpaceBuilder:
         fn = image.function_of(pc)
         nxt = image.next_in_function(pc)
         loop = self.effects.loop_at(pc)
-        m, target = ins.mnemonic, ins.target()
-
-        def record(kind: str, **facts) -> _Decoded:
-            return _Decoded(ins, fn, nxt, loop, kind, target, **facts)
+        m = ins.mnemonic
         if m == "ret":
-            return record("ret", label=TransitionLabel("pop", pc, text=ins.text))
-        if m == "jmp" or ins.is_conditional:
-            return record("jcc" if ins.is_conditional else "jmp")
+            return _Decoded(ins, fn, nxt, loop, "ret", None,
+                            TransitionLabel("pop", pc, text=ins.text))
+        if m == "jmp":
+            return _Decoded(ins, fn, nxt, loop, "jmp", ins.operands[0].value)
+        if m in JCC:
+            return _Decoded(ins, fn, nxt, loop, "jcc", ins.operands[0].value)
         if m == "lea":
             src = ins.operands[1]
             if not (src.kind == MEM and src.base == "rbp" and src.disp < 0):
-                return record("no-effect")
-            return record("lea", label=TransitionLabel("buffer-register", pc, text=ins.text))
+                return _Decoded(ins, fn, nxt, loop, "no-effect")
+            return _Decoded(ins, fn, nxt, loop, "lea", None,
+                            TransitionLabel("buffer-register", pc, text=ins.text))
         if m == "call":
-            name = ins.target_symbol() or f"sub_{target:x}"
-            if target not in image.instructions:
+            target = ins.operands[0]
+            name = target.symbol or f"sub_{target.value:x}"
+            if target.value not in image.instructions:
                 name = name.removesuffix("@plt")
-            elif image.functions[image.function_of(target)] == target:
-                name = image.function_of(target)    # a call to a function's entry
-            return record("call", label=TransitionLabel("call", pc, name=name, text=ins.text))
+            elif image.functions[image.function_of(target.value)] == target.value:
+                name = image.function_of(target.value)    # a call to a function's entry
+            return _Decoded(ins, fn, nxt, loop, "call", target.value,
+                            TransitionLabel("call", pc, name=name, text=ins.text))
         op = classify_instruction(ins, self.canary_sites(fn))
-        if op.kind in ("no-effect", "fa"):
-            return record(op.kind, label=TransitionLabel("fa", pc, text=ins.text)
-                          if op.kind == "fa" else None)
+        if op.kind == "no-effect":
+            return _Decoded(ins, fn, nxt, loop, "no-effect")
+        if op.kind == "fa":
+            return _Decoded(ins, fn, nxt, loop, "fa", None,
+                            TransitionLabel("fa", pc, text=ins.text))
         label = TransitionLabel("fe" if op.kind == "shrink" else op.kind, pc, text=ins.text)
         steps = ((op, label),)
         if op.kind == "write" and self.cfg.atomic_writes and op.width > 1:
             steps = tuple((replace(op, width=1, disp=op.disp + k),
                            TransitionLabel("write", pc, text=f"{label.text} [byte {k}]"))
                           for k in range(op.width))
-        return record("direct", steps=steps)
+        return _Decoded(ins, fn, nxt, loop, "direct", steps=steps)
 
     # the DFS itself
 

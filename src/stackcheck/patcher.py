@@ -18,8 +18,8 @@ from pathlib import Path
 from . import MalformedData, load_data, parse_json
 from .checker import Trace
 from .effects import CallEffect, LibcSpec
-from .frontend import BCfg, Instruction, Operand, ProgramImage, IMM, MEM, REG, TARGET
-from .interp import Machine
+from .frontend import (BCfg, Instruction, Operand, ProgramImage, IMM, MEM, REG, SAFECALLS,
+                       TARGET)
 
 MODES = ("static", "runtime")       # select_template's patch modes
 
@@ -46,7 +46,7 @@ class PatchTemplate:
     name: str
     target: str                   # the C function being replaced
     mode: str                     # one of MODES
-    replacement: str              # one of Machine.SAFECALLS
+    replacement: str              # one of frontend.SAFECALLS
 
 
 @dataclass
@@ -85,7 +85,7 @@ def _parse_templates(data: str | bytes) -> list[PatchTemplate]:
         if missing:
             raise MalformedData(f"template {e.get('name')!r}: {', '.join(missing)} "
                                 "missing or not a string")
-        for key, allowed in (("mode", MODES), ("replacement", Machine.SAFECALLS)):
+        for key, allowed in (("mode", MODES), ("replacement", SAFECALLS)):
             if e[key] not in allowed:
                 raise MalformedData(f"template {e['name']!r}: {key} {e[key]!r} is not "
                                     f"one of {', '.join(allowed)}")

@@ -15,7 +15,7 @@ import pytest
 
 from stackcheck.checker import check
 from stackcheck.cli import analyze, report_metrics
-from stackcheck.ltl import (EvalContext, compile_monitor, eval_body,
+from stackcheck.ltl import (EvalContext, compile_body, compile_monitor,
                             load_bundled_properties)
 from stackcheck.memstace import (ByteOp, ByteState, IllegalByteTransition,
                                  MemoryState, TransitionLabel, byte_transition,
@@ -148,7 +148,7 @@ def test_acceptance_3_monitor_shape_and_brute_force():
                 break
         expected = None
         for idx, st in enumerate(trace):
-            if not eval_body(monitor.body, st, {}, EvalContext(libc_names=libc)):
+            if not compile_body(monitor.body)(st, [], EvalContext(libc_names=libc)):
                 expected = idx
                 break
         if reject_at != expected:
@@ -248,7 +248,7 @@ def _enumerate_verdict(space, body, libc_names, depth=20):
         if (sid, d) in seen:
             continue
         seen.add((sid, d))
-        if not eval_body(body, space.states[sid], {}, EvalContext(libc_names=libc_names)):
+        if not compile_body(body)(space.states[sid], [], EvalContext(libc_names=libc_names)):
             return "violated"
         if d < depth:
             for nxt in succ.get(sid, []):

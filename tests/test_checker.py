@@ -11,7 +11,7 @@ from stackcheck.checker import HOLDS, INCONCLUSIVE, VIOLATED, check, map_cwe
 from stackcheck.effects import EffectsOracle
 from stackcheck.frontend import (DuplicateFunction, MalformedLine, build_bcfg,
                                  parse_disassembly)
-from stackcheck.ltl import (EvalContext, Monitor, compile_monitor, eval_body,
+from stackcheck.ltl import (EvalContext, Monitor, compile_body, compile_monitor,
                             load_bundled_properties)
 from stackcheck.memstace import (Config, MemStaCe, MemoryState, StackFrame,
                                  TransitionLabel, build_memstace, fresh_frame)
@@ -170,7 +170,7 @@ def enumerate_verdict(space: MemStaCe, body, libc_names, depth: int = 20) -> str
         if (sid, d) in seen:
             continue
         seen.add((sid, d))
-        if not eval_body(body, space.states[sid], {}, EvalContext(libc_names=libc_names)):
+        if not compile_body(body)(space.states[sid], [], EvalContext(libc_names=libc_names)):
             return VIOLATED
         if d < depth:
             for nxt in succ.get(sid, []):

@@ -292,6 +292,18 @@ def test_overriding_property_keeps_its_own_cwe_tags(tmp_path):
         ["CWE-121", "CWE-787"]
 
 
+@pytest.mark.parametrize("operands", ["bounded_readline 0xzz", "bounded_readline -0x10",
+                                      "bogus 0x10"],
+                         ids=["bad-hex-bound", "negative-bound", "unknown-template"])
+def test_malformed_safecall_is_an_input_error(tmp_path, capsys, operands):
+    path = tmp_path / "safecall.s"
+    path.write_text(f"f:\n401000: nop\n401004: safecall {operands}\n401008: ret\n")
+    [report] = analyze([str(path)])
+    assert report.status == "error" and report.error.startswith("line 3: ")
+    assert main(["analyze", str(path)]) == 2
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("text", ["# nothing\n", "main:\n"], ids=["comment-only", "header-only"])
 def test_empty_listing_is_an_input_error(tmp_path, capsys, text):
     """Nothing was analysed, so there is no verdict to report as clean."""

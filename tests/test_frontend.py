@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from stackcheck.frontend import (CALL, CALL_RETURN, FALLTHROUGH, TAKEN,
@@ -9,6 +11,7 @@ from stackcheck.frontend import (CALL, CALL_RETURN, FALLTHROUGH, TAKEN,
                                  build_bcfg, entry_point, parse_disassembly)
 
 from conftest import CORPUS_DIR, FIXTURE_DIR, corpus_path, fixture_path, load_image
+from test_fuzz import write_mutants
 
 # the condensed copy body: seven lines including the call
 COPY_BODY = """\
@@ -82,6 +85,14 @@ def test_malformed_line_is_fatal_with_location():
     assert err.value.lineno == 3
 
 
+def test_safecall_operand_fields():
+    image = parse_disassembly("f:\n401000: safecall bounded_copy 0x10\n"
+                              "401004: safecall bounded_scan rt\n")
+    static, runtime = (image.instructions[a].operands for a in (0x401000, 0x401004))
+    assert static[0].symbol == "bounded_copy" and static[0].value == 0x10
+    assert runtime[0].symbol == "bounded_scan" and runtime[0].value is None
+
+
 def test_addresses_must_increase():
     with pytest.raises(MalformedLine):
         parse_disassembly("f:\n401004: nop\n401000: nop\n")
@@ -107,6 +118,70 @@ def test_round_trip_modulo_whitespace():
         assert " ".join(ins.raw_text.split()) == " ".join(again.raw_text.split())
         assert again.mnemonic == ins.mnemonic
         assert again.operands == ins.operands
+
+
+# --- the per-listing operand memo ----------------------------------------------
+
+def _chain_style_listing(leaves: int = 12) -> str:
+    """Leaves with one body shape, so most (mnemonic, operand text) pairs
+    repeat, and a main that calls each."""
+    lines, pc, entries = [], 0x401100, []
+    for k in range(leaves):
+        entries.append(pc)
+        loop = pc + 16
+        lines.append(f"leaf_{k}:")
+        for text in ["push rbp", "mov rbp, rsp", "sub rsp, 0x60", "lea rax, [rbp-0x60]",
+                     "mov byte [rax], 0x78", "add rax, 0x1", f"cmp rax, {k % 3:#x}",
+                     f"jne {loop:#x}", "lea rsi, [rbp-0x60]", "lea rdi, [rbp-0x20]",
+                     "call 0x401030 <strcpy@plt>", "add rsp, 0x60", "pop rbp", "ret"]:
+            lines.append(f"{pc:x}: {text}")
+            pc += 4
+        pc += 0x10
+    lines.append("main:")
+    for text in ["push rbp", "mov rbp, rsp",
+                 *(f"call {e:#x} <leaf_{k}>" for k, e in enumerate(entries)), "pop rbp", "ret"]:
+        lines.append(f"{pc:x}: {text}")
+        pc += 4
+    return "\n".join(lines) + "\n"
+
+
+def test_memo_gives_each_instruction_its_own_parse(tmp_path):
+    """Every instruction equals the one its line alone parses to, in the
+    corpus, the fixtures, a listing of repeated texts and the fuzz mutants."""
+    paths = sorted(CORPUS_DIR.glob("*.s")) + sorted(FIXTURE_DIR.glob("*.s"))
+    texts = [p.read_text(encoding="utf-8") for p in paths] + [_chain_style_listing()]
+    texts += [Path(p).read_text(encoding="utf-8") for p in write_mutants(tmp_path)]
+    parsed = 0
+    for text in texts:
+        try:
+            image = parse_disassembly(text)
+        except MalformedLine:
+            continue
+        for addr, ins in image.instructions.items():
+            assert parse_disassembly(ins.raw_text).instructions[addr] == ins
+        parsed += 1
+    assert parsed > len(paths)
+    chain = parse_disassembly(_chain_style_listing())
+    distinct = {(i.mnemonic, i.text) for i in chain.instructions.values()}
+    assert len(distinct) * 4 < len(chain.instructions)
+
+
+def test_memo_keeps_each_malformed_line_number():
+    lines = ["f:", "401000: nop", "401004: mov rax, [rzz]", "401008: nop", "40100c: nop",
+             "401010: nop", "401014: mov rax, [rzz]", "401018: ret"]
+    with pytest.raises(MalformedLine) as err:
+        parse_disassembly("\n".join(lines))
+    assert err.value.lineno == 3
+    lines[2] = "401004: nop"
+    with pytest.raises(MalformedLine) as err:
+        parse_disassembly("\n".join(lines))
+    assert err.value.lineno == 7
+
+
+def test_memo_checks_arity_per_mnemonic():
+    with pytest.raises(MalformedLine, match="push expects 1") as err:
+        parse_disassembly("f:\n401000: mov rax, rbx\n401004: push rax, rbx\n")
+    assert err.value.lineno == 3
 
 
 # --- CFG -------------------------------------------------------------------

@@ -9,8 +9,8 @@ import pytest
 from stackcheck.ltl import (AllRange, Always, ByteAtom, EvalContext,
                             ForallStack,
                             PrevTransition, PropertySyntaxError, UnknownOperator,
-                            UnsupportedFragment, compile_monitor,
-                            eval_body, load_bundled_properties, parse_property,
+                            UnsupportedFragment, compile_body, compile_monitor,
+                            load_bundled_properties, parse_property,
                             parse_property_file)
 from stackcheck.memstace import (ByteOp, ByteState, Fe, MemoryState, Push,
                                  TransitionLabel, apply_memory_operator,
@@ -100,15 +100,15 @@ def test_property_file_block_grammar():
 def test_byte_atom_on_prologue_and_smashed_states():
     prologue, smashed = _prologue_and_smashed_states()
     atom = ByteAtom(index=_const(0), frame_var="f", op="=", state=C)
-    assert eval_body(atom, prologue, {"f": prologue.top}, EvalContext())
-    assert not eval_body(atom, smashed, {"f": smashed.top}, EvalContext())
+    assert compile_body(atom, ("f",))(prologue, [prologue.top], EvalContext())
+    assert not compile_body(atom, ("f",))(smashed, [smashed.top], EvalContext())
 
 
 def test_byte_atom_out_of_frame_false_with_note():
     prologue, _ = _prologue_and_smashed_states()
     ctx = EvalContext()
     atom = ByteAtom(index=_const(99), frame_var="f", op="=", state=C)
-    assert not eval_body(atom, prologue, {"f": prologue.top}, ctx)
+    assert not compile_body(atom, ("f",))(prologue, [prologue.top], ctx)
     assert ctx.notes
 
 
@@ -117,7 +117,7 @@ def test_canary_free_frame_makes_property_vacuous():
     canary = compile_monitor(props["Canary Integrity"])
     prologue, _ = _prologue_and_smashed_states()
     ctx = EvalContext()
-    assert eval_body(canary.body, prologue, {}, ctx)
+    assert compile_body(canary.body)(prologue, [], ctx)
     assert ctx.vacuous()
 
 
@@ -125,11 +125,11 @@ def test_prev_transition_matching():
     _, smashed = _prologue_and_smashed_states()
     libc_ctx = EvalContext(libc_names={"strcpy", "gets"})
     libc_set = PrevTransition(op="=", targets=(("loop",), ("libc",)))
-    assert eval_body(libc_set, smashed, {}, libc_ctx)
+    assert compile_body(libc_set)(smashed, [], libc_ctx)
     gets_only = PrevTransition(op="=", targets=(("call", "gets"),))
-    assert not eval_body(gets_only, smashed, {}, libc_ctx)
+    assert not compile_body(gets_only)(smashed, [], libc_ctx)
     no_gets = PrevTransition(op="!=", targets=(("call", "gets"),))
-    assert eval_body(no_gets, smashed, {}, libc_ctx)
+    assert compile_body(no_gets)(smashed, [], libc_ctx)
 
 
 def test_start_end_atoms_follow_index_convention():
@@ -137,12 +137,12 @@ def test_start_end_atoms_follow_index_convention():
     frames, _ = apply_memory_operator(prologue.frames, Fe(32))
     frame = register_buffer(frames[-1], -16, 16)
     state = MemoryState(frames=(frame,))
-    env = {"f": frame, "b": (-16, 16)}
+    env = [frame, (-16, 16)]
     start = ByteAtom(index=_start("b"), frame_var="f", op="=", state=F)
     end = ByteAtom(index=_end("b"), frame_var="f", op="=", state=F)
     # start is the lowest-address byte (index 31), end index 16; both free here
-    assert eval_body(start, state, env, EvalContext())
-    assert eval_body(end, state, env, EvalContext())
+    assert compile_body(start, ("f", "b"))(state, env, EvalContext())
+    assert compile_body(end, ("f", "b"))(state, env, EvalContext())
 
 
 def _const(v):
@@ -168,7 +168,7 @@ def test_quantifier_expansion_equivalence():
     for _ in range(50):
         state = _random_state(rng)
         ctx = EvalContext()
-        got = eval_body(body, state, {}, ctx)
+        got = compile_body(body)(state, [], ctx)
         explicit = all(f.bytes[0:8] == b"C" * 8 for f in state.frames)
         assert got == explicit
 
@@ -179,7 +179,7 @@ def test_exists_is_disjunction():
     body = parse_property(text).formula.body
     for _ in range(50):
         state = _random_state(rng)
-        got = eval_body(body, state, {}, EvalContext())
+        got = compile_body(body)(state, [], EvalContext())
         assert got == any(f.bytes[:1] == b"M" for f in state.frames)
 
 
@@ -262,7 +262,7 @@ def test_monitor_soundness_brute_force():
                     break
             expected = None
             for idx, st in enumerate(trace):
-                if not eval_body(monitor.body, st, {}, EvalContext(libc_names=libc)):
+                if not compile_body(monitor.body)(st, [], EvalContext(libc_names=libc)):
                     expected = idx
                     break
             if reject_at != expected:

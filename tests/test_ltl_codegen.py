@@ -16,7 +16,7 @@ from stackcheck.ltl import (AllRange, And, BoolLit, ByteAtom, EvalContext,
                             ExistsBuffer, ExistsStack, ForallBuffer,
                             ForallStack, HasCanary, Implies, Not, Or,
                             PrevTransition, UnsupportedFragment, compile_body,
-                            compile_monitor, eval_body, load_bundled_properties,
+                            compile_monitor, load_bundled_properties,
                             parse_property, parse_property_file)
 from stackcheck.memstace import RBP_RANGE, buffer_index_span
 
@@ -318,14 +318,15 @@ def test_every_node_kind_matches_reference(states):
 
 def test_free_variables_match_reference(states):
     """A quantifier's body evaluated with its variable bound from outside,
-    through `eval_body`, as a caller with an environment does."""
+    through `compile_body` with that name free, as a caller with an
+    environment does."""
     bodies = {name: body.body for name, body in _bodies(ALL_KINDS).items()
               if isinstance(body, ForallStack)}
     framed = [s for s in states if s.frames]
     _assert_same(bodies, framed, lambda state: {"f": state.top})
     node = bodies["buffers"]
     state = next(s for s in framed if s.top.buffers)
-    assert eval_body(node, state, {"f": state.top}, EvalContext()) == \
+    assert compile_body(node, ("f",))(state, [state.top], EvalContext()) == \
         reference(node, state, {"f": state.top}, EvalContext())
 
 

@@ -12,7 +12,7 @@ from stackcheck.frontend import parse_disassembly
 from stackcheck.memstace import (_BYTE_AUTOMATON, _TRANSLATE, ByteOp, ByteState,
                                  Config, Fe,
                                  IllegalByteTransition, MemoryState,
-                                 OverlappingBuffer, PopUnderflow, Pop, Push,
+                                 OverlappingBuffer, PopUnderflow, POP, Push,
                                  Shrink, StackFrame, TransitionLabel, Write,
                                  _SpaceBuilder, apply_effect,
                                  apply_memory_operator, buffer_index_span,
@@ -258,14 +258,14 @@ def test_fa_push_fe_snapshot():
 def test_pop_sixteen_to_eight():
     state = MemoryState(frames=(fresh_frame("f"),))
     state, _ = _apply(state, Push(RW))
-    state, _ = _apply(state, Pop())
+    state, _ = _apply(state, POP)
     assert len(state.top.bytes) == 8
 
 
 def test_pop_underflow():
     state = MemoryState(frames=(fresh_frame("f"),))
     with pytest.raises(PopUnderflow):
-        _apply(state, Pop())
+        _apply(state, POP)
 
 
 def test_seventeen_byte_write_marks_off_by_one():
@@ -318,7 +318,7 @@ def test_frame_size_changes_only_by_stack_ops():
             state, _ = _apply(state, Push(NRW))
             assert len(state.top.bytes) == before + 8
         elif pick == 1 and before >= 24:
-            state, _ = _apply(state, Pop())
+            state, _ = _apply(state, POP)
             assert len(state.top.bytes) == before - 8
         elif pick == 2:
             n = rng.randrange(1, 17)
@@ -413,7 +413,7 @@ def _snapshot(frames) -> list:
     return [(f.label, f.bytes, f.buffers, f.has_canary, f.has_rbp_slot) for f in frames]
 
 
-@pytest.mark.parametrize("op", [Push(NRW), Pop(), Fe(8), Shrink(8), Write(NRW, "rbp", -16, 4),
+@pytest.mark.parametrize("op", [Push(NRW), POP, Fe(8), Shrink(8), Write(NRW, "rbp", -16, 4),
                                 Write(RW, "rbp", -8, 8, canary=True)],
                          ids=["push", "pop", "fe", "shrink", "write", "canary-write"])
 def test_operators_return_new_frames_and_leave_their_input(op):
