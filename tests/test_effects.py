@@ -221,6 +221,80 @@ def test_gets_crash_input_changes_a_zero_return_address_byte():
     assert (outcome.status, outcome.cause) == ("crash", "return-address-corrupted")
 
 
+def _cstr(off: int, text: str) -> list[str]:
+    """The stores writing `text` and its terminator at rbp-off."""
+    return [f"mov byte [rbp-{off - k:#x}], {b:#x}"
+            for k, b in enumerate(text.encode() + b"\0")]
+
+
+# setup lines before the call, named after the function called; main's
+# 16-byte buffer is at rbp-0x10, above the root frame's saved rbp (0 in
+# emulation) and return address
+_ONE_CALL = {
+    "strcpy": _cstr(0x30, "hey") + ["lea rsi, [rbp-0x30]", "lea rdi, [rbp-0x10]"],
+    "strcpy-unresolved-source": ["mov rsi, 0x0", "lea rdi, [rbp-0x10]"],
+    "strncpy": _cstr(0x30, "hey") + ["mov rdx, 0x20", "lea rsi, [rbp-0x30]",
+                                     "lea rdi, [rbp-0x10]"],
+    "strcat": _cstr(0x10, "ab") + _cstr(0x30, "0123456789abcdef") + [
+        "lea rsi, [rbp-0x30]", "lea rdi, [rbp-0x10]"],
+    "sprintf": _cstr(0x20, "%s!") + _cstr(0x40, "0123456789abcdefghijk") + [
+        "lea rdx, [rbp-0x40]", "lea rsi, [rbp-0x20]", "lea rdi, [rbp-0x10]"],
+    "snprintf": _cstr(0x20, "%s!") + _cstr(0x40, "0123456789abcdefghijk") + [
+        "lea rcx, [rbp-0x40]", "lea rdx, [rbp-0x20]", "mov rsi, 0x8", "lea rdi, [rbp-0x10]"],
+    "gets": ["lea rdi, [rbp-0x10]"],
+    "fgets": ["mov rdx, 0x0", "mov rsi, 0x40", "lea rdi, [rbp-0x10]"],
+    "memset": ["mov rdx, 0x20", "mov rsi, 0x0", "lea rdi, [rbp-0x10]"],
+    "printf": _cstr(0x30, "%s!") + ["lea rsi, [rbp-0x10]", "lea rdi, [rbp-0x30]"],
+    "puts": ["lea rdi, [rbp-0x10]"],
+    "scanf-width": _cstr(0x30, "%7s") + ["lea rsi, [rbp-0x8]", "lea rdi, [rbp-0x30]"],
+}
+
+# (touched as (depth, lowest index, highest index) runs, crash input, notes)
+_ONE_CALL_EFFECT = {
+    "strcpy": ([(0, 28, 31)], None, []),
+    # rsi = 0: read as max_input_len attacker bytes, which run past STACK_TOP
+    "strcpy-unresolved-source": ([(0, 0, 31)], None,
+                                 ["effect of strcpy clamped at the outermost frame"]),
+    "strncpy": ([(0, 0, 31)], None, []),
+    # the terminator lands on the saved rbp's low byte, already 0
+    "strcat": ([(0, 14, 29)], None, []),
+    "sprintf": ([(0, 10, 31)], None, []),
+    "snprintf": ([(0, 24, 31)], None, []),
+    "gets": ([(0, 7, 31)], b"A" * 24 + b"\n", []),
+    "fgets": ([(0, 7, 31)], b"A" * 24 + b"\n", []),
+    "memset": ([(0, 0, 31)], None, []),
+    "printf": ([], None, []),
+    "puts": ([], None, []),
+    "scanf-width": ([(0, 7, 23)], b"A" * 16 + b"\n", []),
+}
+
+
+def _runs(touched) -> list[tuple[int, int, int]]:
+    out: list[list[int]] = []
+    for d, i in sorted(set(touched)):
+        if out and out[-1][0] == d and out[-1][2] == i - 1:
+            out[-1][2] = i
+        else:
+            out.append([d, i, i])
+    return [tuple(r) for r in out]
+
+
+@pytest.mark.parametrize("case", sorted(_ONE_CALL))
+def test_one_call_effect_of_each_modelled_function(case):
+    """One call of each bundled libc function into main's buffer: the
+    touched bytes, the derived crash input and the notes."""
+    setup = _ONE_CALL[case]
+    body = ["push rbp", "mov rbp, rsp", "sub rsp, 0x40", *setup,
+            f"call 0x401f00 <{case.split('-')[0]}@plt>", "add rsp, 0x40", "pop rbp", "ret"]
+    image = parse_disassembly("main:\n" + "".join(
+        f"{0x401000 + 4 * k:x}: {text}\n" for k, text in enumerate(body)))
+    oracle = EffectsOracle(image, build_bcfg(image), Config())
+    oracle.set_root(image.functions["main"])
+    effect = oracle.call_effect(0x401000 + 4 * (3 + len(setup)))
+    assert (_runs(effect.touched), effect.concrete_input, effect.notes) == \
+        _ONE_CALL_EFFECT[case]
+
+
 def test_extract_input_none_for_strcpy():
     effect, _ = _call_effect(corpus_path("strcpy_rip_ok"), 0x401128)
     assert effect.concrete_input is None
