@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import traceback
@@ -535,17 +536,25 @@ def main(argv: list[str] | None = None) -> int:
     payload = [r.to_json() for r in reports]
     metrics = report_metrics(reports, truth) if truth is not None else None
 
-    if args.report == "json":
-        doc = {"reports": payload}
-        if metrics is not None:
-            doc["metrics"] = metrics
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        for r in reports:
-            print(_render_text(r))
-        if metrics is not None:
-            print(f"== metrics: {json.dumps(metrics, sort_keys=True)}")
+    try:
+        if args.report == "json":
+            doc = {"reports": payload}
+            if metrics is not None:
+                doc["metrics"] = metrics
+            json.dump(doc, sys.stdout, indent=2, sort_keys=True)
+            sys.stdout.write("\n")
+        else:
+            for r in reports:
+                print(_render_text(r))
+            if metrics is not None:
+                print(f"== metrics: {json.dumps(metrics, sort_keys=True)}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (as `| head` does): stop writing, and
+        # send what is still buffered to devnull, so the flush at exit is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
     if any(r.status == "error" for r in reports):
         return 2

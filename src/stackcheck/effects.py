@@ -2,13 +2,15 @@
 
 Effects are computed by bounded concrete emulation. The oracle keeps one
 interpreter run per analysis root and computes the effect of each call
-site and loop entry at the run's first arrival there; the run advances
-only as far as the furthest site asked for. Both kinds give one record,
-a CallEffect (touched bytes, notes, and whether it is complete), in one
-cache keyed by (root, pc, "call" | "loop"). At a call site the callee's
-write-extent rule gives one payload (bytes, address, crashing stdin or
-None), written to a fork; the stack diff gives the touched bytes, each
-placed in its owning shadow frame. A loop's effect is the diff between a
+site, safecall and loop entry at the run's first arrival there; the run
+advances only as far as the furthest site asked for. Both kinds give one
+record, a CallEffect (touched bytes, notes, and whether it is complete),
+in one cache keyed by (root, pc, "call" | "loop"). A call's effect is the
+stack diff of the interpreter's own handler for it run on a fork (the
+LibcSpec the libc database gives the symbol the call names, or the
+safecall's template), so detection and validation share one library
+model; the fork reads the call's smallest crashing stdin, derived in
+closed form for patch validation. A loop's effect is the diff between a
 fork's arrival at the loop entry and its exit; a fork that does not
 reach the exit (iteration or step budget, an unsupported construct, or
 leaving the function) gives a truncating effect, with a note saying why.
@@ -17,17 +19,10 @@ budget and without passing a site the run still has to stop at, the run
 continues from the fork instead of executing the loop again. When the
 run halts first (clean exit, crash, step budget or an unsupported
 construct), every site it did not reach gets a truncating opaque effect
-with a note saying which. A call site's libc spec is looked up by the
-symbol it names (`Instruction.callee`), and its arguments are read from
-the machine standing at the call. Touched bytes are (frame depth, byte
-index) pairs, each in the shadow frame whose top is the lowest at or
-above its address, so no index is negative. Calls that read stdin/argv
-record the smallest input that changes a saved return address or canary
-byte, for patch validation, in closed form over each frame's 8-byte
-slots: it writes the input plus its terminator, and a terminator landing
-on a byte already 0x00 changes nothing.
-The oracle also owns the analysis's buffer-size rule. A user libc
-database is checked at load: roles from ROLES, a rule from EXTENTS.
+with a note saying which. Touched bytes are (frame depth, byte index)
+pairs, each in the shadow frame whose top is the lowest at or above its
+address, so no index is negative. The oracle also owns the analysis's
+buffer-size rule.
 """
 
 from __future__ import annotations
@@ -36,49 +31,11 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import MalformedData, interp, load_data, parse_json
+from . import MalformedData, interp, parse_json
 from .frontend import BCfg, ProgramImage
-from .interp import CLEAN, CRASH, STACK_TOP, STEP_BUDGET, UNSUPPORTED, Halt, Machine
+from .interp import (CAUSE_OOS, CLEAN, CRASH, SAFECALL_REGS, STEP_BUDGET, UNSUPPORTED, Halt,
+                     LibcSpec, Machine, load_libc_db)
 from .memstace import Config, infer_buffer_size, scan_object_boundaries
-
-ARG_REGS = ["rdi", "rsi", "rdx", "rcx", "r8", "r9"]
-ROLES = ("dest", "src", "format", "value")
-
-
-@dataclass(frozen=True)
-class LibcSpec:
-    name: str
-    roles: tuple[str, ...]           # one of ROLES per argument
-    extent: str                      # write-extent rule id, a key of EXTENTS
-
-    def role_register(self, role: str) -> str | None:
-        return ARG_REGS[self.roles.index(role)] if role in self.roles else None
-
-
-def load_libc_db(path: str | None = None) -> dict[str, LibcSpec]:
-    return load_data("libc.json", _parse_libc_db, path)
-
-
-def _parse_libc_db(data: str | bytes) -> dict[str, LibcSpec]:
-    raw = parse_json(data)
-    if not isinstance(raw, dict) or not all(isinstance(e, dict) for e in raw.values()):
-        raise MalformedData('expected an object mapping each function to '
-                            '{"roles": [...], "extent": ...}')
-    db = {}
-    for name, e in raw.items():
-        roles, extent = e.get("roles"), e.get("extent")
-        if not (isinstance(roles, list) and len(roles) <= len(ARG_REGS)
-                and all(r in ROLES for r in roles)):
-            raise MalformedData(f"{name}: roles {roles!r} is not a list of at most "
-                                f"{len(ARG_REGS)} of {', '.join(ROLES)}")
-        if not isinstance(extent, str) or extent not in EXTENTS:
-            raise MalformedData(f"{name}: extent {extent!r} is not one of "
-                                f"{', '.join(EXTENTS)}")
-        if not set(EXTENTS[extent]) <= set(roles):
-            raise MalformedData(f"{name}: extent {extent} needs the roles "
-                                f"{', '.join(EXTENTS[extent])}")
-        db[name] = LibcSpec(name=name, roles=tuple(roles), extent=extent)
-    return db
 
 
 def load_buffer_pins(path: str | None) -> dict[str, dict[int, int]]:
@@ -123,18 +80,30 @@ def _opaque(name: str, note: str, truncating: bool = False) -> CallEffect:
     return CallEffect(name=name, opaque=True, truncating=truncating, notes=[note])
 
 
-def emulate_call(machine: Machine, call_site: int, spec: LibcSpec,
+def emulate_call(machine: Machine, call_site: int, spec: LibcSpec | None,
                  buffer_size) -> CallEffect:
-    """The effect of the call to `spec` at call_site on a machine standing
-    there: apply the callee's write rule to a fork and report the stack
-    diff as (frame depth, byte index) touches. `buffer_size(fn, offset,
-    has_canary)` is the analysis's buffer-size rule."""
-    name = spec.name
-    cfg = machine.cfg
-    if spec.extent == "none":
-        return CallEffect(name=name)
+    """The effect of the call to `spec` (None: the safecall) at call_site
+    on a machine standing there: run the interpreter's handler for it on a
+    fork and report the stack diff as (frame depth, byte index) touches.
+    `buffer_size(fn, offset, has_canary)` is the analysis's buffer-size
+    rule.
 
-    dest = machine.rd_reg(spec.role_register("dest"))    # every writing rule names one
+    The fork reads the smallest stdin that reaches a protected byte from
+    the destination, or max_input_len `A`s when none is that short; a
+    source string at no plausible address is max_input_len `A`s, and
+    strncpy and memset write `A`s, at most max_input_len of them, since a
+    zero fill over the root frame's saved rbp (0 in emulation) would not
+    show in the diff. A write running past the stack or the aux area stops
+    there, with a note."""
+    if spec is None:        # the line's template, run with its bound
+        ins = machine.image.instructions[call_site]
+        template = ins.operands[0].symbol
+        spec = LibcSpec(template, template, lambda m: m._do_safecall(ins, None),
+                        *SAFECALL_REGS[template])
+    name = spec.name
+    if spec.dest is None:
+        return CallEffect(name=name)
+    dest = machine.regs[spec.dest]
     if not _plausible_pointer(machine, dest):
         return _opaque(name, f"{name} at {call_site:#x}: destination unresolved",
                        truncating=True)
@@ -152,17 +121,32 @@ def emulate_call(machine: Machine, call_site: int, spec: LibcSpec,
             if 0 < size < dest_size:
                 dest_size = size
 
+    max_len = machine.cfg.max_input_len
+    crash_input = _crash_input(machine, dest, max_len)
+    fork = machine.fork()
+    fork.stdin, fork.stdin_pos = crash_input or b"A" * max_len, 0
+    counted = spec.extent in ("strncpy", "memset")
+    if spec.src and (counted or not _plausible_pointer(machine, fork.regs[spec.src])):
+        fork.aux.update(dict.fromkeys(range(STAND_IN, STAND_IN + max_len), ord("A")))
+        fork.regs[spec.src] = STAND_IN
+    elif counted:       # memset's fill byte
+        fork.regs["rsi"] = ord("A")
+    if counted:
+        fork.regs["rdx"] = min(fork.regs["rdx"], max_len)
+    snap = fork.snapshot()
+    clamped = False
     try:
-        data, at, crash_input = _write_payloads(machine, spec, dest, cfg)
+        spec.handler(fork)
     except Halt as h:
-        return _opaque(name, f"{name} at {call_site:#x}: {h.cause}", truncating=True)
-
-    clone = machine.fork()
-    snap = clone.snapshot()
-    clamped = _apply_payload(clone, at, data)
-    touched, overflow = _map_touches(machine, clone.diff_stack(snap))
+        if h.cause != CAUSE_OOS:
+            return _opaque(name, f"{name} at {call_site:#x}: {h.cause}", truncating=True)
+        clamped = True
+    touched, overflow = _map_touches(machine, fork.diff_stack(snap))
     notes = [f"effect of {name} clamped at the outermost frame"] if clamped or overflow else []
-    return CallEffect(name=name, touched=tuple(touched), concrete_input=crash_input,
+    # the crash input is derived when the handler read all of it
+    derived = crash_input is not None and fork.stdin_pos == len(crash_input)
+    return CallEffect(name=name, touched=tuple(touched),
+                      concrete_input=crash_input + b"\n" if derived else None,
                       dest_size=dest_size, notes=notes)
 
 
@@ -171,67 +155,9 @@ def _plausible_pointer(machine: Machine, addr: int) -> bool:
         interp.ARGV_BASE <= addr < interp.ARGV_BASE + 0x10000)
 
 
-# each write-extent rule _write_payloads implements ("none" writes nothing),
-# with the argument roles it reads
-EXTENTS = {"none": (), "strlen_src_plus_1": ("dest", "src"),
-           "append_src_plus_1": ("dest", "src"), "format_output_plus_1": ("dest", "format"),
-           "bounded_format": ("dest",), "exactly_n": ("dest",), "line_plus_1": ("dest",),
-           "token_plus_1": ("dest",), "bounded_line": ("dest",)}
-
-
-def _write_payloads(machine: Machine, spec: LibcSpec, dest, cfg: Config):
-    """(payload bytes, write address, crashing stdin or None) of the call's
-    write-extent rule. Only the input rules derive a crashing stdin."""
-    if spec.extent == "strlen_src_plus_1":
-        data = _source_string(machine, spec, cfg)
-        return data + b"\0", dest, None
-    if spec.extent == "append_src_plus_1":
-        data = _source_string(machine, spec, cfg)
-        dlen = len(machine.rd_cstr(dest))
-        return data + b"\0", dest + dlen, None
-    if spec.extent == "format_output_plus_1":
-        fmt_reg = spec.role_register("format")
-        fmt = machine.rd_cstr(machine.rd_reg(fmt_reg))
-        pos = ARG_REGS.index(fmt_reg)
-        out = machine._render_format(fmt, ARG_REGS[pos + 1:])
-        return out + b"\0", dest, None
-    if spec.extent == "bounded_format":
-        n = machine.rd_reg(spec.role_register("value") or "rsi")
-        fmt = machine.rd_cstr(machine.rd_reg("rdx"))
-        out = machine._render_format(fmt, ["rcx", "r8", "r9"])
-        return out[:max(n - 1, 0)] + (b"\0" if n > 0 else b""), dest, None
-    if spec.extent == "exactly_n":
-        n = min(machine.rd_reg("rdx"), cfg.max_input_len)
-        return b"A" * n, dest, None
-    if spec.extent == "bounded_line":
-        return _input_payload(machine, dest, max(min(machine.rd_reg("rsi") - 1,
-                                                     cfg.max_input_len), 0))
-    # line_plus_1 or token_plus_1, the only rules left in EXTENTS
-    return _input_payload(machine, dest, cfg.max_input_len)
-
-
-def _source_string(machine: Machine, spec: LibcSpec, cfg: Config) -> bytes:
-    src = machine.rd_reg(spec.role_register("src"))
-    if not _plausible_pointer(machine, src):
-        # unresolvable source: assume attacker-controlled up to the cap
-        return b"A" * cfg.max_input_len
-    return machine.rd_cstr(src)
-
-
-def _apply_payload(clone: Machine, addr: int, data: bytes) -> bool:
-    """Write data at addr up to the first byte outside the stack and the
-    aux area; whether the write was clamped there. A write that starts in
-    the stack runs in it up to STACK_TOP, so it is one write."""
-    if clone.in_stack(addr):
-        n = min(len(data), STACK_TOP - addr)
-        clone.wr_mem(addr, data[:n])
-        return n < len(data)
-    for i, b in enumerate(data):
-        a = addr + i
-        if not (clone.in_stack(a) or a in clone.aux):
-            return True
-        clone.wr_mem(a, bytes([b]))
-    return False
+# where a fork holds the max_input_len `A`s that stand in for a source
+# string at no plausible address
+STAND_IN = 0x600000
 
 
 def _map_touches(machine: Machine, changed: dict[int, tuple[int, int]]):
@@ -260,26 +186,25 @@ def _map_touches(machine: Machine, changed: dict[int, tuple[int, int]]):
     return touched, overflow
 
 
-def _input_payload(machine: Machine, dest: int, max_len: int):
-    """The write of the smallest input reaching protected bytes, with that
-    input as the crashing stdin; the full allowed extent, with none, when
-    no input of at most max_len bytes reaches them.
+def _crash_input(machine: Machine, dest: int, max_len: int) -> bytes | None:
+    """The smallest input line (without its newline) whose write from dest,
+    payload plus terminator, changes a protected byte; None when it is
+    longer than max_len.
 
-    An input of length n writes dest..dest+n (payload plus terminator), so
-    the first protected byte at or above dest fixes the minimum: over the
-    8-byte saved return-address and canary slots of every shadow frame,
-    a slot at lo holds one when lo + 7 >= dest, and its first is max(lo, dest).
-    A terminator landing on a byte already 0x00 there changes nothing, so
+    An input of length n writes dest..dest+n, so the first protected byte
+    at or above dest fixes the minimum: over the 8-byte saved
+    return-address and canary slots of every shadow frame, a slot at lo
+    holds one when lo + 7 >= dest, and its first is max(lo, dest). A
+    terminator landing on a byte already 0x00 there changes nothing, so
     the input is then one byte longer.
     """
     above = [max(lo, dest) for f in machine.shadow for lo in (f.ret_loc, f.canary_loc)
              if lo is not None and lo + 7 >= dest]
     first = min(above, default=None)
-    minimal = None if first is None else max(first - dest, 1) + (
-        first > dest and machine.rd_mem(first, 1) == b"\0")
-    if minimal is None or minimal > max_len:
-        return b"A" * max_len + (b"\0" if max_len else b""), dest, None
-    return b"A" * minimal + b"\0", dest, b"A" * minimal + b"\n"
+    if first is None:
+        return None
+    minimal = max(first - dest, 1) + (first > dest and machine.rd_mem(first, 1) == b"\0")
+    return b"A" * minimal if minimal <= max_len else None
 
 
 # --- loops ------------------------------------------------------------------
@@ -503,14 +428,19 @@ class EffectsOracle:
         return self._buffer_sizes[key]
 
     def spec(self, site: int) -> LibcSpec | None:
-        """The libc spec of the function the call at `site` names, if any."""
-        return self.libc_db.get(self.image.instructions[site].callee)
+        """The libc spec of the function the call at `site` names, if any;
+        None at a safecall."""
+        ins = self.image.instructions[site]
+        return None if ins.mnemonic == "safecall" else self.libc_db.get(ins.callee)
 
     def call_effect(self, site: int) -> CallEffect:
+        ins = self.image.instructions[site]
+        if ins.mnemonic == "safecall":
+            return self._effect(site, "call", ins.operands[0].symbol)
         spec = self.spec(site)
         if spec is None:
-            name = self.image.instructions[site].callee
-            return _opaque(name, f"unknown library function {name!r}; call treated as opaque")
+            return _opaque(ins.callee, f"unknown library function {ins.callee!r}; "
+                           "call treated as opaque")
         return self._effect(site, "call", spec.name)
 
     def loop_at(self, pc: int) -> LoopInfo | None:
@@ -543,13 +473,14 @@ class EffectsOracle:
         return self._effects[key]
 
     def _pending(self) -> set[int]:
-        """Call sites with a libc spec and reducible loop entries: where a
-        root's run stops. _arrive skips a site whose effect from the root
-        is cached already."""
+        """Call sites with a libc spec, safecalls and reducible loop
+        entries: where a root's run stops. _arrive skips a site whose
+        effect from the root is cached already."""
         if self._sites is None:
             self._call_sites = frozenset(
                 a for a, ins in self.image.instructions.items()
-                if ins.mnemonic == "call" and self.spec(a) is not None)
+                if ins.mnemonic == "safecall"
+                or ins.mnemonic == "call" and self.spec(a) is not None)
             self._sites = self._call_sites | {
                 a for a, lp in self._loops_by_entry.items() if not lp.irreducible}
         return set(self._sites)

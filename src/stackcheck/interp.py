@@ -7,11 +7,17 @@ crashes with the matching cause. Every way a run stops raises one
 exception, Halt, whose status is a clean exit, a crash, the step budget
 running out, or a construct the interpreter does not model (a printf
 conversion, an operand form). The same machine serves the effects module
-in capture mode (one run per analysis root that stops at each call site
-and loop entry, where forks are written to, snapshotted and diffed, and
-that may continue from a loop's fork) and the validator for full
-before/after runs. The safecall pseudo-instruction executes the bounded
-replacement semantics installed by the patcher.
+in capture mode (one run per analysis root that stops at each call site,
+safecall and loop entry, where forks run the handler, are snapshotted
+and diffed, and that may continue from a loop's fork) and the validator
+for full before/after runs.
+
+LIBC is the one table of modelled library functions: each entry names
+its handler and the registers it writes through and copies from. A call
+runs the entry the libc database (`load_libc_db`, bundled or --libc-db)
+gives its callee's name, and a callee the database does not list does
+nothing; the safecall pseudo-instruction runs the bounded replacement
+the patcher installed.
 
 Each instruction is compiled once per image, at its first execution, into
 a closure (see codegen) that takes the machine and returns the next pc;
@@ -32,8 +38,13 @@ snapshot, and diff_stack compares only that span.
 
 from __future__ import annotations
 
+import re
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import repeat, takewhile
+from typing import NamedTuple
 
+from . import MalformedData, load_data, parse_json
 from .codegen import CONDITIONS, compile_instruction
 from .frontend import (CANARY_FS_OFFSET, CMOV, IMM, JCC, MEM, R64, REG, Instruction,
                        ProgramImage)
@@ -118,6 +129,7 @@ class Machine:
         self.pc: int | None = None
         self.canary_regs: set[str] = set()
         self.read_stdin = False     # set by every reader of stdin
+        self.libc = load_libc_db(cfg.libc_db_path)   # the library calls it runs
         # the write marks: the span of stack bytes written since the last
         # snapshot (since the start, on a machine never snapshotted)
         self._wm_lo = STACK_TOP
@@ -165,6 +177,10 @@ class Machine:
             if end - 1 > self._wm_hi:
                 self._wm_hi = end - 1
             return
+        if STACK_BASE <= addr < STACK_TOP < end:
+            # the part inside the stack in one write, then the bytes past it
+            self.wr_mem(addr, data[:STACK_TOP - addr])
+            addr, data = STACK_TOP, data[STACK_TOP - addr:]
         for i, b in enumerate(data):
             a = addr + i
             if self.in_stack(a):
@@ -181,18 +197,22 @@ class Machine:
         self.stack_lo = lo
 
     def rd_cstr(self, addr: int, cap: int | None = None) -> bytes:
-        cap = cap if cap is not None else self.cfg.max_input_len * 2
+        end = addr + (cap if cap is not None else self.cfg.max_input_len * 2)
         out = bytearray()
         lo = self.stack_lo
-        if cap > 0 and lo <= addr < STACK_TOP:
-            # the part inside the written window in one search; bytes past
-            # STACK_TOP, if the string runs on, are read one at a time
-            out = self.stack[addr - lo:min(addr + cap, STACK_TOP) - lo]
-            end = out.find(0)
-            if end != -1:
-                return bytes(out[:end])
-        for k in range(len(out), cap):
-            b = self.rd_mem(addr + k, 1)[0]
+        if lo <= addr < STACK_TOP:
+            # the part inside the written window in one search
+            out = self.stack[addr - lo:min(end, STACK_TOP) - lo]
+            nul = out.find(0)
+            if nul != -1:
+                return bytes(out[:nul])
+        start = addr + len(out)
+        if start >= STACK_TOP or end <= STACK_BASE:
+            # the rest lies outside the stack: aux bytes, 0 where none is set
+            return bytes(out) + bytes(takewhile(bool, map(self.aux.get, range(start, end),
+                                                          repeat(0))))
+        for a in range(start, end):
+            b = self.rd_mem(a, 1)[0]
             if b == 0:
                 break
             out.append(b)
@@ -254,6 +274,7 @@ class Machine:
         clone.pc = self.pc
         clone.canary_regs = set(self.canary_regs)
         clone.read_stdin = self.read_stdin
+        clone.libc = self.libc
         clone._wm_lo = self._wm_lo
         clone._wm_hi = self._wm_hi
         return clone
@@ -453,7 +474,9 @@ class Machine:
             self.shadow.append(ShadowFrame(ret_loc=self.regs["rsp"],
                                            ret_bytes=self.rd_mem(self.regs["rsp"], 8)))
             return tgt
-        self._exec_libc(ins.callee)
+        spec = self.libc.get(ins.callee)
+        if spec is not None:     # a function the database does not list is skipped
+            spec.handler(self)
         return nxt
 
     def _do_ret(self, ins: Instruction, nxt: int | None) -> int | None:
@@ -480,11 +503,6 @@ class Machine:
                    key=lambda f: f.top_addr, default=None)
 
     # --- C library semantics -----------------------------------------------
-
-    def _exec_libc(self, name: str) -> None:
-        handler = getattr(self, f"_libc_{name}", None)
-        if handler is not None:     # unmodeled functions are skipped
-            handler()
 
     def _read_line(self) -> bytes | None:
         self.read_stdin = True
@@ -574,12 +592,13 @@ class Machine:
         fmt = self.rd_cstr(self.regs["rdi"]).decode("latin-1")
         dests = ["rsi", "rdx", "rcx", "r8", "r9"]
         count = 0
-        for conv, width in _parse_scanf_format(fmt):
+        # each conversion: %, an optional field width, the conversion letter
+        for width, conv in re.findall(r"%(\d*)(\D)", fmt):
             if count >= len(dests):
                 break
             ptr = self.regs[dests[count]]
             if conv == "s":
-                token = self._read_token(width)
+                token = self._read_token(int(width) if width else None)
                 if token is None:
                     break
                 self.wr_mem(ptr, token + b"\0")
@@ -652,21 +671,16 @@ class Machine:
         # parser and the template loader admit
         op = ins.operands[0]
         template = op.symbol
-        dest = self.regs["rdi"]
-        bound = op.value if op.value is not None else self._runtime_bound(dest)
-        bound = max(bound, 1)
+        dest = self.regs[SAFECALL_REGS[template][0]]
+        bound = max(op.value if op.value is not None else self._runtime_bound(dest), 1)
         if template == "bounded_copy":
             data = self.rd_cstr(self.regs["rsi"])[:bound - 1]
             self.wr_mem(dest, data + b"\0")
             self.regs["rax"] = dest
         elif template == "bounded_append":
             dlen = len(self.rd_cstr(dest))
-            room = bound - 1 - dlen
-            if room <= 0:
-                self.wr_mem(dest + dlen, b"\0")
-            else:
-                data = self.rd_cstr(self.regs["rsi"])[:room]
-                self.wr_mem(dest + dlen, data + b"\0")
+            data = self.rd_cstr(self.regs["rsi"])[:max(bound - 1 - dlen, 0)]
+            self.wr_mem(dest + dlen, data + b"\0")
             self.regs["rax"] = dest
         elif template == "bounded_format":
             out = self._render_format(self.rd_cstr(self.regs["rsi"]),
@@ -682,8 +696,6 @@ class Machine:
             self.regs["rax"] = dest
         elif template == "bounded_scan":
             # scanf-style: rdi holds the format, rsi the destination
-            dest = self.regs["rsi"]
-            bound = op.value if op.value is not None else self._runtime_bound(dest)
             token = self._read_token(max(bound - 1, 1))
             if token is None:
                 self.regs["rax"] = 0
@@ -697,22 +709,59 @@ class Machine:
         return min(floors) - dest if floors else 16
 
 
-def _parse_scanf_format(fmt: str) -> list[tuple[str, int | None]]:
-    convs: list[tuple[str, int | None]] = []
-    i = 0
-    while i < len(fmt):
-        if fmt[i] != "%":
-            i += 1
-            continue
-        i += 1
-        width = ""
-        while i < len(fmt) and fmt[i].isdigit():
-            width += fmt[i]
-            i += 1
-        if i < len(fmt):
-            convs.append((fmt[i], int(width) if width else None))
-            i += 1
-    return convs
+# --- the modelled functions ------------------------------------------------
+
+class LibcSpec(NamedTuple):
+    """A function a call may name, run as the modelled function `extent`:
+    its handler, run on a machine standing at the call, and the registers
+    holding the address it writes through and the string it copies (None
+    when it has none)."""
+
+    name: str
+    extent: str
+    handler: Callable[[Machine], object]
+    dest: str | None
+    src: str | None = None
+
+
+# the library functions the interpreter models, each under its own name
+LIBC = {spec.name: spec for spec in (
+    LibcSpec("strcpy", "strcpy", Machine._libc_strcpy, "rdi", "rsi"),
+    LibcSpec("strcat", "strcat", Machine._libc_strcat, "rdi", "rsi"),
+    LibcSpec("sprintf", "sprintf", Machine._libc_sprintf, "rdi"),
+    LibcSpec("gets", "gets", Machine._libc_gets, "rdi"),
+    LibcSpec("scanf", "scanf", Machine._libc_scanf, "rsi"),
+    LibcSpec("strncpy", "strncpy", Machine._libc_strncpy, "rdi", "rsi"),
+    LibcSpec("fgets", "fgets", Machine._libc_fgets, "rdi"),
+    LibcSpec("snprintf", "snprintf", Machine._libc_snprintf, "rdi"),
+    LibcSpec("memset", "memset", Machine._libc_memset, "rdi"),
+    LibcSpec("printf", "printf", Machine._libc_printf, None),
+    LibcSpec("puts", "puts", Machine._libc_puts, None))}
+
+# (dest, src) registers of each safecall template, as in LibcSpec
+SAFECALL_REGS = {"bounded_copy": ("rdi", "rsi"), "bounded_append": ("rdi", "rsi"),
+                 "bounded_format": ("rdi", None), "bounded_readline": ("rdi", None),
+                 "bounded_scan": ("rsi", None)}
+
+
+def load_libc_db(path: str | None = None) -> dict[str, LibcSpec]:
+    """The bundled library database, or the one at a user `path`: each
+    entry {"extent": <a key of LIBC>} runs that function under its name."""
+    return load_data("libc.json", _parse_libc_db, path)
+
+
+def _parse_libc_db(data: str | bytes) -> dict[str, LibcSpec]:
+    raw = parse_json(data)
+    if not isinstance(raw, dict) or not all(isinstance(e, dict) for e in raw.values()):
+        raise MalformedData('expected an object mapping each function to '
+                            '{"extent": <modelled function>}')
+    db = {}
+    for name, e in raw.items():
+        extent = e.get("extent")
+        if not isinstance(extent, str) or extent not in LIBC:
+            raise MalformedData(f"{name}: extent {extent!r} is not one of {', '.join(LIBC)}")
+        db[name] = LIBC[extent]._replace(name=name)
+    return db
 
 
 _HANDLERS = {

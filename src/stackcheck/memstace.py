@@ -494,6 +494,10 @@ class _SpaceBuilder:
                 name = image.function_of(target.value)    # a call to a function's entry
             return _Decoded(ins, fn, nxt, loop, "call", target.value,
                             TransitionLabel("call", pc, name=name, text=ins.text))
+        if m == "safecall":     # a library call to its bounded template
+            return _Decoded(ins, fn, nxt, loop, "call", None,
+                            TransitionLabel("call", pc, name=ins.operands[0].symbol,
+                                            text=ins.text))
         op = classify_instruction(ins, self.canary_sites(fn))
         if op.kind == "no-effect":
             return _Decoded(ins, fn, nxt, loop, "no-effect")

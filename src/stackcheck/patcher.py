@@ -120,7 +120,7 @@ def dest_in_frame(bcfg: BCfg, call_site: int, spec: LibcSpec | None) -> bool:
     join or the end of the chain answers no (which selects the runtime
     patch mode).
     """
-    reg = spec.role_register("dest") if spec is not None else None
+    reg = spec.dest if spec is not None else None
     block = bcfg.block_containing(call_site) if reg is not None else None
     before, depth = call_site, 4
     while block is not None:

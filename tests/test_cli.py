@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -217,8 +220,8 @@ def test_malformed_buffers_file_is_an_input_error(tmp_path, capsys, content, mes
      "template 't': target missing or not a string"),
     ("--templates", "{", "not JSON"),
     ("--libc-db", "{", "not JSON"),
-    ("--libc-db", {"gets": {"roles": ["dest"], "extent": "bogus"}},
-     "gets: extent 'bogus' is not one of"),
+    ("--libc-db", {"gets": {"extent": "bogus"}},
+     "gets: extent 'bogus' is not one of strcpy, strcat"),
     ("--templates", [{"name": "gets_static", "target": "gets", "mode": "sometimes",
                       "replacement": "bounded_readline"}],
      "template 'gets_static': mode 'sometimes' is not one of static, runtime"),
@@ -831,3 +834,19 @@ def test_templates_dir_extends_and_overrides(tmp_path):
     assert "memcpy_static" in names
     assert len([t for t in templates if t.name == "strcpy_static"]) == 1
     assert len(templates) == 11
+
+
+@pytest.mark.parametrize("report", ["text", "json"])
+def test_closed_output_pipe_ends_without_a_traceback(report):
+    """A reader that closes the pipe before the report is written (as
+    `| head` does) ends the CLI quietly, with the verdict's exit code."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = subprocess.run([sys.executable, "-m", "stackcheck", "analyze",
+                           str(corpus_path("gets_rip_vuln")), "--report", report],
+                          stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -11,6 +10,7 @@ from stackcheck import validator
 from stackcheck.cli import analyze
 from stackcheck.effects import EffectsOracle, detect_loops, load_libc_db
 from stackcheck.frontend import parse_disassembly, build_bcfg
+from stackcheck.interp import LIBC
 from stackcheck.memstace import (Config, MemoryState, apply_effect,
                                  fresh_frame)
 from stackcheck.patcher import dest_in_frame
@@ -20,16 +20,23 @@ from conftest import corpus_path, fixture_path, pipeline
 
 def test_lookup_strcpy():
     spec = load_libc_db()["strcpy"]
-    assert spec.roles == ("dest", "src")
-    assert spec.role_register("dest") == "rdi"
-    assert spec.role_register("src") == "rsi"
-    assert spec.extent == "strlen_src_plus_1"
+    assert spec.extent == "strcpy"
+    assert spec.dest == "rdi"
 
 
 def test_lookup_gets_unbounded_input():
     spec = load_libc_db()["gets"]
-    assert spec.roles == ("dest",)
-    assert spec.extent == "line_plus_1"
+    assert spec.extent == "gets"
+    assert spec.dest == "rdi"
+
+
+def test_bundled_libc_db_runs_each_function_as_itself():
+    """Every modelled function is in the bundled database, under its own
+    name; scanf writes through its second argument."""
+    db = load_libc_db()
+    assert {name: spec.extent for name, spec in db.items()} == {name: name for name in LIBC}
+    assert db["scanf"].dest == "rsi"
+    assert db["printf"].dest is None and db["puts"].dest is None
 
 
 def test_lookup_unknown():
@@ -59,15 +66,14 @@ def test_empty_libc_db_is_used_as_given(tmp_path):
         ["No gets() Usage"]
 
 
-def test_libc_db_entries_need_only_roles_and_extent(tmp_path):
-    """A user libc entry gives a function's argument roles and write-extent
-    rule; keys no stage reads change nothing, whether present or not."""
+def test_libc_db_entries_need_only_extent(tmp_path):
+    """A user libc entry names the modelled function a call runs as; keys
+    no stage reads, roles included, change nothing, whether present or not."""
     listing = str(corpus_path("gets_rip_vuln"))
     want = [p.status for p in analyze([listing])[0].properties]
     db = tmp_path / "libc.json"
-    for entry in ({"roles": ["dest"], "extent": "line_plus_1"},
-                  {"arity": 1, "roles": ["dest"], "input_source": True,
-                   "extent": "line_plus_1"}):
+    for entry in ({"extent": "gets"},
+                  {"arity": 1, "roles": ["dest"], "input_source": True, "extent": "gets"}):
         db.write_text(json.dumps({"gets": entry}))
         report = analyze([listing], Config(libc_db_path=str(db)))[0]
         assert [p.status for p in report.properties] == want, report.error
@@ -79,8 +85,9 @@ def test_recover_copy_arguments():
     image, bcfg, _ = pipeline(corpus_path("strcpy_rip_vuln"))
     spec = load_libc_db()["strcpy"]
     assert dest_in_frame(bcfg, 0x401118, spec)
-    # rsi, the source, holds a frame slot's value, not a frame address
-    assert not dest_in_frame(bcfg, 0x401118, replace(spec, roles=("src", "dest")))
+    # as scanf, the call writes through rsi, which holds a frame slot's
+    # value (the source), not a frame address
+    assert not dest_in_frame(bcfg, 0x401118, load_libc_db()["scanf"])
 
 
 def test_recover_constant_argument():
@@ -265,7 +272,8 @@ _ONE_CALL_EFFECT = {
     "memset": ([(0, 0, 31)], None, []),
     "printf": ([], None, []),
     "puts": ([], None, []),
-    "scanf-width": ([(0, 7, 23)], b"A" * 16 + b"\n", []),
+    # %7s reads at most 7 bytes, so the 8-byte buffer holds them
+    "scanf-width": ([(0, 16, 23)], None, []),
 }
 
 
@@ -554,36 +562,3 @@ def test_self_call_recursion_finishes_within_timeout(tmp_path):
         return out
 
     assert report(Config(timeout=2)) == report(Config())
-
-
-def _apply_payload_per_byte(clone, addr: int, data: bytes) -> bool:
-    """The reference: one write per byte, stopping at the first byte
-    outside the stack and the aux area."""
-    for i, b in enumerate(data):
-        a = addr + i
-        if not (clone.in_stack(a) or a in clone.aux):
-            return True
-        clone.wr_mem(a, bytes([b]))
-    return False
-
-
-def test_apply_payload_matches_per_byte_writes():
-    import random
-    from stackcheck.effects import _apply_payload
-    from stackcheck.interp import ARGV_BASE, STACK_BASE, STACK_TOP, Machine
-    rng = random.Random(7)
-    machine = Machine(parse_disassembly("main:\n401000: ret\n"), Config(),
-                      argv=("prog", "A" * 40))
-    machine.start(0x401000)
-    starts = {"below": lambda: STACK_BASE - rng.randrange(1, 400),
-              "stack": lambda: rng.randrange(STACK_BASE, STACK_TOP - 400),
-              "straddle": lambda: STACK_TOP - rng.randrange(0, 300),
-              "argv": lambda: ARGV_BASE + rng.randrange(0, 80)}
-    for where, start in starts.items():
-        for _ in range(60):
-            addr, n = start(), rng.randrange(0, 301)
-            data = bytes(rng.randrange(256) for _ in range(n))
-            one, ref = machine.fork(), machine.fork()
-            assert _apply_payload(one, addr, data) == _apply_payload_per_byte(ref, addr, data)
-            assert (one.stack_lo, one.stack, one.aux) == (ref.stack_lo, ref.stack, ref.aux), where
-            assert (one._wm_lo, one._wm_hi) == (ref._wm_lo, ref._wm_hi), where

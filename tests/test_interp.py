@@ -269,6 +269,43 @@ def test_rd_cstr_matches_the_bytewise_reference():
             assert m.rd_cstr(addr, cap) == _rd_cstr_bytewise(m, addr, cap), (hex(addr), cap)
 
 
+
+def _wr_mem_bytewise(m: Machine, addr: int, data: bytes) -> bool:
+    """The reference: one wr_mem per byte; whether a byte crashed the write."""
+    try:
+        for i, b in enumerate(data):
+            m.wr_mem(addr + i, bytes([b]))
+    except Halt:
+        return True
+    return False
+
+
+def test_wr_mem_matches_bytewise_writes():
+    """Writes below the stack, inside it, running past STACK_TOP and into
+    argv: the same bytes land, the same write crashes, and the write marks
+    span the same bytes."""
+    from stackcheck.interp import ARGV_BASE, STACK_BASE, STACK_TOP
+    rng = random.Random(7)
+    m = Machine(parse_disassembly("main:\n401000: ret\n"), Config(), argv=("prog", "A" * 40))
+    m.start(0x401000)
+    starts = {"below": lambda: STACK_BASE - rng.randrange(1, 400),
+              "stack": lambda: rng.randrange(STACK_BASE, STACK_TOP - 400),
+              "straddle": lambda: STACK_TOP - rng.randrange(0, 300),
+              "argv": lambda: ARGV_BASE + rng.randrange(0, 80)}
+    for where, start in starts.items():
+        for _ in range(60):
+            addr, n = start(), rng.randrange(0, 301)
+            data = bytes(rng.randrange(256) for _ in range(n))
+            one, ref = m.fork(), m.fork()
+            try:
+                one.wr_mem(addr, data)
+                crashed = False
+            except Halt:
+                crashed = True
+            assert crashed == _wr_mem_bytewise(ref, addr, data), where
+            assert (one.stack_lo, one.stack, one.aux) == (ref.stack_lo, ref.stack, ref.aux), where
+            assert (one._wm_lo, one._wm_hi) == (ref._wm_lo, ref._wm_hi), where
+
 def _diff_bytewise(before: Machine, after: Machine) -> dict[int, tuple[int, int]]:
     """The reference: every byte of both windows, each padded below with
     FILL (how unwritten bytes read) to the lower of the two."""

@@ -252,3 +252,50 @@ def test_validation_runs_a_stdin_blind_image_once(name, runs, monkeypatch):
     report = analyze([str(corpus_path(name))], Config(), patch=True, validate=True)[0]
     assert [v["success"] for v in report.validations] == [True]
     assert calls[0] == runs
+
+
+def _patched_gets_rip_vuln(bound: str):
+    """gets_rip_vuln's patched listing with its safecall bound set to `bound`."""
+    report = analyze_image(load_image(corpus_path("gets_rip_vuln")), "gets_rip_vuln",
+                           Config(), patch=True)
+    text = report.patched_image.emit()
+    assert "safecall bounded_readline 0x10\n" in text
+    return parse_disassembly(text.replace("safecall bounded_readline 0x10\n",
+                                          f"safecall bounded_readline {bound}\n"))
+
+
+@pytest.mark.parametrize("bound, status, outcome", [
+    ("0x10", "clean", (CLEAN, None)),
+    ("0x100", "vulnerable", (CRASH, "return-address-corrupted"))])
+def test_patched_listing_is_analysed_with_its_safecall_bound(bound, status, outcome):
+    """A safecall has the effect its template has when run: the emitted
+    bound keeps the line in the 16-byte buffer, a raised one lets it reach
+    the return address, as a run on 64 `A`s shows."""
+    image = _patched_gets_rip_vuln(bound)
+    report = analyze_image(image, "gets_rip_vuln.patched", Config())
+    assert report.status == status, report.error
+    assert ("RIP Integrity" in [p.name for p in report.properties
+                                if p.status == "violated"]) is (status == "vulnerable")
+    ran = run(image, stdin=b"A" * 64 + b"\n")
+    assert (ran.status, ran.cause) == outcome
+
+
+def test_libc_db_alias_validates_as_it_is_detected(tmp_path):
+    """A call to `my_gets`, listed as running `gets`, is detected as gets'
+    overflow and validated by running gets: the original run crashes on the
+    derived input and the patched one does not."""
+    listing = tmp_path / "my_gets.s"
+    listing.write_text(corpus_path("gets_rip_vuln").read_text().replace("<gets@plt>",
+                                                                        "<my_gets@plt>"))
+    db = tmp_path / "libc.json"
+    db.write_text('{"my_gets": {"extent": "gets"}}')
+    templates = tmp_path / "templates.json"
+    templates.write_text('[{"name": "my_gets_static", "target": "my_gets", '
+                         '"mode": "static", "replacement": "bounded_readline"}]')
+    cfg = Config(libc_db_path=str(db), templates_path=str(templates))
+    report = analyze([str(listing)], cfg, patch=True, validate=True)[0]
+    assert report.status == "vulnerable", report.error
+    assert [(p["callee"], p["template"]) for p in report.patches] == \
+        [("my_gets", "my_gets_static")]
+    assert [(v["original"]["status"], v["patched"]["status"], v["success"])
+            for v in report.validations] == [(CRASH, CLEAN, True)]
