@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import MalformedData, interp, parse_json
-from .frontend import BCfg, ProgramImage
-from .interp import (CAUSE_OOS, CLEAN, CRASH, SAFECALL_REGS, STEP_BUDGET, UNSUPPORTED, Halt,
-                     LibcSpec, Machine, load_libc_db)
+from .frontend import SAFECALLS, BCfg, ProgramImage
+from .interp import (CAUSE_OOS, CLEAN, CRASH, STEP_BUDGET, UNSUPPORTED, Halt, LibcSpec, Machine,
+                     load_libc_db)
 from .memstace import Config, infer_buffer_size, scan_object_boundaries
 
 
@@ -99,7 +99,7 @@ def emulate_call(machine: Machine, call_site: int, spec: LibcSpec | None,
         ins = machine.image.instructions[call_site]
         template = ins.operands[0].symbol
         spec = LibcSpec(template, template, lambda m: m._do_safecall(ins, None),
-                        *SAFECALL_REGS[template])
+                        *SAFECALLS[template])
     name = spec.name
     if spec.dest is None:
         return CallEffect(name=name)

@@ -54,9 +54,12 @@ CMOV = {"cmove", "cmovne", "cmovl", "cmovle", "cmovg", "cmovge", "cmovz", "cmovn
 KNOWN_MNEMONICS |= JCC | CMOV
 
 # the bounded replacements a `safecall` line may name, each one the
-# interpreter implements and a patch template may choose
-SAFECALLS = ("bounded_copy", "bounded_append", "bounded_format", "bounded_readline",
-             "bounded_scan")
+# interpreter implements and a patch template may choose, with the
+# registers holding the address it writes through and the string it
+# copies (None when it has none)
+SAFECALLS = {"bounded_copy": ("rdi", "rsi"), "bounded_append": ("rdi", "rsi"),
+             "bounded_format": ("rdi", None), "bounded_readline": ("rdi", None),
+             "bounded_scan": ("rsi", None)}
 
 # the stack canary is read from this offset in the fs segment
 CANARY_FS_OFFSET = 0x28

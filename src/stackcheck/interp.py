@@ -46,8 +46,8 @@ from typing import NamedTuple
 
 from . import MalformedData, load_data, parse_json
 from .codegen import CONDITIONS, compile_instruction
-from .frontend import (CANARY_FS_OFFSET, CMOV, IMM, JCC, MEM, R64, REG, Instruction,
-                       ProgramImage)
+from .frontend import (CANARY_FS_OFFSET, CMOV, IMM, JCC, MEM, R64, REG, SAFECALLS,
+                       Instruction, ProgramImage)
 
 STACK_BASE = 0x7FFE0000
 STACK_SIZE = 0x40000
@@ -671,7 +671,7 @@ class Machine:
         # parser and the template loader admit
         op = ins.operands[0]
         template = op.symbol
-        dest = self.regs[SAFECALL_REGS[template][0]]
+        dest = self.regs[SAFECALLS[template][0]]
         bound = max(op.value if op.value is not None else self._runtime_bound(dest), 1)
         if template == "bounded_copy":
             data = self.rd_cstr(self.regs["rsi"])[:bound - 1]
@@ -737,11 +737,6 @@ LIBC = {spec.name: spec for spec in (
     LibcSpec("memset", "memset", Machine._libc_memset, "rdi"),
     LibcSpec("printf", "printf", Machine._libc_printf, None),
     LibcSpec("puts", "puts", Machine._libc_puts, None))}
-
-# (dest, src) registers of each safecall template, as in LibcSpec
-SAFECALL_REGS = {"bounded_copy": ("rdi", "rsi"), "bounded_append": ("rdi", "rsi"),
-                 "bounded_format": ("rdi", None), "bounded_readline": ("rdi", None),
-                 "bounded_scan": ("rsi", None)}
 
 
 def load_libc_db(path: str | None = None) -> dict[str, LibcSpec]:
