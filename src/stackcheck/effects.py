@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 from . import MalformedData, interp, parse_json
@@ -127,7 +128,7 @@ def emulate_call(machine: Machine, call_site: int, spec: LibcSpec | None,
     fork.stdin, fork.stdin_pos = crash_input or b"A" * max_len, 0
     counted = spec.extent in ("strncpy", "memset")
     if spec.src and (counted or not _plausible_pointer(machine, fork.regs[spec.src])):
-        fork.aux.update(dict.fromkeys(range(STAND_IN, STAND_IN + max_len), ord("A")))
+        fork.aux.update(_stand_in(max_len))
         fork.regs[spec.src] = STAND_IN
     elif counted:       # memset's fill byte
         fork.regs["rsi"] = ord("A")
@@ -158,6 +159,13 @@ def _plausible_pointer(machine: Machine, addr: int) -> bool:
 # where a fork holds the max_input_len `A`s that stand in for a source
 # string at no plausible address
 STAND_IN = 0x600000
+
+
+@cache
+def _stand_in(n: int) -> dict[int, int]:
+    """The aux bytes of n `A`s at STAND_IN, built once per length: callers
+    only copy them."""
+    return dict.fromkeys(range(STAND_IN, STAND_IN + n), ord("A"))
 
 
 def _map_touches(machine: Machine, changed: dict[int, tuple[int, int]]):
