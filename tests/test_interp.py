@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -355,3 +357,122 @@ def test_diff_stack_matches_a_bytewise_diff_of_the_whole_window():
         kinds.add("grown" if m.stack_lo < before.stack_lo else "same window")
         assert m.diff_stack(snap) == _diff_bytewise(before, m)
     assert kinds == {"fork", "grown", "same window"}
+
+
+# --- safecall characterization ------------------------------------------------
+
+# A `safecall` listing: argv[0] is the source string, argv[1] the format,
+# the destination is the 0x30 bytes below the saved rbp (so the runtime
+# bound is 0x30), optionally holding "xy" before the call, and puts prints
+# it after the call.
+_SAFECALL = """\
+main:
+401000: push rbp
+401001: mov rbp, rsp
+401004: sub rsp, 0x40
+401008: mov r12, [rsi]
+40100c: mov r13, [rsi+0x8]
+401010: mov word [rbp-0x30], {prefix}
+401014: mov byte [rbp-0x2e], 0x0
+{setup}
+401040: safecall {template} {bound}
+401044: lea rdi, [rbp-0x30]
+401048: call 0x401100 <puts@plt>
+40104c: mov rsp, rbp
+401050: pop rbp
+401051: ret
+"""
+# the registers each template reads, set from r12 (source) and r13 (format)
+_SAFECALL_SETUP = {
+    "bounded_copy": "401020: lea rdi, [rbp-0x30]\n401024: mov rsi, r12",
+    "bounded_append": "401020: lea rdi, [rbp-0x30]\n401024: mov rsi, r12",
+    "bounded_format": "401020: lea rdi, [rbp-0x30]\n401024: mov rsi, r13\n401028: mov rdx, r12",
+    "bounded_readline": "401020: lea rdi, [rbp-0x30]",
+    "bounded_scan": "401020: mov rdi, r13\n401024: lea rsi, [rbp-0x30]",
+}
+_SOURCES = ("q", "0123456789", "B" * 300)     # shorter than every bound, between, longer
+# (destination prefix, source, format) per template: stdin is the source of
+# the two readers, whose format is a %s string
+_SAFECALL_CASES = {
+    "bounded_copy": [("", s, "") for s in _SOURCES],
+    "bounded_append": [(p, s, "") for p in ("", "xy") for s in _SOURCES],
+    "bounded_format": [("", s, f) for f in ("%s", "<%s>") for s in _SOURCES],
+    "bounded_readline": [("", "", "")],
+    "bounded_scan": [("", "", "%s")],
+}
+_SAFECALL_STDINS = {"empty": b"", "line": b"abc\n", "a20": b"A" * 20, "a200": b"A" * 200}
+# sha256 (first 16 hex digits) of the records of each template, bound and
+# stdin: [status, cause, steps, stdout, destination bytes] per case
+_SAFECALL_DIGESTS = {
+    "bounded_copy": {
+        "0x2": ("e7ffcd4c62fd9a7a", "e7ffcd4c62fd9a7a", "e7ffcd4c62fd9a7a", "e7ffcd4c62fd9a7a"),
+        "0x3": ("8e814107245d39c5", "8e814107245d39c5", "8e814107245d39c5", "8e814107245d39c5"),
+        "0x8": ("2ed006b1c30799ec", "2ed006b1c30799ec", "2ed006b1c30799ec", "2ed006b1c30799ec"),
+        "0x10": ("d8a11f2c380affeb", "d8a11f2c380affeb", "d8a11f2c380affeb", "d8a11f2c380affeb"),
+        "0x100": ("61a20e0bf57563cf", "61a20e0bf57563cf", "61a20e0bf57563cf", "61a20e0bf57563cf"),
+        "rt": ("a115f71707dd8f90", "a115f71707dd8f90", "a115f71707dd8f90", "a115f71707dd8f90"),
+    },
+    "bounded_append": {
+        "0x2": ("973ce93d90577990", "973ce93d90577990", "973ce93d90577990", "973ce93d90577990"),
+        "0x3": ("95c7c0a05880849b", "95c7c0a05880849b", "95c7c0a05880849b", "95c7c0a05880849b"),
+        "0x8": ("5c5eb5c5818527dd", "5c5eb5c5818527dd", "5c5eb5c5818527dd", "5c5eb5c5818527dd"),
+        "0x10": ("9b3923ad016a2321", "9b3923ad016a2321", "9b3923ad016a2321", "9b3923ad016a2321"),
+        "0x100": ("0d20ae7b138b9be3", "0d20ae7b138b9be3", "0d20ae7b138b9be3", "0d20ae7b138b9be3"),
+        "rt": ("b44f056cb52b9235", "b44f056cb52b9235", "b44f056cb52b9235", "b44f056cb52b9235"),
+    },
+    "bounded_format": {
+        "0x2": ("8a1a286227a4ff6d", "8a1a286227a4ff6d", "8a1a286227a4ff6d", "8a1a286227a4ff6d"),
+        "0x3": ("9faefee5d67c4a97", "9faefee5d67c4a97", "9faefee5d67c4a97", "9faefee5d67c4a97"),
+        "0x8": ("7a7bc7d9e84994f6", "7a7bc7d9e84994f6", "7a7bc7d9e84994f6", "7a7bc7d9e84994f6"),
+        "0x10": ("d82770dfbbff2d4a", "d82770dfbbff2d4a", "d82770dfbbff2d4a", "d82770dfbbff2d4a"),
+        "0x100": ("211b29cc571180d6", "211b29cc571180d6", "211b29cc571180d6", "211b29cc571180d6"),
+        "rt": ("5100bb685ffe23b0", "5100bb685ffe23b0", "5100bb685ffe23b0", "5100bb685ffe23b0"),
+    },
+    "bounded_readline": {
+        "0x2": ("79b462344153d22c", "3837841f507bd1a5", "0f20b181086611d5", "0f20b181086611d5"),
+        "0x3": ("79b462344153d22c", "c4f75695b09189a4", "936a452a0bc62e3c", "936a452a0bc62e3c"),
+        "0x8": ("79b462344153d22c", "6627ba421a34121f", "ff0d17ad0f9d2147", "ff0d17ad0f9d2147"),
+        "0x10": ("79b462344153d22c", "6627ba421a34121f", "b54db612d08a8b0c", "b54db612d08a8b0c"),
+        "0x100": ("79b462344153d22c", "6627ba421a34121f", "15283b9c7f5adc23", "c0b492020ff64b38"),
+        "rt": ("79b462344153d22c", "6627ba421a34121f", "15283b9c7f5adc23", "a5136a6f450d521b"),
+    },
+    "bounded_scan": {
+        "0x2": ("eb239db6eab8fd64", "3dd5aa6078450e64", "f03dda53d8d9197e", "f03dda53d8d9197e"),
+        "0x3": ("eb239db6eab8fd64", "6423bc0911c1574e", "53c19fb190d309ad", "53c19fb190d309ad"),
+        "0x8": ("eb239db6eab8fd64", "f2f65205a8f07f61", "4e425a7b6b6f89bc", "4e425a7b6b6f89bc"),
+        "0x10": ("eb239db6eab8fd64", "f2f65205a8f07f61", "0d88add287b4c96d", "0d88add287b4c96d"),
+        "0x100": ("eb239db6eab8fd64", "f2f65205a8f07f61", "afd45d8a1e87972e", "3bf2ecfa8b7877af"),
+        "rt": ("eb239db6eab8fd64", "f2f65205a8f07f61", "afd45d8a1e87972e", "e63903dc8e20b060"),
+    },
+}
+
+
+def _safecall_records(template: str, bound: str, stdin: bytes) -> list:
+    records = []
+    for prefix, source, fmt in _SAFECALL_CASES[template]:
+        image = parse_disassembly(_SAFECALL.format(
+            prefix=f"{int.from_bytes(prefix.encode(), 'little'):#x}",
+            setup=_SAFECALL_SETUP[template], template=template, bound=bound))
+        argv = (source, fmt)
+        outcome = run(image, stdin=stdin, argv=argv)
+        m = Machine(image, Config(), stdin=stdin, argv=argv)
+        m.start(0x401000)
+        m.run_to(0x401040)
+        dest = m.regs["rbp"] - 0x30
+        with pytest.raises(Halt):
+            m.run()
+        records.append([outcome.status, outcome.cause, outcome.steps,
+                        outcome.stdout.hex(), m.rd_mem(dest, 0x110).hex()])
+    return records
+
+
+@pytest.mark.parametrize("stdin", _SAFECALL_STDINS)
+@pytest.mark.parametrize("bound", ["0x2", "0x3", "0x8", "0x10", "0x100", "rt"])
+@pytest.mark.parametrize("template", _SAFECALL_CASES)
+def test_safecall_characterization(template, bound, stdin):
+    """Each template's run, stdout and destination bytes for each bound and
+    stdin, with sources shorter and longer than the bound and an append
+    onto a non-empty destination."""
+    records = _safecall_records(template, bound, _SAFECALL_STDINS[stdin])
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()[:16]
+    assert digest == _SAFECALL_DIGESTS[template][bound][list(_SAFECALL_STDINS).index(stdin)]
