@@ -13,12 +13,13 @@ class MalformedData(Exception):
     """A user data file (--templates, --libc-db, --buffers) not of its shape."""
 
 
+@cache
 def load_data(name: str, parse, path: str | None = None):
-    """`parse` applied to the bundled data file `name`, once per process
-    (callers share the result and must not mutate it), or to the bytes of
-    the file at a user-supplied `path`, read on every call."""
+    """`parse` applied to the bundled data file `name`, or to the bytes of
+    the file at a user-supplied `path`: each is read and parsed once per
+    process, and callers share the result and must not mutate it."""
     if path is None:
-        return _bundled(name, parse)
+        return parse(resources.files(__name__).joinpath(f"data/{name}").read_text())
     return parse(Path(path).read_bytes())
 
 
@@ -28,8 +29,3 @@ def parse_json(data: str | bytes):
         return json.loads(data)
     except ValueError as exc:
         raise MalformedData(f"not JSON: {exc}")
-
-
-@cache
-def _bundled(name: str, parse):
-    return parse(resources.files(__name__).joinpath(f"data/{name}").read_text())

@@ -6,11 +6,12 @@ site, safecall and loop entry at the run's first arrival there; the run
 advances only as far as the furthest site asked for. Both kinds give one
 record, a CallEffect (touched bytes, notes, and whether it is complete),
 in one cache keyed by (root, pc, "call" | "loop"). A call's effect is the
-stack diff of the interpreter's own handler for it run on a fork (the
-LibcSpec the libc database gives the symbol the call names, or the
-safecall's template), so detection and validation share one library
-model; the fork reads the call's smallest crashing stdin, derived in
-closed form for patch validation. A loop's effect is the diff between a
+stack diff of the interpreter's own handler for the instruction run on
+a fork (a call runs the LibcSpec the libc database gives the symbol it
+names, a safecall the LIBC entry of the function its template bounds,
+with its bound), so detection and validation share one library model;
+the fork reads the call's smallest crashing stdin, derived in closed
+form for patch validation. A loop's effect is the diff between a
 fork's arrival at the loop entry and its exit; a fork that does not
 reach the exit (iteration or step budget, an unsupported construct, or
 leaving the function) gives a truncating effect, with a note saying why.
@@ -81,11 +82,12 @@ def _opaque(name: str, note: str, truncating: bool = False) -> CallEffect:
     return CallEffect(name=name, opaque=True, truncating=truncating, notes=[note])
 
 
-def emulate_call(machine: Machine, call_site: int, spec: LibcSpec | None,
+def emulate_call(machine: Machine, call_site: int, spec: LibcSpec,
                  buffer_size) -> CallEffect:
-    """The effect of the call to `spec` (None: the safecall) at call_site
-    on a machine standing there: run the interpreter's handler for it on a
-    fork and report the stack diff as (frame depth, byte index) touches.
+    """The effect of the call or safecall at call_site, which runs `spec`,
+    on a machine standing there: run the interpreter's handler for the
+    instruction on a fork and report the stack diff as (frame depth, byte
+    index) touches.
     `buffer_size(fn, offset, has_canary)` is the analysis's buffer-size
     rule.
 
@@ -96,11 +98,6 @@ def emulate_call(machine: Machine, call_site: int, spec: LibcSpec | None,
     zero fill over the root frame's saved rbp (0 in emulation) would not
     show in the diff. A write running past the stack or the aux area stops
     there, with a note."""
-    if spec is None:        # the line's template, run with its bound
-        ins = machine.image.instructions[call_site]
-        template = ins.operands[0].symbol
-        spec = LibcSpec(template, template, lambda m: m._do_safecall(ins, None),
-                        *SAFECALLS[template])
     name = spec.name
     if spec.dest is None:
         return CallEffect(name=name)
@@ -136,8 +133,9 @@ def emulate_call(machine: Machine, call_site: int, spec: LibcSpec | None,
         fork.regs["rdx"] = min(fork.regs["rdx"], max_len)
     snap = fork.snapshot()
     clamped = False
+    ins = machine.image.instructions[call_site]
     try:
-        spec.handler(fork)
+        interp._HANDLERS[ins.mnemonic](fork, ins, None)
     except Halt as h:
         if h.cause != CAUSE_OOS:
             return _opaque(name, f"{name} at {call_site:#x}: {h.cause}", truncating=True)
@@ -436,18 +434,20 @@ class EffectsOracle:
         return self._buffer_sizes[key]
 
     def spec(self, site: int) -> LibcSpec | None:
-        """The libc spec of the function the call at `site` names, if any;
-        None at a safecall."""
-        ins = self.image.instructions[site]
-        return None if ins.mnemonic == "safecall" else self.libc_db.get(ins.callee)
-
-    def call_effect(self, site: int) -> CallEffect:
+        """The libc spec of the function the call at `site` names, if any; at
+        a safecall, the function its template bounds, under the template's
+        name."""
         ins = self.image.instructions[site]
         if ins.mnemonic == "safecall":
-            return self._effect(site, "call", ins.operands[0].symbol)
+            template = ins.operands[0].symbol
+            return interp.LIBC[SAFECALLS[template]]._replace(name=template)
+        return self.libc_db.get(ins.callee)
+
+    def call_effect(self, site: int) -> CallEffect:
         spec = self.spec(site)
         if spec is None:
-            return _opaque(ins.callee, f"unknown library function {ins.callee!r}; "
+            callee = self.image.instructions[site].callee
+            return _opaque(callee, f"unknown library function {callee!r}; "
                            "call treated as opaque")
         return self._effect(site, "call", spec.name)
 
@@ -481,14 +481,13 @@ class EffectsOracle:
         return self._effects[key]
 
     def _pending(self) -> set[int]:
-        """Call sites with a libc spec, safecalls and reducible loop
-        entries: where a root's run stops. _arrive skips a site whose
-        effect from the root is cached already."""
+        """Calls and safecalls with a libc spec, and reducible loop entries:
+        where a root's run stops. _arrive skips a site whose effect from the
+        root is cached already."""
         if self._sites is None:
             self._call_sites = frozenset(
                 a for a, ins in self.image.instructions.items()
-                if ins.mnemonic == "safecall"
-                or ins.mnemonic == "call" and self.spec(a) is not None)
+                if ins.mnemonic in ("call", "safecall") and self.spec(a) is not None)
             self._sites = self._call_sites | {
                 a for a, lp in self._loops_by_entry.items() if not lp.irreducible}
         return set(self._sites)

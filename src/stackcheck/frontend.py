@@ -53,13 +53,12 @@ JCC = {"je", "jne", "jl", "jle", "jg", "jge", "jb", "jbe", "ja", "jae", "js", "j
 CMOV = {"cmove", "cmovne", "cmovl", "cmovle", "cmovg", "cmovge", "cmovz", "cmovnz"}
 KNOWN_MNEMONICS |= JCC | CMOV
 
-# the bounded replacements a `safecall` line may name, each one the
-# interpreter implements and a patch template may choose, with the
-# registers holding the address it writes through and the string it
-# copies (None when it has none)
-SAFECALLS = {"bounded_copy": ("rdi", "rsi"), "bounded_append": ("rdi", "rsi"),
-             "bounded_format": ("rdi", None), "bounded_readline": ("rdi", None),
-             "bounded_scan": ("rsi", None)}
+# the bounded replacements a `safecall` line may name and a patch template
+# may choose, each the modelled function (a key of interp.LIBC) it runs
+# with its write capped by the bound
+SAFECALLS = {"bounded_copy": "strcpy", "bounded_append": "strcat",
+             "bounded_format": "sprintf", "bounded_readline": "gets",
+             "bounded_scan": "scanf"}
 
 # the stack canary is read from this offset in the fs segment
 CANARY_FS_OFFSET = 0x28

@@ -16,8 +16,9 @@ LIBC is the one table of modelled library functions: each entry names
 its handler and the registers it writes through and copies from. A call
 runs the entry the libc database (`load_libc_db`, bundled or --libc-db)
 gives its callee's name, and a callee the database does not list does
-nothing; the safecall pseudo-instruction runs the bounded replacement
-the patcher installed.
+nothing. The safecall pseudo-instruction the patcher installs runs the
+LIBC entry of the function its template bounds (frontend.SAFECALLS),
+its write capped at the bound.
 
 Each instruction is compiled once per image, at its first execution, into
 a closure (see codegen) that takes the machine and returns the next pc;
@@ -517,9 +518,13 @@ class Machine:
             self.stdin_pos = end + 1
         return line
 
-    def _libc_strcpy(self) -> None:
+    # strcpy, strcat, sprintf, gets and scanf take the `cap` of a safecall
+    # that bounds them: at most cap bytes before the terminator (strcat: of
+    # the whole string; scanf: of the %s conversion through rsi)
+
+    def _libc_strcpy(self, cap: int | None = None) -> None:
         dest, src = self.regs["rdi"], self.regs["rsi"]
-        data = self.rd_cstr(src)
+        data = self.rd_cstr(src)[:cap]
         self.wr_mem(dest, data + b"\0")
         self.regs["rax"] = dest
 
@@ -529,20 +534,20 @@ class Machine:
         self.wr_mem(dest, data + b"\0" * (n - len(data)))
         self.regs["rax"] = dest
 
-    def _libc_strcat(self) -> None:
+    def _libc_strcat(self, cap: int | None = None) -> None:
         dest, src = self.regs["rdi"], self.regs["rsi"]
         dlen = len(self.rd_cstr(dest))
-        data = self.rd_cstr(src)
+        data = self.rd_cstr(src)[:None if cap is None else max(cap - dlen, 0)]
         self.wr_mem(dest + dlen, data + b"\0")
         self.regs["rax"] = dest
 
-    def _libc_gets(self) -> None:
+    def _libc_gets(self, cap: int | None = None) -> None:
         dest = self.regs["rdi"]
         line = self._read_line()
         if line is None:
             self.regs["rax"] = 0
             return
-        self.wr_mem(dest, line + b"\0")
+        self.wr_mem(dest, line[:cap] + b"\0")
         self.regs["rax"] = dest
 
     def _libc_fgets(self) -> None:
@@ -564,10 +569,10 @@ class Machine:
         self.wr_mem(dest, bytes([c]) * n)
         self.regs["rax"] = dest
 
-    def _libc_sprintf(self) -> None:
+    def _libc_sprintf(self, cap: int | None = None) -> None:
         dest = self.regs["rdi"]
         out = self._render_format(self.rd_cstr(self.regs["rsi"]),
-                                  ["rdx", "rcx", "r8", "r9"])
+                                  ["rdx", "rcx", "r8", "r9"])[:cap]
         self.wr_mem(dest, out + b"\0")
         self.regs["rax"] = len(out)
 
@@ -588,7 +593,7 @@ class Machine:
         self.stdout.extend(self.rd_cstr(self.regs["rdi"]) + b"\n")
         self.regs["rax"] = 1
 
-    def _libc_scanf(self) -> None:
+    def _libc_scanf(self, cap: int | None = None) -> None:
         fmt = self.rd_cstr(self.regs["rdi"]).decode("latin-1")
         dests = ["rsi", "rdx", "rcx", "r8", "r9"]
         count = 0
@@ -598,7 +603,10 @@ class Machine:
                 break
             ptr = self.regs[dests[count]]
             if conv == "s":
-                token = self._read_token(int(width) if width else None)
+                limit = int(width) if width else None
+                if count == 0 and cap is not None:      # the write through rsi
+                    limit = cap if limit is None else min(limit, cap)
+                token = self._read_token(limit)
                 if token is None:
                     break
                 self.wr_mem(ptr, token + b"\0")
@@ -664,44 +672,15 @@ class Machine:
                 raise Halt(UNSUPPORTED, f"%{conv} is not supported")
         return bytes(out)
 
-    # --- safecall: bounded replacement semantics ----------------------------
+    # --- safecall: a modelled function with a bound ------------------------
 
     def _do_safecall(self, ins: Instruction, nxt: int | None) -> int | None:
-        # one branch per name in frontend.SAFECALLS, the only templates the
-        # parser and the template loader admit
+        """Run the function the template bounds, writing at most bound - 1
+        bytes and the terminator; a bound of 0 writes the terminator only."""
         op = ins.operands[0]
-        template = op.symbol
-        dest = self.regs[SAFECALLS[template][0]]
-        bound = max(op.value if op.value is not None else self._runtime_bound(dest), 1)
-        if template == "bounded_copy":
-            data = self.rd_cstr(self.regs["rsi"])[:bound - 1]
-            self.wr_mem(dest, data + b"\0")
-            self.regs["rax"] = dest
-        elif template == "bounded_append":
-            dlen = len(self.rd_cstr(dest))
-            data = self.rd_cstr(self.regs["rsi"])[:max(bound - 1 - dlen, 0)]
-            self.wr_mem(dest + dlen, data + b"\0")
-            self.regs["rax"] = dest
-        elif template == "bounded_format":
-            out = self._render_format(self.rd_cstr(self.regs["rsi"]),
-                                      ["rdx", "rcx", "r8", "r9"])
-            self.wr_mem(dest, out[:bound - 1] + b"\0")
-            self.regs["rax"] = min(len(out), bound - 1)
-        elif template == "bounded_readline":
-            line = self._read_line()
-            if line is None:
-                self.regs["rax"] = 0
-                return nxt
-            self.wr_mem(dest, line[:bound - 1] + b"\0")
-            self.regs["rax"] = dest
-        elif template == "bounded_scan":
-            # scanf-style: rdi holds the format, rsi the destination
-            token = self._read_token(max(bound - 1, 1))
-            if token is None:
-                self.regs["rax"] = 0
-                return nxt
-            self.wr_mem(dest, token + b"\0")
-            self.regs["rax"] = 1
+        spec = LIBC[SAFECALLS[op.symbol]]
+        bound = op.value if op.value is not None else self._runtime_bound(self.regs[spec.dest])
+        spec.handler(self, max(bound - 1, 0))
         return nxt
 
     def _runtime_bound(self, dest: int) -> int:
@@ -713,13 +692,14 @@ class Machine:
 
 class LibcSpec(NamedTuple):
     """A function a call may name, run as the modelled function `extent`:
-    its handler, run on a machine standing at the call, and the registers
+    its handler, run on a machine standing at the call (a safecall also
+    passes the cap its bound gives), and the registers
     holding the address it writes through and the string it copies (None
     when it has none)."""
 
     name: str
     extent: str
-    handler: Callable[[Machine], object]
+    handler: Callable[..., object]
     dest: str | None
     src: str | None = None
 

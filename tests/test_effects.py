@@ -6,16 +6,18 @@ import json
 
 import pytest
 
-from stackcheck import validator
+from stackcheck import interp, validator
 from stackcheck.cli import analyze
 from stackcheck.effects import EffectsOracle, detect_loops, load_libc_db
-from stackcheck.frontend import parse_disassembly, build_bcfg
+from stackcheck.frontend import SAFECALLS, build_bcfg, parse_disassembly
 from stackcheck.interp import LIBC
 from stackcheck.memstace import (Config, MemoryState, apply_effect,
                                  fresh_frame)
 from stackcheck.patcher import dest_in_frame
 
-from conftest import corpus_path, fixture_path, pipeline
+from conftest import CORPUS_DIR, corpus_path, fixture_path, pipeline
+
+BUNDLED_LIBC = CORPUS_DIR.parent / "data" / "libc.json"
 
 
 def test_lookup_strcpy():
@@ -37,6 +39,15 @@ def test_bundled_libc_db_runs_each_function_as_itself():
     assert {name: spec.extent for name, spec in db.items()} == {name: name for name in LIBC}
     assert db["scanf"].dest == "rsi"
     assert db["printf"].dest is None and db["puts"].dest is None
+
+
+def test_a_safecall_runs_the_function_its_template_bounds():
+    """Every template names a modelled function; at a safecall the oracle
+    gives that function's spec under the template's name."""
+    assert set(SAFECALLS.values()) <= set(LIBC)
+    image = parse_disassembly("main:\n401000: safecall bounded_scan 0x8\n401004: ret\n")
+    oracle = EffectsOracle(image, build_bcfg(image), Config())
+    assert oracle.spec(0x401000) == LIBC["scanf"]._replace(name="bounded_scan")
 
 
 def test_lookup_unknown():
@@ -71,12 +82,32 @@ def test_libc_db_entries_need_only_extent(tmp_path):
     no stage reads, roles included, change nothing, whether present or not."""
     listing = str(corpus_path("gets_rip_vuln"))
     want = [p.status for p in analyze([listing])[0].properties]
-    db = tmp_path / "libc.json"
-    for entry in ({"extent": "gets"},
-                  {"arity": 1, "roles": ["dest"], "input_source": True, "extent": "gets"}):
+    for k, entry in enumerate(({"extent": "gets"},
+                               {"arity": 1, "roles": ["dest"], "input_source": True,
+                                "extent": "gets"})):
+        db = tmp_path / f"libc{k}.json"     # each file is read once per process
         db.write_text(json.dumps({"gets": entry}))
         report = analyze([listing], Config(libc_db_path=str(db)))[0]
         assert [p.status for p in report.properties] == want, report.error
+
+
+def test_a_libc_db_file_is_parsed_once_per_process(tmp_path, monkeypatch):
+    """One corpus pass with patch and validate parses a --libc-db file once,
+    not once per machine."""
+    calls = []
+
+    def counted(data):
+        calls.append(data)
+        return real(data)
+
+    real = interp._parse_libc_db
+    monkeypatch.setattr(interp, "_parse_libc_db", counted)
+    db = tmp_path / "libc.json"
+    db.write_bytes(BUNDLED_LIBC.read_bytes())
+    paths = sorted(str(p) for p in CORPUS_DIR.glob("*.s"))
+    reports = analyze(paths, Config(libc_db_path=str(db)), patch=True, validate=True)
+    assert all(r.status != "error" for r in reports)
+    assert len(calls) == 1
 
 
 # --- destination recovery (patcher.dest_in_frame) --------------------------------

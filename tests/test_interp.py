@@ -476,3 +476,22 @@ def test_safecall_characterization(template, bound, stdin):
     records = _safecall_records(template, bound, _SAFECALL_STDINS[stdin])
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()[:16]
     assert digest == _SAFECALL_DIGESTS[template][bound][list(_SAFECALL_STDINS).index(stdin)]
+
+
+@pytest.mark.parametrize("bound, fmt, stdin, dest", [
+    ("0x0", "%s", b"abc\n", b"\0y\0\xcc"),       # the terminator only
+    ("0x1", "%s", b"abc\n", b"\0y\0\xcc"),
+    ("0x2", "%s", b"abc\n", b"a\0\0\xcc"),
+    ("0x10", "%3s", b"hello\n", b"hel\0"),        # the format's width under the bound
+    ("0x10", "%d", b"12 34\n", (12).to_bytes(4, "little")),
+], ids=["bound-0", "bound-1", "bound-2", "width", "int"])
+def test_bounded_scan_is_scanf_under_its_bound(bound, fmt, stdin, dest):
+    """bounded_scan runs scanf on its format, its %s write through rsi held
+    to bound - 1 bytes and the terminator, onto a destination holding "xy"."""
+    image = parse_disassembly(_SAFECALL.format(prefix="0x7978",
+                                               setup=_SAFECALL_SETUP["bounded_scan"],
+                                               template="bounded_scan", bound=bound))
+    m = Machine(image, Config(), stdin=stdin, argv=("", fmt))
+    m.start(0x401000)
+    m.run_to(0x401044)
+    assert m.rd_mem(m.regs["rbp"] - 0x30, 4) == dest
