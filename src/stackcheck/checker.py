@@ -10,7 +10,8 @@ and vacuity count is the one a search for that property alone gives.
 Past a deadline the search stops and every monitor still running is
 inconclusive. A violation keeps its path, which becomes a counterexample
 trace of <address: instruction -> memory operation> steps with per-byte
-state deltas when the trace is first read.
+state deltas when the trace is first read. The paths of one search share
+their prefixes, so each step is built once per transition and shared.
 """
 
 from __future__ import annotations
@@ -73,10 +74,13 @@ class Verdict:
     vacuity_notes: list[str] = field(default_factory=list)
     vacuous: bool = False
     timed_out: bool = False         # the deadline passed before the search ended
+    # (source, target) -> TraceStep, shared by the verdicts of one search
+    trace_steps: dict = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
     def trace(self) -> Trace | None:
-        return None if self.path is None else build_counterexample(self.path, self.space)
+        return None if self.path is None else build_counterexample(self.path, self.space,
+                                                                    self.trace_steps)
 
 
 def check(space: MemStaCe, monitors: list[Monitor] | Monitor,
@@ -122,12 +126,14 @@ def check(space: MemStaCe, monitors: list[Monitor] | Monitor,
                 parent[dst] = (sid, lbl)
                 queue.append(dst)
     unfinished = {k for k, _, _ in running} if expired else set()
-    return [_verdict(space, m, ctx, violating.get(k), parent, k in unfinished)
+    trace_steps: dict = {}
+    return [_verdict(space, m, ctx, violating.get(k), parent, k in unfinished, trace_steps)
             for k, (m, ctx) in enumerate(zip(monitors, ctxs))]
 
 
 def _verdict(space: MemStaCe, monitor: Monitor, ctx: EvalContext,
-             violating: int | None, parent: dict, timed_out: bool) -> Verdict:
+             violating: int | None, parent: dict, timed_out: bool,
+             trace_steps: dict) -> Verdict:
     notes = list(dict.fromkeys(ctx.notes))
     if timed_out:
         return Verdict(monitor.name, INCONCLUSIVE, vacuity_notes=notes, timed_out=True)
@@ -143,20 +149,27 @@ def _verdict(space: MemStaCe, monitor: Monitor, ctx: EvalContext,
         path.append((prev, lbl, cur))
         cur = prev
     path.reverse()
-    return Verdict(monitor.name, VIOLATED, path=path, space=space, vacuity_notes=notes)
+    return Verdict(monitor.name, VIOLATED, path=path, space=space, vacuity_notes=notes,
+                   trace_steps=trace_steps)
 
 
 def build_counterexample(path: list[tuple[int, TransitionLabel, int]],
-                         space: MemStaCe) -> Trace:
-    """One step per transition, with before/after byte-state deltas."""
+                         space: MemStaCe, memo: dict) -> Trace:
+    """One step per transition, with before/after byte-state deltas. `memo`
+    maps (source, target) to the step built for that transition; the paths
+    of one search enter each state by one transition, so their traces
+    share it."""
     steps = []
     for src, lbl, dst in path:
-        steps.append(TraceStep(
-            address=lbl.address,
-            text=lbl.text or lbl.render(),
-            operation=_operation_name(lbl),
-            deltas=_frame_deltas(space.states[src], space.states[dst]),
-        ))
+        step = memo.get((src, dst))
+        if step is None:
+            step = memo[src, dst] = TraceStep(
+                address=lbl.address,
+                text=lbl.text or lbl.render(),
+                operation=_operation_name(lbl),
+                deltas=_frame_deltas(space.states[src], space.states[dst]),
+            )
+        steps.append(step)
     return Trace(steps=steps, violating_state=path[-1][2] if path else space.initial)
 
 

@@ -17,7 +17,12 @@ reach the exit (iteration or step budget, an unsupported construct, or
 leaving the function) gives a truncating effect, with a note saying why.
 When the fork reaches the exit without halting, within the iteration
 budget and without passing a site the run still has to stop at, the run
-continues from the fork instead of executing the loop again. When the
+continues from the fork instead of executing the loop again. A counted
+loop's iterations run in closed form inside the interpreter (see interp):
+the fork counts each skipped back edge to its loop's entry as an
+iteration, a skip never takes it past the iteration budget or the exit,
+and the skipped back edges of an inner loop are no iterations of the
+loop it emulates. When the
 run halts first (clean exit, crash, step budget or an unsupported
 construct), every site it did not reach gets a truncating opaque effect
 with a note saying which. Touched bytes are (frame depth, byte index)
@@ -327,8 +332,11 @@ def emulate_loop(machine: Machine, loop: LoopInfo,
     with that fork, its write marks widened to cover `machine`'s."""
     cfg = machine.cfg
     fork = machine.fork()
+    # a counted loop's skip passes neither the exit nor a pc in stops, and
+    # counts the back edges to the entry it takes in loop_left
+    fork.stops, fork.loop_entry, fork.loop_exit = stops, loop.entry, loop.exit
+    fork.loop_left = cfg.max_loop_iters
     snap = fork.snapshot()
-    iterations = 0
     notes: list[str] = []
     reached = passed = False
     try:
@@ -339,8 +347,8 @@ def emulate_loop(machine: Machine, loop: LoopInfo,
                 break
             passed = passed or fork.pc in stops
             if fork.pc == loop.entry:
-                iterations += 1
-                if iterations >= cfg.max_loop_iters:
+                fork.loop_left -= 1
+                if fork.loop_left <= 0:
                     notes.append(f"loop at {loop.entry:#x}: iteration budget "
                                  f"({cfg.max_loop_iters}) exhausted; effect may be partial")
                     break
@@ -352,6 +360,7 @@ def emulate_loop(machine: Machine, loop: LoopInfo,
     if overflow:
         notes.append("effect of loop clamped at the outermost frame")
     if adopt is not None and reached and not passed:
+        fork.loop_entry = fork.loop_exit = None
         fork._wm_lo = min(fork._wm_lo, machine._wm_lo)
         fork._wm_hi = max(fork._wm_hi, machine._wm_hi)
         adopt(fork)
@@ -471,7 +480,7 @@ class EffectsOracle:
                 self._stops = self._pending()
             try:
                 while key not in self._effects:
-                    self._run.run_to(*self._stops)
+                    self._run.run_to(self._stops)
                     self._arrive(self._run)
             except Halt as h:
                 self._halts[root] = h

@@ -30,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 
 class MalformedLine(Exception):
@@ -81,8 +82,7 @@ MEM = "memory"
 TARGET = "call-target"
 
 
-@dataclass(frozen=True)
-class Operand:
+class Operand(NamedTuple):
     kind: str
     reg: str | None = None          # canonical 64-bit name for register operands
     value: int | None = None        # immediates and branch/call targets
@@ -95,8 +95,7 @@ class Operand:
         return self.kind == MEM and self.base in ("rbp", "rsp")
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     address: int
     mnemonic: str
     operands: tuple[Operand, ...]

@@ -26,7 +26,17 @@ the image's `code` table (pc -> closure, reset by `ProgramImage.index()`)
 holds it, so every machine running the image shares it. The handlers in
 _HANDLERS are the generic semantics: the closure of an uncommon form calls
 its handler, and a specialised closure must leave the machine as its
-handler would.
+handler would. The jcc closing a counted single-block loop compiles to a
+closure that also runs, in closed form, every further iteration whose
+back edge is taken (codegen.compile_counted_loop), so root runs, loop
+forks and validation runs alike step only a counted loop's first and
+exiting iterations. A skip stops short of the step budget, of a store
+outside the stack, of a pc the run must stop at (`stops`, which run_to
+sets), of the exit of the loop an emulate_loop fork runs (`loop_exit`)
+and of more back edges to that loop's entry (`loop_entry`) than the
+fork's iteration budget has left (`loop_left`). A run therefore halts
+and stops where stepping would, with the same machine; `steps` counts
+every instruction retired, skipped ones included.
 
 The stack spans STACK_SIZE bytes below STACK_TOP, but a machine holds
 bytes only from the lowest page written so far up to STACK_TOP: the
@@ -40,13 +50,13 @@ snapshot, and diff_stack compares only that span.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
 from itertools import repeat, takewhile
 from typing import NamedTuple
 
 from . import MalformedData, load_data, parse_json
-from .codegen import CONDITIONS, compile_instruction
+from .codegen import CONDITIONS, compile_counted_loop, compile_instruction
 from .frontend import (CANARY_FS_OFFSET, CMOV, IMM, JCC, MEM, R64, REG, SAFECALLS,
                        Instruction, ProgramImage)
 
@@ -130,6 +140,13 @@ class Machine:
         self.pc: int | None = None
         self.canary_regs: set[str] = set()
         self.read_stdin = False     # set by every reader of stdin
+        # what a counted loop's skip may not pass (see codegen): the pcs the
+        # current run_to stops at, the exit of the loop an emulate_loop fork
+        # runs, and the back edges to that loop's entry its budget has left
+        self.stops: Collection[int] = frozenset()
+        self.loop_entry: int | None = None
+        self.loop_exit: int | None = None
+        self.loop_left = 0
         self.libc = load_libc_db(cfg.libc_db_path)   # the library calls it runs
         # the write marks: the span of stack bytes written since the last
         # snapshot (since the start, on a machine never snapshotted)
@@ -162,6 +179,10 @@ class Machine:
         lo = self.stack_lo
         if lo <= addr and addr + n <= STACK_TOP:
             return bytes(self.stack[addr - lo:addr - lo + n])
+        if STACK_BASE <= addr and addr + n <= STACK_TOP:
+            # unwritten bytes below the window, then the window's
+            below = min(lo - addr, n)
+            return bytes([FILL]) * below + bytes(self.stack[:n - below])
         return bytes(self.stack[a - lo] if lo <= a < STACK_TOP
                      else FILL if self.in_stack(a) else self.aux.get(a, 0)
                      for a in range(addr, addr + n))
@@ -275,6 +296,9 @@ class Machine:
         clone.pc = self.pc
         clone.canary_regs = set(self.canary_regs)
         clone.read_stdin = self.read_stdin
+        clone.stops = self.stops
+        clone.loop_entry, clone.loop_exit = self.loop_entry, self.loop_exit
+        clone.loop_left = self.loop_left
         clone.libc = self.libc
         clone._wm_lo = self._wm_lo
         clone._wm_hi = self._wm_hi
@@ -295,13 +319,15 @@ class Machine:
 
     def run(self) -> None:
         """Run to completion; always ends by raising Halt."""
+        self.stops = frozenset()
         while True:
             self.step()
 
-    def run_to(self, *stops: int) -> None:
-        """Run until the next instruction to execute is one of `stops`;
-        raises Halt when the run ends first."""
-        stops = set(stops)
+    def run_to(self, stops: Collection[int]) -> None:
+        """Run until the next instruction to execute is in `stops`; raises
+        Halt when the run ends first. The caller may keep `stops` and change
+        it between calls: it is read, not copied."""
+        self.stops = stops
         while self.pc not in stops:
             self.step()
 
@@ -313,8 +339,10 @@ class Machine:
             ins = self.image.instructions.get(self.pc)
             if ins is None:             # also a pc of None: the run left the image
                 raise Halt(CLEAN)
-            run = self.image.code[self.pc] = compile_instruction(
-                ins, self.image.next_address(self.pc), _HANDLERS.get(ins.mnemonic))
+            nxt = self.image.next_address(self.pc)
+            run = self.image.code[self.pc] = (
+                compile_counted_loop(self.image, ins, nxt, STACK_BASE, STACK_TOP)
+                or compile_instruction(ins, nxt, _HANDLERS.get(ins.mnemonic)))
         self.steps += 1
         self.pc = run(self)
 

@@ -26,7 +26,7 @@ instruction is decoded once per analysis, at its first visit, into a
 record that every root's build shares: owning function, successor, loop,
 dispatch kind, jump or call target, memory operator and prebuilt
 transition label; the operators without operands are shared constants
-(MemOp is frozen). Whether a base-register push is the prologue push
+(MemOp is immutable). Whether a base-register push is the prologue push
 depends on the frame it meets, so apply_memory_operator decides that,
 not the decoder.
 """
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import groupby
 from typing import NamedTuple
@@ -150,8 +150,7 @@ def fresh_frame(label: str) -> StackFrame:
 
 # --- memory operators ----------------------------------------------------
 
-@dataclass(frozen=True)
-class MemOp:
+class MemOp(NamedTuple):
     kind: str                      # push|pop|write|fe|fa|shrink|no-effect
     byte_op: ByteOp | None = None
     base: str | None = None        # rbp/rsp for writes and buffer registration
@@ -177,7 +176,7 @@ def Shrink(amount: int) -> MemOp:
     return MemOp("shrink", amount=amount)
 
 
-# the operators that carry no operand; MemOp is frozen, so one of each serves
+# the operators that carry no operand; MemOp is immutable, so one of each serves
 POP = MemOp("pop")
 FA = MemOp("fa")
 NO_EFFECT = MemOp("no-effect")
@@ -507,7 +506,7 @@ class _SpaceBuilder:
         label = TransitionLabel("fe" if op.kind == "shrink" else op.kind, pc, text=ins.text)
         steps = ((op, label),)
         if op.kind == "write" and self.cfg.atomic_writes and op.width > 1:
-            steps = tuple((replace(op, width=1, disp=op.disp + k),
+            steps = tuple((op._replace(width=1, disp=op.disp + k),
                            TransitionLabel("write", pc, text=f"{label.text} [byte {k}]"))
                           for k in range(op.width))
         return _Decoded(ins, fn, nxt, loop, "direct", steps=steps)

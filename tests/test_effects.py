@@ -492,7 +492,7 @@ def test_diff_minimality_against_full_stack_comparison():
     entry = image.functions["main"]
     machine = Machine(image, cfg)
     machine.start(entry)
-    machine.run_to(0x401128)
+    machine.run_to({0x401128})
     before = machine.rd_mem(STACK_BASE, STACK_SIZE)
     src = machine.rd_cstr(machine.rd_reg("rsi"))
     machine.wr_mem(machine.rd_reg("rdi"), src + b"\0")

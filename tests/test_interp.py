@@ -62,7 +62,7 @@ def test_store_from_wider_register_keeps_low_bytes():
 40100c: mov byte [rbp-0x8], rax
 401010: nop
 """)
-    m.run_to(0x401010)
+    m.run_to({0x401010})
     assert m.rd_mem(m.rd_reg("rbp") - 8, 2) == b"\x22\xcc"
 
 
@@ -88,7 +88,7 @@ def test_xchg_swaps_register_and_memory():
 401018: xchg rax, [rbp-0x8]
 40101c: nop
 """)
-    m.run_to(0x40101c)
+    m.run_to({0x40101c})
     assert m.rd_reg("rax") == 0x2A
     assert int.from_bytes(m.rd_mem(m.rd_reg("rbp") - 8, 8), "little") == 7
 
@@ -104,7 +104,7 @@ def test_pop_stores_through_a_memory_destination():
 401014: pop qword [rsp+0x8]
 401018: nop
 """)
-    m.run_to(0x401018)
+    m.run_to({0x401018})
     rbp = m.rd_reg("rbp")
     assert m.rd_reg("rsp") == rbp - 0x10
     assert m.rd_mem(rbp - 0x8, 8) == (0x1122334455667788).to_bytes(8, "little")
@@ -121,7 +121,7 @@ def test_pop_and_lea_to_a_non_register_halt_unsupported(line):
 401010: nop
 """)
     with pytest.raises(Halt) as end:
-        m.run_to(0x401010)
+        m.run_to({0x401010})
     assert end.value.status == UNSUPPORTED
     assert None not in m.regs
 
@@ -153,7 +153,7 @@ def test_cmov_executes_conditionally():
 401014: cmove rdx, rbx
 401018: nop
 """)
-    m.run_to(0x401018)
+    m.run_to({0x401018})
     assert m.rd_reg("rcx") == 2
     assert m.rd_reg("rdx") == 0
 
@@ -177,7 +177,7 @@ def test_fs_segment_read_is_canary():
 401000: mov rax, fs:0x28
 401004: nop
 """)
-    m.run_to(0x401004)
+    m.run_to({0x401004})
     assert m.rd_reg("rax") == CANARY_VALUE
     assert "rax" in m.canary_regs
 
@@ -236,7 +236,7 @@ def test_strncpy_pads_to_exact_length():
 401020: call 0x401035 <strncpy@plt>
 401024: nop
 """)
-    m.run_to(0x401024)
+    m.run_to({0x401024})
     dest = m.rd_reg("rbp") - 0x10
     assert m.rd_mem(dest, 8) == b"A" + b"\0" * 7
 
@@ -457,7 +457,7 @@ def _safecall_records(template: str, bound: str, stdin: bytes) -> list:
         outcome = run(image, stdin=stdin, argv=argv)
         m = Machine(image, Config(), stdin=stdin, argv=argv)
         m.start(0x401000)
-        m.run_to(0x401040)
+        m.run_to({0x401040})
         dest = m.regs["rbp"] - 0x30
         with pytest.raises(Halt):
             m.run()
@@ -493,5 +493,5 @@ def test_bounded_scan_is_scanf_under_its_bound(bound, fmt, stdin, dest):
                                                template="bounded_scan", bound=bound))
     m = Machine(image, Config(), stdin=stdin, argv=("", fmt))
     m.start(0x401000)
-    m.run_to(0x401044)
+    m.run_to({0x401044})
     assert m.rd_mem(m.regs["rbp"] - 0x30, 4) == dest

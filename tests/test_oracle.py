@@ -23,7 +23,7 @@ def _replay(oracle: EffectsOracle, root: int, site: int):
     machine = Machine(oracle.image, oracle.cfg)
     machine.start(root)
     try:
-        machine.run_to(site)
+        machine.run_to({site})
     except Halt as h:
         return h
     return machine
