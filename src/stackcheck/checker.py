@@ -7,6 +7,9 @@ monitor still running takes one step, and the first state where a
 monitor rejects ends the (hence shortest) path to a state falsifying its
 body. BFS order does not depend on the property, so each verdict, trace
 and vacuity count is the one a search for that property alone gives.
+The steps of one state are one call of the property set's kernel
+(`ltl.compile_kernel`), compiled at the set's first check and cached by
+its bodies; `Monitor.step` is the one-monitor reference it agrees with.
 Past a deadline the search stops and every monitor still running is
 inconclusive. A violation keeps its path, which becomes a counterexample
 trace of <address: instruction -> memory operation> steps with per-byte
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import load_data
-from .ltl import REJECT, RUN, EvalContext, Monitor
+from .ltl import EvalContext, Monitor, compile_kernel
 from .memstace import DEADLINE_EVERY, MemStaCe, MemoryState, TransitionLabel
 
 HOLDS = "holds"
@@ -100,10 +103,13 @@ def check(space: MemStaCe, monitors: list[Monitor] | Monitor,
     for src, lbl, dst in space.transitions:
         succ.setdefault(src, []).append((lbl, dst))
 
+    kernel = compile_kernel(tuple(m.body for m in monitors))
+    states = space.states
     parent: dict[int, tuple[int, TransitionLabel] | None] = {space.initial: None}
     queue = deque([space.initial])
     violating: dict[int, int] = {}          # monitor position -> first rejecting state
-    running = [(k, m.step, ctx) for k, (m, ctx) in enumerate(zip(monitors, ctxs))]
+    live = [True] * len(monitors)           # the monitors still running
+    running = len(monitors)
     dequeued, expired = 0, False
     while queue and running:
         dequeued += 1
@@ -112,20 +118,15 @@ def check(space: MemStaCe, monitors: list[Monitor] | Monitor,
             expired = True
             break
         sid = queue.popleft()
-        state = space.states[sid]
-        still = []
-        for entry in running:
-            k, step, ctx = entry
-            if step(RUN, state, ctx) == REJECT:
-                violating[k] = sid
-            else:
-                still.append(entry)
-        running = still
+        for k in kernel(states[sid], ctxs, live):
+            violating[k] = sid
+            live[k] = False
+            running -= 1
         for lbl, dst in succ.get(sid, ()):
             if dst not in parent:
                 parent[dst] = (sid, lbl)
                 queue.append(dst)
-    unfinished = {k for k, _, _ in running} if expired else set()
+    unfinished = {k for k, on in enumerate(live) if on} if expired else set()
     trace_steps: dict = {}
     return [_verdict(space, m, ctx, violating.get(k), parent, k in unfinished, trace_steps)
             for k, (m, ctx) in enumerate(zip(monitors, ctxs))]

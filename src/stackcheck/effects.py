@@ -171,9 +171,9 @@ def _stand_in(n: int) -> dict[int, int]:
     return dict.fromkeys(range(STAND_IN, STAND_IN + n), ord("A"))
 
 
-def _map_touches(machine: Machine, changed: dict[int, tuple[int, int]]):
-    """Map changed addresses to (depth from the active frame, byte index).
-    An address below rsp or in no shadow frame is overflow.
+def _map_touches(machine: Machine, changed: list[int]):
+    """Map changed addresses, ascending, to (depth from the active frame,
+    byte index). An address below rsp or in no shadow frame is overflow.
 
     An address belongs to the frame with the lowest top at or above it
     (the earlier shadow frame on a tie, as in Machine.frame_containing);
@@ -184,7 +184,7 @@ def _map_touches(machine: Machine, changed: dict[int, tuple[int, int]]):
     touched = []
     overflow = False
     i = 0
-    for addr in sorted(changed):
+    for addr in changed:
         if addr < machine.regs["rsp"]:
             overflow = True
             continue

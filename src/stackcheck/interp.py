@@ -52,7 +52,8 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Collection
 from dataclasses import dataclass
-from itertools import repeat, takewhile
+from itertools import compress, repeat, takewhile
+from operator import ne
 from typing import NamedTuple
 
 from . import MalformedData, load_data, parse_json
@@ -264,20 +265,22 @@ class Machine:
         self._wm_lo, self._wm_hi = STACK_TOP, STACK_BASE
         return (bytes(self.stack), self.stack_lo)
 
-    def diff_stack(self, snap: tuple[bytes, int]) -> dict[int, tuple[int, int]]:
-        """Changed stack addresses since the snapshot: addr -> (old, new).
-        Every stack write goes through wr_mem, which widens the write marks,
-        so only the marked span can differ from the snapshot."""
+    def diff_stack(self, snap: tuple[bytes, int]) -> list[int]:
+        """The stack addresses changed since the snapshot, ascending. Every
+        stack write goes through wr_mem, which widens the write marks, so
+        only the marked span can differ from the snapshot; the snapshot
+        reads FILL below its window, as unwritten bytes do."""
         old, old_lo = snap
         lo = max(self._wm_lo, self.stack_lo)
         hi = min(self._wm_hi, STACK_TOP - 1)
-        out: dict[int, tuple[int, int]] = {}
-        for a in range(lo, hi + 1):
-            was = old[a - old_lo] if a >= old_lo else FILL
-            now = self.stack[a - self.stack_lo]
-            if now != was:
-                out[a] = (was, now)
-        return out
+        if hi < lo:
+            return []
+        now = self.stack[lo - self.stack_lo:hi + 1 - self.stack_lo]
+        was = bytes([FILL]) * max(0, min(old_lo, hi + 1) - lo) + \
+            old[max(lo, old_lo) - old_lo:hi + 1 - old_lo]
+        if was == now:
+            return []
+        return list(compress(range(lo, hi + 1), map(ne, was, now)))
 
     def fork(self) -> "Machine":
         clone = Machine.__new__(Machine)

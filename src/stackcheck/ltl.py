@@ -22,9 +22,11 @@ and records a vacuity note.
 function and compiles it once: one `for` loop per quantifier, bound
 variables as locals, and an index-range conjunction of a single byte atom,
 such as the one above, as one slice compare over the frame's letters.
-`Monitor.step` calls that function. A body nested deeper than Python
-compiles (more than 20 quantifiers and ranges inside one another), or
-more than MAX_NESTING levels deep in all, is an unsupported fragment.
+`Monitor.step` calls that function. `compile_kernel` writes the code of a
+whole property set's bodies into one function, which the checker calls
+once per state. A body nested deeper than Python compiles (more than 20
+quantifiers and ranges inside one another), or more than MAX_NESTING
+levels deep in all, is an unsupported fragment.
 """
 
 from __future__ import annotations
@@ -506,17 +508,57 @@ def compile_body(node, free: tuple[str, ...] = ()) -> Pred:
         gen.emit(f"{scope[name]} = env[{k}]")
     gen.node(node, scope)
     gen.emit("return t")
-    source = "def pred(state, env, ctx):\n" + "\n".join(gen.lines) + "\n"
+    pred = _define(gen, "pred", "state, env, ctx")
+    pred.slots = len(free)
+    pred.unbound = tuple(gen.unbound_names)
+    return pred
+
+
+Kernel = Callable[[MemoryState, list, list], list]
+
+
+@lru_cache(maxsize=32)
+def compile_kernel(bodies: tuple) -> Kernel:
+    """kernel(state, ctxs, live) -> the positions k, ascending, whose body
+    `state` falsifies. In order, each body with `live[k]` set runs the code
+    `compile_body` writes for it against `ctxs[k]`; the others are skipped.
+    One generator writes every body, so their constants and locals do not
+    clash. A body within one level of Python's indentation limit does not
+    fit inside the guard; the kernel then calls each body's predicate.
+    `kernel.source` is the generated source."""
+    try:
+        return _kernel(bodies, inline=True)
+    except UnsupportedFragment:
+        return _kernel(bodies, inline=False)
+
+
+def _kernel(bodies: tuple, inline: bool) -> Kernel:
+    gen = _Generator()
+    gen.emit("r = []")
+    for k, body in enumerate(bodies):
+        with gen.block(f"if live[{k}]:"):
+            gen.emit(f"ctx = ctxs[{k}]")
+            if inline:
+                gen.node(body, {})
+            else:
+                gen.emit(f"t = {gen.constant(compile_body(body))}(state, (), ctx)")
+            with gen.block("if not t:"):
+                gen.emit(f"r.append({k})")
+    gen.emit("return r")
+    return _define(gen, "kernel", "state, ctxs, live")
+
+
+def _define(gen: _Generator, name: str, params: str) -> Callable:
+    """Compile the generator's lines as the body of `def name(params)`."""
+    source = f"def {name}({params}):\n" + "\n".join(gen.lines) + "\n"
     namespace = dict(gen.globals)
     try:
         exec(compile(source, "<property body>", "exec"), namespace)
     except SyntaxError as exc:      # more nested blocks than Python compiles
         raise UnsupportedFragment(f"{TOO_DEEP}: {exc.msg}") from None
-    pred = namespace["pred"]
-    pred.slots = len(free)
-    pred.unbound = tuple(gen.unbound_names)
-    pred.source = source
-    return pred
+    fn = namespace[name]
+    fn.source = source
+    return fn
 
 
 def _outside(ctx: EvalContext, idx: int, frame: StackFrame) -> bool:

@@ -12,14 +12,16 @@ space walks *down* in index space and may continue into the caller frame
 (frames are address-contiguous). A write is one `bytes.translate` per
 frame it crosses, over a run computed in closed form, through the table
 of its byte operator. There is one write path: a write that leaves the
-modeled stack is clamped with a note, never raised.
+modeled stack is clamped with a note, never raised; its common case, one
+run inside the top frame, replaces that frame alone.
 
 The state space itself is a labeled transition system built by DFS over
-the binary CFG; library calls and loops contribute summarized effects
-computed by the effects module, each a list of (frame depth, byte index)
-pairs written with nRWrite. One builder step splices either kind: it
-writes the touches, records the notes, and truncates the root's space
-when the effect is incomplete. Operators and effects map a frames tuple
+the binary CFG, which pushes only the targets of conditional jumps and
+goes on with every single successor in place; library calls and loops
+contribute summarized effects computed by the effects module, each a
+list of (frame depth, byte index) pairs written with nRWrite. One
+builder step splices either kind: it writes the touches, records the
+notes, and truncates the root's space when the effect is incomplete. Operators and effects map a frames tuple
 to a new one, and the builder wraps it with its label into the one
 `MemoryState` it interns, so each state is constructed once. Each
 instruction is decoded once per analysis, at its first visit, into a
@@ -44,7 +46,9 @@ from .frontend import CANARY_FS_OFFSET, CMOV, IMM, JCC, MEM, REG, Instruction, P
 
 RBP_RANGE = range(8, 16)
 CALL_DEPTH = 16             # user calls deeper than this are skipped with a note
-DEADLINE_EVERY = 256        # the builder reads the clock once per this many pops
+# the builder reads the clock once per this many visits, the checker once
+# per this many dequeues
+DEADLINE_EVERY = 256
 
 
 class ByteState(Enum):
@@ -60,6 +64,10 @@ class ByteState(Enum):
 class ByteOp(Enum):
     RWRITE = "RWrite"
     NRWRITE = "nRWrite"
+
+    # members are singletons, so identity hashing agrees with equality; it
+    # runs in C, where Enum.__hash__ runs Python code on every table lookup
+    __hash__ = object.__hash__
 
 
 class IllegalByteTransition(Exception):
@@ -265,7 +273,6 @@ def apply_memory_operator(frames: tuple[StackFrame, ...],
     its base-register slot) only on a fresh frame; elsewhere it occupies.
     """
     notes: list[str] = []
-    frames = list(frames)
     top = frames[-1]
     if op.kind == "write":
         if op.base == "rbp":
@@ -275,6 +282,13 @@ def apply_memory_operator(frames: tuple[StackFrame, ...],
         if start >= len(top.bytes):
             notes.append(f"write below the allocated frame of {top.label} (index {start})")
             start = len(top.bytes) - 1
+        lo = start + 1 - op.width
+        if lo >= 0:     # the common case: one run inside the top frame
+            row = _translated(top.bytes, lo, start + 1, op.byte_op)
+            return frames[:-1] + (StackFrame(top.label, row, top.buffers,
+                                             top.has_canary or op.canary,
+                                             top.has_rbp_slot),), notes
+        frames = list(frames)
         runs, pos, left = [], len(frames) - 1, op.width
         while left:
             while start < 0 and pos:    # continue at the caller's highest index
@@ -290,23 +304,24 @@ def apply_memory_operator(frames: tuple[StackFrame, ...],
         if op.canary:
             top = frames[-1]
             frames[-1] = StackFrame(top.label, top.bytes, top.buffers, True, top.has_rbp_slot)
-    elif op.kind == "push":
+        return tuple(frames), notes
+    if op.kind == "push":
         risky = op.byte_op is ByteOp.RWRITE and len(top.bytes) == 8
-        frames[-1] = StackFrame(top.label, top.bytes + (b"C" if risky else b"O") * 8,
-                                top.buffers, top.has_canary, top.has_rbp_slot or risky)
+        top = StackFrame(top.label, top.bytes + (b"C" if risky else b"O") * 8,
+                         top.buffers, top.has_canary, top.has_rbp_slot or risky)
     elif op.kind == "pop":
         if len(top.bytes) - 8 < 8:
             raise PopUnderflow(f"pop would consume the saved return address of {top.label}")
-        frames[-1] = _with_bytes(top, top.bytes[:-8])
+        top = _with_bytes(top, top.bytes[:-8])
     elif op.kind == "fe":
-        frames[-1] = _with_bytes(top, top.bytes + b"F" * op.amount)
+        top = _with_bytes(top, top.bytes + b"F" * op.amount)
     elif op.kind == "shrink":
         if len(top.bytes) - op.amount < 16:
             raise PopUnderflow(f"frame shrink below control data in {top.label}")
-        frames[-1] = _with_bytes(top, top.bytes[:len(top.bytes) - op.amount])
+        top = _with_bytes(top, top.bytes[:len(top.bytes) - op.amount])
     else:
         raise ValueError(f"not a direct operator: {op.kind}")
-    return tuple(frames), notes
+    return frames[:-1] + (top,), notes
 
 
 def _with_bytes(frame: StackFrame, data: bytes) -> StackFrame:
@@ -314,16 +329,19 @@ def _with_bytes(frame: StackFrame, data: bytes) -> StackFrame:
 
 
 def _translate_runs(frames: list[StackFrame], runs, byte_op: ByteOp) -> None:
-    """Translate each (frame position, lo, hi) run in order; the first byte
-    (highest index) with no transition raises, as byte by byte."""
-    table = _TRANSLATE[byte_op]
+    """Translate each (frame position, lo, hi) run in order."""
     for pos, lo, hi in runs:
         frame = frames[pos]
-        row = frame.bytes
-        seg = row[lo:hi].translate(table)
-        if 0 in seg:
-            byte_transition(ByteState(chr(row[lo + seg.rindex(0)])), byte_op)
-        frames[pos] = _with_bytes(frame, row[:lo] + seg + row[hi:])
+        frames[pos] = _with_bytes(frame, _translated(frame.bytes, lo, hi, byte_op))
+
+
+def _translated(row: bytes, lo: int, hi: int, byte_op: ByteOp) -> bytes:
+    """`row` with bytes lo..hi-1 moved by `byte_op`; the first byte (highest
+    index) with no transition raises, as byte by byte."""
+    seg = row[lo:hi].translate(_TRANSLATE[byte_op])
+    if 0 in seg:
+        byte_transition(ByteState(chr(row[lo + seg.rindex(0)])), byte_op)
+    return row[:lo] + seg + row[hi:]
 
 
 def register_buffer(frame: StackFrame, offset: int, size: int) -> StackFrame:
@@ -440,8 +458,9 @@ class _SpaceBuilder:
 
     def intern(self, state: MemoryState) -> int:
         sid = self.ids.get(state)     # frames plus incoming label
-        if sid is not None:
-            return sid
+        return self._add(state) if sid is None else sid
+
+    def _add(self, state: MemoryState) -> int:
         if len(self.states) >= self.cfg.max_states:
             raise StateBudgetExceeded(f"state budget ({self.cfg.max_states}) exhausted")
         sid = len(self.states)
@@ -450,11 +469,15 @@ class _SpaceBuilder:
         return sid
 
     def emit(self, src: int, label: TransitionLabel, frames: tuple[StackFrame, ...]) -> int:
-        dst = self.intern(MemoryState(frames, label))
+        state = MemoryState(frames, label)
+        dst = self.ids.get(state)
+        if dst is None:                 # a new state: no edge reaches it yet
+            dst = self._add(state)
+        elif (src, label, dst) in self.tx_seen:
+            return dst
         edge = (src, label, dst)
-        if edge not in self.tx_seen:
-            self.tx_seen.add(edge)
-            self.transitions.append(edge)
+        self.tx_seen.add(edge)
+        self.transitions.append(edge)
         return dst
 
     # static per-function facts
@@ -527,57 +550,64 @@ class _SpaceBuilder:
                         truncated=self.truncated, notes=self.notes)
 
     def _walk(self, pc: int, sid: int, call_stack: tuple) -> None:
+        """Depth first: a jcc pushes its target and goes on with its
+        fall-through; every other step has one successor, which the walk
+        goes on with in place. A path ends at a (pc, state, call stack)
+        already visited, at a target outside the image or at the root's
+        own ret; the walk then resumes at the last target pushed."""
         work = [(pc, sid, call_stack)]
         decoded, visited, deadline = self.decoded, self.visited, self.deadline
-        pops = 0
+        instructions = self.image.instructions
+        visits = 0
         while work:
             pc, sid, call_stack = work.pop()
-            pops += 1
-            if deadline is not None and pops % DEADLINE_EVERY == 0 \
-                    and time.perf_counter() > deadline:
-                raise StateBudgetExceeded(
-                    f"timeout during state-space construction of root {self.root!r}")
-            d = decoded.get(pc)
-            if d is None:
-                # a target outside the image is dropped when popped
-                if pc not in self.image.instructions:
-                    continue
-                d = decoded[pc] = self.decode(pc)
-            vkey = (pc, sid, call_stack)
-            if vkey in visited:
-                continue
-            visited.add(vkey)
+            while True:
+                visits += 1
+                if deadline is not None and visits % DEADLINE_EVERY == 0 \
+                        and time.perf_counter() > deadline:
+                    raise StateBudgetExceeded(
+                        f"timeout during state-space construction of root {self.root!r}")
+                d = decoded.get(pc)
+                if d is None:
+                    if pc not in instructions:
+                        break
+                    d = decoded[pc] = self.decode(pc)
+                vkey = (pc, sid, call_stack)
+                if vkey in visited:
+                    break
+                visited.add(vkey)
 
-            kind = d.kind
-            if d.loop is not None and not self._came_from_loop(sid, d.loop):
-                loop = d.loop
-                label = TransitionLabel("loop", loop.entry,
-                                        text=f"loop {loop.entry:#x}..{loop.exit:#x}")
-                work.append((loop.exit, self._splice(sid, label, self.effects.loop_effect(loop)),
-                             call_stack))
-            elif kind == "no-effect":
-                work.append((d.nxt, sid, call_stack))
-            elif kind == "direct":
-                for op, label in d.steps:
-                    sid = self._emit_applied(sid, label, op)
-                work.append((d.nxt, sid, call_stack))
-            elif kind == "jcc":
-                work += ((d.target, sid, call_stack), (d.nxt, sid, call_stack))
-            elif kind == "jmp":
-                work.append((d.target, sid, call_stack))
-            elif kind == "ret":
-                if call_stack:
-                    dst = self.emit(sid, d.label, self.states[sid].frames[:-1])
-                    work.append((call_stack[-1], dst, call_stack[:-1]))
-            elif kind == "call":
-                work.append(self._do_call(d, sid, call_stack))
-            elif kind == "lea":
-                work.append((d.nxt, self._maybe_register_buffer(sid, d), call_stack))
-            else:   # fa: the frame the incoming call allocated gets its marker
-                top = self.states[sid].top
-                if len(top.bytes) == 8 and top.label == d.fn:
-                    sid = self.emit(sid, d.label, self.states[sid].frames)
-                work.append((d.nxt, sid, call_stack))
+                kind = d.kind
+                if d.loop is not None and not self._came_from_loop(sid, d.loop):
+                    loop = d.loop
+                    label = TransitionLabel("loop", loop.entry,
+                                            text=f"loop {loop.entry:#x}..{loop.exit:#x}")
+                    pc, sid = loop.exit, self._splice(sid, label, self.effects.loop_effect(loop))
+                elif kind == "no-effect":
+                    pc = d.nxt
+                elif kind == "direct":
+                    for op, label in d.steps:
+                        sid = self._emit_applied(sid, label, op)
+                    pc = d.nxt
+                elif kind == "jcc":
+                    work.append((d.target, sid, call_stack))
+                    pc = d.nxt
+                elif kind == "jmp":
+                    pc = d.target
+                elif kind == "ret":
+                    if not call_stack:
+                        break
+                    sid = self.emit(sid, d.label, self.states[sid].frames[:-1])
+                    pc, call_stack = call_stack[-1], call_stack[:-1]
+                elif kind == "call":
+                    pc, sid, call_stack = self._do_call(d, sid, call_stack)
+                elif kind == "lea":
+                    pc, sid = d.nxt, self._maybe_register_buffer(sid, d)
+                else:   # fa: the frame the incoming call allocated gets its marker
+                    top = self.states[sid].top
+                    if len(top.bytes) == 8 and top.label == d.fn:
+                        sid = self.emit(sid, d.label, self.states[sid].frames)
+                    pc = d.nxt
 
     def _came_from_loop(self, sid: int, loop) -> bool:
         lbl = self.states[sid].incoming_label

@@ -7,11 +7,12 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+from stackcheck import checker
 from stackcheck.checker import HOLDS, INCONCLUSIVE, VIOLATED, check, map_cwe
 from stackcheck.effects import EffectsOracle
 from stackcheck.frontend import (DuplicateFunction, MalformedLine, build_bcfg,
                                  parse_disassembly)
-from stackcheck.ltl import (EvalContext, Monitor, compile_body, compile_monitor,
+from stackcheck.ltl import (EvalContext, compile_body, compile_monitor,
                             load_bundled_properties)
 from stackcheck.memstace import (Config, MemStaCe, MemoryState, StackFrame,
                                  TransitionLabel, build_memstace, fresh_frame)
@@ -223,20 +224,36 @@ def _verdict_key(v):
     return v.property_name, v.status, trace, v.vacuity_notes, v.vacuous
 
 
+class _Reads(list):
+    """A copy of the kernel's `live` list that records, per (position,
+    state), each read that finds the monitor running: the kernel evaluates
+    a body exactly where it reads its position as set."""
+
+    def __init__(self, live, state, evaluations):
+        super().__init__(live)
+        self.state, self.evaluations = state, evaluations
+
+    def __getitem__(self, k):
+        on = super().__getitem__(k)
+        if on:
+            self.evaluations.append((k, id(self.state)))
+        return on
+
+
 def test_one_bfs_for_all_properties_matches_one_bfs_each(monkeypatch):
     """For every root, the all-monitor search gives each monitor the verdict,
     trace, notes and vacuity flag of a search for that monitor alone, with
-    the same monitor steps, and dequeues no more states than the longest
-    single search."""
+    the same number of body evaluations inside the kernel, and dequeues no
+    more states than the longest single search."""
     monitors = [compile_monitor(p) for p in PROPS.values()]
-    steps: list[tuple[str, int]] = []
-    real_step = Monitor.step
+    evaluations: list[tuple[int, int]] = []
+    compile_kernel = checker.compile_kernel
 
-    def step(self, monitor_state, memory_state, ctx):
-        steps.append((self.name, id(memory_state)))
-        return real_step(self, monitor_state, memory_state, ctx)
+    def counting(bodies):
+        kernel = compile_kernel(bodies)
+        return lambda state, ctxs, live: kernel(state, ctxs, _Reads(live, state, evaluations))
 
-    monkeypatch.setattr(Monitor, "step", step)
+    monkeypatch.setattr(checker, "compile_kernel", counting)
     roots = violated = 0
     for text, cfg in _listings():
         try:
@@ -244,17 +261,19 @@ def test_one_bfs_for_all_properties_matches_one_bfs_each(monkeypatch):
         except (MalformedLine, DuplicateFunction):
             continue
         for space, libc in spaces:
-            steps.clear()
+            evaluations.clear()
             merged = check(space, monitors, libc)
-            merged_steps = Counter(name for name, _ in steps)
-            dequeued = len({state for _, state in steps})
+            merged_evaluations = Counter(k for k, _ in evaluations)
+            dequeued = len({state for _, state in evaluations})
+            # every monitor evaluates at least the initial state
+            assert all(merged_evaluations[k] for k in range(len(monitors))), space.root
             longest = 0
-            for monitor, verdict in zip(monitors, merged):
-                steps.clear()
+            for k, (monitor, verdict) in enumerate(zip(monitors, merged)):
+                evaluations.clear()
                 alone, = check(space, [monitor], libc)
                 assert _verdict_key(verdict) == _verdict_key(alone), (space.root, monitor.name)
-                assert merged_steps[monitor.name] == len(steps), (space.root, monitor.name)
-                longest = max(longest, len(steps))
+                assert merged_evaluations[k] == len(evaluations), (space.root, monitor.name)
+                longest = max(longest, len(evaluations))
                 violated += verdict.status == VIOLATED
             assert dequeued <= longest, space.root
             roots += 1

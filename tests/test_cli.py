@@ -549,7 +549,7 @@ def _diamonds(d: int) -> str:
 
 def test_timeout_during_one_roots_build_truncates_it(monkeypatch):
     """The deadline expires inside the only root's build: the builder reads
-    the clock every DEADLINE_EVERY pops, stops, and truncates the space,
+    the clock every DEADLINE_EVERY visits, stops, and truncates the space,
     so the binary is inconclusive and the note names the root."""
     clock = _Clock()
     monkeypatch.setattr(cli, "time", clock)
@@ -562,7 +562,7 @@ def test_timeout_during_one_roots_build_truncates_it(monkeypatch):
     assert "timeout during state-space construction of root 'main'" in report.notes
     assert [p.status for p in report.properties] == ["inconclusive"] * 7
     assert report.status == "inconclusive"
-    # three clock reads: at pops 256 and 512 the time is 0.5 and 1.0
+    # three clock reads: at visits 256 and 512 the time is 0.5 and 1.0
     assert clock.now == 1.5
 
 

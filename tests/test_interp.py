@@ -308,13 +308,13 @@ def test_wr_mem_matches_bytewise_writes():
             assert (one.stack_lo, one.stack, one.aux) == (ref.stack_lo, ref.stack, ref.aux), where
             assert (one._wm_lo, one._wm_hi) == (ref._wm_lo, ref._wm_hi), where
 
-def _diff_bytewise(before: Machine, after: Machine) -> dict[int, tuple[int, int]]:
+def _diff_bytewise(before: Machine, after: Machine) -> list[int]:
     """The reference: every byte of both windows, each padded below with
     FILL (how unwritten bytes read) to the lower of the two."""
     from stackcheck.interp import FILL
     lo = min(before.stack_lo, after.stack_lo)
     old, new = (bytes([FILL]) * (m.stack_lo - lo) + m.stack for m in (before, after))
-    return {lo + k: (o, n) for k, (o, n) in enumerate(zip(old, new)) if o != n}
+    return [lo + k for k, (o, n) in enumerate(zip(old, new)) if o != n]
 
 
 def test_diff_stack_matches_a_bytewise_diff_of_the_whole_window():
