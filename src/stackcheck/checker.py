@@ -22,8 +22,10 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
+from operator import ne
+from typing import NamedTuple
 
 from . import load_data
 from .ltl import EvalContext, Monitor, compile_kernel
@@ -34,13 +36,11 @@ VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
-class TraceStep:
+class TraceStep(NamedTuple):
     address: int
     text: str
     operation: str
-    deltas: list[tuple[str, int, str, str]] = field(default_factory=list)
-    # (frame label, byte index, before, after)
+    deltas: list[tuple[str, int, str, str]]     # (frame label, byte index, before, after)
 
     def render(self) -> str:
         groups: dict[str, list[str]] = {}
@@ -50,8 +50,7 @@ class TraceStep:
         return f"0x{self.address:x}: {self.text} -> {self.operation}{parts}"
 
 
-@dataclass
-class Trace:
+class Trace(NamedTuple):
     steps: list[TraceStep]
     violating_state: int
 
@@ -66,19 +65,23 @@ class Trace:
         } for s in self.steps]
 
 
-@dataclass
 class Verdict:
-    property_name: str
-    status: str
-    # a violation's path from the initial state: (source, label, target) per
-    # transition; `trace` is built from it on first read
-    path: list[tuple[int, TransitionLabel, int]] | None = None
-    space: MemStaCe | None = field(default=None, repr=False)
-    vacuity_notes: list[str] = field(default_factory=list)
-    vacuous: bool = False
-    timed_out: bool = False         # the deadline passed before the search ended
-    # (source, target) -> TraceStep, shared by the verdicts of one search
-    trace_steps: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, property_name: str, status: str,
+                 path: list[tuple[int, TransitionLabel, int]] | None = None,
+                 space: MemStaCe | None = None, vacuity_notes: list[str] | None = None,
+                 vacuous: bool = False, timed_out: bool = False,
+                 trace_steps: dict | None = None):
+        self.property_name = property_name
+        self.status = status
+        # a violation's path from the initial state: (source, label, target)
+        # per transition; `trace` is built from it on first read
+        self.path = path
+        self.space = space
+        self.vacuity_notes = [] if vacuity_notes is None else vacuity_notes
+        self.vacuous = vacuous
+        self.timed_out = timed_out      # the deadline passed before the search ended
+        # (source, target) -> TraceStep, shared by the verdicts of one search
+        self.trace_steps = {} if trace_steps is None else trace_steps
 
     @cached_property
     def trace(self) -> Trace | None:
@@ -186,9 +189,9 @@ def _frame_deltas(before: MemoryState, after: MemoryState):
     for fb, fa in zip(before.frames, after.frames):
         if fb.bytes == fa.bytes:
             continue
-        for idx, (b, a) in enumerate(zip(fb.bytes, fa.bytes)):
-            if b != a:
-                deltas.append((fa.label, idx, chr(b), chr(a)))
+        b, a = fb.bytes, fa.bytes
+        deltas.extend((fa.label, idx, chr(b[idx]), chr(a[idx]))
+                      for idx in compress(range(len(a)), map(ne, b, a)))
     return deltas
 
 

@@ -20,9 +20,8 @@ import json
 import os
 import sys
 import time
-import traceback
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import MalformedData, checker, ltl, patcher, validator
 from .effects import EffectsOracle, load_buffer_pins, load_libc_db
@@ -41,8 +40,7 @@ class EmptyListing(Exception):
     """A listing with no instruction: nothing to analyse, so no verdict."""
 
 
-@dataclass
-class PropertyResult:
+class PropertyResult(NamedTuple):
     name: str
     status: str
     cwes: list[str]
@@ -62,21 +60,25 @@ class PropertyResult:
         }
 
 
-@dataclass
 class Report:
-    binary: str
-    status: str = "clean"
-    roots: list[str] = field(default_factory=list)
-    properties: list[PropertyResult] = field(default_factory=list)
-    sinks: list[dict] = field(default_factory=list)
-    patches: list[dict] = field(default_factory=list)
-    validations: list[dict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    truncated: bool = False
-    timings: dict = field(default_factory=dict)
-    error: str | None = None
-    patched_image: ProgramImage | None = None
+    __slots__ = ("binary", "status", "roots", "properties", "sinks", "patches",
+                 "validations", "notes", "warnings", "truncated", "timings", "error",
+                 "patched_image")
+
+    def __init__(self, binary: str, status: str = "clean", error: str | None = None):
+        self.binary = binary
+        self.status = status
+        self.roots: list[str] = []
+        self.properties: list[PropertyResult] = []
+        self.sinks: list[dict] = []
+        self.patches: list[dict] = []
+        self.validations: list[dict] = []
+        self.notes: list[str] = []
+        self.warnings: list[str] = []
+        self.truncated = False
+        self.timings: dict = {}
+        self.error = error
+        self.patched_image: ProgramImage | None = None
 
     @property
     def vulnerable(self) -> bool:
@@ -370,9 +372,11 @@ def analyze(paths: list[str], cfg: Config | None = None, *, patch: bool = False,
                 OSError, *PROPERTY_ERRORS) as exc:
             report = Report(binary=name, status="error", error=str(exc))
         except Exception as exc:    # a failure ends this binary's analysis, not the batch
-            where = traceback.extract_tb(exc.__traceback__)[-1]
+            tb = exc.__traceback__
+            while tb.tb_next is not None:
+                tb = tb.tb_next
             report = Report(binary=name, status="error",
-                            error=f"internal error in {where.name}: "
+                            error=f"internal error in {tb.tb_frame.f_code.co_name}: "
                                   f"{type(exc).__name__}: {exc}")
         if out_dir and report.patched_image is not None:
             out = Path(out_dir)

@@ -34,9 +34,9 @@ buffer-size rule.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 
 from . import MalformedData, interp, parse_json
 from .frontend import SAFECALLS, BCfg, ProgramImage
@@ -72,15 +72,14 @@ def load_buffer_pins(path: str | None) -> dict[str, dict[int, int]]:
 
 # --- call effects ----------------------------------------------------------
 
-@dataclass
-class CallEffect:
+class CallEffect(NamedTuple):
     name: str
+    notes: list[str]
     touched: tuple[tuple[int, int], ...] = ()    # (frame depth, byte index) written
     concrete_input: bytes | None = None     # the smallest crashing stdin, if derived
     opaque: bool = False
     truncating: bool = False                # incomplete: its root's space is truncated
     dest_size: int | None = None
-    notes: list[str] = field(default_factory=list)
 
 
 def _opaque(name: str, note: str, truncating: bool = False) -> CallEffect:
@@ -105,7 +104,7 @@ def emulate_call(machine: Machine, call_site: int, spec: LibcSpec,
     there, with a note."""
     name = spec.name
     if spec.dest is None:
-        return CallEffect(name=name)
+        return CallEffect(name=name, notes=[])
     dest = machine.regs[spec.dest]
     if not _plausible_pointer(machine, dest):
         return _opaque(name, f"{name} at {call_site:#x}: destination unresolved",
@@ -220,8 +219,7 @@ def _crash_input(machine: Machine, dest: int, max_len: int) -> bytes | None:
 
 # --- loops ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LoopInfo:
+class LoopInfo(NamedTuple):
     function: str
     entry: int                      # back-edge target block address
     exit: int | None

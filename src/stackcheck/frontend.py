@@ -28,7 +28,6 @@ never stored, so each malformed line reports its own line number.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -134,16 +133,23 @@ class Instruction(NamedTuple):
         return (self.target_symbol() or f"sub_{self.target():x}").removesuffix("@plt")
 
 
-@dataclass
 class ProgramImage:
     """Parsed instruction stream plus the function headers it came with,
     and the one function table every stage reads. Whoever builds or
     extends one calls `index()` once it is complete."""
 
-    instructions: dict[int, Instruction] = field(default_factory=dict)
-    order: list[int] = field(default_factory=list)
-    function_headers: dict[str, int] = field(default_factory=dict)  # name -> entry addr
-    warnings: list[str] = field(default_factory=list)
+    __slots__ = ("instructions", "order", "function_headers", "warnings", "_next", "code",
+                 "_by_entry", "functions", "_owner", "_bodies")
+
+    def __init__(self, instructions: dict[int, Instruction] | None = None,
+                 order: list[int] | None = None,
+                 function_headers: dict[str, int] | None = None,
+                 warnings: list[str] | None = None):
+        self.instructions = {} if instructions is None else instructions
+        self.order = [] if order is None else order
+        # name -> entry address
+        self.function_headers = {} if function_headers is None else function_headers
+        self.warnings = [] if warnings is None else warnings
 
     def index(self) -> None:
         self._next = dict(zip(self.order, self.order[1:] + [None]))
@@ -354,23 +360,22 @@ CALL = "call"
 CALL_RETURN = "call-return"
 
 
-@dataclass
-class BasicBlock:
+class BasicBlock(NamedTuple):
     start: int
     instructions: list[Instruction]
     # successor edges: (kind, target) where target is an address or an
     # external sink name for unresolved/library targets
-    edges: list[tuple[str, int | str]] = field(default_factory=list)
+    edges: list[tuple[str, int | str]]
 
     @property
     def end(self) -> int:
         return self.instructions[-1].address
 
 
-@dataclass
 class BCfg:
-    blocks: dict[int, BasicBlock]
-    warnings: list[str] = field(default_factory=list)
+    def __init__(self, blocks: dict[int, BasicBlock]):
+        self.blocks = blocks
+        self.warnings: list[str] = []
 
     # the maps below are built on first use, after build_bcfg has wired every edge
 
@@ -424,11 +429,11 @@ def build_bcfg(image: ProgramImage) -> BCfg:
     current: list[Instruction] = []
     for addr in image.order:
         if addr in leaders and current:
-            blocks[current[0].address] = BasicBlock(current[0].address, current)
+            blocks[current[0].address] = BasicBlock(current[0].address, current, [])
             current = []
         current.append(image.instructions[addr])
     if current:
-        blocks[current[0].address] = BasicBlock(current[0].address, current)
+        blocks[current[0].address] = BasicBlock(current[0].address, current, [])
 
     cfg = BCfg(blocks=blocks)
     for blk in blocks.values():

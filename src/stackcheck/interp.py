@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Collection
-from dataclasses import dataclass
 from itertools import compress, repeat, takewhile
 from operator import ne
 from typing import NamedTuple
@@ -66,6 +65,9 @@ STACK_SIZE = 0x40000
 STACK_TOP = STACK_BASE + STACK_SIZE
 ENTRY_RSP = STACK_TOP - 0x1000          # headroom absorbs overflow past the root frame
 PAGE = 0x1000                           # the stack window grows by whole pages
+# diff_stack compares blocks of this many bytes and diffs only the unequal
+# ones byte by byte, so sparse writes over a wide span cost little
+DIFF_BLOCK = 256
 # classic uninitialized-memory fill; a NUL terminator written over it
 # shows up in stack diffs, unlike a NUL over a zeroed stack
 FILL = 0xCC
@@ -97,14 +99,32 @@ class Halt(Exception):
         super().__init__(f"{status}: {cause}" if cause else status)
 
 
-@dataclass
 class ShadowFrame:
-    ret_loc: int
-    ret_bytes: bytes
-    rbp_loc: int | None = None      # where the prologue saved the base register
-    rbp_bytes: bytes | None = None
-    canary_loc: int | None = None
-    canary_bytes: bytes | None = None
+    """What a frame's protected slots held when written: the return
+    address from the call, the saved base register and canary once the
+    prologue stores them. Equal frames hold equal slots."""
+
+    __slots__ = ("ret_loc", "ret_bytes", "rbp_loc", "rbp_bytes", "canary_loc", "canary_bytes")
+
+    def __init__(self, ret_loc: int, ret_bytes: bytes,
+                 rbp_loc: int | None = None, rbp_bytes: bytes | None = None,
+                 canary_loc: int | None = None, canary_bytes: bytes | None = None):
+        self.ret_loc = ret_loc
+        self.ret_bytes = ret_bytes
+        self.rbp_loc = rbp_loc          # where the prologue saved the base register
+        self.rbp_bytes = rbp_bytes
+        self.canary_loc = canary_loc
+        self.canary_bytes = canary_bytes
+
+    def _slots(self) -> tuple:
+        return (self.ret_loc, self.ret_bytes, self.rbp_loc, self.rbp_bytes,
+                self.canary_loc, self.canary_bytes)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is ShadowFrame and self._slots() == other._slots()
+
+    def copy(self) -> ShadowFrame:
+        return ShadowFrame(*self._slots())
 
     @property
     def top_addr(self) -> int:
@@ -280,7 +300,12 @@ class Machine:
             old[max(lo, old_lo) - old_lo:hi + 1 - old_lo]
         if was == now:
             return []
-        return list(compress(range(lo, hi + 1), map(ne, was, now)))
+        changed = []
+        for k in range(0, len(now), DIFF_BLOCK):
+            a, b = was[k:k + DIFF_BLOCK], now[k:k + DIFF_BLOCK]
+            if a != b:
+                changed.extend(compress(range(lo + k, lo + k + len(b)), map(ne, a, b)))
+        return changed
 
     def fork(self) -> "Machine":
         clone = Machine.__new__(Machine)
@@ -294,7 +319,7 @@ class Machine:
         clone.stdin = self.stdin
         clone.stdin_pos = self.stdin_pos
         clone.stdout = bytearray(self.stdout)
-        clone.shadow = [ShadowFrame(**vars(f)) for f in self.shadow]
+        clone.shadow = [f.copy() for f in self.shadow]
         clone.steps = self.steps
         clone.pc = self.pc
         clone.canary_regs = set(self.canary_regs)

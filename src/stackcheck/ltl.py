@@ -34,8 +34,8 @@ from __future__ import annotations
 import re
 from collections.abc import Callable
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
 from functools import cache, lru_cache
+from typing import NamedTuple
 
 from . import load_data
 from .memstace import (RBP_RANGE, ByteState, MemoryState, StackFrame,
@@ -69,100 +69,104 @@ class UnboundVariable(Exception):
 
 
 # --- AST ---------------------------------------------------------------------
+#
+# Nodes are NamedTuples, so they hash and compare in C: `compile_body` and
+# `compile_kernel` are caches keyed by them. Tuple equality ignores the
+# class, so the last field of every node is its kind, and no two kinds of
+# node with equal fields compare equal (And(x) != Or(x)).
 
-@dataclass(frozen=True)
-class Always:
+class Always(NamedTuple):
     body: object
+    kind: str = "G"
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(NamedTuple):
     operand: object
+    kind: str = "not"
 
 
-@dataclass(frozen=True)
-class And:
+class And(NamedTuple):
     items: tuple
+    kind: str = "and"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(NamedTuple):
     items: tuple
+    kind: str = "or"
 
 
-@dataclass(frozen=True)
-class Implies:
+class Implies(NamedTuple):
     lhs: object
     rhs: object
+    kind: str = "implies"
 
 
-@dataclass(frozen=True)
-class ForallStack:
+class ForallStack(NamedTuple):
     var: str
     body: object
+    kind: str = "forall_stack"
 
 
-@dataclass(frozen=True)
-class ExistsStack:
+class ExistsStack(NamedTuple):
     var: str
     body: object
+    kind: str = "exists_stack"
 
 
-@dataclass(frozen=True)
-class ForallBuffer:
-    var: str
-    frame_var: str
-    body: object
-
-
-@dataclass(frozen=True)
-class ExistsBuffer:
+class ForallBuffer(NamedTuple):
     var: str
     frame_var: str
     body: object
+    kind: str = "forall_buffer"
 
 
-@dataclass(frozen=True)
-class AllRange:
+class ExistsBuffer(NamedTuple):
+    var: str
+    frame_var: str
+    body: object
+    kind: str = "exists_buffer"
+
+
+class AllRange(NamedTuple):
     var: str
     lo: int
     hi: int
     body: object
+    kind: str = "all"
 
 
-@dataclass(frozen=True)
-class BoolLit:
+class BoolLit(NamedTuple):
     value: bool
+    kind: str = "bool"
 
 
-@dataclass(frozen=True)
-class IndexExpr:
+class IndexExpr(NamedTuple):
     base: str                   # const | var | start | end
     value: int = 0              # constant value or +- offset
     var: str | None = None      # index or buffer variable
+    kind: str = "index"
 
 
-@dataclass(frozen=True)
-class ByteAtom:
+class ByteAtom(NamedTuple):
     index: IndexExpr
     frame_var: str
     op: str                     # = or !=
     state: ByteState
+    kind: str = "byte"
 
 
-@dataclass(frozen=True)
-class HasCanary:
+class HasCanary(NamedTuple):
     frame_var: str
+    kind: str = "has_canary"
 
 
-@dataclass(frozen=True)
-class PrevTransition:
+class PrevTransition(NamedTuple):
     op: str                     # = or !=
     targets: tuple[tuple, ...]  # ("loop",) | ("libc",) | ("call", name)
+    kind: str = "previous_transition"
 
 
-@dataclass(frozen=True)
-class PropertyAst:
+class PropertyAst(NamedTuple):
     name: str
     formula: Always
     cwes: tuple[str, ...] = ()
@@ -186,8 +190,7 @@ _STATE_NAMES = {"Free": ByteState.FREE, "Critical": ByteState.CRITICAL,
 _TEMPORAL = {"G", "F", "X", "U", "W", "R"}
 
 
-@dataclass
-class _Tok:
+class _Tok(NamedTuple):
     kind: str
     text: str
     line: int
@@ -476,14 +479,17 @@ def parse_property_file(text: str) -> list[PropertyAst]:
 # every other value (byte letters, call names, variable names for errors)
 # reaches it through the function's globals.
 
-@dataclass
 class EvalContext:
-    libc_names: set[str] = field(default_factory=set)
-    notes: list[str] = field(default_factory=list)
-    implications: int = 0
-    antecedents_true: int = 0
-    quantifier_domains: int = 0
-    empty_domains: int = 0
+    __slots__ = ("libc_names", "notes", "implications", "antecedents_true",
+                 "quantifier_domains", "empty_domains")
+
+    def __init__(self, libc_names: set[str] | None = None):
+        self.libc_names = set() if libc_names is None else libc_names
+        self.notes: list[str] = []
+        self.implications = 0
+        self.antecedents_true = 0
+        self.quantifier_domains = 0
+        self.empty_domains = 0
 
     def vacuous(self) -> bool:
         if self.implications and self.antecedents_true == 0:
@@ -794,8 +800,7 @@ RUN = "run"
 REJECT = "reject"
 
 
-@dataclass(frozen=True)
-class Monitor:
+class Monitor(NamedTuple):
     """Violation monitor for a safety property G p.
 
     The positive-form automaton is a single state self-looping on p; the
@@ -806,13 +811,14 @@ class Monitor:
     name: str
     body: object
     cwes: tuple[str, ...] = ()
-    states: tuple[str, ...] = (RUN, REJECT)
-    initial: str = RUN
-    accepting: tuple[str, ...] = (REJECT,)
-    predicate: Callable[..., bool] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "predicate", compile_body(self.body))
+    states = (RUN, REJECT)
+    initial = RUN
+    accepting = (REJECT,)
+
+    @property
+    def predicate(self) -> Pred:
+        return compile_body(self.body)
 
     def positive_form(self) -> dict:
         return {"states": ("run",), "initial": "run",

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import groupby
 from typing import NamedTuple
@@ -51,11 +50,17 @@ CALL_DEPTH = 16             # user calls deeper than this are skipped with a not
 DEADLINE_EVERY = 256
 
 
+# members of both enums are singletons, so identity hashing agrees with
+# equality; it runs in C, where Enum.__hash__ runs Python code on every
+# table lookup and on every hash of a property AST node holding a ByteState
+
 class ByteState(Enum):
     FREE = "F"
     CRITICAL = "C"
     OCCUPIED = "O"
     MODIFIED = "M"
+
+    __hash__ = object.__hash__
 
     def __repr__(self):
         return self.name.capitalize()
@@ -65,8 +70,6 @@ class ByteOp(Enum):
     RWRITE = "RWrite"
     NRWRITE = "nRWrite"
 
-    # members are singletons, so identity hashing agrees with equality; it
-    # runs in C, where Enum.__hash__ runs Python code on every table lookup
     __hash__ = object.__hash__
 
 
@@ -388,20 +391,16 @@ def infer_buffer_size(offset: int, boundaries: set[int], has_canary: bool) -> in
 
 # --- the state space ------------------------------------------------------
 
-@dataclass
-class MemStaCe:
+class MemStaCe(NamedTuple):
     states: dict[int, MemoryState]
     transitions: list[tuple[int, TransitionLabel, int]]
     initial: int
     root: str
     truncated: bool = False
-    notes: list[str] = field(default_factory=list)
+    notes: list[str] | tuple = ()
 
 
-@dataclass
-class Config:
-    """Analysis budgets and switches shared across the pipeline."""
-
+class _Settings(NamedTuple):
     max_states: int = 4096
     max_loop_iters: int = 64
     max_input_len: int = 4096
@@ -415,18 +414,30 @@ class Config:
     buffers_path: str | None = None
     enable_scanf_patch: bool = False
 
-    def __post_init__(self) -> None:
+
+class Config(_Settings):
+    """Analysis budgets and switches shared across the pipeline."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        cfg = super().__new__(cls, *args, **kwargs)
         # budgets are hard limits: one that is not positive limits nothing
         for name in ("max_states", "max_loop_iters", "max_input_len", "step_budget", "timeout"):
-            value = getattr(self, name)
+            value = getattr(cfg, name)
             if name == "timeout" and value is None:
                 continue
             if not value > 0:
                 raise ValueError(f"Config.{name} must be positive, got {value!r}")
+        return cfg
+
+    @classmethod
+    def _make(cls, iterable) -> Config:
+        # `_replace` builds through here, so a replaced value is checked too
+        return cls(*iterable)
 
 
-@dataclass(slots=True)
-class _Decoded:
+class _Decoded(NamedTuple):
     """One instruction's static facts, decoded at its first visit."""
 
     ins: Instruction

@@ -12,8 +12,8 @@ the sink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import MalformedData, load_data, parse_json
 from .checker import Trace
@@ -32,8 +32,7 @@ class NoTemplate(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SinkSite:
+class SinkSite(NamedTuple):
     address: int
     function: str
     callee: str | None            # None for loop sinks
@@ -41,21 +40,25 @@ class SinkSite:
     cwes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class PatchTemplate:
+class PatchTemplate(NamedTuple):
     name: str
     target: str                   # the C function being replaced
     mode: str                     # one of MODES
     replacement: str              # one of frontend.SAFECALLS
 
 
-@dataclass
 class PatchPlan:
-    template: PatchTemplate
-    sink: SinkSite
-    bound: int | None             # bytes, None for runtime mode
-    trampoline_label: str
-    return_address: int
+    """A template chosen for a sink; `apply_trampolines` fills in where its
+    trampoline starts and returns to."""
+
+    __slots__ = ("template", "sink", "bound", "trampoline_label", "return_address")
+
+    def __init__(self, template: PatchTemplate, sink: SinkSite, bound: int | None):
+        self.template = template
+        self.sink = sink
+        self.bound = bound                  # bytes, None for runtime mode
+        self.trampoline_label = ""
+        self.return_address = 0
 
 
 def load_templates(path: str | None = None) -> list[PatchTemplate]:
@@ -164,13 +167,8 @@ def select_template(sink: SinkSite, effect: CallEffect | None, frame_dest: bool,
     template = next((t for m in modes for t in candidates if t.mode == m), None)
     if template is None:
         raise NoTemplate(f"no runtime template for callee {sink.callee!r}")
-    return PatchPlan(
-        template=template,
-        sink=sink,
-        bound=effect.dest_size if template.mode == "static" else None,
-        trampoline_label="",           # assigned when applied
-        return_address=0,
-    )
+    return PatchPlan(template, sink,
+                     bound=effect.dest_size if template.mode == "static" else None)
 
 
 def apply_trampolines(image: ProgramImage, plans: list[PatchPlan]) -> ProgramImage:

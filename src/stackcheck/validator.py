@@ -13,7 +13,7 @@ byte-identical stdout.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .frontend import ProgramImage, entry_point
 from .interp import CLEAN, CRASH, STEP_BUDGET, UNSUPPORTED, Halt, Machine
@@ -22,8 +22,7 @@ from .memstace import Config
 RANDOM_TRIALS = 3           # random inputs tried when no crash input was derived
 
 
-@dataclass
-class RunOutcome:
+class RunOutcome(NamedTuple):
     status: str
     cause: str | None = None
     steps: int = 0
@@ -34,14 +33,13 @@ class RunOutcome:
         return self.status == CRASH
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     input_used: bytes
     input_source: str               # derived | random
     original: RunOutcome
     patched: RunOutcome
     success: bool
-    notes: list[str] = field(default_factory=list)
+    notes: list[str]
 
 
 def run(image: ProgramImage, stdin: bytes = b"", cfg: Config | None = None,

@@ -215,6 +215,22 @@ def test_malformed_buffers_file_is_an_input_error(tmp_path, capsys, content, mes
     assert not report.error.startswith("internal error")
 
 
+def test_a_failing_stage_is_an_internal_error_naming_the_innermost_function(monkeypatch):
+    """The error names the function that raised, not the stage that
+    called it, then the exception's type and message; the batch goes on."""
+    def fail(kind: str):
+        raise RuntimeError(f"{kind} failed")
+
+    def check(*args, **kwargs):
+        fail("check")
+
+    monkeypatch.setattr(checker, "check", check)
+    reports = analyze([str(corpus_path("gets_rip_vuln")), str(corpus_path("strcpy_rip_ok"))])
+    assert [r.status for r in reports] == ["error", "error"]
+    assert reports[0].error == "internal error in fail: RuntimeError: check failed"
+    assert reports[0].properties == [] and reports[0].patched_image is None
+
+
 @pytest.mark.parametrize("flag, content, message", [
     ("--templates", [{"name": "t", "mode": "static", "replacement": "bounded_copy"}],
      "template 't': target missing or not a string"),

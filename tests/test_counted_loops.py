@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from conftest import CORPUS_DIR, FIXTURE_DIR
@@ -240,7 +239,7 @@ def _observe(text: str, cfg: Config, ends: Counter) -> list:
     # a run_to that stops at about one pc in five, stepping on from each,
     # within a step budget that keeps runs of a loop that never ends short
     stops = {pc for pc in image.instructions if pc % 20 == 4}
-    short = replace(cfg, step_budget=min(cfg.step_budget, 5000))
+    short = cfg._replace(step_budget=min(cfg.step_budget, 5000))
     for entry in image.functions.values():
         m = Machine(image, cfg)
         m.start(entry)

@@ -320,7 +320,9 @@ def _diff_bytewise(before: Machine, after: Machine) -> list[int]:
 def test_diff_stack_matches_a_bytewise_diff_of_the_whole_window():
     """Writes before and after the snapshot, writes that grow the window
     below stack_lo, writes that put back the byte already there or that
-    change a byte and then restore it, and snapshots taken on a fork."""
+    change a byte and then restore it, sparse writes a page or more apart
+    (most blocks of the marked span unchanged), and snapshots taken on a
+    fork."""
     from stackcheck.interp import FILL, PAGE, STACK_TOP
     rng = random.Random(11)
     image = parse_disassembly("main:\n401000: nop\n")
@@ -354,9 +356,13 @@ def test_diff_stack_matches_a_bytewise_diff_of_the_whole_window():
         snap = m.snapshot()
         for _ in range(rng.randrange(0, 20)):
             write(m, 5 * PAGE)
+        if rng.random() < 0.3:
+            for page in range(1, rng.randrange(3, 40), rng.randrange(1, 3)):
+                m.wr_mem(STACK_TOP - page * PAGE - rng.randrange(1, 300), data(rng.randrange(1, 9)))
+            kinds.add("sparse")
         kinds.add("grown" if m.stack_lo < before.stack_lo else "same window")
         assert m.diff_stack(snap) == _diff_bytewise(before, m)
-    assert kinds == {"fork", "grown", "same window"}
+    assert kinds == {"fork", "grown", "same window", "sparse"}
 
 
 # --- safecall characterization ------------------------------------------------
