@@ -3,10 +3,11 @@ disassembled x86-64 programs."""
 
 import json
 from functools import cache
-from importlib import resources
 from pathlib import Path
 
 __version__ = "0.1.0"
+
+DATA = Path(__file__).with_name("data")
 
 
 class MalformedData(Exception):
@@ -14,16 +15,17 @@ class MalformedData(Exception):
 
 
 @cache
-def load_data(name: str, parse, path: str | None = None):
-    """`parse` applied to the bundled data file `name`, or to the bytes of
-    the file at a user-supplied `path`: each is read and parsed once per
-    process, and callers share the result and must not mutate it."""
-    if path is None:
-        return parse(resources.files(__name__).joinpath(f"data/{name}").read_text())
-    return parse(Path(path).read_bytes())
+def load_data(name: str | None, parse, path: str | None = None):
+    """`parse` applied to the bytes of the bundled data file `name`, or of
+    the file at a user-supplied `path` (`name` is then not read). Every
+    data file is read here, each once per process: callers share the
+    result and must not mutate it, and a file rewritten within a process
+    keeps its first read. An exception is not cached, so a missing or
+    malformed file raises again on every call."""
+    return parse((DATA / name if path is None else Path(path)).read_bytes())
 
 
-def parse_json(data: str | bytes):
+def parse_json(data: bytes):
     """The JSON value in data; MalformedData if it is not UTF-8 JSON."""
     try:
         return json.loads(data)

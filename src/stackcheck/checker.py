@@ -19,7 +19,6 @@ their prefixes, so each step is built once per transition and shared.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import deque
 from functools import cached_property
@@ -27,8 +26,7 @@ from itertools import compress
 from operator import ne
 from typing import NamedTuple
 
-from . import load_data
-from .ltl import EvalContext, Monitor, compile_kernel
+from .ltl import EvalContext, Monitor, compile_kernel, load_bundled_properties
 from .memstace import DEADLINE_EVERY, MemStaCe, MemoryState, TransitionLabel
 
 HOLDS = "holds"
@@ -197,8 +195,10 @@ def _frame_deltas(before: MemoryState, after: MemoryState):
 
 # --- CWE mapping ---------------------------------------------------------------
 
-def load_cwe_map(path: str | None = None) -> dict[str, list[str]]:
-    return load_data("cwe_map.json", json.loads, path)
+def load_cwe_map() -> dict[str, list[str]]:
+    """{name: CWE tags} of the bundled properties that carry tags: the
+    `cwe:` entries of the bundled property file are the only source."""
+    return {p.name: list(p.cwes) for p in load_bundled_properties() if p.cwes}
 
 
 def map_cwe(property_name: str, db: dict[str, list[str]] | None = None,

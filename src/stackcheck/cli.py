@@ -102,20 +102,6 @@ class Report:
         }
 
 
-def _load_monitors(path: str | None) -> list[ltl.Monitor]:
-    """Monitors of the bundled properties; a user file, read and compiled
-    on every call, extends the set and overrides same-named entries."""
-    monitors = ltl.load_bundled_monitors()
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            user = ltl.parse_property_file(fh.read())
-        by_name = {m.name: m for m in monitors}
-        for p in user:
-            by_name[p.name] = ltl.compile_monitor(p)
-        monitors = list(by_name.values())
-    return monitors
-
-
 def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
                   patch: bool = False, validate: bool = False,
                   patch_all: bool = False,
@@ -126,12 +112,10 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
 
     bcfg = build_bcfg(image)
     oracle = EffectsOracle(image, bcfg, cfg)
-    monitors = _load_monitors(cfg.properties_path)
+    monitors = ltl.load_monitors(cfg.properties_path)
     libc_names = oracle.libc_names()
-    cwe_db = dict(checker.load_cwe_map())
-    for m in monitors:
-        if m.cwes:      # a property's own tags win over the bundled map
-            cwe_db[m.name] = list(m.cwes)
+    # a property's own tags win over those of the bundled property it overrides
+    cwe_db = checker.load_cwe_map() | {m.name: list(m.cwes) for m in monitors if m.cwes}
     report.warnings.extend(image.warnings)
     report.warnings.extend(bcfg.warnings)
     for lp in oracle.loops:
@@ -188,6 +172,7 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
             unchecked = fn_name
             break
 
+    violations: list[tuple[PropertyResult, list]] = []     # each with its shortest path
     for k, monitor in enumerate(monitors):
         best: checker.Verdict | None = None
         best_root = None
@@ -209,6 +194,7 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
         if best is not None:
             result = PropertyResult(name=monitor.name, status=checker.VIOLATED,
                                     cwes=cwes, root=best_root, trace=best.trace)
+            violations.append((result, best.path))
         elif any_inconclusive:
             result = PropertyResult(name=monitor.name, status=checker.INCONCLUSIVE,
                                     cwes=cwes)
@@ -229,11 +215,9 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
 
     # sinks for violated properties
     sink_map: dict[int, patcher.SinkSite] = {}
-    for result in report.properties:
-        if result.status != checker.VIOLATED or result.trace is None:
-            continue
+    for result, path in violations:
         try:
-            sink = patcher.locate_sink(result.trace, image, libc_names)
+            sink = patcher.locate_sink(path, image, libc_names)
         except NoSinkFound:
             report.notes.append(
                 f"{result.name}: violation has no call/loop sink; report-only")
@@ -523,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
                  buffers_path=args.buffers,
                  enable_scanf_patch=args.enable_scanf_patch)
     # a user file that cannot be read fails before any binary is read
-    for flag, path, load in (("--props", args.props, _load_monitors),
+    for flag, path, load in (("--props", args.props, ltl.load_monitors),
                              ("--templates", args.templates, load_templates),
                              ("--libc-db", args.libc_db, load_libc_db),
                              ("--buffers", args.buffers, load_buffer_pins)):

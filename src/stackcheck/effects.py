@@ -35,10 +35,9 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from functools import cache
-from pathlib import Path
 from typing import NamedTuple
 
-from . import MalformedData, interp, parse_json
+from . import MalformedData, interp, load_data, parse_json
 from .frontend import SAFECALLS, BCfg, ProgramImage
 from .interp import (CAUSE_OOS, CLEAN, CRASH, STEP_BUDGET, UNSUPPORTED, Halt, LibcSpec, Machine,
                      load_libc_db)
@@ -46,12 +45,16 @@ from .memstace import Config, infer_buffer_size, scan_object_boundaries
 
 
 def load_buffer_pins(path: str | None) -> dict[str, dict[int, int]]:
-    """The buffer sizes a --buffers sidecar pins, {function: {rbp offset:
-    size}}: offsets are integer strings and sizes positive integers. No
-    path pins nothing."""
-    if path is None:
-        return {}
-    raw = parse_json(Path(path).read_bytes())
+    """The buffer sizes the --buffers sidecar at `path` pins, {function:
+    {rbp offset: size}}, read once per process (see load_data). No path
+    pins nothing."""
+    return {} if path is None else load_data(None, _parse_buffer_pins, path)
+
+
+def _parse_buffer_pins(data: bytes) -> dict[str, dict[int, int]]:
+    """A sidecar's pins: offsets are integer strings and sizes positive
+    integers."""
+    raw = parse_json(data)
     if not isinstance(raw, dict) or not all(isinstance(t, dict) for t in raw.values()):
         raise MalformedData("expected an object mapping each function to an object "
                             "of {rbp offset: size}")
@@ -97,8 +100,9 @@ def emulate_call(machine: Machine, call_site: int, spec: LibcSpec,
 
     The fork reads the smallest stdin that reaches a protected byte from
     the destination, or max_input_len `A`s when none is that short; a
-    source string at no plausible address is max_input_len `A`s, and
-    strncpy and memset write `A`s, at most max_input_len of them, since a
+    source string at no plausible address is max_input_len `A`s, and a
+    function writing a byte count (strncpy, memset: `LibcSpec.count`)
+    writes `A`s, at most max_input_len of them, since a
     zero fill over the root frame's saved rbp (0 in emulation) would not
     show in the diff. A write running past the stack or the aux area stops
     there, with a note."""
@@ -127,14 +131,14 @@ def emulate_call(machine: Machine, call_site: int, spec: LibcSpec,
     crash_input = _crash_input(machine, dest, max_len)
     fork = machine.fork()
     fork.stdin, fork.stdin_pos = crash_input or b"A" * max_len, 0
-    counted = spec.extent in ("strncpy", "memset")
+    counted = spec.count is not None
     if spec.src and (counted or not _plausible_pointer(machine, fork.regs[spec.src])):
         fork.aux.update(_stand_in(max_len))
         fork.regs[spec.src] = STAND_IN
     elif counted:       # memset's fill byte
         fork.regs["rsi"] = ord("A")
     if counted:
-        fork.regs["rdx"] = min(fork.regs["rdx"], max_len)
+        fork.regs[spec.count] = min(fork.regs[spec.count], max_len)
     snap = fork.snapshot()
     clamped = False
     ins = machine.image.instructions[call_site]

@@ -308,28 +308,17 @@ class Machine:
         return changed
 
     def fork(self) -> "Machine":
+        """A copy that shares the image, configuration, library table and
+        stop set, and owns its mutable state."""
         clone = Machine.__new__(Machine)
-        clone.image = self.image
-        clone.cfg = self.cfg
+        clone.__dict__.update(self.__dict__)
         clone.regs = dict(self.regs)
         clone.flags = dict(self.flags)
         clone.stack = bytearray(self.stack)
-        clone.stack_lo = self.stack_lo
         clone.aux = dict(self.aux)
-        clone.stdin = self.stdin
-        clone.stdin_pos = self.stdin_pos
         clone.stdout = bytearray(self.stdout)
         clone.shadow = [f.copy() for f in self.shadow]
-        clone.steps = self.steps
-        clone.pc = self.pc
         clone.canary_regs = set(self.canary_regs)
-        clone.read_stdin = self.read_stdin
-        clone.stops = self.stops
-        clone.loop_entry, clone.loop_exit = self.loop_entry, self.loop_exit
-        clone.loop_left = self.loop_left
-        clone.libc = self.libc
-        clone._wm_lo = self._wm_lo
-        clone._wm_hi = self._wm_hi
         return clone
 
     # --- execution --------------------------------------------------------
@@ -750,14 +739,15 @@ class LibcSpec(NamedTuple):
     """A function a call may name, run as the modelled function `extent`:
     its handler, run on a machine standing at the call (a safecall also
     passes the cap its bound gives), and the registers
-    holding the address it writes through and the string it copies (None
-    when it has none)."""
+    holding the address it writes through, the string it copies and the
+    byte count it writes (None when it has none)."""
 
     name: str
     extent: str
     handler: Callable[..., object]
     dest: str | None
     src: str | None = None
+    count: str | None = None
 
 
 # the library functions the interpreter models, each under its own name
@@ -767,10 +757,10 @@ LIBC = {spec.name: spec for spec in (
     LibcSpec("sprintf", "sprintf", Machine._libc_sprintf, "rdi"),
     LibcSpec("gets", "gets", Machine._libc_gets, "rdi"),
     LibcSpec("scanf", "scanf", Machine._libc_scanf, "rsi"),
-    LibcSpec("strncpy", "strncpy", Machine._libc_strncpy, "rdi", "rsi"),
+    LibcSpec("strncpy", "strncpy", Machine._libc_strncpy, "rdi", "rsi", "rdx"),
     LibcSpec("fgets", "fgets", Machine._libc_fgets, "rdi"),
     LibcSpec("snprintf", "snprintf", Machine._libc_snprintf, "rdi"),
-    LibcSpec("memset", "memset", Machine._libc_memset, "rdi"),
+    LibcSpec("memset", "memset", Machine._libc_memset, "rdi", count="rdx"),
     LibcSpec("printf", "printf", Machine._libc_printf, None),
     LibcSpec("puts", "puts", Machine._libc_puts, None))}
 

@@ -428,11 +428,14 @@ _BLOCK_HEAD_RE = re.compile(
     r'property\s+(?:"(?P<qname>[^"]+)"|(?P<name>[\w-]+))\s*\{')
 
 
-def parse_property_file(text: str) -> list[PropertyAst]:
-    """Parse ``property <name> { ltl: <formula> cwe: [CWE-..] }`` blocks.
+def parse_property_file(text: str | bytes) -> list[PropertyAst]:
+    """Parse ``property <name> { ltl: <formula> cwe: [CWE-..] }`` blocks
+    (bytes are decoded as UTF-8).
 
     Block bodies balance braces, so ``{loop, libc}`` target sets nest fine.
     """
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
     out = []
     pos = 0
     stripped = re.sub(r"#[^\n]*", "", text)
@@ -872,3 +875,20 @@ def load_bundled_monitors() -> list[Monitor]:
     """The bundled properties' monitors, compiled once per process (callers
     share the list and must not mutate it)."""
     return [compile_monitor(p) for p in load_bundled_properties()]
+
+
+def load_monitors(path: str | None = None) -> list[Monitor]:
+    """Monitors of the bundled properties; the property file at a user
+    `path`, read and compiled once per process, extends the set and
+    overrides same-named entries."""
+    monitors = load_bundled_monitors()
+    if path is None:
+        return monitors
+    by_name = {m.name: m for m in monitors}
+    for m in load_data("properties.props", _compile_property_file, path):
+        by_name[m.name] = m
+    return list(by_name.values())
+
+
+def _compile_property_file(data: bytes) -> list[Monitor]:
+    return [compile_monitor(p) for p in parse_property_file(data)]

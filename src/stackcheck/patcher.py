@@ -1,6 +1,6 @@
 """Patch planning and trampoline rewriting.
 
-A counterexample trace is walked backwards to the offending library call
+A violation's path is walked backwards to the offending library call
 (or loop entry). For call sinks a template is instantiated: static mode
 when the destination is a frame address (`lea reg, [rbp-x]` reaching the
 call) and the call state gives its buffer size, runtime mode otherwise.
@@ -16,10 +16,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import MalformedData, load_data, parse_json
-from .checker import Trace
 from .effects import CallEffect, LibcSpec
 from .frontend import (BCfg, Instruction, Operand, ProgramImage, IMM, MEM, REG, SAFECALLS,
                        TARGET)
+from .memstace import TransitionLabel
 
 MODES = ("static", "runtime")       # select_template's patch modes
 
@@ -63,14 +63,15 @@ class PatchPlan:
 
 def load_templates(path: str | None = None) -> list[PatchTemplate]:
     """Bundled templates, or user templates from a JSON file or a directory
-    of JSON files (user entries extend and override by name)."""
+    of JSON files (user entries extend and override by name); each file is
+    read once per process (see load_data)."""
     by_name = {t.name: t for t in load_data("templates.json", _parse_templates)}
     if path is not None:
         p = Path(path)
         files = sorted(p.glob("*.json")) if p.is_dir() else [p]
         for f in files:
             try:
-                templates = _parse_templates(f.read_bytes())
+                templates = load_data("templates.json", _parse_templates, str(f))
             except MalformedData as exc:
                 raise exc if f == p else MalformedData(f"{f.name}: {exc}")
             for t in templates:
@@ -78,7 +79,7 @@ def load_templates(path: str | None = None) -> list[PatchTemplate]:
     return list(by_name.values())
 
 
-def _parse_templates(data: str | bytes) -> list[PatchTemplate]:
+def _parse_templates(data: bytes) -> list[PatchTemplate]:
     raw = parse_json(data)
     if not isinstance(raw, list) or not all(isinstance(e, dict) for e in raw):
         raise MalformedData("expected a list of template objects")
@@ -95,22 +96,20 @@ def _parse_templates(data: str | bytes) -> list[PatchTemplate]:
     return [PatchTemplate(*(e[k] for k in keys)) for e in raw]
 
 
-def locate_sink(trace: Trace, image: ProgramImage,
+def locate_sink(path: list[tuple[int, TransitionLabel, int]], image: ProgramImage,
                 libc_names: set[str] | None = None) -> SinkSite:
-    """Walk the trace backwards to the last library call, falling back to
-    the loop entry when the violation came from a loop."""
+    """Walk a violation's path, its (source, label, target) transitions,
+    backwards to the last library call, falling back to the loop entry
+    when the violation came from a loop."""
     libc_names = libc_names or set()
-    for step in reversed(trace.steps):
-        if step.operation.startswith("Call("):
-            callee = step.operation[len("Call("):-1]
-            if callee in libc_names:
-                return SinkSite(address=step.address, function=image.function_of(step.address),
-                                callee=callee, kind="call")
-    for step in reversed(trace.steps):
-        if step.operation == "Loop":
-            return SinkSite(address=step.address, function=image.function_of(step.address),
-                            callee=None, kind="loop")
-    raise NoSinkFound("trace has neither a library call nor a loop step")
+    labels = [lbl for _, lbl, _ in reversed(path)]
+    sink = next((lbl for lbl in labels if lbl.kind == "call" and lbl.name in libc_names),
+                next((lbl for lbl in labels if lbl.kind == "loop"), None))
+    if sink is None:
+        raise NoSinkFound("trace has neither a library call nor a loop step")
+    # a loop label names no callee
+    return SinkSite(address=sink.address, function=image.function_of(sink.address),
+                    callee=sink.name, kind=sink.kind)
 
 
 def dest_in_frame(bcfg: BCfg, call_site: int, spec: LibcSpec | None) -> bool:

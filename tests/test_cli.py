@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import builtins
+import io
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import stackcheck
 from stackcheck import checker, cli, ltl, memstace
 from stackcheck.cli import (Report, PropertyResult, analyze, analyze_image,
                             main, report_metrics)
@@ -819,6 +823,40 @@ def test_props_file_extends_and_overrides(tmp_path):
     assert names["No gets() Usage"].status == "violated"
     # the overriding property's own tags replace the bundled map's
     assert names["No gets() Usage"].cwes == ["CWE-676"]
+
+
+def test_each_user_data_file_is_read_once_per_run(tmp_path, monkeypatch, capsys):
+    """The --props, --templates (each file of a directory), --libc-db and
+    --buffers files are each read once per run, however many listings it
+    analyses and patches."""
+    data = Path(stackcheck.__file__).with_name("data")
+    props, libc, buffers = tmp_path / "user.props", tmp_path / "libc.json", tmp_path / "pins.json"
+    props.write_bytes((data / "properties.props").read_bytes())
+    libc.write_bytes((data / "libc.json").read_bytes())
+    buffers.write_text("{}")
+    tdir = tmp_path / "templates"
+    tdir.mkdir()
+    (tdir / "a.json").write_bytes((data / "templates.json").read_bytes())
+    (tdir / "b.json").write_text("[]")
+    reads: Counter = Counter()
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        reads[str(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    # Path.read_bytes and read_text open through io.open, open() through builtins
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    listings = [str(corpus_path(n))
+                for n in ("strcpy_rip_vuln", "gets_rip_vuln", "strcat_rbp_vuln")]
+    code = main(["analyze", *listings, "--patch-all", "--props", str(props),
+                 "--templates", str(tdir), "--libc-db", str(libc), "--buffers", str(buffers)])
+    out, _ = capsys.readouterr()
+    assert code == 1 and out.count("patch: ") >= 3
+    user_files = [str(f) for f in (props, tdir / "a.json", tdir / "b.json", libc, buffers)]
+    assert {f: reads[f] for f in user_files} == dict.fromkeys(user_files, 1)
+    assert all(reads[path] == 1 for path in listings)
 
 
 def test_malformed_file_in_templates_dir_is_named(tmp_path, capsys):

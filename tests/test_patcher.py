@@ -21,13 +21,13 @@ def _violation_trace(path, root, prop="RIP Integrity"):
     space, oracle = space_for(path, root)
     verdict = check(space, compile_monitor(PROPS[prop]), oracle.libc_names())
     assert verdict.status == checker.VIOLATED
-    return verdict.trace, oracle
+    return verdict, oracle
 
 
 def test_locate_strcpy_sink():
-    trace, oracle = _violation_trace(corpus_path("strcpy_rip_vuln"), "copy")
+    verdict, oracle = _violation_trace(corpus_path("strcpy_rip_vuln"), "copy")
     image, bcfg, _ = pipeline(corpus_path("strcpy_rip_vuln"))
-    sink = locate_sink(trace, image, oracle.libc_names())
+    sink = locate_sink(verdict.path, image, oracle.libc_names())
     assert sink.kind == "call"
     assert sink.callee == "strcpy"
     assert sink.address == 0x401118
@@ -35,20 +35,20 @@ def test_locate_strcpy_sink():
 
 
 def test_locate_loop_sink():
-    trace, oracle = _violation_trace(corpus_path("loop_offbyone_vuln"), "main",
+    verdict, oracle = _violation_trace(corpus_path("loop_offbyone_vuln"), "main",
                                      "No off-by-one Overflow")
     image, bcfg, _ = pipeline(corpus_path("loop_offbyone_vuln"))
-    sink = locate_sink(trace, image, oracle.libc_names())
+    sink = locate_sink(verdict.path, image, oracle.libc_names())
     assert sink.kind == "loop"
     assert sink.address == 0x401118
     assert sink.callee is None
 
 
 def test_direct_write_has_no_sink():
-    trace, oracle = _violation_trace(fixture_path("direct_write"), "main")
+    verdict, oracle = _violation_trace(fixture_path("direct_write"), "main")
     image, bcfg, _ = pipeline(fixture_path("direct_write"))
     with pytest.raises(NoSinkFound):
-        locate_sink(trace, image, oracle.libc_names())
+        locate_sink(verdict.path, image, oracle.libc_names())
 
 
 # --- template selection -----------------------------------------------------------
@@ -64,8 +64,8 @@ def _sink_args_effect(path, site, root="main"):
 def test_static_plan_for_known_destination():
     image, oracle, effect, frame_dest = _sink_args_effect(
         corpus_path("strcpy_rip_vuln"), 0x401118, root="copy")
-    trace, _ = _violation_trace(corpus_path("strcpy_rip_vuln"), "copy")
-    sink = locate_sink(trace, image, oracle.libc_names())
+    verdict, _ = _violation_trace(corpus_path("strcpy_rip_vuln"), "copy")
+    sink = locate_sink(verdict.path, image, oracle.libc_names())
     assert frame_dest
     plan = select_template(sink, effect, frame_dest)
     assert plan.template.mode == "static"
@@ -75,8 +75,8 @@ def test_static_plan_for_known_destination():
 def test_runtime_plan_for_unknown_destination():
     image, oracle, effect, frame_dest = _sink_args_effect(
         corpus_path("strcpy_runtime_vuln"), 0x40111c)
-    trace, _ = _violation_trace(corpus_path("strcpy_runtime_vuln"), "main")
-    sink = locate_sink(trace, image, oracle.libc_names())
+    verdict, _ = _violation_trace(corpus_path("strcpy_runtime_vuln"), "main")
+    sink = locate_sink(verdict.path, image, oracle.libc_names())
     assert not frame_dest
     plan = select_template(sink, effect, frame_dest)
     assert plan.template.mode == "runtime"
@@ -84,9 +84,9 @@ def test_runtime_plan_for_unknown_destination():
 
 
 def test_loop_sink_has_no_template():
-    trace, oracle = _violation_trace(corpus_path("loop_offbyone_vuln"), "main",
+    verdict, oracle = _violation_trace(corpus_path("loop_offbyone_vuln"), "main",
                                      "No off-by-one Overflow")
-    sink = locate_sink(trace, oracle.image, oracle.libc_names())
+    sink = locate_sink(verdict.path, oracle.image, oracle.libc_names())
     with pytest.raises(NoTemplate):
         select_template(sink, None, False)
 
@@ -94,8 +94,8 @@ def test_loop_sink_has_no_template():
 def test_scanf_patch_requires_opt_in():
     image, oracle, effect, frame_dest = _sink_args_effect(
         fixture_path("scanf_vuln"), 0x401124)
-    trace, _ = _violation_trace(fixture_path("scanf_vuln"), "main")
-    sink = locate_sink(trace, image, oracle.libc_names())
+    verdict, _ = _violation_trace(fixture_path("scanf_vuln"), "main")
+    sink = locate_sink(verdict.path, image, oracle.libc_names())
     with pytest.raises(NoTemplate):
         select_template(sink, effect, frame_dest)
     plan = select_template(sink, effect, frame_dest, enable_scanf=True)
@@ -118,8 +118,8 @@ def _patched_copy():
     image, bcfg, oracle = pipeline(corpus_path("strcpy_rip_vuln"))
     oracle.set_root(image.functions["copy"])
     effect = oracle.call_effect(0x401118)
-    trace, _ = _violation_trace(corpus_path("strcpy_rip_vuln"), "copy")
-    sink = locate_sink(trace, image, oracle.libc_names())
+    verdict, _ = _violation_trace(corpus_path("strcpy_rip_vuln"), "copy")
+    sink = locate_sink(verdict.path, image, oracle.libc_names())
     plan = select_template(sink, effect, dest_in_frame(bcfg, 0x401118, oracle.spec(0x401118)))
     return image, apply_trampolines(image, [plan]), plan
 
