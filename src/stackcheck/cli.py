@@ -25,15 +25,15 @@ from typing import NamedTuple
 
 from . import MalformedData, checker, ltl, patcher, validator
 from .effects import EffectsOracle, load_buffer_pins, load_libc_db
-from .frontend import (MalformedLine, DuplicateFunction, ProgramImage, build_bcfg,
-                       entry_point, parse_disassembly)
+from .frontend import (LIBRARY, USER, MalformedLine, DuplicateFunction, ProgramImage,
+                       build_bcfg, entry_point, parse_disassembly)
 from .memstace import Config, MemStaCe, build_memstace, dump_memstace
 from .patcher import NoSinkFound, NoTemplate, load_templates
 
 SCHEMA_VERSION = 1
 # a property file that raises one of these is an input error, not an internal one
-PROPERTY_ERRORS = (ltl.PropertySyntaxError, ltl.UnknownOperator,
-                   ltl.UnsupportedFragment, ltl.UnboundVariable, UnicodeDecodeError)
+PROPERTY_ERRORS = (ltl.PropertySyntaxError, ltl.UnknownOperator, ltl.UnsupportedFragment,
+                   ltl.UnboundVariable, ltl.VariableKindError, UnicodeDecodeError)
 
 
 class EmptyListing(Exception):
@@ -122,18 +122,14 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
         if lp.irreducible:
             report.notes.append(f"irreducible loop at {lp.entry:#x} in "
                                 f"{lp.function!r}; body walked without a summary")
-    for blk in bcfg.blocks.values():
-        last = blk.instructions[-1]
-        if last.mnemonic != "call":
-            continue
-        sym, target = last.target_symbol(), last.target()
-        if sym is None and target not in image.instructions:
-            report.notes.append(
-                f"indirect/unresolved call at {last.address:#x} treated as external sink")
-        elif sym and sym.endswith("@plt") and target in image.instructions:
+    for addr, callee in image.callees.items():
+        sym = image.instructions[addr].target_symbol()
+        if callee.kind == LIBRARY and sym is None:
+            report.notes.append(f"indirect/unresolved call at {addr:#x} treated as external sink")
+        elif callee.kind == USER and sym and sym.endswith("@plt"):
             report.warnings.append(
-                f"call at {last.address:#x} names {sym} but its target {target:#x} is in "
-                f"user function {image.function_of(target)!r}; it descends as a user call")
+                f"call at {addr:#x} names {sym} but its target {callee.target:#x} is in user "
+                f"function {image.function_of(callee.target)!r}; it descends as a user call")
 
     b0 = time.perf_counter()
     spaces = build_root_spaces(image, oracle, cfg, deadline)
@@ -149,7 +145,7 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
         if export_memstace:
             dump_memstace(space, f"{export_memstace}.{fn_name}")
         # every function the root walks: the root and the callees it enters
-        walked = [fn_name] + [lbl.name for _, lbl, _ in space.transitions if lbl.kind == "call"]
+        walked = [fn_name] + [c.name for c in _user_calls(image, space)]
         for fn in dict.fromkeys(walked):
             body = image.function_body(fn) if fn in image.functions else None
             if body and not any(i.mnemonic == "push" for i in body[:4]):
@@ -232,14 +228,10 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
         templated = {t.target for t in load_templates(cfg.templates_path)}
         if not cfg.enable_scanf_patch:
             templated.discard("scanf")
-        for addr in image.order:
-            ins = image.instructions[addr]
-            if ins.mnemonic != "call":
-                continue
-            callee = ins.callee
-            if callee in templated and addr not in sink_map:
+        for addr, callee in image.callees.items():
+            if callee.kind == LIBRARY and callee.name in templated and addr not in sink_map:
                 sink_map[addr] = patcher.SinkSite(address=addr, function=image.function_of(addr),
-                                                  callee=callee, kind="call")
+                                                  callee=callee.name, kind="call")
 
     report.sinks = [{
         "address": s.address, "function": s.function, "callee": s.callee,
@@ -262,16 +254,17 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
 def build_root_spaces(image: ProgramImage, oracle: EffectsOracle, cfg: Config,
                       deadline: float | None = None) -> dict[str, MemStaCe | None]:
     """{root: state space}, in the order the roots are analysed: functions
-    no call targets, then the rest, each in entry order, never a
+    no user call targets, then the rest, each in entry order, never a
     `__patch_*` trampoline. A function is a root unless an earlier root's
-    complete (not truncated) space has a call edge into it. A root the
-    deadline stops before its build maps to None and ends the dict."""
-    called = {ins.target() for ins in image.instructions.values() if ins.mnemonic == "call"}
+    complete (not truncated) space has a user call edge to its entry. A
+    root the deadline stops before its build maps to None and ends the
+    dict."""
+    called = {c.target for c in image.callees.values()}
     spaces: dict[str, MemStaCe | None] = {}
-    entered: set[str] = set()
+    entered: set[int] = set()
     decoded: dict = {}      # instruction records shared by every root's build
     for _, entry, fn in sorted((e in called, e, fn) for fn, e in image.functions.items()):
-        if fn in entered or fn.startswith("__patch_"):
+        if entry in entered or fn.startswith("__patch_"):
             continue
         if deadline and time.perf_counter() > deadline:
             spaces[fn] = None
@@ -280,8 +273,14 @@ def build_root_spaces(image: ProgramImage, oracle: EffectsOracle, cfg: Config,
         space = spaces[fn] = build_memstace(image, oracle, cfg, entry, deadline=deadline,
                                             decoded=decoded)
         if not space.truncated:
-            entered.update(lbl.name for _, lbl, _ in space.transitions if lbl.kind == "call")
+            entered.update(c.target for c in _user_calls(image, space))
     return spaces
+
+
+def _user_calls(image: ProgramImage, space: MemStaCe) -> list:
+    """The callee records of the user calls a space's transitions make."""
+    return [c for _, lbl, _ in space.transitions
+            if lbl.kind == "call" and (c := image.callees[lbl.address]).kind == USER]
 
 
 def _patch_and_validate(report: Report, image: ProgramImage,

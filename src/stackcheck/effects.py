@@ -1,8 +1,9 @@
 """Stack effects of indirect transitions: C library calls and loops.
 
 Effects are computed by bounded concrete emulation. The oracle keeps one
-interpreter run per analysis root and computes the effect of each call
-site, safecall and loop entry at the run's first arrival there; the run
+interpreter run per analysis root and computes the effect of each library
+call, safecall and loop entry at the run's first arrival there (a user
+call, as `ProgramImage.callees` classifies it, is stepped into); the run
 advances only as far as the furthest site asked for. Both kinds give one
 record, a CallEffect (touched bytes, notes, and whether it is complete),
 in one cache keyed by (root, pc, "call" | "loop"). A call's effect is the
@@ -38,7 +39,7 @@ from functools import cache
 from typing import NamedTuple
 
 from . import MalformedData, interp, load_data, parse_json
-from .frontend import SAFECALLS, BCfg, ProgramImage
+from .frontend import LIBRARY, SAFECALL, SAFECALLS, BCfg, ProgramImage
 from .interp import (CAUSE_OOS, CLEAN, CRASH, STEP_BUDGET, UNSUPPORTED, Halt, LibcSpec, Machine,
                      load_libc_db)
 from .memstace import Config, infer_buffer_size, scan_object_boundaries
@@ -135,8 +136,8 @@ def emulate_call(machine: Machine, call_site: int, spec: LibcSpec,
     if spec.src and (counted or not _plausible_pointer(machine, fork.regs[spec.src])):
         fork.aux.update(_stand_in(max_len))
         fork.regs[spec.src] = STAND_IN
-    elif counted:       # memset's fill byte
-        fork.regs["rsi"] = ord("A")
+    if spec.fill:
+        fork.regs[spec.fill] = ord("A")
     if counted:
         fork.regs[spec.count] = min(fork.regs[spec.count], max_len)
     snap = fork.snapshot()
@@ -385,8 +386,8 @@ class EffectsOracle:
     """Per-binary cache of call and loop effects, keyed by analysis root.
 
     Each root has one interpreter run. A cache miss advances it to the
-    next pending site (a library call with a libc spec, or the entry of a
-    reducible loop) and computes that site's effect at this first
+    next pending site (a library call or safecall with a libc spec, or the
+    entry of a reducible loop) and computes that site's effect at this first
     arrival, until the requested site is cached. At a loop entry the run
     continues from the fork that computed the loop's effect when
     emulate_loop hands it over (the fork reached the exit without
@@ -417,8 +418,11 @@ class EffectsOracle:
             if cur is None or len(lp.body) > len(cur.body):
                 self._loops_by_entry[lp.entry] = lp
         self._effects: dict[tuple[int, int, str], CallEffect] = {}   # (root, pc, call|loop)
-        self._call_sites: frozenset[int] | None = None
-        self._sites: frozenset[int] | None = None     # call sites and loop entries
+        # where a root's run stops: library calls and safecalls with a libc
+        # spec, and reducible loop entries; no user call is among them
+        self._call_sites = frozenset(a for a in image.callees if self.spec(a) is not None)
+        self._sites = self._call_sites | {a for a, lp in self._loops_by_entry.items()
+                                          if not lp.irreducible}
         self._run: Machine | None = None      # the current root's run, while alive
         self._stops: set[int] = set()         # pending sites that run has not reached
         self._halts: dict[int, Halt] = {}     # how each halted root's run ended
@@ -445,21 +449,20 @@ class EffectsOracle:
         return self._buffer_sizes[key]
 
     def spec(self, site: int) -> LibcSpec | None:
-        """The libc spec of the function the call at `site` names, if any; at
-        a safecall, the function its template bounds, under the template's
-        name."""
-        ins = self.image.instructions[site]
-        if ins.mnemonic == "safecall":
-            template = ins.operands[0].symbol
-            return interp.LIBC[SAFECALLS[template]]._replace(name=template)
-        return self.libc_db.get(ins.callee)
+        """The libc spec of the function the library call at `site` names, if
+        any; at a safecall, the function its template bounds, under the
+        template's name; at a user call, None."""
+        callee = self.image.callees[site]
+        if callee.kind == SAFECALL:
+            return interp.LIBC[SAFECALLS[callee.name]]._replace(name=callee.name)
+        return self.libc_db.get(callee.name) if callee.kind == LIBRARY else None
 
     def call_effect(self, site: int) -> CallEffect:
+        """The effect of the library call or safecall at `site`."""
         spec = self.spec(site)
         if spec is None:
-            callee = self.image.instructions[site].callee
-            return _opaque(callee, f"unknown library function {callee!r}; "
-                           "call treated as opaque")
+            name = self.image.callees[site].name
+            return _opaque(name, f"unknown library function {name!r}; call treated as opaque")
         return self._effect(site, "call", spec.name)
 
     def loop_at(self, pc: int) -> LoopInfo | None:
@@ -479,7 +482,7 @@ class EffectsOracle:
             if self._run is None:
                 self._run = Machine(self.image, self.cfg, stdin=b"")
                 self._run.start(root)
-                self._stops = self._pending()
+                self._stops = set(self._sites)
             try:
                 while key not in self._effects:
                     self._run.run_to(self._stops)
@@ -491,22 +494,10 @@ class EffectsOracle:
             self._effects[key] = _unreached(name, pc, root, self._halts[root])
         return self._effects[key]
 
-    def _pending(self) -> set[int]:
-        """Calls and safecalls with a libc spec, and reducible loop entries:
-        where a root's run stops. _arrive skips a site whose effect from the
-        root is cached already."""
-        if self._sites is None:
-            self._call_sites = frozenset(
-                a for a, ins in self.image.instructions.items()
-                if ins.mnemonic in ("call", "safecall") and self.spec(a) is not None)
-            self._sites = self._call_sites | {
-                a for a, lp in self._loops_by_entry.items() if not lp.irreducible}
-        return set(self._sites)
-
     def _arrive(self, machine: Machine) -> None:
-        """Compute the effects at the run's first arrival at machine.pc. A
-        loop's fork that reached the exit without passing a pending site
-        becomes the run."""
+        """Compute the effects at the run's first arrival at machine.pc, unless
+        cached already. A loop's fork that reached the exit without passing
+        a pending site becomes the run."""
         pc, effects = machine.pc, self._effects
         self._stops.discard(pc)
         if pc in self._call_sites and (self.root, pc, "call") not in effects:

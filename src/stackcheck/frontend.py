@@ -10,7 +10,11 @@ Input grammar (Intel syntax, one instruction per line):
 Every instruction belongs to the function whose header precedes it.
 Instructions before the first header (all of a header-less listing) form
 the function ``sub_<address of the first one>``, which is not a header
-line and so is never emitted.
+line and so is never emitted. `ProgramImage.index()` also decides, once,
+what each call and safecall calls (`callees`): a user call (its target is
+in the image), a library call or a safecall, with the name its transition
+label carries and, for a user call, the address it jumps to. No other
+stage makes that decision.
 
 Operands: registers (``rax`` .. ``r15`` in all widths), immediates
 (``0x2a`` or decimal), memory (``[rbp-0x10]``, ``[rax]``, optional
@@ -114,23 +118,23 @@ class Instruction(NamedTuple):
     def is_conditional(self) -> bool:
         return self.mnemonic in JCC
 
+    # a branch or call has one operand, its target
     def target(self) -> int | None:
-        for op in self.operands:
-            if op.kind == TARGET:
-                return op.value
-        return None
+        return self.operands[0].value if self.operands and self.operands[0].kind == TARGET else None
 
     def target_symbol(self) -> str | None:
-        for op in self.operands:
-            if op.kind == TARGET:
-                return op.symbol
-        return None
+        return self.operands[0].symbol if self.operands and self.operands[0].kind == TARGET else None
 
-    @property
-    def callee(self) -> str:
-        """The library function a call names: its symbol without @plt, or
-        sub_<target> when it names none."""
-        return (self.target_symbol() or f"sub_{self.target():x}").removesuffix("@plt")
+
+USER, LIBRARY, SAFECALL = "user", "library", "safecall"
+
+
+class Callee(NamedTuple):
+    """What a call or safecall calls, decided once per image."""
+
+    kind: str                   # USER, LIBRARY or SAFECALL
+    name: str                   # the name its transition label carries
+    target: int | None = None   # where a user call jumps
 
 
 class ProgramImage:
@@ -139,7 +143,7 @@ class ProgramImage:
     extends one calls `index()` once it is complete."""
 
     __slots__ = ("instructions", "order", "function_headers", "warnings", "_next", "code",
-                 "_by_entry", "functions", "_owner", "_bodies")
+                 "_by_entry", "functions", "_owner", "_bodies", "callees")
 
     def __init__(self, instructions: dict[int, Instruction] | None = None,
                  order: list[int] | None = None,
@@ -171,6 +175,22 @@ class ProgramImage:
                 self._bodies[name] = []
             self._owner[addr] = name
             self._bodies[name].append(self.instructions[addr])
+        # call site -> what it calls, in listing order
+        self.callees = {a: self._callee(self.instructions[a]) for a in self.order
+                        if self.instructions[a].mnemonic in ("call", "safecall")}
+
+    def _callee(self, ins: Instruction) -> Callee:
+        """A call into the image is a user call, named after the function
+        whose entry it targets, else after its symbol or sub_<target>; any
+        other call is a library call, named the same way without @plt."""
+        op = ins.operands[0]
+        if ins.mnemonic == "safecall":
+            return Callee(SAFECALL, op.symbol)
+        name = op.symbol or f"sub_{op.value:x}"
+        owner = self._owner.get(op.value)
+        if owner is None:
+            return Callee(LIBRARY, name.removesuffix("@plt"))
+        return Callee(USER, owner if self.functions[owner] == op.value else name, op.value)
 
     def next_address(self, addr: int) -> int | None:
         return self._next[addr]
@@ -410,6 +430,7 @@ def build_bcfg(image: ProgramImage) -> BCfg:
     addrs = image.instructions
 
     leaders = set(image.functions.values())
+    leaders.update(c.target for c in image.callees.values() if c.kind == USER)
     for addr in image.order:
         ins = image.instructions[addr]
         nxt = image.next_address(addr)
@@ -419,11 +440,8 @@ def build_bcfg(image: ProgramImage) -> BCfg:
                 leaders.add(tgt)
             if nxt is not None:
                 leaders.add(nxt)
-        elif ins.mnemonic in ("call", "ret", "safecall"):
-            if nxt is not None:
-                leaders.add(nxt)
-            if ins.mnemonic == "call" and ins.target() in addrs:
-                leaders.add(ins.target())
+        elif ins.mnemonic in ("call", "ret", "safecall") and nxt is not None:
+            leaders.add(nxt)
 
     blocks: dict[int, BasicBlock] = {}
     current: list[Instruction] = []
@@ -447,11 +465,9 @@ def build_bcfg(image: ProgramImage) -> BCfg:
             if nxt_in_fn is not None:
                 blk.edges.append((FALLTHROUGH, nxt_in_fn))
         elif last.mnemonic == "call":
-            tgt, sym = last.target(), last.target_symbol()
-            if tgt in addrs:
-                blk.edges.append((CALL, tgt))
-            else:
-                blk.edges.append((CALL, sym or f"sub_{tgt:x}"))
+            callee = image.callees[last.address]
+            blk.edges.append((CALL, callee.target if callee.kind == USER
+                              else last.target_symbol() or f"sub_{last.target():x}"))
             if nxt_in_fn is not None:
                 blk.edges.append((CALL_RETURN, nxt_in_fn))
         elif last.mnemonic == "ret":

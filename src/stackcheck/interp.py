@@ -13,12 +13,13 @@ and diffed, and that may continue from a loop's fork) and the validator
 for full before/after runs.
 
 LIBC is the one table of modelled library functions: each entry names
-its handler and the registers it writes through and copies from. A call
-runs the entry the libc database (`load_libc_db`, bundled or --libc-db)
-gives its callee's name, and a callee the database does not list does
-nothing. The safecall pseudo-instruction the patcher installs runs the
-LIBC entry of the function its template bounds (frontend.SAFECALLS),
-its write capped at the bound.
+its handler and the registers it writes through, copies from and fills
+with. A library call (see `ProgramImage.callees`) runs the entry the libc
+database (`load_libc_db`, bundled or --libc-db) gives its name, and a
+name the database does not list does nothing. The safecall
+pseudo-instruction the patcher installs runs the LIBC entry of the
+function its template bounds (frontend.SAFECALLS), its write capped at
+the bound.
 
 Each instruction is compiled once per image, at its first execution, into
 a closure (see codegen) that takes the machine and returns the next pc;
@@ -514,13 +515,13 @@ class Machine:
     # --- calls and returns ------------------------------------------------
 
     def _do_call(self, ins: Instruction, nxt: int | None) -> int | None:
-        tgt = ins.target()
-        if tgt in self.image.instructions:
+        callee = self.image.callees[ins.address]
+        if callee.target is not None:    # a user call
             self._push_qword(SENTINEL_RET if nxt is None else nxt)
             self.shadow.append(ShadowFrame(ret_loc=self.regs["rsp"],
                                            ret_bytes=self.rd_mem(self.regs["rsp"], 8)))
-            return tgt
-        spec = self.libc.get(ins.callee)
+            return callee.target
+        spec = self.libc.get(callee.name)
         if spec is not None:     # a function the database does not list is skipped
             spec.handler(self)
         return nxt
@@ -739,8 +740,8 @@ class LibcSpec(NamedTuple):
     """A function a call may name, run as the modelled function `extent`:
     its handler, run on a machine standing at the call (a safecall also
     passes the cap its bound gives), and the registers
-    holding the address it writes through, the string it copies and the
-    byte count it writes (None when it has none)."""
+    holding the address it writes through, the string it copies, the
+    byte count it writes and the byte it fills with (None when it has none)."""
 
     name: str
     extent: str
@@ -748,6 +749,7 @@ class LibcSpec(NamedTuple):
     dest: str | None
     src: str | None = None
     count: str | None = None
+    fill: str | None = None
 
 
 # the library functions the interpreter models, each under its own name
@@ -760,7 +762,7 @@ LIBC = {spec.name: spec for spec in (
     LibcSpec("strncpy", "strncpy", Machine._libc_strncpy, "rdi", "rsi", "rdx"),
     LibcSpec("fgets", "fgets", Machine._libc_fgets, "rdi"),
     LibcSpec("snprintf", "snprintf", Machine._libc_snprintf, "rdi"),
-    LibcSpec("memset", "memset", Machine._libc_memset, "rdi", count="rdx"),
+    LibcSpec("memset", "memset", Machine._libc_memset, "rdi", count="rdx", fill="rsi"),
     LibcSpec("printf", "printf", Machine._libc_printf, None),
     LibcSpec("puts", "puts", Machine._libc_puts, None))}
 

@@ -68,6 +68,10 @@ class UnboundVariable(Exception):
     pass
 
 
+class VariableKindError(Exception):
+    """A frame, buffer or index variable used where another kind belongs."""
+
+
 # --- AST ---------------------------------------------------------------------
 #
 # Nodes are NamedTuples, so they hash and compare in C: `compile_body` and
@@ -248,6 +252,12 @@ class _Parser:
                                       tok.line, tok.col)
         return tok
 
+    def number(self) -> int:
+        tok = self.next()
+        if tok.kind != "num":
+            raise PropertySyntaxError(f"expected a number, found {tok.text!r}", tok.line, tok.col)
+        return int(tok.text)
+
     def formula(self) -> Always:
         head = self.next()
         if head.text in _TEMPORAL - {"G"}:
@@ -328,9 +338,9 @@ class _Parser:
             self.next()
             var = self.next().text
             self.expect("in")
-            lo = int(self.next().text)
+            lo = self.number()
             self.expect("..")
-            hi = int(self.next().text)
+            hi = self.number()
             self.expect(":")
             return AllRange(var, lo, hi, self.body())
         if tok.text in _TEMPORAL:
@@ -411,7 +421,7 @@ class _Parser:
             nxt = self.peek()
             if nxt is not None and nxt.text in ("+", "-"):
                 sign = -1 if self.next().text == "-" else 1
-                off = sign * int(self.next().text)
+                off = sign * self.number()
             return IndexExpr(tok.text, off, bvar)
         if tok.kind == "ident":
             return IndexExpr("var", 0, tok.text)
@@ -596,12 +606,12 @@ class _Generator:
     def __init__(self):
         self.lines: list[str] = []
         self.depth = 1
-        self.locals = 0
         self.globals = {"outside": _outside, "unbound": _unbound, "empty": _empty,
                         "span": buffer_index_span,
                         "LOOP": "loop", "CALL": "call",
                         **{s.name: ord(s.value) for s in ByteState}}
         self.unbound_names: list[str] = []
+        self.kinds: dict[str, str | None] = {}      # local -> kind of variable it binds
 
     def emit(self, *lines: str) -> None:
         self.lines.extend("    " * self.depth + line for line in lines)
@@ -613,9 +623,17 @@ class _Generator:
         yield
         self.depth -= 1
 
-    def local(self) -> str:
-        self.locals += 1
-        return f"v{self.locals - 1}"
+    def local(self, kind: str | None = None) -> str:
+        name = f"v{len(self.kinds)}"
+        self.kinds[name] = kind
+        return name
+
+    def var(self, name: str, scope: dict, kind: str) -> str | None:
+        """The local a `kind` variable, or a free name, is bound to; None if unbound."""
+        v = scope.get(name)
+        if v is not None and self.kinds[v] not in (None, kind):
+            raise VariableKindError(f"variable {name!r} is a {self.kinds[v]}, used as a {kind}")
+        return v
 
     def constant(self, value) -> str:
         """A global holding `value`, for values the source must not spell."""
@@ -636,7 +654,7 @@ class _Generator:
         raise TypeError(f"cannot evaluate node {node!r}")
 
     def byte_atom(self, atom: ByteAtom, scope: dict) -> None:
-        f = scope.get(atom.frame_var)
+        f = self.var(atom.frame_var, scope, "frame")
         if f is None:
             return self.emit(f"t = {self.unbound(atom.frame_var)}")
         idx = self.frame_index(atom.index, f, scope)
@@ -653,7 +671,7 @@ class _Generator:
         """The expression for a byte index into frame `f`."""
         if expr.base == "const":
             return str(expr.value)
-        var = scope.get(expr.var)
+        var = self.var(expr.var, scope, "byte index" if expr.base == "var" else "buffer")
         if var is None:
             return self.unbound(expr.var)
         if expr.base == "var":
@@ -662,7 +680,7 @@ class _Generator:
         return f"span({f}, *{var})[{int(expr.base == 'end')}]{offset}"
 
     def has_canary(self, atom: HasCanary, scope: dict) -> None:
-        f = scope.get(atom.frame_var)
+        f = self.var(atom.frame_var, scope, "frame")
         self.emit(f"t = {self.unbound(atom.frame_var) if f is None else f + '.has_canary'}")
 
     def prev_transition(self, atom: PrevTransition, scope: dict) -> None:
@@ -708,11 +726,11 @@ class _Generator:
         sorted order); each quantifier evaluation is one domain."""
         if isinstance(node, (ForallStack, ExistsStack)):
             domain = "state.frames"
-        elif (f := scope.get(node.frame_var)) is None:
+        elif (f := self.var(node.frame_var, scope, "frame")) is None:
             return self.emit(f"t = {self.unbound(node.frame_var)}")
         else:
             domain = f"sorted({f}.buffers)"
-        v = self.local()
+        v = self.local("frame" if domain == "state.frames" else "buffer")
         exists = isinstance(node, (ExistsStack, ExistsBuffer))
         self.emit("ctx.quantifier_domains += 1", f"d{v} = {domain}")
         with self.block(f"if not d{v}:"):
@@ -729,9 +747,10 @@ class _Generator:
         all-skipped range is an empty (vacuous) domain."""
         body = node.body
         if isinstance(body, ByteAtom) and body.index == IndexExpr("var", 0, node.var) \
-                and body.frame_var in scope and body.frame_var != node.var:
-            return self.range_slice(node, scope[body.frame_var])
-        v = self.local()
+                and body.frame_var != node.var \
+                and (f := self.var(body.frame_var, scope, "frame")) is not None:
+            return self.range_slice(node, f)
+        v = self.local("byte index")
         inner = {**scope, node.var: v}
         self.emit(f"h{v} = True", f"s{v} = False")
         with self.block(f"for {v} in range({node.lo}, {node.hi + 1}):"):
@@ -759,7 +778,7 @@ class _Generator:
             return
         self.emit("a = True")
         for k, atom in enumerate(atoms):
-            f = scope.get(atom.frame_var)
+            f = self.var(atom.frame_var, scope, "frame")
             with self.block("if a:") if k else nullcontext():
                 if f is None:
                     self.emit("a = False")

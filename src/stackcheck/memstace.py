@@ -445,7 +445,7 @@ class _Decoded(NamedTuple):
     nxt: int | None                 # successor within fn
     loop: object                    # reducible loop entered here, or None
     kind: str                       # ret|jmp|jcc|lea|call|fa|direct|no-effect
-    target: int | None = None       # jump or call target
+    target: int | None = None       # jump target, or where a user call jumps
     label: TransitionLabel | None = None
     steps: tuple = ()               # direct: (MemOp, TransitionLabel) applied in order
 
@@ -518,19 +518,10 @@ class _SpaceBuilder:
                 return _Decoded(ins, fn, nxt, loop, "no-effect")
             return _Decoded(ins, fn, nxt, loop, "lea", None,
                             TransitionLabel("buffer-register", pc, text=ins.text))
-        if m == "call":
-            target = ins.operands[0]
-            name = target.symbol or f"sub_{target.value:x}"
-            if target.value not in image.instructions:
-                name = name.removesuffix("@plt")
-            elif image.functions[image.function_of(target.value)] == target.value:
-                name = image.function_of(target.value)    # a call to a function's entry
-            return _Decoded(ins, fn, nxt, loop, "call", target.value,
-                            TransitionLabel("call", pc, name=name, text=ins.text))
-        if m == "safecall":     # a library call to its bounded template
-            return _Decoded(ins, fn, nxt, loop, "call", None,
-                            TransitionLabel("call", pc, name=ins.operands[0].symbol,
-                                            text=ins.text))
+        if m == "call" or m == "safecall":
+            callee = image.callees[pc]
+            return _Decoded(ins, fn, nxt, loop, "call", callee.target,
+                            TransitionLabel("call", pc, name=callee.name, text=ins.text))
         op = classify_instruction(ins, self.canary_sites(fn))
         if op.kind == "no-effect":
             return _Decoded(ins, fn, nxt, loop, "no-effect")
@@ -652,7 +643,7 @@ class _SpaceBuilder:
 
     def _do_call(self, d: _Decoded, sid: int, call_stack: tuple):
         frames = self.states[sid].frames
-        if d.target in self.image.instructions:
+        if d.target is not None:
             # user call: the call itself creates the callee frame (the
             # pushed return address is its first 8 critical bytes)
             if len(call_stack) >= CALL_DEPTH:
@@ -660,7 +651,7 @@ class _SpaceBuilder:
                 return (d.nxt, sid, call_stack)
             dst = self.emit(sid, d.label, frames + (fresh_frame(d.label.name),))
             return (d.target, dst, call_stack + (d.nxt,))
-        # library / external call: splice the emulated effect
+        # library call or safecall: splice the emulated effect
         return (d.nxt, self._splice(sid, d.label, self.effects.call_effect(d.ins.address)),
                 call_stack)
 

@@ -624,6 +624,24 @@ def test_unbound_property_variable_rejected_at_load(tmp_path, capsys):
     assert report.error == "property 'Unbound' uses variable 'g', which no quantifier binds"
 
 
+@pytest.mark.parametrize("body, message", [
+    ("all i in x..7 : true", "expected a number, found 'x' (line 1, col 13)"),
+    ("forall_stack f . forall_buffer b in f . byte(start(f), stack(b)) = Free",
+     "variable 'b' is a buffer, used as a frame"),
+], ids=["number", "kind"])
+def test_property_input_errors_are_reported_once_without_a_traceback(tmp_path, capsys,
+                                                                     body, message):
+    """A malformed number or a variable of the wrong kind ends the run at
+    the early --props check: exit 2, one message, no traceback."""
+    props = tmp_path / "bad.props"
+    props.write_text(f"property Bad {{ ltl: G ({body}) }}\n")
+    code = main(["analyze", str(corpus_path("strcpy_rip_ok")), str(corpus_path("gets_rip_ok")),
+                 "--props", str(props)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"stackcheck: --props {props}: {message}\n"
+
+
 def test_property_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
     props = tmp_path / "latin1.props"
     props.write_bytes(b"\xff\xfe")
@@ -672,11 +690,69 @@ main:
 401130: pop rbp
 401134: ret
 """
-    report = analyze_image(parse_disassembly(text), "plt_user", Config())
+    report = analyze_image(parse_disassembly(text), "plt_user", Config(),
+                           patch_all=True, validate=True)
     assert [w for w in report.warnings if "@plt" in w] == [
         "call at 0x401128 names strcpy@plt but its target 0x401100 is in user "
         "function 'copy'; it descends as a user call"]
     assert report.status == "clean"
+    # a user call is no sink, so --patch-all leaves it alone
+    assert 0x401128 not in {s["address"] for s in report.sinks} | \
+        {p["sink"] for p in report.patches} | {v["sink"] for v in report.validations}
+
+
+def test_user_function_named_like_a_called_library_function_is_a_root():
+    """main calls the library `puts`; the user function `puts`, which no
+    call enters, is analysed as a root of its own, because roots are matched
+    by the entry a user call targets, not by name."""
+    text = """\
+main:
+401100: push rbp
+401104: mov rbp, rsp
+401108: call 0x401030 <puts@plt>
+40110c: pop rbp
+401110: ret
+puts:
+401120: push rbp
+401124: mov rbp, rsp
+401128: sub rsp, 0x10
+40112c: lea rdi, [rbp-0x10]
+401130: call 0x401060 <gets@plt>
+401134: add rsp, 0x10
+401138: pop rbp
+40113c: ret
+"""
+    report = analyze_image(parse_disassembly(text), "renamed", Config())
+    assert report.status == "vulnerable"
+    assert report.roots == ["main", "puts"]
+    assert {p.name for p in report.properties if p.status == "violated"} == {
+        "RIP Integrity", "RBP Integrity", "No Buffer Overflow by one", "No gets() Usage"}
+
+
+def test_patch_all_leaves_a_call_to_a_user_function_named_gets_alone():
+    """`call 0x401200 <gets>` enters the user function `gets`: it is no
+    library call, so no sink is planned there and the function is still
+    called in the listing --patch-all writes."""
+    text = """\
+main:
+401100: push rbp
+401104: mov rbp, rsp
+401108: sub rsp, 0x10
+40110c: lea rdi, [rbp-0x10]
+401110: call 0x401200 <gets>
+401114: add rsp, 0x10
+401118: pop rbp
+40111c: ret
+gets:
+401200: push rbp
+401204: mov rbp, rsp
+401208: pop rbp
+40120c: ret
+"""
+    report = analyze_image(parse_disassembly(text), "user_gets", Config(),
+                           patch_all=True, validate=True)
+    assert report.sinks == [] and report.patches == [] and report.validations == []
+    assert report.patched_image is None
 
 
 def test_timeout_between_roots_keeps_found_violations(monkeypatch):

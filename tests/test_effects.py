@@ -55,8 +55,18 @@ def test_lookup_unknown():
 
 
 def test_lookup_strips_plt_suffix():
-    call = parse_disassembly("main:\n401000: call 0x401060 <strcpy@plt>\n").instructions[0x401000]
-    assert load_libc_db()[call.callee].name == "strcpy"
+    image = parse_disassembly("main:\n401000: call 0x401060 <strcpy@plt>\n")
+    assert load_libc_db()[image.callees[0x401000].name].name == "strcpy"
+
+
+def test_the_oracle_has_no_spec_for_a_user_call_named_like_a_library_function():
+    """`call 0x401100 <strcpy@plt>` enters the user function at 0x401100: it
+    has no libc spec, and no root run stops there."""
+    image = parse_disassembly("copy:\n401100: ret\nmain:\n"
+                              "401120: call 0x401100 <strcpy@plt>\n401124: ret\n")
+    oracle = EffectsOracle(image, build_bcfg(image), Config())
+    assert oracle.spec(0x401120) is None
+    assert oracle._sites == frozenset()
 
 
 def test_empty_libc_db_is_used_as_given(tmp_path):

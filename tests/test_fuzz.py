@@ -1,5 +1,6 @@
 """Seeded mutation fuzz: mutants of the bundled listings never end in an
-internal error, only in a verdict or a parse error."""
+internal error, only in a verdict or a parse error; mutants of the bundled
+property file end only in a check or in an input error (cli.PROPERTY_ERRORS)."""
 
 from __future__ import annotations
 
@@ -7,9 +8,10 @@ import random
 import re
 import time
 
-from conftest import CORPUS_DIR, FIXTURE_DIR
+from conftest import CORPUS_DIR, FIXTURE_DIR, pipeline
 
-from stackcheck.cli import analyze
+from stackcheck import checker, ltl
+from stackcheck.cli import PROPERTY_ERRORS, analyze, build_root_spaces
 from stackcheck.memstace import Config
 
 SEED = 13
@@ -73,3 +75,62 @@ def test_mutants_never_end_in_an_internal_error(tmp_path):
                 if r.error and r.error.startswith("internal error")]
     assert not internal, internal
     assert elapsed < 5.0
+
+
+# --- property-file mutants -------------------------------------------------
+
+PROPERTY_SEED = 19
+PROPERTY_MUTANTS = 800
+PROPERTY_FILE = CORPUS_DIR.parent / "data" / "properties.props"
+# whitespace runs, words, the two-character operators and single characters
+_PROPERTY_TOKEN = re.compile(r"\s+|\w+|\.\.|!=|->|.", re.S)
+# listings whose root spaces hold library calls, loops and registered buffers
+PROPERTY_LISTINGS = ("strcpy_rip_vuln", "gets_rip_vuln", "loop_underflow_vuln")
+
+
+def _mutate_tokens(rng: random.Random, parts: list[str], pool: list[str]) -> str:
+    """Apply 1-3 edits, each to one non-blank token: delete it, insert a
+    token of `pool` before it, or replace it with one."""
+    parts = list(parts)
+    words = [i for i, t in enumerate(parts) if not t.isspace()]
+    for _ in range(rng.randint(1, 3)):
+        i = rng.choice(words)
+        edit = rng.randrange(3)
+        if edit == 0:
+            parts[i] = ""
+        elif edit == 1:
+            parts[i] = f"{rng.choice(pool)} {parts[i]}"
+        else:
+            parts[i] = rng.choice(pool)
+    return "".join(parts)
+
+
+def check_property_mutants(seed: int, count: int) -> None:
+    """Parse, compile and check `count` token mutants of the bundled property
+    file, drawn with `seed`, on the root spaces of PROPERTY_LISTINGS; raise
+    AssertionError listing every mutant that raised anything but one of
+    cli.PROPERTY_ERRORS."""
+    spaces = []
+    for name in PROPERTY_LISTINGS:
+        image, _, oracle = pipeline(CORPUS_DIR / f"{name}.s")
+        spaces += [(space, oracle.libc_names())
+                   for space in build_root_spaces(image, oracle, Config()).values()]
+    parts = _PROPERTY_TOKEN.findall(PROPERTY_FILE.read_text(encoding="utf-8"))
+    pool = sorted({t for t in parts if not t.isspace()})
+    rng = random.Random(seed)
+    escaped = []
+    for k in range(count):
+        text = _mutate_tokens(rng, parts, pool)
+        try:
+            monitors = [ltl.compile_monitor(p) for p in ltl.parse_property_file(text)]
+            for space, libc_names in spaces:
+                checker.check(space, monitors, libc_names)
+        except PROPERTY_ERRORS:
+            pass
+        except Exception as exc:
+            escaped.append(f"seed {seed}, mutant {k}: {type(exc).__name__}: {exc}\n{text}")
+    assert not escaped, "\n".join(escaped)
+
+
+def test_property_file_mutants_end_only_in_input_errors():
+    check_property_mutants(PROPERTY_SEED, PROPERTY_MUTANTS)

@@ -9,8 +9,8 @@ import pytest
 from stackcheck.ltl import (AllRange, Always, ByteAtom, EvalContext,
                             ForallStack,
                             PrevTransition, PropertySyntaxError, UnknownOperator,
-                            UnsupportedFragment, compile_body, compile_monitor,
-                            load_bundled_properties, parse_property,
+                            UnsupportedFragment, VariableKindError, compile_body,
+                            compile_monitor, load_bundled_properties, parse_property,
                             parse_property_file)
 from stackcheck.memstace import (ByteOp, ByteState, Fe, MemoryState, Push,
                                  TransitionLabel, apply_memory_operator,
@@ -61,6 +61,48 @@ def test_unbalanced_formula_reports_column_three():
     with pytest.raises(PropertySyntaxError) as err:
         parse_property("G (")
     assert err.value.col == 3
+
+
+@pytest.mark.parametrize("text, found, col", [
+    ("G (all i in x..7 : true)", "x", 13),
+    ("G (all i in 0..) : true)", ")", 16),
+    ("G (forall_stack f . exists_buffer b in f . byte(start(b) + &, stack(f)) = Free)",
+     "&", 60),
+])
+def test_a_non_number_where_a_number_belongs_is_a_syntax_error(text, found, col):
+    with pytest.raises(PropertySyntaxError) as err:
+        parse_property(text)
+    assert str(err.value) == f"expected a number, found {found!r} (line 1, col {col})"
+
+
+@pytest.mark.parametrize("body, message", [
+    ("forall_stack f . forall_buffer b in f . byte(start(f), stack(b)) = Free",
+     "variable 'b' is a buffer, used as a frame"),
+    ("forall_stack f . forall_buffer b in f . byte(start(f), stack(f)) = Free",
+     "variable 'f' is a frame, used as a buffer"),
+    ("forall_stack f . exists_buffer b in f . byte(0, stack(b)) = Free",
+     "variable 'b' is a buffer, used as a frame"),
+    ("forall_stack f . all i in 0..7 : byte(i, stack(i)) = Free",
+     "variable 'i' is a byte index, used as a frame"),
+    ("forall_stack f . byte(f, stack(f)) = Free",
+     "variable 'f' is a frame, used as a byte index"),
+    ("forall_stack f . exists_buffer b in f . byte(b, stack(f)) = Free",
+     "variable 'b' is a buffer, used as a byte index"),
+    ("forall_stack f . all i in 0..3 : has_canary(i)",
+     "variable 'i' is a byte index, used as a frame"),
+    ("forall_stack f . forall_buffer b in f . forall_buffer c in b . true",
+     "variable 'b' is a buffer, used as a frame"),
+])
+def test_a_variable_of_the_wrong_kind_is_rejected_at_compile(body, message):
+    with pytest.raises(VariableKindError) as err:
+        compile_monitor(parse_property(f"G ({body})"))
+    assert str(err.value) == message
+
+
+def test_free_names_of_compile_body_have_no_kind():
+    """A name `compile_body` takes as free is used as whatever it stands for."""
+    pred = compile_body(parse_property("G (byte(0, stack(g)) = Critical)").formula.body, ("g",))
+    assert pred(MemoryState(frames=(fresh_frame("f"),)), [fresh_frame("f")], EvalContext())
 
 
 def test_unknown_operator():
