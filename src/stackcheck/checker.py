@@ -10,6 +10,8 @@ and vacuity count is the one a search for that property alone gives.
 The steps of one state are one call of the property set's kernel
 (`ltl.compile_kernel`), compiled at the set's first check and cached by
 its bodies; `Monitor.step` is the one-monitor reference it agrees with.
+A state's incoming label says what its call calls, so a check needs
+nothing but the space and the monitors.
 Past a deadline the search stops and every monitor still running is
 inconclusive. A violation keeps its path, which becomes a counterexample
 trace of <address: instruction -> memory operation> steps with per-byte
@@ -88,15 +90,14 @@ class Verdict:
 
 
 def check(space: MemStaCe, monitors: list[Monitor] | Monitor,
-          libc_names: set[str] | None = None,
           deadline: float | None = None) -> list[Verdict] | Verdict:
     """One BFS for all monitors; one verdict per monitor (or the verdict of
     a single monitor passed alone). Past `deadline` (a `time.perf_counter()`
     value, read once per DEADLINE_EVERY dequeues) every monitor still
     running is inconclusive."""
     if isinstance(monitors, Monitor):
-        return check(space, [monitors], libc_names, deadline)[0]
-    ctxs = [EvalContext(libc_names=libc_names or set()) for _ in monitors]
+        return check(space, [monitors], deadline)[0]
+    ctxs = [EvalContext() for _ in monitors]
     if space.initial < 0:
         return [Verdict(m.name, HOLDS, vacuity_notes=["empty state space"]) for m in monitors]
 

@@ -113,14 +113,14 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
     bcfg = build_bcfg(image)
     oracle = EffectsOracle(image, bcfg, cfg)
     monitors = ltl.load_monitors(cfg.properties_path)
-    libc_names = oracle.libc_names()
     # a property's own tags win over those of the bundled property it overrides
     cwe_db = checker.load_cwe_map() | {m.name: list(m.cwes) for m in monitors if m.cwes}
     report.warnings.extend(image.warnings)
     report.warnings.extend(bcfg.warnings)
     for lp in oracle.loops:
-        if lp.irreducible:
-            report.notes.append(f"irreducible loop at {lp.entry:#x} in "
+        if not lp.summarized:
+            why = "irreducible loop" if lp.irreducible else "loop with no exit"
+            report.notes.append(f"{why} at {lp.entry:#x} in "
                                 f"{lp.function!r}; body walked without a summary")
     for addr, callee in image.callees.items():
         sym = image.instructions[addr].target_symbol()
@@ -163,7 +163,7 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
         if space is None or (deadline and time.perf_counter() > deadline):
             unchecked = fn_name
             break
-        per_root[fn_name] = checker.check(space, monitors, libc_names, deadline)
+        per_root[fn_name] = checker.check(space, monitors, deadline)
         if any(v.timed_out for v in per_root[fn_name]):
             unchecked = fn_name
             break
@@ -213,7 +213,7 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
     sink_map: dict[int, patcher.SinkSite] = {}
     for result, path in violations:
         try:
-            sink = patcher.locate_sink(path, image, libc_names)
+            sink = patcher.locate_sink(path, image)
         except NoSinkFound:
             report.notes.append(
                 f"{result.name}: violation has no call/loop sink; report-only")
@@ -279,8 +279,7 @@ def build_root_spaces(image: ProgramImage, oracle: EffectsOracle, cfg: Config,
 
 def _user_calls(image: ProgramImage, space: MemStaCe) -> list:
     """The callee records of the user calls a space's transitions make."""
-    return [c for _, lbl, _ in space.transitions
-            if lbl.kind == "call" and (c := image.callees[lbl.address]).kind == USER]
+    return [image.callees[lbl.address] for _, lbl, _ in space.transitions if lbl.calls == USER]
 
 
 def _patch_and_validate(report: Report, image: ProgramImage,

@@ -8,11 +8,10 @@ advances only as far as the furthest site asked for. Both kinds give one
 record, a CallEffect (touched bytes, notes, and whether it is complete),
 in one cache keyed by (root, pc, "call" | "loop"). A call's effect is the
 stack diff of the interpreter's own handler for the instruction run on
-a fork (a call runs the LibcSpec the libc database gives the symbol it
-names, a safecall the LIBC entry of the function its template bounds,
-with its bound), so detection and validation share one library model;
-the fork reads the call's smallest crashing stdin, derived in closed
-form for patch validation. A loop's effect is the diff between a
+a fork (it runs the LibcSpec `interp.call_spec` gives the call, a
+safecall with its bound), so detection and validation share one library
+model; the fork reads the call's smallest crashing stdin, derived in
+closed form for patch validation. A loop's effect is the diff between a
 fork's arrival at the loop entry and its exit; a fork that does not
 reach the exit (iteration or step budget, an unsupported construct, or
 leaving the function) gives a truncating effect, with a note saying why.
@@ -39,9 +38,9 @@ from functools import cache
 from typing import NamedTuple
 
 from . import MalformedData, interp, load_data, parse_json
-from .frontend import LIBRARY, SAFECALL, SAFECALLS, BCfg, ProgramImage
+from .frontend import BCfg, ProgramImage
 from .interp import (CAUSE_OOS, CLEAN, CRASH, STEP_BUDGET, UNSUPPORTED, Halt, LibcSpec, Machine,
-                     load_libc_db)
+                     call_spec, load_libc_db)
 from .memstace import Config, infer_buffer_size, scan_object_boundaries
 
 
@@ -142,9 +141,8 @@ def emulate_call(machine: Machine, call_site: int, spec: LibcSpec,
         fork.regs[spec.count] = min(fork.regs[spec.count], max_len)
     snap = fork.snapshot()
     clamped = False
-    ins = machine.image.instructions[call_site]
     try:
-        interp._HANDLERS[ins.mnemonic](fork, ins, None)
+        fork._do_call(machine.image.instructions[call_site], None)
     except Halt as h:
         if h.cause != CAUSE_OOS:
             return _opaque(name, f"{name} at {call_site:#x}: {h.cause}", truncating=True)
@@ -227,18 +225,19 @@ def _crash_input(machine: Machine, dest: int, max_len: int) -> bytes | None:
 class LoopInfo(NamedTuple):
     function: str
     entry: int                      # back-edge target block address
-    exit: int | None
+    exit: int | None                # None: no edge leaves the body
     body: frozenset[int]
-    irreducible: bool = False
+    irreducible: bool = False       # its entry does not dominate the back edge
+
+    @property
+    def summarized(self) -> bool:       # reducible and with an exit: its effect is emulated
+        return not self.irreducible and self.exit is not None
 
 
 def detect_loops(bcfg: BCfg, image: ProgramImage) -> list[LoopInfo]:
     """Natural loops from back-edges found by DFS ancestry, per function."""
     loops: list[LoopInfo] = []
-    intra: dict[int, list[int]] = {}
-    for blk in bcfg.blocks.values():
-        intra[blk.start] = [t for kind, t in blk.edges
-                            if isinstance(t, int) and kind in ("fallthrough", "taken", "call-return")]
+    intra = {blk.start: blk.successors for blk in bcfg.blocks.values()}
     preds = bcfg.predecessors
 
     seen_edges: set[tuple[int, int]] = set()
@@ -250,10 +249,9 @@ def detect_loops(bcfg: BCfg, image: ProgramImage) -> list[LoopInfo]:
             # a back edge whose target does not dominate its source
             irreducible = _reaches_avoiding(fn_entry, src, tgt, intra)
             body = _natural_loop_body(src, tgt, preds)
-            exit_addr = _loop_exit(body, intra)
             loops.append(LoopInfo(function=image.function_of(fn_entry), entry=tgt,
-                                  exit=exit_addr, body=frozenset(body),
-                                  irreducible=irreducible or exit_addr is None))
+                                  exit=_loop_exit(body, intra), body=frozenset(body),
+                                  irreducible=irreducible))
     return loops
 
 
@@ -385,17 +383,17 @@ def _unreached(name: str, site: int, root: int, h: Halt) -> CallEffect:
 class EffectsOracle:
     """Per-binary cache of call and loop effects, keyed by analysis root.
 
-    Each root has one interpreter run. A cache miss advances it to the
-    next pending site (a library call or safecall with a libc spec, or the
-    entry of a reducible loop) and computes that site's effect at this first
-    arrival, until the requested site is cached. At a loop entry the run
-    continues from the fork that computed the loop's effect when
-    emulate_loop hands it over (the fork reached the exit without
-    passing a pending site); otherwise it steps through the loop itself.
-    Only the current root's run stays alive: set_root drops it, and a
-    later miss for that root starts a fresh run, which computes only the
-    effects not cached yet. A run that halts is kept as its Halt, which
-    fixes the opaque effect of every site it did not reach.
+    Each root has one interpreter run. A cache miss advances it to the next
+    pending site (a library call or safecall with a libc spec, or the entry
+    of a reducible loop with an exit) and computes that site's effect at
+    this first arrival, until the requested site is cached. At a loop entry
+    the run continues from the fork that computed the loop's effect when
+    emulate_loop hands it over (the fork reached the exit without passing a
+    pending site); otherwise it steps through the loop itself. Only the
+    current root's run stays alive: set_root drops it, and a later miss for
+    that root starts a fresh run, which computes only the effects not cached
+    yet. A run that halts is kept as its Halt, which fixes the opaque effect
+    of every site it did not reach.
 
     It also owns the buffer-size rule (`buffer_size`), memoized for the
     analysis, and scans each function's object boundaries once.
@@ -419,10 +417,10 @@ class EffectsOracle:
                 self._loops_by_entry[lp.entry] = lp
         self._effects: dict[tuple[int, int, str], CallEffect] = {}   # (root, pc, call|loop)
         # where a root's run stops: library calls and safecalls with a libc
-        # spec, and reducible loop entries; no user call is among them
+        # spec, and summarized loops' entries; no user call is among them
         self._call_sites = frozenset(a for a in image.callees if self.spec(a) is not None)
         self._sites = self._call_sites | {a for a, lp in self._loops_by_entry.items()
-                                          if not lp.irreducible}
+                                          if lp.summarized}
         self._run: Machine | None = None      # the current root's run, while alive
         self._stops: set[int] = set()         # pending sites that run has not reached
         self._halts: dict[int, Halt] = {}     # how each halted root's run ended
@@ -431,9 +429,6 @@ class EffectsOracle:
         if entry != self.root:
             self._run = None
         self.root = entry
-
-    def libc_names(self) -> set[str]:
-        return set(self.libc_db)
 
     def buffer_size(self, fn: str, offset: int, has_canary: bool) -> int:
         """Size of the buffer at rbp offset `offset` in `fn`: its --buffers
@@ -449,13 +444,8 @@ class EffectsOracle:
         return self._buffer_sizes[key]
 
     def spec(self, site: int) -> LibcSpec | None:
-        """The libc spec of the function the library call at `site` names, if
-        any; at a safecall, the function its template bounds, under the
-        template's name; at a user call, None."""
-        callee = self.image.callees[site]
-        if callee.kind == SAFECALL:
-            return interp.LIBC[SAFECALLS[callee.name]]._replace(name=callee.name)
-        return self.libc_db.get(callee.name) if callee.kind == LIBRARY else None
+        """The spec the call or safecall at `site` runs (see interp.call_spec)."""
+        return call_spec(self.image.callees[site], self.libc_db)
 
     def call_effect(self, site: int) -> CallEffect:
         """The effect of the library call or safecall at `site`."""
@@ -467,7 +457,7 @@ class EffectsOracle:
 
     def loop_at(self, pc: int) -> LoopInfo | None:
         loop = self._loops_by_entry.get(pc)
-        return None if loop is None or loop.irreducible else loop
+        return loop if loop is not None and loop.summarized else None
 
     def loop_effect(self, loop: LoopInfo) -> CallEffect:
         """The effect of `loop`, which is the loop loop_at gives for its entry."""

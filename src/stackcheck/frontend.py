@@ -14,7 +14,9 @@ line and so is never emitted. `ProgramImage.index()` also decides, once,
 what each call and safecall calls (`callees`): a user call (its target is
 in the image), a library call or a safecall, with the name its transition
 label carries and, for a user call, the address it jumps to. No other
-stage makes that decision.
+stage makes that decision: the CFG (`build_bcfg`) holds only each block's
+intra-procedural successor addresses, and the call labels of the state
+space carry the record's kind (see memstace.TransitionLabel).
 
 Operands: registers (``rax`` .. ``r15`` in all widths), immediates
 (``0x2a`` or decimal), memory (``[rbp-0x10]``, ``[rax]``, optional
@@ -113,10 +115,6 @@ class Instruction(NamedTuple):
     @property
     def is_jump(self) -> bool:
         return self.mnemonic == "jmp" or self.mnemonic in JCC
-
-    @property
-    def is_conditional(self) -> bool:
-        return self.mnemonic in JCC
 
     # a branch or call has one operand, its target
     def target(self) -> int | None:
@@ -374,18 +372,12 @@ def _check_arity(mnemonic: str, ops: tuple, lineno: int, raw: str) -> None:
 
 # --- CFG -----------------------------------------------------------------
 
-FALLTHROUGH = "fallthrough"
-TAKEN = "taken"
-CALL = "call"
-CALL_RETURN = "call-return"
-
-
 class BasicBlock(NamedTuple):
     start: int
     instructions: list[Instruction]
-    # successor edges: (kind, target) where target is an address or an
-    # external sink name for unresolved/library targets
-    edges: list[tuple[str, int | str]]
+    # intra-procedural successors: a branch target in the image, then the
+    # next instruction of the function, which a call returns to
+    successors: list[int]
 
     @property
     def end(self) -> int:
@@ -408,22 +400,19 @@ class BCfg:
 
     @cached_property
     def predecessors(self) -> dict[int, list[int]]:
-        """Block start -> starts of its intra-procedural predecessors
-        (fallthrough, taken and call-return edges)."""
+        """Block start -> starts of the blocks it succeeds."""
         preds: dict[int, list[int]] = {}
         for blk in self.blocks.values():
-            for kind, tgt in blk.edges:
-                if isinstance(tgt, int) and kind in (FALLTHROUGH, TAKEN, CALL_RETURN):
-                    preds.setdefault(tgt, []).append(blk.start)
+            for tgt in blk.successors:
+                preds.setdefault(tgt, []).append(blk.start)
         return preds
 
 
 def build_bcfg(image: ProgramImage) -> BCfg:
-    """Split the instruction stream into basic blocks and wire edges.
-
-    Calls get a call edge to the callee (or an external sink) plus a
-    call-return edge to the next instruction. Unresolvable branch targets
-    become external sinks with a warning.
+    """Split the instruction stream into basic blocks and wire each block's
+    successors. A call ends its block and continues at the next instruction
+    of its function; what it calls is `image.callees`'s to say. A branch
+    target outside the image is no successor and gets a warning.
     """
     if not image.order:
         return BCfg(blocks={})
@@ -456,40 +445,20 @@ def build_bcfg(image: ProgramImage) -> BCfg:
     cfg = BCfg(blocks=blocks)
     for blk in blocks.values():
         last = blk.instructions[-1]
+        if last.is_jump:
+            tgt = last.target()
+            if tgt in addrs:
+                blk.successors.append(tgt)
+            else:
+                cfg.warnings.append(f"dangling branch at {last.address:#x} to {tgt:#x}, "
+                                    "routed to external sink")
         # fallthrough never crosses a function boundary
         nxt_in_fn = image.next_in_function(last.address)
-        if last.mnemonic == "jmp":
-            _add_branch_edge(cfg, image, blk, last, TAKEN)
-        elif last.is_conditional:
-            _add_branch_edge(cfg, image, blk, last, TAKEN)
-            if nxt_in_fn is not None:
-                blk.edges.append((FALLTHROUGH, nxt_in_fn))
-        elif last.mnemonic == "call":
-            callee = image.callees[last.address]
-            blk.edges.append((CALL, callee.target if callee.kind == USER
-                              else last.target_symbol() or f"sub_{last.target():x}"))
-            if nxt_in_fn is not None:
-                blk.edges.append((CALL_RETURN, nxt_in_fn))
-        elif last.mnemonic == "ret":
-            pass
-        else:
-            if nxt_in_fn is not None:
-                blk.edges.append((FALLTHROUGH, nxt_in_fn))
+        if nxt_in_fn is not None and last.mnemonic not in ("jmp", "ret"):
+            blk.successors.append(nxt_in_fn)
     return cfg
 
 
 def entry_point(image: ProgramImage) -> int:
     """Where a whole-program run starts: main, else the lowest function."""
     return image.functions.get("main", min(image.functions.values()))
-
-
-def _add_branch_edge(cfg: BCfg, image: ProgramImage, blk: BasicBlock,
-                     ins: Instruction, kind: str) -> None:
-    tgt = ins.target()
-    if tgt in image.instructions:
-        blk.edges.append((kind, tgt))
-    else:
-        cfg.warnings.append(
-            f"dangling branch at {ins.address:#x} to {tgt:#x}, routed to external sink")
-        blk.edges.append((kind, ins.target_symbol() or f"loc_{tgt:x}"))
-

@@ -14,12 +14,13 @@ for full before/after runs.
 
 LIBC is the one table of modelled library functions: each entry names
 its handler and the registers it writes through, copies from and fills
-with. A library call (see `ProgramImage.callees`) runs the entry the libc
-database (`load_libc_db`, bundled or --libc-db) gives its name, and a
-name the database does not list does nothing. The safecall
-pseudo-instruction the patcher installs runs the LIBC entry of the
-function its template bounds (frontend.SAFECALLS), its write capped at
-the bound.
+with. `call_spec` is the one rule for what a call (see
+`ProgramImage.callees`) runs: a library call the entry the libc database
+(`load_libc_db`, bundled or --libc-db) gives its name, none when the
+database lists none, and the safecall pseudo-instruction the patcher
+installs the LIBC entry of the function its template bounds
+(frontend.SAFECALLS), its write capped at the bound. The interpreter and
+the effects oracle both ask it.
 
 Each instruction is compiled once per image, at its first execution, into
 a closure (see codegen) that takes the machine and returns the next pc;
@@ -58,8 +59,8 @@ from typing import NamedTuple
 
 from . import MalformedData, load_data, parse_json
 from .codegen import CONDITIONS, compile_counted_loop, compile_instruction
-from .frontend import (CANARY_FS_OFFSET, CMOV, IMM, JCC, MEM, R64, REG, SAFECALLS,
-                       Instruction, ProgramImage)
+from .frontend import (CANARY_FS_OFFSET, CMOV, IMM, JCC, LIBRARY, MEM, R64, REG, SAFECALL,
+                       SAFECALLS, USER, Callee, Instruction, ProgramImage)
 
 STACK_BASE = 0x7FFE0000
 STACK_SIZE = 0x40000
@@ -515,16 +516,30 @@ class Machine:
     # --- calls and returns ------------------------------------------------
 
     def _do_call(self, ins: Instruction, nxt: int | None) -> int | None:
+        """Enter a user call's target; run the spec `call_spec` gives a
+        library call or safecall. A safecall writes at most bound - 1
+        bytes and the terminator (a bound of 0: the terminator only)."""
         callee = self.image.callees[ins.address]
-        if callee.target is not None:    # a user call
+        if callee.kind == USER:
             self._push_qword(SENTINEL_RET if nxt is None else nxt)
             self.shadow.append(ShadowFrame(ret_loc=self.regs["rsp"],
                                            ret_bytes=self.rd_mem(self.regs["rsp"], 8)))
             return callee.target
-        spec = self.libc.get(callee.name)
-        if spec is not None:     # a function the database does not list is skipped
+        spec = call_spec(callee, self.libc)
+        if spec is None:        # a function the database does not list is skipped
+            return nxt
+        if callee.kind == SAFECALL:
+            bound = ins.operands[0].value
+            if bound is None:
+                bound = self._runtime_bound(self.regs[spec.dest])
+            spec.handler(self, max(bound - 1, 0))
+        else:
             spec.handler(self)
         return nxt
+
+    def _runtime_bound(self, dest: int) -> int:
+        floors = [f.protected_floor() for f in self.shadow if f.protected_floor() > dest]
+        return min(floors) - dest if floors else 16
 
     def _do_ret(self, ins: Instruction, nxt: int | None) -> int | None:
         val = int.from_bytes(self.rd_mem(self.regs["rsp"], 8), "little")
@@ -718,21 +733,6 @@ class Machine:
                 raise Halt(UNSUPPORTED, f"%{conv} is not supported")
         return bytes(out)
 
-    # --- safecall: a modelled function with a bound ------------------------
-
-    def _do_safecall(self, ins: Instruction, nxt: int | None) -> int | None:
-        """Run the function the template bounds, writing at most bound - 1
-        bytes and the terminator; a bound of 0 writes the terminator only."""
-        op = ins.operands[0]
-        spec = LIBC[SAFECALLS[op.symbol]]
-        bound = op.value if op.value is not None else self._runtime_bound(self.regs[spec.dest])
-        spec.handler(self, max(bound - 1, 0))
-        return nxt
-
-    def _runtime_bound(self, dest: int) -> int:
-        floors = [f.protected_floor() for f in self.shadow if f.protected_floor() > dest]
-        return min(floors) - dest if floors else 16
-
 
 # --- the modelled functions ------------------------------------------------
 
@@ -767,6 +767,18 @@ LIBC = {spec.name: spec for spec in (
     LibcSpec("puts", "puts", Machine._libc_puts, None))}
 
 
+# each safecall template's spec: its function's LIBC entry under its own name
+_BOUNDED = {t: LIBC[fn]._replace(name=t) for t, fn in SAFECALLS.items()}
+
+
+def call_spec(callee: Callee, libc: dict[str, LibcSpec]) -> LibcSpec | None:
+    """What a call runs: a library call its entry in database `libc` (None if
+    not listed), a safecall its template's _BOUNDED entry, a user call None."""
+    if callee.kind == LIBRARY:
+        return libc.get(callee.name)
+    return _BOUNDED[callee.name] if callee.kind == SAFECALL else None
+
+
 def load_libc_db(path: str | None = None) -> dict[str, LibcSpec]:
     """The bundled library database, or the one at a user `path`: each
     entry {"extent": <a key of LIBC>} runs that function under its name."""
@@ -793,7 +805,7 @@ _HANDLERS = {
     "add": Machine._do_arith, "sub": Machine._do_arith,
     "cmp": Machine._do_cmp, "test": Machine._do_test,
     "jmp": Machine._do_jmp, "call": Machine._do_call, "ret": Machine._do_ret,
-    "safecall": Machine._do_safecall,
+    "safecall": Machine._do_call,
     **{m: Machine._do_jcc for m in JCC},
     **{m: Machine._do_cmov for m in CMOV},
 }

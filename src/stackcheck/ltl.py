@@ -12,6 +12,11 @@ Formula syntax (one formula per property):
     G (forall_stack f . all i in 0..7 : byte(i, stack(f)) = Critical)
     G (previous_transition != call_gets)
 
+``previous_transition`` reads the incoming label: ``call_<name>`` is a
+library call or safecall by that name, ``libc`` a library call the libc
+database models, as the label's `calls` field says; no user call is
+either.
+
 ``all i in a..b :`` denotes the conjunction over the indices of the
 range; indices the frame does not hold are skipped as vacuous (a frame
 before the base-register push has no bytes 8-15, which must not count as
@@ -38,7 +43,8 @@ from functools import cache, lru_cache
 from typing import NamedTuple
 
 from . import load_data
-from .memstace import (RBP_RANGE, ByteState, MemoryState, StackFrame,
+from .frontend import USER
+from .memstace import (LIBC, RBP_RANGE, ByteState, MemoryState, StackFrame,
                        buffer_index_span)
 
 
@@ -201,12 +207,18 @@ class _Tok(NamedTuple):
     col: int
 
 
-def _lex(text: str) -> list[_Tok]:
+def _where(text: str, pos: int) -> tuple[int, int]:
+    """The 1-based line and column of text[pos]."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def _lex(text: str, pos: int = 0, end: int | None = None) -> list[_Tok]:
+    """The tokens of text[pos:end], each at its line and column in `text`."""
+    end = len(text) if end is None else end
     toks = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+    line, col = _where(text, pos)
+    while pos < end:
+        m = _TOKEN_RE.match(text, pos, end)
         if not m:
             raise PropertySyntaxError(f"bad character {text[pos]!r}", line, col)
         kind = m.lastgroup
@@ -224,8 +236,9 @@ def _lex(text: str) -> list[_Tok]:
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.toks = _lex(text)
+    def __init__(self, text: str, start: int = 0, end: int | None = None):
+        self.toks = _lex(text, start, end)
+        self.origin = _where(text, start)
         self.pos = 0
         self.open_parens: list[_Tok] = []
         self.depth = 0      # enclosing bodies and negations
@@ -239,7 +252,7 @@ class _Parser:
             if self.open_parens:
                 p = self.open_parens[-1]
                 raise PropertySyntaxError("unbalanced '('", p.line, p.col)
-            last = self.toks[-1] if self.toks else _Tok("", "", 1, 1)
+            last = self.toks[-1] if self.toks else _Tok("", "", *self.origin)
             raise PropertySyntaxError("unexpected end of input", last.line,
                                       last.col + len(last.text))
         self.pos += 1
@@ -448,13 +461,15 @@ def parse_property_file(text: str | bytes) -> list[PropertyAst]:
         text = text.decode("utf-8")
     out = []
     pos = 0
+    # comments go, newlines stay: positions in `stripped` have the file's lines
     stripped = re.sub(r"#[^\n]*", "", text)
     while True:
         m = _BLOCK_HEAD_RE.search(stripped, pos)
         if not m:
             leftover = stripped[pos:].strip()
             if leftover:
-                raise PropertySyntaxError("unrecognized property block", 1, 1)
+                raise PropertySyntaxError("unrecognized property block",
+                                          *_where(stripped, stripped.index(leftover, pos)))
             break
         name = m.group("qname") or m.group("name")
         depth = 1
@@ -466,15 +481,19 @@ def parse_property_file(text: str | bytes) -> list[PropertyAst]:
                 depth -= 1
             end += 1
         if depth:
-            raise PropertySyntaxError(f"unterminated property block {name!r}", 1, 1)
+            raise PropertySyntaxError(f"unterminated property block {name!r}",
+                                      *_where(stripped, m.start()))
         body = stripped[m.end():end - 1]
         ltl_part, sep, cwe_part = body.partition("cwe:")
-        ltl_text = ltl_part.split("ltl:", 1)[1].strip() if "ltl:" in ltl_part else ltl_part.strip()
+        # the formula, lexed in place so that errors give places in the file
+        head = ltl_part.find("ltl:")
+        start, stop = m.end() + (head + len("ltl:") if head >= 0 else 0), m.end() + len(ltl_part)
         cwes: tuple[str, ...] = ()
         if sep:
             inside = cwe_part.strip().lstrip("[").split("]", 1)[0]
             cwes = tuple(c.strip() for c in inside.split(",") if c.strip())
-        out.append(parse_property(ltl_text, name=name, cwes=cwes))
+        out.append(PropertyAst(name, _Parser(stripped, start, stop).formula(), cwes,
+                               stripped[start:stop].strip()))
         pos = end
     return out
 
@@ -493,11 +512,10 @@ def parse_property_file(text: str | bytes) -> list[PropertyAst]:
 # reaches it through the function's globals.
 
 class EvalContext:
-    __slots__ = ("libc_names", "notes", "implications", "antecedents_true",
+    __slots__ = ("notes", "implications", "antecedents_true",
                  "quantifier_domains", "empty_domains")
 
-    def __init__(self, libc_names: set[str] | None = None):
-        self.libc_names = set() if libc_names is None else libc_names
+    def __init__(self):
         self.notes: list[str] = []
         self.implications = 0
         self.antecedents_true = 0
@@ -608,7 +626,7 @@ class _Generator:
         self.depth = 1
         self.globals = {"outside": _outside, "unbound": _unbound, "empty": _empty,
                         "span": buffer_index_span,
-                        "LOOP": "loop", "CALL": "call",
+                        "LOOP": "loop", "CALL": "call", "USER": USER, "LIBC": LIBC,
                         **{s.name: ord(s.value) for s in ByteState}}
         self.unbound_names: list[str] = []
         self.kinds: dict[str, str | None] = {}      # local -> kind of variable it binds
@@ -685,11 +703,13 @@ class _Generator:
 
     def prev_transition(self, atom: PrevTransition, scope: dict) -> None:
         """Whether the incoming label is a loop or a call to one of the
-        targets; only loop and call labels can match."""
+        targets, as its `calls` field says: `call_<name>` is a library call
+        or safecall by that name, `libc` a library call the libc database
+        models; no user call matches either."""
         calls = frozenset(t[1] for t in atom.targets if t[0] == "call")
-        names = [f"x.name in {self.constant(calls)}"] if calls else []
+        names = [f"x.calls != USER and x.name in {self.constant(calls)}"] if calls else []
         if ("libc",) in atom.targets:
-            names.append("x.name in ctx.libc_names")
+            names.append("x.calls == LIBC")
         kinds = [f"x.kind == CALL and ({' or '.join(names)})"] if names else []
         if ("loop",) in atom.targets:
             kinds.append("x.kind == LOOP")

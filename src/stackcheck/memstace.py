@@ -21,13 +21,14 @@ goes on with every single successor in place; library calls and loops
 contribute summarized effects computed by the effects module, each a
 list of (frame depth, byte index) pairs written with nRWrite. One
 builder step splices either kind: it writes the touches, records the
-notes, and truncates the root's space when the effect is incomplete. Operators and effects map a frames tuple
-to a new one, and the builder wraps it with its label into the one
-`MemoryState` it interns, so each state is constructed once. Each
-instruction is decoded once per analysis, at its first visit, into a
-record that every root's build shares: owning function, successor, loop,
-dispatch kind, jump or call target, memory operator and prebuilt
-transition label; the operators without operands are shared constants
+notes, and truncates the root's space when the effect is incomplete.
+Operators and effects map a frames tuple to a new one, and the builder
+wraps it with its label into the one `MemoryState` it interns, so each
+state is constructed once. Each instruction is decoded once per
+analysis, at its first visit, into a record that every root's build
+shares: owning function, successor, loop, dispatch kind, jump or call
+target, memory operator and prebuilt transition label (a call's says
+what it calls); the operators without operands are shared constants
 (MemOp is immutable). Whether a base-register push is the prologue push
 depends on the frame it meets, so apply_memory_operator decides that,
 not the decoder.
@@ -41,7 +42,8 @@ from enum import Enum
 from itertools import groupby
 from typing import NamedTuple
 
-from .frontend import CANARY_FS_OFFSET, CMOV, IMM, JCC, MEM, REG, Instruction, ProgramImage
+from .frontend import (CANARY_FS_OFFSET, CMOV, IMM, JCC, LIBRARY, MEM, REG, Instruction,
+                       ProgramImage)
 
 RBP_RANGE = range(8, 16)
 CALL_DEPTH = 16             # user calls deeper than this are skipped with a note
@@ -133,11 +135,16 @@ class StackFrame(NamedTuple):
         return "".join(f"{len(list(run))}{chr(letter)}" for letter, run in groupby(self.bytes))
 
 
+# TransitionLabel.calls of a library call whose function the libc database models
+LIBC = "libc"
+
+
 class TransitionLabel(NamedTuple):
     kind: str               # push|pop|write|fe|fa|call|loop|buffer-register
     address: int
     name: str | None = None  # callee for call labels
     text: str = ""
+    calls: str | None = None  # call labels: its frontend.Callee kind, or LIBC
 
     def render(self) -> str:
         if self.kind == "call":
@@ -520,8 +527,10 @@ class _SpaceBuilder:
                             TransitionLabel("buffer-register", pc, text=ins.text))
         if m == "call" or m == "safecall":
             callee = image.callees[pc]
+            modelled = callee.kind == LIBRARY and self.effects.spec(pc) is not None
             return _Decoded(ins, fn, nxt, loop, "call", callee.target,
-                            TransitionLabel("call", pc, name=callee.name, text=ins.text))
+                            TransitionLabel("call", pc, callee.name, ins.text,
+                                            LIBC if modelled else callee.kind))
         op = classify_instruction(ins, self.canary_sites(fn))
         if op.kind == "no-effect":
             return _Decoded(ins, fn, nxt, loop, "no-effect")

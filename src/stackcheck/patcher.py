@@ -17,9 +17,8 @@ from typing import NamedTuple
 
 from . import MalformedData, load_data, parse_json
 from .effects import CallEffect, LibcSpec
-from .frontend import (BCfg, Instruction, Operand, ProgramImage, IMM, LIBRARY, MEM, REG,
-                       SAFECALLS, TARGET)
-from .memstace import TransitionLabel
+from .frontend import BCfg, Instruction, Operand, ProgramImage, IMM, MEM, REG, SAFECALLS, TARGET
+from .memstace import LIBC, TransitionLabel
 
 MODES = ("static", "runtime")       # select_template's patch modes
 
@@ -96,15 +95,13 @@ def _parse_templates(data: bytes) -> list[PatchTemplate]:
     return [PatchTemplate(*(e[k] for k in keys)) for e in raw]
 
 
-def locate_sink(path: list[tuple[int, TransitionLabel, int]], image: ProgramImage,
-                libc_names: set[str] | None = None) -> SinkSite:
+def locate_sink(path: list[tuple[int, TransitionLabel, int]], image: ProgramImage) -> SinkSite:
     """Walk a violation's path, its (source, label, target) transitions,
-    backwards to the last library call to a function in `libc_names`,
-    falling back to the loop entry when the violation came from a loop."""
-    libc_names = libc_names or set()
+    backwards to the last library call whose function the libc database
+    models (a label whose `calls` is LIBC), falling back to the loop entry
+    when the violation came from a loop."""
     labels = [lbl for _, lbl, _ in reversed(path)]
-    sink = next((lbl for lbl in labels if lbl.kind == "call" and lbl.name in libc_names
-                 and image.callees[lbl.address].kind == LIBRARY),
+    sink = next((lbl for lbl in labels if lbl.calls == LIBC),
                 next((lbl for lbl in labels if lbl.kind == "loop"), None))
     if sink is None:
         raise NoSinkFound("trace has neither a library call nor a loop step")

@@ -15,9 +15,10 @@ import pytest
 
 from stackcheck.checker import check
 from stackcheck.cli import analyze, report_metrics
+from stackcheck.frontend import LIBRARY, SAFECALL, USER
 from stackcheck.ltl import (EvalContext, compile_body, compile_monitor,
                             load_bundled_properties)
-from stackcheck.memstace import (ByteOp, ByteState, IllegalByteTransition,
+from stackcheck.memstace import (LIBC, ByteOp, ByteState, IllegalByteTransition,
                                  MemoryState, TransitionLabel, byte_transition,
                                  fresh_frame)
 from stackcheck.validator import CLEAN, CRASH, run
@@ -90,7 +91,7 @@ def test_acceptance_2_five_step_chain_reproduction():
                and after_5.bytes[:16] == b"M" * 16)
 
     rip = compile_monitor(next(p for p in PROPS if p.name == "RIP Integrity"))
-    verdict = check(space, rip, oracle.libc_names())
+    verdict = check(space, rip)
     trace_ok = (verdict.status == "violated"
                 and len(verdict.trace.steps) == 5
                 and verdict.trace.steps[-1].operation == "Call(strcpy)")
@@ -119,7 +120,8 @@ def _random_state(rng: random.Random) -> MemoryState:
     if rng.random() < 0.8:
         kind = rng.choice(["push", "write", "fe", "loop", "call"])
         name = rng.choice(["strcpy", "gets", "helper"]) if kind == "call" else None
-        label = TransitionLabel(kind, 0x401000 + rng.randrange(64), name=name)
+        calls = rng.choice([USER, SAFECALL, LIBC, LIBRARY]) if kind == "call" else None
+        label = TransitionLabel(kind, 0x401000 + rng.randrange(64), name=name, calls=calls)
     return MemoryState(frames=tuple(frames), incoming_label=label)
 
 
@@ -134,21 +136,19 @@ def test_acceptance_3_monitor_shape_and_brute_force():
                    == m.positive_form()["transitions"][0][2]
                    for m in monitors)
     rng = random.Random(2024)
-    libc = {"strcpy", "strcat", "sprintf", "gets", "scanf", "fgets", "printf",
-            "puts", "memset", "strncpy", "snprintf"}
     disagreements = 0
     for _ in range(1000):
         trace = [_random_state(rng) for _ in range(rng.randrange(1, 7))]
         monitor = monitors[rng.randrange(len(monitors))]
         mstate, reject_at = "run", None
         for idx, st in enumerate(trace):
-            mstate = monitor.step(mstate, st, EvalContext(libc_names=libc))
+            mstate = monitor.step(mstate, st, EvalContext())
             if mstate == "reject":
                 reject_at = idx
                 break
         expected = None
         for idx, st in enumerate(trace):
-            if not compile_body(monitor.body)(st, [], EvalContext(libc_names=libc)):
+            if not compile_body(monitor.body)(st, [], EvalContext()):
                 expected = idx
                 break
         if reject_at != expected:
@@ -235,7 +235,7 @@ def test_acceptance_6_patch_success_on_every_patchable_sink(corpus_reports,
     assert performed == successful >= 16
 
 
-def _enumerate_verdict(space, body, libc_names, depth=20):
+def _enumerate_verdict(space, body, depth=20):
     succ = {}
     for s, _, d in space.transitions:
         succ.setdefault(s, []).append(d)
@@ -248,7 +248,7 @@ def _enumerate_verdict(space, body, libc_names, depth=20):
         if (sid, d) in seen:
             continue
         seen.add((sid, d))
-        if not compile_body(body)(space.states[sid], [], EvalContext(libc_names=libc_names)):
+        if not compile_body(body)(space.states[sid], [], EvalContext()):
             return "violated"
         if d < depth:
             for nxt in succ.get(sid, []):
@@ -268,8 +268,8 @@ def test_acceptance_7_checker_matches_path_enumeration(ground_truth):
             space, oracle = space_for(path, root)
             for prop in PROPS:
                 monitor = compile_monitor(prop)
-                got = check(space, monitor, oracle.libc_names()).status
-                want = _enumerate_verdict(space, monitor.body, oracle.libc_names())
+                got = check(space, monitor).status
+                want = _enumerate_verdict(space, monitor.body)
                 checked += 1
                 if got != want:
                     disagreements.append((path.stem, root, prop.name, got, want))

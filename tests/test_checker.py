@@ -27,7 +27,7 @@ LIBC = {"strcpy", "strcat", "sprintf", "gets", "scanf", "fgets", "snprintf",
 
 def test_copy_space_rip_violated_with_five_step_trace():
     space, oracle = space_for(corpus_path("strcpy_rip_vuln"), "copy")
-    verdict = check(space, compile_monitor(PROPS["RIP Integrity"]), oracle.libc_names())
+    verdict = check(space, compile_monitor(PROPS["RIP Integrity"]))
     assert verdict.status == VIOLATED
     assert len(verdict.trace.steps) == 5
     last = verdict.trace.steps[-1]
@@ -53,14 +53,14 @@ main:
     f.close()
     space, oracle = space_for(Path(f.name), "main")
     for prop in PROPS.values():
-        verdict = check(space, compile_monitor(prop), oracle.libc_names())
+        verdict = check(space, compile_monitor(prop))
         assert verdict.status == HOLDS, prop.name
 
 
 def test_truncated_space_is_inconclusive_when_not_violated():
     space, oracle = space_for(corpus_path("strcpy_rip_vuln"), "copy", Config(max_states=3))
     assert space.truncated
-    verdict = check(space, compile_monitor(PROPS["RIP Integrity"]), oracle.libc_names())
+    verdict = check(space, compile_monitor(PROPS["RIP Integrity"]))
     assert verdict.status == INCONCLUSIVE
 
 
@@ -75,7 +75,7 @@ def test_complete_space_never_inconclusive(corpus_paths, ground_truth):
             if space.truncated:
                 continue
             for prop in PROPS.values():
-                verdict = check(space, compile_monitor(prop), oracle.libc_names())
+                verdict = check(space, compile_monitor(prop))
                 assert verdict.status in (HOLDS, VIOLATED)
 
 
@@ -89,7 +89,7 @@ main:
     f.write(text)
     f.close()
     space, oracle = space_for(Path(f.name), "main")
-    verdict = check(space, compile_monitor(PROPS["No gets() Usage"]), oracle.libc_names())
+    verdict = check(space, compile_monitor(PROPS["No gets() Usage"]))
     assert verdict.status == VIOLATED
     assert len(verdict.trace.steps) == 1
     assert verdict.trace.steps[-1].operation == "Call(gets)"
@@ -121,7 +121,7 @@ def test_shortest_of_two_paths_is_emitted():
 
 def test_trace_line_grammar():
     space, oracle = space_for(corpus_path("strcpy_rip_vuln"), "copy")
-    verdict = check(space, compile_monitor(PROPS["RIP Integrity"]), oracle.libc_names())
+    verdict = check(space, compile_monitor(PROPS["RIP Integrity"]))
     lines = verdict.trace.render().splitlines()
     assert lines[0].startswith("0x401100: push rbp -> Push")
     assert "-> Call(strcpy)[copy](0:C->M," in lines[-1]
@@ -131,7 +131,7 @@ def test_trace_deltas_reproduce_violating_state():
     """Replaying each step's size change and byte deltas lands exactly on
     the violating state."""
     space, oracle = space_for(corpus_path("strcpy_rip_vuln"), "copy")
-    verdict = check(space, compile_monitor(PROPS["RIP Integrity"]), oracle.libc_names())
+    verdict = check(space, compile_monitor(PROPS["RIP Integrity"]))
     target = space.states[verdict.trace.violating_state]
     # walk the recorded path states, checking the deltas describe every
     # byte-level difference along it
@@ -156,7 +156,7 @@ def test_trace_deltas_reproduce_violating_state():
 
 # --- brute-force oracle ---------------------------------------------------------
 
-def enumerate_verdict(space: MemStaCe, body, libc_names, depth: int = 20) -> str:
+def enumerate_verdict(space: MemStaCe, body, depth: int = 20) -> str:
     """Independent oracle: walk every path up to `depth`, evaluating the
     property body on every state reached."""
     succ: dict[int, list[int]] = {}
@@ -171,7 +171,7 @@ def enumerate_verdict(space: MemStaCe, body, libc_names, depth: int = 20) -> str
         if (sid, d) in seen:
             continue
         seen.add((sid, d))
-        if not compile_body(body)(space.states[sid], [], EvalContext(libc_names=libc_names)):
+        if not compile_body(body)(space.states[sid], [], EvalContext()):
             return VIOLATED
         if d < depth:
             for nxt in succ.get(sid, []):
@@ -188,8 +188,8 @@ def test_bfs_agrees_with_path_enumeration(corpus_paths):
             space, oracle2 = space_for(path, root)
             for prop in PROPS.values():
                 monitor = compile_monitor(prop)
-                got = check(space, monitor, oracle2.libc_names()).status
-                want = enumerate_verdict(space, monitor.body, oracle2.libc_names())
+                got = check(space, monitor).status
+                want = enumerate_verdict(space, monitor.body)
                 if got != want:
                     disagreements.append((path.stem, root, prop.name, got, want))
     assert disagreements == []
@@ -198,13 +198,13 @@ def test_bfs_agrees_with_path_enumeration(corpus_paths):
 # --- one BFS for all properties ---------------------------------------------------
 
 def _spaces(text: str, cfg: Config):
-    """(space, libc names) for every root of a listing."""
+    """The space of every root of a listing."""
     image = parse_disassembly(text)
     bcfg = build_bcfg(image)
     oracle = EffectsOracle(image, bcfg, cfg)
     for entry in image.functions.values():
         oracle.set_root(entry)
-        yield build_memstace(image, oracle, cfg, entry), oracle.libc_names()
+        yield build_memstace(image, oracle, cfg, entry)
 
 
 def _listings():
@@ -260,9 +260,9 @@ def test_one_bfs_for_all_properties_matches_one_bfs_each(monkeypatch):
             spaces = list(_spaces(text, cfg))
         except (MalformedLine, DuplicateFunction):
             continue
-        for space, libc in spaces:
+        for space in spaces:
             evaluations.clear()
-            merged = check(space, monitors, libc)
+            merged = check(space, monitors)
             merged_evaluations = Counter(k for k, _ in evaluations)
             dequeued = len({state for _, state in evaluations})
             # every monitor evaluates at least the initial state
@@ -270,7 +270,7 @@ def test_one_bfs_for_all_properties_matches_one_bfs_each(monkeypatch):
             longest = 0
             for k, (monitor, verdict) in enumerate(zip(monitors, merged)):
                 evaluations.clear()
-                alone, = check(space, [monitor], libc)
+                alone, = check(space, [monitor])
                 assert _verdict_key(verdict) == _verdict_key(alone), (space.root, monitor.name)
                 assert merged_evaluations[k] == len(evaluations), (space.root, monitor.name)
                 longest = max(longest, len(evaluations))

@@ -625,7 +625,7 @@ def test_unbound_property_variable_rejected_at_load(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("body, message", [
-    ("all i in x..7 : true", "expected a number, found 'x' (line 1, col 13)"),
+    ("all i in x..7 : true", "expected a number, found 'x' (line 1, col 33)"),
     ("forall_stack f . forall_buffer b in f . byte(start(f), stack(b)) = Free",
      "variable 'b' is a buffer, used as a frame"),
 ], ids=["number", "kind"])
@@ -640,6 +640,24 @@ def test_property_input_errors_are_reported_once_without_a_traceback(tmp_path, c
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err == f"stackcheck: --props {props}: {message}\n"
+
+
+def test_property_syntax_errors_give_their_place_in_the_file(tmp_path, capsys):
+    """The `x` of the second block's formula is at line 6, col 20 of the
+    file; a block-level error gives where its block starts."""
+    props = tmp_path / "second.props"
+    props.write_text('# two blocks\nproperty "first" {\n  ltl: G (true)\n}\n'
+                     'property "second" {\n  ltl: G (all i in x..7 : true)\n}\n')
+    code = main(["analyze", str(corpus_path("strcpy_rip_ok")), "--props", str(props)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == (f"stackcheck: --props {props}: "
+                   "expected a number, found 'x' (line 6, col 20)\n")
+    for text, where in (('property a { ltl: G (true) }\n\n  stray\n', (3, 3)),
+                        ('property a { ltl: G (true) }\n property b { ltl: G (\n', (2, 2))):
+        with pytest.raises(ltl.PropertySyntaxError) as exc:
+            ltl.parse_property_file(text)
+        assert (exc.value.line, exc.value.col) == where
 
 
 def test_property_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
@@ -729,11 +747,7 @@ puts:
         "RIP Integrity", "RBP Integrity", "No Buffer Overflow by one", "No gets() Usage"}
 
 
-def test_patch_all_leaves_a_call_to_a_user_function_named_gets_alone():
-    """`call 0x401200 <gets>` enters the user function `gets`: it is no
-    library call, so no sink is planned there and the function is still
-    called in the listing --patch-all writes."""
-    text = """\
+USER_GETS = """\
 main:
 401100: push rbp
 401104: mov rbp, rsp
@@ -749,10 +763,63 @@ gets:
 401208: pop rbp
 40120c: ret
 """
-    report = analyze_image(parse_disassembly(text), "user_gets", Config(),
+
+
+def test_patch_all_leaves_a_call_to_a_user_function_named_gets_alone():
+    """`call 0x401200 <gets>` enters the user function `gets`: it is no
+    library call, so no sink is planned there and the function is still
+    called in the listing --patch-all writes."""
+    report = analyze_image(parse_disassembly(USER_GETS), "user_gets", Config(),
                            patch_all=True, validate=True)
     assert report.sinks == [] and report.patches == [] and report.validations == []
     assert report.patched_image is None
+
+
+def test_a_call_to_a_user_function_named_gets_is_no_gets_usage():
+    """`previous_transition = call_gets` matches library calls and safecalls
+    by that name, never a user call."""
+    report = analyze_image(parse_disassembly(USER_GETS), "user_gets", Config())
+    assert report.status == "clean"
+    assert {p.name: p.status for p in report.properties}["No gets() Usage"] == "holds"
+
+
+def test_renaming_a_user_function_to_a_library_name_keeps_the_verdicts():
+    """main writes one byte past its buffer, onto the saved base register,
+    and calls a user function: named `copy` or `strcpy`, the call is no
+    library call, so only the base-register properties are violated."""
+    text = """\
+main:
+401100: push rbp
+401104: mov rbp, rsp
+401108: sub rsp, 0x10
+40110c: lea rdi, [rbp-0x10]
+401110: mov byte [rsp+0xf], 0x41
+401114: mov byte [rsp+0x10], 0x41
+401118: call 0x401200 <{n}>
+40111c: add rsp, 0x10
+401120: pop rbp
+401124: ret
+{n}:
+401200: push rbp
+401204: mov rbp, rsp
+401208: pop rbp
+40120c: ret
+"""
+    for name in ("copy", "strcpy"):
+        report = analyze_image(parse_disassembly(text.format(n=name)), name, Config())
+        assert {p.name for p in report.properties if p.status == "violated"} == {
+            "RBP Integrity", "No off-by-one Overflow"}, name
+
+
+def test_a_loop_with_no_exit_is_not_called_irreducible():
+    """A loop no edge leaves is walked without a summary, as an irreducible
+    one is, and its note names its own cause."""
+    text = "main:\n401000: push rbp\n401004: mov rbp, rsp\n" \
+           "401008: add rax, 0x1\n40100c: jmp 0x401008\n"
+    report = analyze_image(parse_disassembly(text), "spin", Config())
+    assert "loop with no exit at 0x401008 in 'main'; body walked without a summary" \
+        in report.notes
+    assert not any("irreducible" in n for n in report.notes)
 
 
 def test_timeout_between_roots_keeps_found_violations(monkeypatch):

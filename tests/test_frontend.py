@@ -6,8 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from stackcheck.frontend import (CALL, CALL_RETURN, FALLTHROUGH, TAKEN,
-                                 DuplicateFunction, MalformedLine, MEM, REG,
+from stackcheck.frontend import (USER, DuplicateFunction, MalformedLine, MEM, REG,
                                  build_bcfg, entry_point, parse_disassembly)
 
 from conftest import CORPUS_DIR, FIXTURE_DIR, corpus_path, fixture_path, load_image
@@ -193,7 +192,7 @@ def test_straight_line_copy_blocks():
     assert len(cfg.blocks) == 1
     blk = cfg.blocks[0x401100]
     assert blk.instructions[-1].mnemonic == "call"
-    assert blk.edges == [(CALL, "strcpy@plt")]
+    assert blk.successors == []
 
 
 def test_call_with_continuation_gets_return_edge():
@@ -201,50 +200,53 @@ def test_call_with_continuation_gets_return_edge():
     cfg = build_bcfg(image)
     for blk in cfg.blocks.values():
         if blk.instructions[-1].mnemonic == "call":
-            kinds = [k for k, _ in blk.edges]
-            assert kinds.count(CALL) == 1
-            assert kinds.count(CALL_RETURN) == 1
+            assert blk.successors == [image.next_in_function(blk.end)]
 
 
 def test_diamond_four_blocks_four_edges():
     image = load_image(fixture_path("diamond"))
     cfg = build_bcfg(image)
     assert len(cfg.blocks) == 4
-    assert sum(len(b.edges) for b in cfg.blocks.values()) == 4
+    assert sum(len(b.successors) for b in cfg.blocks.values()) == 4
     jcc_block = cfg.blocks[0x401100]
-    assert {k for k, _ in jcc_block.edges} == {TAKEN, FALLTHROUGH}
+    jcc = jcc_block.instructions[-1]
+    # the taken target, then the fall-through
+    assert jcc_block.successors == [jcc.target(), image.next_in_function(jcc.address)]
 
 
 def test_loop_back_edge_reaches_own_block():
     image = load_image(corpus_path("loop_offbyone_vuln"))
     cfg = build_bcfg(image)
     body = cfg.blocks[0x401118]
-    assert (TAKEN, 0x401118) in body.edges
+    assert 0x401118 in body.successors
 
 
 def test_dangling_branch_becomes_external_sink():
     image = parse_disassembly("f:\n401000: jmp 0x500000\n")
     cfg = build_bcfg(image)
     assert cfg.warnings
-    assert any(not isinstance(t, int) for b in cfg.blocks.values() for _, t in b.edges)
+    assert [b.successors for b in cfg.blocks.values()] == [[]]
 
 
-def _reachable_addresses(cfg, start: int) -> set[int]:
-    """Addresses of the blocks the CFG's edges reach from `start`."""
+def _reachable_addresses(image, cfg, start: int) -> set[int]:
+    """Addresses of the blocks reached from `start` through block successors
+    and the targets of user calls (`image.callees`)."""
     seen, work = set(), [start]
     while work:
         b = work.pop()
         if b in seen or b not in cfg.blocks:
             continue
         seen.add(b)
-        work += [t for _, t in cfg.blocks[b].edges if isinstance(t, int)]
+        blk = cfg.blocks[b]
+        callee = image.callees.get(blk.end)
+        work += blk.successors + ([callee.target] if callee and callee.kind == USER else [])
     return {i.address for b in seen for i in cfg.blocks[b].instructions}
 
 
 def test_reachable_addresses_match_hand_enumeration():
     image = load_image(fixture_path("diamond"))
     cfg = build_bcfg(image)
-    reachable = _reachable_addresses(cfg, 0x401100)
+    reachable = _reachable_addresses(image, cfg, 0x401100)
     assert reachable == set(image.instructions)
 
 
@@ -258,8 +260,7 @@ def test_every_call_has_one_return_successor(corpus_paths):
                 continue
             if image.next_address(last.address) is None:
                 continue
-            returns = [t for k, t in blk.edges if k == CALL_RETURN]
-            assert len(returns) == 1, f"{path.name} @ {last.address:#x}"
+            assert len(blk.successors) == 1, f"{path.name} @ {last.address:#x}"
 
 
 # --- function table ------------------------------------------------------------
@@ -328,8 +329,7 @@ def test_copy_with_epilogue_has_return_continuation_block():
     cfg = build_bcfg(image)
     call_block = cfg.blocks[0x401100]
     assert call_block.instructions[-1].mnemonic == "call"
-    targets = dict((k, t) for k, t in call_block.edges)
-    assert targets[CALL_RETURN] == 0x40111c
+    assert call_block.successors == [0x40111c]
     continuation = cfg.blocks[0x40111c]
     assert continuation.instructions[-1].mnemonic == "ret"
 
@@ -339,5 +339,5 @@ def test_cfg_soundness_all_corpus_fixtures(corpus_paths):
     for path in corpus_paths:
         image = load_image(path)
         cfg = build_bcfg(image)
-        reachable = _reachable_addresses(cfg, entry_point(image))
+        reachable = _reachable_addresses(image, cfg, entry_point(image))
         assert reachable == set(image.instructions), path.name

@@ -113,8 +113,7 @@ def check_property_mutants(seed: int, count: int) -> None:
     spaces = []
     for name in PROPERTY_LISTINGS:
         image, _, oracle = pipeline(CORPUS_DIR / f"{name}.s")
-        spaces += [(space, oracle.libc_names())
-                   for space in build_root_spaces(image, oracle, Config()).values()]
+        spaces += build_root_spaces(image, oracle, Config()).values()
     parts = _PROPERTY_TOKEN.findall(PROPERTY_FILE.read_text(encoding="utf-8"))
     pool = sorted({t for t in parts if not t.isspace()})
     rng = random.Random(seed)
@@ -123,8 +122,8 @@ def check_property_mutants(seed: int, count: int) -> None:
         text = _mutate_tokens(rng, parts, pool)
         try:
             monitors = [ltl.compile_monitor(p) for p in ltl.parse_property_file(text)]
-            for space, libc_names in spaces:
-                checker.check(space, monitors, libc_names)
+            for space in spaces:
+                checker.check(space, monitors)
         except PROPERTY_ERRORS:
             pass
         except Exception as exc:

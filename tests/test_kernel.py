@@ -28,11 +28,11 @@ def _counters(ctx: EvalContext) -> tuple:
     return ctx.implications, ctx.antecedents_true, ctx.quantifier_domains, ctx.empty_domains
 
 
-def _stepped(space, monitors, libc, expire_at: int | None = None) -> list[tuple]:
+def _stepped(space, monitors, expire_at: int | None = None) -> list[tuple]:
     """The reference: a BFS that steps every monitor at every dequeued
     state, each through its own `Monitor.step`; with `expire_at`, the
     search stops at that dequeue, as the checker's does past its deadline."""
-    ctxs = [EvalContext(libc_names=libc) for _ in monitors]
+    ctxs = [EvalContext() for _ in monitors]
     if space.initial < 0:
         return [(m.name, HOLDS, None, ["empty state space"], _counters(ctx), False, False)
                 for m, ctx in zip(monitors, ctxs)]
@@ -76,7 +76,7 @@ def _stepped(space, monitors, libc, expire_at: int | None = None) -> list[tuple]
     return out
 
 
-def _kernel_search(space, monitors, libc, deadline: float | None = None) -> list[tuple]:
+def _kernel_search(space, monitors, deadline: float | None = None) -> list[tuple]:
     """`checker.check`'s verdicts, each with the counters of its context."""
     made: list[EvalContext] = []
 
@@ -86,19 +86,19 @@ def _kernel_search(space, monitors, libc, deadline: float | None = None) -> list
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(checker, "EvalContext", context)
-        verdicts = CHECK(space, monitors, libc, deadline)
+        verdicts = CHECK(space, monitors, deadline)
     return [(v.property_name, v.status, v.path, v.vacuity_notes, _counters(ctx),
              v.vacuous, v.timed_out) for v, ctx in zip(verdicts, made)]
 
 
-def _assert_agree(space, monitors, libc) -> list[tuple]:
-    got = _kernel_search(space, monitors, libc)
-    assert got == _stepped(space, monitors, libc), space.root
+def _assert_agree(space, monitors) -> list[tuple]:
+    got = _kernel_search(space, monitors)
+    assert got == _stepped(space, monitors), space.root
     return got
 
 
 def _generated_spaces():
-    """(space, libc names) for every root of chain and fanout listings of
+    """The space of every root of chain and fanout listings of
     the benchmark's shapes, planted and not."""
     texts = [_chain(["ok", "over", "gets", "ok"]), _chain(["ok"] * 5),
              _fanout(4, 6, planted=False), _fanout(4, 6, planted=True)]
@@ -123,9 +123,9 @@ def test_kernel_matches_stepping_each_monitor():
     the corpus, the fixtures, the fuzz mutants and the chain and fanout
     listings."""
     statuses, roots = set(), 0
-    for space, libc in _all_spaces():
+    for space in _all_spaces():
         for monitors in (load_bundled_monitors(), ALL_KINDS_MONITORS):
-            statuses.update(v[1] for v in _assert_agree(space, monitors, libc))
+            statuses.update(v[1] for v in _assert_agree(space, monitors))
         roots += 1
     assert roots >= 150
     assert statuses == {HOLDS, VIOLATED, INCONCLUSIVE}
@@ -137,8 +137,8 @@ def test_one_body_under_two_names():
     gets = next(m for m in load_bundled_monitors() if m.name == "No gets() Usage")
     monitors = [ltl.Monitor("first", rip.body), gets, ltl.Monitor("second", rip.body)]
     violated = 0
-    for space, libc in _generated_spaces():
-        got = _assert_agree(space, monitors, libc)
+    for space in _generated_spaces():
+        got = _assert_agree(space, monitors)
         assert got[0][1:] == got[2][1:]
         violated += got[0][1] == VIOLATED
     assert violated
@@ -153,9 +153,9 @@ def test_props_override_through_the_cli(tmp_path, monkeypatch):
                      "}\n")
     searches = []
 
-    def comparing(space, monitors, libc_names=None, deadline=None):
-        searches.append(_assert_agree(space, monitors, libc_names or set()))
-        return CHECK(space, monitors, libc_names, deadline)
+    def comparing(space, monitors, deadline=None):
+        searches.append(_assert_agree(space, monitors))
+        return CHECK(space, monitors, deadline)
 
     monkeypatch.setattr(checker, "check", comparing)
     names = sorted(p.name for p in parse_property_file(ALL_KINDS))
@@ -186,12 +186,12 @@ def test_deadline_that_expires_mid_search(monkeypatch):
     2 * DEADLINE_EVERY: the monitors running then are inconclusive, and
     the ones already rejected keep their violations."""
     expired = set()
-    for space, libc in _generated_spaces():
+    for space in _generated_spaces():
         if len(space.states) <= 2 * DEADLINE_EVERY:
             continue
         monkeypatch.setattr(checker, "time", _Ticking())
-        got = _kernel_search(space, load_bundled_monitors(), libc, deadline=1.5)
-        assert got == _stepped(space, load_bundled_monitors(), libc,
+        got = _kernel_search(space, load_bundled_monitors(), deadline=1.5)
+        assert got == _stepped(space, load_bundled_monitors(),
                                expire_at=2 * DEADLINE_EVERY), space.root
         expired.update((v[1], v[6]) for v in got)
     assert expired == {(INCONCLUSIVE, True), (VIOLATED, False)}
@@ -209,15 +209,15 @@ def test_two_property_sets_compiled_one_after_the_other():
     for _ in range(10):
         for chosen in sets:
             monitors = [compile_monitor(p) for p in chosen]
-            for space, libc in spaces:
-                _assert_agree(space, monitors, libc)
+            for space in spaces:
+                _assert_agree(space, monitors)
             del monitors
             gc.collect()
     monitors = [compile_monitor(p) for p in sets[0]]
     for chosen in sets:
         monitors[:] = [compile_monitor(p) for p in chosen]
-        for space, libc in spaces:
-            _assert_agree(space, monitors, libc)
+        for space in spaces:
+            _assert_agree(space, monitors)
 
 
 def test_body_at_the_indentation_limit_is_called_from_the_kernel():
@@ -230,6 +230,6 @@ def test_body_at_the_indentation_limit_is_called_from_the_kernel():
     kernel = ltl.compile_kernel(tuple(m.body for m in monitors))
     assert "(state, (), ctx)" in kernel.source
     violated = 0
-    for space, libc in _generated_spaces():
-        violated += _assert_agree(space, monitors, libc)[0][1] == VIOLATED
+    for space in _generated_spaces():
+        violated += _assert_agree(space, monitors)[0][1] == VIOLATED
     assert violated

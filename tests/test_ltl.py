@@ -6,13 +6,14 @@ import random
 
 import pytest
 
+from stackcheck.frontend import LIBRARY, SAFECALL, USER
 from stackcheck.ltl import (AllRange, Always, ByteAtom, EvalContext,
                             ForallStack,
                             PrevTransition, PropertySyntaxError, UnknownOperator,
                             UnsupportedFragment, VariableKindError, compile_body,
                             compile_monitor, load_bundled_properties, parse_property,
                             parse_property_file)
-from stackcheck.memstace import (ByteOp, ByteState, Fe, MemoryState, Push,
+from stackcheck.memstace import (LIBC, ByteOp, ByteState, Fe, MemoryState, Push,
                                  TransitionLabel, apply_memory_operator,
                                  fresh_frame, register_buffer)
 
@@ -35,7 +36,8 @@ def _prologue_and_smashed_states():
         has_canary=False,
         has_rbp_slot=True)
     smashed = MemoryState(frames=(smashed_frame,),
-                          incoming_label=TransitionLabel("call", 0x401118, name="strcpy"))
+                          incoming_label=TransitionLabel("call", 0x401118, name="strcpy",
+                                                         calls=LIBC))
     return prologue, smashed
 
 
@@ -165,13 +167,26 @@ def test_canary_free_frame_makes_property_vacuous():
 
 def test_prev_transition_matching():
     _, smashed = _prologue_and_smashed_states()
-    libc_ctx = EvalContext(libc_names={"strcpy", "gets"})
+    ctx = EvalContext()
     libc_set = PrevTransition(op="=", targets=(("loop",), ("libc",)))
-    assert compile_body(libc_set)(smashed, [], libc_ctx)
+    assert compile_body(libc_set)(smashed, [], ctx)
     gets_only = PrevTransition(op="=", targets=(("call", "gets"),))
-    assert not compile_body(gets_only)(smashed, [], libc_ctx)
+    assert not compile_body(gets_only)(smashed, [], ctx)
     no_gets = PrevTransition(op="!=", targets=(("call", "gets"),))
-    assert compile_body(no_gets)(smashed, [], libc_ctx)
+    assert compile_body(no_gets)(smashed, [], ctx)
+
+
+def test_prev_transition_reads_what_the_label_calls():
+    """`libc` is a library call the database models; `call_<name>` is a
+    library call or safecall by that name; a user call matches neither."""
+    strcpy = PrevTransition(op="=", targets=(("call", "strcpy"),))
+    libc = PrevTransition(op="=", targets=(("libc",),))
+    for calls, named, modelled in ((LIBC, True, True), (LIBRARY, True, False),
+                                   (SAFECALL, True, False), (USER, False, False)):
+        state = MemoryState((fresh_frame("main"),),
+                            TransitionLabel("call", 0x401000, "strcpy", calls=calls))
+        assert compile_body(strcpy)(state, [], EvalContext()) is named, calls
+        assert compile_body(libc)(state, [], EvalContext()) is modelled, calls
 
 
 def test_start_end_atoms_follow_index_convention():
@@ -239,7 +254,8 @@ def _random_state(rng: random.Random, allow_labels=False) -> MemoryState:
     if allow_labels and rng.random() < 0.7:
         kind = rng.choice(["push", "write", "loop", "call"])
         name = rng.choice(["strcpy", "gets", "helper"]) if kind == "call" else None
-        label = TransitionLabel(kind, 0x400000 + rng.randrange(256), name=name)
+        calls = rng.choice([USER, SAFECALL, LIBC, LIBRARY]) if kind == "call" else None
+        label = TransitionLabel(kind, 0x400000 + rng.randrange(256), name=name, calls=calls)
     return MemoryState(frames=tuple(frames), incoming_label=label)
 
 
@@ -289,7 +305,6 @@ def test_monitor_soundness_brute_force():
     """Monitor reaches reject exactly on the first state falsifying the body."""
     rng = random.Random(42)
     monitors = [compile_monitor(p) for p in load_bundled_properties()]
-    libc = {"strcpy", "strcat", "sprintf", "gets", "scanf", "fgets", "printf"}
     disagreements = 0
     for _ in range(200):
         trace = [_random_state(rng, allow_labels=True)
@@ -298,13 +313,13 @@ def test_monitor_soundness_brute_force():
             mstate = "run"
             reject_at = None
             for idx, st in enumerate(trace):
-                mstate = monitor.step(mstate, st, EvalContext(libc_names=libc))
+                mstate = monitor.step(mstate, st, EvalContext())
                 if mstate == "reject":
                     reject_at = idx
                     break
             expected = None
             for idx, st in enumerate(trace):
-                if not compile_body(monitor.body)(st, [], EvalContext(libc_names=libc)):
+                if not compile_body(monitor.body)(st, [], EvalContext()):
                     expected = idx
                     break
             if reject_at != expected:

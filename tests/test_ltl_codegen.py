@@ -11,14 +11,14 @@ from test_fuzz import MUTANT_CONFIG, write_mutants
 
 from stackcheck import checker
 from stackcheck.cli import analyze
-from stackcheck.effects import load_libc_db
+from stackcheck.frontend import USER
 from stackcheck.ltl import (AllRange, And, BoolLit, ByteAtom, EvalContext,
                             ExistsBuffer, ExistsStack, ForallBuffer,
                             ForallStack, HasCanary, Implies, Not, Or,
                             PrevTransition, UnsupportedFragment, compile_body,
                             compile_monitor, load_bundled_properties,
                             parse_property, parse_property_file)
-from stackcheck.memstace import RBP_RANGE, buffer_index_span
+from stackcheck.memstace import LIBC, RBP_RANGE, buffer_index_span
 
 # every node kind: both buffer quantifiers, Or, Not, true/false, has_canary,
 # ->, start(b)+-k and end(b)+-k, constant indices outside the frame (notes),
@@ -143,8 +143,10 @@ def reference(node, state, env: dict, ctx: EvalContext) -> bool:
             return not want
         if label.kind == "loop":
             return (("loop",) in node.targets) == want
-        matched = ("call", label.name) in node.targets or (
-            ("libc",) in node.targets and label.name in ctx.libc_names)
+        # call_<name>: a library call or safecall by that name; libc: a
+        # library call the database models; a user call is neither
+        matched = label.calls != USER and ("call", label.name) in node.targets or (
+            ("libc",) in node.targets and label.calls == LIBC)
         return matched == want
     if isinstance(node, BoolLit):
         return node.value
@@ -268,15 +270,13 @@ def states(tmp_path_factory) -> list:
         reports = analyze(paths, MUTANT_CONFIG)
     assert sum(r.status != "error" for r in reports) > 100
     assert any(s.incoming_label and s.incoming_label.kind == "loop" for s in seen)
+    assert {s.incoming_label.calls for s in seen if s.incoming_label} >= {USER, LIBC}
     assert any(f.buffers for s in seen for f in s.frames)
     return list(seen)
 
 
-LIBC = set(load_libc_db())
-
-
 def _outcome(evaluate, node, state, env) -> tuple:
-    ctx = EvalContext(libc_names=LIBC)
+    ctx = EvalContext()
     try:
         value = evaluate(node, state, dict(env), ctx)
     except KeyError as exc:

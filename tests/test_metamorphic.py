@@ -11,7 +11,7 @@ import pytest
 from conftest import CORPUS_DIR, FIXTURE_DIR
 
 from stackcheck.cli import analyze_image
-from stackcheck.frontend import parse_disassembly
+from stackcheck.frontend import USER, Callee, parse_disassembly
 from stackcheck.memstace import Config
 
 LISTINGS = sorted(CORPUS_DIR.glob("*.s")) + sorted(FIXTURE_DIR.glob("*.s"))
@@ -88,6 +88,8 @@ VARIANTS = {
     "reversed": reversed_functions,
     "renamed": renamed,
     "renamed_puts": lambda text: renamed(text, "puts"),
+    "renamed_gets": lambda text: renamed(text, "gets"),
+    "renamed_strcpy": lambda text: renamed(text, "strcpy"),
     "shifted": shifted,
     "commented": commented,
 }
@@ -110,7 +112,10 @@ def test_the_variants_change_what_they_claim():
     text = (CORPUS_DIR / "strcpy_rip_vuln.s").read_text(encoding="utf-8")
     assert [f for f in parse_disassembly(reversed_functions(text)).function_headers] == \
         ["main", "copy"]
-    assert set(parse_disassembly(renamed(text, "puts")).function_headers) == {"main", "puts"}
+    for name in ("puts", "gets", "strcpy"):
+        image = parse_disassembly(renamed(text, name))
+        assert set(image.function_headers) == {"main", name}
+        assert image.callees[0x401164] == Callee(USER, name, 0x401100)     # main's call
     image = parse_disassembly(shifted(text))
     assert image.functions == {"copy": 0x411100, "main": 0x411130}
     assert image.instructions[0x411164].target() == 0x411100  # call copy

@@ -19,7 +19,7 @@ PROPS = {p.name: p for p in load_bundled_properties()}
 
 def _violation_trace(path, root, prop="RIP Integrity"):
     space, oracle = space_for(path, root)
-    verdict = check(space, compile_monitor(PROPS[prop]), oracle.libc_names())
+    verdict = check(space, compile_monitor(PROPS[prop]))
     assert verdict.status == checker.VIOLATED
     return verdict, oracle
 
@@ -27,7 +27,7 @@ def _violation_trace(path, root, prop="RIP Integrity"):
 def test_locate_strcpy_sink():
     verdict, oracle = _violation_trace(corpus_path("strcpy_rip_vuln"), "copy")
     image, bcfg, _ = pipeline(corpus_path("strcpy_rip_vuln"))
-    sink = locate_sink(verdict.path, image, oracle.libc_names())
+    sink = locate_sink(verdict.path, image)
     assert sink.kind == "call"
     assert sink.callee == "strcpy"
     assert sink.address == 0x401118
@@ -38,7 +38,7 @@ def test_locate_loop_sink():
     verdict, oracle = _violation_trace(corpus_path("loop_offbyone_vuln"), "main",
                                      "No off-by-one Overflow")
     image, bcfg, _ = pipeline(corpus_path("loop_offbyone_vuln"))
-    sink = locate_sink(verdict.path, image, oracle.libc_names())
+    sink = locate_sink(verdict.path, image)
     assert sink.kind == "loop"
     assert sink.address == 0x401118
     assert sink.callee is None
@@ -48,7 +48,7 @@ def test_direct_write_has_no_sink():
     verdict, oracle = _violation_trace(fixture_path("direct_write"), "main")
     image, bcfg, _ = pipeline(fixture_path("direct_write"))
     with pytest.raises(NoSinkFound):
-        locate_sink(verdict.path, image, oracle.libc_names())
+        locate_sink(verdict.path, image)
 
 
 # --- template selection -----------------------------------------------------------
@@ -65,7 +65,7 @@ def test_static_plan_for_known_destination():
     image, oracle, effect, frame_dest = _sink_args_effect(
         corpus_path("strcpy_rip_vuln"), 0x401118, root="copy")
     verdict, _ = _violation_trace(corpus_path("strcpy_rip_vuln"), "copy")
-    sink = locate_sink(verdict.path, image, oracle.libc_names())
+    sink = locate_sink(verdict.path, image)
     assert frame_dest
     plan = select_template(sink, effect, frame_dest)
     assert plan.template.mode == "static"
@@ -76,7 +76,7 @@ def test_runtime_plan_for_unknown_destination():
     image, oracle, effect, frame_dest = _sink_args_effect(
         corpus_path("strcpy_runtime_vuln"), 0x40111c)
     verdict, _ = _violation_trace(corpus_path("strcpy_runtime_vuln"), "main")
-    sink = locate_sink(verdict.path, image, oracle.libc_names())
+    sink = locate_sink(verdict.path, image)
     assert not frame_dest
     plan = select_template(sink, effect, frame_dest)
     assert plan.template.mode == "runtime"
@@ -86,7 +86,7 @@ def test_runtime_plan_for_unknown_destination():
 def test_loop_sink_has_no_template():
     verdict, oracle = _violation_trace(corpus_path("loop_offbyone_vuln"), "main",
                                      "No off-by-one Overflow")
-    sink = locate_sink(verdict.path, oracle.image, oracle.libc_names())
+    sink = locate_sink(verdict.path, oracle.image)
     with pytest.raises(NoTemplate):
         select_template(sink, None, False)
 
@@ -95,7 +95,7 @@ def test_scanf_patch_requires_opt_in():
     image, oracle, effect, frame_dest = _sink_args_effect(
         fixture_path("scanf_vuln"), 0x401124)
     verdict, _ = _violation_trace(fixture_path("scanf_vuln"), "main")
-    sink = locate_sink(verdict.path, image, oracle.libc_names())
+    sink = locate_sink(verdict.path, image)
     with pytest.raises(NoTemplate):
         select_template(sink, effect, frame_dest)
     plan = select_template(sink, effect, frame_dest, enable_scanf=True)
@@ -119,7 +119,7 @@ def _patched_copy():
     oracle.set_root(image.functions["copy"])
     effect = oracle.call_effect(0x401118)
     verdict, _ = _violation_trace(corpus_path("strcpy_rip_vuln"), "copy")
-    sink = locate_sink(verdict.path, image, oracle.libc_names())
+    sink = locate_sink(verdict.path, image)
     plan = select_template(sink, effect, dest_in_frame(bcfg, 0x401118, oracle.spec(0x401118)))
     return image, apply_trampolines(image, [plan]), plan
 
