@@ -111,7 +111,7 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
     deadline = t0 + cfg.timeout if cfg.timeout is not None else None
 
     bcfg = build_bcfg(image)
-    oracle = EffectsOracle(image, bcfg, cfg)
+    oracle = EffectsOracle(image, bcfg, cfg, deadline)
     monitors = ltl.load_monitors(cfg.properties_path)
     # a property's own tags win over those of the bundled property it overrides
     cwe_db = checker.load_cwe_map() | {m.name: list(m.cwes) for m in monitors if m.cwes}
@@ -239,7 +239,8 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
     } for s in sorted(sink_map.values(), key=lambda s: s.address)]
 
     if patch or validate or patch_all:
-        _patch_and_validate(report, image, sink_map, oracle, cfg, validate=validate)
+        _patch_and_validate(report, image, sink_map, oracle, cfg, validate=validate,
+                            deadline=deadline)
 
     report.notes = list(dict.fromkeys(report.notes))
     report.warnings = list(dict.fromkeys(report.warnings))
@@ -284,9 +285,10 @@ def _user_calls(image: ProgramImage, space: MemStaCe) -> list:
 
 def _patch_and_validate(report: Report, image: ProgramImage,
                         sink_map: dict, oracle: EffectsOracle,
-                        cfg: Config, *, validate: bool) -> None:
+                        cfg: Config, *, validate: bool, deadline: float | None) -> None:
     """Plan every sink, apply all the plans in one rewrite, then validate
-    each planned sink on the patched image."""
+    each planned sink on the patched image, every run stopping at
+    `deadline`."""
     templates = load_templates(cfg.templates_path)
     plans = []
     for addr in sorted(sink_map):
@@ -324,7 +326,8 @@ def _patch_and_validate(report: Report, image: ProgramImage,
         return
     runs: dict = {}     # whole-program outcomes shared by every sink's validation
     for plan, effect in plans:
-        vr = validator.validate_patch(image, patched, effect.concrete_input, cfg, runs)
+        vr = validator.validate_patch(image, patched, effect.concrete_input, cfg, runs,
+                                      deadline)
         report.validations.append({
             "sink": plan.sink.address,
             "input_source": vr.input_source,

@@ -1,17 +1,22 @@
 """Instruction compilation for the interpreter: closure generation in the
 sense of Feeley and Lapalme, "Using Closures for Code Generation"
-(Computer Languages 12(1), 1987).
+(Computer Languages 12(1), 1987), with one handler per operand form in
+the manner of Ertl and Gregg, "The Structure and Performance of
+Efficient Interpreters" (JILP 5, 2003).
 
-An instruction becomes a closure that takes the machine and returns the
-next pc. The common forms (jumps, add/sub/cmp of a 64-bit register with an
-immediate, 64-bit moves between registers, immediates and [r64+disp], lea,
-push and pop of a 64-bit register) are specialised over operands decoded
-here, once; every other form calls the interpreter's generic handler,
-which stays the reference semantics every closure must match. The jcc
-that closes a counted single-block loop gets a closure that also runs, in
-closed form, the further iterations whose back edge is taken
-(`compile_counted_loop`); it must leave the machine as stepping the
-generic handlers through those iterations would.
+A handler takes the machine, the instruction and the pc after it, and
+returns the next pc. Every instruction of one form (mnemonic and
+operands) shares one handler, so `compile_form` runs once per form. The
+common forms (jumps, add/sub/cmp of a 64-bit register with an
+immediate, 64-bit moves between registers, immediates and [r64+disp],
+lea, push and pop of a 64-bit register) get a handler specialised over
+operands decoded here, once; every other form runs the interpreter's
+generic handler, which stays the reference semantics every specialised
+handler must match. The jcc that closes a counted single-block loop gets
+a closure of its own that also runs, in closed form, the further
+iterations whose back edge is taken (`compile_counted_loop`); it must
+leave the machine as stepping the generic handlers through those
+iterations would.
 """
 
 from __future__ import annotations
@@ -33,23 +38,20 @@ CONDITIONS = {
 }
 
 
-def compile_instruction(ins: Instruction, nxt: int | None, handler):
-    """A closure machine -> next pc with the semantics of `handler`, the
-    instruction's generic handler (None for an instruction that does
-    nothing): specialised over pre-decoded operands for the common forms,
-    otherwise bound to the handler."""
-    fast = _compile_fast(ins, nxt, handler)
+def compile_form(ins: Instruction, handler):
+    """The handler (machine, ins, nxt) -> next pc of every instruction of
+    ins's form, with the semantics of `handler`, the form's generic handler
+    (None for an instruction that does nothing): specialised over
+    pre-decoded operands for the common forms, otherwise `handler` itself."""
+    fast = _compile_fast(ins, handler)
     if fast is not None:
         return fast
-    if handler is None:
-        # nop, endbr64 and unknown mnemonics (parsed as opaque) do nothing
-        def no_op(machine):
-            return nxt
-        return no_op
+    return no_op if handler is None else handler
 
-    def generic(machine):
-        return handler(machine, ins, nxt)
-    return generic
+
+def no_op(machine, ins, nxt):
+    """nop, endbr64 and unknown mnemonics (parsed as opaque) do nothing."""
+    return nxt
 
 
 def _r64(op) -> bool:
@@ -60,8 +62,8 @@ def _based(op) -> bool:
     return op.kind == MEM and op.base in R64
 
 
-def _compile_fast(ins: Instruction, nxt: int | None, handler):
-    """The specialised closure for a jump or a common 64-bit form, or None.
+def _compile_fast(ins: Instruction, handler):
+    """The specialised handler for a jump or a common 64-bit form, or None.
     Forms that touch canaries (a canary register stored to memory defers to
     the generic handler at run time), partial widths and non-R64 bases are
     left to the generic handler."""
@@ -69,31 +71,31 @@ def _compile_fast(ins: Instruction, nxt: int | None, handler):
     if m == "jmp":
         tgt = ins.target()
 
-        def jump(machine):
+        def jump(machine, ins, nxt):
             return tgt
         return jump
     if m in JCC:
         tgt, cond = ins.target(), CONDITIONS[m[1:]]
 
-        def branch(machine):
+        def branch(machine, ins, nxt):
             return tgt if cond(machine.flags) else nxt
         return branch
     if m in ("add", "sub", "cmp") and _r64(ops[0]) and ops[1].kind == IMM:
-        return _arith_r64_imm(m, ops[0].reg, ops[1].value & _M64, nxt)
+        return _arith_r64_imm(m, ops[0].reg, ops[1].value & _M64)
     if m == "mov":
         dst, src = ops
         if _based(dst) and src.kind == IMM and dst.width:
             base, disp = dst.base, dst.disp
             data = (src.value & ((1 << (dst.width * 8)) - 1)).to_bytes(dst.width, "little")
 
-            def mov_mem_imm(machine):
+            def mov_mem_imm(machine, ins, nxt):
                 machine.wr_mem((machine.regs[base] & _M64) + disp, data)
                 return nxt
             return mov_mem_imm
         if _r64(dst) and src.kind == IMM:
             reg, value = dst.reg, src.value & _M64
 
-            def mov_reg_imm(machine):
+            def mov_reg_imm(machine, ins, nxt):
                 machine.regs[reg] = value
                 machine.canary_regs.discard(reg)
                 return nxt
@@ -101,7 +103,7 @@ def _compile_fast(ins: Instruction, nxt: int | None, handler):
         if _r64(dst) and _r64(src):
             reg, sreg = dst.reg, src.reg
 
-            def mov_reg_reg(machine):
+            def mov_reg_reg(machine, ins, nxt):
                 machine.regs[reg] = machine.regs[sreg] & _M64
                 if sreg in machine.canary_regs:
                     machine.canary_regs.add(reg)
@@ -112,7 +114,7 @@ def _compile_fast(ins: Instruction, nxt: int | None, handler):
         if _r64(dst) and _based(src):
             reg, base, disp = dst.reg, src.base, src.disp
 
-            def mov_reg_mem(machine):
+            def mov_reg_mem(machine, ins, nxt):
                 addr = (machine.regs[base] & _M64) + disp
                 machine.regs[reg] = int.from_bytes(machine.rd_mem(addr, 8), "little")
                 machine.canary_regs.discard(reg)
@@ -121,7 +123,7 @@ def _compile_fast(ins: Instruction, nxt: int | None, handler):
         if _based(dst) and dst.width in (None, 8) and _r64(src):
             base, disp, sreg = dst.base, dst.disp, src.reg
 
-            def mov_mem_reg(machine):
+            def mov_mem_reg(machine, ins, nxt):
                 if sreg in machine.canary_regs:     # records the frame's canary slot
                     return handler(machine, ins, nxt)
                 machine.wr_mem((machine.regs[base] & _M64) + disp,
@@ -132,7 +134,7 @@ def _compile_fast(ins: Instruction, nxt: int | None, handler):
     if m == "lea" and _r64(ops[0]) and _based(ops[1]):
         reg, base, disp = ops[0].reg, ops[1].base, ops[1].disp
 
-        def lea(machine):
+        def lea(machine, ins, nxt):
             machine.regs[reg] = ((machine.regs[base] & _M64) + disp) & _M64
             machine.canary_regs.discard(reg)
             return nxt
@@ -141,7 +143,7 @@ def _compile_fast(ins: Instruction, nxt: int | None, handler):
     if m == "push" and _r64(ops[0]) and ops[0].reg != "rbp":
         reg = ops[0].reg
 
-        def push(machine):
+        def push(machine, ins, nxt):
             regs = machine.regs
             value = regs[reg] & _M64
             sp = regs["rsp"] = regs["rsp"] - 8
@@ -151,7 +153,7 @@ def _compile_fast(ins: Instruction, nxt: int | None, handler):
     if m == "pop" and _r64(ops[0]):
         reg = ops[0].reg
 
-        def pop(machine):
+        def pop(machine, ins, nxt):
             regs = machine.regs
             sp = regs["rsp"]
             value = int.from_bytes(machine.rd_mem(sp, 8), "little")
@@ -163,8 +165,9 @@ def _compile_fast(ins: Instruction, nxt: int | None, handler):
     return None
 
 
-def compile_counted_loop(image, ins: Instruction, nxt: int | None, lo: int, hi: int):
-    """The closure of a jcc that closes a counted single-block loop, or None.
+def compile_counted_loop(image, ins: Instruction, lo: int, hi: int):
+    """The handler of the jcc `ins` when it closes a counted single-block
+    loop, or None: a closure of its own, since it closes over the body.
 
     The body runs from the jcc's (lower) target to the jcc in listing order
     and holds only stores of an immediate through [r64+disp] with a width,
@@ -175,14 +178,12 @@ def compile_counted_loop(image, ins: Instruction, nxt: int | None, lo: int, hi: 
     Execution on Binary Programs", ISSTA 2009): their stores as one write,
     m times each register's stride, the flags of the last cmp and m times
     the body length in steps. The exiting iteration runs through the
-    ordinary closures. A skip never crosses the step budget, runs no store
+    ordinary handlers. A skip never crosses the step budget, runs no store
     outside the stack [lo, hi), passes no pc in `machine.stops` nor the
     exit of the loop a fork emulates (`machine.loop_exit`), and takes no
     more back edges to that loop's entry (`machine.loop_entry`) than its
     iteration budget has left (`machine.loop_left`, which it lowers), so
     the machine is always the one stepping reaches."""
-    if ins.mnemonic not in JCC:
-        return None
     pc, target = ins.address, ins.target()
     if target not in image.instructions or not target < pc:
         return None
@@ -218,7 +219,7 @@ def compile_counted_loop(image, ins: Instruction, nxt: int | None, lo: int, hi: 
     def taken(x):
         return cond(_cmp_flags(x, imm))
 
-    def back_edge(machine):
+    def back_edge(machine, ins, nxt):
         if not cond(machine.flags):
             return nxt
         if not body.isdisjoint(machine.stops) or machine.loop_exit in body:
@@ -317,12 +318,12 @@ def _store_iterations(machine, stores, strides: dict[str, int], m: int) -> None:
     machine.wr_mem(start, bytes(buf))
 
 
-def _arith_r64_imm(m: str, reg: str, b: int, nxt: int | None):
+def _arith_r64_imm(m: str, reg: str, b: int):
     """add, sub or cmp of a 64-bit register with a (masked) immediate."""
     sb = b >> 63
     write = m != "cmp"
     if m == "add":
-        def arith(machine):
+        def arith(machine, ins, nxt):
             a = machine.regs[reg] & _M64
             res = a + b
             r = res & _M64
@@ -337,7 +338,7 @@ def _arith_r64_imm(m: str, reg: str, b: int, nxt: int | None):
             return nxt
         return arith
 
-    def arith_sub(machine):
+    def arith_sub(machine, ins, nxt):
         a = machine.regs[reg] & _M64
         r = (a - b) & _M64
         sa, sr = a >> 63, r >> 63

@@ -39,8 +39,8 @@ from typing import NamedTuple
 
 from . import MalformedData, interp, load_data, parse_json
 from .frontend import BCfg, ProgramImage
-from .interp import (CAUSE_OOS, CLEAN, CRASH, STEP_BUDGET, UNSUPPORTED, Halt, LibcSpec, Machine,
-                     call_spec, load_libc_db)
+from .interp import (CAUSE_OOS, CLEAN, CRASH, STEP_BUDGET, TIMEOUT, UNSUPPORTED, Halt, LibcSpec,
+                     Machine, call_spec, load_libc_db)
 from .memstace import Config, infer_buffer_size, scan_object_boundaries
 
 
@@ -341,7 +341,7 @@ def emulate_loop(machine: Machine, loop: LoopInfo,
     notes: list[str] = []
     reached = passed = False
     try:
-        while True:
+        for _ in fork.dispatches():
             fork.step()
             if fork.pc == loop.exit:
                 reached = True
@@ -355,6 +355,7 @@ def emulate_loop(machine: Machine, loop: LoopInfo,
                     break
     except Halt as h:
         notes.append({STEP_BUDGET: f"loop at {loop.entry:#x}: step budget exhausted",
+                      TIMEOUT: f"loop at {loop.entry:#x}: timeout during emulation",
                       UNSUPPORTED: f"loop at {loop.entry:#x}: emulation failed: {h.cause}"}
                      .get(h.status, f"loop at {loop.entry:#x}: execution left the function"))
     touched, overflow = _map_touches(fork, fork.diff_stack(snap))
@@ -373,6 +374,7 @@ def _unreached(name: str, site: int, root: int, h: Halt) -> CallEffect:
     "loop") that the run from `root` halted before reaching."""
     note = {CLEAN: f"{name} at {site:#x} not reached from {root:#x}",
             STEP_BUDGET: f"emulation diverged before {site:#x}",
+            TIMEOUT: f"timeout during emulation before {site:#x}",
             CRASH: f"crash ({h.cause}) before {site:#x}",
             UNSUPPORTED: f"emulation failed before {site:#x}: {h.cause}"}[h.status]
     return _opaque(name, note, truncating=True)
@@ -399,10 +401,12 @@ class EffectsOracle:
     analysis, and scans each function's object boundaries once.
     """
 
-    def __init__(self, image: ProgramImage, bcfg: BCfg, cfg: Config):
+    def __init__(self, image: ProgramImage, bcfg: BCfg, cfg: Config,
+                 deadline: float | None = None):
         self.image = image
         self.bcfg = bcfg
         self.cfg = cfg
+        self.deadline = deadline        # the analysis deadline every run of a root stops at
         self.libc_db = load_libc_db(cfg.libc_db_path)
         self.buffer_pins = load_buffer_pins(cfg.buffers_path)
         self._buffer_sizes: dict[tuple[str, int, bool], int] = {}
@@ -470,7 +474,7 @@ class EffectsOracle:
         key = (root, pc, kind)
         if key not in self._effects and root not in self._halts:
             if self._run is None:
-                self._run = Machine(self.image, self.cfg, stdin=b"")
+                self._run = Machine(self.image, self.cfg, stdin=b"", deadline=self.deadline)
                 self._run.start(root)
                 self._stops = set(self._sites)
             try:

@@ -141,7 +141,7 @@ class ProgramImage:
     extends one calls `index()` once it is complete."""
 
     __slots__ = ("instructions", "order", "function_headers", "warnings", "_next", "code",
-                 "_by_entry", "functions", "_owner", "_bodies", "callees")
+                 "forms", "_by_entry", "functions", "_owner", "_bodies", "callees")
 
     def __init__(self, instructions: dict[int, Instruction] | None = None,
                  order: list[int] | None = None,
@@ -155,9 +155,11 @@ class ProgramImage:
 
     def index(self) -> None:
         self._next = dict(zip(self.order, self.order[1:] + [None]))
-        # pc -> compiled instruction, filled by the interpreter at each
-        # instruction's first execution
+        # pc -> (handler, instruction, next pc), filled by the interpreter at
+        # each instruction's first execution; (mnemonic, operands) -> the
+        # handler every instruction of that form shares
         self.code: dict = {}
+        self.forms: dict = {}
         self._by_entry = sorted((a, n) for n, a in self.function_headers.items())
         # every function, the synthetic owner of a header-less prefix
         # included: name -> entry, owner of each address, and bodies

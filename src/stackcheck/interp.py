@@ -5,12 +5,14 @@ shadow copy of the saved return address, saved base register and canary;
 at ret the live bytes are compared against the shadow and a mismatch
 crashes with the matching cause. Every way a run stops raises one
 exception, Halt, whose status is a clean exit, a crash, the step budget
-running out, or a construct the interpreter does not model (a printf
-conversion, an operand form). The same machine serves the effects module
-in capture mode (one run per analysis root that stops at each call site,
-safecall and loop entry, where forks run the handler, are snapshotted
-and diffed, and that may continue from a loop's fork) and the validator
-for full before/after runs.
+running out, the analysis deadline passing (a machine given one reads
+the clock every DEADLINE_EVERY dispatches of run, run_to and a loop
+fork's step loop), or a construct the interpreter does not model (a
+printf conversion, an operand form). The same machine serves the
+effects module in capture mode (one run per analysis root that stops at
+each call site, safecall and loop entry, where forks run the handler,
+are snapshotted and diffed, and that may continue from a loop's fork)
+and the validator for full before/after runs.
 
 LIBC is the one table of modelled library functions: each entry names
 its handler and the registers it writes through, copies from and fills
@@ -22,15 +24,18 @@ installs the LIBC entry of the function its template bounds
 (frontend.SAFECALLS), its write capped at the bound. The interpreter and
 the effects oracle both ask it.
 
-Each instruction is compiled once per image, at its first execution, into
-a closure (see codegen) that takes the machine and returns the next pc;
-the image's `code` table (pc -> closure, reset by `ProgramImage.index()`)
-holds it, so every machine running the image shares it. The handlers in
-_HANDLERS are the generic semantics: the closure of an uncommon form calls
-its handler, and a specialised closure must leave the machine as its
-handler would. The jcc closing a counted single-block loop compiles to a
-closure that also runs, in closed form, every further iteration whose
-back edge is taken (codegen.compile_counted_loop), so root runs, loop
+Each form of instruction (mnemonic and operands) is compiled once per
+image, at the first execution of an instruction of that form, into a
+handler (see codegen) that takes the machine, the instruction and the pc
+after it and returns the next pc. The image's `forms` table holds it,
+and its `code` table holds (handler, instruction, next pc) for each pc
+executed; `ProgramImage.index()` resets both, and every machine running
+the image shares them. The handlers in _HANDLERS are the generic
+semantics: an uncommon form runs its handler directly, and a specialised
+handler must leave the machine as the generic one would. The jcc closing
+a counted single-block loop compiles, for its pc alone, to a closure
+that also runs, in closed form, every further iteration whose back edge
+is taken (codegen.compile_counted_loop), so root runs, loop
 forks and validation runs alike step only a counted loop's first and
 exiting iterations. A skip stops short of the step budget, of a store
 outside the stack, of a pc the run must stop at (`stops`, which run_to
@@ -52,15 +57,17 @@ snapshot, and diff_stack compares only that span.
 from __future__ import annotations
 
 import re
+import time
 from collections.abc import Callable, Collection
 from itertools import compress, repeat, takewhile
 from operator import ne
 from typing import NamedTuple
 
 from . import MalformedData, load_data, parse_json
-from .codegen import CONDITIONS, compile_counted_loop, compile_instruction
+from .codegen import CONDITIONS, compile_counted_loop, compile_form
 from .frontend import (CANARY_FS_OFFSET, CMOV, IMM, JCC, LIBRARY, MEM, R64, REG, SAFECALL,
                        SAFECALLS, USER, Callee, Instruction, ProgramImage)
+from .memstace import DEADLINE_EVERY
 
 STACK_BASE = 0x7FFE0000
 STACK_SIZE = 0x40000
@@ -88,6 +95,7 @@ CAUSE_OOS = "out-of-stack-write"
 CLEAN = "clean-exit"
 CRASH = "crash"
 STEP_BUDGET = "step-budget"
+TIMEOUT = "timeout"
 UNSUPPORTED = "unsupported"
 
 
@@ -146,9 +154,10 @@ class ShadowFrame:
 
 class Machine:
     def __init__(self, image: ProgramImage, cfg, stdin: bytes = b"",
-                 argv: tuple[str, ...] = ()):
+                 argv: tuple[str, ...] = (), deadline: float | None = None):
         self.image = image
         self.cfg = cfg
+        self.deadline = deadline        # a time.perf_counter() value, or None
         self.regs = {r: 0 for r in R64}
         self.flags = {"zf": False, "sf": False, "cf": False, "of": False}
         # the written window of the stack: stack[0] is the byte at stack_lo
@@ -310,8 +319,8 @@ class Machine:
         return changed
 
     def fork(self) -> "Machine":
-        """A copy that shares the image, configuration, library table and
-        stop set, and owns its mutable state."""
+        """A copy that shares the image, configuration, library table,
+        deadline and stop set, and owns its mutable state."""
         clone = Machine.__new__(Machine)
         clone.__dict__.update(self.__dict__)
         clone.regs = dict(self.regs)
@@ -339,7 +348,7 @@ class Machine:
     def run(self) -> None:
         """Run to completion; always ends by raising Halt."""
         self.stops = frozenset()
-        while True:
+        for _ in self.dispatches():
             self.step()
 
     def run_to(self, stops: Collection[int]) -> None:
@@ -347,23 +356,51 @@ class Machine:
         Halt when the run ends first. The caller may keep `stops` and change
         it between calls: it is read, not copied."""
         self.stops = stops
-        while self.pc not in stops:
+        for _ in self.dispatches():
+            if self.pc in stops:
+                return
             self.step()
+
+    def dispatches(self):
+        """An endless iterator a step loop takes one item from per dispatch.
+        With a deadline it reads the clock before every DEADLINE_EVERY items
+        and raises Halt(TIMEOUT) once the deadline has passed; without one
+        it costs nothing. It counts dispatches, not steps: a counted loop's
+        skip retires many steps in one."""
+        return repeat(None) if self.deadline is None else self._clocked()
+
+    def _clocked(self):
+        while True:
+            if time.perf_counter() > self.deadline:
+                raise Halt(TIMEOUT)
+            yield from range(DEADLINE_EVERY)
 
     def step(self) -> None:
         if self.steps >= self.cfg.step_budget:
             raise Halt(STEP_BUDGET)
-        run = self.image.code.get(self.pc)
-        if run is None:
-            ins = self.image.instructions.get(self.pc)
-            if ins is None:             # also a pc of None: the run left the image
-                raise Halt(CLEAN)
-            nxt = self.image.next_address(self.pc)
-            run = self.image.code[self.pc] = (
-                compile_counted_loop(self.image, ins, nxt, STACK_BASE, STACK_TOP)
-                or compile_instruction(ins, nxt, _HANDLERS.get(ins.mnemonic)))
+        handler, ins, nxt = self.image.code.get(self.pc) or self._compile()
         self.steps += 1
-        self.pc = run(self)
+        self.pc = handler(self, ins, nxt)
+
+    def _compile(self) -> tuple:
+        """The code entry of the pc's instruction: its form's handler (or
+        its counted loop's back edge) with the instruction and the pc after
+        it."""
+        image, pc = self.image, self.pc
+        ins = image.instructions.get(pc)
+        if ins is None:                 # also a pc of None: the run left the image
+            raise Halt(CLEAN)
+        nxt = image.next_address(pc)
+        handler = None
+        if ins.mnemonic in JCC:
+            handler = compile_counted_loop(image, ins, STACK_BASE, STACK_TOP)
+        if handler is None:
+            form = (ins.mnemonic, ins.operands)
+            handler = image.forms.get(form)
+            if handler is None:
+                handler = image.forms[form] = compile_form(ins, _HANDLERS.get(ins.mnemonic))
+        entry = image.code[pc] = (handler, ins, nxt)
+        return entry
 
     # instruction semantics: each handler returns the next pc
 

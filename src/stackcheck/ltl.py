@@ -449,6 +449,7 @@ def parse_property(text: str, name: str = "anonymous",
 
 _BLOCK_HEAD_RE = re.compile(
     r'property\s+(?:"(?P<qname>[^"]+)"|(?P<name>[\w-]+))\s*\{')
+_BLANK_RE = re.compile(r"\s*")
 
 
 def parse_property_file(text: str | bytes) -> list[PropertyAst]:
@@ -464,13 +465,14 @@ def parse_property_file(text: str | bytes) -> list[PropertyAst]:
     # comments go, newlines stay: positions in `stripped` have the file's lines
     stripped = re.sub(r"#[^\n]*", "", text)
     while True:
-        m = _BLOCK_HEAD_RE.search(stripped, pos)
-        if not m:
-            leftover = stripped[pos:].strip()
-            if leftover:
-                raise PropertySyntaxError("unrecognized property block",
-                                          *_where(stripped, stripped.index(leftover, pos)))
+        # each block head is the next non-blank text; any other text, before
+        # a block or after the last, is an error at its place
+        pos = _BLANK_RE.match(stripped, pos).end()
+        if pos == len(stripped):
             break
+        m = _BLOCK_HEAD_RE.match(stripped, pos)
+        if not m:
+            raise PropertySyntaxError("unrecognized property block", *_where(stripped, pos))
         name = m.group("qname") or m.group("name")
         depth = 1
         end = m.end()

@@ -163,7 +163,7 @@ class MemoryState(NamedTuple):
 
 def fresh_frame(label: str) -> StackFrame:
     """A frame as created by a call: 8 critical bytes of saved return address."""
-    return StackFrame(label=label, bytes=b"C" * 8)
+    return StackFrame(label, b"C" * 8, frozenset(), False, False)
 
 
 # --- memory operators ----------------------------------------------------
@@ -179,19 +179,19 @@ class MemOp(NamedTuple):
 
 
 def Push(byte_op: ByteOp) -> MemOp:
-    return MemOp("push", byte_op=byte_op)
+    return MemOp("push", byte_op, None, 0, 0, 0, False)
 
 
 def Write(byte_op: ByteOp, base: str, disp: int, width: int, canary: bool = False) -> MemOp:
-    return MemOp("write", byte_op=byte_op, base=base, disp=disp, width=width, canary=canary)
+    return MemOp("write", byte_op, base, disp, width, 0, canary)
 
 
 def Fe(amount: int) -> MemOp:
-    return MemOp("fe", amount=amount)
+    return MemOp("fe", None, None, 0, 0, amount, False)
 
 
 def Shrink(amount: int) -> MemOp:
-    return MemOp("shrink", amount=amount)
+    return MemOp("shrink", None, None, 0, 0, amount, False)
 
 
 # the operators that carry no operand; MemOp is immutable, so one of each serves
@@ -363,7 +363,8 @@ def register_buffer(frame: StackFrame, offset: int, size: int) -> StackFrame:
     for (o, s) in frame.buffers:
         if lo < o + s and o < hi:
             raise OverlappingBuffer(f"buffer {entry} overlaps {(o, s)}")
-    return frame._replace(buffers=frame.buffers | {entry})
+    return StackFrame(frame.label, frame.bytes, frame.buffers | {entry}, frame.has_canary,
+                      frame.has_rbp_slot)
 
 
 def buffer_index_span(frame: StackFrame, offset: int, size: int) -> tuple[int, int]:
@@ -506,50 +507,51 @@ class _SpaceBuilder:
         return self._fn_canary_sites[fn]
 
     def decode(self, pc: int) -> _Decoded:
+        """The record of the instruction at pc, built in one step: each
+        label's text is computed once, and every record is built
+        positionally."""
         image = self.image
         ins = image.instructions[pc]
         fn = image.function_of(pc)
         nxt = image.next_in_function(pc)
-        loop = self.effects.loop_at(pc)
         m = ins.mnemonic
-        if m == "ret":
-            return _Decoded(ins, fn, nxt, loop, "ret", None,
-                            TransitionLabel("pop", pc, text=ins.text))
-        if m == "jmp":
-            return _Decoded(ins, fn, nxt, loop, "jmp", ins.operands[0].value)
-        if m in JCC:
-            return _Decoded(ins, fn, nxt, loop, "jcc", ins.operands[0].value)
-        if m == "lea":
+        target = label = None
+        steps = ()
+        if m in JCC or m == "jmp":
+            kind, target = "jcc" if m != "jmp" else "jmp", ins.operands[0].value
+        elif m == "ret":
+            kind, label = "ret", TransitionLabel("pop", pc, None, ins.text, None)
+        elif m == "lea":
             src = ins.operands[1]
-            if not (src.kind == MEM and src.base == "rbp" and src.disp < 0):
-                return _Decoded(ins, fn, nxt, loop, "no-effect")
-            return _Decoded(ins, fn, nxt, loop, "lea", None,
-                            TransitionLabel("buffer-register", pc, text=ins.text))
-        if m == "call" or m == "safecall":
+            kind = "no-effect"
+            if src.kind == MEM and src.base == "rbp" and src.disp < 0:
+                kind, label = "lea", TransitionLabel("buffer-register", pc, None, ins.text, None)
+        elif m == "call" or m == "safecall":
             callee = image.callees[pc]
             modelled = callee.kind == LIBRARY and self.effects.spec(pc) is not None
-            return _Decoded(ins, fn, nxt, loop, "call", callee.target,
-                            TransitionLabel("call", pc, callee.name, ins.text,
-                                            LIBC if modelled else callee.kind))
-        op = classify_instruction(ins, self.canary_sites(fn))
-        if op.kind == "no-effect":
-            return _Decoded(ins, fn, nxt, loop, "no-effect")
-        if op.kind == "fa":
-            return _Decoded(ins, fn, nxt, loop, "fa", None,
-                            TransitionLabel("fa", pc, text=ins.text))
-        label = TransitionLabel("fe" if op.kind == "shrink" else op.kind, pc, text=ins.text)
-        steps = ((op, label),)
-        if op.kind == "write" and self.cfg.atomic_writes and op.width > 1:
-            steps = tuple((op._replace(width=1, disp=op.disp + k),
-                           TransitionLabel("write", pc, text=f"{label.text} [byte {k}]"))
-                          for k in range(op.width))
-        return _Decoded(ins, fn, nxt, loop, "direct", steps=steps)
+            kind, target = "call", callee.target
+            label = TransitionLabel("call", pc, callee.name, ins.text,
+                                    LIBC if modelled else callee.kind)
+        else:
+            op = classify_instruction(ins, self.canary_sites(fn))
+            kind = op.kind
+            if kind != "no-effect":
+                text = ins.text
+                label = TransitionLabel("fe" if kind == "shrink" else kind, pc, None, text, None)
+            if kind != "no-effect" and kind != "fa":
+                steps = ((op, label),)
+                if kind == "write" and self.cfg.atomic_writes and op.width > 1:
+                    steps = tuple((op._replace(width=1, disp=op.disp + k),
+                                   TransitionLabel("write", pc, None, f"{text} [byte {k}]", None))
+                                  for k in range(op.width))
+                kind, label = "direct", None
+        return _Decoded(ins, fn, nxt, self.effects.loop_at(pc), kind, target, label, steps)
 
     # the DFS itself
 
     def run(self, entry: int) -> MemStaCe:
         self.root = self.image.function_of(entry)
-        init = MemoryState(frames=(fresh_frame(self.root),))
+        init = MemoryState((fresh_frame(self.root),), None)
         try:
             init_id = self.intern(init)
             self._walk(entry, init_id, call_stack=())

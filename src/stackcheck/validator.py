@@ -4,8 +4,8 @@ A run is a full interpretation from the entry function, and its outcome
 is the status of the interpreter's Halt. Crashes are the
 shadow-comparison causes found at ret (canary, return address, saved
 base register) plus writes outside the stack region; step-budget
-exhaustion and an unmodelled construct are statuses of their own, never
-conflated with a crash. A patch validates when the crashing input no
+exhaustion, the analysis deadline passing and an unmodelled construct
+are statuses of their own, never conflated with a crash. A patch validates when the crashing input no
 longer crashes the patched image, or when both runs are clean with
 byte-identical stdout.
 """
@@ -16,7 +16,7 @@ import random
 from typing import NamedTuple
 
 from .frontend import ProgramImage, entry_point
-from .interp import CLEAN, CRASH, STEP_BUDGET, UNSUPPORTED, Halt, Machine
+from .interp import CLEAN, CRASH, STEP_BUDGET, TIMEOUT, UNSUPPORTED, Halt, Machine
 from .memstace import Config
 
 RANDOM_TRIALS = 3           # random inputs tried when no crash input was derived
@@ -43,9 +43,13 @@ class ValidationReport(NamedTuple):
 
 
 def run(image: ProgramImage, stdin: bytes = b"", cfg: Config | None = None,
-        argv: tuple[str, ...] = (), entry: int | None = None) -> RunOutcome:
+        argv: tuple[str, ...] = (), entry: int | None = None,
+        deadline: float | None = None) -> RunOutcome:
+    """The outcome of one run from `entry` (the image's entry point by
+    default); past `deadline` (a time.perf_counter() value) it halts with
+    status TIMEOUT."""
     cfg = cfg or Config()
-    machine = Machine(image, cfg, stdin=stdin, argv=argv)
+    machine = Machine(image, cfg, stdin=stdin, argv=argv, deadline=deadline)
     machine.start(entry_point(image) if entry is None else entry)
     try:
         machine.run()
@@ -56,7 +60,8 @@ def run(image: ProgramImage, stdin: bytes = b"", cfg: Config | None = None,
 
 def validate_patch(original: ProgramImage, patched: ProgramImage,
                    crash_input: bytes | None, cfg: Config | None = None,
-                   runs: dict | None = None) -> ValidationReport:
+                   runs: dict | None = None,
+                   deadline: float | None = None) -> ValidationReport:
     """Before/after protocol: the derived stdin `crash_input` when there is
     one, otherwise a deterministic batch of random inputs.
 
@@ -65,11 +70,12 @@ def validate_patch(original: ProgramImage, patched: ProgramImage,
     never read stdin: that run answers every stdin for the image. The
     interpreter is deterministic and argv and cfg are fixed, so a memoized
     outcome is the one a new run gives. The images must stay alive while
-    `runs` is in use, because they are keyed by identity."""
+    `runs` is in use, because they are keyed by identity. Every run stops
+    at `deadline`, so calls that share `runs` must share it too."""
     cfg = cfg or Config()
     runs = {} if runs is None else runs
     if crash_input is not None:
-        return _one_trial(original, patched, crash_input, "derived", cfg, runs)
+        return _one_trial(original, patched, crash_input, "derived", cfg, runs, deadline)
 
     rng = random.Random(cfg.seed)
     reports = []
@@ -77,7 +83,7 @@ def validate_patch(original: ProgramImage, patched: ProgramImage,
         length = min(1 << rng.randrange(0, max(cfg.max_input_len.bit_length() - 1, 1)),
                      cfg.max_input_len)
         data = bytes(rng.randrange(0x41, 0x5B) for _ in range(length)) + b"\n"
-        reports.append(_one_trial(original, patched, data, "random", cfg, runs))
+        reports.append(_one_trial(original, patched, data, "random", cfg, runs, deadline))
     failed = [r for r in reports if not r.success]
     if failed:
         return failed[0]
@@ -85,8 +91,10 @@ def validate_patch(original: ProgramImage, patched: ProgramImage,
 
 
 def _one_trial(original: ProgramImage, patched: ProgramImage, data: bytes,
-               source: str, cfg: Config, runs: dict) -> ValidationReport:
-    before, after = (_memo_run(runs, image, data, cfg) for image in (original, patched))
+               source: str, cfg: Config, runs: dict,
+               deadline: float | None) -> ValidationReport:
+    before, after = (_memo_run(runs, image, data, cfg, deadline)
+                     for image in (original, patched))
     notes = []
     if before.crashed() and after.status == CLEAN:
         success = True
@@ -100,6 +108,8 @@ def _one_trial(original: ProgramImage, patched: ProgramImage, data: bytes,
             notes.append(f"patched run still crashes ({after.cause})")
         if before.status == STEP_BUDGET or after.status == STEP_BUDGET:
             notes.append("step budget exhausted during validation")
+        if before.status == TIMEOUT or after.status == TIMEOUT:
+            notes.append("timeout during validation")
         for cause in dict.fromkeys(o.cause for o in (before, after)
                                    if o.status == UNSUPPORTED):
             notes.append(f"validation run stopped at an unsupported construct: {cause}")
@@ -108,11 +118,12 @@ def _one_trial(original: ProgramImage, patched: ProgramImage, data: bytes,
                             notes=notes)
 
 
-def _memo_run(runs: dict, image: ProgramImage, data: bytes, cfg: Config) -> RunOutcome:
+def _memo_run(runs: dict, image: ProgramImage, data: bytes, cfg: Config,
+              deadline: float | None) -> RunOutcome:
     # every run starts at the image's entry point
     for key in ((id(image), None), (id(image), data)):
         if key in runs:
             return runs[key]
-    outcome = run(image, stdin=data, cfg=cfg)
+    outcome = run(image, stdin=data, cfg=cfg, deadline=deadline)
     runs[(id(image), data if outcome.read_stdin else None)] = outcome
     return outcome

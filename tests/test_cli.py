@@ -8,13 +8,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import stackcheck
-from stackcheck import checker, cli, ltl, memstace
+from stackcheck import checker, cli, interp, ltl, memstace
 from stackcheck.cli import (Report, PropertyResult, analyze, analyze_image,
                             main, report_metrics)
 from stackcheck.frontend import parse_disassembly
@@ -605,6 +606,34 @@ def test_timeout_during_one_roots_check_is_inconclusive(monkeypatch):
     assert clock.now == 1.5
 
 
+# reads stdin into a 16-byte buffer, then spins: every run ends only at the
+# step budget or the deadline
+_GETS_THEN_SPIN = """\
+main:
+401100: push rbp
+401104: mov rbp, rsp
+401108: sub rsp, 0x10
+40110c: lea rdi, [rbp-0x10]
+401110: call 0x401060 <gets@plt>
+401114: add rax, 0x1
+401118: jmp 0x401114
+"""
+
+
+def test_timeout_bounds_validation_runs():
+    """A step budget far beyond the timeout no longer outlasts it: the
+    validation runs stop at the analysis deadline, with a status of their
+    own."""
+    t0 = time.perf_counter()
+    report = analyze_image(parse_disassembly(_GETS_THEN_SPIN), "spin",
+                           Config(timeout=0.2, step_budget=2_000_000),
+                           patch=True, validate=True)
+    assert time.perf_counter() - t0 < 1.0
+    [record] = report.validations
+    assert (record["original"]["status"], record["patched"]["status"]) == ("timeout", "timeout")
+    assert "timeout during validation" in record["notes"]
+
+
 def test_unbound_property_variable_rejected_at_load(tmp_path, capsys):
     """A property whose variable no quantifier binds stops the run with exit
     code 2 and a message naming the property and the variable, before any
@@ -657,6 +686,19 @@ def test_property_syntax_errors_give_their_place_in_the_file(tmp_path, capsys):
                         ('property a { ltl: G (true) }\n property b { ltl: G (\n', (2, 2))):
         with pytest.raises(ltl.PropertySyntaxError) as exc:
             ltl.parse_property_file(text)
+        assert (exc.value.line, exc.value.col) == where
+
+
+def test_text_before_a_property_block_is_an_error_at_its_place():
+    """Stray text before a block head is rejected where it stands, as stray
+    text after the last block is; neither block is returned."""
+    text = ('garbage here\nproperty a { ltl: G (true) }\n'
+            'more junk property b { ltl: G (true) }\n')
+    blanked = "\n" + text.split("\n", 1)[1]
+    for source, where in ((text, (1, 1)), (blanked, (3, 1))):
+        with pytest.raises(ltl.PropertySyntaxError) as exc:
+            ltl.parse_property_file(source)
+        assert str(exc.value).startswith("unrecognized property block")
         assert (exc.value.line, exc.value.col) == where
 
 
@@ -826,9 +868,10 @@ def test_timeout_between_roots_keeps_found_violations(monkeypatch):
     """Checking the first root (main) outlasts the deadline: the violations
     found there stand, and every other property is inconclusive with a note
     naming the unchecked root (copy), which stays a root because main's
-    walk is truncated."""
+    walk is truncated. The oracle's root runs read the same clock."""
     clock = _Clock()
     monkeypatch.setattr(cli, "time", clock)
+    monkeypatch.setattr(interp, "time", clock)
     _slow(monkeypatch, clock, checker, "check", 5.0)
     image = load_image(corpus_path("strcpy_rip_vuln"))
     report = analyze_image(image, "strcpy_rip_vuln", Config(timeout=1))

@@ -1,8 +1,8 @@
 """Differential test of the compiled interpreter: at every machine state the
-pipeline meets, the instruction's compiled closure and its generic handler
-in `_HANDLERS` must leave identical machines. A counted loop's back edge
-retires the iterations it runs in closed form too, so the generic side
-steps as many instructions as the compiled step retired."""
+pipeline meets, the handler compiled for the instruction's form and its
+generic handler in `_HANDLERS` must leave identical machines. A counted
+loop's back edge retires the iterations it runs in closed form too, so the
+generic side steps as many instructions as the compiled step retired."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from stackcheck.interp import _HANDLERS, CLEAN, STEP_BUDGET, Halt, Machine
 from stackcheck.memstace import Config
 from stackcheck.validator import run
 
-# every specialised closure compile_instruction can return
+# every specialised handler compile_form and compile_counted_loop can return
 FAST_FORMS = {"jump", "branch", "arith", "arith_sub", "mov_mem_imm", "mov_reg_imm",
               "mov_reg_reg", "mov_reg_mem", "mov_mem_reg", "lea", "push", "pop",
               "back_edge"}
@@ -96,7 +96,7 @@ def test_compiled_step_matches_generic_handler(tmp_path, monkeypatch):
                               f"{halts[0]} vs {halts[1]}, state differs in {differ}")
         compared[0] += 1
         if pc in self.image.code:
-            seen.add(self.image.code[pc].__name__)
+            seen.add(self.image.code[pc][0].__name__)
         if got is not None:
             raise got
 

@@ -8,9 +8,9 @@ import pytest
 
 from stackcheck import interp, validator
 from stackcheck.cli import analyze
-from stackcheck.effects import EffectsOracle, detect_loops, load_libc_db
+from stackcheck.effects import EffectsOracle, detect_loops, emulate_loop, load_libc_db
 from stackcheck.frontend import SAFECALLS, build_bcfg, parse_disassembly
-from stackcheck.interp import LIBC
+from stackcheck.interp import LIBC, Machine
 from stackcheck.memstace import (Config, MemoryState, apply_effect,
                                  fresh_frame)
 from stackcheck.patcher import dest_in_frame
@@ -491,6 +491,25 @@ def test_loop_iteration_budget_flagged():
     effect = oracle.loop_effect(loops[0])
     assert any("iteration budget" in n for n in effect.notes)
     assert len(effect.touched) <= 9
+
+
+def test_emulation_past_the_deadline_says_it_timed_out():
+    """A root run and a loop fork that the deadline stops give truncating
+    effects whose notes say so, not a step budget or a halt elsewhere."""
+    cfg = Config()
+    image, bcfg, _ = pipeline(corpus_path("strcpy_rip_vuln"), cfg)
+    oracle = EffectsOracle(image, bcfg, cfg, deadline=0.0)
+    oracle.set_root(image.functions["copy"])
+    effect = oracle.call_effect(0x401118)
+    assert effect.truncating and effect.notes == ["timeout during emulation before 0x401118"]
+    [loop] = detect_loops(bcfg, image)
+    machine = Machine(image, cfg)
+    machine.start(image.functions["main"])
+    machine.run_to({loop.entry})
+    machine.deadline = 0.0
+    effect = emulate_loop(machine, loop)
+    assert effect.truncating
+    assert effect.notes == [f"loop at {loop.entry:#x}: timeout during emulation"]
 
 
 def test_diff_minimality_against_full_stack_comparison():

@@ -8,8 +8,9 @@ import random
 
 import pytest
 
+from stackcheck import interp
 from stackcheck.frontend import parse_disassembly
-from stackcheck.interp import (CANARY_VALUE, CAUSE_RET, CLEAN, CRASH, STEP_BUDGET,
+from stackcheck.interp import (CANARY_VALUE, CAUSE_RET, CLEAN, CRASH, STEP_BUDGET, TIMEOUT,
                                UNSUPPORTED, Halt, Machine)
 from stackcheck.memstace import Config
 from stackcheck.validator import run
@@ -41,6 +42,46 @@ def test_every_run_ends_in_one_halt(body, cfg, status, cause):
     with pytest.raises(Halt) as end:
         m.run()
     assert (end.value.status, end.value.cause) == (status, cause)
+
+
+class _Reads:
+    """A stand-in for the `time` module: its n-th read returns n."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def perf_counter(self) -> float:
+        self.reads += 1
+        return float(self.reads)
+
+
+def test_a_deadline_is_read_every_deadline_every_dispatches(monkeypatch):
+    """run and run_to read the clock before every DEADLINE_EVERY dispatches
+    and halt once the deadline has passed. A counted loop's skip retires
+    about 3 * 0x100000 steps in one dispatch and counts as one. Forks keep
+    the deadline; a machine without one never reads the clock."""
+    clock = _Reads()
+    monkeypatch.setattr(interp, "time", clock)
+    image = parse_disassembly("main:\n401000: mov rcx, 0x0\n401004: add rcx, 0x1\n"
+                              "401008: cmp rcx, 0x100000\n40100c: jne 0x401004\n"
+                              "401010: jmp 0x401010\n")
+    cfg = Config(step_budget=10**7)
+    for run_it in (Machine.run, lambda m: m.run_to({0x401014})):
+        clock.reads = 0
+        m = Machine(image, cfg, deadline=2.5)
+        m.start(0x401000)
+        assert m.fork().deadline == 2.5
+        with pytest.raises(Halt) as end:
+            run_it(m)
+        assert end.value.status == TIMEOUT
+        assert clock.reads == 3          # before dispatches 0, 256 and 512
+        assert m.steps > 3 * 0x100000
+    clock.reads = 0
+    m = Machine(image, Config(step_budget=5000))
+    m.start(0x401000)
+    with pytest.raises(Halt) as end:
+        m.run()
+    assert end.value.status == STEP_BUDGET and clock.reads == 0
 
 
 def test_register_width_semantics():

@@ -10,7 +10,7 @@ from conftest import CORPUS_DIR, FIXTURE_DIR
 from test_compiled import STATE
 from test_fuzz import MUTANT_CONFIG, MUTANTS, SEED, _mutate, write_mutants
 
-from stackcheck.cli import analyze
+from stackcheck.cli import analyze, analyze_image
 from stackcheck.effects import EffectsOracle, _unreached, emulate_call, emulate_loop
 from stackcheck.frontend import MalformedLine, build_bcfg, parse_disassembly
 from stackcheck.interp import CLEAN, CRASH, STEP_BUDGET, UNSUPPORTED, Halt, Machine
@@ -97,6 +97,33 @@ def _chain(n: int) -> str:
     lines.append("main:")
     lines += [f"{pc + 4 * i:x}: {text}" for i, text in enumerate(body)]
     return "\n".join(lines) + "\n"
+
+
+def test_instructions_of_one_form_share_one_handler():
+    """After a whole analysis of a chain listing, every instruction of one
+    (mnemonic, operands) form that no counted loop closes runs one handler
+    object, compiled once into the image's form table, which is much
+    smaller than its code table. The handler takes its next pc from the
+    code entry: two `add rax, 0x1` each go on to the instruction after
+    their own."""
+    image = parse_disassembly(_chain(8))
+    analyze_image(image, "chain_8", Config(), patch=True, validate=True)
+    handlers: dict = {}
+    for pc, (handler, ins, nxt) in image.code.items():
+        assert ins is image.instructions[pc] and nxt == image.next_address(pc)
+        if handler.__name__ != "back_edge":
+            handlers.setdefault((ins.mnemonic, ins.operands), set()).add(handler)
+    assert all(len(h) == 1 for h in handlers.values())
+    assert {form: h.pop() for form, h in handlers.items()} == image.forms
+    assert len(image.forms) * 3 < len(image.code), (len(image.forms), len(image.code))
+    adds = [pc for pc, ins in image.instructions.items()
+            if ins.raw_text.endswith("add rax, 0x1")]
+    assert len(adds) == 8
+    machine = Machine(image, Config())
+    for pc in adds[:2]:
+        machine.pc = pc
+        machine.step()
+        assert machine.pc == image.next_address(pc) == pc + 4
 
 
 def test_interpreter_steps_grow_linearly_with_chain_length(tmp_path, monkeypatch):
