@@ -259,11 +259,12 @@ def build_root_spaces(image: ProgramImage, oracle: EffectsOracle, cfg: Config,
     `__patch_*` trampoline. A function is a root unless an earlier root's
     complete (not truncated) space has a user call edge to its entry. A
     root the deadline stops before its build maps to None and ends the
-    dict."""
+    dict. Each space keeps only the frame bytes the properties can read."""
     called = {c.target for c in image.callees.values()}
     spaces: dict[str, MemStaCe | None] = {}
     entered: set[int] = set()
     decoded: dict = {}      # instruction records shared by every root's build
+    horizon = ltl.frame_horizon(ltl.load_monitors(cfg.properties_path))
     for _, entry, fn in sorted((e in called, e, fn) for fn, e in image.functions.items()):
         if entry in entered or fn.startswith("__patch_"):
             continue
@@ -272,7 +273,7 @@ def build_root_spaces(image: ProgramImage, oracle: EffectsOracle, cfg: Config,
             break
         oracle.set_root(entry)
         space = spaces[fn] = build_memstace(image, oracle, cfg, entry, deadline=deadline,
-                                            decoded=decoded)
+                                            decoded=decoded, horizon=horizon)
         if not space.truncated:
             entered.update(c.target for c in _user_calls(image, space))
     return spaces

@@ -141,7 +141,8 @@ class ProgramImage:
     extends one calls `index()` once it is complete."""
 
     __slots__ = ("instructions", "order", "function_headers", "warnings", "_next", "code",
-                 "forms", "_by_entry", "functions", "_owner", "_bodies", "callees")
+                 "forms", "frame_facts", "_by_entry", "functions", "_owner", "_bodies",
+                 "callees")
 
     def __init__(self, instructions: dict[int, Instruction] | None = None,
                  order: list[int] | None = None,
@@ -160,6 +161,9 @@ class ProgramImage:
         # handler every instruction of that form shares
         self.code: dict = {}
         self.forms: dict = {}
+        # function -> (its canary stores, whether the state space keeps its
+        # frames whole), filled by the state-space builder at first use
+        self.frame_facts: dict = {}
         self._by_entry = sorted((a, n) for n, a in self.function_headers.items())
         # every function, the synthetic owner of a header-less prefix
         # included: name -> entry, owner of each address, and bodies

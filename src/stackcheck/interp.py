@@ -67,10 +67,9 @@ from . import MalformedData, load_data, parse_json
 from .codegen import CONDITIONS, compile_counted_loop, compile_form
 from .frontend import (CANARY_FS_OFFSET, CMOV, IMM, JCC, LIBRARY, MEM, R64, REG, SAFECALL,
                        SAFECALLS, USER, Callee, Instruction, ProgramImage)
-from .memstace import DEADLINE_EVERY
+from .memstace import DEADLINE_EVERY, STACK_SIZE
 
 STACK_BASE = 0x7FFE0000
-STACK_SIZE = 0x40000
 STACK_TOP = STACK_BASE + STACK_SIZE
 ENTRY_RSP = STACK_TOP - 0x1000          # headroom absorbs overflow past the root frame
 PAGE = 0x1000                           # the stack window grows by whole pages

@@ -40,6 +40,7 @@ import re
 from collections.abc import Callable
 from contextlib import contextmanager, nullcontext
 from functools import cache, lru_cache
+from itertools import count
 from typing import NamedTuple
 
 from . import load_data
@@ -905,6 +906,53 @@ def _children(node):
     if isinstance(node, (ForallStack, ExistsStack, ForallBuffer, ExistsBuffer, AllRange)):
         return (node.body,)
     return ()
+
+
+def frame_horizon(monitors: list[Monitor]) -> int | None:
+    """How many leading indices of a frame the monitors can read: 1 + the
+    largest constant index, or upper bound of an `all` range, that a byte
+    atom reads, or None when an index has no static bound. Two kinds of
+    read do not count, because they read only frames the state space keeps
+    whole (see memstace.build_memstace): an atom on the frame of an
+    enclosing `has_canary(f) ->`, and a buffer-derived index on that
+    buffer's own frame. A buffer-derived index on any other frame has no
+    bound."""
+    return _horizon(tuple(m.body for m in monitors))
+
+
+@lru_cache(maxsize=32)
+def _horizon(bodies: tuple) -> int | None:
+    horizon, frames = 0, count()
+    # (node, scope, guarded frames): a scope maps each variable to its
+    # binding, ("frame", n), ("buffer", its frame's binding) or ("index", hi)
+    todo = [(body, {}, frozenset()) for body in bodies]
+    while todo:
+        node, scope, guarded = todo.pop()
+        if isinstance(node, ByteAtom):
+            frame, index = scope.get(node.frame_var), node.index
+            if frame in guarded:
+                continue
+            if index.base == "const":
+                horizon = max(horizon, index.value + 1)
+                continue
+            bound = scope.get(index.var)
+            if index.base == "var" and bound is not None and bound[0] == "index":
+                horizon = max(horizon, bound[1] + 1)
+            elif bound != ("buffer", frame):
+                return None
+        elif isinstance(node, Implies) and isinstance(node.lhs, HasCanary):
+            todo += [(node.lhs, scope, guarded),
+                     (node.rhs, scope, guarded | {scope.get(node.lhs.frame_var)})]
+        elif isinstance(node, (ForallStack, ExistsStack)):
+            todo.append((node.body, {**scope, node.var: ("frame", next(frames))}, guarded))
+        elif isinstance(node, (ForallBuffer, ExistsBuffer)):
+            todo.append((node.body, {**scope, node.var: ("buffer", scope.get(node.frame_var))},
+                         guarded))
+        elif isinstance(node, AllRange):
+            todo.append((node.body, {**scope, node.var: ("index", node.hi)}, guarded))
+        else:
+            todo += [(child, scope, guarded) for child in _children(node)]
+    return horizon
 
 
 def load_bundled_properties() -> list[PropertyAst]:

@@ -32,6 +32,22 @@ what it calls); the operators without operands are shared constants
 (MemOp is immutable). Whether a base-register push is the prologue push
 depends on the frame it meets, so apply_memory_operator decides that,
 not the decoder.
+
+A state keeps only the bytes a property can read. `ltl.frame_horizon`
+gives K, how many leading indices of a frame the monitors read outside
+frames kept whole (16 for the bundled set). The frames of a function that
+can store the canary or register a buffer stay whole, decided once per
+function per image (`ProgramImage.frame_facts`); in any other frame a
+push or frame extension adds M at index K and past. nRWrite maps M to
+itself, so a cut tail stays cut, and no frame's length changes. A canary
+store or buffer registration that meets a cut frame anyway (code reached
+by a jump from another function) has the root built again whole. So the
+cut is a bisimulation for every atom, which keeps each verdict and each
+counterexample's length, and merges states that differ only in bytes no
+property reads: if/else arms that write different locals no longer
+double the states. The frames of one state also hold at most STACK_SIZE
+bytes, as the interpreter's stack does; growth past that is clamped with
+a note that truncates the root.
 """
 
 from __future__ import annotations
@@ -50,6 +66,10 @@ CALL_DEPTH = 16             # user calls deeper than this are skipped with a not
 # the builder reads the clock once per this many visits, the checker once
 # per this many dequeues
 DEADLINE_EVERY = 256
+# the bytes of stack the interpreter models; the frames of one state hold no
+# more between them, and growth past it is clamped with this note
+STACK_SIZE = 0x40000
+STACK_CLAMPED = f"stack growth past the modeled {STACK_SIZE:#x} bytes; clamped"
 
 
 # members of both enums are singletons, so identity hashing agrees with
@@ -89,6 +109,11 @@ class OverlappingBuffer(Exception):
 
 class StateBudgetExceeded(Exception):
     """The state budget or the build deadline ran out."""
+
+
+class _ProjectionLost(Exception):
+    """A canary store or a buffer registration met a frame the projection
+    cuts; the root is built again with every byte kept."""
 
 
 # the byte-state automaton: everything not listed here is an error
@@ -249,12 +274,16 @@ def _write_width(ins: Instruction, dst) -> int:
     return 8
 
 
-def scan_canary_stores(body: list[Instruction]) -> set[int]:
-    """Addresses of stores whose source register was loaded from fs:0x28."""
+def scan_frame(body: list[Instruction]) -> tuple[set[int], bool]:
+    """Addresses of stores whose source register was loaded from fs:0x28
+    (canary stores), and whether the body takes a frame address."""
     sites: set[int] = set()
     tainted: set[str] = set()
+    addressed = False
     for ins in body:
-        if ins.mnemonic == "mov" and len(ins.operands) == 2:
+        if ins.mnemonic == "lea":
+            addressed = addressed or takes_frame_address(ins)
+        elif ins.mnemonic == "mov" and len(ins.operands) == 2:
             dst, src = ins.operands
             if src.kind == MEM and src.base == "fs" and src.disp == CANARY_FS_OFFSET:
                 if dst.kind == REG:
@@ -265,13 +294,20 @@ def scan_canary_stores(body: list[Instruction]) -> set[int]:
                 continue
             if dst.kind == REG:
                 tainted.discard(dst.reg)
-    return sites
+    return sites, addressed
+
+
+def takes_frame_address(lea: Instruction) -> bool:
+    """Whether a `lea` takes an address below the frame base: such a `lea`
+    registers a buffer."""
+    src = lea.operands[1]
+    return src.kind == MEM and src.base == "rbp" and src.disp < 0
 
 
 # --- applying operators --------------------------------------------------
 
-def apply_memory_operator(frames: tuple[StackFrame, ...],
-                          op: MemOp) -> tuple[tuple[StackFrame, ...], list[str]]:
+def apply_memory_operator(frames: tuple[StackFrame, ...], op: MemOp,
+                          keep: int | None = None) -> tuple[tuple[StackFrame, ...], list[str]]:
     """Apply a direct memory operator to a state's frames (caller to
     callee), returning the new frames plus notes; `frames` is not changed.
 
@@ -281,14 +317,14 @@ def apply_memory_operator(frames: tuple[StackFrame, ...],
     note per byte. A write is one closed-form run per frame it crosses. An
     RWrite push is the prologue push (critical bytes, and the frame gets
     its base-register slot) only on a fresh frame; elsewhere it occupies.
+    A push or frame extension adds its bytes through `_grown`, which
+    projects them past index `keep` of the top frame and clamps them at
+    STACK_SIZE.
     """
     notes: list[str] = []
     top = frames[-1]
     if op.kind == "write":
-        if op.base == "rbp":
-            start = top.index_for_rbp_offset(op.disp)
-        else:
-            start = top.index_for_rsp_offset(op.disp)
+        start = _write_start(top, op)
         if start >= len(top.bytes):
             notes.append(f"write below the allocated frame of {top.label} (index {start})")
             start = len(top.bytes) - 1
@@ -317,14 +353,14 @@ def apply_memory_operator(frames: tuple[StackFrame, ...],
         return tuple(frames), notes
     if op.kind == "push":
         risky = op.byte_op is ByteOp.RWRITE and len(top.bytes) == 8
-        top = StackFrame(top.label, top.bytes + (b"C" if risky else b"O") * 8,
+        top = StackFrame(top.label, _grown(frames, b"C" if risky else b"O", 8, keep, notes),
                          top.buffers, top.has_canary, top.has_rbp_slot or risky)
     elif op.kind == "pop":
         if len(top.bytes) - 8 < 8:
             raise PopUnderflow(f"pop would consume the saved return address of {top.label}")
         top = _with_bytes(top, top.bytes[:-8])
     elif op.kind == "fe":
-        top = _with_bytes(top, top.bytes + b"F" * op.amount)
+        top = _with_bytes(top, _grown(frames, b"F", op.amount, keep, notes))
     elif op.kind == "shrink":
         if len(top.bytes) - op.amount < 16:
             raise PopUnderflow(f"frame shrink below control data in {top.label}")
@@ -332,6 +368,33 @@ def apply_memory_operator(frames: tuple[StackFrame, ...],
     else:
         raise ValueError(f"not a direct operator: {op.kind}")
     return frames[:-1] + (top,), notes
+
+
+def _write_start(top: StackFrame, op: MemOp) -> int:
+    """The index of the top frame a write's first (lowest-address) byte
+    falls on, before a start below the allocated frame is clamped."""
+    if op.base == "rbp":
+        return top.index_for_rbp_offset(op.disp)
+    return top.index_for_rsp_offset(op.disp)
+
+
+def _grown(frames: tuple[StackFrame, ...], letter: bytes, n: int, keep: int | None,
+           notes: list[str]) -> bytes:
+    """The top frame's bytes with `n` bytes of `letter` added past its
+    highest index. Those at index `keep` and above are M, which no property
+    reads and nRWrite keeps (None keeps every letter). Growth that would
+    take all frames past STACK_SIZE bytes is cut there, with STACK_CLAMPED."""
+    row = frames[-1].bytes
+    room = STACK_SIZE
+    for frame in frames:
+        room -= len(frame.bytes)
+    if n > room:
+        notes.append(STACK_CLAMPED)
+        n = max(room, 0)
+    if keep is None or len(row) + n <= keep:
+        return row + letter * n
+    kept = max(keep - len(row), 0)
+    return row + letter * kept + b"M" * (n - kept)
 
 
 def _with_bytes(frame: StackFrame, data: bytes) -> StackFrame:
@@ -460,12 +523,14 @@ class _Decoded(NamedTuple):
 
 class _SpaceBuilder:
     def __init__(self, image: ProgramImage, effects, cfg: Config,
-                 deadline: float | None, decoded: dict[int, _Decoded]):
+                 deadline: float | None, decoded: dict[int, _Decoded],
+                 horizon: int | None = None):
         self.effects = effects
         self.cfg = cfg
         self.image = image
         self.deadline = deadline
         self.decoded = decoded
+        self.horizon = horizon
         self.states: dict[int, MemoryState] = {}
         self.ids: dict = {}
         self.transitions: list[tuple[int, TransitionLabel, int]] = []
@@ -473,7 +538,6 @@ class _SpaceBuilder:
         self.notes: list[str] = []
         self.truncated = False
         self.visited: set = set()
-        self._fn_canary_sites: dict[str, set[int]] = {}
 
     def intern(self, state: MemoryState) -> int:
         sid = self.ids.get(state)     # frames plus incoming label
@@ -499,12 +563,22 @@ class _SpaceBuilder:
         self.transitions.append(edge)
         return dst
 
-    # static per-function facts
+    def facts(self, fn: str) -> tuple[set[int], bool]:
+        """A function's canary stores, and whether its frames stay whole: it
+        stores the canary or registers a buffer. Decided once per image."""
+        facts = self.image.frame_facts.get(fn)
+        if facts is None:
+            sites, addressed = scan_frame(self.image.function_body(fn))
+            facts = self.image.frame_facts[fn] = (sites, bool(sites) or addressed)
+        return facts
 
-    def canary_sites(self, fn: str) -> set[int]:
-        if fn not in self._fn_canary_sites:
-            self._fn_canary_sites[fn] = scan_canary_stores(self.image.function_body(fn))
-        return self._fn_canary_sites[fn]
+    def keep(self, frame: StackFrame) -> int | None:
+        """How many leading indices of `frame` the projection keeps: the
+        horizon, unless the frame stays whole or is not a function's (a call
+        into the middle of one); None keeps every byte."""
+        if frame.label not in self.image.functions or self.facts(frame.label)[1]:
+            return None
+        return self.horizon
 
     def decode(self, pc: int) -> _Decoded:
         """The record of the instruction at pc, built in one step: each
@@ -522,9 +596,8 @@ class _SpaceBuilder:
         elif m == "ret":
             kind, label = "ret", TransitionLabel("pop", pc, None, ins.text, None)
         elif m == "lea":
-            src = ins.operands[1]
             kind = "no-effect"
-            if src.kind == MEM and src.base == "rbp" and src.disp < 0:
+            if takes_frame_address(ins):
                 kind, label = "lea", TransitionLabel("buffer-register", pc, None, ins.text, None)
         elif m == "call" or m == "safecall":
             callee = image.callees[pc]
@@ -533,7 +606,7 @@ class _SpaceBuilder:
             label = TransitionLabel("call", pc, callee.name, ins.text,
                                     LIBC if modelled else callee.kind)
         else:
-            op = classify_instruction(ins, self.canary_sites(fn))
+            op = classify_instruction(ins, self.facts(fn)[0])
             kind = op.kind
             if kind != "no-effect":
                 text = ins.text
@@ -627,13 +700,32 @@ class _SpaceBuilder:
         return lbl is not None and lbl.kind == "loop" and lbl.address == loop.entry
 
     def _emit_applied(self, sid: int, label: TransitionLabel, op: MemOp) -> int:
+        frames = self.states[sid].frames
+        keep = None
+        if self.horizon is not None:
+            if op.kind == "push" or op.kind == "fe":
+                keep = self.keep(frames[-1])
+            elif op.canary:
+                self._check_canary_store(frames, op)
         try:
-            frames, notes = apply_memory_operator(self.states[sid].frames, op)
+            frames, notes = apply_memory_operator(frames, op, keep)
         except (PopUnderflow, IllegalByteTransition) as exc:
             self.notes.append(f"{label.text} at {label.address:#x}: {exc}")
             return sid
-        self.notes.extend(notes)
+        if notes:
+            self.notes.extend(notes)
+            self.truncated = self.truncated or STACK_CLAMPED in notes
         return self.emit(sid, label, frames)
+
+    def _check_canary_store(self, frames: tuple[StackFrame, ...], op: MemOp) -> None:
+        """A canary store marks its frame as one with a canary and writes by
+        RWrite, which has no transition from M: its frame must keep every
+        byte, and so must every caller when it runs past the top frame."""
+        top = frames[-1]
+        inside = min(_write_start(top, op), len(top.bytes) - 1) + 1 >= op.width
+        if self.keep(top) is not None or (
+                not inside and any(self.keep(f) is not None for f in frames[:-1])):
+            raise _ProjectionLost
 
     def _maybe_register_buffer(self, sid: int, d: _Decoded) -> int:
         state = self.states[sid]
@@ -650,6 +742,9 @@ class _SpaceBuilder:
             return sid
         if new_top is top:
             return sid
+        # the frame of the lea's own function is whole; any other may be cut
+        if top.label != d.fn and self.keep(top) is not None:
+            raise _ProjectionLost
         return self.emit(sid, d.label, state.frames[:-1] + (new_top,))
 
     def _do_call(self, d: _Decoded, sid: int, call_stack: tuple):
@@ -708,8 +803,8 @@ def apply_effect(frames: tuple[StackFrame, ...], effect) -> tuple[tuple[StackFra
 
 
 def build_memstace(image: ProgramImage, effects, cfg: Config, entry: int,
-                   deadline: float | None = None,
-                   decoded: dict | None = None) -> MemStaCe:
+                   deadline: float | None = None, decoded: dict | None = None,
+                   horizon: int | None = None) -> MemStaCe:
     """DFS the CFG from entry, producing the labeled transition system.
 
     Library calls and loop bodies are summarized through the effects
@@ -717,10 +812,17 @@ def build_memstace(image: ProgramImage, effects, cfg: Config, entry: int,
     calls descend, giving multi-frame states. Identical states (frames
     plus incoming label) are shared. Roots that share one `decoded` dict
     decode each instruction once; past `deadline` (a
-    `time.perf_counter()` value) the space is truncated.
+    `time.perf_counter()` value) the space is truncated. `horizon` is how
+    many leading indices of a frame the properties can read
+    (`ltl.frame_horizon`): the frames that may be cut hold M past it. None
+    keeps every byte, and so does the build again of a root whose canary
+    store or buffer registration met a cut frame.
     """
-    builder = _SpaceBuilder(image, effects, cfg, deadline, {} if decoded is None else decoded)
-    return builder.run(entry)
+    decoded = {} if decoded is None else decoded
+    try:
+        return _SpaceBuilder(image, effects, cfg, deadline, decoded, horizon).run(entry)
+    except _ProjectionLost:
+        return _SpaceBuilder(image, effects, cfg, deadline, decoded, None).run(entry)
 
 
 # --- export ---------------------------------------------------------------

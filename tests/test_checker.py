@@ -12,8 +12,8 @@ from stackcheck.checker import HOLDS, INCONCLUSIVE, VIOLATED, check, map_cwe
 from stackcheck.effects import EffectsOracle
 from stackcheck.frontend import (DuplicateFunction, MalformedLine, build_bcfg,
                                  parse_disassembly)
-from stackcheck.ltl import (EvalContext, compile_body, compile_monitor,
-                            load_bundled_properties)
+from stackcheck.ltl import (EvalContext, compile_body, compile_monitor, frame_horizon,
+                            load_bundled_monitors, load_bundled_properties)
 from stackcheck.memstace import (Config, MemStaCe, MemoryState, StackFrame,
                                  TransitionLabel, build_memstace, fresh_frame)
 
@@ -198,13 +198,15 @@ def test_bfs_agrees_with_path_enumeration(corpus_paths):
 # --- one BFS for all properties ---------------------------------------------------
 
 def _spaces(text: str, cfg: Config):
-    """The space of every root of a listing."""
+    """The space of every function of a listing as a root, with the bytes
+    the bundled properties can read, as the pipeline builds it."""
     image = parse_disassembly(text)
     bcfg = build_bcfg(image)
     oracle = EffectsOracle(image, bcfg, cfg)
+    horizon = frame_horizon(load_bundled_monitors())
     for entry in image.functions.values():
         oracle.set_root(entry)
-        yield build_memstace(image, oracle, cfg, entry)
+        yield build_memstace(image, oracle, cfg, entry, horizon=horizon)
 
 
 def _listings():

@@ -554,10 +554,11 @@ class _Ticking:
 
 
 def _diamonds(d: int) -> str:
-    """One root of `d` if/else diamonds whose arms write different bytes,
-    so its states double with every diamond."""
+    """One root of `d` if/else diamonds whose arms write different bytes.
+    It registers a buffer, so the state space keeps every byte of its frame
+    and its states double with every diamond."""
     lines, addr = ["main:", "401000: push rbp", "401004: mov rbp, rsp",
-                   "401008: sub rsp, 0x20"], 0x40100c
+                   "401008: sub rsp, 0x20", "40100c: lea rax, [rbp-0x20]"], 0x401010
     for j in range(d):
         lines += [f"{addr:x}: cmp rdi, {j:#x}", f"{addr + 4:x}: jne {addr + 16:#x}",
                   f"{addr + 8:x}: mov byte [rbp-{2 * j + 1:#x}], 0x41",
@@ -595,7 +596,7 @@ def test_timeout_during_one_roots_check_is_inconclusive(monkeypatch):
     monkeypatch.setattr(cli, "time", clock)
     monkeypatch.setattr(memstace, "time", clock)
     monkeypatch.setattr(checker, "time", _Ticking(clock, 0.5))
-    image = parse_disassembly(_diamonds(9))         # 1027 states
+    image = parse_disassembly(_diamonds(9))         # 1028 states
     report = analyze_image(image, "diamonds", Config(timeout=1))
     assert not report.truncated
     assert [p.status for p in report.properties] == ["inconclusive"] * 7
@@ -1090,3 +1091,47 @@ def test_closed_output_pipe_ends_without_a_traceback(report):
     os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == 1
+
+
+# frames that grow past any concrete stack: in a loop, and once by 1 GiB
+_GROWS_IN_A_LOOP = """\
+main:
+401100: push rbp
+401104: mov rbp, rsp
+401108: sub rsp, 0x100000
+40110c: jmp 0x401108
+"""
+_GROWS_ONCE = """\
+main:
+401100: push rbp
+401104: mov rbp, rsp
+401108: sub rsp, 0x40000000
+40110c: add rsp, 0x40000000
+401110: pop rbp
+401114: ret
+"""
+# the address space the child analysing them may map
+_MEMORY_CAP = 1_500_000_000
+
+
+@pytest.mark.parametrize("text", [_GROWS_IN_A_LOOP, _GROWS_ONCE], ids=["loop", "once"])
+def test_frame_growth_past_the_modelled_stack_is_clamped(tmp_path, text):
+    """The modelled stack ends at STACK_SIZE bytes, as the interpreter's
+    does: growth past it is clamped with a note that truncates the root,
+    so the analysis ends inconclusive with exit 0 where it used to run out
+    of memory. It runs in a child process under an address-space cap."""
+    path = tmp_path / "grows.s"
+    path.write_text(text)
+    src = Path(__file__).resolve().parents[1] / "src"
+    capped = ("import resource, sys\n"
+              f"resource.setrlimit(resource.RLIMIT_AS, ({_MEMORY_CAP}, {_MEMORY_CAP}))\n"
+              "from stackcheck.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", capped, "analyze", str(path), "--max-states",
+                           "100", "--timeout", "1", "--report", "json"],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": str(src)},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    report, = json.loads(proc.stdout)["reports"]
+    assert report["status"] == "inconclusive" and report["truncated"]
+    assert memstace.STACK_CLAMPED in report["notes"]

@@ -78,7 +78,7 @@ GOLDEN = {
     "strcpy_runtime_ok":
         "29aa169929e9308bd73250cdd5c54526cfdf3e3893e4c1fb9084e54280b6f184",
     "strcpy_runtime_vuln":
-        "31556d6463fe1de4bf64327fa0b974498cf07f485cb27091777758ee7fe3a303",
+        "ecbb3f0405ecf397cb7a5bcc5d166331bf2e6610203dd5e7e39bebf55d60157c",
     "two_sinks":
         "32114d29a6e02e5ccece8ad12cc14905da6ccee31b2521ab5ba3f28c01405afb",
 }

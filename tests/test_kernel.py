@@ -99,9 +99,12 @@ def _assert_agree(space, monitors) -> list[tuple]:
 
 def _generated_spaces():
     """The space of every root of chain and fanout listings of
-    the benchmark's shapes, planted and not."""
+    the benchmark's shapes, planted and not; in the last, every frame
+    registers a buffer, so its space keeps every byte and grows past
+    2 * DEADLINE_EVERY states."""
     texts = [_chain(["ok", "over", "gets", "ok"]), _chain(["ok"] * 5),
-             _fanout(4, 6, planted=False), _fanout(4, 6, planted=True)]
+             _fanout(4, 6, planted=False), _fanout(4, 6, planted=True),
+             _fanout(4, 6, planted=True, whole=True)]
     for text in texts:
         yield from _spaces(text, Config())
 

@@ -226,12 +226,14 @@ def _chain(kinds: list[str]) -> str:
                                         *calls, "pop rbp", "ret"])])
 
 
-def _fanout(functions: int, diamonds: int, planted: bool) -> str:
+def _fanout(functions: int, diamonds: int, planted: bool, whole: bool = False) -> str:
     """main calls functions that each hold if/else diamonds whose arms write
-    different local bytes; a planted arm stores onto the return address."""
+    different local bytes; a planted arm stores onto the return address.
+    A `whole` function first registers a buffer, so the state space keeps
+    every byte of its frames and its states double with every diamond."""
     fans = []
     for k in range(functions):
-        body = ["push rbp", "mov rbp, rsp", "sub rsp, 0x20"]
+        body = ["push rbp", "mov rbp, rsp", "sub rsp, 0x20"] + ["lea rax, [rbp-0x20]"] * whole
         for j in range(diamonds):
             at = len(body)
             other = "mov qword [rbp+0x8], 0x41414141" if planted and (k, j) == (1, 1) \

@@ -19,7 +19,8 @@ from stackcheck.memstace import (_BYTE_AUTOMATON, _TRANSLATE, ByteOp, ByteState,
                                  byte_transition,
                                  classify_instruction, fresh_frame,
                                  infer_buffer_size, memstace_to_dot,
-                                 memstace_to_json, register_buffer)
+                                 memstace_to_json, register_buffer, STACK_CLAMPED,
+                                 STACK_SIZE)
 
 from conftest import corpus_path, fixture_path, space_for
 
@@ -407,6 +408,32 @@ def test_equal_states_reached_by_different_paths_share_one_id():
     label = TransitionLabel("fe", 0x401008, text="sub rsp, 0x10")
     assert builder.emit(src, label, twice) == builder.emit(src, label, once)
     assert len(builder.states) == 2 and len(builder.transitions) == 1
+
+
+def test_growth_past_the_horizon_adds_modified_bytes():
+    """A push or frame extension keeps its letters below index `keep` and
+    adds M from there on; a tail already cut stays cut, and writes keep M."""
+    start, _ = apply_memory_operator((fresh_frame("f"),), Push(RW))
+    grown, notes = apply_memory_operator(start, Fe(16), keep=20)
+    assert grown[-1].bytes == b"C" * 16 + b"F" * 4 + b"M" * 12 and not notes
+    pushed, _ = apply_memory_operator(grown, Push(NRW), keep=20)
+    assert pushed[-1].bytes == grown[-1].bytes + b"M" * 8
+    written, _ = apply_memory_operator(pushed, Write(NRW, "rbp", -24, 24))
+    assert written[-1].bytes == b"C" * 16 + b"O" * 4 + b"M" * 20
+    kept, _ = apply_memory_operator(start, Fe(16), keep=None)
+    assert kept[-1].bytes == b"C" * 16 + b"F" * 16
+
+
+def test_growth_past_the_modelled_stack_is_clamped():
+    """All frames of a state hold at most STACK_SIZE bytes: growth past
+    that is cut there, with a note."""
+    frames = (fresh_frame("main"), _prologue_state().top)
+    grown, notes = apply_memory_operator(frames, Fe(0x40000000))
+    assert sum(len(f.bytes) for f in grown) == STACK_SIZE and notes == [STACK_CLAMPED]
+    again, notes = apply_memory_operator(grown, Push(NRW))
+    assert again == grown and notes == [STACK_CLAMPED]
+    shrunk, _ = apply_memory_operator(grown, Shrink(0x100))
+    assert apply_memory_operator(shrunk, Fe(0x100)) == (grown, [])
 
 
 def _snapshot(frames) -> list:

@@ -26,9 +26,9 @@ GOLDEN_DEFAULT = {
     "arm_defined_reg:main":
         "1cfc0b8d4f3915433345237d1db9c16e74d85d7c38671607ebadc8fc5ef7208c",
     "diamond:main":
-        "48c4d18965ad7f93b307711ba3c8aa09e04a55d0ef24bb2ec3e6ca7f89e34bc5",
+        "a42ca9ace8bf23396e50d34b52184c7850959dab949b90a72728d9bcaab6af7a",
     "direct_write:main":
-        "d3b0b903bc42be3f4a8350b91c6957a35d01a6b2698575ace0490b1c50348fef",
+        "df9edb4965068b56a4ab6dd453bd5caa4223ae02ea93c9ffb819ca0e664a7589",
     "gets_rip_ok:main":
         "efd14e9145e27521fdb072f888ad8fae533a52dff25e7cca4814d7304262f5e7",
     "gets_rip_vuln:main":
@@ -52,7 +52,7 @@ GOLDEN_DEFAULT = {
     "nested_loops:main":
         "79928c40bf0bac92645f559e70dfc568302968f29bd09e617f0d8b0e7c838f6f",
     "no_prologue:main":
-        "fa487ed2b9bf8f2969ea9c4ae126eb26895f06513080f3bb970835818170189f",
+        "ca4464b35c9b5dd653930d8e7ac89fadf1ae37b31eb087890ef5b6c3566de4f1",
     "scanf_vuln:main":
         "ae759f10ac3d334fa2f9c61b5ec6abf37a9d28195203e60ccd8f0b904895c54e",
     "sprintf_rbp_ok:main":
@@ -84,9 +84,9 @@ GOLDEN_DEFAULT = {
     "strcpy_rip_vuln:main":
         "9cadf36d374e6f8b05eaf1d2ca5c5300d7d15bc7ba1eae0bb8c8bd820033fe33",
     "strcpy_runtime_ok:main":
-        "cab0d75029b776bceae7be9297c1a4c4d4e3f23d46dabd83a88108c8e7e4278f",
+        "5e5e79d3277a4d071b99b35fa0ab04bbf0d1e59e7bfaf4be8d59b3e7f384247f",
     "strcpy_runtime_vuln:main":
-        "f3aec37f9d2e4e5733ea40b37f34525e073792ffa10569050badd64fb623bb7a",
+        "518dd4b235c2dd16baaf51fd090ab78ea652370f208bf40a8b1a4b001fbd0987",
     "two_sinks:main":
         "aa5c455bd08ddb7953e7cd810eef6009a48819d0747422f66df2ad2ad4469607",
 }
@@ -95,9 +95,9 @@ GOLDEN_ATOMIC = {
     "arm_defined_reg:main":
         "1cfc0b8d4f3915433345237d1db9c16e74d85d7c38671607ebadc8fc5ef7208c",
     "diamond:main":
-        "48c4d18965ad7f93b307711ba3c8aa09e04a55d0ef24bb2ec3e6ca7f89e34bc5",
+        "a42ca9ace8bf23396e50d34b52184c7850959dab949b90a72728d9bcaab6af7a",
     "direct_write:main":
-        "f1395002c48e2e0e6da80e43edd4130782a815089206290b980b0403b7e01b3a",
+        "507b7a9133f0760968d97f685b33f39b4e3247f317eab4f1d1a0bf8ab3852469",
     "gets_rip_ok:main":
         "efd14e9145e27521fdb072f888ad8fae533a52dff25e7cca4814d7304262f5e7",
     "gets_rip_vuln:main":
@@ -121,7 +121,7 @@ GOLDEN_ATOMIC = {
     "nested_loops:main":
         "79928c40bf0bac92645f559e70dfc568302968f29bd09e617f0d8b0e7c838f6f",
     "no_prologue:main":
-        "fa487ed2b9bf8f2969ea9c4ae126eb26895f06513080f3bb970835818170189f",
+        "ca4464b35c9b5dd653930d8e7ac89fadf1ae37b31eb087890ef5b6c3566de4f1",
     "scanf_vuln:main":
         "ae759f10ac3d334fa2f9c61b5ec6abf37a9d28195203e60ccd8f0b904895c54e",
     "sprintf_rbp_ok:main":
@@ -153,9 +153,9 @@ GOLDEN_ATOMIC = {
     "strcpy_rip_vuln:main":
         "f71a918f4a44c8f0f937af32bd56dfc6db6d1337750cb9fb3618196700f6e639",
     "strcpy_runtime_ok:main":
-        "f4c3c9fd83325ddec4ca4e60b254fba92e94cfa678969a95317fd3f6f1913769",
+        "75bd9d6f64eaf62b96d519ae3fbc116f7f679caa3d9146cb7bed388badcf4c4a",
     "strcpy_runtime_vuln:main":
-        "c97fa2f8f49af7e668d7c6b6ca1b89c9b4dcb33b45693070950de286161197aa",
+        "5328fcc350c8d14280891f1793043f0886c92b7fc0f4565f91098d4b380a0b20",
     "two_sinks:main":
         "aa5c455bd08ddb7953e7cd810eef6009a48819d0747422f66df2ad2ad4469607",
 }
