@@ -147,8 +147,7 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
         # every function the root walks: the root and the callees it enters
         walked = [fn_name] + [c.name for c in _user_calls(image, space)]
         for fn in dict.fromkeys(walked):
-            body = image.function_body(fn) if fn in image.functions else None
-            if body and not any(i.mnemonic == "push" for i in body[:4]):
+            if fn in image.functions and not image.frame(fn).prologue:
                 report.notes.append(f"function {fn!r} lacks a standard prologue; "
                                     "base-register checks are vacuous there")
 

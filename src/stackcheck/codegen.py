@@ -12,8 +12,11 @@ immediate, 64-bit moves between registers, immediates and [r64+disp],
 lea, push and pop of a 64-bit register) get a handler specialised over
 operands decoded here, once; every other form runs the interpreter's
 generic handler, which stays the reference semantics every specialised
-handler must match. The jcc that closes a counted single-block loop gets
-a closure of its own that also runs, in closed form, the further
+handler must match. No handler tracks the canary: a canary store
+(`ProgramImage.frame`) never reaches compile_form, since the interpreter
+gives its pc a handler of its own. The jcc that closes a counted
+single-block loop gets a closure of its own that also runs, in closed
+form, the further
 iterations whose back edge is taken (`compile_counted_loop`); it must
 leave the machine as stepping the generic handlers through those
 iterations would.
@@ -43,7 +46,7 @@ def compile_form(ins: Instruction, handler):
     ins's form, with the semantics of `handler`, the form's generic handler
     (None for an instruction that does nothing): specialised over
     pre-decoded operands for the common forms, otherwise `handler` itself."""
-    fast = _compile_fast(ins, handler)
+    fast = _compile_fast(ins)
     if fast is not None:
         return fast
     return no_op if handler is None else handler
@@ -62,11 +65,9 @@ def _based(op) -> bool:
     return op.kind == MEM and op.base in R64
 
 
-def _compile_fast(ins: Instruction, handler):
+def _compile_fast(ins: Instruction):
     """The specialised handler for a jump or a common 64-bit form, or None.
-    Forms that touch canaries (a canary register stored to memory defers to
-    the generic handler at run time), partial widths and non-R64 bases are
-    left to the generic handler."""
+    Partial widths and non-R64 bases are left to the generic handler."""
     m, ops = ins.mnemonic, ins.operands
     if m == "jmp":
         tgt = ins.target()
@@ -97,7 +98,6 @@ def _compile_fast(ins: Instruction, handler):
 
             def mov_reg_imm(machine, ins, nxt):
                 machine.regs[reg] = value
-                machine.canary_regs.discard(reg)
                 return nxt
             return mov_reg_imm
         if _r64(dst) and _r64(src):
@@ -105,10 +105,6 @@ def _compile_fast(ins: Instruction, handler):
 
             def mov_reg_reg(machine, ins, nxt):
                 machine.regs[reg] = machine.regs[sreg] & _M64
-                if sreg in machine.canary_regs:
-                    machine.canary_regs.add(reg)
-                else:
-                    machine.canary_regs.discard(reg)
                 return nxt
             return mov_reg_reg
         if _r64(dst) and _based(src):
@@ -117,15 +113,12 @@ def _compile_fast(ins: Instruction, handler):
             def mov_reg_mem(machine, ins, nxt):
                 addr = (machine.regs[base] & _M64) + disp
                 machine.regs[reg] = int.from_bytes(machine.rd_mem(addr, 8), "little")
-                machine.canary_regs.discard(reg)
                 return nxt
             return mov_reg_mem
         if _based(dst) and dst.width in (None, 8) and _r64(src):
             base, disp, sreg = dst.base, dst.disp, src.reg
 
             def mov_mem_reg(machine, ins, nxt):
-                if sreg in machine.canary_regs:     # records the frame's canary slot
-                    return handler(machine, ins, nxt)
                 machine.wr_mem((machine.regs[base] & _M64) + disp,
                                (machine.regs[sreg] & _M64).to_bytes(8, "little"))
                 return nxt
@@ -136,7 +129,6 @@ def _compile_fast(ins: Instruction, handler):
 
         def lea(machine, ins, nxt):
             machine.regs[reg] = ((machine.regs[base] & _M64) + disp) & _M64
-            machine.canary_regs.discard(reg)
             return nxt
         return lea
     # push rbp may record the frame's saved base register: generic
@@ -159,7 +151,6 @@ def _compile_fast(ins: Instruction, handler):
             value = int.from_bytes(machine.rd_mem(sp, 8), "little")
             regs["rsp"] = sp + 8
             regs[reg] = value
-            machine.canary_regs.discard(reg)
             return nxt
         return pop
     return None
@@ -243,7 +234,6 @@ def compile_counted_loop(image, ins: Instruction, lo: int, hi: int):
             _store_iterations(machine, stores, strides, skip)
         for reg, stride in strides.items():
             regs[reg] = (regs[reg] + skip * stride) & _M64
-            machine.canary_regs.discard(reg)
         machine.flags.update(_cmp_flags((x0 + (skip - 1) * cstride) & _M64, imm))
         machine.steps += skip * length
         if machine.loop_entry == target:
@@ -334,7 +324,6 @@ def _arith_r64_imm(m: str, reg: str, b: int):
             flags["cf"] = res > _M64
             flags["of"] = (sa == sb) and (sr != sa)
             machine.regs[reg] = r
-            machine.canary_regs.discard(reg)
             return nxt
         return arith
 
@@ -349,6 +338,5 @@ def _arith_r64_imm(m: str, reg: str, b: int):
         flags["of"] = (sa != sb) and (sr != sa)
         if write:
             machine.regs[reg] = r
-            machine.canary_regs.discard(reg)
         return nxt
     return arith_sub

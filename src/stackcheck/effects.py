@@ -27,8 +27,10 @@ run halts first (clean exit, crash, step budget or an unsupported
 construct), every site it did not reach gets a truncating opaque effect
 with a note saying which. Touched bytes are (frame depth, byte index)
 pairs, each in the shadow frame whose top is the lowest at or above its
-address, so no index is negative. The oracle also owns the analysis's
-buffer-size rule.
+address, so no index is negative. A shadow frame's canary slot is the
+one written by the store `ProgramImage.frame` names by its listing-order
+rule (never through a base other than rbp or rsp), as in the builder.
+The oracle also owns the analysis's buffer-size rule.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from . import MalformedData, interp, load_data, parse_json
 from .frontend import BCfg, ProgramImage
 from .interp import (CAUSE_OOS, CLEAN, CRASH, STEP_BUDGET, TIMEOUT, UNSUPPORTED, Halt, LibcSpec,
                      Machine, call_spec, load_libc_db)
-from .memstace import Config, infer_buffer_size, scan_object_boundaries
+from .memstace import Config, infer_buffer_size
 
 
 def load_buffer_pins(path: str | None) -> dict[str, dict[int, int]]:
@@ -398,7 +400,7 @@ class EffectsOracle:
     of every site it did not reach.
 
     It also owns the buffer-size rule (`buffer_size`), memoized for the
-    analysis, and scans each function's object boundaries once.
+    analysis, over the stack objects of each function's FrameFacts.
     """
 
     def __init__(self, image: ProgramImage, bcfg: BCfg, cfg: Config,
@@ -410,7 +412,6 @@ class EffectsOracle:
         self.libc_db = load_libc_db(cfg.libc_db_path)
         self.buffer_pins = load_buffer_pins(cfg.buffers_path)
         self._buffer_sizes: dict[tuple[str, int, bool], int] = {}
-        self._boundaries: dict[str, set[int]] = {}    # fn -> its object start offsets
         # the analysis root emulations start from; callers set it per root
         self.root = image.order[0] if image.order else None
         self.loops = detect_loops(bcfg, image)
@@ -441,9 +442,7 @@ class EffectsOracle:
         if key not in self._buffer_sizes:
             size = self.buffer_pins.get(fn, {}).get(offset)
             if size is None:
-                if fn not in self._boundaries:
-                    self._boundaries[fn] = scan_object_boundaries(self.image.function_body(fn))
-                size = infer_buffer_size(offset, self._boundaries[fn], has_canary)
+                size = infer_buffer_size(offset, self.image.frame(fn).objects, has_canary)
             self._buffer_sizes[key] = size
         return self._buffer_sizes[key]
 

@@ -18,6 +18,12 @@ stage makes that decision: the CFG (`build_bcfg`) holds only each block's
 intra-procedural successor addresses, and the call labels of the state
 space carry the record's kind (see memstace.TransitionLabel).
 
+`ProgramImage.frame(fn)` (`FrameFacts`) is one pass over a function body
+in listing order, which every stage reads. A canary store is `mov [rbp|rsp
++-d], r` while r holds the canary: after `mov r, fs:0x28` or `mov r, r'`
+while r' holds it, until any other instruction writes r. A store through
+any other base is none.
+
 Operands: registers (``rax`` .. ``r15`` in all widths), immediates
 (``0x2a`` or decimal), memory (``[rbp-0x10]``, ``[rax]``, optional
 ``byte|word|dword|qword`` width prefix), segment reads (``fs:0x28``)
@@ -135,13 +141,34 @@ class Callee(NamedTuple):
     target: int | None = None   # where a user call jumps
 
 
+class FrameFacts(NamedTuple):
+    """What a function's body says about its frames (see ProgramImage.frame)."""
+
+    canary_stores: frozenset[int]   # the addresses of its canary stores
+    whole: bool                     # it stores the canary or leas a frame address
+    objects: frozenset[int]         # rbp offsets of the stack objects it addresses
+    prologue: bool                  # a push among its first four instructions
+
+
+# mnemonic -> how many of its leading operands it writes, when registers
+_WRITES = {"mov": 1, "lea": 1, "add": 1, "sub": 1, "pop": 1, "xchg": 2} | dict.fromkeys(CMOV, 1)
+
+
+def takes_frame_address(lea: Instruction) -> bool:
+    """Whether a `lea` takes an address below the frame base: such a `lea`
+    registers a buffer."""
+    src = lea.operands[1]
+    return src.kind == MEM and src.base == "rbp" and src.disp < 0
+
+
 class ProgramImage:
     """Parsed instruction stream plus the function headers it came with,
-    and the one function table every stage reads. Whoever builds or
+    and the one function table every stage reads: each function's entry,
+    body and `FrameFacts`, and what each call calls. Whoever builds or
     extends one calls `index()` once it is complete."""
 
     __slots__ = ("instructions", "order", "function_headers", "warnings", "_next", "code",
-                 "forms", "frame_facts", "_by_entry", "functions", "_owner", "_bodies",
+                 "forms", "_frames", "_by_entry", "functions", "_owner", "_bodies",
                  "callees")
 
     def __init__(self, instructions: dict[int, Instruction] | None = None,
@@ -161,9 +188,8 @@ class ProgramImage:
         # handler every instruction of that form shares
         self.code: dict = {}
         self.forms: dict = {}
-        # function -> (its canary stores, whether the state space keeps its
-        # frames whole), filled by the state-space builder at first use
-        self.frame_facts: dict = {}
+        # function -> its FrameFacts, filled at first use
+        self._frames: dict[str, FrameFacts] = {}
         self._by_entry = sorted((a, n) for n, a in self.function_headers.items())
         # every function, the synthetic owner of a header-less prefix
         # included: name -> entry, owner of each address, and bodies
@@ -211,6 +237,38 @@ class ProgramImage:
 
     def function_body(self, name: str) -> list[Instruction]:
         return self._bodies[name]
+
+    def frame(self, fn: str) -> FrameFacts:
+        """The FrameFacts of function `fn`, from one pass over its body in
+        listing order; computed once per image."""
+        facts = self._frames.get(fn)
+        if facts is not None:
+            return facts
+        body = self._bodies[fn]
+        stores, objects, holds, addressed = set(), set(), set(), False
+        for ins in body:
+            m, ops = ins.mnemonic, ins.operands
+            if not ops:
+                continue
+            # stack objects: lea'd frame addresses and stores below the frame base
+            op = ops[1] if m == "lea" else ops[0]
+            if op.kind == MEM and op.base == "rbp" and op.disp < 0:
+                objects.add(op.disp)
+                addressed = addressed or m == "lea"
+            if m == "mov":
+                dst, src = ops
+                if dst.kind == REG and (src.kind == REG and src.reg in holds or src.kind == MEM
+                                        and src.base == "fs" and src.disp == CANARY_FS_OFFSET):
+                    holds.add(dst.reg)
+                    continue
+                if holds and dst.is_frame_relative() and src.kind == REG and src.reg in holds:
+                    stores.add(ins.address)
+            if holds and m in _WRITES:
+                holds.difference_update(op.reg for op in ops[:_WRITES[m]] if op.kind == REG)
+        facts = self._frames[fn] = FrameFacts(
+            frozenset(stores), bool(stores) or addressed, frozenset(objects),
+            any(i.mnemonic == "push" for i in body[:4]))
+        return facts
 
     def emit(self) -> str:
         """Serialize back to the input grammar (round-trips raw_text)."""

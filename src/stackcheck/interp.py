@@ -32,12 +32,15 @@ and its `code` table holds (handler, instruction, next pc) for each pc
 executed; `ProgramImage.index()` resets both, and every machine running
 the image shares them. The handlers in _HANDLERS are the generic
 semantics: an uncommon form runs its handler directly, and a specialised
-handler must leave the machine as the generic one would. The jcc closing
-a counted single-block loop compiles, for its pc alone, to a closure
-that also runs, in closed form, every further iteration whose back edge
-is taken (codegen.compile_counted_loop), so root runs, loop
-forks and validation runs alike step only a counted loop's first and
-exiting iterations. A skip stops short of the step budget, of a store
+handler must leave the machine as the generic one would. A canary store
+(`ProgramImage.frame`'s listing-order rule, which the builder reads too;
+never a store through a base other than rbp or rsp) compiles, for its pc
+alone, to `_do_canary_store`, which stores and then records the slot in
+the shadow frame holding it. The jcc closing a counted single-block loop
+compiles, for its pc alone, to a closure that also runs, in closed form,
+every further iteration whose back edge is taken
+(codegen.compile_counted_loop), so root runs, loop forks and validation
+runs alike step only a counted loop's first and exiting iterations. A skip stops short of the step budget, of a store
 outside the stack, of a pc the run must stop at (`stops`, which run_to
 sets), of the exit of the loop an emulate_loop fork runs (`loop_exit`)
 and of more back edges to that loop's entry (`loop_entry`) than the
@@ -169,7 +172,6 @@ class Machine:
         self.shadow: list[ShadowFrame] = []
         self.steps = 0
         self.pc: int | None = None
-        self.canary_regs: set[str] = set()
         self.read_stdin = False     # set by every reader of stdin
         # what a counted loop's skip may not pass (see codegen): the pcs the
         # current run_to stops at, the exit of the loop an emulate_loop fork
@@ -285,7 +287,6 @@ class Machine:
         else:
             old = self.regs[name]
             self.regs[name] = (old & ~mask) | value
-        self.canary_regs.discard(name)
 
     # --- snapshots (capture mode) ----------------------------------------
 
@@ -328,7 +329,6 @@ class Machine:
         clone.aux = dict(self.aux)
         clone.stdout = bytearray(self.stdout)
         clone.shadow = [f.copy() for f in self.shadow]
-        clone.canary_regs = set(self.canary_regs)
         return clone
 
     # --- execution --------------------------------------------------------
@@ -383,8 +383,8 @@ class Machine:
 
     def _compile(self) -> tuple:
         """The code entry of the pc's instruction: its form's handler (or
-        its counted loop's back edge) with the instruction and the pc after
-        it."""
+        its counted loop's back edge, or the canary-store handler) with the
+        instruction and the pc after it."""
         image, pc = self.image, self.pc
         ins = image.instructions.get(pc)
         if ins is None:                 # also a pc of None: the run left the image
@@ -393,6 +393,8 @@ class Machine:
         handler = None
         if ins.mnemonic in JCC:
             handler = compile_counted_loop(image, ins, STACK_BASE, STACK_TOP)
+        elif pc in image.frame(image.function_of(pc)).canary_stores:
+            handler = Machine._do_canary_store
         if handler is None:
             form = (ins.mnemonic, ins.operands)
             handler = image.forms.get(form)
@@ -426,18 +428,18 @@ class Machine:
         if src.kind == MEM and src.base == "fs" and src.disp == CANARY_FS_OFFSET:
             if dst.kind == REG:
                 self.wr_reg(dst.reg, CANARY_VALUE)
-                self.canary_regs.add(dst.reg)
             return nxt
         width = self._mov_width(dst, src)
-        src_is_canary = src.kind == REG and src.reg in self.canary_regs
         val, _ = self._read_operand(src, width=width)
-        if dst.kind == REG and src_is_canary:
-            self.wr_reg(dst.reg, val, width)
-            self.canary_regs.add(dst.reg)
-            return nxt
         self._write_operand(dst, val, width)
-        if dst.kind == MEM and src_is_canary and self.shadow:
-            addr = self._mem_addr(dst)
+        return nxt
+
+    def _do_canary_store(self, ins: Instruction, nxt: int | None) -> int | None:
+        """A canary store (see ProgramImage.frame): the store, then its slot
+        recorded in the frame holding it."""
+        self._do_mov(ins, nxt)
+        if self.shadow:
+            addr = self._mem_addr(ins.operands[0])
             f = self.frame_containing(addr) or self.shadow[-1]
             f.canary_loc = addr
             f.canary_bytes = self.rd_mem(addr, 8)

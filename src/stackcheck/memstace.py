@@ -29,16 +29,18 @@ analysis, at its first visit, into a record that every root's build
 shares: owning function, successor, loop, dispatch kind, jump or call
 target, memory operator and prebuilt transition label (a call's says
 what it calls); the operators without operands are shared constants
-(MemOp is immutable). Whether a base-register push is the prologue push
-depends on the frame it meets, so apply_memory_operator decides that,
-not the decoder.
+(MemOp is immutable). A canary store writes by RWrite; `ProgramImage.frame`
+names it by one listing-order rule that the interpreter reads too (a store
+through a base other than rbp or rsp is none). Whether a base-register
+push is the prologue push depends on the frame it meets, so
+apply_memory_operator decides that, not the decoder.
 
 A state keeps only the bytes a property can read. `ltl.frame_horizon`
 gives K, how many leading indices of a frame the monitors read outside
 frames kept whole (16 for the bundled set). The frames of a function that
-can store the canary or register a buffer stay whole, decided once per
-function per image (`ProgramImage.frame_facts`); in any other frame a
-push or frame extension adds M at index K and past. nRWrite maps M to
+can store the canary or register a buffer stay whole
+(`ProgramImage.frame(fn).whole`); in any other frame a push or frame
+extension adds M at index K and past. nRWrite maps M to
 itself, so a cut tail stays cut, and no frame's length changes. A canary
 store or buffer registration that meets a cut frame anyway (code reached
 by a jump from another function) has the root built again whole. So the
@@ -54,12 +56,13 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Collection
 from enum import Enum
 from itertools import groupby
 from typing import NamedTuple
 
-from .frontend import (CANARY_FS_OFFSET, CMOV, IMM, JCC, LIBRARY, MEM, REG, Instruction,
-                       ProgramImage)
+from .frontend import (CMOV, IMM, JCC, LIBRARY, REG, Instruction, ProgramImage,
+                       takes_frame_address)
 
 RBP_RANGE = range(8, 16)
 CALL_DEPTH = 16             # user calls deeper than this are skipped with a note
@@ -225,13 +228,13 @@ FA = MemOp("fa")
 NO_EFFECT = MemOp("no-effect")
 
 
-def classify_instruction(ins: Instruction, canary_store_sites: set[int]) -> MemOp:
+def classify_instruction(ins: Instruction, canary_store_sites: Collection[int]) -> MemOp:
     """Map one instruction to its memory operator.
 
     Stores to frame-relative addresses are writes (risky only for canary
-    stores, whose addresses `canary_store_sites` holds); a push of the base
-    register is risky, and apply_memory_operator makes it the prologue
-    push on a fresh frame only; sub rsp grows the frame, add rsp shrinks
+    stores, whose addresses `canary_store_sites` holds: its function's
+    FrameFacts.canary_stores); a push of the base register is risky, and
+    apply_memory_operator makes it the prologue push on a fresh frame only; sub rsp grows the frame, add rsp shrinks
     it. Everything else leaves the stack untouched; calls never get here,
     because the state-space builder splices their effects itself.
     """
@@ -272,36 +275,6 @@ def _write_width(ins: Instruction, dst) -> int:
     if len(ins.operands) > 1 and ins.operands[1].kind == REG:
         return ins.operands[1].width or 8
     return 8
-
-
-def scan_frame(body: list[Instruction]) -> tuple[set[int], bool]:
-    """Addresses of stores whose source register was loaded from fs:0x28
-    (canary stores), and whether the body takes a frame address."""
-    sites: set[int] = set()
-    tainted: set[str] = set()
-    addressed = False
-    for ins in body:
-        if ins.mnemonic == "lea":
-            addressed = addressed or takes_frame_address(ins)
-        elif ins.mnemonic == "mov" and len(ins.operands) == 2:
-            dst, src = ins.operands
-            if src.kind == MEM and src.base == "fs" and src.disp == CANARY_FS_OFFSET:
-                if dst.kind == REG:
-                    tainted.add(dst.reg)
-                continue
-            if dst.is_frame_relative() and src.kind == REG and src.reg in tainted:
-                sites.add(ins.address)
-                continue
-            if dst.kind == REG:
-                tainted.discard(dst.reg)
-    return sites, addressed
-
-
-def takes_frame_address(lea: Instruction) -> bool:
-    """Whether a `lea` takes an address below the frame base: such a `lea`
-    registers a buffer."""
-    src = lea.operands[1]
-    return src.kind == MEM and src.base == "rbp" and src.disp < 0
 
 
 # --- applying operators --------------------------------------------------
@@ -437,23 +410,12 @@ def buffer_index_span(frame: StackFrame, offset: int, size: int) -> tuple[int, i
     return start, start - (size - 1)
 
 
-def scan_object_boundaries(body) -> set[int]:
-    """Start offsets of stack objects a function addresses directly: lea'd
-    frame addresses and store destinations below the frame base."""
-    offs: set[int] = set()
-    for ins in body:
-        for pos, op in enumerate(ins.operands):
-            if op.kind == MEM and op.base == "rbp" and op.disp < 0:
-                if ins.mnemonic == "lea" or pos == 0:
-                    offs.add(op.disp)
-    return offs
-
-
-def infer_buffer_size(offset: int, boundaries: set[int], has_canary: bool) -> int:
+def infer_buffer_size(offset: int, boundaries: Collection[int], has_canary: bool) -> int:
     """Gap between the buffer start and the next higher known object.
 
-    Boundaries are other object start offsets; the canary (or, without
-    one, the saved base register) caps the local area from above.
+    Boundaries are other object start offsets (FrameFacts.objects); the
+    canary (or, without one, the saved base register) caps the local area
+    from above.
     """
     cap = -8 if has_canary else 0
     higher = [b for b in boundaries if offset < b <= cap] + [cap]
@@ -563,20 +525,11 @@ class _SpaceBuilder:
         self.transitions.append(edge)
         return dst
 
-    def facts(self, fn: str) -> tuple[set[int], bool]:
-        """A function's canary stores, and whether its frames stay whole: it
-        stores the canary or registers a buffer. Decided once per image."""
-        facts = self.image.frame_facts.get(fn)
-        if facts is None:
-            sites, addressed = scan_frame(self.image.function_body(fn))
-            facts = self.image.frame_facts[fn] = (sites, bool(sites) or addressed)
-        return facts
-
     def keep(self, frame: StackFrame) -> int | None:
         """How many leading indices of `frame` the projection keeps: the
         horizon, unless the frame stays whole or is not a function's (a call
         into the middle of one); None keeps every byte."""
-        if frame.label not in self.image.functions or self.facts(frame.label)[1]:
+        if frame.label not in self.image.functions or self.image.frame(frame.label).whole:
             return None
         return self.horizon
 
@@ -606,7 +559,7 @@ class _SpaceBuilder:
             label = TransitionLabel("call", pc, callee.name, ins.text,
                                     LIBC if modelled else callee.kind)
         else:
-            op = classify_instruction(ins, self.facts(fn)[0])
+            op = classify_instruction(ins, image.frame(fn).canary_stores)
             kind = op.kind
             if kind != "no-effect":
                 text = ins.text

@@ -133,7 +133,9 @@ main:
 401040: pop rbp
 401044: ret
 """,
-    # entered after the add that clears rdx's canary mark: the skip clears it
+    # entered after the add that overwrites rdx, which held the canary; the
+    # add comes first in listing order, so the store at 0x401028 is no
+    # canary store (ProgramImage.frame), for the builder and the skip alike
     "mid_entry": """\
 main:
 401000: push rbp

@@ -324,6 +324,47 @@ def test_every_instruction_has_an_owner():
                                    and nxt not in image.functions.values())
 
 
+# a canary store follows listing order: the canary in a register moves with
+# `mov r, r'` only, any other write of the register (xchg included) ends it,
+# and only a store through rbp or rsp is a canary store
+FRAME_RULE = """\
+main:
+401000: push rbp
+401004: mov rbp, rsp
+401008: sub rsp, 0x30
+40100c: mov rax, fs:0x28
+401010: mov rbx, rax
+401014: mov [rbp-0x8], rbx
+401018: mov [rsp+0x8], rax
+40101c: mov [rdi], rax
+401020: lea rax, [rbp-0x20]
+401024: mov [rbp-0x10], rax
+401028: mov rcx, rbx
+40102c: xchg rcx, rdx
+401030: mov [rbp-0x18], rcx
+401034: mov [rbp-0x18], rdx
+401038: pop rbx
+40103c: mov [rbp-0x8], rbx
+401040: ret
+helper:
+401050: mov rax, [rbp-0x8]
+401054: ret
+"""
+
+
+def test_frame_facts_follow_the_one_canary_store_rule():
+    image = parse_disassembly(FRAME_RULE)
+    main = image.frame("main")
+    assert main.canary_stores == {0x401014, 0x401018}
+    assert main.whole and main.prologue
+    assert main.objects == {-0x8, -0x10, -0x18, -0x20}
+    assert image.frame("main") is main          # one pass per function and image
+    helper = image.frame("helper")
+    assert helper == (frozenset(), False, frozenset(), False)
+    image.index()
+    assert image.frame("main") is not main and image.frame("main") == main
+
+
 def test_copy_with_epilogue_has_return_continuation_block():
     image = load_image(corpus_path("strcpy_rip_vuln"))
     cfg = build_bcfg(image)

@@ -215,12 +215,17 @@ def test_signed_and_unsigned_branches():
 
 def test_fs_segment_read_is_canary():
     m = _machine("""\
-401000: mov rax, fs:0x28
-401004: nop
+401000: push rbp
+401004: mov rbp, rsp
+401008: mov rax, fs:0x28
+40100c: mov [rbp-0x8], rax
+401010: nop
 """)
-    m.run_to({0x401004})
+    m.run_to({0x401010})
     assert m.rd_reg("rax") == CANARY_VALUE
-    assert "rax" in m.canary_regs
+    # the store is a canary store, so the frame records its slot
+    assert m.shadow[-1].canary_loc == m.regs["rbp"] - 8
+    assert m.shadow[-1].canary_bytes == CANARY_VALUE.to_bytes(8, "little")
 
 
 def test_scanf_multiple_conversions():

@@ -8,8 +8,10 @@ import pytest
 
 from stackcheck import validator
 from stackcheck.cli import analyze, analyze_image
-from stackcheck.frontend import parse_disassembly
-from stackcheck.memstace import Config
+from stackcheck.effects import EffectsOracle
+from stackcheck.frontend import build_bcfg, parse_disassembly
+from stackcheck.interp import CAUSE_CANARY, Machine
+from stackcheck.memstace import Config, build_memstace
 from stackcheck.validator import CLEAN, CRASH, STEP_BUDGET, run, validate_patch
 
 from conftest import CORPUS_DIR, FIXTURE_DIR, corpus_path, fixture_path, load_image
@@ -299,3 +301,44 @@ def test_libc_db_alias_validates_as_it_is_detected(tmp_path):
         [("my_gets", "my_gets_static")]
     assert [(v["original"]["status"], v["patched"]["status"], v["success"])
             for v in report.validations] == [(CRASH, CLEAN, True)]
+
+
+# one canary-store rule for both executors (ProgramImage.frame): a direct
+# store, a store through a copy, and a store of a register overwritten
+# after the canary load; (load, the instruction after it, store, whether
+# the store is a canary store)
+CANARY_STORES = {
+    "direct": ("mov rax, fs:0x28", "nop", "mov [rbp-0x8], rax", True),
+    "copy": ("mov rax, fs:0x28", "mov rbx, rax", "mov [rbp-0x8], rbx", True),
+    "overwritten": ("mov rdx, fs:0x28", "add rdx, 0x1", "mov [rbp-0x8], rdx", False),
+}
+
+
+@pytest.mark.parametrize("case", CANARY_STORES)
+def test_builder_and_interpreter_agree_on_the_canary_store(case):
+    load, between, store, canary = CANARY_STORES[case]
+    image = parse_disassembly(f"""\
+main:
+401000: push rbp
+401004: mov rbp, rsp
+401008: sub rsp, 0x20
+40100c: {load}
+401010: {between}
+401014: {store}
+401018: lea rdi, [rbp-0x20]
+40101c: call 0x401060 <gets@plt>
+401020: add rsp, 0x20
+401024: pop rbp
+401028: ret
+""")
+    oracle = EffectsOracle(image, build_bcfg(image), Config())
+    space = build_memstace(image, oracle, Config(), image.functions["main"])
+    has_canary = any(s.top.has_canary for s in space.states.values())
+    machine = Machine(image, Config())
+    machine.start(image.functions["main"])
+    machine.run_to({0x401018})
+    assert has_canary == (machine.shadow[-1].canary_loc is not None) == canary
+    if case == "copy":
+        report = analyze_image(image, case, Config(), patch=True, validate=True)
+        assert report.validations[0]["original"] == {"status": CRASH,
+                                                      "cause": CAUSE_CANARY}
