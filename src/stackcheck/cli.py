@@ -129,7 +129,7 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
         elif callee.kind == USER and sym and sym.endswith("@plt"):
             report.warnings.append(
                 f"call at {addr:#x} names {sym} but its target {callee.target:#x} is in user "
-                f"function {image.function_of(callee.target)!r}; it descends as a user call")
+                f"function {image.owner[callee.target]!r}; it descends as a user call")
 
     b0 = time.perf_counter()
     spaces = build_root_spaces(image, oracle, cfg, deadline)
@@ -229,7 +229,7 @@ def analyze_image(image: ProgramImage, name: str, cfg: Config, *,
             templated.discard("scanf")
         for addr, callee in image.callees.items():
             if callee.kind == LIBRARY and callee.name in templated and addr not in sink_map:
-                sink_map[addr] = patcher.SinkSite(address=addr, function=image.function_of(addr),
+                sink_map[addr] = patcher.SinkSite(address=addr, function=image.owner[addr],
                                                   callee=callee.name, kind="call")
 
     report.sinks = [{

@@ -198,7 +198,7 @@ def compile_counted_loop(image, ins: Instruction, lo: int, hi: int):
         else:
             return None
         pcs.append(at)
-        at = image.next_address(at)
+        at = image.next_pc[at]
     if cmp is None:
         return None
     body = frozenset(pcs + [pc])

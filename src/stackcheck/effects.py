@@ -124,7 +124,7 @@ def emulate_call(machine: Machine, call_site: int, spec: LibcSpec,
         # the destination below the protected floor; only the active
         # frame's layout is known here
         if frame.rbp_loc is not None and frame is machine.shadow[-1]:
-            size = buffer_size(machine.image.function_of(call_site),
+            size = buffer_size(machine.image.owner[call_site],
                                dest - frame.rbp_loc, frame.canary_loc is not None)
             if 0 < size < dest_size:
                 dest_size = size
@@ -251,7 +251,7 @@ def detect_loops(bcfg: BCfg, image: ProgramImage) -> list[LoopInfo]:
             # a back edge whose target does not dominate its source
             irreducible = _reaches_avoiding(fn_entry, src, tgt, intra)
             body = _natural_loop_body(src, tgt, preds)
-            loops.append(LoopInfo(function=image.function_of(fn_entry), entry=tgt,
+            loops.append(LoopInfo(function=image.owner[fn_entry], entry=tgt,
                                   exit=_loop_exit(body, intra), body=frozenset(body),
                                   irreducible=irreducible))
     return loops

@@ -21,20 +21,24 @@ space carry the record's kind (see memstace.TransitionLabel).
 `ProgramImage.frame(fn)` (`FrameFacts`) is one pass over a function body
 in listing order, which every stage reads. A canary store is `mov [rbp|rsp
 +-d], r` while r holds the canary: after `mov r, fs:0x28` or `mov r, r'`
-while r' holds it, until any other instruction writes r. A store through
-any other base is none.
+while r' holds it, or after `xchg r, r'` or `xchg r', r` while r' held it,
+until any other instruction writes r (an `xchg` with a memory operand
+included). A store through any other base is none.
 
 Operands: registers (``rax`` .. ``r15`` in all widths), immediates
-(``0x2a`` or decimal), memory (``[rbp-0x10]``, ``[rax]``, optional
+(``0x2a`` or ASCII decimal), memory (``[rbp-0x10]``, ``[rax]``, optional
 ``byte|word|dword|qword`` width prefix), segment reads (``fs:0x28``)
 and call/jump targets (``call 0x401030 <strcpy@plt>``). The patcher's
 ``safecall <template> <0xbound|rt>`` names one of SAFECALLS.
 
-Operand text is parsed once per listing: each distinct (mnemonic,
-operand text) pair is parsed and arity-checked at its first line, and
-every later line with the same pair shares that operand tuple. The memo
-lives for one `parse_disassembly` call only, and a text that raises is
-never stored, so each malformed line reports its own line number.
+Operand text is parsed once per listing, through two memos that live for
+one `parse_disassembly` call only. Each distinct (mnemonic, operand text)
+pair is parsed and arity-checked at its first line, and every later line
+with the same pair shares that operand tuple. When a pair is new, each of
+its comma-separated operand texts is looked up in the second memo, text ->
+`Operand`, so a text is parsed at its first line under any mnemonic and
+every later use shares that `Operand`. A text that raises is never
+stored, so each malformed line reports its own line number.
 """
 
 from __future__ import annotations
@@ -71,6 +75,10 @@ KNOWN_MNEMONICS |= JCC | CMOV
 SAFECALLS = {"bounded_copy": "strcpy", "bounded_append": "strcat",
              "bounded_format": "sprintf", "bounded_readline": "gets",
              "bounded_scan": "scanf"}
+
+# the mnemonics whose one operand is a branch or call target
+_JUMPS = JCC | {"jmp"}
+_TARGETED = _JUMPS | {"call"}
 
 # the stack canary is read from this offset in the fs segment
 CANARY_FS_OFFSET = 0x28
@@ -111,16 +119,7 @@ class Instruction(NamedTuple):
     mnemonic: str
     operands: tuple[Operand, ...]
     raw_text: str
-
-    @property
-    def text(self) -> str:
-        """The instruction without its address prefix."""
-        _, _, rest = self.raw_text.partition(":")
-        return rest.strip() if rest else self.raw_text
-
-    @property
-    def is_jump(self) -> bool:
-        return self.mnemonic == "jmp" or self.mnemonic in JCC
+    text: str                       # raw_text without its address prefix
 
     # a branch or call has one operand, its target
     def target(self) -> int | None:
@@ -164,11 +163,12 @@ def takes_frame_address(lea: Instruction) -> bool:
 class ProgramImage:
     """Parsed instruction stream plus the function headers it came with,
     and the one function table every stage reads: each function's entry,
-    body and `FrameFacts`, and what each call calls. Whoever builds or
-    extends one calls `index()` once it is complete."""
+    body and `FrameFacts`, what each call calls, and each address's owning
+    function (`owner`) and the address after it (`next_pc`). Whoever builds
+    or extends one calls `index()` once it is complete."""
 
-    __slots__ = ("instructions", "order", "function_headers", "warnings", "_next", "code",
-                 "forms", "_frames", "_by_entry", "functions", "_owner", "_bodies",
+    __slots__ = ("instructions", "order", "function_headers", "warnings", "next_pc", "code",
+                 "forms", "_frames", "_by_entry", "functions", "owner", "_bodies",
                  "callees")
 
     def __init__(self, instructions: dict[int, Instruction] | None = None,
@@ -182,7 +182,8 @@ class ProgramImage:
         self.warnings = [] if warnings is None else warnings
 
     def index(self) -> None:
-        self._next = dict(zip(self.order, self.order[1:] + [None]))
+        # pc -> the pc after it in the listing (None after the last)
+        self.next_pc = dict(zip(self.order, self.order[1:] + [None]))
         # pc -> (handler, instruction, next pc), filled by the interpreter at
         # each instruction's first execution; (mnemonic, operands) -> the
         # handler every instruction of that form shares
@@ -194,7 +195,7 @@ class ProgramImage:
         # every function, the synthetic owner of a header-less prefix
         # included: name -> entry, owner of each address, and bodies
         self.functions: dict[str, int] = {}
-        self._owner: dict[int, str] = {}
+        self.owner: dict[int, str] = {}
         self._bodies: dict[str, list[Instruction]] = {}
         headers = dict(self._by_entry)
         name = f"sub_{self.order[0]:x}" if self.order else None
@@ -203,7 +204,7 @@ class ProgramImage:
             if name not in self.functions:
                 self.functions[name] = addr
                 self._bodies[name] = []
-            self._owner[addr] = name
+            self.owner[addr] = name
             self._bodies[name].append(self.instructions[addr])
         # call site -> what it calls, in listing order
         self.callees = {a: self._callee(self.instructions[a]) for a in self.order
@@ -217,23 +218,16 @@ class ProgramImage:
         if ins.mnemonic == "safecall":
             return Callee(SAFECALL, op.symbol)
         name = op.symbol or f"sub_{op.value:x}"
-        owner = self._owner.get(op.value)
+        owner = self.owner.get(op.value)
         if owner is None:
             return Callee(LIBRARY, name.removesuffix("@plt"))
         return Callee(USER, owner if self.functions[owner] == op.value else name, op.value)
 
-    def next_address(self, addr: int) -> int | None:
-        return self._next[addr]
-
     def next_in_function(self, addr: int) -> int | None:
         """The instruction after addr in the listing, unless that starts
         another function (or there is none)."""
-        nxt = self._next[addr]
-        return nxt if nxt is not None and self._owner[nxt] == self._owner[addr] else None
-
-    def function_of(self, addr: int) -> str:
-        """Name of the function whose listing contains addr."""
-        return self._owner[addr]
+        nxt = self.next_pc[addr]
+        return nxt if nxt is not None and self.owner[nxt] == self.owner[addr] else None
 
     def function_body(self, name: str) -> list[Instruction]:
         return self._bodies[name]
@@ -263,7 +257,13 @@ class ProgramImage:
                     continue
                 if holds and dst.is_frame_relative() and src.kind == REG and src.reg in holds:
                     stores.add(ins.address)
-            if holds and m in _WRITES:
+            if not holds:
+                continue
+            if m == "xchg" and ops[0].kind == REG and ops[1].kind == REG:
+                a, b = ops[0].reg, ops[1].reg
+                if (a in holds) != (b in holds):    # the canary moves to the other
+                    holds.symmetric_difference_update((a, b))
+            elif m in _WRITES:
                 holds.difference_update(op.reg for op in ops[:_WRITES[m]] if op.kind == REG)
         facts = self._frames[fn] = FrameFacts(
             frozenset(stores), bool(stores) or addressed, frozenset(objects),
@@ -282,15 +282,15 @@ class ProgramImage:
 
 
 _HEADER_RE = re.compile(r"^([A-Za-z_.$][\w.$@]*):$")
-_LINE_RE = re.compile(r"^([0-9a-f]+):\s+(\S+)(?:\s+(.*))?$")
+_LINE_RE = re.compile(r"^([0-9a-f]+):\s+((\S+)(?:\s+(.*))?)$")
 _MEM_RE = re.compile(r"^\[([a-z0-9]+)(?:(\+|-)0x([0-9a-f]+))?\]$")
 _SEG_RE = re.compile(r"^fs:0x([0-9a-f]+)$")
 _CALL_RE = re.compile(r"^0x([0-9a-f]+)(?:\s+<([\w.$@]+)>)?$")
 _BOUND_RE = re.compile(r"^(?:0x)?[0-9a-f]+$")
+_DECIMAL_RE = re.compile(r"-?[0-9]+")
 
 
 def _parse_operand(text: str, lineno: int, raw: str) -> Operand:
-    text = text.strip()
     width = None
     parts = text.split(None, 1)
     if len(parts) == 2 and parts[0] in _WIDTH_KEYWORDS:
@@ -298,7 +298,7 @@ def _parse_operand(text: str, lineno: int, raw: str) -> Operand:
         text = parts[1].strip()
     if text in REGISTERS:
         canonical, w = REGISTERS[text]
-        return Operand(kind=REG, reg=canonical, width=w, symbol=text)
+        return Operand(REG, canonical, None, None, 0, text, w)
     m = _MEM_RE.match(text)
     if m:
         base = m.group(1)
@@ -309,17 +309,19 @@ def _parse_operand(text: str, lineno: int, raw: str) -> Operand:
             disp = int(m.group(3), 16)
             if m.group(2) == "-":
                 disp = -disp
-        return Operand(kind=MEM, base=REGISTERS[base][0], disp=disp, width=width)
+        return Operand(MEM, None, None, REGISTERS[base][0], disp, None, width)
     m = _SEG_RE.match(text)
     if m:
-        return Operand(kind=MEM, base="fs", disp=int(m.group(1), 16), width=width or 8)
+        return Operand(MEM, None, None, "fs", int(m.group(1), 16), None, width or 8)
     if text.startswith("0x"):
         try:
-            return Operand(kind=IMM, value=int(text, 16), width=width)
+            return Operand(IMM, None, int(text, 16), None, 0, None, width)
         except ValueError:
             raise MalformedLine(lineno, raw, f"bad immediate {text!r}")
-    if text.lstrip("-").isdigit():
-        return Operand(kind=IMM, value=int(text), width=width)
+    if _DECIMAL_RE.fullmatch(text):
+        return Operand(IMM, None, int(text), None, 0, None, width)
+    if text.lstrip("-").isdigit():      # `--5`, or digits outside ASCII
+        raise MalformedLine(lineno, raw, f"bad immediate {text!r}")
     raise MalformedLine(lineno, raw, f"unrecognized operand {text!r}")
 
 
@@ -327,7 +329,7 @@ def _parse_target(text: str, lineno: int, raw: str) -> Operand:
     m = _CALL_RE.match(text.strip())
     if not m:
         raise MalformedLine(lineno, raw, f"bad branch target {text!r}")
-    return Operand(kind=TARGET, value=int(m.group(1), 16), symbol=m.group(2))
+    return Operand(TARGET, None, int(m.group(1), 16), None, 0, m.group(2))
 
 
 def parse_disassembly(text: str) -> ProgramImage:
@@ -337,31 +339,36 @@ def parse_disassembly(text: str) -> ProgramImage:
     warning; structurally bad lines raise MalformedLine.
     """
     image = ProgramImage()
-    parsed: dict[tuple[str, str], tuple[Operand, ...]] = {}    # (mnemonic, text) -> operands
-    current_function = None
+    instructions, order, headers = image.instructions, image.order, image.function_headers
+    # the two memos of this call: (mnemonic, operand text) -> operand
+    # tuple, and one operand's text -> its Operand
+    parsed: dict[tuple[str, str], tuple[Operand, ...]] = {}
+    operands: dict[str, Operand] = {}
+    entry_of = None             # the header whose entry the next instruction is
     last_addr_in_function = -1
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        if "#" in line:
+            line = line[:line.index("#")]
+        stripped = line.strip()
         if not stripped:
             continue
-        m = _HEADER_RE.match(stripped) if stripped[-1] == ":" else None
-        if m:
+        if stripped[-1] == ":" and (m := _HEADER_RE.match(stripped)):
             name = m.group(1)
-            if name in image.function_headers:
+            if name in headers:
                 raise DuplicateFunction(f"line {lineno}: duplicate function {name!r}")
-            current_function = name
-            image.function_headers[name] = -1  # patched on first instruction
+            entry_of = name
+            headers[name] = -1  # set at its first instruction
             last_addr_in_function = -1
             continue
         m = _LINE_RE.match(stripped)
         if not m:
             raise MalformedLine(lineno, stripped, "not a header or instruction line")
-        addr_text, mnemonic, rest = m.groups("")
+        addr_text, ins_text, mnemonic, rest = m.groups("")
         addr = int(addr_text, 16)
         mnemonic = mnemonic.lower()
-        if addr in image.instructions:
+        if addr in instructions:
             raise MalformedLine(lineno, stripped, f"duplicate address {addr:#x}")
-        if last_addr_in_function >= 0 and addr <= last_addr_in_function:
+        if addr <= last_addr_in_function:
             raise MalformedLine(lineno, stripped, "addresses must strictly increase")
         last_addr_in_function = addr
 
@@ -372,12 +379,14 @@ def parse_disassembly(text: str) -> ProgramImage:
         else:
             ops = parsed.get((mnemonic, rest))
             if ops is None:
-                ops = parsed[mnemonic, rest] = _parse_operands(mnemonic, rest, lineno, stripped)
-        image.instructions[addr] = Instruction(addr, mnemonic, ops, stripped)
-        image.order.append(addr)
-        if current_function is not None and image.function_headers[current_function] == -1:
-            image.function_headers[current_function] = addr
-    image.function_headers = {n: a for n, a in image.function_headers.items() if a != -1}
+                ops = parsed[mnemonic, rest] = _parse_operands(mnemonic, rest, operands,
+                                                               lineno, stripped)
+        instructions[addr] = Instruction(addr, mnemonic, ops, stripped, ins_text)
+        order.append(addr)
+        if entry_of is not None:
+            headers[entry_of] = addr
+            entry_of = None
+    image.function_headers = {n: a for n, a in headers.items() if a != -1}
     if image.order and image.order[0] not in image.function_headers.values() \
             and f"sub_{image.order[0]:x}" in image.function_headers:
         raise DuplicateFunction(f"function 'sub_{image.order[0]:x}' names both a header "
@@ -386,16 +395,27 @@ def parse_disassembly(text: str) -> ProgramImage:
     return image
 
 
-def _parse_operands(mnemonic: str, rest: str, lineno: int, raw: str) -> tuple[Operand, ...]:
-    """The operand tuple of a known mnemonic, arity-checked; errors name
+def _parse_operands(mnemonic: str, rest: str, memo: dict[str, Operand],
+                    lineno: int, raw: str) -> tuple[Operand, ...]:
+    """The operand tuple of a known mnemonic, arity-checked, each operand
+    taken from `memo` (text -> Operand) or parsed into it; errors name
     `lineno` and `raw`, the line being parsed."""
-    if mnemonic in ("call", "jmp") or mnemonic in JCC:
+    if mnemonic in _TARGETED:
         return (_parse_target(rest, lineno, raw),)
     if mnemonic == "safecall":
         return (_parse_safecall(rest, lineno, raw),)
-    ops = tuple(_parse_operand(p, lineno, raw) for p in _split_operands(rest)) if rest else ()
-    _check_arity(mnemonic, ops, lineno, raw)
-    return ops
+    ops = []
+    for text in rest.split(","):     # commas never occur inside our operand forms
+        text = text.strip()
+        if text:
+            op = memo.get(text)
+            if op is None:
+                op = memo[text] = _parse_operand(text, lineno, raw)
+            ops.append(op)
+    if len(ops) != _ARITY[mnemonic]:
+        raise MalformedLine(lineno, raw, f"{mnemonic} expects {_ARITY[mnemonic]} operand(s), "
+                                         f"got {len(ops)}")
+    return tuple(ops)
 
 
 def _parse_safecall(rest: str, lineno: int, raw: str) -> Operand:
@@ -407,34 +427,21 @@ def _parse_safecall(rest: str, lineno: int, raw: str) -> Operand:
     if template not in SAFECALLS:
         raise MalformedLine(lineno, raw, f"unknown safecall template {template!r}")
     if bound == "rt":
-        return Operand(kind=IMM, value=None, symbol=template)
+        return Operand(IMM, None, None, None, 0, template)
     if not _BOUND_RE.match(bound):
         raise MalformedLine(lineno, raw, f"bad safecall bound {bound!r}")
-    return Operand(kind=IMM, value=int(bound, 16), symbol=template)
+    return Operand(IMM, None, int(bound, 16), None, 0, template)
 
 
-def _split_operands(rest: str) -> list[str]:
-    # commas never occur inside our operand forms
-    return [p for p in (s.strip() for s in rest.split(",")) if p]
-
-
-_ARITY = {
-    "endbr64": (0,), "nop": (0,), "ret": (0,),
-    "push": (1,), "pop": (1,),
-    "mov": (2,), "xchg": (2,), "lea": (2,), "sub": (2,), "add": (2,),
-    "cmp": (2,), "test": (2,),
-}
-
-
-def _check_arity(mnemonic: str, ops: tuple, lineno: int, raw: str) -> None:
-    allowed = _ARITY.get(mnemonic)
-    if mnemonic in CMOV:
-        allowed = (2,)
-    if allowed is not None and len(ops) not in allowed:
-        raise MalformedLine(lineno, raw, f"{mnemonic} expects {allowed[0]} operand(s), got {len(ops)}")
+# the operand count of each known mnemonic that takes no target
+_ARITY = {"endbr64": 0, "nop": 0, "ret": 0, "push": 1, "pop": 1, "mov": 2, "xchg": 2,
+          "lea": 2, "sub": 2, "add": 2, "cmp": 2, "test": 2} | dict.fromkeys(CMOV, 2)
 
 
 # --- CFG -----------------------------------------------------------------
+
+_BLOCK_ENDS = _JUMPS | {"call", "ret", "safecall"}
+
 
 class BasicBlock(NamedTuple):
     start: int
@@ -480,46 +487,47 @@ def build_bcfg(image: ProgramImage) -> BCfg:
     """
     if not image.order:
         return BCfg(blocks={})
-    addrs = image.instructions
+    instructions, next_pc, owner = image.instructions, image.next_pc, image.owner
 
+    # a block starts at a function entry, a user call's target, a jump
+    # target in the image and after each jump, call and ret
     leaders = set(image.functions.values())
     leaders.update(c.target for c in image.callees.values() if c.kind == USER)
-    for addr in image.order:
-        ins = image.instructions[addr]
-        nxt = image.next_address(addr)
-        if ins.is_jump:
-            tgt = ins.target()
-            if tgt in addrs:
-                leaders.add(tgt)
-            if nxt is not None:
-                leaders.add(nxt)
-        elif ins.mnemonic in ("call", "ret", "safecall") and nxt is not None:
+    for addr, nxt in next_pc.items():
+        ins = instructions[addr]
+        m = ins.mnemonic
+        if m in _BLOCK_ENDS:
             leaders.add(nxt)
+            if m in _JUMPS and ins.operands[0].value in instructions:
+                leaders.add(ins.operands[0].value)
 
     blocks: dict[int, BasicBlock] = {}
     current: list[Instruction] = []
     for addr in image.order:
-        if addr in leaders and current:
-            blocks[current[0].address] = BasicBlock(current[0].address, current, [])
+        if addr in leaders:
             current = []
-        current.append(image.instructions[addr])
-    if current:
-        blocks[current[0].address] = BasicBlock(current[0].address, current, [])
+            blocks[addr] = BasicBlock(addr, current, [])
+        current.append(instructions[addr])
 
     cfg = BCfg(blocks=blocks)
     for blk in blocks.values():
         last = blk.instructions[-1]
-        if last.is_jump:
-            tgt = last.target()
-            if tgt in addrs:
+        m = last.mnemonic
+        if m in _JUMPS:
+            tgt = last.operands[0].value
+            if tgt in instructions:
                 blk.successors.append(tgt)
             else:
                 cfg.warnings.append(f"dangling branch at {last.address:#x} to {tgt:#x}, "
                                     "routed to external sink")
+            if m == "jmp":
+                continue
+        elif m == "ret":
+            continue
         # fallthrough never crosses a function boundary
-        nxt_in_fn = image.next_in_function(last.address)
-        if nxt_in_fn is not None and last.mnemonic not in ("jmp", "ret"):
-            blk.successors.append(nxt_in_fn)
+        nxt = next_pc[last.address]
+        if nxt is not None and owner[nxt] == owner[last.address]:
+            blk.successors.append(nxt)
     return cfg
 
 

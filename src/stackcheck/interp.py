@@ -389,11 +389,11 @@ class Machine:
         ins = image.instructions.get(pc)
         if ins is None:                 # also a pc of None: the run left the image
             raise Halt(CLEAN)
-        nxt = image.next_address(pc)
+        nxt = image.next_pc[pc]
         handler = None
         if ins.mnemonic in JCC:
             handler = compile_counted_loop(image, ins, STACK_BASE, STACK_TOP)
-        elif pc in image.frame(image.function_of(pc)).canary_stores:
+        elif pc in image.frame(image.owner[pc]).canary_stores:
             handler = Machine._do_canary_store
         if handler is None:
             form = (ins.mnemonic, ins.operands)
@@ -428,6 +428,8 @@ class Machine:
         if src.kind == MEM and src.base == "fs" and src.disp == CANARY_FS_OFFSET:
             if dst.kind == REG:
                 self.wr_reg(dst.reg, CANARY_VALUE)
+            elif dst.kind == MEM:   # as wide as classify_instruction's write
+                self._write_operand(dst, CANARY_VALUE, dst.width or 8)
             return nxt
         width = self._mov_width(dst, src)
         val, _ = self._read_operand(src, width=width)

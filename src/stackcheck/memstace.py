@@ -228,6 +228,11 @@ FA = MemOp("fa")
 NO_EFFECT = MemOp("no-effect")
 
 
+# the mnemonics whose frame-relative destination is a write, a canary store
+# among them; only these read the canary-store sites
+STORES = frozenset({"mov", "xchg"}) | CMOV
+
+
 def classify_instruction(ins: Instruction, canary_store_sites: Collection[int]) -> MemOp:
     """Map one instruction to its memory operator.
 
@@ -260,7 +265,7 @@ def classify_instruction(ins: Instruction, canary_store_sites: Collection[int]) 
         if dst.is_frame_relative():
             return Write(ByteOp.NRWRITE, dst.base, dst.disp, _write_width(ins, dst))
         return NO_EFFECT
-    if m in ("mov", "xchg") or m in CMOV:
+    if m in STORES:
         dst = ins.operands[0]
         if dst.is_frame_relative():
             risky = ins.address in canary_store_sites
@@ -534,13 +539,16 @@ class _SpaceBuilder:
         return self.horizon
 
     def decode(self, pc: int) -> _Decoded:
-        """The record of the instruction at pc, built in one step: each
-        label's text is computed once, and every record is built
-        positionally."""
+        """The record of the instruction at pc, built in one step from what
+        the parse and the image already hold (its text, owner and next pc),
+        and built positionally."""
         image = self.image
         ins = image.instructions[pc]
-        fn = image.function_of(pc)
-        nxt = image.next_in_function(pc)
+        owner = image.owner
+        fn = owner[pc]
+        nxt = image.next_pc[pc]
+        if nxt is not None and owner[nxt] != fn:
+            nxt = None
         m = ins.mnemonic
         target = label = None
         steps = ()
@@ -559,16 +567,16 @@ class _SpaceBuilder:
             label = TransitionLabel("call", pc, callee.name, ins.text,
                                     LIBC if modelled else callee.kind)
         else:
-            op = classify_instruction(ins, image.frame(fn).canary_stores)
+            op = classify_instruction(ins, image.frame(fn).canary_stores if m in STORES else ())
             kind = op.kind
             if kind != "no-effect":
-                text = ins.text
-                label = TransitionLabel("fe" if kind == "shrink" else kind, pc, None, text, None)
+                label = TransitionLabel("fe" if kind == "shrink" else kind, pc, None, ins.text,
+                                        None)
             if kind != "no-effect" and kind != "fa":
                 steps = ((op, label),)
                 if kind == "write" and self.cfg.atomic_writes and op.width > 1:
                     steps = tuple((op._replace(width=1, disp=op.disp + k),
-                                   TransitionLabel("write", pc, None, f"{text} [byte {k}]", None))
+                                   TransitionLabel("write", pc, None, f"{ins.text} [byte {k}]", None))
                                   for k in range(op.width))
                 kind, label = "direct", None
         return _Decoded(ins, fn, nxt, self.effects.loop_at(pc), kind, target, label, steps)
@@ -576,7 +584,7 @@ class _SpaceBuilder:
     # the DFS itself
 
     def run(self, entry: int) -> MemStaCe:
-        self.root = self.image.function_of(entry)
+        self.root = self.image.owner[entry]
         init = MemoryState((fresh_frame(self.root),), None)
         try:
             init_id = self.intern(init)

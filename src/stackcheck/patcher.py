@@ -106,7 +106,7 @@ def locate_sink(path: list[tuple[int, TransitionLabel, int]], image: ProgramImag
     if sink is None:
         raise NoSinkFound("trace has neither a library call nor a loop step")
     # a loop label names no callee
-    return SinkSite(address=sink.address, function=image.function_of(sink.address),
+    return SinkSite(address=sink.address, function=image.owner[sink.address],
                     callee=sink.name, kind=sink.kind)
 
 
@@ -202,16 +202,14 @@ def apply_trampolines(image: ProgramImage, plans: list[PatchPlan]) -> ProgramIma
         label = f"__patch_{k}"
         base = (top + 0x100 + n * 0x40) & ~0xF
         top = base + 8                  # the jump back, now the highest address
-        new.instructions[sink_addr] = Instruction(
-            sink_addr, "jmp", (Operand(kind=TARGET, value=base),),
-            f"{sink_addr:x}: jmp 0x{base:x}")
         bound_text = f"0x{plan.bound:x}" if plan.bound is not None else "rt"
-        new.instructions[base] = Instruction(
-            base, "safecall",
-            (Operand(kind=IMM, value=plan.bound, symbol=plan.template.replacement),),
-            f"{base:x}: safecall {plan.template.replacement} {bound_text}")
-        new.instructions[top] = Instruction(top, "jmp", (Operand(kind=TARGET, value=nxt),),
-                                            f"{top:x}: jmp 0x{nxt:x}")
+        for addr, mnemonic, op, text in [
+                (sink_addr, "jmp", Operand(kind=TARGET, value=base), f"jmp 0x{base:x}"),
+                (base, "safecall", Operand(kind=IMM, value=plan.bound,
+                                           symbol=plan.template.replacement),
+                 f"safecall {plan.template.replacement} {bound_text}"),
+                (top, "jmp", Operand(kind=TARGET, value=nxt), f"jmp 0x{nxt:x}")]:
+            new.instructions[addr] = Instruction(addr, mnemonic, (op,), f"{addr:x}: {text}", text)
         new.order.extend([base, top])
         new.function_headers[label] = base
         plan.trampoline_label = label

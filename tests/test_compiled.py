@@ -30,9 +30,9 @@ def _generic_step(m: Machine) -> None:
         raise Halt(CLEAN)
     ins = m.image.instructions[m.pc]
     m.steps += 1
-    nxt = m.image.next_address(m.pc)
+    nxt = m.image.next_pc[m.pc]
     handler = _HANDLERS.get(ins.mnemonic)
-    if m.pc in m.image.frame(m.image.function_of(m.pc)).canary_stores:
+    if m.pc in m.image.frame(m.image.owner[m.pc]).canary_stores:
         handler = Machine._do_canary_store
     m.pc = handler(m, ins, nxt) if handler else nxt
 

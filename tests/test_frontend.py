@@ -78,6 +78,21 @@ def test_unknown_mnemonic_is_kept_with_warning():
     assert any("vfmadd231pd" in w for w in image.warnings)
 
 
+@pytest.mark.parametrize("text, value", [("42", 42), ("-5", -5), ("007", 7)])
+def test_decimal_immediate(text, value):
+    src = parse_disassembly(f"f:\n401000: mov rax, {text}\n").instructions[0x401000].operands[1]
+    assert (src.kind, src.value) == ("immediate", value)
+
+
+# texts that str.isdigit accepts, once any leading minus signs are stripped,
+# and that are no ASCII decimal
+@pytest.mark.parametrize("text", ["--5", "\u00b2", "0\u00b2", "\u0663", "-\u0663", "\uff17"])
+def test_decimal_immediate_outside_ascii_is_a_bad_immediate(text):
+    with pytest.raises(MalformedLine, match="bad immediate") as err:
+        parse_disassembly(f"f:\n401000: nop\n401004: mov rax, {text}\n")
+    assert err.value.lineno == 3
+
+
 def test_malformed_line_is_fatal_with_location():
     with pytest.raises(MalformedLine) as err:
         parse_disassembly("f:\n401000: push rbp\nnot a line at all !!\n")
@@ -146,7 +161,9 @@ def _chain_style_listing(leaves: int = 12) -> str:
 
 def test_memo_gives_each_instruction_its_own_parse(tmp_path):
     """Every instruction equals the one its line alone parses to, in the
-    corpus, the fixtures, a listing of repeated texts and the fuzz mutants."""
+    corpus, the fixtures, a listing of repeated texts and the fuzz mutants;
+    one operand text is one Operand within a parse, under any mnemonic,
+    and never shared between two parses."""
     paths = sorted(CORPUS_DIR.glob("*.s")) + sorted(FIXTURE_DIR.glob("*.s"))
     texts = [p.read_text(encoding="utf-8") for p in paths] + [_chain_style_listing()]
     texts += [Path(p).read_text(encoding="utf-8") for p in write_mutants(tmp_path)]
@@ -163,11 +180,25 @@ def test_memo_gives_each_instruction_its_own_parse(tmp_path):
     chain = parse_disassembly(_chain_style_listing())
     distinct = {(i.mnemonic, i.text) for i in chain.instructions.values()}
     assert len(distinct) * 4 < len(chain.instructions)
+    # `sub rsp, 0x60` and `add rsp, 0x60`: two pairs, one Operand per text
+    sub, add = (chain.instructions[a].operands for a in (0x401108, 0x40112c))
+    assert sub == add and sub[0] is add[0] and sub[1] is add[1]
+    again = parse_disassembly(_chain_style_listing()).instructions[0x401108].operands
+    assert again == sub and again[0] is not sub[0] and again[1] is not sub[1]
 
 
 def test_memo_keeps_each_malformed_line_number():
     lines = ["f:", "401000: nop", "401004: mov rax, [rzz]", "401008: nop", "40100c: nop",
              "401010: nop", "401014: mov rax, [rzz]", "401018: ret"]
+    with pytest.raises(MalformedLine) as err:
+        parse_disassembly("\n".join(lines))
+    assert err.value.lineno == 3
+    lines[2] = "401004: nop"
+    with pytest.raises(MalformedLine) as err:
+        parse_disassembly("\n".join(lines))
+    assert err.value.lineno == 7
+    # the text first seen under one mnemonic and again under another
+    lines[2], lines[6] = "401004: mov rax, [rzz]", "401014: add rbx, [rzz]"
     with pytest.raises(MalformedLine) as err:
         parse_disassembly("\n".join(lines))
     assert err.value.lineno == 3
@@ -258,7 +289,7 @@ def test_every_call_has_one_return_successor(corpus_paths):
             last = blk.instructions[-1]
             if last.mnemonic != "call":
                 continue
-            if image.next_address(last.address) is None:
+            if image.next_pc[last.address] is None:
                 continue
             assert len(blk.successors) == 1, f"{path.name} @ {last.address:#x}"
 
@@ -268,8 +299,8 @@ def test_every_call_has_one_return_successor(corpus_paths):
 def test_user_functions():
     image = load_image(corpus_path("strcpy_rip_vuln"))
     assert set(image.functions) == {"copy", "main"}
-    assert image.function_of(0x401118) == "copy"
-    assert image.function_of(0x401160) == "main"
+    assert image.owner[0x401118] == "copy"
+    assert image.owner[0x401160] == "main"
 
 
 def test_single_function_map():
@@ -313,20 +344,20 @@ def test_every_instruction_has_an_owner():
     images = [load_image(p) for p in paths] + [parse_disassembly(HEADERLESS)]
     for image in images:
         for addr in image.order:
-            fn = image.function_of(addr)
+            fn = image.owner[addr]
             assert fn is not None and fn in image.functions
             assert image.instructions[addr] in image.function_body(fn)
         nxt_rule = {a: image.next_in_function(a) for a in image.order}
         # the successor within a function is the next listed instruction of
         # the same owner, and a function entry is never one
         for a, nxt in nxt_rule.items():
-            assert nxt is None or (image.function_of(nxt) == image.function_of(a)
+            assert nxt is None or (image.owner[nxt] == image.owner[a]
                                    and nxt not in image.functions.values())
 
 
 # a canary store follows listing order: the canary in a register moves with
-# `mov r, r'` only, any other write of the register (xchg included) ends it,
-# and only a store through rbp or rsp is a canary store
+# `mov r, r'` and with a register-to-register `xchg`, any other write of the
+# register ends it, and only a store through rbp or rsp is a canary store
 FRAME_RULE = """\
 main:
 401000: push rbp
@@ -355,7 +386,8 @@ helper:
 def test_frame_facts_follow_the_one_canary_store_rule():
     image = parse_disassembly(FRAME_RULE)
     main = image.frame("main")
-    assert main.canary_stores == {0x401014, 0x401018}
+    # xchg rcx, rdx moves the canary from rcx to rdx
+    assert main.canary_stores == {0x401014, 0x401018, 0x401034}
     assert main.whole and main.prologue
     assert main.objects == {-0x8, -0x10, -0x18, -0x20}
     assert image.frame("main") is main          # one pass per function and image

@@ -1,6 +1,7 @@
 """Seeded mutation fuzz: mutants of the bundled listings never end in an
-internal error, only in a verdict or a parse error; mutants of the bundled
-property file end only in a check or in an input error (cli.PROPERTY_ERRORS)."""
+internal error, only in a verdict or a parse error; listings with a random
+operand list parse or end in a parse error; mutants of the bundled property
+file end only in a check or in an input error (cli.PROPERTY_ERRORS)."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from conftest import CORPUS_DIR, FIXTURE_DIR, pipeline
 
 from stackcheck import checker, ltl
 from stackcheck.cli import PROPERTY_ERRORS, analyze, build_root_spaces
+from stackcheck.frontend import DuplicateFunction, MalformedLine, build_bcfg, parse_disassembly
 from stackcheck.memstace import Config
 
 SEED = 13
@@ -75,6 +77,48 @@ def test_mutants_never_end_in_an_internal_error(tmp_path):
                 if r.error and r.error.startswith("internal error")]
     assert not internal, internal
     assert elapsed < 5.0
+
+
+# --- operand-text mutants --------------------------------------------------
+
+OPERAND_SEED = 23
+OPERAND_MUTANTS = 2000
+# what an operand list is built from: signs, number prefixes, ASCII and
+# other Unicode digits, brackets, base registers, width keywords, the
+# segment prefix and commas
+OPERAND_TOKENS = ["-", "--", "+", "0x", "0x1f", "0xfe", "10", "7", "0", "\u00b2", "\u0663",
+                  "\uff17", "[", "]", "rbp", "rsp", "rax", "r8", "eax", "al", "byte ",
+                  "qword ", "fs:", "fs:0x28", ",", ", ", " "]
+OPERAND_MNEMONICS = ["mov", "lea", "add", "cmp", "xchg", "cmovl", "push", "pop", "ret",
+                     "jmp", "call", "safecall"]
+
+
+def check_operand_mutants(seed: int, count: int) -> None:
+    """Parse `count` listings, drawn with `seed`, whose middle line has a
+    random mnemonic and an operand list of 1-8 OPERAND_TOKENS; raise
+    AssertionError listing every one that raised anything but MalformedLine
+    or DuplicateFunction, or whose image the CFG or the frame pass fails on."""
+    rng = random.Random(seed)
+    escaped = []
+    for k in range(count):
+        ops = "".join(rng.choice(OPERAND_TOKENS) for _ in range(rng.randint(1, 8)))
+        text = (f"main:\n401000: push rbp\n"
+                f"401004: {rng.choice(OPERAND_MNEMONICS)} {ops}\n401008: ret\n")
+        try:
+            image = parse_disassembly(text)
+            build_bcfg(image)
+            image.frame("main")
+        except (MalformedLine, DuplicateFunction):
+            pass
+        except Exception as exc:
+            escaped.append(f"seed {seed}, mutant {k}: {type(exc).__name__}: {exc}\n{text}")
+    assert not escaped, "\n".join(escaped)
+
+
+def test_operand_mutants_end_only_in_parse_errors():
+    t0 = time.perf_counter()
+    check_operand_mutants(OPERAND_SEED, OPERAND_MUTANTS)
+    assert time.perf_counter() - t0 < 1.0
 
 
 # --- property-file mutants -------------------------------------------------

@@ -110,7 +110,7 @@ def test_instructions_of_one_form_share_one_handler():
     analyze_image(image, "chain_8", Config(), patch=True, validate=True)
     handlers: dict = {}
     for pc, (handler, ins, nxt) in image.code.items():
-        assert ins is image.instructions[pc] and nxt == image.next_address(pc)
+        assert ins is image.instructions[pc] and nxt == image.next_pc[pc]
         if handler.__name__ != "back_edge":
             handlers.setdefault((ins.mnemonic, ins.operands), set()).add(handler)
     assert all(len(h) == 1 for h in handlers.values())
@@ -123,7 +123,7 @@ def test_instructions_of_one_form_share_one_handler():
     for pc in adds[:2]:
         machine.pc = pc
         machine.step()
-        assert machine.pc == image.next_address(pc) == pc + 4
+        assert machine.pc == image.next_pc[pc] == pc + 4
 
 
 def test_interpreter_steps_grow_linearly_with_chain_length(tmp_path, monkeypatch):

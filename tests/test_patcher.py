@@ -133,7 +133,7 @@ def test_trampoline_structure():
     assert safecall.mnemonic == "safecall"
     assert safecall.operands[0].symbol == "bounded_copy"
     assert safecall.operands[0].value == 16
-    back = patched.instructions[patched.next_address(tramp_addr)]
+    back = patched.instructions[patched.next_pc[tramp_addr]]
     assert back.mnemonic == "jmp"
     assert back.target() == 0x40111c
     assert plan.trampoline_label in patched.function_headers

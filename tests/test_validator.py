@@ -10,8 +10,8 @@ from stackcheck import validator
 from stackcheck.cli import analyze, analyze_image
 from stackcheck.effects import EffectsOracle
 from stackcheck.frontend import build_bcfg, parse_disassembly
-from stackcheck.interp import CAUSE_CANARY, Machine
-from stackcheck.memstace import Config, build_memstace
+from stackcheck.interp import CANARY_VALUE, CAUSE_CANARY, Machine
+from stackcheck.memstace import ByteOp, Config, build_memstace, classify_instruction
 from stackcheck.validator import CLEAN, CRASH, STEP_BUDGET, run, validate_patch
 
 from conftest import CORPUS_DIR, FIXTURE_DIR, corpus_path, fixture_path, load_image
@@ -304,13 +304,16 @@ def test_libc_db_alias_validates_as_it_is_detected(tmp_path):
 
 
 # one canary-store rule for both executors (ProgramImage.frame): a direct
-# store, a store through a copy, and a store of a register overwritten
-# after the canary load; (load, the instruction after it, store, whether
-# the store is a canary store)
+# store, a store through a copy, a store of a register overwritten after
+# the canary load, a store of the register an xchg moved the canary to, and
+# of one an xchg with memory overwrote; (load, the instruction after it,
+# store, whether the store is a canary store)
 CANARY_STORES = {
     "direct": ("mov rax, fs:0x28", "nop", "mov [rbp-0x8], rax", True),
     "copy": ("mov rax, fs:0x28", "mov rbx, rax", "mov [rbp-0x8], rbx", True),
     "overwritten": ("mov rdx, fs:0x28", "add rdx, 0x1", "mov [rbp-0x8], rdx", False),
+    "xchg": ("mov rax, fs:0x28", "xchg rbx, rax", "mov [rbp-0x8], rbx", True),
+    "xchg-memory": ("mov rax, fs:0x28", "xchg [rbp-0x10], rax", "mov [rbp-0x8], rax", False),
 }
 
 
@@ -342,3 +345,29 @@ main:
         report = analyze_image(image, case, Config(), patch=True, validate=True)
         assert report.validations[0]["original"] == {"status": CRASH,
                                                       "cause": CAUSE_CANARY}
+
+
+@pytest.mark.parametrize("width", ["qword ", "", "dword ", "byte "])
+def test_builder_and_interpreter_agree_on_a_segment_read_stored_to_memory(width):
+    """`mov [mem], fs:0x28` stores the canary value in the bytes the
+    builder's write covers, and in no others; it is no canary store."""
+    image = parse_disassembly(f"""\
+main:
+401000: push rbp
+401004: mov rbp, rsp
+401008: mov {width}[rbp-0x8], fs:0x28
+40100c: nop
+""")
+    op = classify_instruction(image.instructions[0x401008], image.frame("main").canary_stores)
+    assert (op.kind, op.byte_op, op.base, op.disp) == ("write", ByteOp.NRWRITE, "rbp", -0x8)
+    machine = Machine(image, Config())
+    machine.start(0x401000)
+    machine.run_to({0x401008})
+    rbp = machine.regs["rbp"]
+    before = machine.rd_mem(rbp - 0x20, 0x40)
+    machine.run_to({0x40100c})
+    after = machine.rd_mem(rbp - 0x20, 0x40)
+    written = [k - 0x20 for k in range(0x40) if before[k] != after[k]]
+    assert written == list(range(op.disp, op.disp + op.width))
+    assert after[0x20 + op.disp:0x20 + op.disp + op.width] == \
+        CANARY_VALUE.to_bytes(8, "little")[:op.width]
