@@ -89,14 +89,11 @@ class Verdict:
                                                                     self.trace_steps)
 
 
-def check(space: MemStaCe, monitors: list[Monitor] | Monitor,
-          deadline: float | None = None) -> list[Verdict] | Verdict:
-    """One BFS for all monitors; one verdict per monitor (or the verdict of
-    a single monitor passed alone). Past `deadline` (a `time.perf_counter()`
-    value, read once per DEADLINE_EVERY dequeues) every monitor still
-    running is inconclusive."""
-    if isinstance(monitors, Monitor):
-        return check(space, [monitors], deadline)[0]
+def check(space: MemStaCe, monitors: list[Monitor],
+          deadline: float | None = None) -> list[Verdict]:
+    """One BFS for all monitors; one verdict per monitor. Past `deadline` (a
+    `time.perf_counter()` value, read once per DEADLINE_EVERY dequeues)
+    every monitor still running is inconclusive."""
     ctxs = [EvalContext() for _ in monitors]
     if space.initial < 0:
         return [Verdict(m.name, HOLDS, vacuity_notes=["empty state space"]) for m in monitors]

@@ -18,6 +18,11 @@ stage makes that decision: the CFG (`build_bcfg`) holds only each block's
 intra-procedural successor addresses, and the call labels of the state
 space carry the record's kind (see memstace.TransitionLabel).
 
+What an instruction writes is one rule, `WRITES` with `write_width`: both
+executors write the memory operands it names at its width (`memory_writes`),
+and the canary rule and the patcher take the registers it names as
+redefined (`register_writes`).
+
 `ProgramImage.frame(fn)` (`FrameFacts`) is one pass over a function body
 in listing order, which every stage reads. A canary store is `mov [rbp|rsp
 +-d], r` while r holds the canary: after `mov r, fs:0x28` or `mov r, r'`
@@ -26,7 +31,7 @@ until any other instruction writes r (an `xchg` with a memory operand
 included). A store through any other base is none.
 
 Operands: registers (``rax`` .. ``r15`` in all widths), immediates
-(``0x2a`` or ASCII decimal), memory (``[rbp-0x10]``, ``[rax]``, optional
+(``0x`` and ASCII hex digits, or ASCII decimal), memory (``[rbp-0x10]``, ``[rax]``, optional
 ``byte|word|dword|qword`` width prefix), segment reads (``fs:0x28``)
 and call/jump targets (``call 0x401030 <strcpy@plt>``). The patcher's
 ``safecall <template> <0xbound|rt>`` names one of SAFECALLS.
@@ -149,8 +154,37 @@ class FrameFacts(NamedTuple):
     prologue: bool                  # a push among its first four instructions
 
 
-# mnemonic -> how many of its leading operands it writes, when registers
-_WRITES = {"mov": 1, "lea": 1, "add": 1, "sub": 1, "pop": 1, "xchg": 2} | dict.fromkeys(CMOV, 1)
+# mnemonic -> the positions of the operands it writes (push, call, ret: own rules)
+WRITES = {"mov": (0,), "lea": (0,), "add": (0,), "sub": (0,), "pop": (0,),
+          "xchg": (0, 1)} | dict.fromkeys(CMOV, (0,))
+
+
+def write_width(dst: Operand, src: Operand | None) -> int:
+    """The bytes a write to `dst` stores, `src` being the other operand (None
+    for pop): a memory dst's width keyword, else a register source's, else a
+    register dst's, else the source's width, else 8."""
+    if dst.kind == MEM and dst.width:
+        return dst.width
+    if src is not None and src.kind == REG:
+        return src.width
+    if dst.kind == REG:
+        return dst.width
+    return src.width or 8 if src is not None else 8
+
+
+def register_writes(ins: Instruction) -> list[str]:
+    """The registers `ins` writes (WRITES), by canonical name."""
+    ops = ins.operands
+    return [ops[i].reg for i in WRITES.get(ins.mnemonic, ()) if ops[i].kind == REG]
+
+
+def memory_writes(ins: Instruction) -> list[tuple[Operand, int]]:
+    """Each memory operand `ins` writes (WRITES), with its write_width."""
+    ops, out = ins.operands, []
+    for i in WRITES.get(ins.mnemonic, ()):
+        if ops[i].kind == MEM:
+            out.append((ops[i], write_width(ops[i], ops[1 - i] if len(ops) == 2 else None)))
+    return out
 
 
 def takes_frame_address(lea: Instruction) -> bool:
@@ -263,8 +297,8 @@ class ProgramImage:
                 a, b = ops[0].reg, ops[1].reg
                 if (a in holds) != (b in holds):    # the canary moves to the other
                     holds.symmetric_difference_update((a, b))
-            elif m in _WRITES:
-                holds.difference_update(op.reg for op in ops[:_WRITES[m]] if op.kind == REG)
+            else:
+                holds.difference_update(register_writes(ins))
         facts = self._frames[fn] = FrameFacts(
             frozenset(stores), bool(stores) or addressed, frozenset(objects),
             any(i.mnemonic == "push" for i in body[:4]))
@@ -287,6 +321,7 @@ _MEM_RE = re.compile(r"^\[([a-z0-9]+)(?:(\+|-)0x([0-9a-f]+))?\]$")
 _SEG_RE = re.compile(r"^fs:0x([0-9a-f]+)$")
 _CALL_RE = re.compile(r"^0x([0-9a-f]+)(?:\s+<([\w.$@]+)>)?$")
 _BOUND_RE = re.compile(r"^(?:0x)?[0-9a-f]+$")
+_HEX_RE = re.compile(r"0x[0-9a-fA-F]+")
 _DECIMAL_RE = re.compile(r"-?[0-9]+")
 
 
@@ -313,14 +348,12 @@ def _parse_operand(text: str, lineno: int, raw: str) -> Operand:
     m = _SEG_RE.match(text)
     if m:
         return Operand(MEM, None, None, "fs", int(m.group(1), 16), None, width or 8)
-    if text.startswith("0x"):
-        try:
-            return Operand(IMM, None, int(text, 16), None, 0, None, width)
-        except ValueError:
-            raise MalformedLine(lineno, raw, f"bad immediate {text!r}")
+    if _HEX_RE.fullmatch(text):
+        return Operand(IMM, None, int(text, 16), None, 0, None, width)
     if _DECIMAL_RE.fullmatch(text):
         return Operand(IMM, None, int(text), None, 0, None, width)
-    if text.lstrip("-").isdigit():      # `--5`, or digits outside ASCII
+    # `0x_1f`, `--5`, or digits outside ASCII
+    if text.startswith("0x") or text.lstrip("-").isdigit():
         raise MalformedLine(lineno, raw, f"bad immediate {text!r}")
     raise MalformedLine(lineno, raw, f"unrecognized operand {text!r}")
 

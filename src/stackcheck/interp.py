@@ -32,7 +32,8 @@ and its `code` table holds (handler, instruction, next pc) for each pc
 executed; `ProgramImage.index()` resets both, and every machine running
 the image shares them. The handlers in _HANDLERS are the generic
 semantics: an uncommon form runs its handler directly, and a specialised
-handler must leave the machine as the generic one would. A canary store
+handler must leave the machine as the generic one would. Each writes
+memory at `frontend.write_width`, as the builder does. A canary store
 (`ProgramImage.frame`'s listing-order rule, which the builder reads too;
 never a store through a base other than rbp or rsp) compiles, for its pc
 alone, to `_do_canary_store`, which stores and then records the slot in
@@ -40,13 +41,14 @@ the shadow frame holding it. The jcc closing a counted single-block loop
 compiles, for its pc alone, to a closure that also runs, in closed form,
 every further iteration whose back edge is taken
 (codegen.compile_counted_loop), so root runs, loop forks and validation
-runs alike step only a counted loop's first and exiting iterations. A skip stops short of the step budget, of a store
-outside the stack, of a pc the run must stop at (`stops`, which run_to
-sets), of the exit of the loop an emulate_loop fork runs (`loop_exit`)
-and of more back edges to that loop's entry (`loop_entry`) than the
-fork's iteration budget has left (`loop_left`). A run therefore halts
-and stops where stepping would, with the same machine; `steps` counts
-every instruction retired, skipped ones included.
+runs alike step only a counted loop's first and exiting iterations. A
+skip stops short of the step budget, of a store outside the stack, of a
+pc the run must stop at (`stops`, which run_to sets), of the exit of the
+loop an emulate_loop fork runs (`loop_exit`) and of more back edges to
+that loop's entry (`loop_entry`) than the fork's iteration budget has
+left (`loop_left`). A run therefore halts and stops where stepping
+would, with the same machine; `steps` counts every instruction retired,
+skipped ones included.
 
 The stack spans STACK_SIZE bytes below STACK_TOP, but a machine holds
 bytes only from the lowest page written so far up to STACK_TOP: the
@@ -69,7 +71,7 @@ from typing import NamedTuple
 from . import MalformedData, load_data, parse_json
 from .codegen import CONDITIONS, compile_counted_loop, compile_form
 from .frontend import (CANARY_FS_OFFSET, CMOV, IMM, JCC, LIBRARY, MEM, R64, REG, SAFECALL,
-                       SAFECALLS, USER, Callee, Instruction, ProgramImage)
+                       SAFECALLS, USER, Callee, Instruction, ProgramImage, write_width)
 from .memstace import DEADLINE_EVERY, STACK_SIZE
 
 STACK_BASE = 0x7FFE0000
@@ -420,18 +422,13 @@ class Machine:
     def _do_pop(self, ins: Instruction, nxt: int | None) -> int | None:
         val = int.from_bytes(self.rd_mem(self.regs["rsp"], 8), "little")
         self.regs["rsp"] += 8
-        self._write_operand(ins.operands[0], val, 8)
+        dst = ins.operands[0]
+        self._write_operand(dst, val, write_width(dst, None))
         return nxt
 
     def _do_mov(self, ins: Instruction, nxt: int | None) -> int | None:
         dst, src = ins.operands
-        if src.kind == MEM and src.base == "fs" and src.disp == CANARY_FS_OFFSET:
-            if dst.kind == REG:
-                self.wr_reg(dst.reg, CANARY_VALUE)
-            elif dst.kind == MEM:   # as wide as classify_instruction's write
-                self._write_operand(dst, CANARY_VALUE, dst.width or 8)
-            return nxt
-        width = self._mov_width(dst, src)
+        width = write_width(dst, src)
         val, _ = self._read_operand(src, width=width)
         self._write_operand(dst, val, width)
         return nxt
@@ -454,10 +451,13 @@ class Machine:
 
     def _do_xchg(self, ins: Instruction, nxt: int | None) -> int | None:
         a, b = ins.operands
-        va, wa = self._read_operand(a)
-        vb, _ = self._read_operand(b)
-        self._write_operand(a, vb, wa)
-        self._write_operand(b, va, wa)
+        if a.kind == REG:       # write memory first, before its base register changes
+            a, b = b, a
+        w = write_width(a, b)   # a register operand writes at its own width
+        va, _ = self._read_operand(a, width=w)
+        vb, _ = self._read_operand(b, width=w)
+        self._write_operand(a, vb, w)
+        self._write_operand(b, va, w)
         return nxt
 
     def _do_lea(self, ins: Instruction, nxt: int | None) -> int | None:
@@ -468,19 +468,10 @@ class Machine:
         self.wr_reg(dst.reg, addr)
         return nxt
 
-    def _mov_width(self, dst, src) -> int:
-        if dst.kind == MEM and dst.width:
-            return dst.width
-        if src.kind == REG:
-            return src.width or 8
-        if dst.kind == REG:
-            return dst.width or 8
-        return src.width or 8
-
     def _do_arith(self, ins: Instruction, nxt: int | None) -> int | None:
         dst, src = ins.operands
         sub = ins.mnemonic == "sub"
-        va, w = self._read_operand(dst)
+        va, w = self._read_operand(dst, write_width(dst, src) if dst.kind == MEM else None)
         vb, _ = self._read_operand(src, width=w)
         res = va - vb if sub else va + vb
         self._set_arith_flags(va, vb, res, w, sub=sub)

@@ -27,13 +27,15 @@ wraps it with its label into the one `MemoryState` it interns, so each
 state is constructed once. Each instruction is decoded once per
 analysis, at its first visit, into a record that every root's build
 shares: owning function, successor, loop, dispatch kind, jump or call
-target, memory operator and prebuilt transition label (a call's says
+target, memory operators and prebuilt transition label (a call's says
 what it calls); the operators without operands are shared constants
-(MemOp is immutable). A canary store writes by RWrite; `ProgramImage.frame`
-names it by one listing-order rule that the interpreter reads too (a store
-through a base other than rbp or rsp is none). Whether a base-register
-push is the prologue push depends on the frame it meets, so
-apply_memory_operator decides that, not the decoder.
+(MemOp is immutable). Each operand based on rbp or rsp that the one
+write rule (`frontend.memory_writes`) names is a write at its width. A
+canary store writes by RWrite; `ProgramImage.frame` names it by one
+listing-order rule that the interpreter reads too (a store through a
+base other than rbp or rsp is none). Whether a base-register push is the
+prologue push depends on the frame it meets, so apply_memory_operator
+decides that.
 
 A state keeps only the bytes a property can read. `ltl.frame_horizon`
 gives K, how many leading indices of a frame the monitors read outside
@@ -61,8 +63,8 @@ from enum import Enum
 from itertools import groupby
 from typing import NamedTuple
 
-from .frontend import (CMOV, IMM, JCC, LIBRARY, REG, Instruction, ProgramImage,
-                       takes_frame_address)
+from .frontend import (IMM, JCC, LIBRARY, REG, WRITES, Instruction, ProgramImage,
+                       memory_writes, takes_frame_address)
 
 RBP_RANGE = range(8, 16)
 CALL_DEPTH = 16             # user calls deeper than this are skipped with a note
@@ -197,7 +199,7 @@ def fresh_frame(label: str) -> StackFrame:
 # --- memory operators ----------------------------------------------------
 
 class MemOp(NamedTuple):
-    kind: str                      # push|pop|write|fe|fa|shrink|no-effect
+    kind: str                      # push|pop|write|fe|fa|shrink
     byte_op: ByteOp | None = None
     base: str | None = None        # rbp/rsp for writes and buffer registration
     disp: int = 0
@@ -225,61 +227,37 @@ def Shrink(amount: int) -> MemOp:
 # the operators that carry no operand; MemOp is immutable, so one of each serves
 POP = MemOp("pop")
 FA = MemOp("fa")
-NO_EFFECT = MemOp("no-effect")
 
 
-# the mnemonics whose frame-relative destination is a write, a canary store
-# among them; only these read the canary-store sites
-STORES = frozenset({"mov", "xchg"}) | CMOV
+def classify_instruction(ins: Instruction,
+                         canary_store_sites: Collection[int]) -> tuple[MemOp, ...]:
+    """Map one instruction (never a call) to its memory operators, applied
+    in order; () leaves the stack untouched.
 
-
-def classify_instruction(ins: Instruction, canary_store_sites: Collection[int]) -> MemOp:
-    """Map one instruction to its memory operator.
-
-    Stores to frame-relative addresses are writes (risky only for canary
-    stores, whose addresses `canary_store_sites` holds: its function's
-    FrameFacts.canary_stores); a push of the base register is risky, and
-    apply_memory_operator makes it the prologue push on a fresh frame only; sub rsp grows the frame, add rsp shrinks
-    it. Everything else leaves the stack untouched; calls never get here,
-    because the state-space builder splices their effects itself.
+    endbr64 allocates the frame; a push of the base register is risky, and
+    apply_memory_operator makes it the prologue push on a fresh frame only;
+    sub rsp, imm grows the frame and add rsp, imm shrinks it. Otherwise
+    every frame-relative operand `frontend.memory_writes` names is a Write
+    at its width, after the POP of a pop (x86 computes an rsp-based
+    destination after the increment), risky only for a canary store, whose
+    address `canary_store_sites` holds (FrameFacts.canary_stores).
     """
-    m = ins.mnemonic
-    if m == "endbr64":
-        return FA
-    if m == "push":
-        op = ins.operands[0]
-        risky = op.kind == REG and op.reg == "rbp"
-        return Push(ByteOp.RWRITE if risky else ByteOp.NRWRITE)
-    if m == "pop":
-        return POP
-    if m == "sub":
-        dst, src = ins.operands
-        if dst.kind == REG and dst.reg == "rsp" and src.kind == IMM:
-            return Fe(src.value)
-        return NO_EFFECT
-    if m == "add":
-        dst, src = ins.operands
-        if dst.kind == REG and dst.reg == "rsp" and src.kind == IMM:
-            # epilogue inverse of Fe: releases local bytes
-            return Shrink(src.value)
-        if dst.is_frame_relative():
-            return Write(ByteOp.NRWRITE, dst.base, dst.disp, _write_width(ins, dst))
-        return NO_EFFECT
-    if m in STORES:
-        dst = ins.operands[0]
-        if dst.is_frame_relative():
+    m, ops = ins.mnemonic, ins.operands
+    if m not in WRITES:
+        if m == "push":     # risky for the base register
+            return (Push(ByteOp.RWRITE if ops[0].reg == "rbp" else ByteOp.NRWRITE),)
+        return (FA,) if m == "endbr64" else ()
+    if (m == "sub" or m == "add") and ops[0].kind == REG and ops[0].reg == "rsp" \
+            and ops[1].kind == IMM:
+        # add is the epilogue inverse of Fe: it releases local bytes
+        return (Fe(ops[1].value) if m == "sub" else Shrink(ops[1].value),)
+    out = (POP,) if m == "pop" else ()
+    for op, width in memory_writes(ins):
+        if op.is_frame_relative():
             risky = ins.address in canary_store_sites
-            return Write(ByteOp.RWRITE if risky else ByteOp.NRWRITE,
-                         dst.base, dst.disp, _write_width(ins, dst), canary=risky)
-    return NO_EFFECT
-
-
-def _write_width(ins: Instruction, dst) -> int:
-    if dst.width:
-        return dst.width
-    if len(ins.operands) > 1 and ins.operands[1].kind == REG:
-        return ins.operands[1].width or 8
-    return 8
+            out += (Write(ByteOp.RWRITE if risky else ByteOp.NRWRITE, op.base, op.disp, width,
+                          risky),)
+    return out
 
 
 # --- applying operators --------------------------------------------------
@@ -567,18 +545,18 @@ class _SpaceBuilder:
             label = TransitionLabel("call", pc, callee.name, ins.text,
                                     LIBC if modelled else callee.kind)
         else:
-            op = classify_instruction(ins, image.frame(fn).canary_stores if m in STORES else ())
-            kind = op.kind
-            if kind != "no-effect":
-                label = TransitionLabel("fe" if kind == "shrink" else kind, pc, None, ins.text,
-                                        None)
-            if kind != "no-effect" and kind != "fa":
-                steps = ((op, label),)
-                if kind == "write" and self.cfg.atomic_writes and op.width > 1:
-                    steps = tuple((op._replace(width=1, disp=op.disp + k),
-                                   TransitionLabel("write", pc, None, f"{ins.text} [byte {k}]", None))
-                                  for k in range(op.width))
-                kind, label = "direct", None
+            kind, sites = "no-effect", image.frame(fn).canary_stores if m == "mov" else ()
+            for op in classify_instruction(ins, sites):
+                if op.kind == "fa":
+                    kind, label = "fa", TransitionLabel("fa", pc, None, ins.text, None)
+                elif op.kind == "write" and self.cfg.atomic_writes and op.width > 1:
+                    steps += tuple((op._replace(width=1, disp=op.disp + k),
+                                    TransitionLabel("write", pc, None, f"{ins.text} [byte {k}]",
+                                                    None)) for k in range(op.width))
+                else:
+                    steps += ((op, TransitionLabel("fe" if op.kind == "shrink" else op.kind, pc,
+                                                   None, ins.text, None)),)
+            kind = "direct" if steps else kind
         return _Decoded(ins, fn, nxt, self.effects.loop_at(pc), kind, target, label, steps)
 
     # the DFS itself

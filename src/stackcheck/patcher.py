@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 from . import MalformedData, load_data, parse_json
 from .effects import CallEffect, LibcSpec
-from .frontend import BCfg, Instruction, Operand, ProgramImage, IMM, MEM, REG, SAFECALLS, TARGET
+from .frontend import (BCfg, Instruction, Operand, ProgramImage, IMM, MEM, REG, SAFECALLS, TARGET,
+                       register_writes)
 from .memstace import LIBC, TransitionLabel
 
 MODES = ("static", "runtime")       # select_template's patch modes
@@ -114,19 +115,19 @@ def dest_in_frame(bcfg: BCfg, call_site: int, spec: LibcSpec | None) -> bool:
     """Whether the destination register of the call at call_site holds a
     `lea reg, [rbp-x]` frame address.
 
-    The scan runs backwards through the call's block, follows `mov reg,
-    reg` copies, and when the block does not define the register climbs
-    the unique-predecessor chain up to 4 blocks. Any other definition, a
-    join or the end of the chain answers no (which selects the runtime
-    patch mode).
+    The scan runs backwards through the call's block to the register's
+    definition, the last instruction that writes it (frontend.WRITES),
+    follows `mov reg, reg` copies, and when the block does not define the
+    register climbs the unique-predecessor chain up to 4 blocks. Any other
+    definition, a join or the end of the chain answers no (which selects
+    the runtime patch mode).
     """
     reg = spec.dest if spec is not None else None
     block = bcfg.block_containing(call_site) if reg is not None else None
     before, depth = call_site, 4
     while block is not None:
         ins = next((i for i in reversed(block.instructions)
-                    if i.address < before and i.mnemonic in ("mov", "lea", "pop")
-                    and i.operands[0].kind == REG and i.operands[0].reg == reg), None)
+                    if i.address < before and reg in register_writes(i)), None)
         if ins is None:
             sources = bcfg.predecessors.get(block.start, [])
             if len(sources) != 1 or depth == 0:

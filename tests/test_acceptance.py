@@ -91,7 +91,7 @@ def test_acceptance_2_five_step_chain_reproduction():
                and after_5.bytes[:16] == b"M" * 16)
 
     rip = compile_monitor(next(p for p in PROPS if p.name == "RIP Integrity"))
-    verdict = check(space, rip)
+    verdict = check(space, [rip])[0]
     trace_ok = (verdict.status == "violated"
                 and len(verdict.trace.steps) == 5
                 and verdict.trace.steps[-1].operation == "Call(strcpy)")
@@ -268,7 +268,7 @@ def test_acceptance_7_checker_matches_path_enumeration(ground_truth):
             space, oracle = space_for(path, root)
             for prop in PROPS:
                 monitor = compile_monitor(prop)
-                got = check(space, monitor).status
+                got = check(space, [monitor])[0].status
                 want = _enumerate_verdict(space, monitor.body)
                 checked += 1
                 if got != want:

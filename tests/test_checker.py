@@ -21,13 +21,11 @@ from conftest import CORPUS_DIR, FIXTURE_DIR, corpus_path, space_for
 from test_fuzz import MUTANTS, SEED, _mutate
 
 PROPS = {p.name: p for p in load_bundled_properties()}
-LIBC = {"strcpy", "strcat", "sprintf", "gets", "scanf", "fgets", "snprintf",
-        "memset", "printf", "puts", "strncpy"}
 
 
 def test_copy_space_rip_violated_with_five_step_trace():
     space, oracle = space_for(corpus_path("strcpy_rip_vuln"), "copy")
-    verdict = check(space, compile_monitor(PROPS["RIP Integrity"]))
+    verdict = check(space, [compile_monitor(PROPS["RIP Integrity"])])[0]
     assert verdict.status == VIOLATED
     assert len(verdict.trace.steps) == 5
     last = verdict.trace.steps[-1]
@@ -53,14 +51,14 @@ main:
     f.close()
     space, oracle = space_for(Path(f.name), "main")
     for prop in PROPS.values():
-        verdict = check(space, compile_monitor(prop))
+        verdict = check(space, [compile_monitor(prop)])[0]
         assert verdict.status == HOLDS, prop.name
 
 
 def test_truncated_space_is_inconclusive_when_not_violated():
     space, oracle = space_for(corpus_path("strcpy_rip_vuln"), "copy", Config(max_states=3))
     assert space.truncated
-    verdict = check(space, compile_monitor(PROPS["RIP Integrity"]))
+    verdict = check(space, [compile_monitor(PROPS["RIP Integrity"])])[0]
     assert verdict.status == INCONCLUSIVE
 
 
@@ -75,7 +73,7 @@ def test_complete_space_never_inconclusive(corpus_paths, ground_truth):
             if space.truncated:
                 continue
             for prop in PROPS.values():
-                verdict = check(space, compile_monitor(prop))
+                verdict = check(space, [compile_monitor(prop)])[0]
                 assert verdict.status in (HOLDS, VIOLATED)
 
 
@@ -89,7 +87,7 @@ main:
     f.write(text)
     f.close()
     space, oracle = space_for(Path(f.name), "main")
-    verdict = check(space, compile_monitor(PROPS["No gets() Usage"]))
+    verdict = check(space, [compile_monitor(PROPS["No gets() Usage"])])[0]
     assert verdict.status == VIOLATED
     assert len(verdict.trace.steps) == 1
     assert verdict.trace.steps[-1].operation == "Call(gets)"
@@ -114,14 +112,14 @@ def test_shortest_of_two_paths_is_emitted():
             (0, TransitionLabel("write", 0x18), 3),
         ],
         initial=0, root="f")
-    verdict = check(space, compile_monitor(PROPS["RIP Integrity"]), LIBC)
+    verdict = check(space, [compile_monitor(PROPS["RIP Integrity"])])[0]
     assert verdict.status == VIOLATED
     assert len(verdict.trace.steps) == 1
 
 
 def test_trace_line_grammar():
     space, oracle = space_for(corpus_path("strcpy_rip_vuln"), "copy")
-    verdict = check(space, compile_monitor(PROPS["RIP Integrity"]))
+    verdict = check(space, [compile_monitor(PROPS["RIP Integrity"])])[0]
     lines = verdict.trace.render().splitlines()
     assert lines[0].startswith("0x401100: push rbp -> Push")
     assert "-> Call(strcpy)[copy](0:C->M," in lines[-1]
@@ -131,7 +129,7 @@ def test_trace_deltas_reproduce_violating_state():
     """Replaying each step's size change and byte deltas lands exactly on
     the violating state."""
     space, oracle = space_for(corpus_path("strcpy_rip_vuln"), "copy")
-    verdict = check(space, compile_monitor(PROPS["RIP Integrity"]))
+    verdict = check(space, [compile_monitor(PROPS["RIP Integrity"])])[0]
     target = space.states[verdict.trace.violating_state]
     # walk the recorded path states, checking the deltas describe every
     # byte-level difference along it
@@ -188,7 +186,7 @@ def test_bfs_agrees_with_path_enumeration(corpus_paths):
             space, oracle2 = space_for(path, root)
             for prop in PROPS.values():
                 monitor = compile_monitor(prop)
-                got = check(space, monitor).status
+                got = check(space, [monitor])[0].status
                 want = enumerate_verdict(space, monitor.body)
                 if got != want:
                     disagreements.append((path.stem, root, prop.name, got, want))

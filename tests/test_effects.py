@@ -184,6 +184,27 @@ main:
     assert dest_in_frame(bcfg, 0x401010, load_libc_db()["gets"])
 
 
+# any write of the register (frontend.WRITES) redefines it: a frame address
+# moved on by an add, or swapped out, is no longer the lea's
+@pytest.mark.parametrize("write", ["add rdi, 0x8", "xchg rdi, rax", "cmovl rdi, rax",
+                                   "pop rdi"])
+def test_any_write_of_the_register_ends_the_recovery(write):
+    text = f"""\
+main:
+401000: push rbp
+401004: mov rbp, rsp
+401008: sub rsp, 0x20
+40100c: lea rdi, [rbp-0x20]
+401010: {write}
+401014: call 0x401060 <gets@plt>
+401018: add rsp, 0x20
+40101c: pop rbp
+401020: ret
+"""
+    bcfg = build_bcfg(parse_disassembly(text))
+    assert not dest_in_frame(bcfg, 0x401014, load_libc_db()["gets"])
+
+
 # --- call emulation ----------------------------------------------------------------
 
 def _call_effect(path, site, root="main"):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from stackcheck.frontend import (USER, DuplicateFunction, MalformedLine, MEM, REG,
-                                 build_bcfg, entry_point, parse_disassembly)
+                                 build_bcfg, entry_point, memory_writes, parse_disassembly)
 
 from conftest import CORPUS_DIR, FIXTURE_DIR, corpus_path, fixture_path, load_image
 from test_fuzz import write_mutants
@@ -91,6 +91,42 @@ def test_decimal_immediate_outside_ascii_is_a_bad_immediate(text):
     with pytest.raises(MalformedLine, match="bad immediate") as err:
         parse_disassembly(f"f:\n401000: nop\n401004: mov rax, {text}\n")
     assert err.value.lineno == 3
+
+
+# a hex immediate is 0x and ASCII hex digits only: int(text, 16) alone
+# would take an underscore or digits outside ASCII
+@pytest.mark.parametrize("text", ["0x_1f", "0x\u0661", "0x"])
+def test_hex_immediate_outside_ascii_hex_is_a_bad_immediate(text):
+    with pytest.raises(MalformedLine, match="bad immediate") as err:
+        parse_disassembly(f"f:\n401000: nop\n401004: mov rax, {text}\n")
+    assert err.value.lineno == 3
+
+
+def test_hex_immediate_digits_of_either_case():
+    src = parse_disassembly("f:\n401000: mov rax, 0x1F\n").instructions[0x401000].operands[1]
+    assert (src.kind, src.value) == ("immediate", 31)
+
+
+# which memory operands an instruction writes, each at (disp, width)
+WRITTEN = {
+    "mov [rbp-0x10], 0x10": [(-0x10, 8)],
+    "mov [rbp-0x10], dword [rbp-0x20]": [(-0x10, 4)],
+    "add [rbp-0x10], eax": [(-0x10, 4)],
+    "add [rbp-0x10], al": [(-0x10, 1)],
+    "sub qword [rbp+0x8], 0x10": [(0x8, 8)],
+    "xchg rax, [rbp-0x10]": [(-0x10, 8)],
+    "xchg [rbp-0x10], eax": [(-0x10, 4)],
+    "pop word [rsp+0x8]": [(0x8, 2)],
+    "cmovl byte [rbp-0x10], rax": [(-0x10, 1)],
+    "cmp [rbp-0x10], eax": [],
+    "mov eax, [rbp-0x10]": [],
+}
+
+
+@pytest.mark.parametrize("line", WRITTEN)
+def test_one_rule_says_which_memory_operands_an_instruction_writes(line):
+    ins = parse_disassembly(f"f:\n401000: {line}\n").instructions[0x401000]
+    assert [(op.disp, width) for op, width in memory_writes(ins)] == WRITTEN[line]
 
 
 def test_malformed_line_is_fatal_with_location():

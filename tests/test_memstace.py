@@ -177,10 +177,16 @@ def test_rle_matches_a_reference_encoding():
 
 # --- classification -----------------------------------------------------------
 
-def _classify(line: str, canary_store_sites: set[int] = frozenset()):
+def _operators(line: str, canary_store_sites: set[int] = frozenset()):
+    """The memory operators of the one instruction in `line`."""
     image = parse_disassembly(f"f:\n{line}\n")
     ins = next(iter(image.instructions.values()))
     return classify_instruction(ins, canary_store_sites)
+
+
+def _classify(line: str, canary_store_sites: set[int] = frozenset()):
+    op, = _operators(line, canary_store_sites)
+    return op
 
 
 def test_classify_frame_extension():
@@ -219,9 +225,9 @@ def test_classify_prologue_push_risky_only_on_fresh_frame():
 
 
 def test_classify_load_and_register_moves_have_no_effect():
-    assert _classify("401000: mov rsi, [rbp-0x18]").kind == "no-effect"
-    assert _classify("401000: mov rbp, rsp").kind == "no-effect"
-    assert _classify("401000: cmp rcx, 0x10").kind == "no-effect"
+    assert _operators("401000: mov rsi, [rbp-0x18]") == ()
+    assert _operators("401000: mov rbp, rsp") == ()
+    assert _operators("401000: cmp rcx, 0x10") == ()
 
 
 def test_classify_cmov_to_memory_is_write():
@@ -231,6 +237,15 @@ def test_classify_cmov_to_memory_is_write():
 
 def test_classify_add_rsp_shrinks():
     assert _classify("401000: add rsp, 0x20").kind == "shrink"
+
+
+def test_classify_pop_to_memory_pops_then_writes():
+    """x86 computes an rsp-based destination after the increment, so the
+    write follows the pop; every operand xchg writes is a write."""
+    pop, write = _operators("401000: pop qword [rbp-0x10]")
+    assert pop.kind == "pop"
+    assert (write.kind, write.base, write.disp, write.width) == ("write", "rbp", -0x10, 8)
+    assert [(op.disp, op.width) for op in _operators("401000: xchg rax, [rsp+0x8]")] == [(8, 8)]
 
 
 # --- operators ------------------------------------------------------------------

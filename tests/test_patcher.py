@@ -19,7 +19,7 @@ PROPS = {p.name: p for p in load_bundled_properties()}
 
 def _violation_trace(path, root, prop="RIP Integrity"):
     space, oracle = space_for(path, root)
-    verdict = check(space, compile_monitor(PROPS[prop]))
+    verdict = check(space, [compile_monitor(PROPS[prop])])[0]
     assert verdict.status == checker.VIOLATED
     return verdict, oracle
 

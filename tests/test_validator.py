@@ -358,7 +358,7 @@ main:
 401008: mov {width}[rbp-0x8], fs:0x28
 40100c: nop
 """)
-    op = classify_instruction(image.instructions[0x401008], image.frame("main").canary_stores)
+    op, = classify_instruction(image.instructions[0x401008], image.frame("main").canary_stores)
     assert (op.kind, op.byte_op, op.base, op.disp) == ("write", ByteOp.NRWRITE, "rbp", -0x8)
     machine = Machine(image, Config())
     machine.start(0x401000)
@@ -371,3 +371,29 @@ main:
     assert written == list(range(op.disp, op.disp + op.width))
     assert after[0x20 + op.disp:0x20 + op.disp + op.width] == \
         CANARY_VALUE.to_bytes(8, "little")[:op.width]
+
+
+# stores onto the return address through the frame base that the builder
+# once gave no write: the first three read clean although their run
+# crashes, and the add twin of the first read vulnerable
+RETURN_ADDRESS_STORES = ["sub qword [rbp+0x8], 0x10", "add qword [rbp+0x8], 0x10",
+                         "pop qword [rbp+0x8]", "xchg rax, [rbp+0x8]"]
+
+
+@pytest.mark.parametrize("store", RETURN_ADDRESS_STORES)
+def test_a_store_onto_the_return_address_is_detected_and_crashes(store):
+    image = parse_disassembly(f"""\
+main:
+401000: push rbp
+401004: mov rbp, rsp
+401008: sub rsp, 0x40
+40100c: {store}
+401010: add rsp, 0x40
+401014: pop rbp
+401018: ret
+""")
+    report = analyze_image(image, store, Config())
+    assert report.status == "vulnerable"
+    assert "RIP Integrity" in {p.name for p in report.properties if p.status == "violated"}
+    outcome = run(image)
+    assert (outcome.status, outcome.cause) == (CRASH, "return-address-corrupted")
