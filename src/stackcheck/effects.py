@@ -31,6 +31,12 @@ address, so no index is negative. A shadow frame's canary slot is the
 one written by the store `ProgramImage.frame` names by its listing-order
 rule (never through a base other than rbp or rsp), as in the builder.
 The oracle also owns the analysis's buffer-size rule.
+
+Loops are found once per analysis (`detect_loops`), by a DFS per function
+over the block CFG. An image whose CFG is not `cyclic` (no jump to its own
+address or below, see frontend.build_bcfg) has no loop and is not
+searched, so loop detection builds no block for it. `EffectsOracle.loop_at`
+is the lookup of the summarized loop entered at a pc.
 """
 
 from __future__ import annotations
@@ -237,7 +243,13 @@ class LoopInfo(NamedTuple):
 
 
 def detect_loops(bcfg: BCfg, image: ProgramImage) -> list[LoopInfo]:
-    """Natural loops from back-edges found by DFS ancestry, per function."""
+    """Natural loops from back-edges found by DFS ancestry, per function. A
+    CFG that is not `cyclic` has no back edge, so it is not searched."""
+    return _search_loops(bcfg, image) if bcfg.cyclic else []
+
+
+def _search_loops(bcfg: BCfg, image: ProgramImage) -> list[LoopInfo]:
+    """detect_loops' search, run whatever `bcfg.cyclic` says."""
     loops: list[LoopInfo] = []
     intra = {blk.start: blk.successors for blk in bcfg.blocks.values()}
     preds = bcfg.predecessors
@@ -415,17 +427,19 @@ class EffectsOracle:
         # the analysis root emulations start from; callers set it per root
         self.root = image.order[0] if image.order else None
         self.loops = detect_loops(bcfg, image)
-        self._loops_by_entry: dict[int, LoopInfo] = {}
+        largest: dict[int, LoopInfo] = {}
         for lp in self.loops:
-            cur = self._loops_by_entry.get(lp.entry)
+            cur = largest.get(lp.entry)
             if cur is None or len(lp.body) > len(cur.body):
-                self._loops_by_entry[lp.entry] = lp
+                largest[lp.entry] = lp
+        summarized = {a: lp for a, lp in largest.items() if lp.summarized}
+        # pc -> the summarized loop entered there (the largest at its entry), or None
+        self.loop_at = summarized.get
         self._effects: dict[tuple[int, int, str], CallEffect] = {}   # (root, pc, call|loop)
         # where a root's run stops: library calls and safecalls with a libc
         # spec, and summarized loops' entries; no user call is among them
         self._call_sites = frozenset(a for a in image.callees if self.spec(a) is not None)
-        self._sites = self._call_sites | {a for a, lp in self._loops_by_entry.items()
-                                          if lp.summarized}
+        self._sites = self._call_sites.union(summarized)
         self._run: Machine | None = None      # the current root's run, while alive
         self._stops: set[int] = set()         # pending sites that run has not reached
         self._halts: dict[int, Halt] = {}     # how each halted root's run ended
@@ -457,10 +471,6 @@ class EffectsOracle:
             name = self.image.callees[site].name
             return _opaque(name, f"unknown library function {name!r}; call treated as opaque")
         return self._effect(site, "call", spec.name)
-
-    def loop_at(self, pc: int) -> LoopInfo | None:
-        loop = self._loops_by_entry.get(pc)
-        return loop if loop is not None and loop.summarized else None
 
     def loop_effect(self, loop: LoopInfo) -> CallEffect:
         """The effect of `loop`, which is the loop loop_at gives for its entry."""

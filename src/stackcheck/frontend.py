@@ -14,9 +14,17 @@ line and so is never emitted. `ProgramImage.index()` also decides, once,
 what each call and safecall calls (`callees`): a user call (its target is
 in the image), a library call or a safecall, with the name its transition
 label carries and, for a user call, the address it jumps to. No other
-stage makes that decision: the CFG (`build_bcfg`) holds only each block's
+stage makes that decision: the CFG holds only each block's
 intra-procedural successor addresses, and the call labels of the state
 space carry the record's kind (see memstace.TransitionLabel).
+
+`build_bcfg` makes one pass over the jumps, in listing order. It collects
+the dangling-branch warnings and sets `cyclic`: some jump targets its own
+address or one below it. A fall-through stays inside its function, whose
+addresses strictly increase, and any other jump raises the address, so a
+CFG that is not `cyclic` has no cycle and loop detection needs no search.
+The blocks, and the maps derived from them, are built on first read: only
+a loop search and the patcher's `dest_in_frame` pay for them.
 
 What an instruction writes is one rule, `WRITES` with `write_width`: both
 executors write the memory operands it names at its width (`memory_writes`),
@@ -35,6 +43,10 @@ Operands: registers (``rax`` .. ``r15`` in all widths), immediates
 ``byte|word|dword|qword`` width prefix), segment reads (``fs:0x28``)
 and call/jump targets (``call 0x401030 <strcpy@plt>``). The patcher's
 ``safecall <template> <0xbound|rt>`` names one of SAFECALLS.
+
+The instructions and the branch and call targets a parse makes are built
+through `new_record` (tuple.__new__), past NamedTuple's Python-level
+`__new__`; so are the state-space records of memstace.
 
 Operand text is parsed once per listing, through two memos that live for
 one `parse_disassembly` call only. Each distinct (mnemonic, operand text)
@@ -104,6 +116,9 @@ REG = "register"
 IMM = "immediate"
 MEM = "memory"
 TARGET = "call-target"
+
+# builds a NamedTuple from the tuple of all its fields in C, past its Python-level __new__
+new_record = tuple.__new__
 
 
 class Operand(NamedTuple):
@@ -362,7 +377,7 @@ def _parse_target(text: str, lineno: int, raw: str) -> Operand:
     m = _CALL_RE.match(text.strip())
     if not m:
         raise MalformedLine(lineno, raw, f"bad branch target {text!r}")
-    return Operand(TARGET, None, int(m.group(1), 16), None, 0, m.group(2))
+    return new_record(Operand, (TARGET, None, int(m.group(1), 16), None, 0, m.group(2), None))
 
 
 def parse_disassembly(text: str) -> ProgramImage:
@@ -414,7 +429,7 @@ def parse_disassembly(text: str) -> ProgramImage:
             if ops is None:
                 ops = parsed[mnemonic, rest] = _parse_operands(mnemonic, rest, operands,
                                                                lineno, stripped)
-        instructions[addr] = Instruction(addr, mnemonic, ops, stripped, ins_text)
+        instructions[addr] = new_record(Instruction, (addr, mnemonic, ops, stripped, ins_text))
         order.append(addr)
         if entry_of is not None:
             headers[entry_of] = addr
@@ -489,11 +504,62 @@ class BasicBlock(NamedTuple):
 
 
 class BCfg:
-    def __init__(self, blocks: dict[int, BasicBlock]):
-        self.blocks = blocks
-        self.warnings: list[str] = []
+    """The block CFG of an image. `warnings` and `cyclic` come from one pass
+    over its jumps (build_bcfg); the blocks and the maps below are built on
+    first read, so an analysis that needs no block pays for none."""
 
-    # the maps below are built on first use, after build_bcfg has wired every edge
+    def __init__(self, image: ProgramImage, warnings: list[str], cyclic: bool):
+        self.image = image
+        self.warnings = warnings
+        # some jump targets its own address or one below it; every other
+        # edge (a fall-through or a forward jump) raises the address, so
+        # when this is False the CFG has no cycle
+        self.cyclic = cyclic
+
+    @cached_property
+    def blocks(self) -> dict[int, BasicBlock]:
+        """Block start -> block, in listing order. A block starts at a
+        function entry, a user call's target, a jump target in the image and
+        after each jump, call and ret. A call ends its block and continues
+        at the next instruction of its function; what it calls is
+        `image.callees`'s to say. A branch target outside the image is no
+        successor."""
+        image = self.image
+        instructions, next_pc, owner = image.instructions, image.next_pc, image.owner
+        leaders = set(image.functions.values())
+        leaders.update(c.target for c in image.callees.values() if c.kind == USER)
+        for addr, nxt in next_pc.items():
+            ins = instructions[addr]
+            m = ins.mnemonic
+            if m in _BLOCK_ENDS:
+                leaders.add(nxt)
+                if m in _JUMPS and ins.operands[0].value in instructions:
+                    leaders.add(ins.operands[0].value)
+
+        blocks: dict[int, BasicBlock] = {}
+        current: list[Instruction] = []
+        for addr in image.order:
+            if addr in leaders:
+                current = []
+                blocks[addr] = BasicBlock(addr, current, [])
+            current.append(instructions[addr])
+
+        for blk in blocks.values():
+            last = blk.instructions[-1]
+            m = last.mnemonic
+            if m in _JUMPS:
+                tgt = last.operands[0].value
+                if tgt in instructions:
+                    blk.successors.append(tgt)
+                if m == "jmp":
+                    continue
+            elif m == "ret":
+                continue
+            # fallthrough never crosses a function boundary
+            nxt = next_pc[last.address]
+            if nxt is not None and owner[nxt] == owner[last.address]:
+                blk.successors.append(nxt)
+        return blocks
 
     @cached_property
     def _block_at(self) -> dict[int, BasicBlock]:
@@ -513,55 +579,22 @@ class BCfg:
 
 
 def build_bcfg(image: ProgramImage) -> BCfg:
-    """Split the instruction stream into basic blocks and wire each block's
-    successors. A call ends its block and continues at the next instruction
-    of its function; what it calls is `image.callees`'s to say. A branch
-    target outside the image is no successor and gets a warning.
-    """
-    if not image.order:
-        return BCfg(blocks={})
-    instructions, next_pc, owner = image.instructions, image.next_pc, image.owner
-
-    # a block starts at a function entry, a user call's target, a jump
-    # target in the image and after each jump, call and ret
-    leaders = set(image.functions.values())
-    leaders.update(c.target for c in image.callees.values() if c.kind == USER)
-    for addr, nxt in next_pc.items():
-        ins = instructions[addr]
-        m = ins.mnemonic
-        if m in _BLOCK_ENDS:
-            leaders.add(nxt)
-            if m in _JUMPS and ins.operands[0].value in instructions:
-                leaders.add(ins.operands[0].value)
-
-    blocks: dict[int, BasicBlock] = {}
-    current: list[Instruction] = []
+    """The image's CFG, from one pass over its jumps in listing order: a
+    jump whose target is outside the image gets a warning, and a jump to its
+    own address or below makes the CFG `cyclic`. Its blocks are built when
+    first read (BCfg.blocks)."""
+    instructions = image.instructions
+    warnings: list[str] = []
+    cyclic = False
     for addr in image.order:
-        if addr in leaders:
-            current = []
-            blocks[addr] = BasicBlock(addr, current, [])
-        current.append(instructions[addr])
-
-    cfg = BCfg(blocks=blocks)
-    for blk in blocks.values():
-        last = blk.instructions[-1]
-        m = last.mnemonic
-        if m in _JUMPS:
-            tgt = last.operands[0].value
-            if tgt in instructions:
-                blk.successors.append(tgt)
-            else:
-                cfg.warnings.append(f"dangling branch at {last.address:#x} to {tgt:#x}, "
-                                    "routed to external sink")
-            if m == "jmp":
-                continue
-        elif m == "ret":
-            continue
-        # fallthrough never crosses a function boundary
-        nxt = next_pc[last.address]
-        if nxt is not None and owner[nxt] == owner[last.address]:
-            blk.successors.append(nxt)
-    return cfg
+        ins = instructions[addr]
+        if ins.mnemonic in _JUMPS:
+            tgt = ins.operands[0].value
+            if tgt not in instructions:
+                warnings.append(f"dangling branch at {addr:#x} to {tgt:#x}, "
+                                "routed to external sink")
+            cyclic = cyclic or tgt <= addr
+    return BCfg(image, warnings, cyclic)
 
 
 def entry_point(image: ProgramImage) -> int:

@@ -385,8 +385,9 @@ class Machine:
 
     def _compile(self) -> tuple:
         """The code entry of the pc's instruction: its form's handler (or
-        its counted loop's back edge, or the canary-store handler) with the
-        instruction and the pc after it."""
+        its counted loop's back edge, or the canary-store handler for a mov
+        that ProgramImage.frame names a canary store) with the instruction
+        and the pc after it."""
         image, pc = self.image, self.pc
         ins = image.instructions.get(pc)
         if ins is None:                 # also a pc of None: the run left the image
@@ -395,7 +396,7 @@ class Machine:
         handler = None
         if ins.mnemonic in JCC:
             handler = compile_counted_loop(image, ins, STACK_BASE, STACK_TOP)
-        elif pc in image.frame(image.owner[pc]).canary_stores:
+        elif ins.mnemonic == "mov" and pc in image.frame(image.owner[pc]).canary_stores:
             handler = Machine._do_canary_store
         if handler is None:
             form = (ins.mnemonic, ins.operands)

@@ -3,8 +3,11 @@
 A memory state is a tuple of stack frames (caller to callee) plus the
 label of the transition that reached it. Frames, states and labels are
 `NamedTuple`s, so they are immutable and hash and compare as plain
-tuples, in C. A frame's `bytes` holds one letter per byte state (F, C, O
-or M), indexed so that index i denotes the byte at machine address
+tuples, in C. At their hot sites they, the memory operators and the
+decoded records are built through `frontend.new_record` (tuple.__new__)
+from all their fields, past NamedTuple's Python-level `__new__`. A
+frame's `bytes` holds one letter per byte state (F, C, O or M), indexed
+so that index i denotes the byte at machine address
 rbp_anchor + 15 - i: indices 0-7 hold the saved return address, 8-15 the
 saved base register, 16-23 the canary when one is present. Higher
 indices are lower machine addresses, so a write that ascends in address
@@ -13,7 +16,9 @@ space walks *down* in index space and may continue into the caller frame
 frame it crosses, over a run computed in closed form, through the table
 of its byte operator. There is one write path: a write that leaves the
 modeled stack is clamped with a note, never raised; its common case, one
-run inside the top frame, replaces that frame alone.
+run inside the top frame, replaces that frame alone, and returns the
+frames it was given when no byte changes (nRWrite over M, as past the
+horizon below) and it is no canary store.
 
 The state space itself is a labeled transition system built by DFS over
 the binary CFG, which pushes only the targets of conditional jumps and
@@ -22,14 +27,16 @@ contribute summarized effects computed by the effects module, each a
 list of (frame depth, byte index) pairs written with nRWrite. One
 builder step splices either kind: it writes the touches, records the
 notes, and truncates the root's space when the effect is incomplete.
-Operators and effects map a frames tuple to a new one, and the builder
-wraps it with its label into the one `MemoryState` it interns, so each
-state is constructed once. Each instruction is decoded once per
-analysis, at its first visit, into a record that every root's build
+Operators and effects map a frames tuple to a new one (a write that
+changes no byte, to itself), and the builder wraps it with its label
+into the one `MemoryState` it interns, so each state is constructed
+once. Each instruction is decoded once per analysis, at its first
+visit, into a record that every root's build
 shares: owning function, successor, loop, dispatch kind, jump or call
 target, memory operators and prebuilt transition label (a call's says
 what it calls); the operators without operands are shared constants
-(MemOp is immutable). Each operand based on rbp or rsp that the one
+(MemOp is immutable); a cmp, test or nop is decoded at once, as it has
+no stack effect. Each operand based on rbp or rsp that the one
 write rule (`frontend.memory_writes`) names is a write at its width. A
 canary store writes by RWrite; `ProgramImage.frame` names it by one
 listing-order rule that the interpreter reads too (a store through a
@@ -64,7 +71,7 @@ from itertools import groupby
 from typing import NamedTuple
 
 from .frontend import (IMM, JCC, LIBRARY, REG, WRITES, Instruction, ProgramImage,
-                       memory_writes, takes_frame_address)
+                       memory_writes, new_record, takes_frame_address)
 
 RBP_RANGE = range(8, 16)
 CALL_DEPTH = 16             # user calls deeper than this are skipped with a note
@@ -193,7 +200,7 @@ class MemoryState(NamedTuple):
 
 def fresh_frame(label: str) -> StackFrame:
     """A frame as created by a call: 8 critical bytes of saved return address."""
-    return StackFrame(label, b"C" * 8, frozenset(), False, False)
+    return new_record(StackFrame, (label, b"C" * 8, frozenset(), False, False))
 
 
 # --- memory operators ----------------------------------------------------
@@ -209,19 +216,19 @@ class MemOp(NamedTuple):
 
 
 def Push(byte_op: ByteOp) -> MemOp:
-    return MemOp("push", byte_op, None, 0, 0, 0, False)
+    return new_record(MemOp, ("push", byte_op, None, 0, 0, 0, False))
 
 
 def Write(byte_op: ByteOp, base: str, disp: int, width: int, canary: bool = False) -> MemOp:
-    return MemOp("write", byte_op, base, disp, width, 0, canary)
+    return new_record(MemOp, ("write", byte_op, base, disp, width, 0, canary))
 
 
 def Fe(amount: int) -> MemOp:
-    return MemOp("fe", None, None, 0, 0, amount, False)
+    return new_record(MemOp, ("fe", None, None, 0, 0, amount, False))
 
 
 def Shrink(amount: int) -> MemOp:
-    return MemOp("shrink", None, None, 0, 0, amount, False)
+    return new_record(MemOp, ("shrink", None, None, 0, 0, amount, False))
 
 
 # the operators that carry no operand; MemOp is immutable, so one of each serves
@@ -287,9 +294,11 @@ def apply_memory_operator(frames: tuple[StackFrame, ...], op: MemOp,
         lo = start + 1 - op.width
         if lo >= 0:     # the common case: one run inside the top frame
             row = _translated(top.bytes, lo, start + 1, op.byte_op)
-            return frames[:-1] + (StackFrame(top.label, row, top.buffers,
-                                             top.has_canary or op.canary,
-                                             top.has_rbp_slot),), notes
+            if row is top.bytes and not op.canary:     # no byte changes
+                return frames, notes
+            return frames[:-1] + (new_record(StackFrame, (top.label, row, top.buffers,
+                                                          top.has_canary or op.canary,
+                                                          top.has_rbp_slot)),), notes
         frames = list(frames)
         runs, pos, left = [], len(frames) - 1, op.width
         while left:
@@ -305,12 +314,14 @@ def apply_memory_operator(frames: tuple[StackFrame, ...], op: MemOp,
         _translate_runs(frames, runs, op.byte_op)
         if op.canary:
             top = frames[-1]
-            frames[-1] = StackFrame(top.label, top.bytes, top.buffers, True, top.has_rbp_slot)
+            frames[-1] = new_record(StackFrame, (top.label, top.bytes, top.buffers, True,
+                                                 top.has_rbp_slot))
         return tuple(frames), notes
     if op.kind == "push":
         risky = op.byte_op is ByteOp.RWRITE and len(top.bytes) == 8
-        top = StackFrame(top.label, _grown(frames, b"C" if risky else b"O", 8, keep, notes),
-                         top.buffers, top.has_canary, top.has_rbp_slot or risky)
+        top = new_record(StackFrame, (top.label,
+                                      _grown(frames, b"C" if risky else b"O", 8, keep, notes),
+                                      top.buffers, top.has_canary, top.has_rbp_slot or risky))
     elif op.kind == "pop":
         if len(top.bytes) - 8 < 8:
             raise PopUnderflow(f"pop would consume the saved return address of {top.label}")
@@ -354,20 +365,28 @@ def _grown(frames: tuple[StackFrame, ...], letter: bytes, n: int, keep: int | No
 
 
 def _with_bytes(frame: StackFrame, data: bytes) -> StackFrame:
-    return StackFrame(frame.label, data, frame.buffers, frame.has_canary, frame.has_rbp_slot)
+    return new_record(StackFrame, (frame.label, data, frame.buffers, frame.has_canary,
+                                   frame.has_rbp_slot))
 
 
 def _translate_runs(frames: list[StackFrame], runs, byte_op: ByteOp) -> None:
-    """Translate each (frame position, lo, hi) run in order."""
+    """Translate each (frame position, lo, hi) run in order; a frame whose
+    bytes do not change stays."""
     for pos, lo, hi in runs:
         frame = frames[pos]
-        frames[pos] = _with_bytes(frame, _translated(frame.bytes, lo, hi, byte_op))
+        row = _translated(frame.bytes, lo, hi, byte_op)
+        if row is not frame.bytes:
+            frames[pos] = _with_bytes(frame, row)
 
 
 def _translated(row: bytes, lo: int, hi: int, byte_op: ByteOp) -> bytes:
-    """`row` with bytes lo..hi-1 moved by `byte_op`; the first byte (highest
-    index) with no transition raises, as byte by byte."""
-    seg = row[lo:hi].translate(_TRANSLATE[byte_op])
+    """`row` with bytes lo..hi-1 moved by `byte_op`, or `row` itself when
+    none changes (M under nRWrite); the first byte (highest index) with no
+    transition raises, as byte by byte."""
+    old = row[lo:hi]
+    seg = old.translate(_TRANSLATE[byte_op])
+    if seg == old:
+        return row
     if 0 in seg:
         byte_transition(ByteState(chr(row[lo + seg.rindex(0)])), byte_op)
     return row[:lo] + seg + row[hi:]
@@ -382,8 +401,8 @@ def register_buffer(frame: StackFrame, offset: int, size: int) -> StackFrame:
     for (o, s) in frame.buffers:
         if lo < o + s and o < hi:
             raise OverlappingBuffer(f"buffer {entry} overlaps {(o, s)}")
-    return StackFrame(frame.label, frame.bytes, frame.buffers | {entry}, frame.has_canary,
-                      frame.has_rbp_slot)
+    return new_record(StackFrame, (frame.label, frame.bytes, frame.buffers | {entry},
+                                   frame.has_canary, frame.has_rbp_slot))
 
 
 def buffer_index_span(frame: StackFrame, offset: int, size: int) -> tuple[int, int]:
@@ -497,7 +516,7 @@ class _SpaceBuilder:
         return sid
 
     def emit(self, src: int, label: TransitionLabel, frames: tuple[StackFrame, ...]) -> int:
-        state = MemoryState(frames, label)
+        state = new_record(MemoryState, (frames, label))
         dst = self.ids.get(state)
         if dst is None:                 # a new state: no edge reaches it yet
             dst = self._add(state)
@@ -528,36 +547,41 @@ class _SpaceBuilder:
         if nxt is not None and owner[nxt] != fn:
             nxt = None
         m = ins.mnemonic
+        loop = self.effects.loop_at(pc)
+        if m == "cmp" or m == "test" or m == "nop":     # no stack effect
+            return new_record(_Decoded, (ins, fn, nxt, loop, "no-effect", None, None, ()))
         target = label = None
         steps = ()
         if m in JCC or m == "jmp":
             kind, target = "jcc" if m != "jmp" else "jmp", ins.operands[0].value
         elif m == "ret":
-            kind, label = "ret", TransitionLabel("pop", pc, None, ins.text, None)
+            kind, label = "ret", new_record(TransitionLabel, ("pop", pc, None, ins.text, None))
         elif m == "lea":
             kind = "no-effect"
             if takes_frame_address(ins):
-                kind, label = "lea", TransitionLabel("buffer-register", pc, None, ins.text, None)
+                kind, label = "lea", new_record(TransitionLabel, ("buffer-register", pc, None,
+                                                                  ins.text, None))
         elif m == "call" or m == "safecall":
             callee = image.callees[pc]
             modelled = callee.kind == LIBRARY and self.effects.spec(pc) is not None
             kind, target = "call", callee.target
-            label = TransitionLabel("call", pc, callee.name, ins.text,
-                                    LIBC if modelled else callee.kind)
+            label = new_record(TransitionLabel, ("call", pc, callee.name, ins.text,
+                                                 LIBC if modelled else callee.kind))
         else:
             kind, sites = "no-effect", image.frame(fn).canary_stores if m == "mov" else ()
             for op in classify_instruction(ins, sites):
                 if op.kind == "fa":
-                    kind, label = "fa", TransitionLabel("fa", pc, None, ins.text, None)
+                    kind, label = "fa", new_record(TransitionLabel, ("fa", pc, None, ins.text,
+                                                                     None))
                 elif op.kind == "write" and self.cfg.atomic_writes and op.width > 1:
                     steps += tuple((op._replace(width=1, disp=op.disp + k),
                                     TransitionLabel("write", pc, None, f"{ins.text} [byte {k}]",
                                                     None)) for k in range(op.width))
                 else:
-                    steps += ((op, TransitionLabel("fe" if op.kind == "shrink" else op.kind, pc,
-                                                   None, ins.text, None)),)
+                    steps += ((op, new_record(TransitionLabel, (
+                        "fe" if op.kind == "shrink" else op.kind, pc, None, ins.text, None))),)
             kind = "direct" if steps else kind
-        return _Decoded(ins, fn, nxt, self.effects.loop_at(pc), kind, target, label, steps)
+        return new_record(_Decoded, (ins, fn, nxt, loop, kind, target, label, steps))
 
     # the DFS itself
 
@@ -605,8 +629,8 @@ class _SpaceBuilder:
                 kind = d.kind
                 if d.loop is not None and not self._came_from_loop(sid, d.loop):
                     loop = d.loop
-                    label = TransitionLabel("loop", loop.entry,
-                                            text=f"loop {loop.entry:#x}..{loop.exit:#x}")
+                    label = new_record(TransitionLabel, (
+                        "loop", loop.entry, None, f"loop {loop.entry:#x}..{loop.exit:#x}", None))
                     pc, sid = loop.exit, self._splice(sid, label, self.effects.loop_effect(loop))
                 elif kind == "no-effect":
                     pc = d.nxt

@@ -106,7 +106,7 @@ def check_operand_mutants(seed: int, count: int) -> None:
                 f"401004: {rng.choice(OPERAND_MNEMONICS)} {ops}\n401008: ret\n")
         try:
             image = parse_disassembly(text)
-            build_bcfg(image)
+            build_bcfg(image).blocks
             image.frame("main")
         except (MalformedLine, DuplicateFunction):
             pass

@@ -439,6 +439,22 @@ def test_growth_past_the_horizon_adds_modified_bytes():
     assert kept[-1].bytes == b"C" * 16 + b"F" * 16
 
 
+def test_a_write_wholly_in_a_cut_tail_keeps_its_frames():
+    """nRWrite maps M to itself: a write or effect that changes no byte
+    gives back the frames (or frame) it was given; one that changes a
+    byte gives new ones."""
+    start, _ = apply_memory_operator((fresh_frame("main"),), Push(RW))
+    frames, _ = apply_memory_operator(start + (fresh_frame("f"),), Fe(32), keep=12)
+    assert frames[-1].bytes == b"C" * 8 + b"F" * 4 + b"M" * 28
+    same, notes = apply_memory_operator(frames, Write(NRW, "rsp", 0, 16))
+    assert same is frames and notes == []
+    changed, _ = apply_memory_operator(frames, Write(NRW, "rsp", 28, 8))
+    assert changed is not frames and changed[-1].bytes[8:12] == b"OOOO"
+    effect = SimpleNamespace(name="loop", touched=[(0, 30), (0, 29), (1, 3)])
+    after, notes = apply_effect(frames, effect)
+    assert after[-1] is frames[-1] and after[0] != frames[0] and notes == []
+
+
 def test_growth_past_the_modelled_stack_is_clamped():
     """All frames of a state hold at most STACK_SIZE bytes: growth past
     that is cut there, with a note."""

@@ -1,7 +1,8 @@
 """The package's records: importing the CLI generates no code, property
 AST nodes of different kinds never compare equal (the property compilers
-are caches keyed by nodes), and the records compare by value where the
-pipeline and its tests compare them."""
+are caches keyed by nodes), the records compare by value where the
+pipeline and its tests compare them, and the records built past their
+constructor hold every field."""
 
 from __future__ import annotations
 
@@ -12,13 +13,14 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from conftest import corpus_path, load_image, pipeline
+from conftest import CORPUS_DIR, FIXTURE_DIR, corpus_path, load_image, pipeline
 
 from stackcheck import ltl
+from stackcheck.cli import build_root_spaces
 from stackcheck.interp import Machine
 from stackcheck.ltl import (And, BoolLit, EvalContext, ExistsStack, ForallStack, Or,
                             compile_body, compile_kernel, parse_property_file)
-from stackcheck.memstace import Config, MemoryState
+from stackcheck.memstace import Config, MemoryState, _SpaceBuilder
 from stackcheck.validator import run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -93,3 +95,38 @@ def test_records_compare_by_value():
     assert Config()._replace(step_budget=5) == Config(step_budget=5)
     with pytest.raises(ValueError, match="max_states must be positive"):
         Config()._replace(max_states=0)
+
+
+def _assert_whole(record) -> None:
+    assert len(record) == len(type(record)._fields) and type(record)(*record) == record, record
+
+
+def test_records_built_past_their_constructor_hold_every_field():
+    """The hot records built through frontend.new_record (tuple.__new__)
+    hold one value per field and equal what their own constructor builds
+    from those values: every instruction and operand parsed, every pc
+    decoded (record, label, operators) and every state built, over the
+    corpus and the fixtures."""
+    paths = sorted(CORPUS_DIR.glob("*.s")) + sorted(FIXTURE_DIR.glob("*.s"))
+    for path in paths:
+        image, _, oracle = pipeline(path)
+        builder = _SpaceBuilder(image, oracle, Config(), None, {})
+        for pc in image.order:
+            ins = image.instructions[pc]
+            _assert_whole(ins)
+            for op in ins.operands:
+                _assert_whole(op)
+            decoded = builder.decode(pc)
+            _assert_whole(decoded)
+            if decoded.label is not None:
+                _assert_whole(decoded.label)
+            for op, label in decoded.steps:
+                _assert_whole(op)
+                _assert_whole(label)
+        for space in build_root_spaces(image, oracle, Config()).values():
+            for state in space.states.values():
+                _assert_whole(state)
+                for frame in state.frames:
+                    _assert_whole(frame)
+            for _, label, _ in space.transitions:
+                _assert_whole(label)
